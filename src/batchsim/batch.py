@@ -24,6 +24,7 @@ from .errors import (
     TaskTooWide,
     UnknownJob,
     UnknownPool,
+    UnknownRegion,
     ValidationError,
 )
 from .fabric import (
@@ -39,7 +40,7 @@ from .fabric import (
     ScarcityWindow,
     SimClock,
 )
-from .storage import StorageAccount
+from .storage import StorageAccount, TransferRecord
 
 IMAGE_PULL_SECONDS = 120.0  # deterministic pull stage at pool creation
 
@@ -47,7 +48,6 @@ IMAGE_PULL_SECONDS = 120.0  # deterministic pull stage at pool creation
 class PoolState(enum.Enum):
     ALLOCATING = "Allocating"
     STEADY = "Steady"
-    RESIZING = "Resizing"
     DELETING = "Deleting"
     DELETED = "Deleted"
 
@@ -180,17 +180,20 @@ class BatchService:
 
     # -- quotas ------------------------------------------------------------
 
-    def quota_set(self, region: str, dedicated_cores: int, low_priority_cores: int):
+    def quota_set(self, region: str, dedicated_cores: int,
+                  low_priority_cores: Optional[int] = None):
+        """Raise or lower a catalog region's quotas; low-priority defaults to unchanged."""
         if region not in self.quotas:
-            self.quotas[region] = RegionQuota(region, 0, 0)
-            self._used.setdefault(region, [0, 0])
+            raise UnknownRegion(f"no quota table for region {region!r}")
+        if low_priority_cores is None:
+            low_priority_cores = self.quotas[region].low_priority_cores
         self.quotas[region] = RegionQuota(region, dedicated_cores, low_priority_cores)
         self.event_log.append(self.clock.now, f"quota/{region}",
                               f"dedicated={dedicated_cores},low_priority={low_priority_cores}")
 
     def available_quota(self, region: str) -> RegionQuota:
         quota = self.quotas[region]
-        used = self._used.get(region, [0, 0])
+        used = self._used[region]
         return RegionQuota(region, quota.dedicated_cores - used[0],
                            quota.low_priority_cores - used[1])
 
@@ -438,6 +441,25 @@ class BatchService:
             self.event_log.append(self.clock.now, f"job/{job.job_id}",
                                   f"{JobState.ACTIVE.value}->{JobState.COMPLETED.value}")
 
+    # -- data transfers --------------------------------------------------------
+
+    def data_ingress(self, share: str, directory: str,
+                     manifest: list[tuple[str, int]]) -> Optional[TransferRecord]:
+        """Upload a size manifest into a share directory, logging the metered bytes."""
+        record = self.storage.ingress(share, directory, manifest, self.clock.now)
+        if record is not None:
+            self.event_log.append(self.clock.now, f"share/{share}", f"ingress:{record.bytes}")
+        return record
+
+    def data_download(self, share: str, directory: str, dest) -> Optional[TransferRecord]:
+        """Download a share directory to `dest`, billing and logging the egress."""
+        now = self.clock.now
+        record = self.storage.download_batch(share, directory, dest, now)
+        if record is not None:
+            self.ledger.add_egress(record.bytes, f"download {share}/{directory}", (now, now))
+            self.event_log.append(now, f"share/{share}", f"egress:{record.bytes}")
+        return record
+
     # -- metering ------------------------------------------------------------
 
     def _close_meter(self, pool: Pool, node: Node, at: float):
@@ -469,10 +491,6 @@ class BatchService:
         return None
 
     # -- simulation drivers ----------------------------------------------------
-
-    def advance_until_pool_steady(self, pool_id: str):
-        pool = self.pools[pool_id]
-        self.clock.run(until=lambda: pool.state is not PoolState.ALLOCATING)
 
     def advance_until_pool_settled(self, pool_id: str):
         """Advance past pool readiness including any low-priority stragglers."""
@@ -551,8 +569,8 @@ class BatchService:
             r: {
                 "dedicated_cores": q.dedicated_cores,
                 "low_priority_cores": q.low_priority_cores,
-                "dedicated_used": self._used.get(r, [0, 0])[0],
-                "low_priority_used": self._used.get(r, [0, 0])[1],
+                "dedicated_used": self._used[r][0],
+                "low_priority_used": self._used[r][1],
             }
             for r, q in self.quotas.items()
         }

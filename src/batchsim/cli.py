@@ -46,6 +46,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative(kind):
+    """argparse type for `kind` values that must be >= 0 (a usage error, exit 64)."""
+    def convert(text):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
+    return convert
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="batchsim", description=__doc__)
     parser.add_argument("-C", dest="root", default=".", metavar="DIR",
@@ -58,10 +70,10 @@ def build_parser() -> _Parser:
     init.add_argument("--seed", type=int, default=0)
     init.add_argument("--catalog", help="catalog override document (YAML)")
     init.add_argument("--interconnect", choices=sorted(INTERCONNECTS), default="azure")
-    init.add_argument("--preemption-rate", type=float, default=0.05,
+    init.add_argument("--preemption-rate", type=_non_negative(float), default=0.05,
                       help="low-priority preemptions per node-hour")
-    init.add_argument("--image-pull-seconds", type=float, default=120.0)
-    init.add_argument("--task-retries", type=int, default=0,
+    init.add_argument("--image-pull-seconds", type=_non_negative(float), default=120.0)
+    init.add_argument("--task-retries", type=_non_negative(int), default=0,
                       help="automatic retries after preemption (default 0)")
     init.add_argument("--scarcity", nargs=2, type=float, action="append", default=[],
                       metavar=("START", "END"),
@@ -74,13 +86,13 @@ def build_parser() -> _Parser:
     share = top.add_parser("share").add_subparsers(dest="cmd", required=True)
     sc = share.add_parser("create", help="create a fileshare")
     sc.add_argument("--name", required=True)
-    sc.add_argument("--quota", required=True, type=int, metavar="GIB")
+    sc.add_argument("--quota", required=True, type=_non_negative(int), metavar="GIB")
 
     quota = top.add_parser("quota").add_subparsers(dest="cmd", required=True)
     qs = quota.add_parser("set", help="set per-region core quotas")
     qs.add_argument("--region", required=True)
-    qs.add_argument("--dedicated", required=True, type=int)
-    qs.add_argument("--low-priority", type=int, default=None)
+    qs.add_argument("--dedicated", required=True, type=_non_negative(int))
+    qs.add_argument("--low-priority", type=_non_negative(int), default=None)
 
     pool = top.add_parser("pool").add_subparsers(dest="cmd", required=True)
     pa = pool.add_parser("add", help="create the pool defined in pool.yaml")
@@ -164,7 +176,10 @@ class Cli:
         return statemod.service_from_doc(state["service"], options,
                                          self.catalog_from_state(state))
 
-    def commit(self, state: dict, svc, recorded_argv=None):
+    def commit(self, state: dict, svc, recorded_argv=None, bundle: ConfigBundle | None = None):
+        """Write a validated command's results, and the configs it ran with, to .batchsim/."""
+        if bundle is not None:
+            serialize_config_dir(bundle, self.store.configs_dir)
         state["service"] = statemod.service_to_doc(svc)
         if recorded_argv is not None:
             state["transcript"].append(list(recorded_argv))
@@ -186,9 +201,7 @@ class Cli:
         return path if path.is_absolute() else self.root / path
 
     def load_bundle(self, configdir_arg, catalog: Catalog) -> ConfigBundle:
-        bundle = parse_config_dir(self.resolve_configdir(configdir_arg), catalog)
-        serialize_config_dir(bundle, self.store.configs_dir)
-        return bundle
+        return parse_config_dir(self.resolve_configdir(configdir_arg), catalog)
 
 
 def _relpath(path: Path, root: Path) -> Path:
@@ -235,21 +248,9 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     if catalog_doc:
         with open(cli.store.configs_dir / "catalog.yaml", "w") as fh:
             yaml.safe_dump(catalog_doc, fh, sort_keys=False)
-    state = {
-        "version": statemod.STATE_VERSION,
-        "options": options.to_doc(),
-        "catalog_doc": catalog_doc,
-        "workspace": statemod.workspace_to_doc(bundle.workspace),
-        "credentials_digest": {
-            "storage_key": statemod.sha256_text(bundle.credentials.storage_key),
-            "batch_key": statemod.sha256_text(bundle.credentials.batch_key),
-        },
-        "storage_account_created": False,
-        "service": statemod.service_to_doc(svc),
-        "transcript": [recorded],
-        "ingress_seq": 0,
-        "has_completed_run": False,
-    }
+    state = statemod.new_workspace_state(options, bundle, catalog_doc)
+    state["service"] = statemod.service_to_doc(svc)
+    state["transcript"].append(recorded)
     cli.store.save(state)
     ws = bundle.workspace
     cli.say(f"workspace initialized: subscription={ws.subscription} "
@@ -286,11 +287,8 @@ def cmd_share_create(cli: Cli, args) -> int:
 def cmd_quota_set(cli: Cli, args) -> int:
     state = cli.require_state()
     svc = cli.service_from_state(state)
-    current = svc.quotas.get(args.region)
-    low = args.low_priority
-    if low is None:
-        low = current.low_priority_cores if current else 0
-    svc.quota_set(args.region, args.dedicated, low)
+    svc.quota_set(args.region, args.dedicated, args.low_priority)
+    low = svc.quotas[args.region].low_priority_cores
     recorded = ["quota", "set", "--region", args.region, "--dedicated", str(args.dedicated),
                 "--low-priority", str(low)]
     cli.commit(state, svc, recorded)
@@ -308,7 +306,7 @@ def cmd_pool_add(cli: Cli, args) -> int:
     recorded = ["pool", "add"]
     if args.plan != PricingPlan.PAYGO_DEDICATED.value:
         recorded += ["--plan", args.plan]
-    cli.commit(state, svc, recorded)
+    cli.commit(state, svc, recorded, bundle)
     for warning in pool.warnings:
         cli.say(f"warning: {warning.rule}: {warning.message}")
     cli.say(f"pool {pool.pool_id}: {pool.state.value} "
@@ -320,6 +318,7 @@ def cmd_pool_add(cli: Cli, args) -> int:
 def cmd_pool_del(cli: Cli, args) -> int:
     state = cli.require_state()
     svc = cli.service_from_state(state)
+    bundle = None
     if args.pool:
         pool_id = args.pool
         recorded = ["pool", "del", "--pool", pool_id]
@@ -328,7 +327,7 @@ def cmd_pool_del(cli: Cli, args) -> int:
         pool_id = bundle.pool.pool_id
         recorded = ["pool", "del"]
     svc.pool_del(pool_id)
-    cli.commit(state, svc, recorded)
+    cli.commit(state, svc, recorded, bundle)
     cli.say(f"pool deleted: {pool_id}")
     return 0
 
@@ -375,9 +374,8 @@ def cmd_data_ingress(cli: Cli, args) -> int:
             targets.append((share, directory))
     total = 0
     for share, directory in targets:
-        record = svc.storage.ingress(share, directory, manifest, svc.clock.now)
+        record = svc.data_ingress(share, directory, manifest)
         if record is not None:
-            svc.event_log.append(svc.clock.now, f"share/{share}", f"ingress:{record.bytes}")
             total += record.bytes
     seq = state["ingress_seq"] + 1
     state["ingress_seq"] = seq
@@ -386,7 +384,7 @@ def cmd_data_ingress(cli: Cli, args) -> int:
     with open(cli.root / manifest_rel, "w") as fh:
         json.dump({"entries": [list(row) for row in manifest]}, fh, indent=1)
         fh.write("\n")
-    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel])
+    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle)
     cli.say(f"ingress complete: {len(manifest)} files, {total} bytes into "
             + ", ".join(f"{s}/{d}" for s, d in targets))
     return 0
@@ -399,13 +397,8 @@ def cmd_data_download(cli: Cli, args) -> int:
     if not directory:
         raise ValidationError("--source must look like <share>/<directory>")
     dest = _relpath(Path(args.dest), cli.root)
-    record = svc.storage.download_batch(share, directory, dest, svc.clock.now)
-    count = 0
-    if record is not None:
-        svc.ledger.add_egress(record.bytes, f"download {share}/{directory}",
-                              (svc.clock.now, svc.clock.now))
-        svc.event_log.append(svc.clock.now, f"share/{share}", f"egress:{record.bytes}")
-        count = len(svc.storage.entries_under(share, directory))
+    record = svc.data_download(share, directory, dest)
+    count = len(svc.storage.entries_under(share, directory)) if record is not None else 0
     cli.commit(state, svc, ["data", "download", "--source", args.source,
                             "--dest", args.dest])
     cli.say(f"downloaded {count} files "
@@ -419,7 +412,7 @@ def cmd_jobs_add(cli: Cli, args) -> int:
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     job = svc.jobs_add(bundle.jobs)
     svc.advance_until_job_terminal(job.job_id)
-    cli.commit(state, svc, ["jobs", "add"])
+    cli.commit(state, svc, ["jobs", "add"], bundle)
     for task in job.tasks:
         suffix = f" ({task.failure_reason.value})" if task.failure_reason else ""
         cli.say(f"task {task.spec.task_id}: {task.state.value}{suffix}")
@@ -430,6 +423,7 @@ def cmd_jobs_add(cli: Cli, args) -> int:
 def cmd_jobs_del(cli: Cli, args) -> int:
     state = cli.require_state()
     svc = cli.service_from_state(state)
+    bundle = None
     if args.job:
         job_id = args.job
         recorded = ["jobs", "del", "--job", job_id]
@@ -438,7 +432,7 @@ def cmd_jobs_del(cli: Cli, args) -> int:
         job_id = bundle.jobs.job_id
         recorded = ["jobs", "del"]
     svc.jobs_del(job_id)
-    cli.commit(state, svc, recorded)
+    cli.commit(state, svc, recorded, bundle)
     cli.say(f"job deleted: {job_id}")
     return 0
 
@@ -488,27 +482,10 @@ def cmd_scenario_run(cli: Cli, args) -> int:
     bundle = scenario.bundle()
     if cli.store.configs_dir.exists():
         shutil.rmtree(cli.store.configs_dir)
-    serialize_config_dir(bundle, cli.store.configs_dir)
     cli.store.reset_run_outputs()
-    recorded = ["scenario", "run", scenario.name, "--seed", str(args.seed)]
-    state = {
-        "version": statemod.STATE_VERSION,
-        "options": options.to_doc(),
-        "catalog_doc": None,
-        "workspace": statemod.workspace_to_doc(bundle.workspace),
-        "credentials_digest": {
-            "storage_key": statemod.sha256_text(bundle.credentials.storage_key),
-            "batch_key": statemod.sha256_text(bundle.credentials.batch_key),
-        },
-        "storage_account_created": True,
-        "service": statemod.service_to_doc(svc),
-        "transcript": [recorded],
-        "ingress_seq": 0,
-        "has_completed_run": True,
-    }
-    cli.store.append_events(svc.event_log.lines())
-    cli.store.write_ledger(billing.export_tsv(svc.ledger))
-    cli.store.save(state)
+    state = statemod.new_workspace_state(options, bundle)
+    state["storage_account_created"] = True
+    cli.commit(state, svc, ["scenario", "run", scenario.name, "--seed", str(args.seed)], bundle)
     for task_id, task_state in run.task_states().items():
         cli.say(f"task {task_id}: {task_state}")
     cli.say(f"vm cost: {billing.usd_str(run.vm_cost, 4)} USD")

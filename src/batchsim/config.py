@@ -3,7 +3,8 @@
 A run is driven by workspace.yaml, credentials.yaml, pool.yaml, and
 jobs.yaml in one directory. Parsing is pure and the resulting configs are
 immutable; every cross-reference (sku, region, pool id, task geometry) is
-resolved against the catalog at parse time.
+resolved against the catalog at parse time. The same writers and readers
+carry the pool and task documents embedded in state.json.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import CrossRefError, MissingDocument, SchemaError
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
 DOCUMENT_NAMES = ("workspace.yaml", "credentials.yaml", "pool.yaml", "jobs.yaml")
+STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
 
 
 @dataclass(frozen=True)
@@ -141,15 +143,9 @@ class _Reader:
 
 
 def _parse_workspace(directory: Path) -> WorkspaceConfig:
-    doc = _load_doc(directory, "workspace.yaml")
-    r = _Reader(str(directory / "workspace.yaml"), doc).child("workspace")
-    return WorkspaceConfig(
-        subscription=r.require("subscription", str),
-        resource_group=r.require("resource_group", str),
-        region=r.require("region", str),
-        storage_account=r.require("storage_account", str),
-        batch_account=r.require("batch_account", str),
-    )
+    path = str(directory / "workspace.yaml")
+    doc = _Reader(path, _load_doc(directory, "workspace.yaml")).require("workspace", dict)
+    return workspace_from_doc(doc, path, "workspace.")
 
 
 def _parse_credentials(directory: Path) -> CredentialsConfig:
@@ -162,59 +158,22 @@ def _parse_credentials(directory: Path) -> CredentialsConfig:
 
 
 def _parse_pool(directory: Path) -> PoolConfig:
-    path = directory / "pool.yaml"
-    doc = _load_doc(directory, "pool.yaml")
-    r = _Reader(str(path), doc).child("pool")
-    counts = r.child("vm_count")
-    dedicated = counts.require("dedicated", int)
-    low_priority = counts.require("low_priority", int)
-    if dedicated < 0 or low_priority < 0:
-        raise SchemaError(str(path), "pool.vm_count", "counts must be non-negative")
-    if dedicated + low_priority < 1:
-        raise SchemaError(str(path), "pool.vm_count", "pool must request at least one node")
-    return PoolConfig(
-        pool_id=r.require("id", str),
-        sku=r.require("sku", str),
-        region=r.require("region", str),
-        dedicated_count=dedicated,
-        low_priority_count=low_priority,
-        inter_node_comm=r.require("inter_node_comm", bool),
-        shared_filesystem=r.require("shared_filesystem", bool),
-        image=r.require("image", str),
-    )
+    path = str(directory / "pool.yaml")
+    doc = _Reader(path, _load_doc(directory, "pool.yaml")).require("pool", dict)
+    return pool_from_doc(doc, path, "pool.")
 
 
 def _parse_jobs(directory: Path) -> JobsConfig:
     path = str(directory / "jobs.yaml")
-    doc = _load_doc(directory, "jobs.yaml")
-    r = _Reader(path, doc).child("job")
-    tasks = []
+    r = _Reader(path, _load_doc(directory, "jobs.yaml")).child("job")
     entries = r.require("tasks", list)
     if not entries:
         raise SchemaError(path, "job.tasks", "at least one task required")
+    tasks = []
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaError(path, f"job.tasks[{idx}]", "expected a mapping")
-        tr = _Reader(path, entry, f"job.tasks[{idx}].")
-        workload_text = tr.require("workload", str)
-        try:
-            workload = parse_workload(workload_text)
-        except ValueError as exc:
-            raise SchemaError(path, f"job.tasks[{idx}].workload", str(exc)) from None
-        instances = tr.require("instances", int)
-        if instances < 1:
-            raise SchemaError(path, f"job.tasks[{idx}].instances", "must be at least 1")
-        tasks.append(
-            TaskSpec(
-                task_id=tr.require("id", str),
-                workload=workload,
-                instances=instances,
-                procs_per_node=tr.require("procs_per_node", int),
-                gpus_per_node=tr.require("gpus_per_node", int),
-                input_dir=tr.require("input_dir", str),
-                output_dir=tr.require("output_dir", str),
-            )
-        )
+        tasks.append(task_spec_from_doc(entry, path, f"job.tasks[{idx}]."))
     ids = [t.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise SchemaError(path, "job.tasks", "task ids must be unique within the job")
@@ -269,59 +228,109 @@ def parse_config_dir(path, catalog: Catalog) -> ConfigBundle:
 
 
 # ---------------------------------------------------------------------------
-# serialization (parse . serialize == identity on validated bundles)
+# document codec: one writer and one reader per config type, shared by the
+# YAML bundle and the embedded copies in state.json (parse . write == identity)
+
+
+def workspace_to_doc(ws: WorkspaceConfig) -> dict:
+    return {
+        "subscription": ws.subscription,
+        "resource_group": ws.resource_group,
+        "region": ws.region,
+        "storage_account": ws.storage_account,
+        "batch_account": ws.batch_account,
+    }
+
+
+def workspace_from_doc(doc: dict, path: str, prefix: str) -> WorkspaceConfig:
+    r = _Reader(path, doc, prefix)
+    return WorkspaceConfig(
+        subscription=r.require("subscription", str),
+        resource_group=r.require("resource_group", str),
+        region=r.require("region", str),
+        storage_account=r.require("storage_account", str),
+        batch_account=r.require("batch_account", str),
+    )
+
+
+def pool_to_doc(cfg: PoolConfig) -> dict:
+    return {
+        "id": cfg.pool_id,
+        "sku": cfg.sku,
+        "region": cfg.region,
+        "vm_count": {"dedicated": cfg.dedicated_count, "low_priority": cfg.low_priority_count},
+        "inter_node_comm": cfg.inter_node_comm,
+        "shared_filesystem": cfg.shared_filesystem,
+        "image": cfg.image,
+    }
+
+
+def pool_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> PoolConfig:
+    r = _Reader(path, doc, prefix)
+    counts = r.child("vm_count")
+    dedicated = counts.require("dedicated", int)
+    low_priority = counts.require("low_priority", int)
+    if dedicated < 0 or low_priority < 0:
+        raise SchemaError(path, f"{prefix}vm_count", "counts must be non-negative")
+    if dedicated + low_priority < 1:
+        raise SchemaError(path, f"{prefix}vm_count", "pool must request at least one node")
+    return PoolConfig(
+        pool_id=r.require("id", str),
+        sku=r.require("sku", str),
+        region=r.require("region", str),
+        dedicated_count=dedicated,
+        low_priority_count=low_priority,
+        inter_node_comm=r.require("inter_node_comm", bool),
+        shared_filesystem=r.require("shared_filesystem", bool),
+        image=r.require("image", str),
+    )
+
+
+def task_spec_to_doc(spec: TaskSpec) -> dict:
+    return {
+        "id": spec.task_id,
+        "workload": workload_ref(spec.workload),
+        "instances": spec.instances,
+        "procs_per_node": spec.procs_per_node,
+        "gpus_per_node": spec.gpus_per_node,
+        "input_dir": spec.input_dir,
+        "output_dir": spec.output_dir,
+    }
+
+
+def task_spec_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
+    r = _Reader(path, doc, prefix)
+    try:
+        workload = parse_workload(r.require("workload", str))
+    except ValueError as exc:
+        raise SchemaError(path, f"{prefix}workload", str(exc)) from None
+    instances = r.require("instances", int)
+    if instances < 1:
+        raise SchemaError(path, f"{prefix}instances", "must be at least 1")
+    return TaskSpec(
+        task_id=r.require("id", str),
+        workload=workload,
+        instances=instances,
+        procs_per_node=r.require("procs_per_node", int),
+        gpus_per_node=r.require("gpus_per_node", int),
+        input_dir=r.require("input_dir", str),
+        output_dir=r.require("output_dir", str),
+    )
 
 
 def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:
-    pool, jobs = bundle.pool, bundle.jobs
+    jobs = bundle.jobs
     return {
-        "workspace.yaml": {
-            "workspace": {
-                "subscription": bundle.workspace.subscription,
-                "resource_group": bundle.workspace.resource_group,
-                "region": bundle.workspace.region,
-                "storage_account": bundle.workspace.storage_account,
-                "batch_account": bundle.workspace.batch_account,
-            }
-        },
+        "workspace.yaml": {"workspace": workspace_to_doc(bundle.workspace)},
         "credentials.yaml": {
             "credentials": {
                 "storage_key": bundle.credentials.storage_key,
                 "batch_key": bundle.credentials.batch_key,
             }
         },
-        "pool.yaml": {
-            "pool": {
-                "id": pool.pool_id,
-                "sku": pool.sku,
-                "region": pool.region,
-                "vm_count": {
-                    "dedicated": pool.dedicated_count,
-                    "low_priority": pool.low_priority_count,
-                },
-                "inter_node_comm": pool.inter_node_comm,
-                "shared_filesystem": pool.shared_filesystem,
-                "image": pool.image,
-            }
-        },
-        "jobs.yaml": {
-            "job": {
-                "id": jobs.job_id,
-                "pool": jobs.pool_id,
-                "tasks": [
-                    {
-                        "id": t.task_id,
-                        "workload": workload_ref(t.workload),
-                        "instances": t.instances,
-                        "procs_per_node": t.procs_per_node,
-                        "gpus_per_node": t.gpus_per_node,
-                        "input_dir": t.input_dir,
-                        "output_dir": t.output_dir,
-                    }
-                    for t in jobs.tasks
-                ],
-            }
-        },
+        "pool.yaml": {"pool": pool_to_doc(bundle.pool)},
+        "jobs.yaml": {"job": {"id": jobs.job_id, "pool": jobs.pool_id,
+                              "tasks": [task_spec_to_doc(t) for t in jobs.tasks]}},
     }
 
 

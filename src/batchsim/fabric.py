@@ -16,7 +16,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import AllocationUnavailable
 
@@ -157,7 +157,6 @@ class NodeState(enum.Enum):
     IDLE = "Idle"
     RUNNING = "Running"
     PREEMPTED = "Preempted"
-    UNUSABLE = "Unusable"
 
 
 _LEGAL_TRANSITIONS = {
@@ -183,11 +182,10 @@ class Node:
         self.busy_log: list[tuple[float, float, str]] = []
 
     def transition(self, to: NodeState, at: float, log: EventLog):
-        if to is not NodeState.UNUSABLE:  # any state may go Unusable
-            if (self.state, to) not in _LEGAL_TRANSITIONS:
-                raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
-            if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
-                raise ValueError("dedicated nodes are never preempted")
+        if (self.state, to) not in _LEGAL_TRANSITIONS:
+            raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
+        if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
+            raise ValueError("dedicated nodes are never preempted")
         log.append(at, f"node/{self.node_id}", f"{self.state.value}->{to.value}")
         self.state = to
         if to is NodeState.IDLE and self.ready_time is None:
@@ -224,9 +222,6 @@ class PreemptionProcess:
             return math.inf
         rng = derived_rng(self.seed, f"preempt/{node_id}")
         return rng.expovariate(self.rate) * 3600.0
-
-    def schedule(self, node_ids: Iterable[str]) -> dict[str, float]:
-        return {nid: self.preempt_after(nid) for nid in node_ids}
 
 
 class Provisioner:

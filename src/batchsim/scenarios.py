@@ -142,36 +142,17 @@ def run_scenario(scenario: Scenario, seed: int, *, catalog: Optional[Catalog] = 
     sku = svc.catalog.lookup(scenario.pool.sku)
     if raise_quota:
         needed = scenario.pool.dedicated_count * sku.vcores
-        quota = svc.quotas[scenario.pool.region]
-        svc.quota_set(scenario.pool.region, max(QUOTA_RAISE_FLOOR, needed),
-                      quota.low_priority_cores)
+        svc.quota_set(scenario.pool.region, max(QUOTA_RAISE_FLOOR, needed))
     svc.storage.share_create(SHARE_NAME, SHARE_QUOTA_GIB)
     svc.storage.directory_create(SHARE_NAME, scenario.data_dir)
     svc.event_log.append(svc.clock.now, f"share/{SHARE_NAME}", f"mkdir:{scenario.data_dir}")
     pool = svc.pool_add(scenario.pool, scenario.plan)
     svc.advance_until_pool_settled(pool.pool_id)
-    ingress = svc.storage.ingress(SHARE_NAME, scenario.data_dir, scenario.ingress_manifest,
-                                  svc.clock.now)
-    if ingress is not None:
-        svc.event_log.append(svc.clock.now, f"share/{SHARE_NAME}",
-                             f"ingress:{ingress.bytes}")
+    ingress = svc.data_ingress(SHARE_NAME, scenario.data_dir, scenario.ingress_manifest)
     job = svc.jobs_add(scenario.job)
     svc.advance_until_job_terminal(job.job_id)
     svc.pool_del(pool.pool_id)
     svc.jobs_del(job.job_id)
-    if download_to is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            download = _download(svc, scenario, Path(tmp))
-    else:
-        download = _download(svc, scenario, Path(download_to))
+    with tempfile.TemporaryDirectory() as tmp:
+        download = svc.data_download(SHARE_NAME, scenario.data_dir, Path(download_to or tmp))
     return ScenarioRun(scenario, svc, ingress, download)
-
-
-def _download(svc: BatchService, scenario: Scenario, dest: Path) -> Optional[TransferRecord]:
-    record = svc.storage.download_batch(SHARE_NAME, scenario.data_dir, dest, svc.clock.now)
-    if record is not None:
-        svc.ledger.add_egress(record.bytes, f"download {SHARE_NAME}/{scenario.data_dir}",
-                              (svc.clock.now, svc.clock.now))
-        svc.event_log.append(svc.clock.now, f"share/{SHARE_NAME}",
-                             f"egress:{record.bytes}")
-    return record

@@ -20,11 +20,11 @@ from typing import Optional
 from .batch import BatchService, FailureReason, Job, JobState, Pool, PoolState, Task, TaskState
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
-from .config import JobsConfig, PoolConfig, TaskSpec, Violation, WorkspaceConfig
+from .config import (ConfigBundle, Violation, pool_from_doc, pool_to_doc, task_spec_from_doc,
+                     task_spec_to_doc, workspace_to_doc)
 from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
 from .storage import FileShare, ShareEntry, TransferRecord, Direction
-from .workloads import parse_workload, workload_ref
 
 STATE_VERSION = 1
 STATE_DIR = ".batchsim"
@@ -87,69 +87,6 @@ def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# config object <-> plain documents
-
-
-def pool_config_to_doc(cfg: PoolConfig) -> dict:
-    return {
-        "id": cfg.pool_id,
-        "sku": cfg.sku,
-        "region": cfg.region,
-        "vm_count": {"dedicated": cfg.dedicated_count, "low_priority": cfg.low_priority_count},
-        "inter_node_comm": cfg.inter_node_comm,
-        "shared_filesystem": cfg.shared_filesystem,
-        "image": cfg.image,
-    }
-
-
-def pool_config_from_doc(doc: dict) -> PoolConfig:
-    return PoolConfig(
-        pool_id=doc["id"],
-        sku=doc["sku"],
-        region=doc["region"],
-        dedicated_count=int(doc["vm_count"]["dedicated"]),
-        low_priority_count=int(doc["vm_count"]["low_priority"]),
-        inter_node_comm=bool(doc["inter_node_comm"]),
-        shared_filesystem=bool(doc["shared_filesystem"]),
-        image=doc["image"],
-    )
-
-
-def task_spec_to_doc(spec: TaskSpec) -> dict:
-    return {
-        "id": spec.task_id,
-        "workload": workload_ref(spec.workload),
-        "instances": spec.instances,
-        "procs_per_node": spec.procs_per_node,
-        "gpus_per_node": spec.gpus_per_node,
-        "input_dir": spec.input_dir,
-        "output_dir": spec.output_dir,
-    }
-
-
-def task_spec_from_doc(doc: dict) -> TaskSpec:
-    return TaskSpec(
-        task_id=doc["id"],
-        workload=parse_workload(doc["workload"]),
-        instances=int(doc["instances"]),
-        procs_per_node=int(doc["procs_per_node"]),
-        gpus_per_node=int(doc["gpus_per_node"]),
-        input_dir=doc["input_dir"],
-        output_dir=doc["output_dir"],
-    )
-
-
-def jobs_config_to_doc(cfg: JobsConfig) -> dict:
-    return {"id": cfg.job_id, "pool": cfg.pool_id,
-            "tasks": [task_spec_to_doc(t) for t in cfg.tasks]}
-
-
-def jobs_config_from_doc(doc: dict) -> JobsConfig:
-    return JobsConfig(job_id=doc["id"], pool_id=doc["pool"],
-                      tasks=tuple(task_spec_from_doc(t) for t in doc["tasks"]))
-
-
-# ---------------------------------------------------------------------------
 # service <-> state document
 
 
@@ -162,7 +99,7 @@ def service_to_doc(svc: BatchService) -> dict:
     for pool in svc.pools.values():
         pools.append(
             {
-                "config": pool_config_to_doc(pool.config),
+                "config": pool_to_doc(pool.config),
                 "plan": pool.plan.value,
                 "state": pool.state.value,
                 "created_at": pool.created_at,
@@ -278,7 +215,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         for t in doc["transfers"]
     ]
     for pdoc in doc["pools"]:
-        cfg = pool_config_from_doc(pdoc["config"])
+        cfg = pool_from_doc(pdoc["config"])
         pool = Pool(config=cfg, plan=PricingPlan(pdoc["plan"]),
                     state=PoolState(pdoc["state"]), created_at=pdoc["created_at"],
                     steady_at=pdoc["steady_at"], deleted_at=pdoc["deleted_at"])
@@ -290,6 +227,9 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             node.state = NodeState(ndoc["state"])
             node.ready_time = ndoc["ready_time"]
             node.released_time = ndoc["released_time"]
+            if node.state is NodeState.STARTING and node.released_time is None:
+                # every command that creates nodes runs until they are ready
+                raise ValidationError("corrupt state: persisted node still starting")
             node.preempt_at = ndoc["preempt_at"]
             node.busy_log = [tuple(b) for b in ndoc["busy_log"]]
             pool.nodes.append(node)
@@ -335,50 +275,34 @@ def _reschedule_events(svc: BatchService):
     for pool in svc.pools.values():
         if not pool.alive:
             continue
-        for node in pool.nodes:
-            if node.released_time is not None:
-                continue
-            if node.state is NodeState.STARTING:
-                ready_at = pool.created_at + node.boot_latency + svc.image_pull_seconds
-                svc.clock.schedule(max(ready_at, svc.clock.now),
-                                   _ready_closure(svc, pool, node))
-            elif (node.priority is Priority.LOW_PRIORITY and node.preempt_at is not None
-                  and node.state in (NodeState.IDLE, NodeState.RUNNING)):
+        for node in pool.nodes:  # only low-priority nodes get a preempt_at
+            if node.preempt_at is not None and node.state in (NodeState.IDLE, NodeState.RUNNING):
                 svc.clock.schedule(max(node.preempt_at, svc.clock.now),
                                    lambda p=pool, n=node: svc._on_preempt(p, n))
-
-
-def _ready_closure(svc: BatchService, pool, node):
-    def action():
-        if node.state is NodeState.STARTING and node.released_time is None:
-            node.transition(NodeState.IDLE, svc.clock.now, svc.event_log)
-            svc._on_node_ready(pool, node)
-
-    return action
 
 
 # ---------------------------------------------------------------------------
 # workspace documents
 
 
-def workspace_to_doc(ws: WorkspaceConfig) -> dict:
+def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
+                        catalog_doc: Optional[dict] = None) -> dict:
+    """State of a workspace before its first command commits; `service` is filled at commit."""
     return {
-        "subscription": ws.subscription,
-        "resource_group": ws.resource_group,
-        "region": ws.region,
-        "storage_account": ws.storage_account,
-        "batch_account": ws.batch_account,
+        "version": STATE_VERSION,
+        "options": options.to_doc(),
+        "catalog_doc": catalog_doc,
+        "workspace": workspace_to_doc(bundle.workspace),
+        "credentials_digest": {
+            "storage_key": sha256_text(bundle.credentials.storage_key),
+            "batch_key": sha256_text(bundle.credentials.batch_key),
+        },
+        "storage_account_created": False,
+        "service": None,
+        "transcript": [],
+        "ingress_seq": 0,
+        "has_completed_run": False,
     }
-
-
-def workspace_from_doc(doc: dict) -> WorkspaceConfig:
-    return WorkspaceConfig(
-        subscription=doc["subscription"],
-        resource_group=doc["resource_group"],
-        region=doc["region"],
-        storage_account=doc["storage_account"],
-        batch_account=doc["batch_account"],
-    )
 
 
 class WorkspaceStore:

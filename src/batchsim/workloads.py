@@ -98,7 +98,8 @@ def parse_workload(text: str) -> WorkloadSpec:
 
 def workload_ref(spec: WorkloadSpec) -> str:
     if isinstance(spec, FixedDuration):
-        return f"fixed:{spec.seconds:g}"
+        text = f"{spec.seconds:g}"  # short form where it is exact, else the round-trip repr
+        return f"fixed:{text if float(text) == spec.seconds else repr(spec.seconds)}"
     if isinstance(spec, PingPongLatency):
         return "pingpong:latency"
     if isinstance(spec, PingPongBandwidth):
@@ -216,14 +217,6 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray) -> np.ndarray:
     return out
 
 
-class Preconditioner(enum.Enum):
-    IDENTITY = "identity"
-    # On this uniform-grid Dirichlet operator the diagonal is the constant
-    # 6/h**2, so Jacobi rescales uniformly and produces the same iterate
-    # directions as Identity. Provided for interface completeness.
-    JACOBI = "jacobi"
-
-
 @dataclass
 class CGResult:
     solution: np.ndarray
@@ -234,7 +227,6 @@ class CGResult:
 
 
 def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
-             preconditioner: Preconditioner = Preconditioner.IDENTITY,
              max_iter: int = 20000) -> CGResult:
     """Conjugate gradients on the stencil operator, absolute 2-norm exit test.
 
@@ -250,11 +242,9 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     b = np.asarray(rhs, dtype=np.float64)
     x = np.zeros_like(b)
     r = b - apply_poisson(grid, x)
-    inv_diag = 1.0 if preconditioner is Preconditioner.IDENTITY else grid.h * grid.h / 6.0
-    z = r * inv_diag
-    p = z.copy()
-    rz = float(np.dot(r.ravel(), z.ravel()))
-    res = float(np.sqrt(np.dot(r.ravel(), r.ravel())))
+    p = r.copy()
+    rz = float(np.dot(r.ravel(), r.ravel()))
+    res = float(np.sqrt(rz))
     history = [res]
     if res <= tol_abs:
         return CGResult(x, 0, res, _time.perf_counter() - start, history)
@@ -263,13 +253,12 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
         alpha = rz / float(np.dot(p.ravel(), ap.ravel()))
         x += alpha * p
         r -= alpha * ap
-        res = float(np.sqrt(np.dot(r.ravel(), r.ravel())))
+        rz_new = float(np.dot(r.ravel(), r.ravel()))
+        res = float(np.sqrt(rz_new))
         history.append(res)
         if res <= tol_abs:
             return CGResult(x, k, res, _time.perf_counter() - start, history)
-        z = r * inv_diag
-        rz_new = float(np.dot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
+        p = r + (rz_new / rz) * p
         rz = rz_new
     raise MaxIterExceeded(max_iter, min(history))
 

@@ -81,17 +81,48 @@ def test_usage_error_exit_64(tmp_path):
     assert code == 64
 
 
+def tree(workdir) -> dict:
+    """Every file under .batchsim/ with its bytes."""
+    store = Path(workdir) / ".batchsim"
+    return {p.relative_to(store).as_posix(): p.read_bytes()
+            for p in sorted(store.rglob("*")) if p.is_file()}
+
+
 def test_validation_failure_leaves_state_unchanged(workdir):
     ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
     ok(workdir, "storage", "account", "create")
     ok(workdir, "share", "create", "--name", "fileshare", "--quota", "100")
-    before = (workdir / ".batchsim" / "state.json").read_bytes()
+    before = tree(workdir)
     code, _, err = cli(workdir, "share", "create", "--name", "fileshare", "--quota", "1")
     assert code == 2 and "exists" in err
     # pool add under the default 24-core quota is rejected without mutation
     code, _, err = cli(workdir, "pool", "add", "--configdir", "config_shipyard")
     assert code == 2 and "quota" in err.lower()
-    assert (workdir / ".batchsim" / "state.json").read_bytes() == before
+    assert tree(workdir) == before
+    # a rejected pool from another config dir must not replace the recorded configs
+    shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
+    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "48")
+    ok(workdir, "pool", "add", "--configdir", "config_shipyard")
+    before = tree(workdir)
+    code, _, err = cli(workdir, "pool", "add", "--configdir", "poisson")
+    assert code == 2 and "quota" in err.lower()
+    assert tree(workdir) == before
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["quota", "set", "--region", "eastus", "--dedicated", "-5"], 64),
+    (["quota", "set", "--region", "mars", "--dedicated", "10"], 2),
+    (["share", "create", "--name", "other", "--quota", "-1"], 64),
+    (["workspace", "init", "--configdir", "config_shipyard", "--preemption-rate", "-1"], 64),
+], ids=["negative-quota", "unknown-region", "negative-share-quota", "negative-rate"])
+def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected):
+    if argv[0] != "workspace":
+        ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+        ok(workdir, "storage", "account", "create")
+    before = tree(workdir)
+    code, _, _ = cli(workdir, *argv)
+    assert code == expected
+    assert tree(workdir) == before
 
 
 def test_status_is_json(workdir):

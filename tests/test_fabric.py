@@ -147,9 +147,10 @@ def test_preemption_schedule_reproducible():
     proc_a = PreemptionProcess(rate=0.5, seed=9)
     proc_b = PreemptionProcess(rate=0.5, seed=9)
     ids = [f"pool/{i}" for i in range(4)]
-    assert proc_a.schedule(ids) == proc_b.schedule(ids)
-    other_seed = PreemptionProcess(rate=0.5, seed=10).schedule(ids)
-    assert other_seed != proc_a.schedule(ids)
+    delays = [proc_a.preempt_after(i) for i in ids]
+    assert delays == [proc_b.preempt_after(i) for i in ids]
+    other_seed = PreemptionProcess(rate=0.5, seed=10)
+    assert [other_seed.preempt_after(i) for i in ids] != delays
 
 
 def test_preemption_zero_rate_never_fires():

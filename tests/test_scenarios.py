@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from batchsim.billing import counterfactual, export_tsv
-from batchsim.catalog import PricingPlan
+from batchsim.catalog import PricingPlan, default_catalog
+from batchsim.config import parse_config_dir, serialize_config_dir
 from batchsim.errors import QuotaExceeded
 from batchsim.scenarios import builtin_scenarios, run_scenario, scenario_by_name
 
@@ -99,3 +100,11 @@ def test_pool_torn_down_and_job_kept():
     assert status["pools"][0]["state"] == "Deleted"
     assert status["jobs"][0]["state"] == "Deleted"
     assert status["jobs"][0]["tasks"][0]["state"] == "Completed"
+
+
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_scenario_bundle_round_trips(name, tmp_path):
+    # snake3d_fine's 1,206,828 s task is one that the short %g form cannot write exactly
+    bundle = scenario_by_name(name).bundle()
+    serialize_config_dir(bundle, tmp_path)
+    assert parse_config_dir(tmp_path, default_catalog()) == bundle

@@ -1,0 +1,54 @@
+"""The state.json codec: service documents round-trip, and corrupt ones are rejected."""
+
+import pytest
+
+from batchsim import state
+from batchsim.config import PoolConfig
+from batchsim.errors import SchemaError, ValidationError
+from batchsim.scenarios import run_scenario, scenario_by_name
+
+
+def _low_priority_service():
+    """A settled pool whose low-priority nodes have preemptions pending."""
+    options = state.ServiceOptions(seed=3, preemption_rate=0.5)
+    svc = state.build_service(options)
+    svc.quota_set("eastus", 100, 100)
+    svc.pool_add(PoolConfig("lp", "NC6", "eastus", dedicated_count=1, low_priority_count=2,
+                            inter_node_comm=False, shared_filesystem=False, image="img:1"))
+    svc.advance_until_pool_settled("lp")
+    return options, svc
+
+
+def test_service_document_round_trips():
+    options, svc = _low_priority_service()
+    doc = state.service_to_doc(svc)
+    assert state.service_to_doc(state.service_from_doc(doc, options)) == doc
+    run = run_scenario(scenario_by_name("snake3d_fine"), seed=0)
+    doc = state.service_to_doc(run.service)
+    assert state.service_to_doc(state.service_from_doc(doc, state.ServiceOptions())) == doc
+
+
+def test_rehydrated_service_replays_pending_preemptions():
+    options, svc = _low_priority_service()
+    back = state.service_from_doc(state.service_to_doc(svc), options)
+    settled = len(svc.event_log.records)
+    svc.run_to_quiescence()
+    back.run_to_quiescence()
+    assert back.event_log.records == svc.event_log.records[settled:]
+    assert any("->Preempted" in tr for _, _, tr in back.event_log.records)
+
+
+def test_persisted_starting_node_is_rejected():
+    options, svc = _low_priority_service()
+    doc = state.service_to_doc(svc)
+    doc["pools"][0]["nodes"][1]["state"] = "Starting"
+    with pytest.raises(ValidationError, match="still starting"):
+        state.service_from_doc(doc, options)
+
+
+def test_embedded_task_spec_is_validated():
+    run = run_scenario(scenario_by_name("snake2d"), seed=0)
+    doc = state.service_to_doc(run.service)
+    doc["jobs"][0]["tasks"][0]["spec"]["instances"] = 0
+    with pytest.raises(SchemaError, match="instances"):
+        state.service_from_doc(doc, state.ServiceOptions())

@@ -16,7 +16,6 @@ from batchsim.workloads import (
     PoissonCGReal,
     PoissonGrid,
     PoissonScalingModeled,
-    Preconditioner,
     ScalingMode,
     TaskContext,
     apply_poisson,
@@ -165,16 +164,6 @@ def test_cg_bit_identical_reruns():
     assert a.residual_history == b.residual_history
 
 
-def test_cg_jacobi_matches_identity():
-    # constant diagonal: same search directions, documented equivalence
-    grid = unit_cube_grid(12)
-    _, rhs = manufactured_solution(grid)
-    ident = solve_cg(grid, rhs, preconditioner=Preconditioner.IDENTITY)
-    jacobi = solve_cg(grid, rhs, preconditioner=Preconditioner.JACOBI)
-    assert abs(ident.iterations - jacobi.iterations) <= 1
-    assert np.allclose(ident.solution, jacobi.solution, rtol=1e-10, atol=1e-12)
-
-
 def test_cg_max_iter_carries_best_residual():
     grid = unit_cube_grid(12)
     rng = np.random.default_rng(5)
@@ -285,6 +274,32 @@ def test_modeled_runtime_comm_terms():
 def test_workload_reference_round_trip(text, spec):
     assert parse_workload(text) == spec
     assert parse_workload(workload_ref(spec)) == spec
+
+
+workload_specs = st.one_of(
+    st.builds(FixedDuration, st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+    st.just(PingPongLatency()),
+    st.just(PingPongBandwidth()),
+    st.builds(PoissonCGReal, st.integers(min_value=2, max_value=10**6)),
+    st.builds(PoissonScalingModeled, st.integers(min_value=1, max_value=10**12),
+              st.sampled_from(ScalingMode)),
+)
+
+
+@given(workload_specs)
+def test_workload_reference_lossless(spec):
+    assert parse_workload(workload_ref(spec)) == spec
+
+
+@pytest.mark.parametrize("seconds,ref", [
+    (25200.0, "fixed:25200"),
+    (489600.0, "fixed:489600"),
+    (60.0, "fixed:60"),
+    (3599.0, "fixed:3599"),
+    (1206828.0, "fixed:1206828.0"),  # snake3d_fine; ":g" would round it to 1.20683e+06
+])
+def test_workload_reference_short_where_exact(seconds, ref):
+    assert workload_ref(FixedDuration(seconds)) == ref
 
 
 def test_workload_reference_rejects_garbage():
