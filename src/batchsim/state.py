@@ -287,7 +287,7 @@ def _reschedule_events(svc: BatchService):
 
 def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
                         catalog_doc: Optional[dict] = None) -> dict:
-    """State of a workspace before its first command commits; `service` is filled at commit."""
+    """A new workspace's state; the creating command fills `service` and `transcript`."""
     return {
         "version": STATE_VERSION,
         "options": options.to_doc(),
