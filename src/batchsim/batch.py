@@ -9,6 +9,7 @@ queries hand out plain-data snapshots.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -86,6 +87,7 @@ class Task:
     failure_reason: Optional[FailureReason] = None
     attempts: int = 0
     completion_event: Optional[object] = field(default=None, repr=False, compare=False)
+    seq: int = field(default=0, repr=False, compare=False)  # FIFO key in the pool queue
 
     @property
     def terminal(self) -> bool:
@@ -108,6 +110,10 @@ class Job:
     tasks: list[Task]
     state: JobState = JobState.ACTIVE
     submitted_at: float = 0.0
+    unfinished: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.unfinished = sum(not t.terminal for t in self.tasks)
 
     @property
     def terminal(self) -> bool:
@@ -124,6 +130,7 @@ class Pool:
     created_at: float = 0.0
     steady_at: Optional[float] = None
     deleted_at: Optional[float] = None
+    queue: list[tuple[int, Task]] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def pool_id(self) -> str:
@@ -175,8 +182,9 @@ class BatchService:
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
         self._used: dict[str, list[int]] = {r: [0, 0] for r in self.quotas}
         self.pools: dict[str, Pool] = {}
-        self.jobs: dict[str, Job] = {}
-        self._job_order: list[str] = []
+        self.jobs: dict[str, Job] = {}  # in submission order
+        self._running: dict[str, Task] = {}  # node id -> the task running on it
+        self._submitted = 0  # tasks ever queued; the next task's FIFO key
 
     # -- quotas ------------------------------------------------------------
 
@@ -263,10 +271,10 @@ class BatchService:
         self.event_log.append(now, f"pool/{pool_id}",
                               f"{pool.state.value}->{PoolState.DELETING.value}")
         pool.state = PoolState.DELETING
-        for job in self._jobs_for(pool_id):
+        for job in [j for j in self.jobs.values() if j.pool_id == pool_id]:
             for task in job.tasks:
                 if not task.terminal:
-                    self._fail_task(pool, task, FailureReason.POOL_DELETED)
+                    self._fail_task(pool, job, task, FailureReason.POOL_DELETED)
             self._refresh_job_state(job)
         for node in pool.nodes:
             if node.state is NodeState.RUNNING:  # defensive; tasks already failed
@@ -301,13 +309,22 @@ class BatchService:
         job = Job(cfg.job_id, cfg.pool_id,
                   [Task(spec=s, job_id=cfg.job_id) for s in cfg.tasks],
                   submitted_at=self.clock.now)
-        self.jobs[cfg.job_id] = job
-        self._job_order.append(cfg.job_id)
+        self.enqueue(job)
         self.event_log.append(self.clock.now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}")
         for task in job.tasks:
             self.event_log.append(self.clock.now, task.entity, f"->{TaskState.PENDING.value}")
         self.schedule_step()
         return job
+
+    def enqueue(self, job: Job):
+        """Queue `job` and its pending tasks last, replacing a finished job of its id."""
+        self.jobs.pop(job.job_id, None)
+        self.jobs[job.job_id] = job
+        for task in job.tasks:
+            self._submitted += 1
+            task.seq = self._submitted
+            if task.state is TaskState.PENDING:
+                heapq.heappush(self.pools[job.pool_id].queue, (task.seq, task))
 
     def jobs_del(self, job_id: str):
         job = self.jobs.get(job_id)
@@ -316,7 +333,7 @@ class BatchService:
         pool = self.pools.get(job.pool_id)
         for task in job.tasks:
             if not task.terminal:
-                self._fail_task(pool, task, FailureReason.JOB_DELETED)
+                self._fail_task(pool, job, task, FailureReason.JOB_DELETED)
         job.state = JobState.DELETED
         self.event_log.append(self.clock.now, f"job/{job_id}", f"->{JobState.DELETED.value}")
         self.schedule_step()
@@ -324,25 +341,26 @@ class BatchService:
     def schedule_step(self):
         """Gang-scheduling pass: strict FIFO per pool, no backfilling.
 
-        A multi-instance task starts only at an instant when its full node
-        complement is simultaneously idle; within a pool, the first pending
-        task that does not fit blocks everything queued behind it.
+        Each pool's pending tasks wait in a heap keyed by submission order; a
+        task retried after preemption keeps its key, so it regains its place.
+        A multi-instance task starts only when its full node complement is idle
+        at once; the first pending task that does not fit blocks the rest.
         """
         for pool in self.pools.values():
             if pool.state is PoolState.STEADY:
                 self._schedule_pool(pool)
 
     def _schedule_pool(self, pool: Pool):
-        for job in self._jobs_for(pool.pool_id):
-            if job.state is not JobState.ACTIVE:
-                continue
-            for task in job.tasks:
-                if task.state is not TaskState.PENDING:
-                    continue
-                idle = pool.idle_nodes()
-                if len(idle) < task.spec.instances:
+        queue, idle = pool.queue, pool.idle_nodes()
+        while queue:
+            task = queue[0][1]
+            if task.state is TaskState.PENDING:  # others are stale entries
+                width = task.spec.instances
+                if len(idle) < width:
                     return
-                self._start_task(pool, job, task, idle[: task.spec.instances])
+                self._start_task(pool, self.jobs[task.job_id], task, idle[:width])
+                idle = idle[width:]
+            heapq.heappop(queue)
 
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
         now = self.clock.now
@@ -360,6 +378,7 @@ class BatchService:
                                                 f"{TaskState.RUNNING.value}")
         for node in nodes:
             node.transition(NodeState.RUNNING, now, self.event_log)
+            self._running[node.node_id] = task
         tag = task.run_tag
         task.completion_event = self.clock.schedule(
             task.end_time,
@@ -371,11 +390,13 @@ class BatchService:
             return
         now = self.clock.now
         for node_id in task.assigned_nodes:
+            del self._running[node_id]
             node = self._node(pool, node_id)
             if node.state is NodeState.RUNNING:
                 node.busy_log.append((task.start_time, now, task.run_tag))
                 node.transition(NodeState.IDLE, now, self.event_log)
         task.state = TaskState.COMPLETED
+        job.unfinished -= 1
         self.event_log.append(now, task.entity, f"{TaskState.RUNNING.value}->"
                                                 f"{TaskState.COMPLETED.value}")
         self._store_outputs(task, result)
@@ -396,7 +417,7 @@ class BatchService:
         if not pool.alive or node.state not in (NodeState.IDLE, NodeState.RUNNING):
             return
         now = self.clock.now
-        task = self._task_on(node.node_id) if node.state is NodeState.RUNNING else None
+        task = self._running.get(node.node_id)
         if task is not None:
             node.busy_log.append((task.start_time, now, task.run_tag))
         node.transition(NodeState.PREEMPTED, now, self.event_log)
@@ -404,17 +425,18 @@ class BatchService:
         node.released_time = now
         if task is not None:
             job = self.jobs[task.job_id]
-            self._fail_task(pool, task, FailureReason.NODE_PREEMPTED)
+            self._fail_task(pool, job, task, FailureReason.NODE_PREEMPTED)
             self._refresh_job_state(job)
         self.schedule_step()
 
-    def _fail_task(self, pool: Optional[Pool], task: Task, reason: FailureReason):
+    def _fail_task(self, pool: Optional[Pool], job: Job, task: Task, reason: FailureReason):
         now = self.clock.now
         if task.completion_event is not None:
             task.completion_event.cancel()
             task.completion_event = None
         if task.state is TaskState.RUNNING and pool is not None:
             for node_id in task.assigned_nodes:
+                del self._running[node_id]
                 node = self._node(pool, node_id)
                 if node.state is NodeState.RUNNING:
                     node.busy_log.append((task.start_time, now, task.run_tag))
@@ -428,15 +450,17 @@ class BatchService:
             self.event_log.append(now, task.entity,
                                   f"{previous.value}->{TaskState.PENDING.value} "
                                   f"(retry {task.attempts})")
+            heapq.heappush(pool.queue, (task.seq, task))
             return
         task.state = TaskState.FAILED
+        job.unfinished -= 1
         task.failure_reason = reason
         task.end_time = now
         self.event_log.append(now, task.entity,
                               f"{previous.value}->{TaskState.FAILED.value}({reason.value})")
 
     def _refresh_job_state(self, job: Job):
-        if job.state is JobState.ACTIVE and all(t.terminal for t in job.tasks):
+        if job.state is JobState.ACTIVE and not job.unfinished:
             job.state = JobState.COMPLETED
             self.event_log.append(self.clock.now, f"job/{job.job_id}",
                                   f"{JobState.ACTIVE.value}->{JobState.COMPLETED.value}")
@@ -474,21 +498,11 @@ class BatchService:
 
     # -- helpers -------------------------------------------------------------
 
-    def _jobs_for(self, pool_id: str) -> list[Job]:
-        return [self.jobs[j] for j in self._job_order if self.jobs[j].pool_id == pool_id]
-
     def _node(self, pool: Pool, node_id: str) -> Node:
         for node in pool.nodes:
             if node.node_id == node_id:
                 return node
         raise KeyError(node_id)
-
-    def _task_on(self, node_id: str) -> Optional[Task]:
-        for job_id in self._job_order:
-            for task in self.jobs[job_id].tasks:
-                if task.state is TaskState.RUNNING and node_id in task.assigned_nodes:
-                    return task
-        return None
 
     # -- simulation drivers ----------------------------------------------------
 
@@ -512,7 +526,7 @@ class BatchService:
     # -- queries ---------------------------------------------------------------
 
     def all_tasks(self) -> list[Task]:
-        return [t for j in self._job_order for t in self.jobs[j].tasks]
+        return [t for j in self.jobs.values() for t in j.tasks]
 
     def status(self) -> dict:
         pools = []
@@ -543,8 +557,7 @@ class BatchService:
                 }
             )
         jobs = []
-        for job_id in self._job_order:
-            job = self.jobs[job_id]
+        for job in self.jobs.values():
             jobs.append(
                 {
                     "id": job.job_id,

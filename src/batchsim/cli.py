@@ -480,8 +480,9 @@ def cmd_scenario_run(cli: Cli, args) -> int:
     run = scenarios.run_scenario(scenario, args.seed, raise_quota=not args.no_quota_raise,
                                  download_to=download_dir, service=svc)
     bundle = scenario.bundle()
-    if cli.store.configs_dir.exists():
-        shutil.rmtree(cli.store.configs_dir)
+    for stale in (cli.store.configs_dir, cli.store.ingress_dir):  # ingress_seq restarts at 0
+        if stale.exists():
+            shutil.rmtree(stale)
     cli.store.reset_run_outputs()
     state = statemod.new_workspace_state(options, bundle)
     state["storage_account_created"] = True

@@ -126,8 +126,7 @@ def service_to_doc(svc: BatchService) -> dict:
             }
         )
     jobs = []
-    for job_id in svc._job_order:
-        job = svc.jobs[job_id]
+    for job in svc.jobs.values():
         jobs.append(
             {
                 "id": job.job_id,
@@ -208,7 +207,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         share.directories = set(sdoc["directories"])
         for e in sdoc["entries"]:
             content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
-            share.entries[e["path"]] = ShareEntry(e["path"], int(e["size"]), e["digest"], content)
+            share.put(ShareEntry(e["path"], int(e["size"]), e["digest"], content))
         svc.storage.shares[share.name] = share
     svc.storage.transfers = [
         TransferRecord(Direction(t["direction"]), int(t["bytes"]), float(t["timestamp"]))
@@ -248,10 +247,8 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                                    if tdoc["failure_reason"] else None)
             task.attempts = int(tdoc["attempts"])
             tasks.append(task)
-        job = Job(jdoc["id"], jdoc["pool"], tasks, JobState(jdoc["state"]),
-                  jdoc["submitted_at"])
-        svc.jobs[job.job_id] = job
-        svc._job_order.append(job.job_id)
+        svc.enqueue(Job(jdoc["id"], jdoc["pool"], tasks, JobState(jdoc["state"]),
+                        jdoc["submitted_at"]))
     for item in doc["ledger"]:
         svc.ledger.add(
             MeterEvent(

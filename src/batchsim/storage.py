@@ -71,10 +71,12 @@ class FileShare:
     quota_gib: int
     entries: dict[str, ShareEntry] = field(default_factory=dict)
     directories: set[str] = field(default_factory=set)
+    used_bytes: int = field(default=0, init=False)
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.entries.values())
+    def put(self, entry: ShareEntry):
+        """Add or replace the entry at its path, keeping `used_bytes` current."""
+        self.used_bytes += entry.size_bytes - _entry_size(self, entry.path)
+        self.entries[entry.path] = entry
 
     @property
     def quota_bytes(self) -> int:
@@ -118,17 +120,19 @@ class StorageAccount:
         sh = self._share(share)
         directory = _normalize(directory)
         items = [( _normalize(posixpath.join(directory, p)), int(size)) for p, size in manifest]
-        total = sum(size for _, size in items)
         if not items:
             return None
-        if sh.used_bytes + total > sh.quota_bytes:
+        total = sum(size for _, size in items)
+        # replaced entries free their bytes; a path listed twice counts once
+        growth = sum(size - _entry_size(sh, path) for path, size in dict(items).items())
+        if sh.used_bytes + growth > sh.quota_bytes:
             raise QuotaExceededOnShare(
                 f"{share}: manifest of {total} bytes exceeds quota "
                 f"({sh.used_bytes} of {sh.quota_bytes} used)"
             )
         _register_dirs(sh, directory)
         for path, size in items:
-            sh.entries[path] = ShareEntry(path, size, _size_only_digest(size))
+            sh.put(ShareEntry(path, size, _size_only_digest(size)))
         if total == 0:
             return None
         record = TransferRecord(Direction.INGRESS, total, timestamp)
@@ -142,7 +146,7 @@ class StorageAccount:
         if sh.used_bytes - _entry_size(sh, path) + len(content) > sh.quota_bytes:
             raise QuotaExceededOnShare(f"{share}: artifact {path!r} exceeds quota")
         _register_dirs(sh, posixpath.dirname(path))
-        sh.entries[path] = ShareEntry(path, len(content), _digest(content), content)
+        sh.put(ShareEntry(path, len(content), _digest(content), content))
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
         sh = self._share(share)

@@ -152,6 +152,20 @@ def test_scenario_run_and_list(tmp_path):
     assert code == 2 and "unknown scenario" in err
 
 
+def test_scenario_run_drops_manifests_of_an_earlier_session(workdir):
+    cfg = ["--configdir", "config_shipyard"]
+    ok(workdir, "workspace", "init", *cfg)
+    ok(workdir, "storage", "account", "create")
+    ok(workdir, "share", "create", "--name", "fileshare", "--quota", "100")
+    ok(workdir, "data", "ingress", *cfg, "--source", "config_shipyard/inputs")
+    ok(workdir, "scenario", "run", "snake2d")
+    ok(workdir, "repro", "pack")
+    with tarfile.open(workdir / "repro-package.tar.gz") as tar:
+        assert not [n for n in tar.getnames() if n.startswith("ingress/")]
+    ok(workdir, "data", "ingress", *cfg, "--source", "config_shipyard/inputs")
+    assert sorted(p.name for p in (workdir / ".batchsim" / "ingress").iterdir()) == ["0001.json"]
+
+
 def test_scenario_quota_failure_means_no_billing(tmp_path):
     code, _, err = cli(tmp_path, "scenario", "run", "snake2d", "--no-quota-raise")
     assert code == 2

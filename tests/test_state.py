@@ -52,3 +52,22 @@ def test_embedded_task_spec_is_validated():
     doc["jobs"][0]["tasks"][0]["spec"]["instances"] = 0
     with pytest.raises(SchemaError, match="instances"):
         state.service_from_doc(doc, state.ServiceOptions())
+
+
+def test_resubmitted_job_is_listed_once_and_queues_last():
+    from batchsim.config import JobsConfig
+    from randomized import _task
+
+    options, svc = _low_priority_service()
+    for job_id in ("a", "b"):
+        svc.jobs_add(JobsConfig(job_id, "lp", (_task(0, 0, 1, 60),)))
+    svc.advance_until_job_terminal("b")
+    svc.jobs_del("a")
+    svc.jobs_add(JobsConfig("a", "lp", (_task(0, 0, 1, 60),)))
+    assert [j["id"] for j in svc.status()["jobs"]] == ["b", "a"]
+    assert len(svc.all_tasks()) == 2
+    svc.advance_until_job_terminal("a")
+    doc = state.service_to_doc(svc)
+    assert [j["id"] for j in doc["jobs"]] == ["b", "a"]
+    back = state.service_from_doc(doc, options)
+    assert list(back.jobs) == ["b", "a"] and len(back.all_tasks()) == 2

@@ -50,6 +50,19 @@ def test_ingress_one_gib(account):
     assert account.shares["fileshare"].used_bytes == GIB
 
 
+def test_reingress_replaces_entries_within_quota():
+    acc = StorageAccount()
+    acc.share_create("s", 1)
+    size = 6 * GIB // 10
+    acc.ingress("s", "run", [("data.bin", size)])
+    record = acc.ingress("s", "run", [("data.bin", size)])  # replaces, does not add
+    assert record.bytes == size  # the transfer is still metered in full
+    assert acc.shares["s"].used_bytes == size
+    with pytest.raises(QuotaExceededOnShare):
+        acc.ingress("s", "run", [("other.bin", size)])
+    assert acc.shares["s"].used_bytes == size
+
+
 def test_ingress_over_quota(account):
     with pytest.raises(QuotaExceededOnShare):
         account.ingress("fileshare", "run", [("data.bin", 101 * GIB)])
