@@ -3,9 +3,11 @@
 import pytest
 
 from batchsim import state
-from batchsim.config import PoolConfig
+from batchsim.config import JobsConfig, PoolConfig
 from batchsim.errors import SchemaError, ValidationError
 from batchsim.scenarios import run_scenario, scenario_by_name
+
+from randomized import _task
 
 
 def _low_priority_service():
@@ -55,9 +57,6 @@ def test_embedded_task_spec_is_validated():
 
 
 def test_resubmitted_job_is_listed_once_and_queues_last():
-    from batchsim.config import JobsConfig
-    from randomized import _task
-
     options, svc = _low_priority_service()
     for job_id in ("a", "b"):
         svc.jobs_add(JobsConfig(job_id, "lp", (_task(0, 0, 1, 60),)))
