@@ -165,16 +165,25 @@ class Cli:
             raise ValidationError(
                 f"no workspace in {self.root}: run `batchsim workspace init` first"
             )
-        return self.store.load()
+        try:
+            state = self.store.load()
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValidationError(f"corrupt state: {exc}") from None
+        if not isinstance(state, dict) or not statemod.STATE_KEYS <= state.keys():
+            raise ValidationError("corrupt state: not a workspace state document")
+        return state
 
     def catalog_from_state(self, state: dict) -> Catalog:
         doc = state.get("catalog_doc")
         return Catalog.from_document(doc) if doc else default_catalog()
 
     def service_from_state(self, state: dict):
-        options = ServiceOptions.from_doc(state["options"])
-        return statemod.service_from_doc(state["service"], options,
-                                         self.catalog_from_state(state))
+        try:
+            options = ServiceOptions.from_doc(state["options"])
+            return statemod.service_from_doc(state["service"], options,
+                                             self.catalog_from_state(state))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
 
     def commit(self, state: dict, svc, recorded_argv=None, bundle: ConfigBundle | None = None):
         """Write a validated command's results, and the configs it ran with, to .batchsim/."""

@@ -9,8 +9,10 @@ entity timestamps.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -282,6 +284,12 @@ def _reschedule_events(svc: BatchService):
 # workspace documents
 
 
+# top-level keys of every workspace state, as new_workspace_state writes them
+STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace", "credentials_digest",
+                        "storage_account_created", "service", "transcript", "ingress_seq",
+                        "has_completed_run"})
+
+
 def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
                         catalog_doc: Optional[dict] = None) -> dict:
     """A new workspace's state; the creating command fills `service` and `transcript`."""
@@ -322,8 +330,7 @@ class WorkspaceStore:
             return json.load(fh)
 
     def save(self, state: dict):
-        self.dir.mkdir(parents=True, exist_ok=True)
-        with open(self.state_path, "w") as fh:
+        with self._replacing(self.state_path) as fh:
             json.dump(state, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
@@ -335,8 +342,25 @@ class WorkspaceStore:
             fh.write("\n".join(lines) + "\n")
 
     def write_ledger(self, tsv: str):
+        with self._replacing(self.ledger_path) as fh:
+            fh.write(tsv)
+
+    @contextlib.contextmanager
+    def _replacing(self, path: Path):
+        """Write a temporary file in .batchsim/, then move it over `path`.
+
+        A reader sees the old file or the new one, never a partial write; on
+        failure the temporary file is removed and `path` is untouched.
+        """
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.ledger_path.write_text(tsv)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def reset_run_outputs(self):
         for path in (self.events_path, self.ledger_path):

@@ -125,6 +125,58 @@ def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected
     assert tree(workdir) == before
 
 
+def _drop_time(state):
+    del state["service"]["time"]
+
+
+def _text_time(state):
+    state["service"]["time"] = "soon"
+
+
+def _number_pools(state):
+    state["service"]["pools"] = 7
+
+
+def _drop_transcript(state):
+    del state["transcript"]
+
+
+def _list_document(state):
+    return []
+
+
+CORRUPTIONS = {
+    "missing-key": _drop_time,
+    "wrong-type-value": _text_time,
+    "wrong-type-container": _number_pools,
+    "missing-top-level-key": _drop_transcript,
+    "not-an-object": _list_document,
+    "truncated-file": None,
+}
+
+
+@pytest.mark.parametrize("argv", [["status"], ["share", "create", "--name", "s", "--quota", "1"],
+                                  ["jobs", "add", "--configdir", "config_shipyard"]],
+                         ids=["status", "share-create", "jobs-add"])
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+def test_corrupt_state_exits_2_without_mutation(workdir, corrupt, argv):
+    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    ok(workdir, "storage", "account", "create")
+    path = workdir / ".batchsim" / "state.json"
+    if corrupt is None:
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+    else:
+        state = json.loads(path.read_text())
+        replaced = corrupt(state)
+        path.write_text(json.dumps(state if replaced is None else replaced))
+    before = tree(workdir)
+    code, _, err = cli(workdir, *argv)
+    assert code == 2, err
+    assert err.startswith("error: corrupt state")
+    assert tree(workdir) == before
+
+
 def test_status_is_json(workdir):
     full_sequence(workdir)
     out = ok(workdir, "status")

@@ -70,3 +70,19 @@ def test_resubmitted_job_is_listed_once_and_queues_last():
     assert [j["id"] for j in doc["jobs"]] == ["b", "a"]
     back = state.service_from_doc(doc, options)
     assert list(back.jobs) == ["b", "a"] and len(back.all_tasks()) == 2
+
+
+def test_failed_save_keeps_the_old_state(tmp_path):
+    store = state.WorkspaceStore(tmp_path)
+    store.save({"a": 1})
+    store.write_ledger("old\n")
+    before = {p.name: p.read_bytes() for p in store.dir.iterdir()}
+    # json.dump streams: '{"a": 1, "b": ' is written before object() fails to encode
+    with pytest.raises(TypeError):
+        store.save({"a": 1, "b": object()})
+    with pytest.raises(TypeError):
+        store.write_ledger(None)
+    assert {p.name: p.read_bytes() for p in store.dir.iterdir()} == before
+    store.save({"a": 2})
+    assert store.load() == {"a": 2}
+    assert sorted(p.name for p in store.dir.iterdir()) == ["ledger.tsv", "state.json"]

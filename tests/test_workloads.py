@@ -90,9 +90,19 @@ def test_operator_symmetry(seed):
     grid = unit_cube_grid(6)
     u = rng.standard_normal(grid.shape)
     v = rng.standard_normal(grid.shape)
-    au_v = float(np.dot(apply_poisson(grid, u).ravel(), v.ravel()))
-    u_av = float(np.dot(u.ravel(), apply_poisson(grid, v).ravel()))
-    assert au_v == pytest.approx(u_av, rel=1e-12)
+    au, av = apply_poisson(grid, u).ravel(), apply_poisson(grid, v).ravel()
+    u, v = u.ravel(), v.ravel()
+    # each rounded dot lies within a few ulps of the sum of its |terms|; a
+    # tolerance relative to the dot itself fails where the terms cancel
+    scale = float(np.dot(np.abs(au), np.abs(v)) + np.dot(np.abs(u), np.abs(av)))
+    assert abs(float(np.dot(au, v)) - float(np.dot(u, av))) <= 4 * np.finfo(float).eps * scale
+
+
+def test_operator_matrix_is_exactly_symmetric():
+    grid = PoissonGrid(3, 4, 5, 0.1)
+    units = np.eye(grid.cells).reshape((grid.cells,) + grid.shape)
+    matrix = np.stack([apply_poisson(grid, e).ravel() for e in units])
+    assert np.array_equal(matrix, matrix.T)
 
 
 # ---------------------------------------------------------------------------
