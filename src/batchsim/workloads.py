@@ -221,23 +221,25 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
     order, divided by h*h. The array is swept in slabs along axis 0 so a slab
     of the input and of `out` stay in cache; the per-element order, and so
     every rounding, is the same as one whole-array pass. Writes into `out`
-    (which must not share memory with the input) when given.
+    (C-contiguous, and not sharing memory with the input) when given.
     """
     if field_values.shape != grid.shape:
         raise ShapeMismatch(f"field shape {field_values.shape} does not match grid {grid.shape}")
-    u = np.asarray(field_values, dtype=np.float64)
     if out is None:
         out = np.empty(grid.shape)
     elif out.shape != grid.shape or out.dtype != np.float64:
         raise ShapeMismatch(f"out must be a float64 array of shape {grid.shape}")
-    elif np.shares_memory(out, u):
-        raise ValueError("out must not share memory with the input field")
+    elif np.shares_memory(out, field_values) or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous and not share memory with the input")
+    u = np.ascontiguousarray(field_values, dtype=np.float64)
     nx = grid.nx
     hh = grid.h * grid.h
     step = _slab_planes(grid.shape)
+    edge = np.empty((step, grid.ny))
     for i0 in range(0, nx, step):
         i1 = min(i0 + step, nx)
-        us, o = u[i0:i1], out[i0:i1]
+        us, o, e = u[i0:i1], out[i0:i1], edge[:i1 - i0]
+        uf, of = us.reshape(-1), o.reshape(-1)  # views: both slabs are contiguous
         np.multiply(us, 6.0, out=o)
         lo = 1 if i0 == 0 else 0  # the first plane has no x- neighbour
         o[lo:] -= u[i0 + lo - 1:i1 - 1]
@@ -245,8 +247,16 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
         o[:hi] -= u[i0 + 1:i0 + 1 + hi]
         o[:, 1:, :] -= us[:, :-1, :]
         o[:, :-1, :] -= us[:, 1:, :]
-        o[:, :, 1:] -= us[:, :, :-1]
-        o[:, :, :-1] -= us[:, :, 1:]
+        # z-: one contiguous pass over the flattened slab, which also takes the
+        # previous row's last value from each row's first element; that element
+        # has no z- neighbour, so its value from before the pass is put back.
+        # z+ likewise, for each row's last element.
+        e[...] = o[:, :, 0]
+        of[1:] -= uf[:-1]
+        o[:, :, 0] = e
+        e[...] = o[:, :, -1]
+        of[:-1] -= uf[1:]
+        o[:, :, -1] = e
         o /= hh
     return out
 
