@@ -229,7 +229,7 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
         out = np.empty(grid.shape)
     elif out.shape != grid.shape or out.dtype != np.float64:
         raise ShapeMismatch(f"out must be a float64 array of shape {grid.shape}")
-    elif np.shares_memory(out, field_values) or not out.flags.c_contiguous:
+    elif not out.flags.c_contiguous or np.shares_memory(out, field_values):
         raise ValueError("out must be C-contiguous and not share memory with the input")
     u = np.ascontiguousarray(field_values, dtype=np.float64)
     nx = grid.nx
