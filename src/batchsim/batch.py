@@ -396,6 +396,7 @@ class BatchService:
                 node.busy_log.append((task.start_time, now, task.run_tag))
                 node.transition(NodeState.IDLE, now, self.event_log)
         task.state = TaskState.COMPLETED
+        task.completion_event = None  # the event holds the task and its result alive
         job.unfinished -= 1
         self.event_log.append(now, task.entity, f"{TaskState.RUNNING.value}->"
                                                 f"{TaskState.COMPLETED.value}")

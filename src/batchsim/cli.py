@@ -169,8 +169,17 @@ class Cli:
             state = self.store.load()
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValidationError(f"corrupt state: {exc}") from None
-        if not isinstance(state, dict) or not statemod.STATE_KEYS <= state.keys():
+        if not isinstance(state, dict):
             raise ValidationError("corrupt state: not a workspace state document")
+        version = state.get("version")
+        if version != statemod.STATE_VERSION:
+            raise ValidationError(f"corrupt state: unsupported state version {version}")
+        size = state.get("events_bytes")
+        if not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0:
+            raise ValidationError("corrupt state: not a workspace state document")
+        # commit appends to events.log before it renames state.json in: drop
+        # the lines of a command that failed in between
+        self.store.truncate_events(size)
         return state
 
     def catalog_from_state(self, state: dict) -> Catalog:
@@ -194,7 +203,7 @@ class Cli:
             state["transcript"].append(list(recorded_argv))
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
-        self.store.append_events(svc.event_log.lines())
+        state["events_bytes"] = self.store.append_events(svc.event_log.lines())
         self.store.write_ledger(billing.export_tsv(svc.ledger))
         self.store.save(state)
 

@@ -10,6 +10,7 @@ entity timestamps.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -28,8 +29,20 @@ from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
 from .storage import FileShare, ShareEntry, TransferRecord, Direction
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 STATE_DIR = ".batchsim"
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause cyclic GC: a state document is acyclic, so a pass would only re-walk the heap."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def sha256_file(path: Path) -> str:
@@ -96,6 +109,7 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+@_gc_paused()
 def service_to_doc(svc: BatchService) -> dict:
     pools = []
     for pool in svc.pools.values():
@@ -196,6 +210,7 @@ def service_to_doc(svc: BatchService) -> dict:
     }
 
 
+@_gc_paused()
 def service_from_doc(doc: dict, options: ServiceOptions,
                      catalog: Optional[Catalog] = None) -> BatchService:
     svc = build_service(options, catalog)
@@ -287,7 +302,7 @@ def _reschedule_events(svc: BatchService):
 # top-level keys of every workspace state, as new_workspace_state writes them
 STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace", "credentials_digest",
                         "storage_account_created", "service", "transcript", "ingress_seq",
-                        "has_completed_run"})
+                        "has_completed_run", "events_bytes"})
 
 
 def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
@@ -307,6 +322,7 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "transcript": [],
         "ingress_seq": 0,
         "has_completed_run": False,
+        "events_bytes": 0,  # size of events.log after the last committed command
     }
 
 
@@ -326,20 +342,31 @@ class WorkspaceStore:
         return self.state_path.is_file()
 
     def load(self) -> dict:
-        with open(self.state_path) as fh:
+        with open(self.state_path) as fh, _gc_paused():
             return json.load(fh)
 
     def save(self, state: dict):
+        """Write `state` compact and key-sorted (one C-encoder pass), then rename it in."""
+        with _gc_paused():
+            text = json.dumps(state, separators=(",", ":"), sort_keys=True) + "\n"
         with self._replacing(self.state_path) as fh:
-            json.dump(state, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
-    def append_events(self, lines: list[str]):
-        if not lines:
-            return
-        self.dir.mkdir(parents=True, exist_ok=True)
-        with open(self.events_path, "a") as fh:
-            fh.write("\n".join(lines) + "\n")
+    def append_events(self, lines: list[str]) -> int:
+        """Append `lines` to events.log; returns its size in bytes afterwards."""
+        if lines:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            with open(self.events_path, "a") as fh:
+                fh.write("\n".join(lines) + "\n")
+        with contextlib.suppress(FileNotFoundError):
+            return self.events_path.stat().st_size
+        return 0
+
+    def truncate_events(self, size: int):
+        """Cut events.log back to `size` bytes, dropping lines of an uncommitted command."""
+        with contextlib.suppress(FileNotFoundError):
+            if self.events_path.stat().st_size > size:
+                os.truncate(self.events_path, size)
 
     def write_ledger(self, tsv: str):
         with self._replacing(self.ledger_path) as fh:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from batchsim.cli import run_command
+from batchsim.state import WorkspaceStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_DIR = REPO_ROOT / "configs" / "snake2d2k35"
@@ -31,21 +32,27 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def full_sequence(workdir, seed=7):
+def sequence(seed=7) -> list[list[str]]:
     """The create-ingest-submit-teardown sequence from the documented workflow."""
     cfg = ["--configdir", "config_shipyard"]
-    ok(workdir, "workspace", "init", *cfg, "--seed", str(seed))
-    ok(workdir, "storage", "account", "create")
-    ok(workdir, "share", "create", "--name", "fileshare", "--quota", "100")
-    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "100")
-    ok(workdir, "pool", "add", *cfg)
-    ok(workdir, "data", "ingress", *cfg, "--source", "config_shipyard/inputs")
-    ok(workdir, "jobs", "add", *cfg)
-    ok(workdir, "status")
-    ok(workdir, "pool", "del", *cfg)
-    ok(workdir, "jobs", "del", *cfg)
-    ok(workdir, "data", "download", "--source", "fileshare/snake2d2k35",
-       "--dest", "output")
+    return [
+        ["workspace", "init", *cfg, "--seed", str(seed)],
+        ["storage", "account", "create"],
+        ["share", "create", "--name", "fileshare", "--quota", "100"],
+        ["quota", "set", "--region", "eastus", "--dedicated", "100"],
+        ["pool", "add", *cfg],
+        ["data", "ingress", *cfg, "--source", "config_shipyard/inputs"],
+        ["jobs", "add", *cfg],
+        ["status"],
+        ["pool", "del", *cfg],
+        ["jobs", "del", *cfg],
+        ["data", "download", "--source", "fileshare/snake2d2k35", "--dest", "output"],
+    ]
+
+
+def full_sequence(workdir, seed=7):
+    for argv in sequence(seed):
+        ok(workdir, *argv)
 
 
 def test_full_sequence_exits_zero_and_bills(workdir):
@@ -145,12 +152,23 @@ def _list_document(state):
     return []
 
 
+def _format_1(state):
+    state["version"] = 1
+    del state["events_bytes"]
+
+
+def _text_events_bytes(state):
+    state["events_bytes"] = "0"
+
+
 CORRUPTIONS = {
     "missing-key": _drop_time,
     "wrong-type-value": _text_time,
     "wrong-type-container": _number_pools,
     "missing-top-level-key": _drop_transcript,
     "not-an-object": _list_document,
+    "state-format-1": _format_1,
+    "wrong-type-events-bytes": _text_events_bytes,
     "truncated-file": None,
 }
 
@@ -175,6 +193,44 @@ def test_corrupt_state_exits_2_without_mutation(workdir, corrupt, argv):
     assert code == 2, err
     assert err.startswith("error: corrupt state")
     assert tree(workdir) == before
+
+
+def test_other_state_version_is_named(workdir):
+    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    _format_1(state)
+    path.write_text(json.dumps(state))
+    code, _, err = cli(workdir, "status")
+    assert code == 2
+    assert err == "error: corrupt state: unsupported state version 1\n"
+
+
+def test_rerun_after_interrupted_commit_matches_uninterrupted_session(tmp_path, monkeypatch):
+    """`jobs add` appends to events.log, then its state save fails; the rerun must
+    not log the job twice."""
+    plain, interrupted = tmp_path / "plain", tmp_path / "interrupted"
+    for root in (plain, interrupted):
+        shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    full_sequence(plain)
+    real_save = WorkspaceStore.save
+
+    def save_failing_once(store, state):
+        monkeypatch.setattr(WorkspaceStore, "save", real_save)
+        raise OSError("no space left on device")
+
+    events = interrupted / ".batchsim" / "events.log"
+    for argv in sequence():
+        if argv[:2] == ["jobs", "add"]:
+            before = events.stat().st_size
+            monkeypatch.setattr(WorkspaceStore, "save", save_failing_once)
+            with pytest.raises(OSError):
+                cli(interrupted, *argv)
+            assert events.stat().st_size > before  # the job's events were appended
+        ok(interrupted, *argv)
+    assert tree(interrupted) == tree(plain)
+    state = json.loads((plain / ".batchsim" / "state.json").read_text())
+    assert state["events_bytes"] == (plain / ".batchsim" / "events.log").stat().st_size
 
 
 def test_status_is_json(workdir):

@@ -1,9 +1,13 @@
 """Golden digests of the digested artifacts.
 
-Refactors of the service, the CLI or the state codec must leave these
-bytes unchanged. Each CLI session runs in a child interpreter with BLAS
-pinned to one thread, because the CG task's iteration count (and so its
-solve.tsv and the event log) depends on the BLAS thread count.
+A change that moves a digest on purpose re-records it this way: run this
+file at the parent commit and check that it passes there; apply the change
+and re-record only the digests that moved, after checking that each moved
+file still means the same (for state.json: the decoded documents differ
+only where the change says they should); then list each changed digest
+and its reason in CHANGES.md. Each CLI session runs in a child interpreter
+with BLAS pinned to one thread, because the CG task's iteration count (and
+so its solve.tsv and the event log) depends on the BLAS thread count.
 """
 
 import hashlib
@@ -107,7 +111,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "230f86819c73c6dffc0eea7e3e2c04717de63ac1d2458f295e5e931f278ddc60",
+            "41a7f5518639f5d09513dcbea0a98d14baedb5d136db70e85441e0ee11f4811f",
     },
     "poisson_h16r": {
         "configs/credentials.yaml":
@@ -125,7 +129,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "e50fbb4f53506a7cbd60f55d7590d082ba271292c5f55b23a0aeb27b77f6d360",
+            "ac4eb5474c29405d31e95e96af51f3f8a30680c50af2f291b7546e1cde70e015",
     },
     "snake2d2k35": {
         "configs/credentials.yaml":
@@ -143,7 +147,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "815e1da51b0aeb66f50895068fd891296e95e78db1b853cb213da3f122c9a873",
+            "a572ab95a0984416f38d17d72df0cc8d0dfb4ebde6e27aff6393be108c9d3c37",
     },
 }
 
@@ -162,7 +166,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "056dcb4dd13c03efa0f11ed39ccad96b1c1c890a80ae9bc2757a3664a5809022",
+            "718c6836d954320e39ed6388338ba7751df42a07dcffb3018cbb3c60a2d098ce",
     },
     "snake3d": {
         "configs/credentials.yaml":
@@ -178,7 +182,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "57c4a6ffedbef8aeb83e39419ef7f79f20c9f035dcd2073d1bc1fdb05c24d1e2",
+            "4d723aff5463f28d1aeea742484cf294ee49ac953d0425aa94226f5594386a19",
     },
     "snake3d_fine": {
         "configs/credentials.yaml":
@@ -196,7 +200,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "af5b6c86f4d23bdc85cb61d704b59b98fb9a2c456039c3df92cf0d0d1df1134d",
+            "d4f22460fc85816111cd2bd55b6a28fa136d7b036dd62600755b4eb402aeb036",
     },
 }
 

@@ -1,5 +1,8 @@
 """The state.json codec: service documents round-trip, and corrupt ones are rejected."""
 
+import gc
+import json
+
 import pytest
 
 from batchsim import state
@@ -7,7 +10,7 @@ from batchsim.config import JobsConfig, PoolConfig
 from batchsim.errors import SchemaError, ValidationError
 from batchsim.scenarios import run_scenario, scenario_by_name
 
-from randomized import _task
+from randomized import _task, run_random_schedule
 
 
 def _low_priority_service():
@@ -77,7 +80,7 @@ def test_failed_save_keeps_the_old_state(tmp_path):
     store.save({"a": 1})
     store.write_ledger("old\n")
     before = {p.name: p.read_bytes() for p in store.dir.iterdir()}
-    # json.dump streams: '{"a": 1, "b": ' is written before object() fails to encode
+    # the encoder fails before the file is opened; the ledger write fails mid-file
     with pytest.raises(TypeError):
         store.save({"a": 1, "b": object()})
     with pytest.raises(TypeError):
@@ -86,3 +89,45 @@ def test_failed_save_keeps_the_old_state(tmp_path):
     store.save({"a": 2})
     assert store.load() == {"a": 2}
     assert sorted(p.name for p in store.dir.iterdir()) == ["ledger.tsv", "state.json"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_gc_paused_restores_the_previous_gc_state(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with state._gc_paused():
+            with state._gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        options, svc = _low_priority_service()
+        doc = state.service_to_doc(svc)
+        assert gc.isenabled() is enabled
+        doc["pools"][0]["nodes"][1]["state"] = "Starting"
+        with pytest.raises(ValidationError):
+            state.service_from_doc(doc, options)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_save_writes_compact_sorted_json(tmp_path):
+    store = state.WorkspaceStore(tmp_path)
+    run = run_scenario(scenario_by_name("snake2d"), seed=0)
+    doc = {"version": state.STATE_VERSION, "service": state.service_to_doc(run.service),
+           "b": [1.5, None, "é"], "a": {"z": 1, "y": True}}
+    store.save(doc)
+    text = store.state_path.read_text()
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert text.startswith('{"a":{"y":true,"z":1},"b":[1.5,null,')
+    assert store.load() == doc
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_finished_tasks_hold_no_completion_event(seed):
+    svc, _ = run_random_schedule(seed)
+    svc.run_to_quiescence()
+    finished = [t for t in svc.all_tasks() if t.terminal]
+    assert finished
+    assert [t.run_tag for t in finished if t.completion_event is not None] == []
