@@ -80,7 +80,7 @@ def test_failed_save_keeps_the_old_state(tmp_path):
     store.save({"a": 1})
     store.write_ledger("old\n")
     before = {p.name: p.read_bytes() for p in store.dir.iterdir()}
-    # the encoder fails before the file is opened; the ledger write fails mid-file
+    # the encoder fails before the temporary file is opened; the ledger write fails after
     with pytest.raises(TypeError):
         store.save({"a": 1, "b": object()})
     with pytest.raises(TypeError):
