@@ -9,6 +9,7 @@ error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -58,6 +59,7 @@ def _non_negative(kind):
     return convert
 
 
+@functools.cache  # a replay parses many commands with one parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="batchsim", description=__doc__)
     parser.add_argument("-C", dest="root", default=".", metavar="DIR",
@@ -131,9 +133,6 @@ def build_parser() -> _Parser:
     sr = scen.add_parser("run", help="run a built-in scenario end to end")
     sr.add_argument("name")
     sr.add_argument("--seed", type=int, default=0)
-    sr.add_argument("--no-quota-raise", action="store_true",
-                    help="keep the default core quota (the pool will be rejected)")
-    sr.add_argument("--download-dir", default=None)
 
     repro = top.add_parser("repro").add_subparsers(dest="cmd", required=True)
     rp = repro.add_parser("pack", help="pack configs, seed, transcript, output digests")
@@ -149,11 +148,10 @@ def build_parser() -> _Parser:
 
 
 class Cli:
-    def __init__(self, root: Path, out, err):
+    def __init__(self, root: Path, out):
         self.root = root
         self.store = WorkspaceStore(root)
         self.out = out
-        self.err = err
 
     def say(self, text: str):
         print(text, file=self.out)
@@ -195,17 +193,18 @@ class Cli:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
 
     def commit(self, state: dict, svc, recorded_argv=None, bundle: ConfigBundle | None = None):
-        """Write a validated command's results, and the configs it ran with, to .batchsim/."""
-        if bundle is not None:
-            serialize_config_dir(bundle, self.store.configs_dir)
+        """Write a command's results and configs to .batchsim/. Renaming state.json in commits
+        them; only the events.log append, which the next command cuts back, comes before it."""
         state["service"] = statemod.service_to_doc(svc)
         if recorded_argv is not None:
             state["transcript"].append(list(recorded_argv))
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
         state["events_bytes"] = self.store.append_events(svc.event_log.lines())
-        self.store.write_ledger(billing.export_tsv(svc.ledger))
         self.store.save(state)
+        self.store.write_ledger(billing.export_tsv(svc.ledger))
+        if bundle is not None:
+            serialize_config_dir(bundle, self.store.configs_dir)
 
     # -- config plumbing ----------------------------------------------------
 
@@ -233,15 +232,17 @@ def _relpath(path: Path, root: Path) -> Path:
 def cmd_workspace_init(cli: Cli, args) -> int:
     if cli.store.exists():
         raise ValidationError(f"workspace already initialized in {cli.root}")
-    catalog_doc = None
+    catalog, catalog_doc = default_catalog(), None
     recorded = ["workspace", "init", "--seed", str(args.seed)]
     if args.catalog:
-        catalog_path = _relpath(Path(args.catalog),
-                                cli.resolve_configdir(args.configdir))
-        with open(catalog_path) as fh:
-            catalog_doc = yaml.safe_load(fh)
+        try:
+            with open(_relpath(Path(args.catalog), cli.resolve_configdir(args.configdir))) as fh:
+                catalog_doc = yaml.safe_load(fh)
+            catalog = Catalog.from_document(catalog_doc)
+        except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError, ArithmeticError,
+                AttributeError) as exc:
+            raise ValidationError(f"unreadable catalog {args.catalog}: {exc}") from None
         recorded += ["--catalog", "catalog.yaml"]
-    catalog = Catalog.from_document(catalog_doc) if catalog_doc else default_catalog()
     bundle = parse_config_dir(cli.resolve_configdir(args.configdir), catalog)
     options = ServiceOptions(
         seed=args.seed,
@@ -351,16 +352,17 @@ def cmd_pool_del(cli: Cli, args) -> int:
 
 
 def _load_manifest(path: Path) -> list[tuple[str, int]]:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    entries = doc["entries"] if isinstance(doc, dict) else doc
-    manifest = []
-    for item in entries:
-        if isinstance(item, dict):
-            manifest.append((str(item["path"]), int(item["bytes"])))
-        else:
-            path_, size = item
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+        manifest = []
+        for item in doc["entries"] if isinstance(doc, dict) else doc:
+            path_, size = (item["path"], item["bytes"]) if isinstance(item, dict) else item
+            if int(size) < 0:
+                raise ValueError(f"negative size for {path_}")
             manifest.append((str(path_), int(size)))
+    except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(f"unreadable manifest {path}: {exc}") from None
     return manifest
 
 
@@ -397,12 +399,12 @@ def cmd_data_ingress(cli: Cli, args) -> int:
             total += record.bytes
     seq = state["ingress_seq"] + 1
     state["ingress_seq"] = seq
-    cli.store.ingress_dir.mkdir(parents=True, exist_ok=True)
     manifest_rel = f"{STATE_DIR}/ingress/{seq:04d}.json"
+    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle)
+    cli.store.ingress_dir.mkdir(exist_ok=True)
     with open(cli.root / manifest_rel, "w") as fh:
         json.dump({"entries": [list(row) for row in manifest]}, fh, indent=1)
         fh.write("\n")
-    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle)
     cli.say(f"ingress complete: {len(manifest)} files, {total} bytes into "
             + ", ".join(f"{s}/{d}" for s, d in targets))
     return 0
@@ -415,7 +417,10 @@ def cmd_data_download(cli: Cli, args) -> int:
     if not directory:
         raise ValidationError("--source must look like <share>/<directory>")
     dest = _relpath(Path(args.dest), cli.root)
-    record = svc.data_download(share, directory, dest)
+    try:
+        record = svc.data_download(share, directory, dest)
+    except OSError as exc:
+        raise ValidationError(f"cannot write to --dest {args.dest}: {exc}") from None
     count = len(svc.storage.entries_under(share, directory)) if record is not None else 0
     cli.commit(state, svc, ["data", "download", "--source", args.source,
                             "--dest", args.dest])
@@ -477,8 +482,11 @@ def cmd_ledger_report(cli: Cli, args) -> int:
     cli.say(f"total\t{billing.usd_str(total, 2)}")
     if args.export:
         out = _relpath(Path(args.export), cli.root)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(billing.export_tsv(svc.ledger))
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(billing.export_tsv(svc.ledger))
+        except OSError as exc:
+            raise ValidationError(f"cannot write to --export {args.export}: {exc}") from None
         cli.say(f"ledger exported to {out}")
     return 0
 
@@ -486,38 +494,22 @@ def cmd_ledger_report(cli: Cli, args) -> int:
 def cmd_scenario_list(cli: Cli, args) -> int:
     for sc in scenarios.builtin_scenarios():
         cli.say(f"{sc.name}\t{sc.pool.dedicated_count} x {sc.pool.sku}\t"
-                f"{sc.expected_wall_hours} h\t{sc.plan.value}")
+                f"{sc.expected_wall_hours} h\t{PricingPlan.PAYGO_DEDICATED.value}")
     return 0
 
 
 def cmd_scenario_run(cli: Cli, args) -> int:
-    scenario = _scenario_or_error(args.name)
-    download_dir = _relpath(Path(args.download_dir or "output"), cli.root)
-    options = ServiceOptions(seed=args.seed)
-    svc = statemod.build_service(options)
-    run = scenarios.run_scenario(scenario, args.seed, raise_quota=not args.no_quota_raise,
-                                 download_to=download_dir, service=svc)
-    bundle = scenario.bundle()
-    for stale in (cli.store.configs_dir, cli.store.ingress_dir):  # ingress_seq restarts at 0
-        if stale.exists():
-            shutil.rmtree(stale)
-    cli.store.reset_run_outputs()
-    state = statemod.new_workspace_state(options, bundle)
-    state["storage_account_created"] = True
-    cli.commit(state, svc, ["scenario", "run", scenario.name, "--seed", str(args.seed)], bundle)
+    try:
+        scenario = scenarios.scenario_by_name(args.name)
+    except KeyError as exc:
+        raise ValidationError(str(exc)) from None
+    run = scenarios.run_scenario(scenario, args.seed, root=cli.root)
     for task_id, task_state in run.task_states().items():
         cli.say(f"task {task_id}: {task_state}")
     cli.say(f"vm cost: {billing.usd_str(run.vm_cost, 4)} USD")
     cli.say(f"total cost: {billing.usd_str(run.total_cost, 4)} USD")
     cli.say(f"event log: {cli.store.events_path}")
     return 0
-
-
-def _scenario_or_error(name: str) -> scenarios.Scenario:
-    try:
-        return scenarios.scenario_by_name(name)
-    except KeyError as exc:
-        raise ValidationError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +555,9 @@ def cmd_repro_pack(cli: Cli, args) -> int:
 
 
 def _safe_extract(tar: tarfile.TarFile, dest: Path):
+    root = dest.resolve()
     for member in tar.getmembers():
-        target = dest / member.name
-        if not str(target.resolve()).startswith(str(dest.resolve())):
+        if not (dest / member.name).resolve().is_relative_to(root):
             raise CorruptArchive(f"archive member escapes extraction root: {member.name}")
     try:
         tar.extractall(dest, filter="data")
@@ -595,13 +587,11 @@ def cmd_repro_verify(cli: Cli, args) -> int:
         ingress_src = extracted / "ingress"
         if ingress_src.is_dir():
             shutil.copytree(ingress_src, workdir / STATE_DIR / "ingress")
-        configdir = extracted / "configs"
-        for argv in transcript:
-            replay_argv = _rewrite_for_replay(list(argv), workdir, configdir)
-            code = run_command(replay_argv, out=io.StringIO(), err=io.StringIO())
-            if code != 0:
-                cli.say(f"FAIL: replayed command exited {code}: {' '.join(argv)}")
-                return 3
+        try:
+            replay(transcript, workdir, extracted / "configs")
+        except (UsageError, ValidationError, SimulationError) as exc:
+            cli.say(f"FAIL: replayed command failed: {exc}")
+            return 3
         replay_store = WorkspaceStore(workdir)
         for name in OUTPUT_ARTIFACTS:
             if name not in expected:
@@ -615,6 +605,12 @@ def cmd_repro_verify(cli: Cli, args) -> int:
         cli.say(f"PASS: {len(expected)} artifacts reproduced "
                 f"({DIGEST_ALGORITHM}, seed {manifest['seed']})")
     return 0
+
+
+def replay(transcript, workdir: Path, configdir: Path):
+    """Run recorded commands in `workdir` with configs from `configdir`; raise the first error."""
+    for argv in transcript:
+        execute(_rewrite_for_replay(list(argv), workdir, configdir), io.StringIO())
 
 
 _CONFIGDIR_COMMANDS = {("workspace", "init"), ("pool", "add"), ("pool", "del"),
@@ -656,27 +652,24 @@ _HANDLERS = {
 }
 
 
+def execute(argv, out) -> int:
+    """Run one command; raises UsageError, ValidationError or SimulationError."""
+    args = build_parser().parse_args(argv)
+    handler = _HANDLERS[(args.group, getattr(args, "cmd", None), getattr(args, "sub", None))]
+    return handler(Cli(Path(args.root), out), args)
+
+
 def run_command(argv, out=None, err=None) -> int:
     """Execute one CLI command; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return execute(argv, out)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 64
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    key = (getattr(args, "group", None), getattr(args, "cmd", None),
-           getattr(args, "sub", None))
-    handler = _HANDLERS.get(key)
-    if handler is None:
-        print(f"usage error: unknown command {key}", file=err)
-        return 64
-    cli = Cli(Path(args.root), out, err)
-    try:
-        return handler(cli, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -1,23 +1,26 @@
 """Canned end-to-end scenarios for the cost-reproduction studies.
 
-Each scenario replays one production run as a fixed-duration gang task:
-pool creation, data ingress, job submission, completion, teardown, and
-download, with every meter landing in the ledger. Wall-clock durations are
-fixed inputs taken from the runs being reproduced, not simulated physics.
+Each scenario replays one production run, a fixed-duration gang task, as the
+CLI commands a user would type (`transcript`), with every meter landing in
+the ledger. Wall-clock durations are fixed inputs taken from the runs being
+reproduced, not simulated physics.
 """
 
 from __future__ import annotations
 
+import json
+import shutil
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Optional
 
 from .batch import BatchService
-from .catalog import Catalog, PricingPlan, default_catalog
-from .config import ConfigBundle, CredentialsConfig, JobsConfig, PoolConfig, TaskSpec, WorkspaceConfig
-from .storage import TransferRecord
+from .catalog import default_catalog
+from .config import (ConfigBundle, CredentialsConfig, JobsConfig, PoolConfig, TaskSpec,
+                     WorkspaceConfig, serialize_config_dir)
+from .errors import ValidationError
+from .state import STATE_DIR, ServiceOptions, WorkspaceStore, service_from_doc
 from .workloads import FixedDuration
 
 SHARE_NAME = "fileshare"
@@ -31,17 +34,12 @@ class Scenario:
     pool: PoolConfig
     job: JobsConfig
     expected_wall_hours: Decimal
-    plan: PricingPlan
     data_dir: str
     ingress_manifest: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if self.expected_wall_hours <= 0:
             raise ValueError("expected_wall_hours must be positive")
-
-    @property
-    def duration_seconds(self) -> float:
-        return float(self.expected_wall_hours * 3600)
 
     def bundle(self) -> ConfigBundle:
         """Full document set for this scenario, for packing and replay."""
@@ -84,7 +82,7 @@ def _scenario(name: str, nodes: int, wall_hours: str, procs: int, gpus: int,
         output_dir=f"{SHARE_NAME}/{data_dir}/output",
     )
     job = JobsConfig(job_id=f"{name}-job", pool_id=name, tasks=(task,))
-    return Scenario(name, pool, job, hours, PricingPlan.PAYGO_DEDICATED, data_dir, manifest)
+    return Scenario(name, pool, job, hours, data_dir, manifest)
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -111,16 +109,30 @@ def scenario_by_name(name: str) -> Scenario:
     raise KeyError(f"unknown scenario {name!r} (known: {known})")
 
 
+def transcript(scenario: Scenario, seed: int) -> list[list[str]]:
+    """The run's CLI commands, as `repro pack` records them (configs come from --configdir)."""
+    catalog = default_catalog()
+    cores = scenario.pool.dedicated_count * catalog.lookup(scenario.pool.sku).vcores
+    low = catalog.default_quota(scenario.pool.region).low_priority_cores
+    return [
+        ["workspace", "init", "--seed", str(seed)],
+        ["storage", "account", "create"],
+        ["share", "create", "--name", SHARE_NAME, "--quota", str(SHARE_QUOTA_GIB)],
+        ["quota", "set", "--region", scenario.pool.region,
+         "--dedicated", str(max(QUOTA_RAISE_FLOOR, cores)), "--low-priority", str(low)],
+        ["pool", "add"],
+        ["data", "ingress", "--manifest", f"{STATE_DIR}/ingress/0001.json"],
+        ["jobs", "add"],
+        ["pool", "del"],
+        ["jobs", "del"],
+        ["data", "download", "--source", f"{SHARE_NAME}/{scenario.data_dir}", "--dest", "output"],
+    ]
+
+
 @dataclass
 class ScenarioRun:
-    scenario: Scenario
-    service: BatchService
-    ingress: Optional[TransferRecord]
-    download: Optional[TransferRecord]
-
-    @property
-    def event_lines(self) -> list[str]:
-        return self.service.event_log.lines()
+    service: BatchService  # rehydrated from the final state.json
+    events: str  # events.log
 
     @property
     def vm_cost(self):
@@ -131,28 +143,30 @@ class ScenarioRun:
         return self.service.ledger.total()
 
     def task_states(self) -> dict[str, str]:
-        return {t.spec.task_id: t.state.value for t in self.service.all_tasks()}
+        return {t.spec.task_id: t.state.value
+                for job in self.service.jobs.values() for t in job.tasks}
 
 
-def run_scenario(scenario: Scenario, seed: int, *, catalog: Optional[Catalog] = None,
-                 raise_quota: bool = True, download_to=None,
-                 service: Optional[BatchService] = None) -> ScenarioRun:
-    """Execute the full pipeline on a fresh (or provided) service."""
-    svc = service or BatchService(catalog or default_catalog(), seed=seed)
-    sku = svc.catalog.lookup(scenario.pool.sku)
-    if raise_quota:
-        needed = scenario.pool.dedicated_count * sku.vcores
-        svc.quota_set(scenario.pool.region, max(QUOTA_RAISE_FLOOR, needed))
-    svc.storage.share_create(SHARE_NAME, SHARE_QUOTA_GIB)
-    svc.storage.directory_create(SHARE_NAME, scenario.data_dir)
-    svc.event_log.append(svc.clock.now, f"share/{SHARE_NAME}", f"mkdir:{scenario.data_dir}")
-    pool = svc.pool_add(scenario.pool, scenario.plan)
-    svc.advance_until_pool_settled(pool.pool_id)
-    ingress = svc.data_ingress(SHARE_NAME, scenario.data_dir, scenario.ingress_manifest)
-    job = svc.jobs_add(scenario.job)
-    svc.advance_until_job_terminal(job.job_id)
-    svc.pool_del(pool.pool_id)
-    svc.jobs_del(job.job_id)
-    with tempfile.TemporaryDirectory() as tmp:
-        download = svc.data_download(SHARE_NAME, scenario.data_dir, Path(download_to or tmp))
-    return ScenarioRun(scenario, svc, ingress, download)
+def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
+    """Replay `transcript(scenario, seed)` in `root` (default: a temporary dir).
+
+    `root` must hold no workspace; a failed run removes the `.batchsim/` it made.
+    """
+    from . import cli  # cli imports this module
+
+    with tempfile.TemporaryDirectory(prefix="batchsim-scenario-") as tmp:
+        store = WorkspaceStore(root if root is not None else tmp)
+        if store.dir.exists():
+            raise ValidationError(f"workspace already initialized in {store.root}")
+        configdir = Path(tmp) / "configs"
+        serialize_config_dir(scenario.bundle(), configdir)
+        try:
+            store.ingress_dir.mkdir(parents=True)
+            (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
+            cli.replay(transcript(scenario, seed), store.root, configdir)
+        except BaseException:
+            shutil.rmtree(store.dir, ignore_errors=True)
+            raise
+        state = store.load()
+        svc = service_from_doc(state["service"], ServiceOptions.from_doc(state["options"]))
+        return ScenarioRun(svc, store.events_path.read_text())

@@ -388,8 +388,3 @@ class WorkspaceStore:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-    def reset_run_outputs(self):
-        for path in (self.events_path, self.ledger_path):
-            if path.exists():
-                path.unlink()

@@ -106,10 +106,6 @@ class StorageAccount:
         self.shares[name] = share
         return share
 
-    def directory_create(self, share: str, path: str):
-        # idempotent by contract
-        _register_dirs(self._share(share), _normalize(path))
-
     def ingress(self, share: str, directory: str, manifest: Iterable[tuple[str, int]],
                 timestamp: float = 0.0) -> Optional[TransferRecord]:
         """Add size-only entries under `directory`; returns the metered record.

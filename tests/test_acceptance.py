@@ -164,7 +164,7 @@ def test_criterion_8_determinism(tmp_path):
         for scenario in builtin_scenarios():
             a = run_scenario(scenario, seed=11)
             b = run_scenario(scenario, seed=11)
-            assert "\n".join(a.event_lines) == "\n".join(b.event_lines)
+            assert a.events == b.events
             assert export_tsv(a.service.ledger) == export_tsv(b.service.ledger)
         workdir = tmp_path / "cliwork"
         workdir.mkdir()

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from batchsim.cli import run_command
+from batchsim.batch import BatchService
+from batchsim.cli import _safe_extract, run_command
+from batchsim.config import serialize_config_dir
+from batchsim.errors import CorruptArchive, TaskTooWide
+from batchsim.scenarios import builtin_scenarios, scenario_by_name, transcript
 from batchsim.state import WorkspaceStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -260,25 +264,115 @@ def test_scenario_run_and_list(tmp_path):
     assert code == 2 and "unknown scenario" in err
 
 
-def test_scenario_run_drops_manifests_of_an_earlier_session(workdir):
-    cfg = ["--configdir", "config_shipyard"]
-    ok(workdir, "workspace", "init", *cfg)
-    ok(workdir, "storage", "account", "create")
-    ok(workdir, "share", "create", "--name", "fileshare", "--quota", "100")
-    ok(workdir, "data", "ingress", *cfg, "--source", "config_shipyard/inputs")
-    ok(workdir, "scenario", "run", "snake2d")
+@pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
+def test_scenario_run_matches_its_transcript_typed_by_hand(name, tmp_path, monkeypatch):
+    scenario = scenario_by_name(name)
+    ran, typed = tmp_path / "ran", tmp_path / "typed"
+    ok(ran, "scenario", "run", name, "--seed", "3")
+    serialize_config_dir(scenario.bundle(), tmp_path / "cfg")
+    monkeypatch.setenv("BATCHSIM_CONFIGDIR", str(tmp_path / "cfg"))
+    store = WorkspaceStore(typed)
+    store.ingress_dir.mkdir(parents=True)
+    (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
+    for argv in transcript(scenario, 3):
+        ok(typed, *argv)
+    assert tree(ran) == tree(typed)
+    state = json.loads((ran / ".batchsim" / "state.json").read_text())
+    assert state["transcript"] == transcript(scenario, 3)
+    ok(ran, "repro", "pack")
+    assert ok(ran, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
+
+
+def test_scenario_run_in_a_workspace_is_rejected(workdir):
+    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    before = tree(workdir)
+    code, _, err = cli(workdir, "scenario", "run", "snake2d")
+    assert code == 2 and "workspace already initialized" in err
+    assert tree(workdir) == before
+
+
+def test_failed_scenario_leaves_no_workspace(tmp_path, monkeypatch):
+    def too_wide(svc, jobs):
+        raise TaskTooWide("task0 needs more nodes than the pool has")
+
+    monkeypatch.setattr(BatchService, "jobs_add", too_wide)
+    code, _, err = cli(tmp_path, "scenario", "run", "snake2d")
+    assert code == 2 and "more nodes" in err
+    assert not (tmp_path / ".batchsim").exists()
+
+
+def _failing_save(store, state):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("argv", [["pool", "del", "--configdir", "config_shipyard"],
+                                  ["pool", "add", "--configdir", "poisson"]],
+                         ids=["pool-del", "pool-add-other-configdir"])
+def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
+    """state.json commits a command; ledger.tsv and configs/ are written after it."""
+    for step in sequence()[:7]:  # through jobs add; the pool is still up
+        ok(workdir, *step)
+    shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
+    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "200")
+    kept = {k: v for k, v in tree(workdir).items()
+            if k == "ledger.tsv" or k.startswith("configs/")}
+    monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
+    with pytest.raises(OSError):
+        cli(workdir, *argv)
+    monkeypatch.undo()
+    assert {k: v for k, v in tree(workdir).items()
+            if k == "ledger.tsv" or k.startswith("configs/")} == kept
     ok(workdir, "repro", "pack")
-    with tarfile.open(workdir / "repro-package.tar.gz") as tar:
-        assert not [n for n in tar.getnames() if n.startswith("ingress/")]
-    ok(workdir, "data", "ingress", *cfg, "--source", "config_shipyard/inputs")
-    assert sorted(p.name for p in (workdir / ".batchsim" / "ingress").iterdir()) == ["0001.json"]
+    assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
-def test_scenario_quota_failure_means_no_billing(tmp_path):
-    code, _, err = cli(tmp_path, "scenario", "run", "snake2d", "--no-quota-raise")
-    assert code == 2
-    assert "quota" in err.lower()
-    assert not (tmp_path / ".batchsim" / "ledger.tsv").exists()
+MANIFESTS = {
+    "missing-manifest": None,
+    "unparseable-manifest": "entries: [unclosed\n",
+    "entry-without-bytes": "entries:\n- {path: case.yaml}\n",
+    "scalar-manifest": "5\n",
+    "negative-size": "entries:\n- {path: case.yaml, bytes: -1}\n",
+}
+CATALOGS = {
+    "missing-catalog": None,
+    "unparseable-catalog": "skus: [unclosed\n",
+    "scalar-skus": "skus: 5\n",
+}
+USER_FILE_ERRORS = [
+    *[(["data", "ingress", "--configdir", "config_shipyard", "--manifest", "user.yaml"], text)
+      for text in MANIFESTS.values()],
+    *[(["workspace", "init", "--configdir", "config_shipyard", "--catalog", "../user.yaml"], text)
+      for text in CATALOGS.values()],
+    (["data", "download", "--source", "fileshare/snake2d2k35", "--dest", "user.yaml/out"], ""),
+    (["ledger", "report", "--export", "user.yaml/ledger.tsv"], ""),
+]
+
+
+@pytest.mark.parametrize("argv,text", USER_FILE_ERRORS,
+                         ids=[*MANIFESTS, *CATALOGS, "download-under-file", "export-under-file"])
+def test_bad_user_file_exits_2_without_mutation(workdir, argv, text):
+    if argv[0] != "workspace":
+        for step in sequence()[:7]:
+            ok(workdir, *step)
+    if text is not None:
+        (workdir / "user.yaml").write_text(text)
+    before = tree(workdir)
+    code, _, err = cli(workdir, *argv)
+    assert code == 2, err
+    assert err.startswith("error: ") and "user.yaml" in err
+    assert tree(workdir) == before
+
+
+def test_safe_extract_rejects_a_sibling_directory(tmp_path):
+    archive = tmp_path / "evil.tar"
+    with tarfile.open(archive, "w") as tar:
+        info = tarfile.TarInfo("../archive2/x")
+        info.size = 1
+        tar.addfile(info, io.BytesIO(b"x"))
+    (tmp_path / "archive").mkdir()
+    with tarfile.open(archive) as tar, pytest.raises(CorruptArchive, match="escapes"):
+        _safe_extract(tar, tmp_path / "archive")
+    assert not (tmp_path / "archive2").exists()
 
 
 def test_repro_pack_requires_completed_run(workdir):
@@ -321,6 +415,23 @@ def test_repro_verify_detects_edited_sku(workdir, tmp_path_factory):
     code, out, _ = cli(workdir, "repro", "verify", str(tampered))
     assert code == 3
     assert "FAIL" in out and "ledger.tsv" in out
+
+
+def test_repro_verify_reports_a_failing_replayed_command(tmp_path):
+    ok(tmp_path, "scenario", "run", "snake2d")
+    ok(tmp_path, "repro", "pack")
+    unpacked = tmp_path / "unpacked"
+    with tarfile.open(tmp_path / "repro-package.tar.gz") as tar:
+        tar.extractall(unpacked, filter="data")
+    pool_doc = yaml.safe_load((unpacked / "configs" / "pool.yaml").read_text())
+    pool_doc["pool"]["vm_count"]["dedicated"] = 5  # 120 cores, over the recorded 100
+    (unpacked / "configs" / "pool.yaml").write_text(yaml.safe_dump(pool_doc))
+    with tarfile.open(tmp_path / "edited.tar.gz", "w:gz") as tar:
+        for path in sorted(unpacked.rglob("*")):
+            tar.add(path, arcname=str(path.relative_to(unpacked)))
+    code, out, _ = cli(tmp_path, "repro", "verify", "edited.tar.gz")
+    assert code == 3
+    assert out.startswith("FAIL: replayed command failed: quota exceeded")
 
 
 def test_repro_verify_truncated_archive(workdir):

@@ -5,9 +5,11 @@ file at the parent commit and check that it passes there; apply the change
 and re-record only the digests that moved, after checking that each moved
 file still means the same (for state.json: the decoded documents differ
 only where the change says they should); then list each changed digest
-and its reason in CHANGES.md. Each CLI session runs in a child interpreter
-with BLAS pinned to one thread, because the CG task's iteration count (and
-so its solve.tsv and the event log) depends on the BLAS thread count.
+and its reason in CHANGES.md. On a mismatch each test prints the whole
+actual digest dict as a Python literal, to copy over the recorded one.
+Each CLI session runs in a child interpreter with BLAS pinned to one
+thread, because the CG task's iteration count (and so its solve.tsv and
+the event log) depends on the BLAS thread count.
 """
 
 import hashlib
@@ -42,22 +44,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _check(actual: dict, expected: dict):
+    assert actual == expected, "actual digests:\n" + json.dumps(actual, indent=4, sort_keys=True)
+
+
 SCENARIO_DIGESTS = {
     "snake2d": {
         "events.log":
-            "682ee33226365fcf68e49174d09d0d26c3ec6d226aa24197d1aea90d9063b0f5",
+            "a54763ca38e6956028a07d69cb12c451c85644a2ba674000c359277f8afe3563",
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
     },
     "snake3d": {
         "events.log":
-            "be9c2bc839ce9409c32ca9430d76eb92726138a9f8f318bc82f8664ab3002d0a",
+            "62a38b7e83d435a2101b62830d6e9a4104f342097ee101d35b306e86d7792946",
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
     },
     "snake3d_fine": {
         "events.log":
-            "a1c3ee0a6cb9f90ad50dcd8832a3e48cc4e6844857219df95fc08052148778d9",
+            "d840a552c38a238d237079d1e042a78cb557d4a208e014b7876cebfc3deb6c45",
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
     },
@@ -67,9 +73,9 @@ SCENARIO_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
 def test_run_scenario_digests(name):
     run = run_scenario(scenario_by_name(name), seed=0)
-    actual = {"events.log": _sha(run.service.event_log.dump().encode()),
-              "ledger.tsv": _sha(billing.export_tsv(run.service.ledger).encode())}
-    assert actual == SCENARIO_DIGESTS[name]
+    _check({"events.log": _sha(run.events.encode()),
+            "ledger.tsv": _sha(billing.export_tsv(run.service.ledger).encode())},
+           SCENARIO_DIGESTS[name])
 
 
 def _session(share_dir: str, ingress: list[str]) -> list[list[str]]:
@@ -162,11 +168,13 @@ SCENARIO_RUN_DIGESTS = {
         "configs/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
-            "682ee33226365fcf68e49174d09d0d26c3ec6d226aa24197d1aea90d9063b0f5",
+            "a54763ca38e6956028a07d69cb12c451c85644a2ba674000c359277f8afe3563",
+        "ingress/0001.json":
+            "89214ad09ce369a52d2dbf2531d33801d83728bbe79b850c5905bc633f84946c",
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "718c6836d954320e39ed6388338ba7751df42a07dcffb3018cbb3c60a2d098ce",
+            "877cfb0e0edc47c3c3064615b4c377764af37ba6c72e36d38882338d6c6530b0",
     },
     "snake3d": {
         "configs/credentials.yaml":
@@ -178,11 +186,13 @@ SCENARIO_RUN_DIGESTS = {
         "configs/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
-            "be9c2bc839ce9409c32ca9430d76eb92726138a9f8f318bc82f8664ab3002d0a",
+            "62a38b7e83d435a2101b62830d6e9a4104f342097ee101d35b306e86d7792946",
+        "ingress/0001.json":
+            "2c85442182ed2bdd0e7132fe842deba9eec918bd8bb38aaa8a9094eef81a0899",
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "4d723aff5463f28d1aeea742484cf294ee49ac953d0425aa94226f5594386a19",
+            "2a9cbac26e8654eeb6dbd9d2a1e54e60a84a67583e28e600ed354eca12ce6525",
     },
     "snake3d_fine": {
         "configs/credentials.yaml":
@@ -196,11 +206,13 @@ SCENARIO_RUN_DIGESTS = {
         "configs/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
-            "a1c3ee0a6cb9f90ad50dcd8832a3e48cc4e6844857219df95fc08052148778d9",
+            "d840a552c38a238d237079d1e042a78cb557d4a208e014b7876cebfc3deb6c45",
+        "ingress/0001.json":
+            "2c85442182ed2bdd0e7132fe842deba9eec918bd8bb38aaa8a9094eef81a0899",
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "d4f22460fc85816111cd2bd55b6a28fa136d7b036dd62600755b4eb402aeb036",
+            "684499b41dd95788a791767ddfc7469ae5f62340624f47d4d15befc455981ce6",
     },
 }
 
@@ -230,11 +242,11 @@ def test_cli_session_digests(config, tmp_path):
         "entries:\n- {path: case.yaml, bytes: 4096}\n- {path: mesh.bin, bytes: 65536}\n")
     codes = _run_child(tmp_path, SESSIONS[config])
     assert all(code == 0 for code, _ in codes), codes
-    assert _tree_digests(tmp_path) == SESSION_DIGESTS[config]
+    _check(_tree_digests(tmp_path), SESSION_DIGESTS[config])
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_RUN_DIGESTS))
 def test_cli_scenario_run_digests(name, tmp_path):
     codes = _run_child(tmp_path, [["scenario", "run", name, "--seed", "0"]])
     assert codes[0][0] == 0, codes
-    assert _tree_digests(tmp_path) == SCENARIO_RUN_DIGESTS[name]
+    _check(_tree_digests(tmp_path), SCENARIO_RUN_DIGESTS[name])

@@ -6,8 +6,8 @@ import pytest
 from batchsim.billing import counterfactual, export_tsv
 from batchsim.catalog import PricingPlan, default_catalog
 from batchsim.config import parse_config_dir, serialize_config_dir
-from batchsim.errors import QuotaExceeded
 from batchsim.scenarios import builtin_scenarios, run_scenario, scenario_by_name
+from batchsim.storage import Direction
 
 
 def test_builtin_wall_hours():
@@ -63,35 +63,32 @@ def test_counterfactual_reserved_pricing():
     assert identity == run.total_cost
 
 
-def test_quota_left_at_default_fails_before_billing():
-    with pytest.raises(QuotaExceeded):
-        run_scenario(scenario_by_name("snake2d"), seed=0, raise_quota=False)
-
-
 def test_deterministic_replay_same_seed():
     a = run_scenario(scenario_by_name("snake2d"), seed=42)
     b = run_scenario(scenario_by_name("snake2d"), seed=42)
-    assert a.event_lines == b.event_lines
+    assert a.events == b.events
     assert export_tsv(a.service.ledger) == export_tsv(b.service.ledger)
 
 
 def test_different_seed_changes_boot_schedule():
     a = run_scenario(scenario_by_name("snake2d"), seed=1)
     b = run_scenario(scenario_by_name("snake2d"), seed=2)
-    assert a.event_lines != b.event_lines
+    assert a.events != b.events
     assert a.vm_cost == b.vm_cost  # cost is seed-independent
 
 
 def test_pipeline_artifacts(tmp_path):
-    run = run_scenario(scenario_by_name("snake2d"), seed=0, download_to=tmp_path)
-    assert run.ingress is not None
-    assert run.ingress.bytes == 131_072 + 4_096
-    assert run.download is not None
-    assert run.download.bytes > run.ingress.bytes  # outputs included
-    log = tmp_path / "fileshare" / "snake2d2k35" / "output" / "run.log"
+    run = run_scenario(scenario_by_name("snake2d"), seed=0, root=tmp_path)
+    ingress, download = run.service.storage.transfers
+    assert ingress.direction is Direction.INGRESS
+    assert ingress.bytes == 131_072 + 4_096
+    assert download.direction is Direction.EGRESS
+    assert download.bytes > ingress.bytes  # outputs included
+    log = tmp_path / "output" / "fileshare" / "snake2d2k35" / "output" / "run.log"
     assert log.is_file()
-    body = tmp_path / "fileshare" / "snake2d2k35" / "snake2d.body"
+    body = tmp_path / "output" / "fileshare" / "snake2d2k35" / "snake2d.body"
     assert body.stat().st_size == 131_072
+    assert run.events == (tmp_path / ".batchsim" / "events.log").read_text()
 
 
 def test_pool_torn_down_and_job_kept():

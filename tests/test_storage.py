@@ -35,14 +35,6 @@ def test_zero_quota_share_rejects_writes():
         acc.write_entry("s", "f", b"x")
 
 
-def test_directory_create_idempotent(account):
-    account.directory_create("fileshare", "snake2d2k35")
-    account.directory_create("fileshare", "snake2d2k35")
-    assert "snake2d2k35" in account.shares["fileshare"].directories
-    with pytest.raises(UnknownShare):
-        account.directory_create("nope", "d")
-
-
 def test_ingress_one_gib(account):
     record = account.ingress("fileshare", "run", [("data.bin", GIB)])
     assert record.direction is Direction.INGRESS
@@ -88,8 +80,9 @@ def test_download_batch(account, tmp_path):
 
 
 def test_download_empty_directory(account, tmp_path):
-    account.directory_create("fileshare", "empty")
+    assert account.ingress("fileshare", "empty", [("zero.bin", 0)]) is None
     assert account.download_batch("fileshare", "empty", tmp_path) is None
+    assert account.transfers == []
 
 
 def test_download_missing_directory(account, tmp_path):
@@ -116,7 +109,9 @@ def test_path_normalization(account):
     account.ingress("fileshare", "run", [("./x//y.bin", 5)])
     assert "run/x/y.bin" in account.shares["fileshare"].entries
     with pytest.raises(UnknownPath):
-        account.directory_create("fileshare", "../escape")
+        account.ingress("fileshare", "../escape", [("x.bin", 1)])
+    with pytest.raises(UnknownShare):
+        account.ingress("nope", "d", [("x.bin", 1)])
 
 
 names = st.lists(
