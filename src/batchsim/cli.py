@@ -610,7 +610,8 @@ def cmd_repro_verify(cli: Cli, args) -> int:
 def replay(transcript, workdir: Path, configdir: Path):
     """Run recorded commands in `workdir` with configs from `configdir`; raise the first error."""
     for argv in transcript:
-        execute(_rewrite_for_replay(list(argv), workdir, configdir), io.StringIO())
+        run_command(_rewrite_for_replay(list(argv), workdir, configdir), io.StringIO(),
+                    raising=True)
 
 
 _CONFIGDIR_COMMANDS = {("workspace", "init"), ("pool", "add"), ("pool", "del"),
@@ -659,23 +660,24 @@ def execute(argv, out) -> int:
     return handler(Cli(Path(args.root), out), args)
 
 
-def run_command(argv, out=None, err=None) -> int:
-    """Execute one CLI command; returns the process exit code."""
+def run_command(argv, out=None, err=None, *, raising=False) -> int:
+    """Execute one CLI command; returns its exit code, or with `raising` lets the error out."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         return execute(argv, out)
     except SystemExit as exc:  # --help
+        if raising:
+            raise UsageError(f"command exited without running: {' '.join(argv)}") from None
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return 64
-    except ValidationError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except SimulationError as exc:
-        print(f"simulation error: {exc}", file=err)
-        return 3
+    except (UsageError, ValidationError, SimulationError) as exc:
+        if raising:
+            raise
+        code, label = ((64, "usage error") if isinstance(exc, UsageError)
+                       else (2, "error") if isinstance(exc, ValidationError)
+                       else (3, "simulation error"))
+        print(f"{label}: {exc}", file=err)
+        return code
 
 
 def main(argv=None) -> int:

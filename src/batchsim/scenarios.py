@@ -143,8 +143,7 @@ class ScenarioRun:
         return self.service.ledger.total()
 
     def task_states(self) -> dict[str, str]:
-        return {t.spec.task_id: t.state.value
-                for job in self.service.jobs.values() for t in job.tasks}
+        return {t.spec.task_id: t.state.value for t in self.service.all_tasks()}
 
 
 def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:

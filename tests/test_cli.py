@@ -417,21 +417,42 @@ def test_repro_verify_detects_edited_sku(workdir, tmp_path_factory):
     assert "FAIL" in out and "ledger.tsv" in out
 
 
-def test_repro_verify_reports_a_failing_replayed_command(tmp_path):
+def _edited_scenario_package(tmp_path, edit) -> str:
+    """Pack a snake2d scenario, let `edit` change the unpacked files, and pack them again."""
     ok(tmp_path, "scenario", "run", "snake2d")
     ok(tmp_path, "repro", "pack")
     unpacked = tmp_path / "unpacked"
     with tarfile.open(tmp_path / "repro-package.tar.gz") as tar:
         tar.extractall(unpacked, filter="data")
-    pool_doc = yaml.safe_load((unpacked / "configs" / "pool.yaml").read_text())
-    pool_doc["pool"]["vm_count"]["dedicated"] = 5  # 120 cores, over the recorded 100
-    (unpacked / "configs" / "pool.yaml").write_text(yaml.safe_dump(pool_doc))
+    edit(unpacked)
     with tarfile.open(tmp_path / "edited.tar.gz", "w:gz") as tar:
         for path in sorted(unpacked.rglob("*")):
             tar.add(path, arcname=str(path.relative_to(unpacked)))
-    code, out, _ = cli(tmp_path, "repro", "verify", "edited.tar.gz")
+    return "edited.tar.gz"
+
+
+def test_repro_verify_reports_a_failing_replayed_command(tmp_path):
+    def over_quota(unpacked):
+        pool_doc = yaml.safe_load((unpacked / "configs" / "pool.yaml").read_text())
+        pool_doc["pool"]["vm_count"]["dedicated"] = 5  # 120 cores, over the recorded 100
+        (unpacked / "configs" / "pool.yaml").write_text(yaml.safe_dump(pool_doc))
+
+    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, over_quota))
     assert code == 3
     assert out.startswith("FAIL: replayed command failed: quota exceeded")
+
+
+def test_repro_verify_fails_on_a_replayed_help_request(tmp_path):
+    """--help exits argparse; in a replay that is a failed command, not a passing verify."""
+    def add_help(unpacked):
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        manifest["transcript"].append(["status", "--help"])
+        manifest["output_digests"]["ledger.tsv"] = "0" * 64  # must never be skipped
+        (unpacked / "manifest.json").write_text(json.dumps(manifest))
+
+    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, add_help))
+    assert code == 3
+    assert out.startswith("FAIL: replayed command failed: command exited without running")
 
 
 def test_repro_verify_truncated_archive(workdir):
