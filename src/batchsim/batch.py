@@ -75,6 +75,12 @@ class FailureReason(enum.Enum):
 
 TERMINAL_TASK_STATES = (TaskState.COMPLETED, TaskState.FAILED)
 
+# event-log texts of the task transitions every task makes
+_TO_PENDING = f"->{TaskState.PENDING.value}"
+_PENDING_TO_STAGING = f"{TaskState.PENDING.value}->{TaskState.STAGING.value}"
+_STAGING_TO_RUNNING = f"{TaskState.STAGING.value}->{TaskState.RUNNING.value}"
+_RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}"
+
 
 @dataclass
 class Task:
@@ -88,14 +94,15 @@ class Task:
     attempts: int = 0
     completion_event: Optional[object] = field(default=None, repr=False, compare=False)
     seq: int = field(default=0, repr=False, compare=False)  # FIFO key in the pool queue
+    nodes: tuple[Node, ...] = field(default=(), repr=False, compare=False)  # of a running attempt
+    entity: str = field(init=False, repr=False, compare=False)  # the event-log entity
+
+    def __post_init__(self):
+        self.entity = f"task/{self.job_id}/{self.spec.task_id}"
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_TASK_STATES
-
-    @property
-    def entity(self) -> str:
-        return f"task/{self.job_id}/{self.spec.task_id}"
 
     @property
     def run_tag(self) -> str:
@@ -312,7 +319,7 @@ class BatchService:
         self.enqueue(job)
         self.event_log.append(self.clock.now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}")
         for task in job.tasks:
-            self.event_log.append(self.clock.now, task.entity, f"->{TaskState.PENDING.value}")
+            self.event_log.append(self.clock.now, task.entity, _TO_PENDING)
         self.schedule_step()
         return job
 
@@ -367,39 +374,29 @@ class BatchService:
         ctx = workloads.TaskContext(task.spec.instances, task.spec.procs_per_node,
                                     self.interconnect, self.runtime_constants)
         result = workloads.execute(task.spec.workload, ctx)
-        task.assigned_nodes = tuple(n.node_id for n in nodes)
+        task.nodes = nodes = tuple(nodes)
+        task.assigned_nodes = tuple([n.node_id for n in nodes])
         task.state = TaskState.STAGING
-        self.event_log.append(now, task.entity, f"{TaskState.PENDING.value}->"
-                                                f"{TaskState.STAGING.value}")
+        self.event_log.append(now, task.entity, _PENDING_TO_STAGING)
         task.state = TaskState.RUNNING
         task.start_time = now
         task.end_time = now + result.duration_seconds
-        self.event_log.append(now, task.entity, f"{TaskState.STAGING.value}->"
-                                                f"{TaskState.RUNNING.value}")
+        self.event_log.append(now, task.entity, _STAGING_TO_RUNNING)
         for node in nodes:
             node.transition(NodeState.RUNNING, now, self.event_log)
             self._running[node.node_id] = task
-        tag = task.run_tag
         task.completion_event = self.clock.schedule(
-            task.end_time,
-            lambda p=pool, j=job, t=task, r=result, g=tag: self._finish_task(p, j, t, r, g))
+            task.end_time, lambda j=job, t=task, r=result, a=task.attempts:
+            self._finish_task(j, t, r, a))
 
-    def _finish_task(self, pool: Pool, job: Job, task: Task,
-                     result: workloads.WorkloadResult, tag: str):
-        if task.state is not TaskState.RUNNING or task.run_tag != tag:
+    def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult, attempt: int):
+        if task.state is not TaskState.RUNNING or task.attempts != attempt:
             return
-        now = self.clock.now
-        for node_id in task.assigned_nodes:
-            del self._running[node_id]
-            node = self._node(pool, node_id)
-            if node.state is NodeState.RUNNING:
-                node.busy_log.append((task.start_time, now, task.run_tag))
-                node.transition(NodeState.IDLE, now, self.event_log)
+        self._free_nodes(task)
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
         job.unfinished -= 1
-        self.event_log.append(now, task.entity, f"{TaskState.RUNNING.value}->"
-                                                f"{TaskState.COMPLETED.value}")
+        self.event_log.append(self.clock.now, task.entity, _RUNNING_TO_COMPLETED)
         self._store_outputs(task, result)
         self._refresh_job_state(job)
         self.schedule_step()
@@ -435,13 +432,8 @@ class BatchService:
         if task.completion_event is not None:
             task.completion_event.cancel()
             task.completion_event = None
-        if task.state is TaskState.RUNNING and pool is not None:
-            for node_id in task.assigned_nodes:
-                del self._running[node_id]
-                node = self._node(pool, node_id)
-                if node.state is NodeState.RUNNING:
-                    node.busy_log.append((task.start_time, now, task.run_tag))
-                    node.transition(NodeState.IDLE, now, self.event_log)
+        if task.state is TaskState.RUNNING:
+            self._free_nodes(task)
         previous = task.state
         if (reason is FailureReason.NODE_PREEMPTED and task.attempts < self.task_retries):
             task.attempts += 1
@@ -459,6 +451,16 @@ class BatchService:
         task.end_time = now
         self.event_log.append(now, task.entity,
                               f"{previous.value}->{TaskState.FAILED.value}({reason.value})")
+
+    def _free_nodes(self, task: Task):
+        """Return a running task's nodes to the pool, logging each busy interval."""
+        now, tag = self.clock.now, task.run_tag
+        for node in task.nodes:
+            del self._running[node.node_id]
+            if node.state is NodeState.RUNNING:
+                node.busy_log.append((task.start_time, now, tag))
+                node.transition(NodeState.IDLE, now, self.event_log)
+        task.nodes = ()
 
     def _refresh_job_state(self, job: Job):
         if job.state is JobState.ACTIVE and not job.unfinished:
@@ -496,14 +498,6 @@ class BatchService:
         self.ledger.add_vm(node.sku, plan, seconds,
                            f"{node.sku} {node.node_id} ({node.priority.value})",
                            (node.ready_time, at))
-
-    # -- helpers -------------------------------------------------------------
-
-    def _node(self, pool: Pool, node_id: str) -> Node:
-        for node in pool.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
 
     # -- simulation drivers ----------------------------------------------------
 

@@ -263,14 +263,22 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     for a, b in args.scarcity:
         recorded += ["--scarcity", str(a), str(b)]
     svc = statemod.build_service(options, catalog)
-    serialize_config_dir(bundle, cli.store.configs_dir)
-    if catalog_doc:
-        with open(cli.store.configs_dir / "catalog.yaml", "w") as fh:
-            yaml.safe_dump(catalog_doc, fh, sort_keys=False)
     state = statemod.new_workspace_state(options, bundle, catalog_doc)
     state["service"] = statemod.service_to_doc(svc)
     state["transcript"].append(recorded)
-    cli.store.save(state)
+    created = not cli.store.dir.exists()
+    try:  # state.json first, as in Cli.commit; a failure takes back what was written
+        cli.store.save(state)
+        serialize_config_dir(bundle, cli.store.configs_dir)
+        if catalog_doc:
+            with open(cli.store.configs_dir / "catalog.yaml", "w") as fh:
+                yaml.safe_dump(catalog_doc, fh, sort_keys=False)
+    except BaseException:
+        if created:
+            shutil.rmtree(cli.store.dir, ignore_errors=True)
+        else:
+            cli.store.state_path.unlink(missing_ok=True)
+        raise
     ws = bundle.workspace
     cli.say(f"workspace initialized: subscription={ws.subscription} "
             f"resource_group={ws.resource_group} region={ws.region} seed={args.seed}")

@@ -159,18 +159,17 @@ class NodeState(enum.Enum):
     PREEMPTED = "Preempted"
 
 
-_LEGAL_TRANSITIONS = {
-    (NodeState.STARTING, NodeState.IDLE),
-    (NodeState.IDLE, NodeState.RUNNING),
-    (NodeState.RUNNING, NodeState.IDLE),
-    (NodeState.IDLE, NodeState.PREEMPTED),
-    (NodeState.RUNNING, NodeState.PREEMPTED),
-}
+# each legal (from, to) node transition and its event-log text
+_LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
+    (NodeState.STARTING, NodeState.IDLE), (NodeState.IDLE, NodeState.RUNNING),
+    (NodeState.RUNNING, NodeState.IDLE), (NodeState.IDLE, NodeState.PREEMPTED),
+    (NodeState.RUNNING, NodeState.PREEMPTED))}
 
 
 class Node:
     def __init__(self, node_id: str, sku: str, priority: Priority, boot_latency: int):
         self.node_id = node_id
+        self.entity = f"node/{node_id}"  # the event-log entity
         self.sku = sku
         self.priority = priority
         self.state = NodeState.STARTING
@@ -178,22 +177,19 @@ class Node:
         self.ready_time: Optional[float] = None
         self.released_time: Optional[float] = None
         self.preempt_at: Optional[float] = None
-        # (start, end, task_id) busy intervals, for the gang invariants
+        # busy intervals (start, end, "task/<job>/<task>#<attempt>"), for the gang invariants
         self.busy_log: list[tuple[float, float, str]] = []
 
     def transition(self, to: NodeState, at: float, log: EventLog):
-        if (self.state, to) not in _LEGAL_TRANSITIONS:
+        text = _LEGAL_TRANSITIONS.get((self.state, to))
+        if text is None:
             raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
         if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
             raise ValueError("dedicated nodes are never preempted")
-        log.append(at, f"node/{self.node_id}", f"{self.state.value}->{to.value}")
+        log.append(at, self.entity, text)
         self.state = to
         if to is NodeState.IDLE and self.ready_time is None:
             self.ready_time = at
-
-    @property
-    def alive(self) -> bool:
-        return self.state in (NodeState.IDLE, NodeState.RUNNING, NodeState.STARTING)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ class Provisioner:
         for i in range(dedicated + low_priority):
             prio = Priority.DEDICATED if i < dedicated else Priority.LOW_PRIORITY
             node = Node(f"{batch_id}/{i}", sku, prio, boot)
-            self.log.append(self.clock.now, f"node/{node.node_id}", f"->{node.state.value}")
+            self.log.append(self.clock.now, node.entity, f"->{node.state.value}")
             if staging_seconds > 0 and staging_label:
                 self.clock.schedule_after(boot, _staging_action(node, self, staging_label))
             self.clock.schedule_after(boot + staging_seconds,
@@ -271,7 +267,7 @@ class Provisioner:
 def _staging_action(node: Node, prov: Provisioner, label: str):
     def action():
         if node.state is NodeState.STARTING and node.released_time is None:
-            prov.log.append(prov.clock.now, f"node/{node.node_id}", label)
+            prov.log.append(prov.clock.now, node.entity, label)
 
     return action
 

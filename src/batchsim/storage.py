@@ -60,7 +60,8 @@ def _normalize(path: str) -> str:
 
 
 def _register_dirs(share: "FileShare", directory: str):
-    while directory:
+    """Add `directory` and its parents; a registered directory's parents are registered."""
+    while directory and directory not in share.directories:
         share.directories.add(directory)
         directory = posixpath.dirname(directory)
 

@@ -242,6 +242,29 @@ def test_task_retry_after_preemption():
     assert tk.state is TaskState.COMPLETED  # retried onto the dedicated node
 
 
+def test_retried_attempts_keep_their_run_tags():
+    svc = BatchService(CATALOG, seed=3, preemption_rate=0.0, task_retries=1)
+    svc.quota_set("eastus", 200, 200)
+    pool = steady_pool(svc, pool_cfg(ded=0, low=2))
+    first, second = pool.nodes
+    job = svc.jobs_add(jobs_cfg("p", task("t0", 1, 3600)))
+    tk = job.tasks[0]
+    started = tk.start_time
+    svc.clock.schedule(started + 1000, lambda: svc._on_preempt(pool, first))
+    svc.run_to_quiescence()
+    assert tk.state is TaskState.COMPLETED and tk.attempts == 1
+    assert first.busy_log == [(started, started + 1000, "task/job/t0#0")]
+    assert second.busy_log == [(started + 1000, started + 4600, "task/job/t0#1")]
+    lines = [line.split("\t") for line in svc.event_log.lines()]
+    assert [(float(t), tr) for t, e, tr in lines if e == "task/job/t0"] == [
+        (started, "->Pending"), (started, "Pending->Staging"), (started, "Staging->Running"),
+        (started + 1000, "Running->Pending (retry 1)"),
+        (started + 1000, "Pending->Staging"), (started + 1000, "Staging->Running"),
+        (started + 4600, "Running->Completed"),
+    ]
+    assert not any(float(t) == started + 3600 for t, _, _ in lines)  # attempt 0's end
+
+
 def test_pool_delete_fails_running_task():
     svc = make_service(seed=10)
     pool = steady_pool(svc, pool_cfg(ded=2))

@@ -326,6 +326,23 @@ def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["no-batchsim-dir", "stray-file"])
+def test_failed_workspace_init_save_leaves_tree_as_it_was(workdir, monkeypatch, existing):
+    """A failed state save writes no configs/, and removes a .batchsim/ it created."""
+    if existing:
+        (workdir / ".batchsim").mkdir()
+        (workdir / ".batchsim" / "notes.txt").write_text("kept\n")
+    before = tree(workdir)
+    monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
+    with pytest.raises(OSError):
+        cli(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    monkeypatch.undo()
+    assert (workdir / ".batchsim").exists() is existing
+    assert tree(workdir) == before
+    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    ok(workdir, "status")
+
+
 MANIFESTS = {
     "missing-manifest": None,
     "unparseable-manifest": "entries: [unclosed\n",

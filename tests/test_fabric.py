@@ -180,6 +180,47 @@ def test_node_transitions_enforced():
     assert lp.state is NodeState.PREEMPTED
 
 
+# each legal transition, with a path of legal transitions that reaches its source state
+LEGAL_PATHS = {
+    "Starting->Idle": [],
+    "Idle->Running": [NodeState.IDLE],
+    "Running->Idle": [NodeState.IDLE, NodeState.RUNNING],
+    "Idle->Preempted": [NodeState.IDLE],
+    "Running->Preempted": [NodeState.IDLE, NodeState.RUNNING],
+}
+
+
+@pytest.mark.parametrize("text", sorted(LEGAL_PATHS))
+def test_each_legal_node_transition_logs_its_line(text):
+    log = EventLog()
+    node = Node("pool/3", "NC6", Priority.LOW_PRIORITY, 60)
+    for step, to in enumerate(LEGAL_PATHS[text]):
+        node.transition(to, float(step), log)
+    to = NodeState(text.split("->")[1])
+    node.transition(to, 9.25, log)
+    assert node.state is to
+    assert log.lines()[-1] == f"9.250000\tnode/pool/3\t{text}"
+    assert len(log.records) == len(LEGAL_PATHS[text]) + 1
+
+
+def test_illegal_node_transitions_raise_and_log_nothing():
+    legal = {tuple(text.split("->")) for text in LEGAL_PATHS}
+    illegal = [(a, b) for a in NodeState for b in NodeState if (a.value, b.value) not in legal]
+    assert len(illegal) == 11
+    for source, to in illegal:
+        log = EventLog()
+        node = Node("pool/0", "NC6", Priority.LOW_PRIORITY, 60)
+        node.state = source
+        with pytest.raises(ValueError) as err:
+            node.transition(to, 1.0, log)
+        assert str(err.value) == f"illegal node transition {source.value} -> {to.value}"
+        assert node.state is source and log.records == []
+    dedicated = Node("pool/1", "NC6", Priority.DEDICATED, 60)
+    dedicated.state = NodeState.IDLE
+    with pytest.raises(ValueError, match="^dedicated nodes are never preempted$"):
+        dedicated.transition(NodeState.PREEMPTED, 1.0, EventLog())
+
+
 def test_event_log_format():
     log = EventLog()
     log.append(1.5, "node/p/0", "Starting->Idle")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from batchsim import state
 from batchsim.errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
 from batchsim.storage import GIB, Direction, StorageAccount
 
@@ -112,6 +113,23 @@ def test_path_normalization(account):
         account.ingress("fileshare", "../escape", [("x.bin", 1)])
     with pytest.raises(UnknownShare):
         account.ingress("nope", "d", [("x.bin", 1)])
+
+
+def test_directory_index_survives_a_state_round_trip():
+    options = state.ServiceOptions()
+    svc = state.build_service(options)
+    svc.storage.share_create("fileshare", 1)
+    for path in ("a/b/c/x", "a/b/d/y", "a/e"):
+        svc.storage.write_entry("fileshare", path, path.encode())
+    dirs = {"a", "a/b", "a/b/c", "a/b/d"}
+    assert svc.storage.shares["fileshare"].directories == dirs
+    assert [e.path for e in svc.storage.entries_under("fileshare", "a/b")] == ["a/b/c/x",
+                                                                               "a/b/d/y"]
+    back = state.service_from_doc(state.service_to_doc(svc), options).storage
+    assert back.shares["fileshare"].directories == dirs
+    back.write_entry("fileshare", "a/f/g/z", b"z")
+    assert back.shares["fileshare"].directories == dirs | {"a/f", "a/f/g"}
+    assert [e.path for e in back.entries_under("fileshare", "a/f")] == ["a/f/g/z"]
 
 
 names = st.lists(
