@@ -18,7 +18,6 @@ from .catalog import Catalog, RegionQuota
 from .errors import CrossRefError, MissingDocument, SchemaError
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
-DOCUMENT_NAMES = ("workspace.yaml", "credentials.yaml", "pool.yaml", "jobs.yaml")
 STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
 
 
@@ -110,36 +109,37 @@ def _load_doc(directory: Path, name: str) -> dict:
     return doc
 
 
+_ABSENT = object()  # a key the document does not have
+
+
+def _checked(value, kind, path: str, key: str):
+    """`value` of document key `key` if it is of `kind`; strings come back stripped."""
+    if value is _ABSENT:
+        raise SchemaError(path, key, "required key absent")
+    if kind is bool and not isinstance(value, bool):
+        raise SchemaError(path, key, "expected a boolean")
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise SchemaError(path, key, "expected an integer")
+    if kind is str:
+        if not isinstance(value, str) or not value.strip():
+            raise SchemaError(path, key, "expected a non-empty string")
+        return value.strip()
+    if kind is dict and not isinstance(value, dict):
+        raise SchemaError(path, key, "expected a mapping")
+    if kind is list and not isinstance(value, list):
+        raise SchemaError(path, key, "expected a list")
+    return value
+
+
 class _Reader:
     def __init__(self, path: str, mapping: dict, prefix: str = ""):
-        self.path = path
-        self.mapping = mapping
-        self.prefix = prefix
-
-    def _key(self, key: str) -> str:
-        return f"{self.prefix}{key}"
+        self.path, self.mapping, self.prefix = path, mapping, prefix
 
     def child(self, key: str) -> "_Reader":
-        value = self.require(key, dict)
-        return _Reader(self.path, value, f"{self._key(key)}.")
+        return _Reader(self.path, self.require(key, dict), f"{self.prefix}{key}.")
 
     def require(self, key: str, kind):
-        if key not in self.mapping:
-            raise SchemaError(self.path, self._key(key), "required key absent")
-        value = self.mapping[key]
-        if kind is bool and not isinstance(value, bool):
-            raise SchemaError(self.path, self._key(key), "expected a boolean")
-        if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise SchemaError(self.path, self._key(key), "expected an integer")
-        if kind is str:
-            if not isinstance(value, str) or not value.strip():
-                raise SchemaError(self.path, self._key(key), "expected a non-empty string")
-            return value.strip()
-        if kind is dict and not isinstance(value, dict):
-            raise SchemaError(self.path, self._key(key), "expected a mapping")
-        if kind is list and not isinstance(value, list):
-            raise SchemaError(self.path, self._key(key), "expected a list")
-        return value
+        return _checked(self.mapping.get(key, _ABSENT), kind, self.path, f"{self.prefix}{key}")
 
 
 def _parse_workspace(directory: Path) -> WorkspaceConfig:
@@ -286,36 +286,48 @@ def pool_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> Po
     )
 
 
-def task_spec_to_doc(spec: TaskSpec) -> dict:
-    return {
-        "id": spec.task_id,
-        "workload": workload_ref(spec.workload),
-        "instances": spec.instances,
-        "procs_per_node": spec.procs_per_node,
-        "gpus_per_node": spec.gpus_per_node,
-        "input_dir": spec.input_dir,
-        "output_dir": spec.output_dir,
-    }
+# the order of a task spec's values in a state.json task row
+TASK_SPEC_KEYS = ("id", "workload", "instances", "procs_per_node", "gpus_per_node", "input_dir",
+                  "output_dir")
+
+
+def task_spec_values(spec: TaskSpec) -> tuple:
+    return (spec.task_id, workload_ref(spec.workload), spec.instances, spec.procs_per_node,
+            spec.gpus_per_node, spec.input_dir, spec.output_dir)
+
+
+def task_spec(values, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
+    """The one reader of task specs, for jobs.yaml entries and state.json task rows. Exact
+    types pass at once; else the first bad value is raised in jobs.yaml's order of checks."""
+    task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
+    if not (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
+            and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
+            and instances >= 1 and task_id.strip() and workload.strip() and input_dir.strip()
+            and output_dir.strip()):
+        _first_task_error(values, path, prefix)  # returns only for str and int subclasses
+    return TaskSpec(task_id.strip(), _workload(workload, path, prefix), instances, procs_per_node,
+                    gpus_per_node, input_dir.strip(), output_dir.strip())
+
+
+def _first_task_error(values, path: str, prefix: str):
+    doc = dict(zip(TASK_SPEC_KEYS, values))
+    _workload(_checked(doc["workload"], str, path, f"{prefix}workload"), path, prefix)
+    if _checked(doc["instances"], int, path, f"{prefix}instances") < 1:
+        raise SchemaError(path, f"{prefix}instances", "must be at least 1")
+    for key, kind in (("id", str), ("procs_per_node", int), ("gpus_per_node", int),
+                      ("input_dir", str), ("output_dir", str)):
+        _checked(doc[key], kind, path, prefix + key)
+
+
+def _workload(text: str, path: str, prefix: str):
+    try:
+        return parse_workload(text)
+    except ValueError as exc:
+        raise SchemaError(path, f"{prefix}workload", str(exc)) from None
 
 
 def task_spec_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
-    r = _Reader(path, doc, prefix)
-    try:
-        workload = parse_workload(r.require("workload", str))
-    except ValueError as exc:
-        raise SchemaError(path, f"{prefix}workload", str(exc)) from None
-    instances = r.require("instances", int)
-    if instances < 1:
-        raise SchemaError(path, f"{prefix}instances", "must be at least 1")
-    return TaskSpec(
-        task_id=r.require("id", str),
-        workload=workload,
-        instances=instances,
-        procs_per_node=r.require("procs_per_node", int),
-        gpus_per_node=r.require("gpus_per_node", int),
-        input_dir=r.require("input_dir", str),
-        output_dir=r.require("output_dir", str),
-    )
+    return task_spec([doc.get(key, _ABSENT) for key in TASK_SPEC_KEYS], path, prefix)
 
 
 def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:
@@ -330,7 +342,8 @@ def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:
         },
         "pool.yaml": {"pool": pool_to_doc(bundle.pool)},
         "jobs.yaml": {"job": {"id": jobs.job_id, "pool": jobs.pool_id,
-                              "tasks": [task_spec_to_doc(t) for t in jobs.tasks]}},
+                              "tasks": [dict(zip(TASK_SPEC_KEYS, task_spec_values(t)))
+                                        for t in jobs.tasks]}},
     }
 
 

@@ -23,13 +23,13 @@ from typing import Optional
 from .batch import BatchService, FailureReason, Job, JobState, Pool, PoolState, Task, TaskState
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
-from .config import (ConfigBundle, Violation, pool_from_doc, pool_to_doc, task_spec_from_doc,
-                     task_spec_to_doc, workspace_to_doc)
+from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc, pool_to_doc,
+                     task_spec, task_spec_values, workspace_to_doc)
 from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
 from .storage import FileShare, ShareEntry, TransferRecord, Direction
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 STATE_DIR = ".batchsim"
 
 
@@ -105,6 +105,12 @@ def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) ->
 # service <-> state document
 
 
+# task row: TASK_SPEC_KEYS values, state, assigned_nodes, start/end_time, failure_reason, attempts
+TASK_ROW_LEN = len(TASK_SPEC_KEYS) + 6
+_PERSISTED_TASK_STATES = {s.value: s for s in TaskState if s is not TaskState.RUNNING}
+_FAILURE_REASONS = {None: None, **{r.value: r for r in FailureReason}}
+
+
 def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -150,15 +156,9 @@ def service_to_doc(svc: BatchService) -> dict:
                 "state": job.state.value,
                 "submitted_at": job.submitted_at,
                 "tasks": [
-                    {
-                        "spec": task_spec_to_doc(t.spec),
-                        "state": t.state.value,
-                        "assigned_nodes": list(t.assigned_nodes),
-                        "start_time": t.start_time,
-                        "end_time": t.end_time,
-                        "failure_reason": t.failure_reason.value if t.failure_reason else None,
-                        "attempts": t.attempts,
-                    }
+                    [*task_spec_values(t.spec), t.state.value, list(t.assigned_nodes),
+                     t.start_time, t.end_time,
+                     t.failure_reason.value if t.failure_reason else None, t.attempts]
                     for t in job.tasks
                 ],
             }
@@ -251,19 +251,16 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             pool.nodes.append(node)
         svc.pools[cfg.pool_id] = pool
     for jdoc in doc["jobs"]:
-        tasks = []
-        for tdoc in jdoc["tasks"]:
-            task = Task(spec=task_spec_from_doc(tdoc["spec"]), job_id=jdoc["id"])
-            task.state = TaskState(tdoc["state"])
-            if task.state is TaskState.RUNNING:
-                raise ValidationError("corrupt state: persisted task still running")
-            task.assigned_nodes = tuple(tdoc["assigned_nodes"])
-            task.start_time = tdoc["start_time"]
-            task.end_time = tdoc["end_time"]
-            task.failure_reason = (FailureReason(tdoc["failure_reason"])
-                                   if tdoc["failure_reason"] else None)
-            task.attempts = int(tdoc["attempts"])
-            tasks.append(task)
+        job_id, tasks = jdoc["id"], []
+        for row in jdoc["tasks"]:
+            if len(row) != TASK_ROW_LEN:
+                raise ValidationError(f"corrupt state: task row of {len(row)} values")
+            *spec, state, nodes, start_time, end_time, reason, attempts = row
+            if state not in _PERSISTED_TASK_STATES or reason not in _FAILURE_REASONS:
+                raise ValidationError(f"corrupt state: task state {state!r}, reason {reason!r}")
+            tasks.append(Task(task_spec(spec), job_id, _PERSISTED_TASK_STATES[state],
+                              tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
+                              int(attempts)))
         svc.enqueue(Job(jdoc["id"], jdoc["pool"], tasks, JobState(jdoc["state"]),
                         jdoc["submitted_at"]))
     for item in doc["ledger"]:

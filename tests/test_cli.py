@@ -210,6 +210,51 @@ def test_other_state_version_is_named(workdir):
     assert err == "error: corrupt state: unsupported state version 1\n"
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_state_versions_exit_2_without_mutation(workdir, version):
+    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    state["version"] = version
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert code == 2
+    assert err == f"error: corrupt state: unsupported state version {version}\n"
+    assert tree(workdir) == before
+
+
+# (position in the task row, value written there); positions 0-6 are the spec
+ROW_CORRUPTIONS = {
+    "blank-id": (0, " "),
+    "unknown-workload": (1, "nosuch:1"),
+    "string-instances": (2, "2"),
+    "bool-gpus": (4, True),
+    "running-state": (7, "Running"),
+    "unknown-failure-reason": (11, "Crashed"),
+    "short-row": (None, None),
+}
+
+
+@pytest.mark.parametrize("index, value", list(ROW_CORRUPTIONS.values()), ids=list(ROW_CORRUPTIONS))
+def test_corrupt_task_row_exits_2_without_mutation(workdir, index, value):
+    for argv in sequence()[:7]:  # through `jobs add`
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    row = state["service"]["jobs"][0]["tasks"][0]
+    if index is None:
+        row.pop()
+    else:
+        row[index] = value
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert code == 2, err
+    assert err.startswith(("error: corrupt state: task ", "error: state.json: key "))
+    assert tree(workdir) == before
+
+
 def test_rerun_after_interrupted_commit_matches_uninterrupted_session(tmp_path, monkeypatch):
     """`jobs add` appends to events.log, then its state save fails; the rerun must
     not log the job twice."""

@@ -198,3 +198,84 @@ def test_pool_config_invariants():
         _pool(ded=0, low=0)
     with pytest.raises(ValueError):
         PoolConfig("p", "NC6", "eastus", -1, 1, False, False, "img")
+
+
+def _task_entry(**changes):
+    """The example's first task entry with `changes` applied; a value of ... drops the key."""
+    def mutate(docs):
+        entry = docs["jobs.yaml"]["job"]["tasks"][0]
+        for key, value in changes.items():
+            if value is ...:
+                del entry[key]
+            else:
+                entry[key] = value
+    return mutate
+
+
+ABSENT = "required key absent"
+NOT_STRING = "expected a non-empty string"
+NOT_INT = "expected an integer"
+
+# (entry changes, key reported, message): pinned from the per-key reader, so
+# that the shared task spec validator changes no jobs.yaml diagnostic
+JOBS_DIAGNOSTICS = {
+    "workload-absent": ({"workload": ...}, "workload", ABSENT),
+    "workload-int": ({"workload": 7}, "workload", NOT_STRING),
+    "workload-empty": ({"workload": ""}, "workload", NOT_STRING),
+    "workload-blank": ({"workload": "   "}, "workload", NOT_STRING),
+    "workload-unknown": ({"workload": "nosuch:1"}, "workload",
+                         "unknown workload reference 'nosuch:1'"),
+    "workload-bad-number": ({"workload": "fixed:abc"}, "workload",
+                            "bad workload reference 'fixed:abc': "
+                            "could not convert string to float: 'abc'"),
+    "instances-absent": ({"instances": ...}, "instances", ABSENT),
+    "instances-string": ({"instances": "2"}, "instances", NOT_INT),
+    "instances-bool": ({"instances": True}, "instances", NOT_INT),
+    "instances-zero": ({"instances": 0}, "instances", "must be at least 1"),
+    "id-absent": ({"id": ...}, "id", ABSENT),
+    "id-int": ({"id": 3}, "id", NOT_STRING),
+    "id-empty": ({"id": ""}, "id", NOT_STRING),
+    "id-blank": ({"id": " \t"}, "id", NOT_STRING),
+    "procs_per_node-absent": ({"procs_per_node": ...}, "procs_per_node", ABSENT),
+    "procs_per_node-string": ({"procs_per_node": "12"}, "procs_per_node", NOT_INT),
+    "procs_per_node-bool": ({"procs_per_node": False}, "procs_per_node", NOT_INT),
+    "gpus_per_node-absent": ({"gpus_per_node": ...}, "gpus_per_node", ABSENT),
+    "gpus_per_node-float": ({"gpus_per_node": 2.0}, "gpus_per_node", NOT_INT),
+    "gpus_per_node-bool": ({"gpus_per_node": True}, "gpus_per_node", NOT_INT),
+    "input_dir-absent": ({"input_dir": ...}, "input_dir", ABSENT),
+    "input_dir-list": ({"input_dir": ["a"]}, "input_dir", NOT_STRING),
+    "input_dir-empty": ({"input_dir": ""}, "input_dir", NOT_STRING),
+    "output_dir-absent": ({"output_dir": ...}, "output_dir", ABSENT),
+    "output_dir-null": ({"output_dir": None}, "output_dir", NOT_STRING),
+    "output_dir-blank": ({"output_dir": "  "}, "output_dir", NOT_STRING),
+    # several bad values: the first in workload, instances, id, procs_per_node,
+    # gpus_per_node, input_dir, output_dir order is the one reported
+    "order-workload-first": ({"workload": "nosuch:1", "instances": 0, "id": ""}, "workload",
+                             "unknown workload reference 'nosuch:1'"),
+    "order-instances-before-id": ({"instances": ..., "id": ""}, "instances", ABSENT),
+    "order-id-before-procs": ({"id": 1, "procs_per_node": ...}, "id", NOT_STRING),
+    "order-procs-before-gpus": ({"procs_per_node": "x", "gpus_per_node": "y"},
+                                "procs_per_node", NOT_INT),
+    "order-gpus-before-dirs": ({"gpus_per_node": ..., "input_dir": ""}, "gpus_per_node",
+                               ABSENT),
+    "order-input-before-output": ({"input_dir": ..., "output_dir": ...}, "input_dir", ABSENT),
+}
+
+
+@pytest.mark.parametrize("changes, key, message", list(JOBS_DIAGNOSTICS.values()),
+                         ids=list(JOBS_DIAGNOSTICS))
+def test_jobs_yaml_task_diagnostics(tmp_path, changes, key, message):
+    _write_example(tmp_path, _task_entry(**changes))
+    with pytest.raises(SchemaError) as err:
+        parse_config_dir(tmp_path, CATALOG)
+    path = str(tmp_path / "jobs.yaml")
+    assert (err.value.path, err.value.key) == (path, f"job.tasks[0].{key}")
+    assert str(err.value) == f"{path}: key 'job.tasks[0].{key}': {message}"
+
+
+def test_jobs_yaml_task_values_are_stripped(tmp_path):
+    _write_example(tmp_path, _task_entry(id=" task0 ", workload=" fixed:60 ",
+                                         input_dir=" fileshare/in ", output_dir="out\n"))
+    task = parse_config_dir(tmp_path, CATALOG).jobs.tasks[0]
+    assert (task.task_id, task.workload, task.input_dir, task.output_dir) == (
+        "task0", FixedDuration(60.0), "fileshare/in", "out")

@@ -113,7 +113,7 @@ def _retry_mix(seed: int) -> BatchService:
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
-    "service_to_doc": "1a645a52c861264c45e756214b01a44502d69b7b823d4e10be0d2364c16332aa",
+    "service_to_doc": "01abaf9c54947a0ac2f38b61b79c787fac9b8dd73108b766174f2c552e242ce6",
 }
 
 
@@ -168,7 +168,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "41a7f5518639f5d09513dcbea0a98d14baedb5d136db70e85441e0ee11f4811f",
+            "bde2be9332572d6863269b9e29dca9795e1d0b213cd1b16ae096c8e84135eee4",
     },
     "poisson_h16r": {
         "configs/credentials.yaml":
@@ -186,7 +186,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "ac4eb5474c29405d31e95e96af51f3f8a30680c50af2f291b7546e1cde70e015",
+            "524bf9264010197f628a9082b6a174b8713a45dc5334357d47162783363f9bc7",
     },
     "snake2d2k35": {
         "configs/credentials.yaml":
@@ -204,7 +204,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "a572ab95a0984416f38d17d72df0cc8d0dfb4ebde6e27aff6393be108c9d3c37",
+            "01f1aeabb0e97768f531efd7c6735e202d9869e6d2440a2e266e435349cbcc56",
     },
 }
 
@@ -225,7 +225,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "877cfb0e0edc47c3c3064615b4c377764af37ba6c72e36d38882338d6c6530b0",
+            "c696a78b63ae69287a931da1ca8ba99419e4b9ff35fc924c6f4d8c4bb2729421",
     },
     "snake3d": {
         "configs/credentials.yaml":
@@ -243,7 +243,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "2a9cbac26e8654eeb6dbd9d2a1e54e60a84a67583e28e600ed354eca12ce6525",
+            "70d7443c320f6a6031d97d497e5b4119e7f21437e0bbc1c74df2e52900919489",
     },
     "snake3d_fine": {
         "configs/credentials.yaml":
@@ -263,7 +263,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "684499b41dd95788a791767ddfc7469ae5f62340624f47d4d15befc455981ce6",
+            "30d0c045f96882e0186a60fe8794e26dcb234783a0aa34620c84b5e576b21327",
     },
 }
 
