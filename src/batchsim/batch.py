@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -19,9 +18,6 @@ from . import billing, workloads
 from .catalog import Catalog, PricingPlan, RegionQuota
 from .config import JobsConfig, PoolConfig, TaskSpec, Violation, validate_pool
 from .errors import (
-    QuotaExceeded,
-    RdmaRequired,
-    SharedFsLowPriority,
     TaskTooWide,
     UnknownJob,
     UnknownPool,
@@ -61,7 +57,6 @@ class JobState(enum.Enum):
 
 class TaskState(enum.Enum):
     PENDING = "Pending"
-    STAGING = "Staging"
     RUNNING = "Running"
     COMPLETED = "Completed"
     FAILED = "Failed"
@@ -75,10 +70,11 @@ class FailureReason(enum.Enum):
 
 TERMINAL_TASK_STATES = (TaskState.COMPLETED, TaskState.FAILED)
 
-# event-log texts of the task transitions every task makes
+# event-log texts of the task transitions every task makes; a task goes from
+# Pending to Running at one instant, logged as two hops through Staging
 _TO_PENDING = f"->{TaskState.PENDING.value}"
-_PENDING_TO_STAGING = f"{TaskState.PENDING.value}->{TaskState.STAGING.value}"
-_STAGING_TO_RUNNING = f"{TaskState.STAGING.value}->{TaskState.RUNNING.value}"
+_PENDING_TO_STAGING = "Pending->Staging"
+_STAGING_TO_RUNNING = "Staging->Running"
 _RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}"
 
 
@@ -155,13 +151,6 @@ class Pool:
         return [n for n in self.nodes if n.state is NodeState.IDLE]
 
 
-_VIOLATION_EXC = {
-    "QuotaExceeded": QuotaExceeded,
-    "RdmaRequired": RdmaRequired,
-    "SharedFsLowPriority": SharedFsLowPriority,
-}
-
-
 class BatchService:
     """Single-tenant batch account: pools, jobs, storage, ledger, event log."""
 
@@ -169,15 +158,11 @@ class BatchService:
                  interconnect: InterconnectModel = AZURE_INTERCONNECT,
                  preemption_rate: float = DEFAULT_PREEMPTION_RATE,
                  scarcity_windows: tuple[ScarcityWindow, ...] = (),
-                 egress_usd_per_gib: Decimal = billing.EGRESS_USD_PER_GIB,
-                 runtime_constants: workloads.RuntimeModelConstants =
-                 workloads.DEFAULT_RUNTIME_CONSTANTS,
                  image_pull_seconds: float = IMAGE_PULL_SECONDS,
                  task_retries: int = 0):
         self.catalog = catalog
         self.seed = seed
         self.interconnect = interconnect
-        self.runtime_constants = runtime_constants
         self.image_pull_seconds = image_pull_seconds
         self.task_retries = task_retries
         self.clock = SimClock()
@@ -185,7 +170,7 @@ class BatchService:
         self.provisioner = Provisioner(self.clock, self.event_log, seed, scarcity_windows)
         self.preemption = PreemptionProcess(preemption_rate, seed)
         self.storage = StorageAccount()
-        self.ledger = billing.Ledger(catalog, egress_usd_per_gib)
+        self.ledger = billing.Ledger(catalog)
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
         self._used: dict[str, list[int]] = {r: [0, 0] for r in self.quotas}
         self.pools: dict[str, Pool] = {}
@@ -220,14 +205,7 @@ class BatchService:
             raise ValidationError(f"pool already exists: {cfg.pool_id!r}")
         if cfg.region not in self.quotas:
             raise ValidationError(f"no quota table for region {cfg.region!r}")
-        violations = validate_pool(cfg, self.catalog, {cfg.region: self.available_quota(cfg.region)})
-        for v in violations:
-            if v.severity == "error":
-                exc = _VIOLATION_EXC.get(v.rule)
-                if exc is QuotaExceeded:
-                    raise QuotaExceeded(v.details["needed"], v.details["available"], cfg.region)
-                raise (exc or ValidationError)(v.message)
-        warnings = [v for v in violations if v.severity == "warning"]
+        warnings = validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
         pool = Pool(config=cfg, plan=plan, created_at=self.clock.now, warnings=warnings)
         # provision first: an AllocationUnavailable leaves the service untouched
         nodes = self.provisioner.provision(
@@ -372,11 +350,10 @@ class BatchService:
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
         now = self.clock.now
         ctx = workloads.TaskContext(task.spec.instances, task.spec.procs_per_node,
-                                    self.interconnect, self.runtime_constants)
+                                    self.interconnect)
         result = workloads.execute(task.spec.workload, ctx)
         task.nodes = nodes = tuple(nodes)
         task.assigned_nodes = tuple([n.node_id for n in nodes])
-        task.state = TaskState.STAGING
         self.event_log.append(now, task.entity, _PENDING_TO_STAGING)
         task.state = TaskState.RUNNING
         task.start_time = now

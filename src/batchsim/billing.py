@@ -18,8 +18,8 @@ from .catalog import Catalog, PricingPlan
 
 Seconds = Union[int, float, Fraction]
 
-# Invented plumbing defaults; the source table reports a Bandwidth line item
-# without unit prices. Configurable on the Ledger.
+# The one egress rate, an invented plumbing value: the source table reports a
+# Bandwidth line item without unit prices.
 EGRESS_USD_PER_GIB = Decimal("0.087")
 GIB = 2**30
 
@@ -60,18 +60,17 @@ def meter_vm(catalog: Catalog, sku: str, plan: PricingPlan, node_seconds: Second
     return rate * _as_fraction(node_seconds) / 3600
 
 
-def meter_egress(transfer_bytes: int, usd_per_gib: Decimal = EGRESS_USD_PER_GIB) -> Fraction:
+def meter_egress(transfer_bytes: int) -> Fraction:
     if transfer_bytes < 0:
         raise ValueError("bytes must be non-negative")
-    return Fraction(usd_per_gib) * Fraction(transfer_bytes, GIB)
+    return Fraction(EGRESS_USD_PER_GIB) * Fraction(transfer_bytes, GIB)
 
 
 class Ledger:
     """Append-only list of meter events plus the pricing-plan context per pool."""
 
-    def __init__(self, catalog: Catalog, egress_usd_per_gib: Decimal = EGRESS_USD_PER_GIB):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.egress_usd_per_gib = egress_usd_per_gib
         self._items: list[MeterEvent] = []
         self.pool_plans: dict[str, PricingPlan] = {}
 
@@ -103,7 +102,7 @@ class Ledger:
             return None
         item = MeterEvent(
             category=ServiceCategory.BANDWIDTH,
-            usd=meter_egress(transfer_bytes, self.egress_usd_per_gib),
+            usd=meter_egress(transfer_bytes),
             description=description,
             interval=interval,
         )

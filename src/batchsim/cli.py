@@ -233,7 +233,10 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     if cli.store.exists():
         raise ValidationError(f"workspace already initialized in {cli.root}")
     catalog, catalog_doc = default_catalog(), None
-    recorded = ["workspace", "init", "--seed", str(args.seed)]
+    recorded = ["workspace", "init", "--seed", str(args.seed), "--interconnect", args.interconnect,
+                "--preemption-rate", str(args.preemption_rate),
+                "--image-pull-seconds", str(args.image_pull_seconds),
+                "--task-retries", str(args.task_retries)]
     if args.catalog:
         try:
             with open(_relpath(Path(args.catalog), cli.resolve_configdir(args.configdir))) as fh:
@@ -252,14 +255,6 @@ def cmd_workspace_init(cli: Cli, args) -> int:
         task_retries=args.task_retries,
         scarcity_windows=tuple((a, b) for a, b in args.scarcity),
     )
-    for flag, value, default in (
-        ("--interconnect", args.interconnect, "azure"),
-        ("--preemption-rate", args.preemption_rate, 0.05),
-        ("--image-pull-seconds", args.image_pull_seconds, 120.0),
-        ("--task-retries", args.task_retries, 0),
-    ):
-        if value != default:
-            recorded += [flag, str(value)]
     for a, b in args.scarcity:
         recorded += ["--scarcity", str(a), str(b)]
     svc = statemod.build_service(options, catalog)

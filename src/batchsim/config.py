@@ -9,13 +9,14 @@ carry the pool and task documents embedded in state.json.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .catalog import Catalog, RegionQuota
-from .errors import CrossRefError, MissingDocument, SchemaError
+from .errors import (CrossRefError, MissingDocument, QuotaExceeded, RdmaRequired, SchemaError,
+                     SharedFsLowPriority)
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
 STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
@@ -356,64 +357,31 @@ def serialize_config_dir(bundle: ConfigBundle, path):
 
 
 # ---------------------------------------------------------------------------
-# pool validation (violations are data, not exceptions)
+# pool admission
 
 
 @dataclass(frozen=True)
 class Violation:
     rule: str
-    severity: str  # "error" or "warning"
+    severity: str  # always "warning": a broken rule is raised, not returned
     message: str
-    details: dict = field(default_factory=dict, hash=False)
 
 
-def validate_pool(cfg: PoolConfig, catalog: Catalog,
-                  quotas: dict[str, RegionQuota]) -> list[Violation]:
-    """Every violated pool rule; warning-class entries do not block creation."""
-    violations = []
+def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota) -> list[Violation]:
+    """Raise the first broken pool rule in the order dedicated quota, low-priority
+    quota, RDMA, shared filesystem; else return the warnings, which do not block creation."""
     sku = catalog.lookup(cfg.sku)
-    quota = quotas.get(cfg.region)
-    if quota is None:
-        violations.append(Violation("UnknownRegion", "error",
-                                    f"no quota table for region {cfg.region!r}"))
-    else:
-        needed_ded = cfg.dedicated_count * sku.vcores
-        needed_low = cfg.low_priority_count * sku.vcores
-        if needed_ded > quota.dedicated_cores:
-            violations.append(
-                Violation(
-                    "QuotaExceeded", "error",
-                    f"needs {needed_ded} dedicated cores, {quota.dedicated_cores} available "
-                    f"in {cfg.region}",
-                    {"needed": needed_ded, "available": quota.dedicated_cores,
-                     "kind": "dedicated"},
-                )
-            )
-        if needed_low > quota.low_priority_cores:
-            violations.append(
-                Violation(
-                    "QuotaExceeded", "error",
-                    f"needs {needed_low} low-priority cores, {quota.low_priority_cores} "
-                    f"available in {cfg.region}",
-                    {"needed": needed_low, "available": quota.low_priority_cores,
-                     "kind": "low_priority"},
-                )
-            )
+    for needed, cores in ((cfg.dedicated_count * sku.vcores, available.dedicated_cores),
+                          (cfg.low_priority_count * sku.vcores, available.low_priority_cores)):
+        if needed > cores:
+            raise QuotaExceeded(needed, cores, cfg.region)
     if cfg.inter_node_comm and not sku.rdma_capable:
-        violations.append(
-            Violation("RdmaRequired", "error",
-                      f"inter-node communication requires an RDMA-capable SKU; "
-                      f"{sku.name} has none")
-        )
+        raise RdmaRequired(f"inter-node communication requires an RDMA-capable SKU; "
+                           f"{sku.name} has none")
     if cfg.shared_filesystem and cfg.low_priority_count > 0:
-        violations.append(
-            Violation("SharedFsLowPriority", "error",
-                      "a shared filesystem pool cannot include low-priority nodes")
-        )
+        raise SharedFsLowPriority("a shared filesystem pool cannot include low-priority nodes")
     if cfg.low_priority_count > 0 and cfg.inter_node_comm:
-        violations.append(
-            Violation("LowPriorityInterNodeComm", "warning",
-                      "low-priority nodes are preemptible and best avoided for "
-                      "long-running jobs with inter-node communication")
-        )
-    return violations
+        return [Violation("LowPriorityInterNodeComm", "warning",
+                          "low-priority nodes are preemptible and best avoided for "
+                          "long-running jobs with inter-node communication")]
+    return []

@@ -115,7 +115,8 @@ def transcript(scenario: Scenario, seed: int) -> list[list[str]]:
     cores = scenario.pool.dedicated_count * catalog.lookup(scenario.pool.sku).vcores
     low = catalog.default_quota(scenario.pool.region).low_priority_cores
     return [
-        ["workspace", "init", "--seed", str(seed)],
+        ["workspace", "init", "--seed", str(seed), "--interconnect", "azure",
+         "--preemption-rate", "0.05", "--image-pull-seconds", "120.0", "--task-retries", "0"],
         ["storage", "account", "create"],
         ["share", "create", "--name", SHARE_NAME, "--quota", str(SHARE_QUOTA_GIB)],
         ["quota", "set", "--region", scenario.pool.region,

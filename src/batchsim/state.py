@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -60,7 +59,6 @@ class ServiceOptions:
     preemption_rate: float = 0.05
     image_pull_seconds: float = 120.0
     task_retries: int = 0
-    egress_usd_per_gib: str = "0.087"
     scarcity_windows: tuple[tuple[float, float], ...] = ()
 
     def to_doc(self) -> dict:
@@ -70,7 +68,6 @@ class ServiceOptions:
             "preemption_rate": self.preemption_rate,
             "image_pull_seconds": self.image_pull_seconds,
             "task_retries": self.task_retries,
-            "egress_usd_per_gib": self.egress_usd_per_gib,
             "scarcity_windows": [list(w) for w in self.scarcity_windows],
         }
 
@@ -82,7 +79,6 @@ class ServiceOptions:
             preemption_rate=float(doc["preemption_rate"]),
             image_pull_seconds=float(doc["image_pull_seconds"]),
             task_retries=int(doc["task_retries"]),
-            egress_usd_per_gib=str(doc["egress_usd_per_gib"]),
             scarcity_windows=tuple((float(a), float(b)) for a, b in doc["scarcity_windows"]),
         )
 
@@ -95,7 +91,6 @@ def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) ->
         interconnect=model,
         preemption_rate=options.preemption_rate,
         scarcity_windows=tuple(ScarcityWindow(a, b) for a, b in options.scarcity_windows),
-        egress_usd_per_gib=Decimal(options.egress_usd_per_gib),
         image_pull_seconds=options.image_pull_seconds,
         task_retries=options.task_retries,
     )

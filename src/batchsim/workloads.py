@@ -38,14 +38,12 @@ class FixedDuration:
 
 @dataclass(frozen=True)
 class PingPongLatency:
-    sizes: tuple[int, ...] = ()
-    repetitions: int = 5
+    """The LATENCY_SIZES sweep, LATENCY_REPETITIONS round trips per size."""
 
 
 @dataclass(frozen=True)
 class PingPongBandwidth:
-    sizes: tuple[int, ...] = ()
-    window: int = 64
+    """The BANDWIDTH_SIZES sweep, BANDWIDTH_WINDOW messages in flight per size."""
 
 
 @dataclass(frozen=True)
@@ -117,35 +115,27 @@ def workload_ref(spec: WorkloadSpec) -> str:
 # 0..4 MiB, powers of two, matching the usual point-to-point sweep
 LATENCY_SIZES = (0,) + tuple(2**k for k in range(23))
 BANDWIDTH_SIZES = tuple(2**k for k in range(23))
+LATENCY_REPETITIONS = 5  # round trips averaged per size
+BANDWIDTH_WINDOW = 64  # messages in flight per size
 
 
 def osu_latency(model: InterconnectModel, sizes: Sequence[int] = LATENCY_SIZES,
-                repetitions: int = 5, jitter_sigma: float = 0.0,
-                seed: int = 0) -> list[tuple[int, float]]:
-    """Mean one-way latency per message size (round-trip time halved).
-
-    Optional multiplicative jitter is off by default, keeping the table an
-    exact evaluation of the timing model.
-    """
+                repetitions: int = LATENCY_REPETITIONS) -> list[tuple[int, float]]:
+    """Mean one-way latency per message size (round-trip time halved), an exact
+    evaluation of the timing model."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    rng = _jitter_rng(seed) if jitter_sigma > 0 else None
     table = []
     for size in sizes:
-        samples = []
-        for _ in range(repetitions):
-            rtt = 2.0 * comm_time(model, size)
-            if rng is not None:
-                rtt *= 1.0 + abs(rng.gauss(0.0, jitter_sigma))
-            samples.append(rtt / 2.0)
-        table.append((size, sum(samples) / repetitions))
+        one_way = comm_time(model, size)
+        table.append((size, sum([one_way] * repetitions) / repetitions))
     return table
 
 
 def osu_bandwidth(model: InterconnectModel, sizes: Sequence[int] = BANDWIDTH_SIZES,
-                  window: int = 64) -> list[tuple[int, float]]:
+                  window: int = BANDWIDTH_WINDOW) -> list[tuple[int, float]]:
     """Sustained rate per size: window*m / (alpha + window*m/beta)."""
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -161,12 +151,6 @@ def format_table(rows: list[tuple[int, float]], header: str) -> str:
     for size, value in rows:
         lines.append(f"{size}\t{value!r}")
     return "\n".join(lines) + "\n"
-
-
-def _jitter_rng(seed: int):
-    from .fabric import derived_rng
-
-    return derived_rng(seed, "benchmark-jitter")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +250,6 @@ class CGResult:
     solution: np.ndarray
     iterations: int
     final_residual: float
-    runtime_seconds: float
     residual_history: list[float] = field(default_factory=list)
 
 
@@ -284,11 +267,8 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     can change with OPENBLAS_NUM_THREADS. The convergence test uses the
     recurrence residual, as iterative solver libraries do.
     """
-    import time as _time
-
     if rhs.shape != grid.shape:
         raise ShapeMismatch(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
-    start = _time.perf_counter()
     b = np.asarray(rhs, dtype=np.float64)
     x = np.zeros(grid.shape)
     ap = apply_poisson(grid, x)
@@ -302,7 +282,7 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     res = float(np.sqrt(rz))
     history = [res]
     if res <= tol_abs:
-        return CGResult(x, 0, res, _time.perf_counter() - start, history)
+        return CGResult(x, 0, res, history)
     for k in range(1, max_iter + 1):
         apply_poisson(grid, p, out=ap)
         alpha = rz / float(np.dot(p.ravel(), ap.ravel()))
@@ -315,7 +295,7 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
         res = float(np.sqrt(rz_new))
         history.append(res)
         if res <= tol_abs:
-            return CGResult(x, k, res, _time.perf_counter() - start, history)
+            return CGResult(x, k, res, history)
         beta = rz_new / rz
         for s, _ in slabs:
             ps = p[s]
@@ -340,28 +320,17 @@ def manufactured_solution(grid: PoissonGrid) -> tuple[np.ndarray, np.ndarray]:
 # modeled scaling runtime
 
 
-@dataclass(frozen=True)
-class RuntimeModelConstants:
-    """Closure constants for the modeled per-iteration runtime.
-
-    One halo exchange per iteration and neighbor pair over a 1D slab
-    decomposition (face taken as cells**(2/3)), two scalar reductions per
-    iteration, eight-byte values.
-    """
-
-    seconds_per_cell: float = 1e-8
-    allreduces_per_iteration: int = 2
-    halo_exchanges_per_iteration: int = 2
-    bytes_per_value: int = 8
-
-
-DEFAULT_RUNTIME_CONSTANTS = RuntimeModelConstants()
+# Closure constants of the modeled per-iteration runtime: one halo exchange
+# per iteration and neighbor pair over a 1D slab decomposition (face taken as
+# cells**(2/3)), two scalar reductions per iteration, eight-byte values.
+SECONDS_PER_CELL = 1e-8
+ALLREDUCES_PER_ITERATION = 2
+HALO_EXCHANGES_PER_ITERATION = 2
+BYTES_PER_VALUE = 8
 
 
 def modeled_poisson_runtime(cells: int, nodes: int, procs_per_node: int,
-                            model: InterconnectModel,
-                            constants: RuntimeModelConstants = DEFAULT_RUNTIME_CONSTANTS,
-                            ) -> float:
+                            model: InterconnectModel) -> float:
     """Seconds per solver iteration for `cells` unknowns on `nodes` nodes.
 
     Compute term scales with cells per process; communication (reductions
@@ -371,27 +340,23 @@ def modeled_poisson_runtime(cells: int, nodes: int, procs_per_node: int,
     if cells < 1 or nodes < 1 or procs_per_node < 1:
         raise ValueError("cells, nodes and procs_per_node must be positive")
     procs = nodes * procs_per_node
-    compute = cells * constants.seconds_per_cell / procs
+    compute = cells * SECONDS_PER_CELL / procs
     if nodes == 1:
         return compute
-    reduce_bytes = constants.bytes_per_value
-    reduction = constants.allreduces_per_iteration * allreduce_time(model, procs, reduce_bytes)
+    reduction = ALLREDUCES_PER_ITERATION * allreduce_time(model, procs, BYTES_PER_VALUE)
     face_cells = cells ** (2.0 / 3.0)
-    halo_bytes = int(face_cells * constants.bytes_per_value)
-    halo = constants.halo_exchanges_per_iteration * comm_time(model, halo_bytes)
+    halo_bytes = int(face_cells * BYTES_PER_VALUE)
+    halo = HALO_EXCHANGES_PER_ITERATION * comm_time(model, halo_bytes)
     return compute + reduction + halo
 
 
 def scaling_table(spec: PoissonScalingModeled, node_counts: Sequence[int],
-                  procs_per_node: int, model: InterconnectModel,
-                  constants: RuntimeModelConstants = DEFAULT_RUNTIME_CONSTANTS,
-                  ) -> list[tuple[int, float]]:
+                  procs_per_node: int, model: InterconnectModel) -> list[tuple[int, float]]:
     """(nodes, seconds/iteration) sweep in strong or weak scaling mode."""
     rows = []
     for nodes in node_counts:
         cells = spec.base_cells if spec.mode is ScalingMode.STRONG else spec.base_cells * nodes
-        rows.append((nodes, modeled_poisson_runtime(cells, nodes, procs_per_node, model,
-                                                    constants)))
+        rows.append((nodes, modeled_poisson_runtime(cells, nodes, procs_per_node, model)))
     return rows
 
 
@@ -404,7 +369,6 @@ class TaskContext:
     instances: int
     procs_per_node: int
     model: InterconnectModel
-    constants: RuntimeModelConstants = DEFAULT_RUNTIME_CONSTANTS
 
 
 @dataclass
@@ -418,15 +382,14 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
     if isinstance(spec, FixedDuration):
         return WorkloadResult(spec.seconds, [("run.log", _run_log(spec, ctx))])
     if isinstance(spec, PingPongLatency):
-        sizes = spec.sizes or LATENCY_SIZES
-        table = osu_latency(ctx.model, sizes, spec.repetitions)
-        duration = spec.repetitions * sum(2.0 * comm_time(ctx.model, s) for s in sizes)
+        table = osu_latency(ctx.model)
+        duration = LATENCY_REPETITIONS * sum(2.0 * comm_time(ctx.model, s) for s in LATENCY_SIZES)
         text = format_table(table, f"ping-pong latency, model={ctx.model.name} (seconds)")
         return WorkloadResult(duration, [("latency.tsv", text.encode())])
     if isinstance(spec, PingPongBandwidth):
-        sizes = spec.sizes or BANDWIDTH_SIZES
-        table = osu_bandwidth(ctx.model, sizes, spec.window)
-        duration = sum(ctx.model.alpha + spec.window * s / ctx.model.beta for s in sizes)
+        table = osu_bandwidth(ctx.model)
+        duration = sum(ctx.model.alpha + BANDWIDTH_WINDOW * s / ctx.model.beta
+                       for s in BANDWIDTH_SIZES)
         text = format_table(table, f"streaming bandwidth, model={ctx.model.name} (bytes/s)")
         return WorkloadResult(duration, [("bandwidth.tsv", text.encode())])
     if isinstance(spec, PoissonCGReal):
@@ -434,7 +397,7 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
         _, rhs = manufactured_solution(grid)
         result = solve_cg(grid, rhs)
         per_iter = modeled_poisson_runtime(grid.cells, ctx.instances, ctx.procs_per_node,
-                                           ctx.model, ctx.constants)
+                                           ctx.model)
         duration = max(result.iterations, 1) * per_iter
         report = io.StringIO()
         report.write(f"grid\t{spec.n}x{spec.n}x{spec.n}\n")
@@ -443,7 +406,7 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
         return WorkloadResult(duration, [("solve.tsv", report.getvalue().encode())])
     if isinstance(spec, PoissonScalingModeled):
         counts = list(range(1, ctx.instances + 1))
-        rows = scaling_table(spec, counts, ctx.procs_per_node, ctx.model, ctx.constants)
+        rows = scaling_table(spec, counts, ctx.procs_per_node, ctx.model)
         duration = sum(r for _, r in rows) * 100  # nominal 100 iterations per point
         text = format_table(rows, f"{spec.mode.value} scaling, base={spec.base_cells} cells "
                                   f"(seconds/iteration)")

@@ -13,6 +13,7 @@ from batchsim.errors import (
     TaskTooWide,
     UnknownJob,
     UnknownPool,
+    ValidationError,
 )
 from batchsim.fabric import NodeState, Priority
 from batchsim.workloads import FixedDuration
@@ -73,32 +74,113 @@ def test_pool_add_reaches_steady_after_quota_raise():
     assert all(n.state is NodeState.IDLE for n in pool.nodes)
 
 
+# pool admission: the exception pool_add raises for each broken rule, and the
+# rule that wins when several break (dedicated quota, low-priority quota, RDMA,
+# shared filesystem); a rejected pool leaves the service untouched
+
+RDMA_TEXT = "inter-node communication requires an RDMA-capable SKU; NC24 has none"
+SHARED_FS_TEXT = "a shared filesystem pool cannot include low-priority nodes"
+WARNING_TEXT = ("low-priority nodes are preemptible and best avoided for long-running jobs "
+                "with inter-node communication")
+
+
+def _rejected(svc, cfg, exc_type):
+    def snapshot():
+        return (svc.event_log.lines(), dict(svc.pools), {r: list(u) for r, u in svc._used.items()},
+                svc.ledger.items)
+
+    before = snapshot()
+    with pytest.raises(exc_type) as err:
+        svc.pool_add(cfg)
+    assert snapshot() == before
+    return err.value
+
+
+def _quota_text(needed, available):
+    return f"quota exceeded in region eastus: needed {needed} cores, available {available}"
+
+
 def test_pool_add_quota_exceeded_under_default():
     svc = BatchService(CATALOG, seed=1)  # default 24 dedicated cores
-    with pytest.raises(QuotaExceeded) as err:
-        svc.pool_add(pool_cfg(sku="NC24r", ded=2))
-    assert err.value.needed == 48
-    assert err.value.available == 24
-    assert svc.pools == {}
-    assert svc.ledger.items == ()
+    err = _rejected(svc, pool_cfg(sku="NC24r", ded=2), QuotaExceeded)
+    assert (err.needed, err.available, err.region) == (48, 24, "eastus")
+    assert str(err) == _quota_text(48, 24)
+    svc.pool_add(pool_cfg(pool_id="small", sku="NC6", ded=2))  # uses 12 dedicated cores
+    err = _rejected(svc, pool_cfg(sku="NC24r", ded=1), QuotaExceeded)
+    assert (err.needed, err.available, err.region) == (24, 12, "eastus")
+
+
+def test_pool_add_low_priority_quota_exceeded_under_default():
+    svc = BatchService(CATALOG, seed=1)  # default 24 low-priority cores
+    err = _rejected(svc, pool_cfg(sku="NC24r", ded=0, low=2), QuotaExceeded)
+    assert (err.needed, err.available, err.region) == (48, 24, "eastus")
+    assert str(err) == _quota_text(48, 24)
+    svc.pool_add(pool_cfg(pool_id="lp", sku="NC6", ded=0, low=3))  # uses 18 low-priority cores
+    err = _rejected(svc, pool_cfg(sku="NC12", ded=1, low=1), QuotaExceeded)
+    assert (err.needed, err.available, err.region) == (12, 6, "eastus")
 
 
 def test_pool_add_shared_fs_low_priority():
     svc = make_service(seed=1)
-    with pytest.raises(SharedFsLowPriority):
-        svc.pool_add(pool_cfg(ded=1, low=1, shared_filesystem=True))
+    err = _rejected(svc, pool_cfg(ded=1, low=1, shared_filesystem=True), SharedFsLowPriority)
+    assert str(err) == SHARED_FS_TEXT
 
 
 def test_pool_add_rdma_required():
     svc = make_service(seed=1)
-    with pytest.raises(RdmaRequired):
-        svc.pool_add(pool_cfg(sku="NC24", ded=1, inter_node_comm=True))
+    err = _rejected(svc, pool_cfg(sku="NC24", ded=1, inter_node_comm=True), RdmaRequired)
+    assert str(err) == RDMA_TEXT
+
+
+# (pool, expected exception, expected text) under the default 24 + 24 core quota
+ADMISSION_ORDER = {
+    "dedicated-before-low-priority": (pool_cfg(sku="NC24", ded=2, low=3), QuotaExceeded,
+                                      _quota_text(48, 24)),
+    "dedicated-before-rdma": (pool_cfg(sku="NC24", ded=2, inter_node_comm=True),
+                              QuotaExceeded, _quota_text(48, 24)),
+    "low-priority-before-rdma": (pool_cfg(sku="NC24", ded=0, low=2, inter_node_comm=True),
+                                 QuotaExceeded, _quota_text(48, 24)),
+    "low-priority-before-shared-fs": (pool_cfg(sku="NC6", ded=0, low=5,
+                                               shared_filesystem=True),
+                                      QuotaExceeded, _quota_text(30, 24)),
+    "rdma-before-shared-fs": (pool_cfg(sku="NC24", ded=0, low=1, inter_node_comm=True,
+                                       shared_filesystem=True), RdmaRequired, RDMA_TEXT),
+    "all-four": (pool_cfg(sku="NC24", ded=2, low=3, inter_node_comm=True,
+                          shared_filesystem=True), QuotaExceeded, _quota_text(48, 24)),
+    "shared-fs-with-warning": (pool_cfg(sku="NC24r", ded=0, low=1, inter_node_comm=True,
+                                        shared_filesystem=True),
+                               SharedFsLowPriority, SHARED_FS_TEXT),
+}
+
+
+@pytest.mark.parametrize("cfg, exc_type, text", list(ADMISSION_ORDER.values()),
+                         ids=list(ADMISSION_ORDER))
+def test_pool_add_raises_the_first_broken_rule(cfg, exc_type, text):
+    svc = BatchService(CATALOG, seed=1)
+    err = _rejected(svc, cfg, exc_type)
+    assert type(err) is exc_type and str(err) == text
+
+
+def test_pool_add_unknown_region_is_checked_before_the_rules():
+    svc = BatchService(CATALOG, seed=1)
+    cfg = PoolConfig(pool_id="p", sku="NC24", region="westeurope", dedicated_count=2,
+                     low_priority_count=3, inter_node_comm=True, shared_filesystem=True,
+                     image="img:1")
+    err = _rejected(svc, cfg, ValidationError)
+    assert type(err) is ValidationError
+    assert str(err) == "no quota table for region 'westeurope'"
 
 
 def test_pool_add_low_priority_comm_warning_not_rejection():
     svc = make_service(seed=1)
     pool = svc.pool_add(pool_cfg(sku="NC24r", ded=1, low=1, inter_node_comm=True))
-    assert [v.rule for v in pool.warnings] == ["LowPriorityInterNodeComm"]
+    assert [(v.rule, v.severity, v.message) for v in pool.warnings] == [
+        ("LowPriorityInterNodeComm", "warning", WARNING_TEXT)]
+    assert [tr for _, entity, tr in svc.event_log.records if entity == "pool/p"] == [
+        "->Allocating", "warning:LowPriorityInterNodeComm"]
+    for cfg in (pool_cfg(pool_id="d", sku="NC24r", ded=1, inter_node_comm=True),
+                pool_cfg(pool_id="l", sku="NC24r", ded=0, low=1)):
+        assert svc.pool_add(cfg).warnings == []
 
 
 def test_image_pull_precedes_steady():

@@ -210,6 +210,27 @@ def test_other_state_version_is_named(workdir):
     assert err == "error: corrupt state: unsupported state version 1\n"
 
 
+def test_state_carrying_the_old_egress_rate_runs_on_like_a_fresh_one(tmp_path):
+    """A format-3 state.json written while the egress rate was a service option holds
+    options.egress_usd_per_gib; the session must go on as one started fresh."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    for root in (fresh, old):
+        shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+        for argv in sequence()[:6]:  # through `data ingress`
+            ok(root, *argv)
+    path = old / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    assert state["version"] == 3
+    state["options"]["egress_usd_per_gib"] = "0.087"
+    path.write_text(json.dumps(state))
+    for root in (fresh, old):
+        for argv in sequence()[6:]:  # `jobs add` through `data download`
+            ok(root, *argv)
+    for name in ("events.log", "ledger.tsv"):
+        assert (old / ".batchsim" / name).read_text() == (fresh / ".batchsim" / name).read_text()
+    assert "\nBandwidth\t" in (old / ".batchsim" / "ledger.tsv").read_text()
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_older_state_versions_exit_2_without_mutation(workdir, version):
     ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
@@ -231,6 +252,7 @@ ROW_CORRUPTIONS = {
     "string-instances": (2, "2"),
     "bool-gpus": (4, True),
     "running-state": (7, "Running"),
+    "staging-state": (7, "Staging"),
     "unknown-failure-reason": (11, "Crashed"),
     "short-row": (None, None),
 }

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from batchsim.catalog import default_catalog
+from batchsim.catalog import RegionQuota, default_catalog
 from batchsim.config import (
     PoolConfig,
     bundle_documents,
@@ -11,7 +11,8 @@ from batchsim.config import (
     serialize_config_dir,
     validate_pool,
 )
-from batchsim.errors import CrossRefError, MissingDocument, SchemaError
+from batchsim.errors import (CrossRefError, MissingDocument, QuotaExceeded, RdmaRequired,
+                             SchemaError, SharedFsLowPriority)
 from batchsim.workloads import FixedDuration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -159,38 +160,39 @@ def _pool(ded=1, low=0, sku="NC6", inter_node=False, shared_fs=False):
     )
 
 
-def _quotas():
-    return {"eastus": CATALOG.default_quota("eastus")}
+def _available():
+    return CATALOG.default_quota("eastus")  # 24 dedicated and 24 low-priority cores
 
 
 def test_validate_pool_quota_exceeded():
-    violations = validate_pool(_pool(ded=2, sku="NC24r", inter_node=True), CATALOG, _quotas())
-    rules = {v.rule: v for v in violations}
-    assert rules["QuotaExceeded"].details == {
-        "needed": 48, "available": 24, "kind": "dedicated",
-    }
-    assert rules["QuotaExceeded"].severity == "error"
+    with pytest.raises(QuotaExceeded) as err:
+        validate_pool(_pool(ded=2, sku="NC24r", inter_node=True), CATALOG, _available())
+    assert (err.value.needed, err.value.available, err.value.region) == (48, 24, "eastus")
+    with pytest.raises(QuotaExceeded) as err:
+        validate_pool(_pool(ded=0, low=2, sku="NC24r"), CATALOG, RegionQuota("eastus", 0, 30))
+    assert (err.value.needed, err.value.available, err.value.region) == (48, 30, "eastus")
 
 
 def test_validate_pool_shared_fs_low_priority():
-    violations = validate_pool(_pool(ded=1, low=1, shared_fs=True), CATALOG, _quotas())
-    assert any(v.rule == "SharedFsLowPriority" and v.severity == "error"
-               for v in violations)
+    with pytest.raises(SharedFsLowPriority, match="^a shared filesystem pool cannot include "
+                                                  "low-priority nodes$"):
+        validate_pool(_pool(ded=1, low=1, shared_fs=True), CATALOG, _available())
 
 
 def test_validate_pool_ok():
-    assert validate_pool(_pool(), CATALOG, _quotas()) == []
+    assert validate_pool(_pool(), CATALOG, _available()) == []
+    assert validate_pool(_pool(ded=4), CATALOG, RegionQuota("eastus", 24, 0)) == []
 
 
 def test_validate_pool_low_priority_comm_is_warning():
-    violations = validate_pool(_pool(low=1, sku="NC24r", inter_node=True), CATALOG, _quotas())
-    warn = [v for v in violations if v.rule == "LowPriorityInterNodeComm"]
-    assert warn and warn[0].severity == "warning"
+    violations = validate_pool(_pool(low=1, sku="NC24r", inter_node=True), CATALOG, _available())
+    assert [(v.rule, v.severity) for v in violations] == [("LowPriorityInterNodeComm", "warning")]
 
 
 def test_validate_pool_rdma_rule():
-    violations = validate_pool(_pool(sku="NC6", inter_node=True), CATALOG, _quotas())
-    assert any(v.rule == "RdmaRequired" for v in violations)
+    with pytest.raises(RdmaRequired, match="^inter-node communication requires an RDMA-capable "
+                                           "SKU; NC6 has none$"):
+        validate_pool(_pool(sku="NC6", inter_node=True), CATALOG, _available())
 
 
 def test_pool_config_invariants():

@@ -7,9 +7,9 @@ file still means the same (for state.json: the decoded documents differ
 only where the change says they should); then list each changed digest
 and its reason in CHANGES.md. On a mismatch each test prints the whole
 actual digest dict as a Python literal, to copy over the recorded one.
-Each CLI session runs in a child interpreter with BLAS pinned to one
-thread, because the CG task's iteration count (and so its solve.tsv and
-the event log) depends on the BLAS thread count.
+Each CLI session and experiment script runs in a child interpreter with
+BLAS pinned to one thread, because the CG task's iteration count (and so
+its solve.tsv and the event log) depends on the BLAS thread count.
 """
 
 import hashlib
@@ -168,7 +168,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "bde2be9332572d6863269b9e29dca9795e1d0b213cd1b16ae096c8e84135eee4",
+            "4b5439420b40bcac5a1ef33de27a07ac53c1f57e2a4f1b8e57b9b3d60fda715e",
     },
     "poisson_h16r": {
         "configs/credentials.yaml":
@@ -186,7 +186,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "524bf9264010197f628a9082b6a174b8713a45dc5334357d47162783363f9bc7",
+            "98bd9bfa440dbd443a045312bf79cc136437f0c681fbdaa20f71acfa88483370",
     },
     "snake2d2k35": {
         "configs/credentials.yaml":
@@ -204,7 +204,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "01f1aeabb0e97768f531efd7c6735e202d9869e6d2440a2e266e435349cbcc56",
+            "97ecb709ae17e4a89ff5487b8dc274d60f2f2b3cc434139a04ca3c6732e6754d",
     },
 }
 
@@ -225,7 +225,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "c696a78b63ae69287a931da1ca8ba99419e4b9ff35fc924c6f4d8c4bb2729421",
+            "574e438b12a7dc46b26bb3e05bbe99f75753899a43c91c792c9b3a5f4eccb388",
     },
     "snake3d": {
         "configs/credentials.yaml":
@@ -243,7 +243,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "70d7443c320f6a6031d97d497e5b4119e7f21437e0bbc1c74df2e52900919489",
+            "cd33136ac2d7715325053b4bd0d45258498f732dddcc2778d2cbc07f9f002695",
     },
     "snake3d_fine": {
         "configs/credentials.yaml":
@@ -263,20 +263,25 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "30d0c045f96882e0186a60fe8794e26dcb234783a0aa34620c84b5e576b21327",
+            "60bd9df322c605241b60b9bbabdabd4a2175fee991a8ecc71e5ce23a71e26338",
     },
 }
 
 
-def _run_child(workdir: Path, commands: list[list[str]]) -> list:
+def _run_python(workdir: Path, *args: str) -> str:
+    """stdout of a child interpreter run on this checkout's sources, BLAS on one thread."""
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)], cwd=workdir,
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run_child(workdir: Path, commands: list[list[str]]) -> list:
+    return json.loads(_run_python(workdir, "-c", _CHILD, json.dumps(commands)))
 
 
 def _tree_digests(workdir: Path) -> dict:
@@ -301,3 +306,39 @@ def test_cli_scenario_run_digests(name, tmp_path):
     codes = _run_child(tmp_path, [["scenario", "run", name, "--seed", "0"]])
     assert codes[0][0] == 0, codes
     _check(_tree_digests(tmp_path), SCENARIO_RUN_DIGESTS[name])
+
+
+SCRIPT_DIGESTS = {
+    "run_cost_analysis.py stdout":
+        "e063349d0f85ee9c0c1e1805c3a7092d378a290c3afbf9c7eeb5e0904b2ac177",
+    "run_osu_tables.py bandwidth_azure.tsv":
+        "ce90f14466eefd287b97e43425c38e2423af54eaaa941c414f2a7820d3f23cee",
+    "run_osu_tables.py bandwidth_colonial-one.tsv":
+        "7ea8ca3b4f7bb90e76fa3b0c1cd8237d3ae3b9981078525c12e92b84333f4cee",
+    "run_osu_tables.py latency_azure.tsv":
+        "0b5df09f126eabb3464cba2733bacaf71084599577f2cf135a943982ed00ed95",
+    "run_osu_tables.py latency_colonial-one.tsv":
+        "cb107ce9ec9ae844631a9ea4bf069c3c0bb512640f4452e2b41180cc93ce061b",
+    "run_osu_tables.py stdout":
+        "a1a30fd9c1159713c6eeb3728907b76619f08d7651c69e6c3170b7d2a646ada4",
+    "run_poisson_benchmarks.py modeled scaling":
+        "bfbc12c06bb1ff68a49c72181fbf437d851ac5abf4b811e530002d653b71221d",
+}
+
+
+def test_experiment_script_digests(tmp_path):
+    """The tables the three experiment scripts print or write. Of the Poisson script
+    only the modeled scaling section is pinned: the real solves print host wall times."""
+    scripts = REPO_ROOT / "scripts"
+    osu = _run_python(tmp_path, str(scripts / "run_osu_tables.py"), "--outdir", "tables")
+    actual = {"run_osu_tables.py stdout": _sha(osu.encode())}
+    for path in sorted((tmp_path / "tables").iterdir()):
+        actual[f"run_osu_tables.py {path.name}"] = _sha(path.read_bytes())
+    cost = _run_python(tmp_path, str(scripts / "run_cost_analysis.py"))
+    actual["run_cost_analysis.py stdout"] = _sha(cost.encode())
+    poisson = _run_python(tmp_path, str(scripts / "run_poisson_benchmarks.py"),
+                          "--edges", "8", "12")
+    head, sep, modeled = poisson.partition("\n# modeled strong scaling")
+    assert sep and "# real CG solves" in head
+    actual["run_poisson_benchmarks.py modeled scaling"] = _sha((sep + modeled).encode())
+    _check(actual, SCRIPT_DIGESTS)

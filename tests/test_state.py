@@ -104,6 +104,7 @@ ROW_CORRUPTIONS = {
     "unknown-state": _set(7, "Done"),
     "lower-case-state": _set(7, "completed"),
     "running-state": _set(7, "Running"),
+    "staging-state": _set(7, "Staging"),
     "unknown-failure-reason": _set(11, "Crashed"),
     "empty-failure-reason": _set(11, ""),
 }
