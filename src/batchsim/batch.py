@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import enum
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from . import billing, workloads
@@ -76,6 +78,7 @@ _TO_PENDING = f"->{TaskState.PENDING.value}"
 _PENDING_TO_STAGING = "Pending->Staging"
 _STAGING_TO_RUNNING = "Staging->Running"
 _RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}"
+_POSITION = attrgetter("position")
 
 
 @dataclass
@@ -134,6 +137,8 @@ class Pool:
     steady_at: Optional[float] = None
     deleted_at: Optional[float] = None
     queue: list[tuple[int, Task]] = field(default_factory=list, repr=False, compare=False)
+    # the nodes in state Idle, in `nodes` order; kept current where a node changes state
+    idle: list[Node] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def pool_id(self) -> str:
@@ -146,9 +151,6 @@ class Pool:
     @property
     def alive(self) -> bool:
         return self.state not in (PoolState.DELETING, PoolState.DELETED)
-
-    def idle_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.state is NodeState.IDLE]
 
 
 class BatchService:
@@ -177,6 +179,7 @@ class BatchService:
         self.jobs: dict[str, Job] = {}  # in submission order
         self._running: dict[str, Task] = {}  # node id -> the task running on it
         self._submitted = 0  # tasks ever queued; the next task's FIFO key
+        self._contexts: dict[tuple[int, int], workloads.TaskContext] = {}
 
     # -- quotas ------------------------------------------------------------
 
@@ -230,6 +233,7 @@ class BatchService:
     def _on_node_ready(self, pool: Pool, node: Node):
         if not pool.alive:
             return
+        insort(pool.idle, node, key=_POSITION)
         if node.priority is Priority.LOW_PRIORITY:
             delay = self.preemption.preempt_after(node.node_id)
             if delay != float("inf"):
@@ -261,9 +265,7 @@ class BatchService:
                 if not task.terminal:
                     self._fail_task(pool, job, task, FailureReason.POOL_DELETED)
             self._refresh_job_state(job)
-        for node in pool.nodes:
-            if node.state is NodeState.RUNNING:  # defensive; tasks already failed
-                node.transition(NodeState.IDLE, now, self.event_log)
+        for node in pool.nodes:  # failing the tasks has freed every node
             self._close_meter(pool, node, now)
             if node.released_time is None:
                 node.released_time = now
@@ -336,7 +338,7 @@ class BatchService:
                 self._schedule_pool(pool)
 
     def _schedule_pool(self, pool: Pool):
-        queue, idle = pool.queue, pool.idle_nodes()
+        queue, idle = pool.queue, pool.idle
         while queue:
             task = queue[0][1]
             if task.state is TaskState.PENDING:  # others are stale entries
@@ -344,14 +346,14 @@ class BatchService:
                 if len(idle) < width:
                     return
                 self._start_task(pool, self.jobs[task.job_id], task, idle[:width])
-                idle = idle[width:]
             heapq.heappop(queue)
 
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
         now = self.clock.now
-        ctx = workloads.TaskContext(task.spec.instances, task.spec.procs_per_node,
-                                    self.interconnect)
-        result = workloads.execute(task.spec.workload, ctx)
+        key = (task.spec.instances, task.spec.procs_per_node)
+        if key not in self._contexts:
+            self._contexts[key] = workloads.TaskContext(*key, self.interconnect)
+        result = workloads.execute(task.spec.workload, self._contexts[key])
         task.nodes = nodes = tuple(nodes)
         task.assigned_nodes = tuple([n.node_id for n in nodes])
         self.event_log.append(now, task.entity, _PENDING_TO_STAGING)
@@ -361,6 +363,7 @@ class BatchService:
         self.event_log.append(now, task.entity, _STAGING_TO_RUNNING)
         for node in nodes:
             node.transition(NodeState.RUNNING, now, self.event_log)
+            pool.idle.remove(node)
             self._running[node.node_id] = task
         task.completion_event = self.clock.schedule(
             task.end_time, lambda j=job, t=task, r=result, a=task.attempts:
@@ -369,7 +372,7 @@ class BatchService:
     def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult, attempt: int):
         if task.state is not TaskState.RUNNING or task.attempts != attempt:
             return
-        self._free_nodes(task)
+        self._free_nodes(self.pools[job.pool_id], task)
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
         job.unfinished -= 1
@@ -395,6 +398,8 @@ class BatchService:
         task = self._running.get(node.node_id)
         if task is not None:
             node.busy_log.append((task.start_time, now, task.run_tag))
+        if node.state is NodeState.IDLE:
+            pool.idle.remove(node)
         node.transition(NodeState.PREEMPTED, now, self.event_log)
         self._close_meter(pool, node, now)
         node.released_time = now
@@ -410,7 +415,7 @@ class BatchService:
             task.completion_event.cancel()
             task.completion_event = None
         if task.state is TaskState.RUNNING:
-            self._free_nodes(task)
+            self._free_nodes(pool, task)
         previous = task.state
         if (reason is FailureReason.NODE_PREEMPTED and task.attempts < self.task_retries):
             task.attempts += 1
@@ -429,7 +434,7 @@ class BatchService:
         self.event_log.append(now, task.entity,
                               f"{previous.value}->{TaskState.FAILED.value}({reason.value})")
 
-    def _free_nodes(self, task: Task):
+    def _free_nodes(self, pool: Pool, task: Task):
         """Return a running task's nodes to the pool, logging each busy interval."""
         now, tag = self.clock.now, task.run_tag
         for node in task.nodes:
@@ -437,6 +442,7 @@ class BatchService:
             if node.state is NodeState.RUNNING:
                 node.busy_log.append((task.start_time, now, tag))
                 node.transition(NodeState.IDLE, now, self.event_log)
+                insort(pool.idle, node, key=_POSITION)
         task.nodes = ()
 
     def _refresh_job_state(self, job: Job):

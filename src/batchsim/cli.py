@@ -12,6 +12,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -47,12 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _non_negative(kind):
-    """argparse type for `kind` values that must be >= 0 (a usage error, exit 64)."""
+def _number(kind, least=-math.inf):
+    """argparse type for finite `kind` values of at least `least` (a usage error, exit 64)."""
     def convert(text):
         value = kind(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
@@ -72,12 +75,12 @@ def build_parser() -> _Parser:
     init.add_argument("--seed", type=int, default=0)
     init.add_argument("--catalog", help="catalog override document (YAML)")
     init.add_argument("--interconnect", choices=sorted(INTERCONNECTS), default="azure")
-    init.add_argument("--preemption-rate", type=_non_negative(float), default=0.05,
+    init.add_argument("--preemption-rate", type=_number(float, 0), default=0.05,
                       help="low-priority preemptions per node-hour")
-    init.add_argument("--image-pull-seconds", type=_non_negative(float), default=120.0)
-    init.add_argument("--task-retries", type=_non_negative(int), default=0,
+    init.add_argument("--image-pull-seconds", type=_number(float, 0), default=120.0)
+    init.add_argument("--task-retries", type=_number(int, 0), default=0,
                       help="automatic retries after preemption (default 0)")
-    init.add_argument("--scarcity", nargs=2, type=float, action="append", default=[],
+    init.add_argument("--scarcity", nargs=2, type=_number(float), action="append", default=[],
                       metavar=("START", "END"),
                       help="window of low-priority allocation failure (seconds)")
 
@@ -88,13 +91,13 @@ def build_parser() -> _Parser:
     share = top.add_parser("share").add_subparsers(dest="cmd", required=True)
     sc = share.add_parser("create", help="create a fileshare")
     sc.add_argument("--name", required=True)
-    sc.add_argument("--quota", required=True, type=_non_negative(int), metavar="GIB")
+    sc.add_argument("--quota", required=True, type=_number(int, 0), metavar="GIB")
 
     quota = top.add_parser("quota").add_subparsers(dest="cmd", required=True)
     qs = quota.add_parser("set", help="set per-region core quotas")
     qs.add_argument("--region", required=True)
-    qs.add_argument("--dedicated", required=True, type=_non_negative(int))
-    qs.add_argument("--low-priority", type=_non_negative(int), default=None)
+    qs.add_argument("--dedicated", required=True, type=_number(int, 0))
+    qs.add_argument("--low-priority", type=_number(int, 0), default=None)
 
     pool = top.add_parser("pool").add_subparsers(dest="cmd", required=True)
     pa = pool.add_parser("add", help="create the pool defined in pool.yaml")

@@ -158,6 +158,8 @@ class NodeState(enum.Enum):
     RUNNING = "Running"
     PREEMPTED = "Preempted"
 
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ is Python code
+
 
 # each legal (from, to) node transition and its event-log text
 _LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
@@ -167,8 +169,10 @@ _LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
 
 
 class Node:
-    def __init__(self, node_id: str, sku: str, priority: Priority, boot_latency: int):
+    def __init__(self, node_id: str, sku: str, priority: Priority, boot_latency: int,
+                 position: int = 0):
         self.node_id = node_id
+        self.position = position  # index in its provision batch, i.e. in its pool's nodes
         self.entity = f"node/{node_id}"  # the event-log entity
         self.sku = sku
         self.priority = priority
@@ -254,7 +258,7 @@ class Provisioner:
         nodes = []
         for i in range(dedicated + low_priority):
             prio = Priority.DEDICATED if i < dedicated else Priority.LOW_PRIORITY
-            node = Node(f"{batch_id}/{i}", sku, prio, boot)
+            node = Node(f"{batch_id}/{i}", sku, prio, boot, i)
             self.log.append(self.clock.now, node.entity, f"->{node.state.value}")
             if staging_seconds > 0 and staging_label:
                 self.clock.schedule_after(boot, _staging_action(node, self, staging_label))

@@ -232,9 +232,9 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                     steady_at=pdoc["steady_at"], deleted_at=pdoc["deleted_at"])
         pool.warnings = [Violation(w["rule"], w["severity"], w["message"]) for w in
                          pdoc["warnings"]]
-        for ndoc in pdoc["nodes"]:
+        for position, ndoc in enumerate(pdoc["nodes"]):
             node = Node(ndoc["id"], ndoc["sku"], Priority(ndoc["priority"]),
-                        int(ndoc["boot_latency"]))
+                        int(ndoc["boot_latency"]), position)
             node.state = NodeState(ndoc["state"])
             node.ready_time = ndoc["ready_time"]
             node.released_time = ndoc["released_time"]
@@ -244,6 +244,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             node.preempt_at = ndoc["preempt_at"]
             node.busy_log = [tuple(b) for b in ndoc["busy_log"]]
             pool.nodes.append(node)
+        pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
     for jdoc in doc["jobs"]:
         job_id, tasks = jdoc["id"], []
@@ -339,8 +340,9 @@ class WorkspaceStore:
 
     def save(self, state: dict):
         """Write `state` compact and key-sorted (one C-encoder pass), then rename it in."""
-        with _gc_paused():
-            text = json.dumps(state, separators=(",", ":"), sort_keys=True) + "\n"
+        with _gc_paused():  # a non-finite float, which JSON cannot hold, raises ValueError
+            text = json.dumps(state, separators=(",", ":"), sort_keys=True,
+                              allow_nan=False) + "\n"
         with self._replacing(self.state_path) as fh:
             fh.write(text)
 

@@ -9,6 +9,7 @@ size-only manifest entries download as sparse zero-filled files.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import posixpath
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ def _size_only_digest(size: int) -> str:
     return hashlib.sha256(f"size-only:{size}".encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=4096)  # outputs reuse a few paths
 def _normalize(path: str) -> str:
     norm = posixpath.normpath(path.strip("/"))
     if norm in (".", "") or norm.startswith(".."):

@@ -120,20 +120,33 @@ def test_validation_failure_leaves_state_unchanged(workdir):
     assert tree(workdir) == before
 
 
+INIT = ["workspace", "init", "--configdir", "config_shipyard"]
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["quota", "set", "--region", "eastus", "--dedicated", "-5"], 64),
     (["quota", "set", "--region", "mars", "--dedicated", "10"], 2),
     (["share", "create", "--name", "other", "--quota", "-1"], 64),
-    (["workspace", "init", "--configdir", "config_shipyard", "--preemption-rate", "-1"], 64),
-], ids=["negative-quota", "unknown-region", "negative-share-quota", "negative-rate"])
+    ([*INIT, "--preemption-rate", "-1"], 64),
+    ([*INIT, "--image-pull-seconds", "inf"], 64),
+    ([*INIT, "--preemption-rate", "inf"], 64),
+    ([*INIT, "--preemption-rate", "nan"], 64),
+    ([*INIT, "--scarcity", "nan", "5"], 64),
+    ([*INIT, "--scarcity", "0", "inf"], 64),
+], ids=["negative-quota", "unknown-region", "negative-share-quota", "negative-rate",
+        "infinite-image-pull", "infinite-rate", "nan-rate", "nan-scarcity-start",
+        "infinite-scarcity-end"])
 def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected):
     if argv[0] != "workspace":
-        ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
+        ok(workdir, *INIT)
         ok(workdir, "storage", "account", "create")
     before = tree(workdir)
-    code, _, _ = cli(workdir, *argv)
+    code, _, err = cli(workdir, *argv)
     assert code == expected
     assert tree(workdir) == before
+    if argv[0] == "workspace":
+        assert not (workdir / ".batchsim").exists()
+        assert "usage error" in err
 
 
 def _drop_time(state):

@@ -1,18 +1,20 @@
 """Differential tests: the indexed scheduler against the full-walk one it replaced.
 
 `full_walk_schedule_pool` is the old scheduler body: on every pass it walks
-every job and task of the pool in submission order. Patched in for
-`BatchService._schedule_pool`, it must give the same `events.log` and
-`ledger.tsv` as the per-pool queue on every mix.
+every job and task of the pool in submission order and reads the idle nodes
+from the node states. Patched in for `BatchService._schedule_pool`, it must
+give the same `events.log` and `ledger.tsv` as the per-pool queue and idle
+index on every mix. The idle index is also checked after every event.
 """
 
 import random
 
 import pytest
 
-from batchsim import billing
+from batchsim import billing, state
 from batchsim.batch import BatchService, JobState, TaskState
 from batchsim.config import JobsConfig, PoolConfig
+from batchsim.fabric import NodeState, SimClock
 
 from randomized import CATALOG, _task, run_random_schedule
 
@@ -24,7 +26,7 @@ def full_walk_schedule_pool(svc, pool):
         for task in job.tasks:
             if task.state is not TaskState.PENDING:
                 continue
-            idle = pool.idle_nodes()
+            idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
             if len(idle) < task.spec.instances:
                 return
             svc._start_task(pool, job, task, idle[: task.spec.instances])
@@ -107,3 +109,74 @@ def test_retried_task_starts_ahead_of_task_queued_behind_it(monkeypatch):
     assert t1.start_time == t0.end_time and t2.start_time == t1.end_time
     indexed, full_walk = both_schedulers(monkeypatch, run)
     assert indexed == full_walk
+
+
+def check_idle_index(svc):
+    for pool in svc.pools.values():
+        assert pool.idle == [n for n in pool.nodes if n.state is NodeState.IDLE], pool.pool_id
+
+
+@pytest.fixture
+def checked_index(monkeypatch):
+    """Check the idle index of every service built in the test after each event."""
+    services = []
+    init, step = BatchService.__init__, SimClock.step
+
+    def init_and_track(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        services.append(self)
+
+    def step_and_check(clock):
+        stepped = step(clock)
+        for svc in services:
+            if svc.clock is clock:
+                check_idle_index(svc)
+        return stepped
+
+    monkeypatch.setattr(BatchService, "__init__", init_and_track)
+    monkeypatch.setattr(SimClock, "step", step_and_check)
+    return services
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_idle_index_matches_node_states_on_random_schedules(checked_index, seed):
+    svc, _ = run_random_schedule(seed)
+    assert checked_index == [svc]
+    check_idle_index(svc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_idle_index_matches_node_states_on_large_mix(checked_index, seed):
+    svc = run_large_mix(seed)
+    check_idle_index(svc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_idle_index_survives_a_state_round_trip(checked_index, seed):
+    """A service rehydrated mid-run, between two jobs, schedules like the original."""
+    options = state.ServiceOptions(seed=seed, preemption_rate=0.5, task_retries=1)
+    rng = random.Random(seed)
+    svc = state.build_service(options, CATALOG)
+    svc.quota_set("eastus", 1000, 1000)
+    svc.pool_add(PoolConfig(pool_id="mix", sku="NC6", region="eastus", dedicated_count=3,
+                            low_priority_count=5, inter_node_comm=False,
+                            shared_filesystem=False, image="img:1"))
+    svc.advance_until_pool_settled("mix")
+    jobs = [JobsConfig(f"job{j}", "mix",
+                       tuple(_task(i, j, rng.randint(1, 3), rng.randint(60, 7200))
+                             for i in range(rng.randint(2, 8))))
+            for j in range(6)]
+    svc.jobs_add(jobs[0])
+    svc.advance_until_job_terminal("job0")
+    back = state.service_from_doc(state.service_to_doc(svc), options, CATALOG)
+    check_idle_index(back)
+    assert back.pools["mix"].idle  # the rest of the run starts from a partly idle pool
+    settled = len(svc.event_log.records)
+    for service in (svc, back):
+        for cfg in jobs[1:]:
+            service.jobs_add(cfg)
+        service.run_to_quiescence()
+        service.pool_del("mix")
+        check_idle_index(service)
+    assert back.event_log.records == svc.event_log.records[settled:]
+    assert any("->Preempted" in tr for _, _, tr in back.event_log.records)

@@ -196,6 +196,9 @@ def test_failed_save_keeps_the_old_state(tmp_path):
     # the encoder fails before the temporary file is opened; the ledger write fails after
     with pytest.raises(TypeError):
         store.save({"a": 1, "b": object()})
+    for value in (float("inf"), float("-inf"), float("nan")):  # not JSON; never written
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            store.save({"a": 1, "b": [value]})
     with pytest.raises(TypeError):
         store.write_ledger(None)
     assert {p.name: p.read_bytes() for p in store.dir.iterdir()} == before
