@@ -195,19 +195,39 @@ class Cli:
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
 
-    def commit(self, state: dict, svc, recorded_argv=None, bundle: ConfigBundle | None = None):
-        """Write a command's results and configs to .batchsim/. Renaming state.json in commits
-        them; only the events.log append, which the next command cuts back, comes before it."""
+    def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None):
+        """Write a command's results to .batchsim/. Renaming state.json in commits them; only
+        the events.log append, which the next command cuts back, comes before it. A command
+        that loaded `bundle` records `--configdir` of its snapshot, written after the rename."""
         state["service"] = statemod.service_to_doc(svc)
-        if recorded_argv is not None:
-            state["transcript"].append(list(recorded_argv))
+        if bundle is not None:
+            snapshot = statemod.config_snapshot(bundle)
+            recorded_argv = [*recorded_argv, "--configdir", snapshot]
+        state["transcript"].append(recorded_argv)
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
         state["events_bytes"] = self.store.append_events(svc.event_log.lines())
         self.store.save(state)
         self.store.write_ledger(billing.export_tsv(svc.ledger))
         if bundle is not None:
-            serialize_config_dir(bundle, self.store.configs_dir)
+            self.write_snapshot(snapshot, bundle)
+
+    def write_snapshot(self, snapshot: str, bundle: ConfigBundle, catalog_doc=None):
+        """Store `bundle` (and a catalog) at `snapshot` unless an earlier command did. The
+        files go to a temporary dir renamed into place, so a stored snapshot is whole."""
+        path = self.root / snapshot
+        if path.is_dir():
+            return
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            serialize_config_dir(bundle, tmp)
+            if catalog_doc is not None:
+                with open(tmp / "catalog.yaml", "w") as fh:
+                    yaml.safe_dump(catalog_doc, fh, sort_keys=False)
+            os.replace(tmp, path)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
 
     # -- config plumbing ----------------------------------------------------
 
@@ -217,8 +237,7 @@ class Cli:
             raise ValidationError(
                 f"no configuration directory: pass --configdir or set {CONFIGDIR_ENV}"
             )
-        path = Path(value)
-        return path if path.is_absolute() else self.root / path
+        return _relpath(Path(value), self.root)
 
     def load_bundle(self, configdir_arg, catalog: Catalog) -> ConfigBundle:
         return parse_config_dir(self.resolve_configdir(configdir_arg), catalog)
@@ -233,6 +252,8 @@ def _relpath(path: Path, root: Path) -> Path:
 
 
 def cmd_workspace_init(cli: Cli, args) -> int:
+    if any(end <= start for start, end in args.scarcity):
+        raise UsageError("--scarcity: END must be greater than START")
     if cli.store.exists():
         raise ValidationError(f"workspace already initialized in {cli.root}")
     catalog, catalog_doc = default_catalog(), None
@@ -260,6 +281,8 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     )
     for a, b in args.scarcity:
         recorded += ["--scarcity", str(a), str(b)]
+    snapshot = statemod.config_snapshot(bundle, catalog_doc)
+    recorded += ["--configdir", snapshot]
     svc = statemod.build_service(options, catalog)
     state = statemod.new_workspace_state(options, bundle, catalog_doc)
     state["service"] = statemod.service_to_doc(svc)
@@ -267,10 +290,7 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     created = not cli.store.dir.exists()
     try:  # state.json first, as in Cli.commit; a failure takes back what was written
         cli.store.save(state)
-        serialize_config_dir(bundle, cli.store.configs_dir)
-        if catalog_doc:
-            with open(cli.store.configs_dir / "catalog.yaml", "w") as fh:
-                yaml.safe_dump(catalog_doc, fh, sort_keys=False)
+        cli.write_snapshot(snapshot, bundle, catalog_doc)
     except BaseException:
         if created:
             shutil.rmtree(cli.store.dir, ignore_errors=True)
@@ -343,15 +363,10 @@ def cmd_pool_add(cli: Cli, args) -> int:
 def cmd_pool_del(cli: Cli, args) -> int:
     state = cli.require_state()
     svc = cli.service_from_state(state)
-    bundle = None
-    if args.pool:
-        pool_id = args.pool
-        recorded = ["pool", "del", "--pool", pool_id]
-    else:
-        bundle = cli.load_bundle(args.configdir, svc.catalog)
-        pool_id = bundle.pool.pool_id
-        recorded = ["pool", "del"]
+    bundle = None if args.pool else cli.load_bundle(args.configdir, svc.catalog)
+    pool_id = args.pool or bundle.pool.pool_id
     svc.pool_del(pool_id)
+    recorded = ["pool", "del", "--pool", pool_id] if args.pool else ["pool", "del"]
     cli.commit(state, svc, recorded, bundle)
     cli.say(f"pool deleted: {pool_id}")
     return 0
@@ -452,15 +467,10 @@ def cmd_jobs_add(cli: Cli, args) -> int:
 def cmd_jobs_del(cli: Cli, args) -> int:
     state = cli.require_state()
     svc = cli.service_from_state(state)
-    bundle = None
-    if args.job:
-        job_id = args.job
-        recorded = ["jobs", "del", "--job", job_id]
-    else:
-        bundle = cli.load_bundle(args.configdir, svc.catalog)
-        job_id = bundle.jobs.job_id
-        recorded = ["jobs", "del"]
+    bundle = None if args.job else cli.load_bundle(args.configdir, svc.catalog)
+    job_id = args.job or bundle.jobs.job_id
     svc.jobs_del(job_id)
+    recorded = ["jobs", "del", "--job", job_id] if args.job else ["jobs", "del"]
     cli.commit(state, svc, recorded, bundle)
     cli.say(f"job deleted: {job_id}")
     return 0
@@ -527,9 +537,8 @@ def cmd_repro_pack(cli: Cli, args) -> int:
     if not state.get("has_completed_run"):
         raise NoCompletedRun("no completed run to pack: run a job or scenario first")
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
-    config_digests = {
-        p.name: sha256_file(p) for p in sorted(cli.store.configs_dir.glob("*.yaml"))
-    }
+    config_digests = {p.relative_to(cli.store.configs_dir).as_posix(): sha256_file(p)
+                      for p in sorted(cli.store.configs_dir.glob("*/*.yaml"))}
     output_digests = {}
     for name in OUTPUT_ARTIFACTS:
         path = cli.store.dir / name
@@ -548,8 +557,8 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
-        for p in sorted(cli.store.configs_dir.glob("*.yaml")):
-            tar.add(p, arcname=f"configs/{p.name}")
+        for key in config_digests:
+            tar.add(cli.store.configs_dir / key, arcname=f"configs/{key}")
         if cli.store.ingress_dir.is_dir():
             for p in sorted(cli.store.ingress_dir.glob("*.json")):
                 tar.add(p, arcname=f"ingress/{p.name}")
@@ -590,11 +599,11 @@ def cmd_repro_verify(cli: Cli, args) -> int:
             raise CorruptArchive(f"not a readable package: {exc}") from None
         workdir = tmpdir / "replay"
         workdir.mkdir()
-        ingress_src = extracted / "ingress"
-        if ingress_src.is_dir():
-            shutil.copytree(ingress_src, workdir / STATE_DIR / "ingress")
+        for name in ("configs", "ingress"):  # the files that recorded commands name
+            if (extracted / name).is_dir():
+                shutil.copytree(extracted / name, workdir / STATE_DIR / name)
         try:
-            replay(transcript, workdir, extracted / "configs")
+            replay(transcript, workdir)
         except (UsageError, ValidationError, SimulationError) as exc:
             cli.say(f"FAIL: replayed command failed: {exc}")
             return 3
@@ -613,50 +622,25 @@ def cmd_repro_verify(cli: Cli, args) -> int:
     return 0
 
 
-def replay(transcript, workdir: Path, configdir: Path):
-    """Run recorded commands in `workdir` with configs from `configdir`; raise the first error."""
-    for argv in transcript:
-        run_command(_rewrite_for_replay(list(argv), workdir, configdir), io.StringIO(),
-                    raising=True)
-
-
-_CONFIGDIR_COMMANDS = {("workspace", "init"), ("pool", "add"), ("pool", "del"),
-                       ("data", "ingress"), ("jobs", "add"), ("jobs", "del")}
-
-
-def _rewrite_for_replay(argv: list[str], workdir: Path, configdir: Path) -> list[str]:
-    out = ["-C", str(workdir)] + argv
-    if tuple(argv[:2]) in _CONFIGDIR_COMMANDS:
-        out += ["--configdir", str(configdir)]
-    if "--dest" in out:
-        i = out.index("--dest")
-        if i + 1 < len(out) and os.path.isabs(out[i + 1]):
-            out[i + 1] = "replay-download"
-    return out
+def replay(transcript, workdir: Path):
+    """Run recorded commands in `workdir` and raise the first error; an absolute --dest
+    becomes replay-download."""
+    for recorded in transcript:
+        argv = ["-C", str(workdir), *recorded]
+        if "--dest" in argv:
+            i = argv.index("--dest")
+            if i + 1 < len(argv) and os.path.isabs(argv[i + 1]):
+                argv[i + 1] = "replay-download"
+        run_command(argv, io.StringIO(), raising=True)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-_HANDLERS = {
-    ("workspace", "init", None): cmd_workspace_init,
-    ("storage", "account", "create"): cmd_storage_account_create,
-    ("share", "create", None): cmd_share_create,
-    ("quota", "set", None): cmd_quota_set,
-    ("pool", "add", None): cmd_pool_add,
-    ("pool", "del", None): cmd_pool_del,
-    ("data", "ingress", None): cmd_data_ingress,
-    ("data", "download", None): cmd_data_download,
-    ("jobs", "add", None): cmd_jobs_add,
-    ("jobs", "del", None): cmd_jobs_del,
-    ("status", None, None): cmd_status,
-    ("ledger", "report", None): cmd_ledger_report,
-    ("scenario", "list", None): cmd_scenario_list,
-    ("scenario", "run", None): cmd_scenario_run,
-    ("repro", "pack", None): cmd_repro_pack,
-    ("repro", "verify", None): cmd_repro_verify,
-}
+# `storage account create` runs cmd_storage_account_create, and so on
+_HANDLERS = {(*name[4:].split("_"), None, None)[:3]: handler
+             for name, handler in list(globals().items()) if name.startswith("cmd_")}
 
 
 def execute(argv, out) -> int:

@@ -13,14 +13,14 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 
 from .batch import BatchService
 from .catalog import default_catalog
 from .config import (ConfigBundle, CredentialsConfig, JobsConfig, PoolConfig, TaskSpec,
                      WorkspaceConfig, serialize_config_dir)
 from .errors import ValidationError
-from .state import STATE_DIR, ServiceOptions, WorkspaceStore, service_from_doc
+from .state import (STATE_DIR, ServiceOptions, WorkspaceStore, config_snapshot,
+                    service_from_doc)
 from .workloads import FixedDuration
 
 SHARE_NAME = "fileshare"
@@ -110,22 +110,25 @@ def scenario_by_name(name: str) -> Scenario:
 
 
 def transcript(scenario: Scenario, seed: int) -> list[list[str]]:
-    """The run's CLI commands, as `repro pack` records them (configs come from --configdir)."""
+    """The run's CLI commands, as `repro pack` records them: each command that loads the
+    scenario's configs names their snapshot, `--configdir .batchsim/configs/<id>`."""
     catalog = default_catalog()
     cores = scenario.pool.dedicated_count * catalog.lookup(scenario.pool.sku).vcores
     low = catalog.default_quota(scenario.pool.region).low_priority_cores
+    cfg = ["--configdir", config_snapshot(scenario.bundle())]
     return [
         ["workspace", "init", "--seed", str(seed), "--interconnect", "azure",
-         "--preemption-rate", "0.05", "--image-pull-seconds", "120.0", "--task-retries", "0"],
+         "--preemption-rate", "0.05", "--image-pull-seconds", "120.0", "--task-retries", "0",
+         *cfg],
         ["storage", "account", "create"],
         ["share", "create", "--name", SHARE_NAME, "--quota", str(SHARE_QUOTA_GIB)],
         ["quota", "set", "--region", scenario.pool.region,
          "--dedicated", str(max(QUOTA_RAISE_FLOOR, cores)), "--low-priority", str(low)],
-        ["pool", "add"],
-        ["data", "ingress", "--manifest", f"{STATE_DIR}/ingress/0001.json"],
-        ["jobs", "add"],
-        ["pool", "del"],
-        ["jobs", "del"],
+        ["pool", "add", *cfg],
+        ["data", "ingress", "--manifest", f"{STATE_DIR}/ingress/0001.json", *cfg],
+        ["jobs", "add", *cfg],
+        ["pool", "del", *cfg],
+        ["jobs", "del", *cfg],
         ["data", "download", "--source", f"{SHARE_NAME}/{scenario.data_dir}", "--dest", "output"],
     ]
 
@@ -150,7 +153,9 @@ class ScenarioRun:
 def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
     """Replay `transcript(scenario, seed)` in `root` (default: a temporary dir).
 
-    `root` must hold no workspace; a failed run removes the `.batchsim/` it made.
+    The files the transcript names are written first, in place: the config snapshot
+    under `.batchsim/configs/<id>/` and `.batchsim/ingress/0001.json`. `root` must hold
+    no workspace; a failed run removes the `.batchsim/` it made.
     """
     from . import cli  # cli imports this module
 
@@ -158,12 +163,12 @@ def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
         store = WorkspaceStore(root if root is not None else tmp)
         if store.dir.exists():
             raise ValidationError(f"workspace already initialized in {store.root}")
-        configdir = Path(tmp) / "configs"
-        serialize_config_dir(scenario.bundle(), configdir)
+        bundle = scenario.bundle()
         try:
+            serialize_config_dir(bundle, store.root / config_snapshot(bundle))
             store.ingress_dir.mkdir(parents=True)
             (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
-            cli.replay(transcript(scenario, seed), store.root, configdir)
+            cli.replay(transcript(scenario, seed), store.root)
         except BaseException:
             shutil.rmtree(store.dir, ignore_errors=True)
             raise

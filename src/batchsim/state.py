@@ -22,8 +22,8 @@ from typing import Optional
 from .batch import BatchService, FailureReason, Job, JobState, Pool, PoolState, Task, TaskState
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
-from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc, pool_to_doc,
-                     task_spec, task_spec_values, workspace_to_doc)
+from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, bundle_documents, pool_from_doc,
+                     pool_to_doc, task_spec, task_spec_values, workspace_to_doc)
 from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
 from .storage import FileShare, ShareEntry, TransferRecord, Direction
@@ -50,6 +50,13 @@ def sha256_file(path: Path) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def config_snapshot(bundle: ConfigBundle, catalog_doc: Optional[dict] = None) -> str:
+    """Workspace-relative dir that stores `bundle`'s documents and a catalog once:
+    .batchsim/configs/ and the first 12 hex digits of the documents' sha256."""
+    documents = {**bundle_documents(bundle), "catalog.yaml": catalog_doc}
+    return f"{STATE_DIR}/configs/{sha256_text(json.dumps(documents, sort_keys=True))[:12]}"
 
 
 @dataclass
@@ -320,7 +327,7 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
 
 
 class WorkspaceStore:
-    """On-disk layout: state.json, events.log, ledger.tsv, configs/, ingress/."""
+    """On-disk layout: state.json, events.log, ledger.tsv, configs/<id>/, ingress/."""
 
     def __init__(self, root):
         self.root = Path(root)

@@ -12,7 +12,7 @@ from batchsim.cli import _safe_extract, run_command
 from batchsim.config import serialize_config_dir
 from batchsim.errors import CorruptArchive, TaskTooWide
 from batchsim.scenarios import builtin_scenarios, scenario_by_name, transcript
-from batchsim.state import WorkspaceStore
+from batchsim.state import WorkspaceStore, config_snapshot
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_DIR = REPO_ROOT / "configs" / "snake2d2k35"
@@ -133,9 +133,11 @@ INIT = ["workspace", "init", "--configdir", "config_shipyard"]
     ([*INIT, "--preemption-rate", "nan"], 64),
     ([*INIT, "--scarcity", "nan", "5"], 64),
     ([*INIT, "--scarcity", "0", "inf"], 64),
+    ([*INIT, "--scarcity", "100", "50"], 64),
+    ([*INIT, "--scarcity", "50", "50"], 64),
 ], ids=["negative-quota", "unknown-region", "negative-share-quota", "negative-rate",
         "infinite-image-pull", "infinite-rate", "nan-rate", "nan-scarcity-start",
-        "infinite-scarcity-end"])
+        "infinite-scarcity-end", "reversed-scarcity", "empty-scarcity"])
 def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected):
     if argv[0] != "workspace":
         ok(workdir, *INIT)
@@ -345,12 +347,12 @@ def test_scenario_run_and_list(tmp_path):
 
 
 @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
-def test_scenario_run_matches_its_transcript_typed_by_hand(name, tmp_path, monkeypatch):
+def test_scenario_run_matches_its_transcript_typed_by_hand(name, tmp_path):
     scenario = scenario_by_name(name)
     ran, typed = tmp_path / "ran", tmp_path / "typed"
     ok(ran, "scenario", "run", name, "--seed", "3")
-    serialize_config_dir(scenario.bundle(), tmp_path / "cfg")
-    monkeypatch.setenv("BATCHSIM_CONFIGDIR", str(tmp_path / "cfg"))
+    bundle = scenario.bundle()  # the transcript names its snapshot, written here by hand
+    serialize_config_dir(bundle, typed / config_snapshot(bundle))
     store = WorkspaceStore(typed)
     store.ingress_dir.mkdir(parents=True)
     (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
@@ -492,6 +494,12 @@ def test_repro_pack_and_verify_scenario(tmp_path):
     assert ok(tmp_path, "repro", "verify", "snake3d.tar.gz").startswith("PASS")
 
 
+def _packed_config(unpacked: Path, *names: str) -> list[Path]:
+    """The files `names` of the one config snapshot in an unpacked package."""
+    [snapshot] = (unpacked / "configs").iterdir()
+    return [snapshot / name for name in names]
+
+
 def test_repro_verify_detects_edited_sku(workdir, tmp_path_factory):
     full_sequence(workdir)
     ok(workdir, "repro", "pack")
@@ -499,12 +507,13 @@ def test_repro_verify_detects_edited_sku(workdir, tmp_path_factory):
     tampered_dir = tmp_path_factory.mktemp("tampered")
     with tarfile.open(archive) as tar:
         tar.extractall(tampered_dir, filter="data")
-    pool_doc = yaml.safe_load((tampered_dir / "configs" / "pool.yaml").read_text())
+    pool_yaml, jobs_yaml = _packed_config(tampered_dir, "pool.yaml", "jobs.yaml")
+    pool_doc = yaml.safe_load(pool_yaml.read_text())
     pool_doc["pool"]["sku"] = "H16r"  # RDMA-capable, different hourly rate
-    (tampered_dir / "configs" / "pool.yaml").write_text(yaml.safe_dump(pool_doc))
-    jobs_doc = yaml.safe_load((tampered_dir / "configs" / "jobs.yaml").read_text())
+    pool_yaml.write_text(yaml.safe_dump(pool_doc))
+    jobs_doc = yaml.safe_load(jobs_yaml.read_text())
     jobs_doc["job"]["tasks"][0]["gpus_per_node"] = 0  # H16r carries no GPUs
-    (tampered_dir / "configs" / "jobs.yaml").write_text(yaml.safe_dump(jobs_doc))
+    jobs_yaml.write_text(yaml.safe_dump(jobs_doc))
     tampered = workdir / "tampered.tar.gz"
     with tarfile.open(tampered, "w:gz") as tar:
         for path in sorted(tampered_dir.rglob("*")):
@@ -530,13 +539,44 @@ def _edited_scenario_package(tmp_path, edit) -> str:
 
 def test_repro_verify_reports_a_failing_replayed_command(tmp_path):
     def over_quota(unpacked):
-        pool_doc = yaml.safe_load((unpacked / "configs" / "pool.yaml").read_text())
+        [pool_yaml] = _packed_config(unpacked, "pool.yaml")
+        pool_doc = yaml.safe_load(pool_yaml.read_text())
         pool_doc["pool"]["vm_count"]["dedicated"] = 5  # 120 cores, over the recorded 100
-        (unpacked / "configs" / "pool.yaml").write_text(yaml.safe_dump(pool_doc))
+        pool_yaml.write_text(yaml.safe_dump(pool_doc))
 
     code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, over_quota))
     assert code == 3
     assert out.startswith("FAIL: replayed command failed: quota exceeded")
+
+
+def test_repro_verify_fails_when_a_named_snapshot_is_missing(tmp_path):
+    def no_configs(unpacked):
+        shutil.rmtree(unpacked / "configs")
+
+    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, no_configs))
+    assert code == 3
+    assert out.startswith("FAIL: replayed command failed: missing configuration document")
+
+
+def test_repro_verify_fails_on_a_package_with_flat_configs(tmp_path, monkeypatch):
+    """Packages made before config snapshots hold configs/*.yaml and a transcript that
+    names no --configdir; without BATCHSIM_CONFIGDIR their replay cannot load a config."""
+    def flatten(unpacked):
+        [snapshot] = (unpacked / "configs").iterdir()
+        for path in snapshot.iterdir():
+            path.rename(unpacked / "configs" / path.name)
+        snapshot.rmdir()
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        for argv in manifest["transcript"]:
+            if "--configdir" in argv:
+                i = argv.index("--configdir")
+                del argv[i:i + 2]
+        (unpacked / "manifest.json").write_text(json.dumps(manifest))
+
+    monkeypatch.delenv("BATCHSIM_CONFIGDIR", raising=False)
+    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, flatten))
+    assert code == 3
+    assert out.startswith("FAIL: replayed command failed: no configuration directory")
 
 
 def test_repro_verify_fails_on_a_replayed_help_request(tmp_path):

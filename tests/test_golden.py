@@ -153,13 +153,13 @@ SESSIONS = {
 
 SESSION_DIGESTS = {
     "osu_nc24r": {
-        "configs/credentials.yaml":
+        "configs/90a834b855b2/credentials.yaml":
             "e91ed72935a11889bd43f414e066bab6306006bfb7958c48a7d956d7c6b28231",
-        "configs/jobs.yaml":
+        "configs/90a834b855b2/jobs.yaml":
             "ccece2f987197cf8485fa1dd5186cd7709bde2a9542cb82eef356d33e5ee280a",
-        "configs/pool.yaml":
+        "configs/90a834b855b2/pool.yaml":
             "365036fee06b8fae9b70bd23252bd140787250af1f5503b62fcf6acc3294f5b6",
-        "configs/workspace.yaml":
+        "configs/90a834b855b2/workspace.yaml":
             "9c83675984da2face1a6f9943e95d2588dbf869433b4bcd2fe609e70ecf3d2c7",
         "events.log":
             "c7d13a78d77499ca05ae6de6805dc7d2b52dfbd1960834fec81bcdc73ec68f41",
@@ -168,16 +168,16 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "4b5439420b40bcac5a1ef33de27a07ac53c1f57e2a4f1b8e57b9b3d60fda715e",
+            "9b7970a415af45399aad00e7d5c83ca4393abc5777d93b2bd84c3482222fa3a4",
     },
     "poisson_h16r": {
-        "configs/credentials.yaml":
+        "configs/ea8157981390/credentials.yaml":
             "e91ed72935a11889bd43f414e066bab6306006bfb7958c48a7d956d7c6b28231",
-        "configs/jobs.yaml":
+        "configs/ea8157981390/jobs.yaml":
             "353fc87496df875b7c698ced629145d3bece6aac1bfc44519876aa00b72ab0ad",
-        "configs/pool.yaml":
+        "configs/ea8157981390/pool.yaml":
             "b5ee9ac9ce3a2c23be53e7b3a49abe23ca7a977c16b85244a7dd7a8d22845ba9",
-        "configs/workspace.yaml":
+        "configs/ea8157981390/workspace.yaml":
             "9c83675984da2face1a6f9943e95d2588dbf869433b4bcd2fe609e70ecf3d2c7",
         "events.log":
             "a8478f6fd4063b701c8d411b6c21fdf93b093f111a788ea2a6e01699da21f34e",
@@ -186,16 +186,16 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "98bd9bfa440dbd443a045312bf79cc136437f0c681fbdaa20f71acfa88483370",
+            "4781347468441357a9e7b920ff0b772438a8a5bf417e959dae91212d1ecedcef",
     },
     "snake2d2k35": {
-        "configs/credentials.yaml":
+        "configs/6ff466814509/credentials.yaml":
             "e91ed72935a11889bd43f414e066bab6306006bfb7958c48a7d956d7c6b28231",
-        "configs/jobs.yaml":
+        "configs/6ff466814509/jobs.yaml":
             "399e6c2eb805e82b216ca9a0fd5f22aa4d1d348105de6579a45e79eb4d72e510",
-        "configs/pool.yaml":
+        "configs/6ff466814509/pool.yaml":
             "b8983c5e9c2ed4e8ae9dae99be11aeb9c748a1ef4b3c4c2a2cd859700d168205",
-        "configs/workspace.yaml":
+        "configs/6ff466814509/workspace.yaml":
             "9c83675984da2face1a6f9943e95d2588dbf869433b4bcd2fe609e70ecf3d2c7",
         "events.log":
             "e588c5a54260c19f82791dc1b16823c03d8d94daa229fa0b3a2d9da2f20c1466",
@@ -204,19 +204,19 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "97ecb709ae17e4a89ff5487b8dc274d60f2f2b3cc434139a04ca3c6732e6754d",
+            "fa42bca51182cad5cb58a14245e82f4fa378feb82fd18fe3ef2d41a57d19b337",
     },
 }
 
 SCENARIO_RUN_DIGESTS = {
     "snake2d": {
-        "configs/credentials.yaml":
+        "configs/2f3a59c58d88/credentials.yaml":
             "4267d5266544f4d83ba3c9ebbeb865417809e4ccf8629daa7c65e324921ad5ed",
-        "configs/jobs.yaml":
+        "configs/2f3a59c58d88/jobs.yaml":
             "a64c46078b6cc2b4ef2f557b35a4bd6a0206c0a6a1428f773c4298e680afbf48",
-        "configs/pool.yaml":
+        "configs/2f3a59c58d88/pool.yaml":
             "c7f001c756ef5a39ca31438fb16c39d8aff87cc266698da0b4da75716c057e83",
-        "configs/workspace.yaml":
+        "configs/2f3a59c58d88/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
             "a54763ca38e6956028a07d69cb12c451c85644a2ba674000c359277f8afe3563",
@@ -225,16 +225,16 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "574e438b12a7dc46b26bb3e05bbe99f75753899a43c91c792c9b3a5f4eccb388",
+            "cc9a67562fec8095a69bb65578fb58c3b3e60dddd3917a08ced2416cdc39ee3d",
     },
     "snake3d": {
-        "configs/credentials.yaml":
+        "configs/867e3d77a1ca/credentials.yaml":
             "4267d5266544f4d83ba3c9ebbeb865417809e4ccf8629daa7c65e324921ad5ed",
-        "configs/jobs.yaml":
+        "configs/867e3d77a1ca/jobs.yaml":
             "059f8d26d804dde252d7cfeff33324e725033a437b29a098fe03b218a3816a1b",
-        "configs/pool.yaml":
+        "configs/867e3d77a1ca/pool.yaml":
             "b7cfb5f1cd33eeb2bf7f0c826f29dc931c533e134feb6f160ffc88584be13961",
-        "configs/workspace.yaml":
+        "configs/867e3d77a1ca/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
             "62a38b7e83d435a2101b62830d6e9a4104f342097ee101d35b306e86d7792946",
@@ -243,18 +243,18 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "cd33136ac2d7715325053b4bd0d45258498f732dddcc2778d2cbc07f9f002695",
+            "a283cdfee1163b70c4acd78873c6d09732791415904cb2f5ea55680527a5834b",
     },
     "snake3d_fine": {
-        "configs/credentials.yaml":
+        "configs/c43c8d0feda5/credentials.yaml":
             "4267d5266544f4d83ba3c9ebbeb865417809e4ccf8629daa7c65e324921ad5ed",
         # holds the task's 1,206,828 s as "fixed:1206828.0"; %g would write the
         # lossy "fixed:1.20683e+06", which reads back as 1,206,830 s
-        "configs/jobs.yaml":
+        "configs/c43c8d0feda5/jobs.yaml":
             "2063004441ca5ad8eb4a725cc270662bc60a56c9f087851f523b384bbeded170",
-        "configs/pool.yaml":
+        "configs/c43c8d0feda5/pool.yaml":
             "26a7eb43d671004d5ef873f13f83a8a98f524dec4d98bab799410c8fd79509ab",
-        "configs/workspace.yaml":
+        "configs/c43c8d0feda5/workspace.yaml":
             "e605f31e947557abe0ba188c0a39177fb625a8ebc76f6c07995e28528f46fdf1",
         "events.log":
             "d840a552c38a238d237079d1e042a78cb557d4a208e014b7876cebfc3deb6c45",
@@ -263,7 +263,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "60bd9df322c605241b60b9bbabdabd4a2175fee991a8ecc71e5ce23a71e26338",
+            "75c200f55be85b945786733aa4b2f94aa4e4b011a4826a09e883f2f1956f4a84",
     },
 }
 
