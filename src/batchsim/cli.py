@@ -24,7 +24,7 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import ConfigBundle, parse_config_dir, serialize_config_dir
+from .config import ConfigBundle, dump_yaml, load_yaml, parse_config_dir, serialize_config_dir
 from .errors import (
     CorruptArchive,
     NoCompletedRun,
@@ -223,7 +223,7 @@ class Cli:
             serialize_config_dir(bundle, tmp)
             if catalog_doc is not None:
                 with open(tmp / "catalog.yaml", "w") as fh:
-                    yaml.safe_dump(catalog_doc, fh, sort_keys=False)
+                    dump_yaml(catalog_doc, fh)
             os.replace(tmp, path)
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -264,7 +264,8 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     if args.catalog:
         try:
             with open(_relpath(Path(args.catalog), cli.resolve_configdir(args.configdir))) as fh:
-                catalog_doc = yaml.safe_load(fh)
+                catalog_doc = load_yaml(fh)
+            json.dumps(catalog_doc, allow_nan=False)  # state.json stores it: no dates, no inf
             catalog = Catalog.from_document(catalog_doc)
         except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError, ArithmeticError,
                 AttributeError) as exc:
@@ -375,7 +376,7 @@ def cmd_pool_del(cli: Cli, args) -> int:
 def _load_manifest(path: Path) -> list[tuple[str, int]]:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
         manifest = []
         for item in doc["entries"] if isinstance(doc, dict) else doc:
             path_, size = (item["path"], item["bytes"]) if isinstance(item, dict) else item
@@ -660,12 +661,12 @@ def run_command(argv, out=None, err=None, *, raising=False) -> int:
         if raising:
             raise UsageError(f"command exited without running: {' '.join(argv)}") from None
         return int(exc.code or 0)
-    except (UsageError, ValidationError, SimulationError) as exc:
+    except (UsageError, ValidationError, SimulationError, OSError) as exc:  # OSError: failed I/O
         if raising:
             raise
         code, label = ((64, "usage error") if isinstance(exc, UsageError)
-                       else (2, "error") if isinstance(exc, ValidationError)
-                       else (3, "simulation error"))
+                       else (3, "simulation error") if isinstance(exc, SimulationError)
+                       else (2, "error"))
         print(f"{label}: {exc}", file=err)
         return code
 

@@ -96,13 +96,23 @@ class ConfigBundle:
 # parsing
 
 
+def load_yaml(stream):
+    """One YAML document, parsed by libyaml's safe loader where PyYAML has it."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def dump_yaml(doc, stream):
+    """`doc` as YAML, keys in their order, by libyaml's safe dumper where PyYAML has it."""
+    yaml.dump(doc, stream, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
+
+
 def _load_doc(directory: Path, name: str) -> dict:
     path = directory / name
     if not path.is_file():
         raise MissingDocument(str(path))
     with open(path) as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
         except yaml.YAMLError as exc:
             raise SchemaError(str(path), "<document>", f"not parseable: {exc}") from None
     if not isinstance(doc, dict):
@@ -353,7 +363,7 @@ def serialize_config_dir(bundle: ConfigBundle, path):
     directory.mkdir(parents=True, exist_ok=True)
     for name, doc in bundle_documents(bundle).items():
         with open(directory / name, "w") as fh:
-            yaml.safe_dump(doc, fh, sort_keys=False)
+            dump_yaml(doc, fh)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import enum
 import io
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -187,8 +190,9 @@ def unit_cube_grid(n: int) -> PoissonGrid:
 
 # Slab size for the blocked CG kernels: planes of the leading axis totalling
 # about this many bytes, so a slab of the input and of the output stay in a
-# per-core L2 cache.
-SLAB_BYTES = 256 * 1024
+# per-core L2 cache. Of 256, 512 and 1024 KiB, 512 gave the fastest two-thread
+# solves on a 2-vCPU Xeon.
+SLAB_BYTES = 512 * 1024
 
 
 def _slab_planes(shape: tuple[int, ...]) -> int:
@@ -197,15 +201,81 @@ def _slab_planes(shape: tuple[int, ...]) -> int:
     return max(1, SLAB_BYTES // plane_bytes)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most threads one CG solve sweeps with."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+class _Team:
+    """The calling thread and `size - 1` helper threads, each taking one rank of a sweep.
+
+    `run(task, *args)` calls task(0, *args) on the caller and task(k, *args)
+    on helper k, and returns once all of them have; the first exception any
+    of them raised is raised in the caller. Helpers start on entering the
+    `with` block and are joined on leaving it. A team of size 1 starts none.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._serve, args=(rank, inbox), daemon=True,
+                                          name=f"batchsim-cg-{rank}")
+                         for rank, inbox in enumerate(self._inboxes, start=1)]
+
+    def __enter__(self) -> "_Team":
+        for thread in self._threads:
+            thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+
+    def _serve(self, rank: int, inbox: queue.SimpleQueue):
+        while (job := inbox.get()) is not None:
+            task, args = job
+            try:
+                task(rank, *args)
+            except BaseException as exc:  # handed to the caller, which raises it
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def run(self, task, *args):
+        for inbox in self._inboxes:
+            inbox.put((task, args))
+        try:
+            task(0, *args)
+        finally:
+            errors = [e for e in [self._done.get() for _ in self._inboxes] if e is not None]
+        if errors:
+            raise errors[0]
+
+
+def _rank_slabs(nx: int, step: int, ranks: int) -> list[list[slice]]:
+    """Planes 0..nx of the leading axis cut into `ranks` contiguous ranges of near-equal
+    length, one per thread of a team, each range in slabs of at most `step` planes."""
+    bounds = [k * nx // ranks for k in range(ranks + 1)]
+    return [[slice(i, min(i + step, hi)) for i in range(lo, hi, step)]
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, team: _Team | None = None) -> np.ndarray:
     """Matrix-free negative Laplacian with ghost values fixed at zero.
 
     Each element is 6u, minus its x-, x+, y-, y+, z-, z+ neighbours in that
     order, divided by h*h. The array is swept in slabs along axis 0 so a slab
     of the input and of `out` stay in cache; the per-element order, and so
-    every rounding, is the same as one whole-array pass. Writes into `out`
-    (C-contiguous, and not sharing memory with the input) when given.
+    every rounding, is the same as one whole-array pass. With a `team`, each
+    of its threads sweeps one contiguous range of planes; without one, the
+    calling thread sweeps them all. Writes into `out` (C-contiguous, and not
+    sharing memory with the input) when given.
     """
     if field_values.shape != grid.shape:
         raise ShapeMismatch(f"field shape {field_values.shape} does not match grid {grid.shape}")
@@ -216,13 +286,20 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
     elif not out.flags.c_contiguous or np.shares_memory(out, field_values):
         raise ValueError("out must be C-contiguous and not share memory with the input")
     u = np.ascontiguousarray(field_values, dtype=np.float64)
-    nx = grid.nx
-    hh = grid.h * grid.h
-    step = _slab_planes(grid.shape)
-    edge = np.empty((step, grid.ny))
-    for i0 in range(0, nx, step):
-        i1 = min(i0 + step, nx)
-        us, o, e = u[i0:i1], out[i0:i1], edge[:i1 - i0]
+    team = team or _Team(1)
+    slabs = _rank_slabs(grid.nx, _slab_planes(grid.shape), team.size)
+    team.run(_stencil_slabs, slabs, u, out, grid)
+    return out
+
+
+def _stencil_slabs(rank: int, slabs: list[list[slice]], u: np.ndarray, out: np.ndarray,
+                   grid: PoissonGrid):
+    """apply_poisson's sweep over slabs[rank], with this thread's own edge buffer."""
+    nx, hh = grid.nx, grid.h * grid.h
+    edge = np.empty((_slab_planes(grid.shape), grid.ny))
+    for s in slabs[rank]:
+        i0, i1 = s.start, s.stop
+        us, o, e = u[s], out[s], edge[:i1 - i0]
         uf, of = us.reshape(-1), o.reshape(-1)  # views: both slabs are contiguous
         np.multiply(us, 6.0, out=o)
         lo = 1 if i0 == 0 else 0  # the first plane has no x- neighbour
@@ -242,7 +319,6 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
         of[:-1] -= uf[1:]
         o[:, :, -1] = e
         o /= hh
-    return out
 
 
 @dataclass
@@ -258,50 +334,63 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     """Conjugate gradients on the stencil operator, absolute 2-norm exit test.
 
     The iterate, residual, direction and operator-product arrays are
-    allocated once; the vector updates run in place, slab by slab along
-    axis 0 like the stencil, through one slab-sized scratch buffer. Each
+    allocated once. The stencil and the vector updates run in place, slab by
+    slab along axis 0, on one thread per CPU this process may use (at most
+    one per slab): the calling thread sweeps the first range of planes and
+    helper threads, which live only as long as the solve, sweep the others,
+    each update through its own slab-sized scratch buffer. Every element is
+    computed by the same operations whichever thread sweeps it, and each
     update rounds as the textbook expressions do (x + alpha*p, r - alpha*ap,
-    r + beta*p), and both reductions are numpy dots over whole flattened
-    arrays, so identical inputs give bit-identical iterates for a fixed BLAS
-    thread count: the dot's summation order, and so the iteration count,
-    can change with OPENBLAS_NUM_THREADS. The convergence test uses the
+    r + beta*p), so the iterates do not depend on the CPU count. Both
+    reductions are numpy dots over whole flattened arrays on the calling
+    thread, so identical inputs give bit-identical iterates for a fixed BLAS
+    thread count: the dot's summation order, and so the iteration count, can
+    change with OPENBLAS_NUM_THREADS. The convergence test uses the
     recurrence residual, as iterative solver libraries do.
     """
     if rhs.shape != grid.shape:
         raise ShapeMismatch(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
     b = np.asarray(rhs, dtype=np.float64)
-    x = np.zeros(grid.shape)
-    ap = apply_poisson(grid, x)
-    r = np.subtract(b, ap)
-    p = r.copy()
     step = _slab_planes(grid.shape)
-    scratch = np.empty((step,) + grid.shape[1:])
-    slabs = [(slice(i, i + step), scratch[:min(step, grid.nx - i)])
-             for i in range(0, grid.nx, step)]
-    rz = float(np.dot(r.ravel(), r.ravel()))
-    res = float(np.sqrt(rz))
-    history = [res]
-    if res <= tol_abs:
-        return CGResult(x, 0, res, history)
-    for k in range(1, max_iter + 1):
-        apply_poisson(grid, p, out=ap)
-        alpha = rz / float(np.dot(p.ravel(), ap.ravel()))
-        for s, t in slabs:
-            np.multiply(p[s], alpha, out=t)
-            x[s] += t
-            np.multiply(ap[s], alpha, out=t)
-            r[s] -= t
-        rz_new = float(np.dot(r.ravel(), r.ravel()))
-        res = float(np.sqrt(rz_new))
-        history.append(res)
-        if res <= tol_abs:
-            return CGResult(x, k, res, history)
-        beta = rz_new / rz
-        for s, _ in slabs:
+    workers = min(_cpu_count(), -(-grid.nx // step))  # at most one thread per slab
+    slabs = _rank_slabs(grid.nx, step, workers)
+    scratch = [np.empty((step,) + grid.shape[1:]) for _ in slabs]
+
+    def update_xr(rank, alpha):
+        t = scratch[rank]
+        for s in slabs[rank]:
+            ts = t[:s.stop - s.start]
+            np.multiply(p[s], alpha, out=ts)
+            x[s] += ts
+            np.multiply(ap[s], alpha, out=ts)
+            r[s] -= ts
+
+    def update_p(rank, beta):
+        for s in slabs[rank]:
             ps = p[s]
             ps *= beta
             ps += r[s]
-        rz = rz_new
+
+    with _Team(workers) as team:
+        x = np.zeros(grid.shape)
+        ap = apply_poisson(grid, x, team=team)
+        r = np.subtract(b, ap)
+        p = r.copy()
+        rz = float(np.dot(r.ravel(), r.ravel()))
+        res = float(np.sqrt(rz))
+        history = [res]
+        if res <= tol_abs:
+            return CGResult(x, 0, res, history)
+        for k in range(1, max_iter + 1):
+            apply_poisson(grid, p, out=ap, team=team)
+            team.run(update_xr, rz / float(np.dot(p.ravel(), ap.ravel())))
+            rz_new = float(np.dot(r.ravel(), r.ravel()))
+            res = float(np.sqrt(rz_new))
+            history.append(res)
+            if res <= tol_abs:
+                return CGResult(x, k, res, history)
+            team.run(update_p, rz_new / rz)
+            rz = rz_new
     raise MaxIterExceeded(max_iter, min(history))
 
 

@@ -1,18 +1,29 @@
-"""Differential tests: the slab-blocked, in-place CG path against the one it replaced.
+"""Differential tests: the slab-blocked, in-place, multi-threaded CG path against the one
+it replaced.
 
 `oracle_apply_poisson`, `oracle_solve_cg` and `oracle_manufactured_solution`
 are the old bodies: a whole-array stencil and vector updates that allocate
 fresh arrays every iteration, and a meshgrid sample. The blocked solver
 keeps every rounding, so solutions, residual histories and iteration
-counts must be bit-identical, whatever the slab count.
+counts must be bit-identical, whatever the slab count and the number of
+threads that sweep the slabs.
 """
+
+import contextlib
+import io
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from batchsim import workloads
+from batchsim.cli import run_command
 from batchsim.errors import MaxIterExceeded, ShapeMismatch
-from batchsim.workloads import (PoissonGrid, _slab_planes, apply_poisson,
+from batchsim.workloads import (PoissonGrid, _slab_planes, _Team, apply_poisson,
                                 manufactured_solution, solve_cg, unit_cube_grid)
+
+WORKER_COUNTS = (1, 2, 3, 5)
 
 
 def oracle_apply_poisson(grid, field_values):
@@ -164,3 +175,91 @@ def test_stencil_out_shape_checked():
         apply_poisson(grid, np.ones(grid.shape), out=np.empty((4, 5, 7)))
     with pytest.raises(ShapeMismatch):
         apply_poisson(grid, np.ones(grid.shape), out=np.empty(grid.shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_cg_matches_allocating_solver_on_any_cpu_count(monkeypatch, shape, workers):
+    """Shapes with fewer slabs than CPUs included: a solve uses at most one thread per slab."""
+    monkeypatch.setattr(workloads, "_cpu_count", lambda: workers)
+    grid = _grid(*shape)
+    _assert_same_solve(grid, np.random.default_rng(sum(shape) + workers).standard_normal(shape))
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+def test_stencil_matches_whole_array_pass_on_any_team(shape, workers):
+    """A team larger than the plane count leaves some threads an empty range."""
+    grid = _grid(*shape)
+    v = np.random.default_rng(sum(shape)).standard_normal(shape)
+    with _Team(workers) as team:
+        assert np.array_equal(apply_poisson(grid, v, team=team), oracle_apply_poisson(grid, v))
+
+
+def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
+    """Five threads on any host, handing the interpreter lock over every 10 us."""
+    grid = _grid(*SHAPES["one-plane-slabs"])
+    rng = np.random.default_rng(6)
+    monkeypatch.setattr(workloads, "_cpu_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _Team(5) as team:
+            for _ in range(10):
+                v = rng.standard_normal(grid.shape)
+                assert np.array_equal(apply_poisson(grid, v, team=team),
+                                      oracle_apply_poisson(grid, v))
+        rhs = rng.standard_normal(grid.shape)
+        with pytest.raises(MaxIterExceeded) as new:
+            solve_cg(grid, rhs, max_iter=20)
+    finally:
+        sys.setswitchinterval(interval)
+    with pytest.raises(MaxIterExceeded) as old:
+        oracle_solve_cg(grid, rhs, max_iter=20)
+    assert new.value.best_residual == old.value.best_residual
+
+
+def test_cg_sweeps_with_one_thread_per_cpu_up_to_one_per_slab(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(workloads, "_Team", lambda size: sizes.append(size) or _Team(size))
+    for workers in (2, 5):
+        monkeypatch.setattr(workloads, "_cpu_count", lambda: workers)
+        for name in ("one-plane-slabs", "tiny"):
+            with contextlib.suppress(MaxIterExceeded):
+                solve_cg(_grid(*SHAPES[name]), np.ones(SHAPES[name]), max_iter=1)
+    assert sizes == [2, 1, 5, 1]
+
+
+def test_an_error_in_a_helper_reaches_the_caller():
+    ran = []
+
+    def task(rank, fail_rank):
+        ran.append(rank)
+        if rank == fail_rank:
+            raise ZeroDivisionError(f"rank {rank}")
+
+    before = threading.active_count()
+    with _Team(3) as team:
+        assert threading.active_count() == before + 2
+        with pytest.raises(ZeroDivisionError, match="rank 2"):
+            team.run(task, 2)
+        assert sorted(ran) == [0, 1, 2]  # the caller waited for every helper
+        team.run(task, None)  # and the team still runs after the error
+        with pytest.raises(ZeroDivisionError, match="rank 0"):
+            team.run(task, 0)
+    assert sorted(ran) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_solve_or_a_cli_session(monkeypatch, tmp_path):
+    before = threading.active_count()
+    assert run_command(["-C", str(tmp_path), "scenario", "run", "snake2d"],
+                       out=io.StringIO()) == 0  # fixed: tasks only
+    assert threading.active_count() == before
+    monkeypatch.setattr(workloads, "_cpu_count", lambda: 2)
+    grid = unit_cube_grid(32)
+    solve_cg(grid, manufactured_solution(grid)[1])
+    assert threading.active_count() == before
+    with pytest.raises(MaxIterExceeded):
+        solve_cg(grid, np.ones(grid.shape), max_iter=2)
+    assert threading.active_count() == before

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from batchsim.batch import BatchService
+from batchsim.catalog import default_catalog
 from batchsim.cli import _safe_extract, run_command
 from batchsim.config import serialize_config_dir
 from batchsim.errors import CorruptArchive, TaskTooWide
@@ -310,8 +311,8 @@ def test_rerun_after_interrupted_commit_matches_uninterrupted_session(tmp_path, 
         if argv[:2] == ["jobs", "add"]:
             before = events.stat().st_size
             monkeypatch.setattr(WorkspaceStore, "save", save_failing_once)
-            with pytest.raises(OSError):
-                cli(interrupted, *argv)
+            code, _, err = cli(interrupted, *argv)
+            assert (code, err) == (2, "error: no space left on device\n")
             assert events.stat().st_size > before  # the job's events were appended
         ok(interrupted, *argv)
     assert tree(interrupted) == tree(plain)
@@ -399,8 +400,8 @@ def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
     kept = {k: v for k, v in tree(workdir).items()
             if k == "ledger.tsv" or k.startswith("configs/")}
     monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
-    with pytest.raises(OSError):
-        cli(workdir, *argv)
+    code, _, err = cli(workdir, *argv)
+    assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
     assert {k: v for k, v in tree(workdir).items()
             if k == "ledger.tsv" or k.startswith("configs/")} == kept
@@ -416,8 +417,8 @@ def test_failed_workspace_init_save_leaves_tree_as_it_was(workdir, monkeypatch, 
         (workdir / ".batchsim" / "notes.txt").write_text("kept\n")
     before = tree(workdir)
     monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
-    with pytest.raises(OSError):
-        cli(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    code, _, err = cli(workdir, "workspace", "init", "--configdir", "config_shipyard")
+    assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
     assert (workdir / ".batchsim").exists() is existing
     assert tree(workdir) == before
@@ -436,6 +437,7 @@ CATALOGS = {
     "missing-catalog": None,
     "unparseable-catalog": "skus: [unclosed\n",
     "scalar-skus": "skus: 5\n",
+    "dated-catalog": yaml.safe_dump(default_catalog().to_document()) + "updated: 2020-01-01\n",
 }
 USER_FILE_ERRORS = [
     *[(["data", "ingress", "--configdir", "config_shipyard", "--manifest", "user.yaml"], text)
@@ -459,6 +461,8 @@ def test_bad_user_file_exits_2_without_mutation(workdir, argv, text):
     code, _, err = cli(workdir, *argv)
     assert code == 2, err
     assert err.startswith("error: ") and "user.yaml" in err
+    if argv[0] == "workspace":
+        assert err.startswith("error: unreadable catalog ../user.yaml: ")
     assert tree(workdir) == before
 
 

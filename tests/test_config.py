@@ -52,6 +52,17 @@ def test_every_shipped_config_dir_parses():
         parse_config_dir(directory, CATALOG)
 
 
+def test_malformed_yaml_diagnostic(tmp_path):
+    """The parser's own message, with its line and column, follows the document's path."""
+    _write_example(tmp_path)
+    path = tmp_path / "jobs.yaml"
+    path.write_text("job:\n  id: x\n   pool: y\n")
+    with pytest.raises(SchemaError) as err:
+        parse_config_dir(tmp_path, CATALOG)
+    assert str(err.value) == (f"{path}: key '<document>': not parseable: mapping values are "
+                              f"not allowed in this context\n  in \"{path}\", line 3, column 8")
+
+
 def test_missing_document(tmp_path):
     _write_example(tmp_path)
     (tmp_path / "pool.yaml").unlink()

@@ -94,8 +94,10 @@ def test_a_snapshot_write_cut_short_stores_nothing(tmp_path, monkeypatch):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(cli, "serialize_config_dir", cut_short)
-    with pytest.raises(OSError):
-        cli.run_command(["-C", str(tmp_path), "pool", "add", "--configdir", "other"])
+    err = io.StringIO()
+    assert cli.run_command(["-C", str(tmp_path), "pool", "add", "--configdir", "other"],
+                           out=io.StringIO(), err=err) == 2
+    assert err.getvalue() == "error: no space left on device\n"
     monkeypatch.undo()
     assert len(snapshots(tmp_path)) == 1
     ok(tmp_path, "jobs", "add", "--configdir", "other")
