@@ -43,6 +43,10 @@ class UsageError(Exception):
     pass
 
 
+class CommittedWriteError(Exception):
+    """A write after state.json was renamed in failed: the command is recorded all the same."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -195,10 +199,17 @@ class Cli:
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
 
-    def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None):
-        """Write a command's results to .batchsim/. Renaming state.json in commits them; only
-        the events.log append, which the next command cuts back, comes before it. A command
-        that loaded `bundle` records `--configdir` of its snapshot, written after the rename."""
+    def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None,
+               manifest: tuple[str, list] | None = None):
+        """Write a command's results to .batchsim/. Renaming state.json in commits them.
+
+        Before the rename come the events.log append, which the next command cuts
+        back, and the files the new transcript entry names: the snapshot of a loaded
+        `bundle` (its recorded `--configdir`) and an ingress `manifest` (path, rows);
+        a failed rename removes those that this call created. Only ledger.tsv, which
+        each command rewrites whole, comes after it: its failure raises
+        CommittedWriteError, as the command is then already recorded.
+        """
         state["service"] = statemod.service_to_doc(svc)
         if bundle is not None:
             snapshot = statemod.config_snapshot(bundle)
@@ -207,17 +218,39 @@ class Cli:
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
         state["events_bytes"] = self.store.append_events(svc.event_log.lines())
-        self.store.save(state)
-        self.store.write_ledger(billing.export_tsv(svc.ledger))
-        if bundle is not None:
-            self.write_snapshot(snapshot, bundle)
+        created = []  # files and dirs this call made, taken back if the commit fails
+        try:
+            if bundle is not None and self.write_snapshot(snapshot, bundle):
+                created.append(self.root / snapshot)
+            if manifest is not None:
+                path = self.root / manifest[0]
+                if not path.exists():
+                    created.append(path)
+                self.store.ingress_dir.mkdir(exist_ok=True)
+                with open(path, "w") as fh:
+                    json.dump({"entries": [list(row) for row in manifest[1]]}, fh, indent=1)
+                    fh.write("\n")
+            self.store.save(state)
+        except BaseException:
+            for path in created:
+                if path.is_dir():
+                    shutil.rmtree(path, ignore_errors=True)
+                else:
+                    path.unlink(missing_ok=True)
+            raise
+        try:
+            self.store.write_ledger(billing.export_tsv(svc.ledger))
+        except OSError as exc:
+            raise CommittedWriteError(
+                f"command committed, but writing ledger.tsv failed: {exc}") from exc
 
-    def write_snapshot(self, snapshot: str, bundle: ConfigBundle, catalog_doc=None):
-        """Store `bundle` (and a catalog) at `snapshot` unless an earlier command did. The
-        files go to a temporary dir renamed into place, so a stored snapshot is whole."""
+    def write_snapshot(self, snapshot: str, bundle: ConfigBundle, catalog_doc=None) -> bool:
+        """Store `bundle` (and a catalog) at `snapshot` unless an earlier command did; True
+        if this call stored it. The files go to a temporary dir renamed into place, so a
+        stored snapshot is whole."""
         path = self.root / snapshot
         if path.is_dir():
-            return
+            return False
         tmp = path.with_name(f".{path.name}.tmp")
         try:
             serialize_config_dir(bundle, tmp)
@@ -228,6 +261,7 @@ class Cli:
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
+        return True
 
     # -- config plumbing ----------------------------------------------------
 
@@ -422,11 +456,8 @@ def cmd_data_ingress(cli: Cli, args) -> int:
     seq = state["ingress_seq"] + 1
     state["ingress_seq"] = seq
     manifest_rel = f"{STATE_DIR}/ingress/{seq:04d}.json"
-    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle)
-    cli.store.ingress_dir.mkdir(exist_ok=True)
-    with open(cli.root / manifest_rel, "w") as fh:
-        json.dump({"entries": [list(row) for row in manifest]}, fh, indent=1)
-        fh.write("\n")
+    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle,
+               (manifest_rel, manifest))
     cli.say(f"ingress complete: {len(manifest)} files, {total} bytes into "
             + ", ".join(f"{s}/{d}" for s, d in targets))
     return 0
@@ -661,11 +692,13 @@ def run_command(argv, out=None, err=None, *, raising=False) -> int:
         if raising:
             raise UsageError(f"command exited without running: {' '.join(argv)}") from None
         return int(exc.code or 0)
-    except (UsageError, ValidationError, SimulationError, OSError) as exc:  # OSError: failed I/O
+    except (UsageError, ValidationError, SimulationError, CommittedWriteError,
+            OSError) as exc:  # OSError: failed I/O before the commit
         if raising:
             raise
         code, label = ((64, "usage error") if isinstance(exc, UsageError)
                        else (3, "simulation error") if isinstance(exc, SimulationError)
+                       else (4, "error") if isinstance(exc, CommittedWriteError)
                        else (2, "error"))
         print(f"{label}: {exc}", file=err)
         return code

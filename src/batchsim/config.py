@@ -97,13 +97,13 @@ class ConfigBundle:
 
 
 def load_yaml(stream):
-    """One YAML document, parsed by libyaml's safe loader where PyYAML has it."""
-    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    """One YAML document, parsed by libyaml's safe loader (PyYAML must be built with it)."""
+    return yaml.load(stream, Loader=yaml.CSafeLoader)
 
 
 def dump_yaml(doc, stream):
-    """`doc` as YAML, keys in their order, by libyaml's safe dumper where PyYAML has it."""
-    yaml.dump(doc, stream, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
+    """`doc` as YAML, keys in their order, by libyaml's safe dumper."""
+    yaml.dump(doc, stream, Dumper=yaml.CSafeDumper, sort_keys=False)
 
 
 def _load_doc(directory: Path, name: str) -> dict:

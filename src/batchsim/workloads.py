@@ -201,11 +201,20 @@ def _slab_planes(shape: tuple[int, ...]) -> int:
     return max(1, SLAB_BYTES // plane_bytes)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: the most threads one CG solve sweeps with."""
+# The most threads one CG solve sweeps with. Two threads were measured faster
+# than one on a 2-vCPU Xeon; more have not been measured, so wider hosts leave
+# the other CPUs idle.
+MAX_SWEEP_THREADS = 2
+
+
+def _sweep_threads() -> int:
+    """Threads one CG solve sweeps with: one per CPU this process may run on, up to
+    MAX_SWEEP_THREADS. A CPU quota set by a cgroup is not seen here."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # platforms without CPU affinity
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1  # platforms without CPU affinity
+    return min(cpus, MAX_SWEEP_THREADS)
 
 
 class _Team:
@@ -214,11 +223,13 @@ class _Team:
     `run(task, *args)` calls task(0, *args) on the caller and task(k, *args)
     on helper k, and returns once all of them have; the first exception any
     of them raised is raised in the caller. Helpers start on entering the
-    `with` block and are joined on leaving it. A team of size 1 starts none.
+    `with` block and are joined on leaving it, as are those started before a
+    start that fails. A team of size 1 starts none.
     """
 
     def __init__(self, size: int):
         self.size = size
+        self._started = 0
         self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
         self._done: queue.SimpleQueue = queue.SimpleQueue()
         self._threads = [threading.Thread(target=self._serve, args=(rank, inbox), daemon=True,
@@ -226,14 +237,19 @@ class _Team:
                          for rank, inbox in enumerate(self._inboxes, start=1)]
 
     def __enter__(self) -> "_Team":
-        for thread in self._threads:
-            thread.start()
+        try:
+            for thread in self._threads:
+                thread.start()
+                self._started += 1
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc_info):
-        for inbox in self._inboxes:
+        for inbox in self._inboxes[:self._started]:
             inbox.put(None)
-        for thread in self._threads:
+        for thread in self._threads[:self._started]:
             thread.join()
 
     def _serve(self, rank: int, inbox: queue.SimpleQueue):
@@ -335,24 +351,25 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
 
     The iterate, residual, direction and operator-product arrays are
     allocated once. The stencil and the vector updates run in place, slab by
-    slab along axis 0, on one thread per CPU this process may use (at most
-    one per slab): the calling thread sweeps the first range of planes and
-    helper threads, which live only as long as the solve, sweep the others,
-    each update through its own slab-sized scratch buffer. Every element is
-    computed by the same operations whichever thread sweeps it, and each
-    update rounds as the textbook expressions do (x + alpha*p, r - alpha*ap,
-    r + beta*p), so the iterates do not depend on the CPU count. Both
-    reductions are numpy dots over whole flattened arrays on the calling
-    thread, so identical inputs give bit-identical iterates for a fixed BLAS
-    thread count: the dot's summation order, and so the iteration count, can
-    change with OPENBLAS_NUM_THREADS. The convergence test uses the
-    recurrence residual, as iterative solver libraries do.
+    slab along axis 0, on one thread per CPU this process may use, up to
+    MAX_SWEEP_THREADS and one per slab: the calling thread sweeps the first
+    range of planes and helper threads, which live only as long as the
+    solve, sweep the others, each update through its own slab-sized scratch
+    buffer. Every element is computed by the same operations whichever
+    thread sweeps it, and each update rounds as the textbook expressions do
+    (x + alpha*p, r - alpha*ap, r + beta*p), so the iterates do not depend
+    on the thread count. Both reductions are numpy dots over whole flattened
+    arrays on the calling thread, so identical inputs give bit-identical
+    iterates for a fixed BLAS thread count: the dot's summation order, and
+    so the iteration count, can change with OPENBLAS_NUM_THREADS. The
+    convergence test uses the recurrence residual, as iterative solver
+    libraries do.
     """
     if rhs.shape != grid.shape:
         raise ShapeMismatch(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
     b = np.asarray(rhs, dtype=np.float64)
     step = _slab_planes(grid.shape)
-    workers = min(_cpu_count(), -(-grid.nx // step))  # at most one thread per slab
+    workers = min(_sweep_threads(), -(-grid.nx // step))  # at most one thread per slab
     slabs = _rank_slabs(grid.nx, step, workers)
     scratch = [np.empty((step,) + grid.shape[1:]) for _ in slabs]
 

@@ -179,9 +179,9 @@ def test_stencil_out_shape_checked():
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
-def test_cg_matches_allocating_solver_on_any_cpu_count(monkeypatch, shape, workers):
+def test_cg_matches_allocating_solver_on_any_sweep_threads(monkeypatch, shape, workers):
     """Shapes with fewer slabs than CPUs included: a solve uses at most one thread per slab."""
-    monkeypatch.setattr(workloads, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(workloads, "_sweep_threads", lambda: workers)
     grid = _grid(*shape)
     _assert_same_solve(grid, np.random.default_rng(sum(shape) + workers).standard_normal(shape))
 
@@ -200,7 +200,7 @@ def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
     """Five threads on any host, handing the interpreter lock over every 10 us."""
     grid = _grid(*SHAPES["one-plane-slabs"])
     rng = np.random.default_rng(6)
-    monkeypatch.setattr(workloads, "_cpu_count", lambda: 5)
+    monkeypatch.setattr(workloads, "_sweep_threads", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -219,15 +219,41 @@ def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
     assert new.value.best_residual == old.value.best_residual
 
 
-def test_cg_sweeps_with_one_thread_per_cpu_up_to_one_per_slab(monkeypatch):
+def test_cg_team_has_the_sweep_threads_up_to_one_per_slab(monkeypatch):
     sizes = []
     monkeypatch.setattr(workloads, "_Team", lambda size: sizes.append(size) or _Team(size))
     for workers in (2, 5):
-        monkeypatch.setattr(workloads, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(workloads, "_sweep_threads", lambda: workers)
         for name in ("one-plane-slabs", "tiny"):
             with contextlib.suppress(MaxIterExceeded):
                 solve_cg(_grid(*SHAPES[name]), np.ones(SHAPES[name]), max_iter=1)
     assert sizes == [2, 1, 5, 1]
+
+
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
+def test_sweep_threads_are_the_cpus_up_to_the_measured_cap(monkeypatch, cpus, threads):
+    monkeypatch.setattr(workloads.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert workloads._sweep_threads() == threads
+
+
+def test_a_failed_helper_start_stops_the_helpers_already_started(monkeypatch):
+    real_start = threading.Thread.start
+    starts = []
+
+    def start_failing_on_the_second(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", start_failing_on_the_second)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        with _Team(4):
+            pytest.fail("the block ran without its helpers")
+    monkeypatch.undo()
+    assert len(starts) == 2
+    assert threading.active_count() == before
 
 
 def test_an_error_in_a_helper_reaches_the_caller():
@@ -256,7 +282,7 @@ def test_no_thread_outlives_a_solve_or_a_cli_session(monkeypatch, tmp_path):
     assert run_command(["-C", str(tmp_path), "scenario", "run", "snake2d"],
                        out=io.StringIO()) == 0  # fixed: tasks only
     assert threading.active_count() == before
-    monkeypatch.setattr(workloads, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(workloads, "_sweep_threads", lambda: 2)
     grid = unit_cube_grid(32)
     solve_cg(grid, manufactured_solution(grid)[1])
     assert threading.active_count() == before

@@ -389,24 +389,51 @@ def _failing_save(store, state):
 
 
 @pytest.mark.parametrize("argv", [["pool", "del", "--configdir", "config_shipyard"],
-                                  ["pool", "add", "--configdir", "poisson"]],
-                         ids=["pool-del", "pool-add-other-configdir"])
+                                  ["pool", "add", "--configdir", "poisson"],
+                                  ["data", "ingress", "--configdir", "config_shipyard",
+                                   "--source", "config_shipyard/inputs"]],
+                         ids=["pool-del", "pool-add-other-configdir", "data-ingress"])
 def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
-    """state.json commits a command; ledger.tsv and configs/ are written after it."""
+    """state.json commits a command: a failed save takes back the snapshot and ingress
+    manifest written before it and leaves ledger.tsv, written after it, as it was. Only
+    events.log differs, and the next command cuts it back."""
     for step in sequence()[:7]:  # through jobs add; the pool is still up
         ok(workdir, *step)
     shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
     ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "200")
-    kept = {k: v for k, v in tree(workdir).items()
-            if k == "ledger.tsv" or k.startswith("configs/")}
+    kept = {k: v for k, v in tree(workdir).items() if k != "events.log"}
     monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
     code, _, err = cli(workdir, *argv)
     assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
-    assert {k: v for k, v in tree(workdir).items()
-            if k == "ledger.tsv" or k.startswith("configs/")} == kept
+    assert {k: v for k, v in tree(workdir).items() if k != "events.log"} == kept
+    ok(workdir, *argv)
     ok(workdir, "repro", "pack")
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
+
+
+def test_failed_ledger_write_after_the_commit_exits_4(workdir, monkeypatch):
+    """ledger.tsv is written after state.json is renamed in: its failure reports the
+    command as committed (exit 4), and the next command writes the whole ledger."""
+    for step in sequence()[:4]:
+        ok(workdir, *step)
+
+    def failing_ledger(store, tsv):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(WorkspaceStore, "write_ledger", failing_ledger)
+    code, _, err = cli(workdir, *sequence()[4])  # pool add
+    assert (code, err) == (4, "error: command committed, but writing ledger.tsv failed: "
+                              "no space left on device\n")
+    monkeypatch.undo()
+    state = json.loads((workdir / ".batchsim" / "state.json").read_text())
+    assert state["transcript"][-1][:2] == ["pool", "add"]
+    for step in sequence()[5:]:
+        ok(workdir, *step)
+    plain = workdir / "plain"
+    shutil.copytree(EXAMPLE_DIR, plain / "config_shipyard")
+    full_sequence(plain)
+    assert tree(workdir) == tree(plain)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["no-batchsim-dir", "stray-file"])

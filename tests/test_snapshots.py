@@ -2,6 +2,7 @@
 `--configdir .batchsim/configs/<id>`, and each distinct bundle is stored once."""
 
 import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -79,9 +80,14 @@ def test_run_scenario_writes_its_snapshot_once(tmp_path, monkeypatch):
     assert len(snapshots(tmp_path)) == 1
 
 
+def transcript(root) -> list:
+    return json.loads((Path(root) / ".batchsim" / "state.json").read_text())["transcript"]
+
+
 def test_a_snapshot_write_cut_short_stores_nothing(tmp_path, monkeypatch):
-    """A snapshot write that fails leaves no configs/<id>/, so the next command that loads
-    the same documents writes it again instead of trusting a partial one."""
+    """A snapshot write that fails leaves no configs/<id>/ and commits nothing (exit 2), so
+    the command can be run again, and it writes the snapshot instead of trusting a partial
+    one."""
     shutil.copytree(REPO_ROOT / "configs" / "snake2d2k35", tmp_path / "cfg")
     shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", tmp_path / "other")
     ok(tmp_path, "workspace", "init", "--configdir", "cfg")
@@ -100,6 +106,9 @@ def test_a_snapshot_write_cut_short_stores_nothing(tmp_path, monkeypatch):
     assert err.getvalue() == "error: no space left on device\n"
     monkeypatch.undo()
     assert len(snapshots(tmp_path)) == 1
+    assert [argv[:2] for argv in transcript(tmp_path)] == [["workspace", "init"],
+                                                          ["quota", "set"]]
+    ok(tmp_path, "pool", "add", "--configdir", "other")
     ok(tmp_path, "jobs", "add", "--configdir", "other")
     assert len(snapshots(tmp_path)) == 2
     assert pack_and_verify(tmp_path).startswith("PASS")
