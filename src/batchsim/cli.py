@@ -2,8 +2,8 @@
 
 One command per process invocation; persistent state lives under
 .batchsim/ in the working directory (or the directory given with -C).
-Exit codes: 0 success, 2 validation error (state unchanged), 3 simulation
-error, 64 usage error.
+Exit codes: 0 success, 2 validation error or failed I/O, 3 simulation error,
+64 usage error; a non-zero exit leaves .batchsim/ as it was.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class UsageError(Exception):
     pass
 
 
-class CommittedWriteError(Exception):
-    """A write after state.json was renamed in failed: the command is recorded all the same."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -75,14 +71,15 @@ def build_parser() -> _Parser:
 
     ws = top.add_parser("workspace").add_subparsers(dest="cmd", required=True)
     init = ws.add_parser("init", help="create a workspace from a config directory")
+    opt = ServiceOptions()  # the defaults
     init.add_argument("--configdir")
-    init.add_argument("--seed", type=int, default=0)
+    init.add_argument("--seed", type=int, default=opt.seed)
     init.add_argument("--catalog", help="catalog override document (YAML)")
-    init.add_argument("--interconnect", choices=sorted(INTERCONNECTS), default="azure")
-    init.add_argument("--preemption-rate", type=_number(float, 0), default=0.05,
+    init.add_argument("--interconnect", choices=sorted(INTERCONNECTS), default=opt.interconnect)
+    init.add_argument("--preemption-rate", type=_number(float, 0), default=opt.preemption_rate,
                       help="low-priority preemptions per node-hour")
-    init.add_argument("--image-pull-seconds", type=_number(float, 0), default=120.0)
-    init.add_argument("--task-retries", type=_number(int, 0), default=0,
+    init.add_argument("--image-pull-seconds", type=_number(float, 0), default=opt.image_pull_seconds)
+    init.add_argument("--task-retries", type=_number(int, 0), default=opt.task_retries,
                       help="automatic retries after preemption (default 0)")
     init.add_argument("--scarcity", nargs=2, type=_number(float), action="append", default=[],
                       metavar=("START", "END"),
@@ -182,86 +179,78 @@ class Cli:
         size = state.get("events_bytes")
         if not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0:
             raise ValidationError("corrupt state: not a workspace state document")
-        # commit appends to events.log before it renames state.json in: drop
-        # the lines of a command that failed in between
+        # commit appends to events.log before it renames state.json in, and cuts it back
+        # if a write fails: drop the lines of a command killed in between
         self.store.truncate_events(size)
         return state
 
-    def catalog_from_state(self, state: dict) -> Catalog:
-        doc = state.get("catalog_doc")
-        return Catalog.from_document(doc) if doc else default_catalog()
-
-    def service_from_state(self, state: dict):
+    def load(self):
+        """The workspace's state document and the service rehydrated from it."""
+        state = self.require_state()
         try:
+            doc = state["catalog_doc"]
+            catalog = Catalog.from_document(doc) if doc else default_catalog()
             options = ServiceOptions.from_doc(state["options"])
-            return statemod.service_from_doc(state["service"], options,
-                                             self.catalog_from_state(state))
+            return state, statemod.service_from_doc(state["service"], options, catalog)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
 
     def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None,
-               manifest: tuple[str, list] | None = None):
-        """Write a command's results to .batchsim/. Renaming state.json in commits them.
+               manifest: tuple[str, list] | None = None, catalog_doc: dict | None = None):
+        """Write a command's results to .batchsim/, all or nothing.
 
-        Before the rename come the events.log append, which the next command cuts
-        back, and the files the new transcript entry names: the snapshot of a loaded
-        `bundle` (its recorded `--configdir`) and an ingress `manifest` (path, rows);
-        a failed rename removes those that this call created. Only ledger.tsv, which
-        each command rewrites whole, comes after it: its failure raises
-        CommittedWriteError, as the command is then already recorded.
+        Renaming state.json in commits them, and every other write comes before it: the
+        events.log append, ledger.tsv, the snapshot of a loaded `bundle` (with init's
+        `catalog_doc`), which its recorded `--configdir` names, and an ingress `manifest`
+        (path, rows). If a write or the rename fails, each is taken back: events.log is
+        cut back to its size at the start, ledger.tsv and the manifest get their old bytes
+        or are removed if new, and each directory this call created is removed.
         """
         state["service"] = statemod.service_to_doc(svc)
+        snapshot = None
         if bundle is not None:
-            snapshot = statemod.config_snapshot(bundle)
-            recorded_argv = [*recorded_argv, "--configdir", snapshot]
+            recorded_argv = [*recorded_argv, "--configdir",
+                             statemod.config_snapshot(bundle, catalog_doc)]
+            snapshot = self.root / recorded_argv[-1]
         state["transcript"].append(recorded_argv)
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
-        state["events_bytes"] = self.store.append_events(svc.event_log.lines())
-        created = []  # files and dirs this call made, taken back if the commit fails
+        store, events = self.store, self.store.events_path
+        created = [d for d in (store.dir, store.configs_dir, store.ingress_dir) if not d.is_dir()]
+        events_size = events.stat().st_size if events.is_file() else None
+        manifest_path = self.root / manifest[0] if manifest else None
+        kept = {path: path.read_bytes() if path.is_file() else None
+                for path in (store.ledger_path, manifest_path) if path is not None}
         try:
-            if bundle is not None and self.write_snapshot(snapshot, bundle):
-                created.append(self.root / snapshot)
+            lines = svc.event_log.lines()
+            if lines:  # init logs none: it records events_bytes 0 beside a stray events.log
+                state["events_bytes"] = store.append_events(lines)
+            if snapshot is not None and not snapshot.is_dir():  # stored once per bundle
+                # in a temporary dir renamed into place, so a stored snapshot is whole
+                tmp = snapshot.with_name(f".{snapshot.name}.tmp")
+                created += [tmp, snapshot]
+                serialize_config_dir(bundle, tmp)
+                if catalog_doc is not None:
+                    with open(tmp / "catalog.yaml", "w") as fh:
+                        dump_yaml(catalog_doc, fh)
+                os.replace(tmp, snapshot)
             if manifest is not None:
-                path = self.root / manifest[0]
-                if not path.exists():
-                    created.append(path)
-                self.store.ingress_dir.mkdir(exist_ok=True)
-                with open(path, "w") as fh:
-                    json.dump({"entries": [list(row) for row in manifest[1]]}, fh, indent=1)
-                    fh.write("\n")
-            self.store.save(state)
+                store.write_manifest(manifest_path, manifest[1])
+            store.write_ledger(billing.export_tsv(svc.ledger))
+            store.save(state)
         except BaseException:
-            for path in created:
-                if path.is_dir():
-                    shutil.rmtree(path, ignore_errors=True)
-                else:
+            if events_size is None:
+                events.unlink(missing_ok=True)
+            else:
+                store.truncate_events(events_size)
+            for path, data in kept.items():
+                if data is None:
                     path.unlink(missing_ok=True)
+                else:
+                    path.write_bytes(data)
+            for path in reversed(created):
+                shutil.rmtree(path, ignore_errors=True)
             raise
-        try:
-            self.store.write_ledger(billing.export_tsv(svc.ledger))
-        except OSError as exc:
-            raise CommittedWriteError(
-                f"command committed, but writing ledger.tsv failed: {exc}") from exc
-
-    def write_snapshot(self, snapshot: str, bundle: ConfigBundle, catalog_doc=None) -> bool:
-        """Store `bundle` (and a catalog) at `snapshot` unless an earlier command did; True
-        if this call stored it. The files go to a temporary dir renamed into place, so a
-        stored snapshot is whole."""
-        path = self.root / snapshot
-        if path.is_dir():
-            return False
-        tmp = path.with_name(f".{path.name}.tmp")
-        try:
-            serialize_config_dir(bundle, tmp)
-            if catalog_doc is not None:
-                with open(tmp / "catalog.yaml", "w") as fh:
-                    dump_yaml(catalog_doc, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        return True
 
     # -- config plumbing ----------------------------------------------------
 
@@ -291,10 +280,6 @@ def cmd_workspace_init(cli: Cli, args) -> int:
     if cli.store.exists():
         raise ValidationError(f"workspace already initialized in {cli.root}")
     catalog, catalog_doc = default_catalog(), None
-    recorded = ["workspace", "init", "--seed", str(args.seed), "--interconnect", args.interconnect,
-                "--preemption-rate", str(args.preemption_rate),
-                "--image-pull-seconds", str(args.image_pull_seconds),
-                "--task-retries", str(args.task_retries)]
     if args.catalog:
         try:
             with open(_relpath(Path(args.catalog), cli.resolve_configdir(args.configdir))) as fh:
@@ -304,34 +289,15 @@ def cmd_workspace_init(cli: Cli, args) -> int:
         except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError, ArithmeticError,
                 AttributeError) as exc:
             raise ValidationError(f"unreadable catalog {args.catalog}: {exc}") from None
-        recorded += ["--catalog", "catalog.yaml"]
-    bundle = parse_config_dir(cli.resolve_configdir(args.configdir), catalog)
-    options = ServiceOptions(
-        seed=args.seed,
-        interconnect=args.interconnect,
-        preemption_rate=args.preemption_rate,
-        image_pull_seconds=args.image_pull_seconds,
-        task_retries=args.task_retries,
-        scarcity_windows=tuple((a, b) for a, b in args.scarcity),
-    )
-    for a, b in args.scarcity:
-        recorded += ["--scarcity", str(a), str(b)]
-    snapshot = statemod.config_snapshot(bundle, catalog_doc)
-    recorded += ["--configdir", snapshot]
-    svc = statemod.build_service(options, catalog)
-    state = statemod.new_workspace_state(options, bundle, catalog_doc)
-    state["service"] = statemod.service_to_doc(svc)
-    state["transcript"].append(recorded)
-    created = not cli.store.dir.exists()
-    try:  # state.json first, as in Cli.commit; a failure takes back what was written
-        cli.store.save(state)
-        cli.write_snapshot(snapshot, bundle, catalog_doc)
-    except BaseException:
-        if created:
-            shutil.rmtree(cli.store.dir, ignore_errors=True)
-        else:
-            cli.store.state_path.unlink(missing_ok=True)
-        raise
+    bundle = cli.load_bundle(args.configdir, catalog)
+    options = ServiceOptions(seed=args.seed, interconnect=args.interconnect,
+                             preemption_rate=args.preemption_rate,
+                             image_pull_seconds=args.image_pull_seconds,
+                             task_retries=args.task_retries,
+                             scarcity_windows=tuple((a, b) for a, b in args.scarcity))
+    cli.commit(statemod.new_workspace_state(options, bundle, catalog_doc),
+               statemod.build_service(options, catalog),
+               options.init_argv(catalog=catalog_doc is not None), bundle, catalog_doc=catalog_doc)
     ws = bundle.workspace
     cli.say(f"workspace initialized: subscription={ws.subscription} "
             f"resource_group={ws.resource_group} region={ws.region} seed={args.seed}")
@@ -339,8 +305,7 @@ def cmd_workspace_init(cli: Cli, args) -> int:
 
 
 def cmd_storage_account_create(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     account = state["workspace"]["storage_account"]
     if state["storage_account_created"]:
         raise ValidationError(f"storage account already created: {account}")
@@ -352,10 +317,9 @@ def cmd_storage_account_create(cli: Cli, args) -> int:
 
 
 def cmd_share_create(cli: Cli, args) -> int:
-    state = cli.require_state()
+    state, svc = cli.load()
     if not state["storage_account_created"]:
         raise ValidationError("no storage account: run `batchsim storage account create`")
-    svc = cli.service_from_state(state)
     svc.storage.share_create(args.name, args.quota)
     svc.event_log.append(svc.clock.now, f"share/{args.name}", f"create:quota={args.quota}GiB")
     cli.commit(state, svc, ["share", "create", "--name", args.name,
@@ -365,8 +329,7 @@ def cmd_share_create(cli: Cli, args) -> int:
 
 
 def cmd_quota_set(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     svc.quota_set(args.region, args.dedicated, args.low_priority)
     low = svc.quotas[args.region].low_priority_cores
     recorded = ["quota", "set", "--region", args.region, "--dedicated", str(args.dedicated),
@@ -377,8 +340,7 @@ def cmd_quota_set(cli: Cli, args) -> int:
 
 
 def cmd_pool_add(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     plan = PricingPlan(args.plan)
     pool = svc.pool_add(bundle.pool, plan)
@@ -396,8 +358,7 @@ def cmd_pool_add(cli: Cli, args) -> int:
 
 
 def cmd_pool_del(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     bundle = None if args.pool else cli.load_bundle(args.configdir, svc.catalog)
     pool_id = args.pool or bundle.pool.pool_id
     svc.pool_del(pool_id)
@@ -432,8 +393,7 @@ def _scan_source(source: Path) -> list[tuple[str, int]]:
 
 
 def cmd_data_ingress(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     if args.source:
         manifest = _scan_source(_relpath(Path(args.source), cli.root))
@@ -464,8 +424,7 @@ def cmd_data_ingress(cli: Cli, args) -> int:
 
 
 def cmd_data_download(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     share, _, directory = args.source.partition("/")
     if not directory:
         raise ValidationError("--source must look like <share>/<directory>")
@@ -483,8 +442,7 @@ def cmd_data_download(cli: Cli, args) -> int:
 
 
 def cmd_jobs_add(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     job = svc.jobs_add(bundle.jobs)
     svc.advance_until_job_terminal(job.job_id)
@@ -497,8 +455,7 @@ def cmd_jobs_add(cli: Cli, args) -> int:
 
 
 def cmd_jobs_del(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    state, svc = cli.load()
     bundle = None if args.job else cli.load_bundle(args.configdir, svc.catalog)
     job_id = args.job or bundle.jobs.job_id
     svc.jobs_del(job_id)
@@ -509,8 +466,7 @@ def cmd_jobs_del(cli: Cli, args) -> int:
 
 
 def cmd_status(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    _, svc = cli.load()
     doc = svc.status()
     doc["shares"] = [
         {"name": s.name, "quota_gib": s.quota_gib, "used_bytes": s.used_bytes,
@@ -522,8 +478,7 @@ def cmd_status(cli: Cli, args) -> int:
 
 
 def cmd_ledger_report(cli: Cli, args) -> int:
-    state = cli.require_state()
-    svc = cli.service_from_state(state)
+    _, svc = cli.load()
     rows = billing.report(svc.ledger)
     cli.say(billing.render_report(rows).rstrip("\n"))
     total = svc.ledger.total()
@@ -571,11 +526,7 @@ def cmd_repro_pack(cli: Cli, args) -> int:
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
     config_digests = {p.relative_to(cli.store.configs_dir).as_posix(): sha256_file(p)
                       for p in sorted(cli.store.configs_dir.glob("*/*.yaml"))}
-    output_digests = {}
-    for name in OUTPUT_ARTIFACTS:
-        path = cli.store.dir / name
-        if path.exists():
-            output_digests[name] = sha256_file(path)
+    output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
         "digest_algorithm": DIGEST_ALGORITHM,
         "seed": state["options"]["seed"],
@@ -602,14 +553,21 @@ def cmd_repro_pack(cli: Cli, args) -> int:
 
 
 def _safe_extract(tar: tarfile.TarFile, dest: Path):
+    """Write the regular files and directories of `tar` under `dest`. A member of any other
+    kind (a link, a device) or one whose path leaves `dest` is CorruptArchive."""
     root = dest.resolve()
     for member in tar.getmembers():
-        if not (dest / member.name).resolve().is_relative_to(root):
+        path = (dest / member.name).resolve()
+        if not path.is_relative_to(root):
             raise CorruptArchive(f"archive member escapes extraction root: {member.name}")
-    try:
-        tar.extractall(dest, filter="data")
-    except TypeError:  # Python without the filter argument
-        tar.extractall(dest)
+        if member.isdir():
+            path.mkdir(parents=True, exist_ok=True)
+        elif member.isfile():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with tar.extractfile(member) as src, open(path, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+        else:
+            raise CorruptArchive(f"archive member is not a file or directory: {member.name}")
 
 
 def cmd_repro_verify(cli: Cli, args) -> int:
@@ -629,6 +587,9 @@ def cmd_repro_verify(cli: Cli, args) -> int:
             expected = manifest["output_digests"]
         except (tarfile.TarError, OSError, json.JSONDecodeError, KeyError, EOFError) as exc:
             raise CorruptArchive(f"not a readable package: {exc}") from None
+        if not isinstance(expected, dict) or not expected.keys() >= set(OUTPUT_ARTIFACTS):
+            raise CorruptArchive("not a package of a completed run: it must digest "
+                                 + " and ".join(OUTPUT_ARTIFACTS))
         workdir = tmpdir / "replay"
         workdir.mkdir()
         for name in ("configs", "ingress"):  # the files that recorded commands name
@@ -641,15 +602,13 @@ def cmd_repro_verify(cli: Cli, args) -> int:
             return 3
         replay_store = WorkspaceStore(workdir)
         for name in OUTPUT_ARTIFACTS:
-            if name not in expected:
-                continue
             path = replay_store.dir / name
             actual = sha256_file(path) if path.exists() else "<missing>"
             if actual != expected[name]:
                 cli.say(f"FAIL: first divergence at {name}: expected {expected[name]}, "
                         f"got {actual}")
                 return 3
-        cli.say(f"PASS: {len(expected)} artifacts reproduced "
+        cli.say(f"PASS: {len(OUTPUT_ARTIFACTS)} artifacts reproduced "
                 f"({DIGEST_ALGORITHM}, seed {manifest['seed']})")
     return 0
 
@@ -692,13 +651,12 @@ def run_command(argv, out=None, err=None, *, raising=False) -> int:
         if raising:
             raise UsageError(f"command exited without running: {' '.join(argv)}") from None
         return int(exc.code or 0)
-    except (UsageError, ValidationError, SimulationError, CommittedWriteError,
-            OSError) as exc:  # OSError: failed I/O before the commit
+    except (UsageError, ValidationError, SimulationError,
+            OSError) as exc:  # OSError: failed I/O, which commits nothing
         if raising:
             raise
         code, label = ((64, "usage error") if isinstance(exc, UsageError)
                        else (3, "simulation error") if isinstance(exc, SimulationError)
-                       else (4, "error") if isinstance(exc, CommittedWriteError)
                        else (2, "error"))
         print(f"{label}: {exc}", file=err)
         return code

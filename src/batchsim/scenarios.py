@@ -117,9 +117,7 @@ def transcript(scenario: Scenario, seed: int) -> list[list[str]]:
     low = catalog.default_quota(scenario.pool.region).low_priority_cores
     cfg = ["--configdir", config_snapshot(scenario.bundle())]
     return [
-        ["workspace", "init", "--seed", str(seed), "--interconnect", "azure",
-         "--preemption-rate", "0.05", "--image-pull-seconds", "120.0", "--task-retries", "0",
-         *cfg],
+        [*ServiceOptions(seed=seed).init_argv(), *cfg],
         ["storage", "account", "create"],
         ["share", "create", "--name", SHARE_NAME, "--quota", str(SHARE_QUOTA_GIB)],
         ["quota", "set", "--region", scenario.pool.region,

@@ -89,6 +89,18 @@ class ServiceOptions:
             scarcity_windows=tuple((float(a), float(b)) for a, b in doc["scarcity_windows"]),
         )
 
+    def init_argv(self, catalog: bool = False) -> list[str]:
+        """`workspace init` as a transcript records it: every option, defaults included."""
+        argv = ["workspace", "init", "--seed", str(self.seed), "--interconnect", self.interconnect,
+                "--preemption-rate", str(self.preemption_rate),
+                "--image-pull-seconds", str(self.image_pull_seconds),
+                "--task-retries", str(self.task_retries)]
+        if catalog:
+            argv += ["--catalog", "catalog.yaml"]
+        for start, end in self.scarcity_windows:
+            argv += ["--scarcity", str(start), str(end)]
+        return argv
+
 
 def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) -> BatchService:
     model = INTERCONNECTS[options.interconnect]
@@ -355,13 +367,9 @@ class WorkspaceStore:
 
     def append_events(self, lines: list[str]) -> int:
         """Append `lines` to events.log; returns its size in bytes afterwards."""
-        if lines:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            with open(self.events_path, "a") as fh:
-                fh.write("\n".join(lines) + "\n")
-        with contextlib.suppress(FileNotFoundError):
-            return self.events_path.stat().st_size
-        return 0
+        with open(self.events_path, "a") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return self.events_path.stat().st_size
 
     def truncate_events(self, size: int):
         """Cut events.log back to `size` bytes, dropping lines of an uncommitted command."""
@@ -373,9 +381,16 @@ class WorkspaceStore:
         with self._replacing(self.ledger_path) as fh:
             fh.write(tsv)
 
+    def write_manifest(self, path: Path, rows: list):
+        """Write an ingress manifest of (path, bytes) rows, as `--manifest` reads it."""
+        self.ingress_dir.mkdir(parents=True, exist_ok=True)
+        with self._replacing(path) as fh:
+            json.dump({"entries": [list(row) for row in rows]}, fh, indent=1)
+            fh.write("\n")
+
     @contextlib.contextmanager
     def _replacing(self, path: Path):
-        """Write a temporary file in .batchsim/, then move it over `path`.
+        """Write a temporary file beside `path`, then move it over `path`.
 
         A reader sees the old file or the new one, never a partial write; on
         failure the temporary file is removed and `path` is untouched.

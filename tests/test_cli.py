@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from batchsim import cli as climod
 from batchsim.batch import BatchService
 from batchsim.catalog import default_catalog
 from batchsim.cli import _safe_extract, run_command
@@ -94,10 +95,11 @@ def test_usage_error_exit_64(tmp_path):
 
 
 def tree(workdir) -> dict:
-    """Every file under .batchsim/ with its bytes."""
+    """.batchsim/ and every directory (None) and file (its bytes) under it."""
     store = Path(workdir) / ".batchsim"
-    return {p.relative_to(store).as_posix(): p.read_bytes()
-            for p in sorted(store.rglob("*")) if p.is_file()}
+    paths = [store, *sorted(store.rglob("*"))] if store.exists() else []
+    return {p.relative_to(store).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in paths}
 
 
 def test_validation_failure_leaves_state_unchanged(workdir):
@@ -294,8 +296,8 @@ def test_corrupt_task_row_exits_2_without_mutation(workdir, index, value):
 
 
 def test_rerun_after_interrupted_commit_matches_uninterrupted_session(tmp_path, monkeypatch):
-    """`jobs add` appends to events.log, then its state save fails; the rerun must
-    not log the job twice."""
+    """`jobs add` appends to events.log, then its state save fails: the commit cuts the
+    job's lines back, and the rerun logs them once."""
     plain, interrupted = tmp_path / "plain", tmp_path / "interrupted"
     for root in (plain, interrupted):
         shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
@@ -313,7 +315,7 @@ def test_rerun_after_interrupted_commit_matches_uninterrupted_session(tmp_path, 
             monkeypatch.setattr(WorkspaceStore, "save", save_failing_once)
             code, _, err = cli(interrupted, *argv)
             assert (code, err) == (2, "error: no space left on device\n")
-            assert events.stat().st_size > before  # the job's events were appended
+            assert events.stat().st_size == before  # the job's lines were cut back
         ok(interrupted, *argv)
     assert tree(interrupted) == tree(plain)
     state = json.loads((plain / ".batchsim" / "state.json").read_text())
@@ -384,7 +386,7 @@ def test_failed_scenario_leaves_no_workspace(tmp_path, monkeypatch):
     assert not (tmp_path / ".batchsim").exists()
 
 
-def _failing_save(store, state):
+def _no_space(*args):
     raise OSError("no space left on device")
 
 
@@ -402,7 +404,7 @@ def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
     shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
     ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "200")
     kept = {k: v for k, v in tree(workdir).items() if k != "events.log"}
-    monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
+    monkeypatch.setattr(WorkspaceStore, "save", _no_space)
     code, _, err = cli(workdir, *argv)
     assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
@@ -412,27 +414,141 @@ def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
-def test_failed_ledger_write_after_the_commit_exits_4(workdir, monkeypatch):
-    """ledger.tsv is written after state.json is renamed in: its failure reports the
-    command as committed (exit 4), and the next command writes the whole ledger."""
+def test_failed_ledger_write_exits_2_and_records_nothing(workdir, monkeypatch):
+    """ledger.tsv is written before state.json is renamed in: its failure takes the command
+    back (exit 2), and the rerun gives the uninterrupted session."""
     for step in sequence()[:4]:
         ok(workdir, *step)
+    before = tree(workdir)
 
     def failing_ledger(store, tsv):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(WorkspaceStore, "write_ledger", failing_ledger)
     code, _, err = cli(workdir, *sequence()[4])  # pool add
-    assert (code, err) == (4, "error: command committed, but writing ledger.tsv failed: "
-                              "no space left on device\n")
+    assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
-    state = json.loads((workdir / ".batchsim" / "state.json").read_text())
-    assert state["transcript"][-1][:2] == ["pool", "add"]
-    for step in sequence()[5:]:
+    assert tree(workdir) == before
+    for step in sequence()[4:]:
         ok(workdir, *step)
     plain = workdir / "plain"
     shutil.copytree(EXAMPLE_DIR, plain / "config_shipyard")
     full_sequence(plain)
+    assert tree(workdir) == tree(plain)
+
+
+CFG = ["--configdir", "config_shipyard"]
+# a session that makes every kind of commit: (id, argv, the writes it makes)
+COMMITS = [
+    ("workspace-init", [*INIT, "--seed", "7"], ("snapshot", "ledger", "save")),
+    ("storage-account-create", ["storage", "account", "create"], ("events", "ledger", "save")),
+    ("share-create", ["share", "create", "--name", "fileshare", "--quota", "100"],
+     ("events", "ledger", "save")),
+    ("quota-set", ["quota", "set", "--region", "eastus", "--dedicated", "200"],
+     ("ledger", "save")),
+    ("pool-add", ["pool", "add", *CFG], ("events", "ledger", "save")),
+    ("pool-add-other-configdir", ["pool", "add", "--configdir", "poisson"],
+     ("events", "snapshot", "ledger", "save")),
+    ("data-ingress", ["data", "ingress", *CFG, "--source", "config_shipyard/inputs"],
+     ("events", "manifest", "ledger", "save")),
+    ("jobs-add", ["jobs", "add", *CFG], ("events", "ledger", "save")),
+    ("pool-del", ["pool", "del", *CFG], ("events", "ledger", "save")),
+    ("jobs-del", ["jobs", "del", *CFG], ("events", "ledger", "save")),
+    ("data-download", ["data", "download", "--source", "fileshare/snake2d2k35",
+                       "--dest", "output"], ("events", "ledger", "save")),
+]
+# write -> (owner, attribute, whether the write takes effect before the error)
+WRITES = {
+    "events": (WorkspaceStore, "append_events", True),
+    "snapshot": (climod, "serialize_config_dir", True),
+    "manifest": (WorkspaceStore, "write_manifest", True),
+    "ledger": (WorkspaceStore, "write_ledger", True),
+    "save": (WorkspaceStore, "save", False),  # fails before the rename, which commits
+}
+
+
+def _commit_workdir(root: Path) -> Path:
+    shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", root / "poisson")
+    return root
+
+
+@pytest.fixture(scope="module")
+def commit_trees(tmp_path_factory) -> list:
+    """The tree after each command of COMMITS, run without a fault."""
+    root = _commit_workdir(tmp_path_factory.mktemp("uninterrupted"))
+    trees = []
+    for _, argv, _ in COMMITS:
+        ok(root, *argv)
+        trees.append(tree(root))
+    return trees
+
+
+@pytest.mark.parametrize("step, write", [(i, w) for i, c in enumerate(COMMITS) for w in c[2]],
+                         ids=[f"{c[0]}-{w}" for c in COMMITS for w in c[2]])
+def test_a_failed_write_takes_the_whole_command_back(tmp_path, monkeypatch, commit_trees,
+                                                     step, write):
+    root = _commit_workdir(tmp_path)
+    for _, argv, _ in COMMITS[:step]:
+        ok(root, *argv)
+    before = tree(root)
+    owner, name, takes_effect = WRITES[write]
+    real, fired = getattr(owner, name), []
+
+    def failing(*args):
+        fired.append(name)
+        if takes_effect:
+            real(*args)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(owner, name, failing)
+    code, _, err = cli(root, *COMMITS[step][1])
+    monkeypatch.undo()
+    assert fired
+    assert (code, err) == (2, "error: no space left on device\n")
+    assert tree(root) == before
+    ok(root, *COMMITS[step][1])
+    assert tree(root) == commit_trees[step]
+
+
+@pytest.mark.parametrize("write", ["snapshot", "ledger", "save"])
+def test_init_beside_a_stray_events_log_leaves_it_as_it_was(workdir, monkeypatch, write):
+    """A .batchsim/ without state.json may hold an events.log: a failed init leaves it
+    byte-identical, and init records events_bytes 0 beside it, so the next command drops it."""
+    (workdir / ".batchsim").mkdir()
+    events = workdir / ".batchsim" / "events.log"
+    events.write_text("0.000000\tpool/stray\t->Allocating\n")
+    before = tree(workdir)
+    owner, name, _ = WRITES[write]
+    monkeypatch.setattr(owner, name, _no_space)
+    code, _, err = cli(workdir, *INIT)
+    assert (code, err) == (2, "error: no space left on device\n")
+    monkeypatch.undo()
+    assert tree(workdir) == before
+    ok(workdir, *INIT)
+    assert json.loads((workdir / ".batchsim" / "state.json").read_text())["events_bytes"] == 0
+    ledger = (workdir / ".batchsim" / "ledger.tsv").read_text()
+    assert ledger.startswith("category\tusd\t") and ledger.count("\n") == 1  # the header
+    ok(workdir, "storage", "account", "create")
+    assert "stray" not in events.read_text()
+
+
+def test_lines_of_a_killed_command_are_cut_back_by_the_next(workdir):
+    """A command killed between its events.log append and the state.json rename leaves
+    lines that no state records: the next command, even a read-only one, drops them."""
+    plain = workdir / "plain"
+    shutil.copytree(EXAMPLE_DIR, plain / "config_shipyard")
+    full_sequence(plain)
+    for argv in sequence()[:7]:  # through jobs add
+        ok(workdir, *argv)
+    events = workdir / ".batchsim" / "events.log"
+    committed = events.read_bytes()
+    with open(events, "a") as fh:
+        fh.write("900000.000000\tpool/snake2d2k35\tSteady->Deleting\n")
+    for argv in sequence()[7:]:  # status first
+        ok(workdir, *argv)
+        if argv == ["status"]:
+            assert events.read_bytes() == committed
     assert tree(workdir) == tree(plain)
 
 
@@ -443,7 +559,7 @@ def test_failed_workspace_init_save_leaves_tree_as_it_was(workdir, monkeypatch, 
         (workdir / ".batchsim").mkdir()
         (workdir / ".batchsim" / "notes.txt").write_text("kept\n")
     before = tree(workdir)
-    monkeypatch.setattr(WorkspaceStore, "save", _failing_save)
+    monkeypatch.setattr(WorkspaceStore, "save", _no_space)
     code, _, err = cli(workdir, "workspace", "init", "--configdir", "config_shipyard")
     assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
@@ -503,6 +619,59 @@ def test_safe_extract_rejects_a_sibling_directory(tmp_path):
     with tarfile.open(archive) as tar, pytest.raises(CorruptArchive, match="escapes"):
         _safe_extract(tar, tmp_path / "archive")
     assert not (tmp_path / "archive2").exists()
+
+
+def _extractall_without_filters(monkeypatch):
+    """Make TarFile.extractall refuse `filter`, as before CPython 3.10.12 and 3.11.4."""
+    real = tarfile.TarFile.extractall
+
+    def extractall(self, path=".", members=None, *, numeric_owner=False, **kwargs):
+        if kwargs:
+            raise TypeError(f"unexpected keyword arguments {sorted(kwargs)}")
+        return real(self, path, members, numeric_owner=numeric_owner, filter="fully_trusted")
+
+    monkeypatch.setattr(tarfile.TarFile, "extractall", extractall)
+
+
+@pytest.mark.parametrize("kind", [tarfile.SYMTYPE, tarfile.LNKTYPE], ids=["symlink", "hardlink"])
+def test_repro_verify_rejects_a_link_member_without_writing_outside(tmp_path, monkeypatch, kind):
+    """A link member, followed by a file written through it, would reach outside the
+    extraction root; it is a corrupt archive whatever this Python's tarfile filters."""
+    _extractall_without_filters(monkeypatch)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "kept.txt").write_text("kept\n")
+    # through a symlinked directory, or through a hardlink to a file
+    name, target = (("configs", outside) if kind == tarfile.SYMTYPE
+                    else ("kept.txt", outside / "kept.txt"))
+    with tarfile.open(tmp_path / "evil.tar.gz", "w:gz") as tar:
+        link = tarfile.TarInfo(name)
+        link.type, link.linkname = kind, str(target)
+        tar.addfile(link)
+        payload = tarfile.TarInfo("configs/x.txt" if kind == tarfile.SYMTYPE else name)
+        payload.size = 2
+        tar.addfile(payload, io.BytesIO(b"x\n"))
+    code, _, err = cli(tmp_path, "repro", "verify", "evil.tar.gz")
+    assert code == 2
+    assert err == f"error: archive member is not a file or directory: {name}\n"
+    assert sorted(p.name for p in outside.iterdir()) == ["kept.txt"]
+    assert (outside / "kept.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("digests", [{}, {"events.log": "0" * 64}], ids=["none", "events-only"])
+def test_repro_verify_rejects_a_package_without_both_output_digests(tmp_path, digests):
+    """`repro pack` needs a completed run, so a real package digests events.log and
+    ledger.tsv; one that does not would pass while comparing nothing."""
+    def drop_digests(unpacked):
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        manifest["output_digests"] = digests
+        (unpacked / "manifest.json").write_text(json.dumps(manifest))
+
+    code, out, err = cli(tmp_path, "repro", "verify",
+                         _edited_scenario_package(tmp_path, drop_digests))
+    assert (code, out) == (2, "")
+    assert err == ("error: not a package of a completed run: "
+                   "it must digest events.log and ledger.tsv\n")
 
 
 def test_repro_pack_requires_completed_run(workdir):
