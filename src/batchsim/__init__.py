@@ -1,40 +1,3 @@
 """Deterministic desk-scale simulator of a cloud batch-compute service."""
 
-from .batch import BatchService, FailureReason, JobState, PoolState, TaskState
-from .billing import Ledger, MeterEvent, ServiceCategory, counterfactual, meter_vm, report
-from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
-from .config import (
-    ConfigBundle,
-    CredentialsConfig,
-    JobsConfig,
-    PoolConfig,
-    TaskSpec,
-    WorkspaceConfig,
-    parse_config_dir,
-    serialize_config_dir,
-    validate_pool,
-)
-from .fabric import (
-    AZURE_INTERCONNECT,
-    COLONIAL_INTERCONNECT,
-    InterconnectModel,
-    PreemptionProcess,
-    ScarcityWindow,
-    SimClock,
-    allreduce_time,
-    comm_time,
-)
-from .scenarios import Scenario, builtin_scenarios, run_scenario, scenario_by_name
-from .storage import FileShare, StorageAccount, TransferRecord
-from .workloads import (
-    CGResult,
-    PoissonGrid,
-    apply_poisson,
-    modeled_poisson_runtime,
-    osu_bandwidth,
-    osu_latency,
-    solve_cg,
-    unit_cube_grid,
-)
-
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tarfile
@@ -24,7 +25,8 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import ConfigBundle, dump_yaml, load_yaml, parse_config_dir, serialize_config_dir
+from .config import (ConfigBundle, bundle_documents, dump_yaml, load_yaml, parse_config_dir,
+                     serialize_config_dir)
 from .errors import (
     CorruptArchive,
     NoCompletedRun,
@@ -162,7 +164,12 @@ class Cli:
 
     # -- state plumbing ---------------------------------------------------
 
-    def require_state(self) -> dict:
+    def load(self):
+        """The committed workspace: its state document and the service rehydrated from it.
+
+        A command killed before its state.json rename may have left events.log longer and
+        ledger.tsv other than the state records: both are put back to the committed outputs.
+        """
         if not self.store.exists():
             raise ValidationError(
                 f"no workspace in {self.root}: run `batchsim workspace init` first"
@@ -179,21 +186,19 @@ class Cli:
         size = state.get("events_bytes")
         if not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0:
             raise ValidationError("corrupt state: not a workspace state document")
-        # commit appends to events.log before it renames state.json in, and cuts it back
-        # if a write fails: drop the lines of a command killed in between
         self.store.truncate_events(size)
-        return state
-
-    def load(self):
-        """The workspace's state document and the service rehydrated from it."""
-        state = self.require_state()
         try:
             doc = state["catalog_doc"]
             catalog = Catalog.from_document(doc) if doc else default_catalog()
             options = ServiceOptions.from_doc(state["options"])
-            return state, statemod.service_from_doc(state["service"], options, catalog)
+            svc = statemod.service_from_doc(state["service"], options, catalog)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
+        tsv = billing.export_tsv(svc.ledger)
+        ledger = self.store.ledger_path
+        if not ledger.is_file() or ledger.read_bytes() != tsv.encode():
+            self.store.write_ledger(tsv)
+        return state, svc
 
     def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None,
                manifest: tuple[str, list] | None = None, catalog_doc: dict | None = None):
@@ -208,9 +213,10 @@ class Cli:
         """
         state["service"] = statemod.service_to_doc(svc)
         snapshot = None
-        if bundle is not None:
-            recorded_argv = [*recorded_argv, "--configdir",
-                             statemod.config_snapshot(bundle, catalog_doc)]
+        if bundle is not None:  # named by the first 12 hex digits of its documents' sha256
+            documents = {**bundle_documents(bundle), "catalog.yaml": catalog_doc}
+            name = statemod.sha256_text(json.dumps(documents, sort_keys=True))[:12]
+            recorded_argv = [*recorded_argv, "--configdir", f"{STATE_DIR}/configs/{name}"]
             snapshot = self.root / recorded_argv[-1]
         state["transcript"].append(recorded_argv)
         if any(t.terminal for t in svc.all_tasks()):
@@ -295,9 +301,14 @@ def cmd_workspace_init(cli: Cli, args) -> int:
                              image_pull_seconds=args.image_pull_seconds,
                              task_retries=args.task_retries,
                              scarcity_windows=tuple((a, b) for a, b in args.scarcity))
+    recorded = ["workspace", "init", "--seed", str(options.seed), "--interconnect",
+                options.interconnect, "--preemption-rate", str(options.preemption_rate),
+                "--image-pull-seconds", str(options.image_pull_seconds),
+                "--task-retries", str(options.task_retries),  # every option, defaults included
+                *(["--catalog", "catalog.yaml"] if catalog_doc is not None else []),
+                *(t for w in options.scarcity_windows for t in ("--scarcity", *map(str, w)))]
     cli.commit(statemod.new_workspace_state(options, bundle, catalog_doc),
-               statemod.build_service(options, catalog),
-               options.init_argv(catalog=catalog_doc is not None), bundle, catalog_doc=catalog_doc)
+               statemod.build_service(options, catalog), recorded, bundle, catalog_doc=catalog_doc)
     ws = bundle.workspace
     cli.say(f"workspace initialized: subscription={ws.subscription} "
             f"resource_group={ws.resource_group} region={ws.region} seed={args.seed}")
@@ -520,18 +531,15 @@ def cmd_scenario_run(cli: Cli, args) -> int:
 
 
 def cmd_repro_pack(cli: Cli, args) -> int:
-    state = cli.require_state()
-    if not state.get("has_completed_run"):
+    state, _ = cli.load()
+    if not state["has_completed_run"]:
         raise NoCompletedRun("no completed run to pack: run a job or scenario first")
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
-    config_digests = {p.relative_to(cli.store.configs_dir).as_posix(): sha256_file(p)
-                      for p in sorted(cli.store.configs_dir.glob("*/*.yaml"))}
     output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
         "digest_algorithm": DIGEST_ALGORITHM,
         "seed": state["options"]["seed"],
         "transcript": state["transcript"],
-        "config_digests": config_digests,
         "output_digests": output_digests,
     }
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -540,14 +548,14 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
-        for key in config_digests:
-            tar.add(cli.store.configs_dir / key, arcname=f"configs/{key}")
+        for p in sorted(cli.store.configs_dir.glob("[!.]*/*.yaml")):  # not a .<id>.tmp/
+            tar.add(p, arcname=f"configs/{p.relative_to(cli.store.configs_dir).as_posix()}")
         if cli.store.ingress_dir.is_dir():
             for p in sorted(cli.store.ingress_dir.glob("*.json")):
                 tar.add(p, arcname=f"ingress/{p.name}")
         for name in output_digests:
             tar.add(cli.store.dir / name, arcname=f"outputs/{name}")
-    cli.say(f"packed {out} ({len(config_digests)} config digests, "
+    cli.say(f"packed {out} ({len(manifest['transcript'])} commands, "
             f"{len(output_digests)} output digests, seed {manifest['seed']})")
     return 0
 
@@ -570,6 +578,28 @@ def _safe_extract(tar: tarfile.TarFile, dest: Path):
             raise CorruptArchive(f"archive member is not a file or directory: {member.name}")
 
 
+def read_manifest(path: Path) -> tuple[int, list, dict]:
+    """The seed, transcript and output digests of a package's manifest.json; a manifest
+    that `repro pack` cannot have written is CorruptArchive."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CorruptArchive(f"not a readable package: {exc}") from None
+    manifest = manifest if isinstance(manifest, dict) else {}
+    seed, transcript, digests = (manifest.get(key)
+                                 for key in ("seed", "transcript", "output_digests"))
+    if type(seed) is not int:
+        raise CorruptArchive("manifest.json: seed must be an integer")
+    if not isinstance(transcript, list) or not all(
+            isinstance(argv, list) and all(isinstance(t, str) for t in argv)
+            for argv in transcript):
+        raise CorruptArchive("manifest.json: transcript must be a list of argument lists")
+    if not isinstance(digests, dict) or not digests.keys() >= set(OUTPUT_ARTIFACTS):
+        raise CorruptArchive("not a package of a completed run: it must digest "
+                             + " and ".join(OUTPUT_ARTIFACTS))
+    return seed, transcript, digests
+
+
 def cmd_repro_verify(cli: Cli, args) -> int:
     archive = _relpath(Path(args.archive), cli.root)
     if not archive.is_file():
@@ -581,48 +611,71 @@ def cmd_repro_verify(cli: Cli, args) -> int:
         try:
             with tarfile.open(archive, "r:gz") as tar:
                 _safe_extract(tar, extracted)
-            with open(extracted / "manifest.json") as fh:
-                manifest = json.load(fh)
-            transcript = manifest["transcript"]
-            expected = manifest["output_digests"]
-        except (tarfile.TarError, OSError, json.JSONDecodeError, KeyError, EOFError) as exc:
+        except (tarfile.TarError, OSError, EOFError) as exc:
             raise CorruptArchive(f"not a readable package: {exc}") from None
-        if not isinstance(expected, dict) or not expected.keys() >= set(OUTPUT_ARTIFACTS):
-            raise CorruptArchive("not a package of a completed run: it must digest "
-                                 + " and ".join(OUTPUT_ARTIFACTS))
+        seed, transcript, expected = read_manifest(extracted / "manifest.json")
+        commands = [recorded_command(argv) for argv in transcript]
         workdir = tmpdir / "replay"
         workdir.mkdir()
         for name in ("configs", "ingress"):  # the files that recorded commands name
             if (extracted / name).is_dir():
                 shutil.copytree(extracted / name, workdir / STATE_DIR / name)
         try:
-            replay(transcript, workdir)
+            for argv in commands:
+                run_command(["-C", str(workdir), *argv], io.StringIO(), raising=True)
         except (UsageError, ValidationError, SimulationError) as exc:
             cli.say(f"FAIL: replayed command failed: {exc}")
             return 3
-        replay_store = WorkspaceStore(workdir)
         for name in OUTPUT_ARTIFACTS:
-            path = replay_store.dir / name
+            path = workdir / STATE_DIR / name
             actual = sha256_file(path) if path.exists() else "<missing>"
             if actual != expected[name]:
                 cli.say(f"FAIL: first divergence at {name}: expected {expected[name]}, "
                         f"got {actual}")
                 return 3
         cli.say(f"PASS: {len(OUTPUT_ARTIFACTS)} artifacts reproduced "
-                f"({DIGEST_ALGORITHM}, seed {manifest['seed']})")
+                f"({DIGEST_ALGORITHM}, seed {seed})")
     return 0
 
 
-def replay(transcript, workdir: Path):
-    """Run recorded commands in `workdir` and raise the first error; an absolute --dest
-    becomes replay-download."""
-    for recorded in transcript:
-        argv = ["-C", str(workdir), *recorded]
-        if "--dest" in argv:
-            i = argv.index("--dest")
-            if i + 1 < len(argv) and os.path.isabs(argv[i + 1]):
-                argv[i + 1] = "replay-download"
-        run_command(argv, io.StringIO(), raising=True)
+# the commands that Cli.commit records, and the only value each of these options takes there
+COMMITTING = {("workspace", "init"), ("storage", "account", "create"), ("share", "create"),
+              ("quota", "set"), ("pool", "add"), ("pool", "del"), ("data", "ingress"),
+              ("data", "download"), ("jobs", "add"), ("jobs", "del")}
+RECORDED_VALUES = {"configdir": re.compile(r"\.batchsim/configs/[0-9a-f]{12}"),
+                   "manifest": re.compile(r"\.batchsim/ingress/[0-9]{4}\.json"),
+                   "catalog": re.compile(r"catalog\.yaml")}
+
+
+def recorded_command(argv: list) -> list:
+    """`argv` as a replay runs it, if it is a command as Cli.commit records it; anything
+    else is CorruptArchive, raised before it can print help or touch a file. Every
+    --dest becomes replay-download, inside the replay workspace."""
+    parser, words = build_parser(), ()
+    for word in argv:  # down the subcommand words to the parser of their options
+        choices = next((a.choices for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)), {})
+        if word not in choices:
+            break
+        parser, words = choices[word], (*words, word)
+    options = parser._option_string_actions.keys() - {"-h", "--help"}
+    if words == ("data", "ingress"):
+        options -= {"--source"}  # a recorded ingress reads its manifest
+    recorded = words in COMMITTING and all(  # whole option names only: no abbreviation
+        t in options or not t.startswith("-") or parser._negative_number_matcher.match(t)
+        for t in argv)
+    try:
+        values = vars(build_parser().parse_args(argv)) if recorded else {}
+    except UsageError:
+        values = {}
+    # a command that loads its configs names their snapshot, unless it names its pool or job
+    named = values.get("configdir") or values.get("pool") or values.get("job")
+    if not values or ("configdir" in values and not named) or any(
+            values.get(k) is not None and not pattern.fullmatch(values[k])
+            for k, pattern in RECORDED_VALUES.items()):
+        raise CorruptArchive(f"not a recorded command: {argv}")
+    return ["replay-download" if i and argv[i - 1] == "--dest" else t
+            for i, t in enumerate(argv)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +701,6 @@ def run_command(argv, out=None, err=None, *, raising=False) -> int:
     try:
         return execute(argv, out)
     except SystemExit as exc:  # --help
-        if raising:
-            raise UsageError(f"command exited without running: {' '.join(argv)}") from None
         return int(exc.code or 0)
     except (UsageError, ValidationError, SimulationError,
             OSError) as exc:  # OSError: failed I/O, which commits nothing

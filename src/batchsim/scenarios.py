@@ -8,19 +8,19 @@ reproduced, not simulated physics.
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
+from pathlib import Path
 
 from .batch import BatchService
 from .catalog import default_catalog
 from .config import (ConfigBundle, CredentialsConfig, JobsConfig, PoolConfig, TaskSpec,
                      WorkspaceConfig, serialize_config_dir)
 from .errors import ValidationError
-from .state import (STATE_DIR, ServiceOptions, WorkspaceStore, config_snapshot,
-                    service_from_doc)
 from .workloads import FixedDuration
 
 SHARE_NAME = "fileshare"
@@ -42,7 +42,7 @@ class Scenario:
             raise ValueError("expected_wall_hours must be positive")
 
     def bundle(self) -> ConfigBundle:
-        """Full document set for this scenario, for packing and replay."""
+        """The scenario's config documents, as `run_scenario` writes them for its commands."""
         return ConfigBundle(
             workspace=WorkspaceConfig(
                 subscription="sim-subscription",
@@ -109,21 +109,19 @@ def scenario_by_name(name: str) -> Scenario:
     raise KeyError(f"unknown scenario {name!r} (known: {known})")
 
 
-def transcript(scenario: Scenario, seed: int) -> list[list[str]]:
-    """The run's CLI commands, as `repro pack` records them: each command that loads the
-    scenario's configs names their snapshot, `--configdir .batchsim/configs/<id>`."""
-    catalog = default_catalog()
-    cores = scenario.pool.dedicated_count * catalog.lookup(scenario.pool.sku).vcores
-    low = catalog.default_quota(scenario.pool.region).low_priority_cores
-    cfg = ["--configdir", config_snapshot(scenario.bundle())]
+def transcript(scenario: Scenario, seed: int, configdir: str, manifest: str) -> list[list[str]]:
+    """The CLI commands a user types to run `scenario`, with its configs in `configdir`
+    and its ingress manifest at `manifest`."""
+    cores = scenario.pool.dedicated_count * default_catalog().lookup(scenario.pool.sku).vcores
+    cfg = ["--configdir", configdir]
     return [
-        [*ServiceOptions(seed=seed).init_argv(), *cfg],
+        ["workspace", "init", *cfg, "--seed", str(seed)],
         ["storage", "account", "create"],
         ["share", "create", "--name", SHARE_NAME, "--quota", str(SHARE_QUOTA_GIB)],
         ["quota", "set", "--region", scenario.pool.region,
-         "--dedicated", str(max(QUOTA_RAISE_FLOOR, cores)), "--low-priority", str(low)],
+         "--dedicated", str(max(QUOTA_RAISE_FLOOR, cores))],
         ["pool", "add", *cfg],
-        ["data", "ingress", "--manifest", f"{STATE_DIR}/ingress/0001.json", *cfg],
+        ["data", "ingress", *cfg, "--manifest", manifest],
         ["jobs", "add", *cfg],
         ["pool", "del", *cfg],
         ["jobs", "del", *cfg],
@@ -149,27 +147,23 @@ class ScenarioRun:
 
 
 def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
-    """Replay `transcript(scenario, seed)` in `root` (default: a temporary dir).
-
-    The files the transcript names are written first, in place: the config snapshot
-    under `.batchsim/configs/<id>/` and `.batchsim/ingress/0001.json`. `root` must hold
-    no workspace; a failed run removes the `.batchsim/` it made.
-    """
+    """Type the scenario's `transcript` in `root` (default: a temporary dir), with its
+    configs and ingress manifest in a temporary dir outside the workspace. `root` must
+    hold no workspace; a failed run removes the `.batchsim/` it made."""
     from . import cli  # cli imports this module
 
     with tempfile.TemporaryDirectory(prefix="batchsim-scenario-") as tmp:
-        store = WorkspaceStore(root if root is not None else tmp)
-        if store.dir.exists():
-            raise ValidationError(f"workspace already initialized in {store.root}")
-        bundle = scenario.bundle()
+        session = cli.Cli(Path(root if root is not None else tmp), io.StringIO())
+        if session.store.dir.exists():
+            raise ValidationError(f"workspace already initialized in {session.root}")
+        configdir, manifest = Path(tmp) / "config", Path(tmp) / "ingress.json"
+        serialize_config_dir(scenario.bundle(), configdir)
+        manifest.write_text(json.dumps(scenario.ingress_manifest))
         try:
-            serialize_config_dir(bundle, store.root / config_snapshot(bundle))
-            store.ingress_dir.mkdir(parents=True)
-            (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
-            cli.replay(transcript(scenario, seed), store.root)
+            for argv in transcript(scenario, seed, str(configdir), str(manifest)):
+                cli.run_command(["-C", str(session.root), *argv], session.out, raising=True)
         except BaseException:
-            shutil.rmtree(store.dir, ignore_errors=True)
+            shutil.rmtree(session.store.dir, ignore_errors=True)
             raise
-        state = store.load()
-        svc = service_from_doc(state["service"], ServiceOptions.from_doc(state["options"]))
-        return ScenarioRun(svc, store.events_path.read_text())
+        _, svc = session.load()
+        return ScenarioRun(svc, session.store.events_path.read_text())

@@ -22,7 +22,7 @@ from typing import Optional
 from .batch import BatchService, FailureReason, Job, JobState, Pool, PoolState, Task, TaskState
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
-from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, bundle_documents, pool_from_doc,
+from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
                      pool_to_doc, task_spec, task_spec_values, workspace_to_doc)
 from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
@@ -50,13 +50,6 @@ def sha256_file(path: Path) -> str:
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def config_snapshot(bundle: ConfigBundle, catalog_doc: Optional[dict] = None) -> str:
-    """Workspace-relative dir that stores `bundle`'s documents and a catalog once:
-    .batchsim/configs/ and the first 12 hex digits of the documents' sha256."""
-    documents = {**bundle_documents(bundle), "catalog.yaml": catalog_doc}
-    return f"{STATE_DIR}/configs/{sha256_text(json.dumps(documents, sort_keys=True))[:12]}"
 
 
 @dataclass
@@ -88,18 +81,6 @@ class ServiceOptions:
             task_retries=int(doc["task_retries"]),
             scarcity_windows=tuple((float(a), float(b)) for a, b in doc["scarcity_windows"]),
         )
-
-    def init_argv(self, catalog: bool = False) -> list[str]:
-        """`workspace init` as a transcript records it: every option, defaults included."""
-        argv = ["workspace", "init", "--seed", str(self.seed), "--interconnect", self.interconnect,
-                "--preemption-rate", str(self.preemption_rate),
-                "--image-pull-seconds", str(self.image_pull_seconds),
-                "--task-retries", str(self.task_retries)]
-        if catalog:
-            argv += ["--catalog", "catalog.yaml"]
-        for start, end in self.scarcity_windows:
-            argv += ["--scarcity", str(start), str(end)]
-        return argv
 
 
 def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) -> BatchService:

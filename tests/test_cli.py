@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import shutil
 import tarfile
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from batchsim import cli as climod
 from batchsim.batch import BatchService
@@ -14,7 +18,7 @@ from batchsim.cli import _safe_extract, run_command
 from batchsim.config import serialize_config_dir
 from batchsim.errors import CorruptArchive, TaskTooWide
 from batchsim.scenarios import builtin_scenarios, scenario_by_name, transcript
-from batchsim.state import WorkspaceStore, config_snapshot
+from batchsim.state import WorkspaceStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_DIR = REPO_ROOT / "configs" / "snake2d2k35"
@@ -351,19 +355,16 @@ def test_scenario_run_and_list(tmp_path):
 
 @pytest.mark.parametrize("name", [s.name for s in builtin_scenarios()])
 def test_scenario_run_matches_its_transcript_typed_by_hand(name, tmp_path):
+    """`scenario run` is the user's session: the same commands typed by hand, with the
+    configs and manifest in a dir of one's own, leave the same .batchsim/ tree."""
     scenario = scenario_by_name(name)
     ran, typed = tmp_path / "ran", tmp_path / "typed"
     ok(ran, "scenario", "run", name, "--seed", "3")
-    bundle = scenario.bundle()  # the transcript names its snapshot, written here by hand
-    serialize_config_dir(bundle, typed / config_snapshot(bundle))
-    store = WorkspaceStore(typed)
-    store.ingress_dir.mkdir(parents=True)
-    (store.ingress_dir / "0001.json").write_text(json.dumps(scenario.ingress_manifest))
-    for argv in transcript(scenario, 3):
+    serialize_config_dir(scenario.bundle(), typed / "cfg")
+    (typed / "manifest.json").write_text(json.dumps(scenario.ingress_manifest))
+    for argv in transcript(scenario, 3, "cfg", "manifest.json"):
         ok(typed, *argv)
     assert tree(ran) == tree(typed)
-    state = json.loads((ran / ".batchsim" / "state.json").read_text())
-    assert state["transcript"] == transcript(scenario, 3)
     ok(ran, "repro", "pack")
     assert ok(ran, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
@@ -509,6 +510,102 @@ def test_a_failed_write_takes_the_whole_command_back(tmp_path, monkeypatch, comm
     assert tree(root) == before
     ok(root, *COMMITS[step][1])
     assert tree(root) == commit_trees[step]
+
+
+# each write a kill can interrupt; a snapshot is written to a temporary dir, then renamed
+KILL_POINTS = {**{write: (owner, name) for write, (owner, name, _) in WRITES.items()},
+               "snapshot-rename": (os, "replace")}
+KILLS = [(i, point, when) for i, (_, _, writes) in enumerate(COMMITS)
+         for write in writes
+         for point in ([write, "snapshot-rename"] if write == "snapshot" else [write])
+         for when in ("before", "after")]
+
+
+def _views(root) -> list:
+    """What `status` and `ledger report` print, and what `repro pack` exits with; the
+    package, if any, is ../view.tar.gz."""
+    views = [cli(root, *argv)[:2] for argv in (["status"], ["ledger", "report"])]
+    return [*views, cli(root, "repro", "pack", "--out", "../view.tar.gz")[0]]
+
+
+@pytest.fixture(scope="module")
+def commit_steps(tmp_path_factory) -> list:
+    """For each command of COMMITS, run without a fault: a copy of the workdir before it,
+    the views before it, and the views and tree after it."""
+    root = _commit_workdir(tmp_path_factory.mktemp("steps") / "root")
+    steps = []
+    for i, (_, argv, _) in enumerate(COMMITS):
+        before = shutil.copytree(root, root.parent / f"before-{i}")
+        views = _views(root)
+        ok(root, *argv)
+        steps.append((before, views, _views(root), tree(root)))
+    return steps
+
+
+def _run_killed(root, argv, point, when) -> int:
+    """Run `argv` in a forked child that calls os._exit(9) just before or just after the
+    write `point`; returns the child's exit code."""
+    pid = os.fork()
+    if pid == 0:  # the child: patch, run, and never return into the test
+        try:
+            owner, name = KILL_POINTS[point]
+            real = getattr(owner, name)
+
+            def kill(*args):
+                if point == "snapshot-rename" and not Path(args[0]).is_dir():
+                    return real(*args)  # a file's rename, not the snapshot's
+                if when == "after":
+                    real(*args)
+                os._exit(9)
+
+            setattr(owner, name, kill)
+            os._exit(100 + run_command(["-C", str(root), *argv], out=io.StringIO(),
+                                       err=io.StringIO()))
+        finally:
+            os._exit(99)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.parametrize("step, point, when", KILLS,
+                         ids=[f"{COMMITS[i][0]}-{when}-{w}" for i, w, when in KILLS])
+def test_a_killed_command_leaves_the_session_without_it(tmp_path, commit_steps, step, point,
+                                                        when):
+    """A command killed at any write leaves the committed session: the next command,
+    whatever it is, shows and restores the outputs of the session without it, a package
+    of that session verifies, and the rerun gives the uninterrupted tree. Killed after
+    its state.json rename, the command is committed whole."""
+    before, views, views_after, tree_after = commit_steps[step]
+    root = shutil.copytree(before, tmp_path / "root")
+    argv = COMMITS[step][1]
+    assert _run_killed(root, argv, point, when) == 9
+    committed = (point, when) == ("save", "after")
+    expected, kept = (views_after, tree_after) if committed else (views, tree(before))
+    assert _views(root) == expected
+    if step > 0 or committed:  # a killed init leaves no workspace to restore files in
+        for name in ("events.log", "ledger.tsv"):  # an events.log cut back to 0 bytes stays
+            assert (tree(root).get(name) or b"") == (kept.get(name) or b""), name
+    if expected[2] == 0:  # the session has a completed run to pack
+        assert ok(root, "repro", "verify", "../view.tar.gz").startswith("PASS")
+    if not committed:
+        ok(root, *argv)
+    assert tree(root) == tree_after
+
+
+def test_repro_pack_leaves_out_a_snapshot_cut_short_by_a_kill(workdir):
+    """A kill between a snapshot's write and its rename leaves configs/.<id>.tmp/, which
+    no command names: the package holds only the named snapshots."""
+    full_sequence(workdir)
+    shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
+    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "200")
+    assert _run_killed(workdir, ["pool", "add", "--configdir", "poisson"], "snapshot",
+                       "after") == 9
+    assert [p.name for p in (workdir / ".batchsim" / "configs").iterdir()
+            if p.name.endswith(".tmp")]
+    ok(workdir, "repro", "pack")
+    with tarfile.open(workdir / "repro-package.tar.gz") as tar:
+        configs = [n for n in tar.getnames() if n.startswith("configs/")]
+    assert configs and not [n for n in configs if ".tmp/" in n]
+    assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
 @pytest.mark.parametrize("write", ["snapshot", "ledger", "save"])
@@ -683,8 +780,7 @@ def test_repro_pack_requires_completed_run(workdir):
 
 def test_repro_pack_and_verify_manual_flow(workdir):
     full_sequence(workdir)
-    out = ok(workdir, "repro", "pack")
-    assert "4 config digests" in out
+    ok(workdir, "repro", "pack")
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
@@ -760,7 +856,8 @@ def test_repro_verify_fails_when_a_named_snapshot_is_missing(tmp_path):
 
 def test_repro_verify_fails_on_a_package_with_flat_configs(tmp_path, monkeypatch):
     """Packages made before config snapshots hold configs/*.yaml and a transcript that
-    names no --configdir; without BATCHSIM_CONFIGDIR their replay cannot load a config."""
+    names no --configdir. A commit records the snapshot of every config it loads, so such a
+    package is corrupt (exit 2) and its replay does not fall back on BATCHSIM_CONFIGDIR."""
     def flatten(unpacked):
         [snapshot] = (unpacked / "configs").iterdir()
         for path in snapshot.iterdir():
@@ -773,23 +870,202 @@ def test_repro_verify_fails_on_a_package_with_flat_configs(tmp_path, monkeypatch
                 del argv[i:i + 2]
         (unpacked / "manifest.json").write_text(json.dumps(manifest))
 
-    monkeypatch.delenv("BATCHSIM_CONFIGDIR", raising=False)
-    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, flatten))
-    assert code == 3
-    assert out.startswith("FAIL: replayed command failed: no configuration directory")
+    monkeypatch.setenv("BATCHSIM_CONFIGDIR", str(EXAMPLE_DIR))
+    code, out, err = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, flatten))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not a recorded command: ['workspace', 'init', ")
 
 
 def test_repro_verify_fails_on_a_replayed_help_request(tmp_path):
-    """--help exits argparse; in a replay that is a failed command, not a passing verify."""
+    """--help is no command that a commit records: the package is corrupt (exit 2), and
+    verify prints no help."""
     def add_help(unpacked):
         manifest = json.loads((unpacked / "manifest.json").read_text())
         manifest["transcript"].append(["status", "--help"])
-        manifest["output_digests"]["ledger.tsv"] = "0" * 64  # must never be skipped
         (unpacked / "manifest.json").write_text(json.dumps(manifest))
 
-    code, out, _ = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, add_help))
-    assert code == 3
-    assert out.startswith("FAIL: replayed command failed: command exited without running")
+    code, out, err = cli(tmp_path, "repro", "verify",
+                         _edited_scenario_package(tmp_path, add_help))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not a recorded command: ['status', '--help']")
+
+
+# transcript entries that no commit records: {out} is a directory outside the verify's temp
+# dir and {cfg} the package's config snapshot
+CRAFTED = {
+    "root-option": ["-C", "{out}", "workspace", "init", "--configdir", "{out}/cfg"],
+    "root-option-here": ["-C", ".", "workspace", "init", "--configdir", "{out}/cfg"],
+    "root-option-joined": ["-C{out}", "workspace", "init", "--configdir", "{out}/cfg"],
+    "root-option-last": ["storage", "account", "create", "-C", "{out}"],
+    "ledger-export": ["ledger", "report", "--export", "{out}/ledger.tsv"],
+    "abbreviated-dest": ["data", "download", "--source", "fileshare/snake2d2k35",
+                         "--de", "{out}/download"],
+    "abbreviated-configdir": ["pool", "add", "--conf", "{cfg}"],
+    "joined-configdir": ["pool", "add", "--configdir={cfg}"],
+    "outside-configdir": ["pool", "add", "--configdir", "{out}/cfg"],
+    "outside-manifest": ["data", "ingress", "--configdir", "{cfg}", "--manifest", "{out}/m.json"],
+    "ingress-source": ["data", "ingress", "--configdir", "{cfg}", "--source", "{out}"],
+    "other-catalog": ["workspace", "init", "--configdir", "{cfg}", "--catalog", "../x.yaml"],
+    "help": ["pool", "add", "-h"],
+    "abbreviated-help": ["pool", "add", "--he"],
+    "read-only-command": ["status"],
+    "scenario-run": ["scenario", "run", "snake2d"],
+    "unknown-command": ["pool", "resize"],
+    "no-configdir": ["jobs", "add"],
+    "no-configdir-or-pool": ["pool", "del"],
+}
+
+
+def _crafted(entry, outside: Path, cfg: str) -> list:
+    return [token.format(out=outside, cfg=cfg) for token in entry]
+
+
+def _listing(*dirs) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None
+            for d in dirs for p in sorted(Path(d).rglob("*"))}
+
+
+@pytest.mark.parametrize("entry", list(CRAFTED.values()), ids=list(CRAFTED))
+def test_repro_verify_rejects_a_command_no_commit_records(tmp_path, monkeypatch, entry):
+    """A package is untrusted input. An entry that is not a command as a commit records it
+    makes the package corrupt (exit 2) before any command runs, so nothing is written
+    outside the verify's temp dir, the -C and --export targets included."""
+    outside = tmp_path / "outside"
+
+    def append_crafted(unpacked):
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        cfg = manifest["transcript"][0][-1]  # workspace init records its snapshot last
+        shutil.copytree(unpacked / cfg.replace(".batchsim/", ""), outside / "cfg")
+        manifest["transcript"].append(_crafted(entry, outside, cfg))
+        (unpacked / "manifest.json").write_text(json.dumps(manifest))
+
+    archive = _edited_scenario_package(tmp_path, append_crafted)
+    before = _listing(tmp_path)
+    replayed = []
+    real = climod.run_command
+    monkeypatch.setattr(climod, "run_command", lambda *a, **k: replayed.append(a) or real(*a, **k))
+    monkeypatch.chdir(outside)  # where "-C ." points
+    code, out, err = cli(tmp_path, "repro", "verify", archive)
+    assert (code, out, replayed) == (2, "", [])
+    assert err.startswith("error: not a recorded command: ")
+    assert _listing(tmp_path) == before
+
+
+BAD_MANIFESTS = {
+    "no-seed": lambda m: {k: v for k, v in m.items() if k != "seed"},
+    "text-seed": lambda m: {**m, "seed": "3"},
+    "bool-seed": lambda m: {**m, "seed": True},
+    "no-transcript": lambda m: {k: v for k, v in m.items() if k != "transcript"},
+    "number-transcript": lambda m: {**m, "transcript": 5},
+    "number-in-argv": lambda m: {**m, "transcript": [*m["transcript"], [5]]},
+    "text-argv": lambda m: {**m, "transcript": [*m["transcript"], "status"]},
+    "list-manifest": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("edit", list(BAD_MANIFESTS.values()), ids=list(BAD_MANIFESTS))
+def test_repro_verify_rejects_a_malformed_manifest(tmp_path, edit):
+    """A manifest that `repro pack` cannot have written is a corrupt package (exit 2)."""
+    def rewrite(unpacked):
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        (unpacked / "manifest.json").write_text(json.dumps(edit(manifest)))
+
+    code, out, err = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, rewrite))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest.json: ")
+
+
+@pytest.fixture(scope="module")
+def scenario_package(tmp_path_factory) -> dict:
+    """The members of a snake2d scenario's package: name -> bytes."""
+    root = tmp_path_factory.mktemp("package")
+    ok(root, "scenario", "run", "snake2d")
+    ok(root, "repro", "pack")
+    with tarfile.open(root / "repro-package.tar.gz") as tar:
+        return {m.name: tar.extractfile(m).read() for m in tar.getmembers() if m.isfile()}
+
+
+TOKENS = ["-C", ".", "-C{out}", "{out}", "{out}/x", "--export", "--dest", "--de", "--configdir",
+          "--conf", "{cfg}", "--manifest", ".batchsim/ingress/0001.json", "--source", "-h",
+          "--help", "--", "-5", "1", "workspace", "init", "pool", "add", "del", "data",
+          "ingress", "download", "ledger", "report", "status", "fileshare/snake2d2k35"]
+ENTRIES = st.one_of(
+    st.sampled_from(list(CRAFTED.values())),
+    st.just(["data", "download", "--source", "fileshare/snake2d2k35", "--dest", "{out}/dl"]),
+    st.lists(st.sampled_from(TOKENS), max_size=7))
+MANIFEST_EDITS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 10), ENTRIES),
+    st.tuples(st.just("token"), st.integers(0, 9), st.integers(0, 12), st.sampled_from(TOKENS)),
+    st.tuples(st.just("set"), st.sampled_from(["seed", "transcript", "output_digests",
+                                                "digest_algorithm"]),
+              st.sampled_from([None, 5, "x", [], {}, [[5]], True, [["status"]]])))
+MEMBER_EDITS = st.tuples(st.sampled_from(["drop", "truncate", "symlink", "hardlink", "escape"]),
+                         st.integers(0, 10))
+
+
+def _link(name, kind, target) -> tarfile.TarInfo:
+    info = tarfile.TarInfo(name)
+    info.type, info.linkname = kind, str(target)
+    return info
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.lists(MANIFEST_EDITS, max_size=3), st.lists(MEMBER_EDITS, max_size=2))
+def test_repro_verify_of_a_mutated_package_writes_only_its_temp_dir(scenario_package,
+                                                                     manifest_edits,
+                                                                     member_edits):
+    """Whatever a package's manifest and members hold, `repro verify` exits with a
+    documented code and writes nothing outside its temp dir: not in a sentinel dir that
+    the edits aim -C, --export, --dest and link members at, nor beside the package."""
+    with tempfile.TemporaryDirectory(prefix="batchsim-mutated-") as tmp:
+        outside, work = Path(tmp) / "outside", Path(tmp) / "work"
+        for d in (outside, work):
+            d.mkdir()
+        (outside / "kept.txt").write_text("kept\n")
+        members = dict(scenario_package)
+        manifest = json.loads(members["manifest.json"])
+        cfg = manifest["transcript"][0][-1]
+        for kind, *edit in manifest_edits:
+            transcript = manifest.get("transcript")
+            if kind == "set":
+                manifest[edit[0]] = edit[1]
+            elif isinstance(transcript, list) and kind == "insert":
+                transcript.insert(edit[0], _crafted(edit[1], outside, cfg))
+            elif isinstance(transcript, list) and transcript and kind == "token":
+                argv = transcript[edit[0] % len(transcript)]
+                if isinstance(argv, list) and argv:
+                    argv[edit[1] % len(argv)] = edit[2].format(out=outside, cfg=cfg)
+        members["manifest.json"] = json.dumps(manifest).encode()
+        links = []
+        for kind, index in member_edits:
+            name = sorted(members)[index % len(members)]
+            if kind == "drop":
+                del members[name]
+            elif kind == "truncate":
+                members[name] = members[name][:len(members[name]) // 2]
+            elif kind == "escape":
+                members[str(outside / "escape.txt")] = b"x\n"
+            else:  # a link into outside/, then a file written through it
+                links.append(_link("configs/evil", tarfile.SYMTYPE, outside) if kind == "symlink"
+                             else _link("configs/evil", tarfile.LNKTYPE, outside / "kept.txt"))
+                members["configs/evil" + ("/x.yaml" if kind == "symlink" else "")] = b"x\n"
+        with tarfile.open(work / "package.tar.gz", "w:gz") as tar:
+            for link in links:
+                tar.addfile(link)
+            for name, data in members.items():
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        before = _listing(outside, work)
+        cwd = os.getcwd()
+        os.chdir(outside)  # where "-C ." points
+        try:
+            code, _, _ = cli(work, "repro", "verify", "package.tar.gz")
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 64)
+        assert _listing(outside, work) == before
 
 
 def test_repro_verify_truncated_archive(workdir):

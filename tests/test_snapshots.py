@@ -12,7 +12,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from batchsim import cli, scenarios
+from batchsim import cli
 from batchsim.catalog import default_catalog
 from batchsim.scenarios import run_scenario, scenario_by_name
 
@@ -74,7 +74,7 @@ def test_one_config_dir_loaded_five_times_is_stored_once(tmp_path, monkeypatch):
 
 
 def test_run_scenario_writes_its_snapshot_once(tmp_path, monkeypatch):
-    calls = count_serializations(monkeypatch, cli, scenarios)
+    calls = count_serializations(monkeypatch, cli)
     run_scenario(scenario_by_name("snake2d"), seed=0, root=tmp_path)
     assert len(calls) == 1
     assert len(snapshots(tmp_path)) == 1
