@@ -9,6 +9,7 @@ queries hand out plain-data snapshots.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
@@ -81,7 +82,7 @@ _RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}
 _POSITION = attrgetter("position")
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     spec: TaskSpec
     job_id: str
@@ -169,6 +170,7 @@ class BatchService:
         self.task_retries = task_retries
         self.clock = SimClock()
         self.event_log = EventLog()
+        self._log = self.event_log.records.append  # takes one (time, entity, text) record
         self.provisioner = Provisioner(self.clock, self.event_log, seed, scarcity_windows)
         self.preemption = PreemptionProcess(preemption_rate, seed)
         self.storage = StorageAccount()
@@ -297,9 +299,9 @@ class BatchService:
                   [Task(spec=s, job_id=cfg.job_id) for s in cfg.tasks],
                   submitted_at=self.clock.now)
         self.enqueue(job)
-        self.event_log.append(self.clock.now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}")
+        self._log((self.clock.now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}"))
         for task in job.tasks:
-            self.event_log.append(self.clock.now, task.entity, _TO_PENDING)
+            self._log((self.clock.now, task.entity, _TO_PENDING))
         self.schedule_step()
         return job
 
@@ -356,18 +358,17 @@ class BatchService:
         result = workloads.execute(task.spec.workload, self._contexts[key])
         task.nodes = nodes = tuple(nodes)
         task.assigned_nodes = tuple([n.node_id for n in nodes])
-        self.event_log.append(now, task.entity, _PENDING_TO_STAGING)
+        self._log((now, task.entity, _PENDING_TO_STAGING))
         task.state = TaskState.RUNNING
         task.start_time = now
         task.end_time = now + result.duration_seconds
-        self.event_log.append(now, task.entity, _STAGING_TO_RUNNING)
+        self._log((now, task.entity, _STAGING_TO_RUNNING))
+        del pool.idle[:len(nodes)]  # a gang takes the first idle nodes
         for node in nodes:
             node.transition(NodeState.RUNNING, now, self.event_log)
-            pool.idle.remove(node)
             self._running[node.node_id] = task
         task.completion_event = self.clock.schedule(
-            task.end_time, lambda j=job, t=task, r=result, a=task.attempts:
-            self._finish_task(j, t, r, a))
+            task.end_time, functools.partial(self._finish_task, job, task, result, task.attempts))
 
     def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult, attempt: int):
         if task.state is not TaskState.RUNNING or task.attempts != attempt:
@@ -376,7 +377,7 @@ class BatchService:
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
         job.unfinished -= 1
-        self.event_log.append(self.clock.now, task.entity, _RUNNING_TO_COMPLETED)
+        self._log((self.clock.now, task.entity, _RUNNING_TO_COMPLETED))
         self._store_outputs(task, result)
         self._refresh_job_state(job)
         self.schedule_step()
@@ -388,8 +389,7 @@ class BatchService:
         for name, content in result.outputs:
             path = f"{directory}/{name}" if directory else name
             self.storage.write_entry(share, path, content, self.clock.now)
-            self.event_log.append(self.clock.now, f"share/{share}",
-                                  f"write:{path}:{len(content)}")
+            self._log((self.clock.now, f"share/{share}", f"write:{path}:{len(content)}"))
 
     def _on_preempt(self, pool: Pool, node: Node):
         if not pool.alive or node.state not in (NodeState.IDLE, NodeState.RUNNING):

@@ -73,7 +73,7 @@ def allreduce_time(model: InterconnectModel, participants: int, message_bytes: i
 # event loop
 
 
-@dataclass
+@dataclass(slots=True)
 class _Scheduled:
     time: float
     seq: int
@@ -169,6 +169,9 @@ _LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
 
 
 class Node:
+    __slots__ = ("node_id", "position", "entity", "sku", "priority", "state", "boot_latency",
+                 "ready_time", "released_time", "preempt_at", "busy_log")
+
     def __init__(self, node_id: str, sku: str, priority: Priority, boot_latency: int,
                  position: int = 0):
         self.node_id = node_id
@@ -190,7 +193,7 @@ class Node:
             raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
         if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
             raise ValueError("dedicated nodes are never preempted")
-        log.append(at, self.entity, text)
+        log.records.append((at, self.entity, text))
         self.state = to
         if to is NodeState.IDLE and self.ready_time is None:
             self.ready_time = at

@@ -149,13 +149,17 @@ class ScenarioRun:
 def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
     """Type the scenario's `transcript` in `root` (default: a temporary dir), with its
     configs and ingress manifest in a temporary dir outside the workspace. `root` must
-    hold no workspace; a failed run removes the `.batchsim/` it made."""
+    hold no workspace. A `.batchsim/` without one (what a killed `workspace init` leaves)
+    is moved aside; a failed run removes the `.batchsim/` it made and moves it back."""
     from . import cli  # cli imports this module
 
     with tempfile.TemporaryDirectory(prefix="batchsim-scenario-") as tmp:
         session = cli.Cli(Path(root if root is not None else tmp), io.StringIO())
-        if session.store.dir.exists():
+        if session.store.exists():
             raise ValidationError(f"workspace already initialized in {session.root}")
+        aside = Path(tmp) / "aside"
+        if session.store.dir.exists():
+            shutil.move(session.store.dir, aside)
         configdir, manifest = Path(tmp) / "config", Path(tmp) / "ingress.json"
         serialize_config_dir(scenario.bundle(), configdir)
         manifest.write_text(json.dumps(scenario.ingress_manifest))
@@ -164,6 +168,8 @@ def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
                 cli.run_command(["-C", str(session.root), *argv], session.out, raising=True)
         except BaseException:
             shutil.rmtree(session.store.dir, ignore_errors=True)
+            if aside.exists():
+                shutil.move(aside, session.store.dir)
             raise
         _, svc = session.load()
         return ScenarioRun(svc, session.store.events_path.read_text())

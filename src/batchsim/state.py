@@ -219,7 +219,10 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         share.directories = set(sdoc["directories"])
         for e in sdoc["entries"]:
             content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
-            share.put(ShareEntry(e["path"], int(e["size"]), e["digest"], content))
+            entry = ShareEntry(e["path"], int(e["size"]), content)
+            if entry.digest != e["digest"]:
+                raise ValidationError(f"corrupt state: digest of {share.name}/{entry.path}")
+            share.put(entry)
         svc.storage.shares[share.name] = share
     svc.storage.transfers = [
         TransferRecord(Direction(t["direction"]), int(t["bytes"]), float(t["timestamp"]))

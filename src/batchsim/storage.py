@@ -1,9 +1,10 @@
 """Fileshare abstraction with transfer metering.
 
-Shares track entry sizes and content digests, not payloads; the simulator
-bills and verifies transfers, it does not host data. Small contents (task
-artifacts, benchmark tables) are kept so downloads materialize real files;
-size-only manifest entries download as sparse zero-filled files.
+Shares track entry sizes, not payloads; the simulator bills and verifies
+transfers, it does not host data. Small contents (task artifacts, benchmark
+tables) are kept so downloads materialize real files; size-only manifest
+entries download as sparse zero-filled files. An entry's digest is derived
+from its content or size only where a state document records it.
 """
 
 from __future__ import annotations
@@ -37,20 +38,18 @@ class TransferRecord:
             raise ValueError("transfer records require positive byte counts")
 
 
-@dataclass
+@dataclass(slots=True)
 class ShareEntry:
     path: str
     size_bytes: int
-    digest: str
     content: Optional[bytes] = None
 
-
-def _digest(content: bytes) -> str:
-    return hashlib.sha256(content).hexdigest()
-
-
-def _size_only_digest(size: int) -> str:
-    return hashlib.sha256(f"size-only:{size}".encode()).hexdigest()
+    @property
+    def digest(self) -> str:
+        """sha256 of the content, or of `size-only:<N>` for a size-only entry."""
+        data = self.content
+        return hashlib.sha256(f"size-only:{self.size_bytes}".encode() if data is None
+                              else data).hexdigest()
 
 
 @functools.lru_cache(maxsize=4096)  # outputs reuse a few paths
@@ -77,8 +76,11 @@ class FileShare:
     used_bytes: int = field(default=0, init=False)
 
     def put(self, entry: ShareEntry):
-        """Add or replace the entry at its path, keeping `used_bytes` current."""
-        self.used_bytes += entry.size_bytes - _entry_size(self, entry.path)
+        """Add or replace the entry at its path, keeping `used_bytes` and `directories` current."""
+        old = self.entries.get(entry.path)
+        if old is None:
+            _register_dirs(self, posixpath.dirname(entry.path))
+        self.used_bytes += entry.size_bytes - (old.size_bytes if old else 0)
         self.entries[entry.path] = entry
 
     @property
@@ -103,8 +105,6 @@ class StorageAccount:
     def share_create(self, name: str, quota_gib: int) -> FileShare:
         if name in self.shares:
             raise DuplicateShare(f"share already exists: {name!r}")
-        if quota_gib < 0:
-            raise ValueError("quota must be non-negative")
         share = FileShare(name=name, quota_gib=quota_gib)
         self.shares[name] = share
         return share
@@ -123,7 +123,8 @@ class StorageAccount:
             return None
         total = sum(size for _, size in items)
         # replaced entries free their bytes; a path listed twice counts once
-        growth = sum(size - _entry_size(sh, path) for path, size in dict(items).items())
+        growth = sum(size - (sh.entries[p].size_bytes if p in sh.entries else 0)
+                     for p, size in dict(items).items())
         if sh.used_bytes + growth > sh.quota_bytes:
             raise QuotaExceededOnShare(
                 f"{share}: manifest of {total} bytes exceeds quota "
@@ -131,7 +132,7 @@ class StorageAccount:
             )
         _register_dirs(sh, directory)
         for path, size in items:
-            sh.put(ShareEntry(path, size, _size_only_digest(size)))
+            sh.put(ShareEntry(path, size))
         if total == 0:
             return None
         record = TransferRecord(Direction.INGRESS, total, timestamp)
@@ -142,10 +143,14 @@ class StorageAccount:
         """Store an artifact produced inside the service (not metered as ingress)."""
         sh = self._share(share)
         path = _normalize(path)
-        if sh.used_bytes - _entry_size(sh, path) + len(content) > sh.quota_bytes:
+        old = sh.entries.get(path)  # an overwrite's directories are registered already
+        used = sh.used_bytes + len(content) - (old.size_bytes if old else 0)
+        if used > sh.quota_bytes:
             raise QuotaExceededOnShare(f"{share}: artifact {path!r} exceeds quota")
-        _register_dirs(sh, posixpath.dirname(path))
-        sh.put(ShareEntry(path, len(content), _digest(content), content))
+        if old is None:
+            _register_dirs(sh, posixpath.dirname(path))
+        sh.entries[path] = ShareEntry(path, len(content), content)
+        sh.used_bytes = used
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
         sh = self._share(share)
@@ -181,8 +186,3 @@ class StorageAccount:
         record = TransferRecord(Direction.EGRESS, total, timestamp)
         self.transfers.append(record)
         return record
-
-
-def _entry_size(share: FileShare, path: str) -> int:
-    entry = share.entries.get(path)
-    return entry.size_bytes if entry else 0

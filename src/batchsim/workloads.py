@@ -412,14 +412,19 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
 
 
 def manufactured_solution(grid: PoissonGrid) -> tuple[np.ndarray, np.ndarray]:
-    """sin(2*pi*x)sin(2*pi*y)sin(2*pi*z) sample and its forcing 12*pi^2*u.
+    """The sine sample u and its forcing 12*pi^2*u."""
+    u = sine_sample(grid)
+    return u, 12.0 * np.pi**2 * u
+
+
+def sine_sample(grid: PoissonGrid) -> np.ndarray:
+    """sin(2*pi*x)sin(2*pi*y)sin(2*pi*z) at the interior points.
 
     The sample is separable: three 1-D sine vectors multiplied by
     broadcasting, in x, y, z order.
     """
     sx, sy, sz = (np.sin(2 * np.pi * ((np.arange(n) + 1) * grid.h)) for n in grid.shape)
-    u = sx[:, None, None] * sy[None, :, None] * sz[None, None, :]
-    return u, 12.0 * np.pi**2 * u
+    return sx[:, None, None] * sy[None, :, None] * sz[None, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +482,7 @@ class TaskContext:
     model: InterconnectModel
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkloadResult:
     duration_seconds: float
     outputs: list[tuple[str, bytes]] = field(default_factory=list)
@@ -486,7 +491,9 @@ class WorkloadResult:
 def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
     """Run (or model) the workload, yielding simulated duration and artifacts."""
     if isinstance(spec, FixedDuration):
-        return WorkloadResult(spec.seconds, [("run.log", _run_log(spec, ctx))])
+        text = (f"fixed-duration task: {spec.seconds:g} s on {ctx.instances} instances, "
+                f"{ctx.procs_per_node} processes per node\n")
+        return WorkloadResult(spec.seconds, [("run.log", text.encode())])
     if isinstance(spec, PingPongLatency):
         table = osu_latency(ctx.model)
         duration = LATENCY_REPETITIONS * sum(2.0 * comm_time(ctx.model, s) for s in LATENCY_SIZES)
@@ -500,7 +507,8 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
         return WorkloadResult(duration, [("bandwidth.tsv", text.encode())])
     if isinstance(spec, PoissonCGReal):
         grid = unit_cube_grid(spec.n)
-        _, rhs = manufactured_solution(grid)
+        rhs = sine_sample(grid)  # manufactured_solution's forcing, scaled in the sample's
+        rhs *= 12.0 * np.pi**2   # array: the same bits, and no second grid-sized array
         result = solve_cg(grid, rhs)
         per_iter = modeled_poisson_runtime(grid.cells, ctx.instances, ctx.procs_per_node,
                                            ctx.model)
@@ -518,8 +526,3 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
                                   f"(seconds/iteration)")
         return WorkloadResult(duration, [("scaling.tsv", text.encode())])
     raise TypeError(f"not a workload spec: {spec!r}")
-
-
-def _run_log(spec: FixedDuration, ctx: TaskContext) -> bytes:
-    return (f"fixed-duration task: {spec.seconds:g} s on {ctx.instances} instances, "
-            f"{ctx.procs_per_node} processes per node\n").encode()

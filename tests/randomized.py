@@ -26,13 +26,16 @@ def _task(idx, job, instances, seconds):
     )
 
 
-def run_random_schedule(seed):
-    """One randomized pool/job mix driven to quiescence, then torn down."""
+def run_random_schedule(seed, share=False):
+    """One randomized pool/job mix driven to quiescence, then torn down. With `share`,
+    a 1 GiB share `fileshare` is created first, so that the tasks' outputs are stored."""
     rng = random.Random(seed)
     rate = rng.choice([0.0, 1.0, 5.0, 20.0])
     svc = BatchService(CATALOG, seed=seed, preemption_rate=rate,
                       task_retries=rng.choice([0, 0, 0, 1]))
     svc.quota_set("eastus", 1000, 1000)
+    if share:
+        svc.storage.share_create("fileshare", 1)
     dedicated = rng.randint(0, 3)
     low_priority = rng.randint(0, 3)
     if dedicated + low_priority == 0:

@@ -267,6 +267,43 @@ def test_older_state_versions_exit_2_without_mutation(workdir, version):
     assert tree(workdir) == before
 
 
+def _entry(state, content: bool) -> dict:
+    """The first share entry that holds content (a task output) or only a size (ingress)."""
+    entries = state["service"]["shares"][0]["entries"]
+    return next(e for e in entries if (e["content_hex"] is not None) is content)
+
+
+@pytest.mark.parametrize("content", [False, True], ids=["size-only", "artifact"])
+def test_tampered_share_digest_exits_2_without_mutation(workdir, content):
+    """state.json records each entry's digest; one that its content or size does not give
+    is corrupt state."""
+    for argv in sequence()[:7]:  # through `jobs add`, which stores run.log
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    entry = _entry(state, content)
+    entry["digest"] = entry["digest"][::-1]
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert (code, err) == (2, f"error: corrupt state: digest of fileshare/{entry['path']}\n")
+    assert tree(workdir) == before
+
+
+def test_transfer_of_zero_bytes_in_state_exits_2_without_mutation(workdir):
+    for argv in sequence()[:6]:  # through `data ingress`, which meters one transfer
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    state["service"]["transfers"][0]["bytes"] = 0
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert (code, err) == (2, "error: corrupt state: ValueError: transfer records require "
+                              "positive byte counts\n")
+    assert tree(workdir) == before
+
+
 # (position in the task row, value written there); positions 0-6 are the spec
 ROW_CORRUPTIONS = {
     "blank-id": (0, " "),
@@ -385,6 +422,36 @@ def test_failed_scenario_leaves_no_workspace(tmp_path, monkeypatch):
     code, _, err = cli(tmp_path, "scenario", "run", "snake2d")
     assert code == 2 and "more nodes" in err
     assert not (tmp_path / ".batchsim").exists()
+
+
+def _killed_init(root: Path, name: str):
+    """Leave in `root` what the `workspace init` of scenario `name` leaves when it is killed
+    before its state.json rename: .batchsim/ with the snapshot and a header-only ledger.tsv."""
+    scenario = scenario_by_name(name)
+    serialize_config_dir(scenario.bundle(), root / "cfg")
+    init = transcript(scenario, 0, "cfg", "manifest.json")[0]
+    assert _run_killed(root, init, "save", "before") == 9
+    left = tree(root)
+    assert "state.json" not in left and left["ledger.tsv"].count(b"\n") == 1
+    assert [p for p in left if p.startswith("configs/") and p.count("/") == 1]
+
+
+def test_scenario_run_after_a_killed_init_leaves_the_tree_of_a_fresh_run(tmp_path):
+    fresh, killed = tmp_path / "fresh", tmp_path / "killed"
+    _killed_init(killed, "snake2d")
+    assert cli(killed, "status")[2].startswith("error: no workspace in ")
+    ok(fresh, "scenario", "run", "snake2d")
+    ok(killed, "scenario", "run", "snake2d")
+    assert tree(killed) == tree(fresh)
+
+
+def test_failed_scenario_run_after_a_killed_init_leaves_its_files(tmp_path, monkeypatch):
+    _killed_init(tmp_path, "snake2d")
+    before = tree(tmp_path)
+    monkeypatch.setattr(WorkspaceStore, "write_ledger", _no_space)
+    code, _, err = cli(tmp_path, "scenario", "run", "snake2d")
+    assert (code, err) == (2, "error: no space left on device\n")
+    assert tree(tmp_path) == before
 
 
 def _no_space(*args):

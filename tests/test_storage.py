@@ -1,4 +1,6 @@
 import hashlib
+import posixpath
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from batchsim import state
 from batchsim.errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
 from batchsim.storage import GIB, Direction, StorageAccount
+
+from randomized import run_random_schedule
 
 
 @pytest.fixture
@@ -106,6 +110,43 @@ def test_write_entry_overwrite_same_path(account):
     assert account.shares["fileshare"].used_bytes == 4
 
 
+@pytest.fixture
+def full_share():
+    """A 1 GiB share filled to its quota, the last 10 bytes by the artifact out/f."""
+    acc = StorageAccount()
+    acc.share_create("s", 1)
+    acc.ingress("s", "in", [("big.bin", GIB - 10)])
+    acc.write_entry("s", "out/f", b"x" * 10)
+    assert acc.shares["s"].used_bytes == acc.shares["s"].quota_bytes
+    return acc
+
+
+def test_overwrite_at_full_quota_is_admitted_up_to_the_old_size(full_share):
+    share = full_share.shares["s"]
+    full_share.write_entry("s", "out/f", b"y" * 10)
+    assert share.used_bytes == GIB
+    full_share.write_entry("s", "out/f", b"z" * 4)
+    assert share.used_bytes == GIB - 6
+    assert share.entries["out/f"].content == b"z" * 4
+
+
+def test_larger_overwrite_at_full_quota_is_rejected_and_changes_nothing(full_share):
+    share = full_share.shares["s"]
+    with pytest.raises(QuotaExceededOnShare):
+        full_share.write_entry("s", "out/f", b"y" * 11)
+    assert share.used_bytes == GIB
+    assert share.entries["out/f"].content == b"x" * 10
+    assert share.directories == {"in", "out"}
+
+
+def test_ingress_registers_the_directories_of_nested_paths(account, tmp_path):
+    account.ingress("fileshare", "run", [("a.bin", 1), ("sub/deep/c.bin", 3)])
+    assert account.shares["fileshare"].directories == {"run", "run/sub", "run/sub/deep"}
+    assert [e.path for e in account.entries_under("fileshare", "run/sub")] == [
+        "run/sub/deep/c.bin"]
+    assert account.download_batch("fileshare", "run/sub", tmp_path).bytes == 3
+
+
 def test_path_normalization(account):
     account.ingress("fileshare", "run", [("./x//y.bin", 5)])
     assert "run/x/y.bin" in account.shares["fileshare"].entries
@@ -156,3 +197,47 @@ def test_ingress_download_round_trips_sizes(names, data, tmp_path_factory):
         assert egress.bytes == total
     got = {p.name: p.stat().st_size for p in dest.rglob("*") if p.is_file()}
     assert got == {n: s for n, s in manifest}
+
+
+def _expected_digest(content, size) -> str:
+    return hashlib.sha256(f"size-only:{size}".encode() if content is None
+                          else content).hexdigest()
+
+
+def check_share_bookkeeping(svc):
+    """Each share's used bytes, directory index and entry digests agree with its entries,
+    in the service and in the state document written from it."""
+    for share in svc.storage.shares.values():
+        assert share.used_bytes == sum(e.size_bytes for e in share.entries.values())
+        for path, entry in share.entries.items():
+            assert entry.path == path
+            parent = posixpath.dirname(path)
+            while parent:
+                assert parent in share.directories, (path, parent)
+                parent = posixpath.dirname(parent)
+            assert entry.digest == _expected_digest(entry.content, entry.size_bytes)
+    for sdoc in state.service_to_doc(svc)["shares"]:
+        for e in sdoc["entries"]:
+            content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
+            assert e["digest"] == _expected_digest(content, e["size"])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_share_bookkeeping_holds_after_random_schedules_and_a_round_trip(seed):
+    """Task outputs, then overwrites that switch paths between artifacts and size-only
+    entries, at nested paths."""
+    svc, _ = run_random_schedule(seed, share=True)
+    completed = any(t.state.value == "Completed" for t in svc.all_tasks())
+    assert ("out/run.log" in svc.storage.shares["fileshare"].entries) is completed
+    rng = random.Random(seed)
+    for _ in range(8):
+        name = rng.choice(["run.log", "a/x.bin", "a/b/y.bin", "c/z.bin"])
+        if rng.random() < 0.5:
+            svc.storage.ingress("fileshare", "out", [(name, rng.randint(0, 4096))])
+        else:
+            svc.storage.write_entry("fileshare", f"out/{name}", rng.randbytes(rng.randint(0, 64)))
+    check_share_bookkeeping(svc)
+    doc = state.service_to_doc(svc)
+    back = state.service_from_doc(doc, state.ServiceOptions(seed=seed))
+    check_share_bookkeeping(back)
+    assert state.service_to_doc(back) == doc

@@ -315,7 +315,8 @@ def ctx():
 def test_execute_fixed(ctx):
     result = execute(FixedDuration(3600.0), ctx)
     assert result.duration_seconds == 3600.0
-    assert result.outputs and result.outputs[0][0] == "run.log"
+    assert result.outputs == [
+        ("run.log", b"fixed-duration task: 3600 s on 2 instances, 12 processes per node\n")]
 
 
 def test_execute_latency_benchmark(ctx):
@@ -328,11 +329,16 @@ def test_execute_latency_benchmark(ctx):
 
 
 def test_execute_poisson_cg(ctx):
-    result = execute(PoissonCGReal(8), ctx)
-    assert result.duration_seconds > 0
-    name, content = result.outputs[0]
-    assert name == "solve.tsv"
-    assert b"iterations" in content
+    """The task solves manufactured_solution's forcing, to the last bit of the residual."""
+    for n in (8, 24):
+        result = execute(PoissonCGReal(n), ctx)
+        assert result.duration_seconds > 0
+        name, content = result.outputs[0]
+        assert name == "solve.tsv"
+        grid = unit_cube_grid(n)
+        ref = solve_cg(grid, manufactured_solution(grid)[1])
+        assert content.decode() == (f"grid\t{n}x{n}x{n}\niterations\t{ref.iterations}\n"
+                                    f"final_residual\t{ref.final_residual!r}\n")
 
 
 def test_execute_scaling(ctx):
