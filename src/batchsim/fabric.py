@@ -248,8 +248,6 @@ class Provisioner:
     def provision(self, batch_id: str, sku: str, dedicated: int, low_priority: int,
                   on_ready: Callable[[Node], None], staging_seconds: float = 0.0,
                   staging_label: str = "") -> list[Node]:
-        if dedicated < 0 or low_priority < 0:
-            raise ValueError("node counts must be non-negative")
         if low_priority > 0 and not self.low_priority_available(self.clock.now):
             raise AllocationUnavailable(
                 f"low-priority capacity unavailable at t={self.clock.now:.0f}s"

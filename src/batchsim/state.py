@@ -222,6 +222,8 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             entry = ShareEntry(e["path"], int(e["size"]), content)
             if entry.digest != e["digest"]:
                 raise ValidationError(f"corrupt state: digest of {share.name}/{entry.path}")
+            if content is not None and entry.size_bytes != len(content):
+                raise ValidationError(f"corrupt state: size of {share.name}/{entry.path}")
             share.put(entry)
         svc.storage.shares[share.name] = share
     svc.storage.transfers = [

@@ -143,14 +143,10 @@ class StorageAccount:
         """Store an artifact produced inside the service (not metered as ingress)."""
         sh = self._share(share)
         path = _normalize(path)
-        old = sh.entries.get(path)  # an overwrite's directories are registered already
-        used = sh.used_bytes + len(content) - (old.size_bytes if old else 0)
-        if used > sh.quota_bytes:
+        old = sh.entries.get(path)
+        if sh.used_bytes + len(content) - (old.size_bytes if old else 0) > sh.quota_bytes:
             raise QuotaExceededOnShare(f"{share}: artifact {path!r} exceeds quota")
-        if old is None:
-            _register_dirs(sh, posixpath.dirname(path))
-        sh.entries[path] = ShareEntry(path, len(content), content)
-        sh.used_bytes = used
+        sh.put(ShareEntry(path, len(content), content))
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
         sh = self._share(share)

@@ -11,15 +11,16 @@ from __future__ import annotations
 import enum
 import io
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
 from .errors import MaxIterExceeded, ShapeMismatch
 from .fabric import InterconnectModel, allreduce_time, comm_time
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # ---------------------------------------------------------------------------
 # workload specs
@@ -217,81 +218,40 @@ def _sweep_threads() -> int:
     return min(cpus, MAX_SWEEP_THREADS)
 
 
-class _Team:
-    """The calling thread and `size - 1` helper threads, each taking one rank of a sweep.
-
-    `run(task, *args)` calls task(0, *args) on the caller and task(k, *args)
-    on helper k, and returns once all of them have; the first exception any
-    of them raised is raised in the caller. Helpers start on entering the
-    `with` block and are joined on leaving it, as are those started before a
-    start that fails. A team of size 1 starts none.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._started = 0
-        self._inboxes = [queue.SimpleQueue() for _ in range(size - 1)]
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads = [threading.Thread(target=self._serve, args=(rank, inbox), daemon=True,
-                                          name=f"batchsim-cg-{rank}")
-                         for rank, inbox in enumerate(self._inboxes, start=1)]
-
-    def __enter__(self) -> "_Team":
-        try:
-            for thread in self._threads:
-                thread.start()
-                self._started += 1
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        for inbox in self._inboxes[:self._started]:
-            inbox.put(None)
-        for thread in self._threads[:self._started]:
-            thread.join()
-
-    def _serve(self, rank: int, inbox: queue.SimpleQueue):
-        while (job := inbox.get()) is not None:
-            task, args = job
-            try:
-                task(rank, *args)
-            except BaseException as exc:  # handed to the caller, which raises it
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def run(self, task, *args):
-        for inbox in self._inboxes:
-            inbox.put((task, args))
-        try:
-            task(0, *args)
-        finally:
-            errors = [e for e in [self._done.get() for _ in self._inboxes] if e is not None]
-        if errors:
-            raise errors[0]
+def _run_ranks(pool: ThreadPoolExecutor | None, ranks: int, task, *args):
+    """Call task(0, *args) on the calling thread and task(k, *args) in `pool` for
+    k = 1..ranks-1, and return once all of them have; the first exception any of
+    them raised is raised here. With one rank, nothing is submitted."""
+    futures = [pool.submit(task, rank, *args) for rank in range(1, ranks)]
+    try:
+        task(0, *args)
+    finally:
+        errors = [e for e in [f.exception() for f in futures] if e is not None]
+    if errors:
+        raise errors[0]
 
 
 def _rank_slabs(nx: int, step: int, ranks: int) -> list[list[slice]]:
     """Planes 0..nx of the leading axis cut into `ranks` contiguous ranges of near-equal
-    length, one per thread of a team, each range in slabs of at most `step` planes."""
+    length, one per rank of a sweep, each range in slabs of at most `step` planes."""
     bounds = [k * nx // ranks for k in range(ranks + 1)]
     return [[slice(i, min(i + step, hi)) for i in range(lo, hi, step)]
             for lo, hi in zip(bounds, bounds[1:])]
 
 
 def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
-                  out: np.ndarray | None = None, team: _Team | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, pool: ThreadPoolExecutor | None = None,
+                  ranks: int = 1) -> np.ndarray:
     """Matrix-free negative Laplacian with ghost values fixed at zero.
 
     Each element is 6u, minus its x-, x+, y-, y+, z-, z+ neighbours in that
     order, divided by h*h. The array is swept in slabs along axis 0 so a slab
     of the input and of `out` stay in cache; the per-element order, and so
-    every rounding, is the same as one whole-array pass. With a `team`, each
-    of its threads sweeps one contiguous range of planes; without one, the
-    calling thread sweeps them all. Writes into `out` (C-contiguous, and not
-    sharing memory with the input) when given.
+    every rounding, is the same as one whole-array pass. The planes are cut
+    into `ranks` contiguous ranges: the calling thread sweeps the first and
+    `pool`'s threads the others, so a pool is needed only for more than one
+    rank. Writes into `out` (C-contiguous, and not sharing memory with the
+    input) when given.
     """
     if field_values.shape != grid.shape:
         raise ShapeMismatch(f"field shape {field_values.shape} does not match grid {grid.shape}")
@@ -302,9 +262,8 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
     elif not out.flags.c_contiguous or np.shares_memory(out, field_values):
         raise ValueError("out must be C-contiguous and not share memory with the input")
     u = np.ascontiguousarray(field_values, dtype=np.float64)
-    team = team or _Team(1)
-    slabs = _rank_slabs(grid.nx, _slab_planes(grid.shape), team.size)
-    team.run(_stencil_slabs, slabs, u, out, grid)
+    slabs = _rank_slabs(grid.nx, _slab_planes(grid.shape), ranks)
+    _run_ranks(pool, ranks, _stencil_slabs, slabs, u, out, grid)
     return out
 
 
@@ -353,10 +312,11 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     allocated once. The stencil and the vector updates run in place, slab by
     slab along axis 0, on one thread per CPU this process may use, up to
     MAX_SWEEP_THREADS and one per slab: the calling thread sweeps the first
-    range of planes and helper threads, which live only as long as the
-    solve, sweep the others, each update through its own slab-sized scratch
-    buffer. Every element is computed by the same operations whichever
-    thread sweeps it, and each update rounds as the textbook expressions do
+    range of planes and the threads of a ThreadPoolExecutor, opened for the
+    solve and shut down at its end, sweep the others, each update through
+    its own slab-sized scratch buffer; with one range, no thread starts.
+    Every element is computed by the same operations whichever thread
+    sweeps it, and each update rounds as the textbook expressions do
     (x + alpha*p, r - alpha*ap, r + beta*p), so the iterates do not depend
     on the thread count. Both reductions are numpy dots over whole flattened
     arrays on the calling thread, so identical inputs give bit-identical
@@ -388,9 +348,11 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
             ps *= beta
             ps += r[s]
 
-    with _Team(workers) as team:
+    # not at module level: it imports logging, which would slow every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="batchsim-cg") as pool:
         x = np.zeros(grid.shape)
-        ap = apply_poisson(grid, x, team=team)
+        ap = apply_poisson(grid, x, pool=pool, ranks=workers)
         r = np.subtract(b, ap)
         p = r.copy()
         rz = float(np.dot(r.ravel(), r.ravel()))
@@ -399,14 +361,14 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
         if res <= tol_abs:
             return CGResult(x, 0, res, history)
         for k in range(1, max_iter + 1):
-            apply_poisson(grid, p, out=ap, team=team)
-            team.run(update_xr, rz / float(np.dot(p.ravel(), ap.ravel())))
+            apply_poisson(grid, p, out=ap, pool=pool, ranks=workers)
+            _run_ranks(pool, workers, update_xr, rz / float(np.dot(p.ravel(), ap.ravel())))
             rz_new = float(np.dot(r.ravel(), r.ravel()))
             res = float(np.sqrt(rz_new))
             history.append(res)
             if res <= tol_abs:
                 return CGResult(x, k, res, history)
-            team.run(update_p, rz_new / rz)
+            _run_ranks(pool, workers, update_p, rz_new / rz)
             rz = rz_new
     raise MaxIterExceeded(max_iter, min(history))
 

@@ -13,6 +13,8 @@ import contextlib
 import io
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from batchsim import workloads
 from batchsim.cli import run_command
 from batchsim.errors import MaxIterExceeded, ShapeMismatch
-from batchsim.workloads import (PoissonGrid, _slab_planes, _Team, apply_poisson,
+from batchsim.workloads import (PoissonGrid, _run_ranks, _slab_planes, apply_poisson,
                                 manufactured_solution, solve_cg, unit_cube_grid)
 
 WORKER_COUNTS = (1, 2, 3, 5)
@@ -189,11 +191,12 @@ def test_cg_matches_allocating_solver_on_any_sweep_threads(monkeypatch, shape, w
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
 def test_stencil_matches_whole_array_pass_on_any_team(shape, workers):
-    """A team larger than the plane count leaves some threads an empty range."""
+    """More ranks than planes leave some ranks an empty range."""
     grid = _grid(*shape)
     v = np.random.default_rng(sum(shape)).standard_normal(shape)
-    with _Team(workers) as team:
-        assert np.array_equal(apply_poisson(grid, v, team=team), oracle_apply_poisson(grid, v))
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        assert np.array_equal(apply_poisson(grid, v, pool=pool, ranks=workers),
+                              oracle_apply_poisson(grid, v))
 
 
 def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
@@ -204,10 +207,10 @@ def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with _Team(5) as team:
+        with ThreadPoolExecutor(4) as pool:
             for _ in range(10):
                 v = rng.standard_normal(grid.shape)
-                assert np.array_equal(apply_poisson(grid, v, team=team),
+                assert np.array_equal(apply_poisson(grid, v, pool=pool, ranks=5),
                                       oracle_apply_poisson(grid, v))
         rhs = rng.standard_normal(grid.shape)
         with pytest.raises(MaxIterExceeded) as new:
@@ -220,14 +223,28 @@ def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
 
 
 def test_cg_team_has_the_sweep_threads_up_to_one_per_slab(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(workloads, "_Team", lambda size: sizes.append(size) or _Team(size))
+    """Each solve opens one pool of ranks - 1 helpers (at least 1) and sweeps every
+    stencil with that many ranks, through the module attribute."""
+    pools, ranks = [], []
+    real_stencil = workloads.apply_poisson
+
+    def recording_pool(max_workers, **kwargs):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers, **kwargs)
+
+    def recording_stencil(*args, **kwargs):
+        ranks.append(kwargs["ranks"])
+        return real_stencil(*args, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(workloads, "apply_poisson", recording_stencil)
     for workers in (2, 5):
         monkeypatch.setattr(workloads, "_sweep_threads", lambda: workers)
         for name in ("one-plane-slabs", "tiny"):
             with contextlib.suppress(MaxIterExceeded):
                 solve_cg(_grid(*SHAPES[name]), np.ones(SHAPES[name]), max_iter=1)
-    assert sizes == [2, 1, 5, 1]
+    assert pools == [1, 1, 4, 1]
+    assert ranks == [2, 2, 1, 1, 5, 5, 1, 1]  # the initial product, then one per iteration
 
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
@@ -239,6 +256,7 @@ def test_sweep_threads_are_the_cpus_up_to_the_measured_cap(monkeypatch, cpus, th
 def test_a_failed_helper_start_stops_the_helpers_already_started(monkeypatch):
     real_start = threading.Thread.start
     starts = []
+    release = threading.Event()
 
     def start_failing_on_the_second(thread):
         starts.append(thread)
@@ -246,11 +264,18 @@ def test_a_failed_helper_start_stops_the_helpers_already_started(monkeypatch):
             raise RuntimeError("can't start new thread")
         real_start(thread)
 
+    def task(rank):
+        release.wait(timeout=10)  # keeps rank 1's thread busy, so rank 2 needs another
+
     before = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", start_failing_on_the_second)
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        with _Team(4):
-            pytest.fail("the block ran without its helpers")
+        with ThreadPoolExecutor(3) as pool:
+            try:
+                _run_ranks(pool, 4, task)
+            finally:
+                release.set()
+            pytest.fail("the ranks ran without their helpers")
     monkeypatch.undo()
     assert len(starts) == 2
     assert threading.active_count() == before
@@ -260,20 +285,21 @@ def test_an_error_in_a_helper_reaches_the_caller():
     ran = []
 
     def task(rank, fail_rank):
+        if rank:
+            time.sleep(0.01)  # a helper still runs when rank 0 is done
         ran.append(rank)
         if rank == fail_rank:
             raise ZeroDivisionError(f"rank {rank}")
 
     before = threading.active_count()
-    with _Team(3) as team:
-        assert threading.active_count() == before + 2
+    with ThreadPoolExecutor(2) as pool:
         with pytest.raises(ZeroDivisionError, match="rank 2"):
-            team.run(task, 2)
+            _run_ranks(pool, 3, task, 2)
         assert sorted(ran) == [0, 1, 2]  # the caller waited for every helper
-        team.run(task, None)  # and the team still runs after the error
+        _run_ranks(pool, 3, task, None)  # and the pool still runs after the error
         with pytest.raises(ZeroDivisionError, match="rank 0"):
-            team.run(task, 0)
-    assert sorted(ran) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+            _run_ranks(pool, 3, task, 0)
+        assert sorted(ran) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert threading.active_count() == before
 
 
@@ -288,4 +314,17 @@ def test_no_thread_outlives_a_solve_or_a_cli_session(monkeypatch, tmp_path):
     assert threading.active_count() == before
     with pytest.raises(MaxIterExceeded):
         solve_cg(grid, np.ones(grid.shape), max_iter=2)
+    assert threading.active_count() == before
+
+    def stencil_failing_on_rank_1(rank, *args):
+        if rank == 1:
+            raise ZeroDivisionError("rank 1")
+        real_stencil(rank, *args)
+
+    real_stencil = workloads._stencil_slabs
+    monkeypatch.setattr(workloads, "_stencil_slabs", stencil_failing_on_rank_1)
+    shape = SHAPES["one-plane-slabs"]
+    with pytest.raises(ZeroDivisionError, match="rank 1"):
+        solve_cg(_grid(*shape), np.ones(shape))
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("batchsim-cg")]
     assert threading.active_count() == before

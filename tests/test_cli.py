@@ -290,6 +290,34 @@ def test_tampered_share_digest_exits_2_without_mutation(workdir, content):
     assert tree(workdir) == before
 
 
+def test_tampered_content_size_exits_2_without_mutation(workdir):
+    """An artifact's digest covers only its content; a size it does not have would be
+    billed as egress on download."""
+    for argv in sequence()[:7]:  # through `jobs add`, which stores run.log
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    entry = _entry(state, True)
+    entry["size"] = 10**12
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert (code, err) == (2, f"error: corrupt state: size of fileshare/{entry['path']}\n")
+    assert tree(workdir) == before
+
+
+def test_negative_preemption_rate_in_state_exits_2_without_mutation(workdir):
+    ok(workdir, *INIT)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    state["options"]["preemption_rate"] = -1.0
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "status")
+    assert (code, err) == (2, "error: corrupt state: ValueError: rate must be non-negative\n")
+    assert tree(workdir) == before
+
+
 def test_transfer_of_zero_bytes_in_state_exits_2_without_mutation(workdir):
     for argv in sequence()[:6]:  # through `data ingress`, which meters one transfer
         ok(workdir, *argv)

@@ -241,6 +241,12 @@ JOBS_DIAGNOSTICS = {
     "workload-bad-number": ({"workload": "fixed:abc"}, "workload",
                             "bad workload reference 'fixed:abc': "
                             "could not convert string to float: 'abc'"),
+    "workload-grid-edge-1": ({"workload": "poisson:cg:1"}, "workload",
+                             "bad workload reference 'poisson:cg:1': "
+                             "grid edge must be at least 2"),
+    "workload-zero-cells": ({"workload": "poisson:strong:0"}, "workload",
+                            "bad workload reference 'poisson:strong:0': "
+                            "base_cells must be positive"),
     "instances-absent": ({"instances": ...}, "instances", ABSENT),
     "instances-string": ({"instances": "2"}, "instances", NOT_INT),
     "instances-bool": ({"instances": True}, "instances", NOT_INT),
