@@ -40,7 +40,7 @@ from .fabric import (
     ScarcityWindow,
     SimClock,
 )
-from .storage import StorageAccount, TransferRecord
+from .storage import StorageAccount
 
 IMAGE_PULL_SECONDS = 120.0  # deterministic pull stage at pool creation
 
@@ -176,7 +176,6 @@ class BatchService:
         self.storage = StorageAccount()
         self.ledger = billing.Ledger(catalog)
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
-        self._used: dict[str, list[int]] = {r: [0, 0] for r in self.quotas}
         self.pools: dict[str, Pool] = {}
         self.jobs: dict[str, Job] = {}  # in submission order
         self._running: dict[str, Task] = {}  # node id -> the task running on it
@@ -196,11 +195,22 @@ class BatchService:
         self.event_log.append(self.clock.now, f"quota/{region}",
                               f"dedicated={dedicated_cores},low_priority={low_priority_cores}")
 
+    def quota_used(self, region: str) -> tuple[int, int]:
+        """Dedicated and low-priority cores of the region's pools that are not deleted."""
+        dedicated = low_priority = 0
+        for pool in self.pools.values():
+            cfg = pool.config
+            if cfg.region == region and pool.state is not PoolState.DELETED:
+                vcores = self.catalog.lookup(cfg.sku).vcores
+                dedicated += cfg.dedicated_count * vcores
+                low_priority += cfg.low_priority_count * vcores
+        return dedicated, low_priority
+
     def available_quota(self, region: str) -> RegionQuota:
         quota = self.quotas[region]
-        used = self._used[region]
-        return RegionQuota(region, quota.dedicated_cores - used[0],
-                           quota.low_priority_cores - used[1])
+        dedicated, low_priority = self.quota_used(region)
+        return RegionQuota(region, quota.dedicated_cores - dedicated,
+                           quota.low_priority_cores - low_priority)
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -221,15 +231,10 @@ class BatchService:
         )
         pool.nodes = nodes
         self.pools[cfg.pool_id] = pool
-        sku = self.catalog.lookup(cfg.sku)
-        used = self._used[cfg.region]
-        used[0] += cfg.dedicated_count * sku.vcores
-        used[1] += cfg.low_priority_count * sku.vcores
         self.event_log.append(self.clock.now, f"pool/{cfg.pool_id}",
                               f"->{PoolState.ALLOCATING.value}")
         for v in warnings:
             self.event_log.append(self.clock.now, f"pool/{cfg.pool_id}", f"warning:{v.rule}")
-        self.ledger.pool_plans[cfg.pool_id] = plan
         return pool
 
     def _on_node_ready(self, pool: Pool, node: Node):
@@ -272,10 +277,6 @@ class BatchService:
             if node.released_time is None:
                 node.released_time = now
                 self.event_log.append(now, f"node/{node.node_id}", "released")
-        sku = self.catalog.lookup(pool.config.sku)
-        used = self._used[pool.config.region]
-        used[0] -= pool.config.dedicated_count * sku.vcores
-        used[1] -= pool.config.low_priority_count * sku.vcores
         pool.state = PoolState.DELETED
         pool.deleted_at = now
         self.event_log.append(now, f"pool/{pool_id}",
@@ -388,7 +389,7 @@ class BatchService:
             return  # outputs are dropped when no share is mounted
         for name, content in result.outputs:
             path = f"{directory}/{name}" if directory else name
-            self.storage.write_entry(share, path, content, self.clock.now)
+            self.storage.write_entry(share, path, content)
             self._log((self.clock.now, f"share/{share}", f"write:{path}:{len(content)}"))
 
     def _on_preempt(self, pool: Pool, node: Node):
@@ -453,22 +454,21 @@ class BatchService:
 
     # -- data transfers --------------------------------------------------------
 
-    def data_ingress(self, share: str, directory: str,
-                     manifest: list[tuple[str, int]]) -> Optional[TransferRecord]:
-        """Upload a size manifest into a share directory, logging the metered bytes."""
-        record = self.storage.ingress(share, directory, manifest, self.clock.now)
-        if record is not None:
-            self.event_log.append(self.clock.now, f"share/{share}", f"ingress:{record.bytes}")
-        return record
+    def data_ingress(self, share: str, directory: str, manifest: list[tuple[str, int]]) -> int:
+        """Upload a size manifest into a share directory; returns and logs the metered bytes."""
+        nbytes = self.storage.ingress(share, directory, manifest)
+        if nbytes:
+            self.event_log.append(self.clock.now, f"share/{share}", f"ingress:{nbytes}")
+        return nbytes
 
-    def data_download(self, share: str, directory: str, dest) -> Optional[TransferRecord]:
-        """Download a share directory to `dest`, billing and logging the egress."""
+    def data_download(self, share: str, directory: str, dest) -> int:
+        """Download a share directory to `dest`; returns, bills and logs the egress bytes."""
         now = self.clock.now
-        record = self.storage.download_batch(share, directory, dest, now)
-        if record is not None:
-            self.ledger.add_egress(record.bytes, f"download {share}/{directory}", (now, now))
-            self.event_log.append(now, f"share/{share}", f"egress:{record.bytes}")
-        return record
+        nbytes = self.storage.download_batch(share, directory, dest)
+        if nbytes:
+            self.ledger.add_egress(nbytes, f"download {share}/{directory}", (now, now))
+            self.event_log.append(now, f"share/{share}", f"egress:{nbytes}")
+        return nbytes
 
     # -- metering ------------------------------------------------------------
 
@@ -556,13 +556,10 @@ class BatchService:
                     ],
                 }
             )
-        quotas = {
-            r: {
-                "dedicated_cores": q.dedicated_cores,
-                "low_priority_cores": q.low_priority_cores,
-                "dedicated_used": self._used[r][0],
-                "low_priority_used": self._used[r][1],
-            }
-            for r, q in self.quotas.items()
-        }
+        quotas = {}
+        for r, q in self.quotas.items():
+            dedicated, low_priority = self.quota_used(r)
+            quotas[r] = {"dedicated_cores": q.dedicated_cores,
+                         "low_priority_cores": q.low_priority_cores,
+                         "dedicated_used": dedicated, "low_priority_used": low_priority}
         return {"time": self.clock.now, "quotas": quotas, "pools": pools, "jobs": jobs}

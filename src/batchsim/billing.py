@@ -39,7 +39,6 @@ class MeterEvent:
     description: str
     interval: tuple[float, float]
     sku: Optional[str] = None
-    plan: Optional[PricingPlan] = None
     node_seconds: Optional[Fraction] = None
 
     def __post_init__(self):
@@ -67,12 +66,11 @@ def meter_egress(transfer_bytes: int) -> Fraction:
 
 
 class Ledger:
-    """Append-only list of meter events plus the pricing-plan context per pool."""
+    """Append-only list of meter events, priced from one catalog."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._items: list[MeterEvent] = []
-        self.pool_plans: dict[str, PricingPlan] = {}
 
     @property
     def items(self) -> tuple[MeterEvent, ...]:
@@ -90,16 +88,13 @@ class Ledger:
             description=description,
             interval=interval,
             sku=sku,
-            plan=plan,
             node_seconds=seconds,
         )
         self.add(item)
         return item
 
     def add_egress(self, transfer_bytes: int, description: str,
-                   interval: tuple[float, float]) -> Optional[MeterEvent]:
-        if transfer_bytes == 0:
-            return None
+                   interval: tuple[float, float]) -> MeterEvent:
         item = MeterEvent(
             category=ServiceCategory.BANDWIDTH,
             usd=meter_egress(transfer_bytes),

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error or failed I/O, 3 simulation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -25,8 +26,8 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import (ConfigBundle, bundle_documents, dump_yaml, load_yaml, parse_config_dir,
-                     serialize_config_dir)
+from .config import (ConfigBundle, CredentialsConfig, bundle_documents, dump_yaml, load_yaml,
+                     parse_config_dir, serialize_config_dir)
 from .errors import (
     CorruptArchive,
     NoCompletedRun,
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .fabric import INTERCONNECTS
-from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file
+from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file, sha256_text
 
 CONFIGDIR_ENV = "BATCHSIM_CONFIGDIR"
 DIGEST_ALGORITHM = "sha256"
@@ -186,6 +187,7 @@ class Cli:
         size = state.get("events_bytes")
         if not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0:
             raise ValidationError("corrupt state: not a workspace state document")
+        state = {key: state[key] for key in statemod.STATE_KEYS}  # a dropped key is not rewritten
         self.store.truncate_events(size)
         try:
             doc = state["catalog_doc"]
@@ -205,17 +207,20 @@ class Cli:
         """Write a command's results to .batchsim/, all or nothing.
 
         Renaming state.json in commits them, and every other write comes before it: the
-        events.log append, ledger.tsv, the snapshot of a loaded `bundle` (with init's
-        `catalog_doc`), which its recorded `--configdir` names, and an ingress `manifest`
-        (path, rows). If a write or the rename fails, each is taken back: events.log is
-        cut back to its size at the start, ledger.tsv and the manifest get their old bytes
-        or are removed if new, and each directory this call created is removed.
+        events.log append, ledger.tsv, the snapshot of a loaded `bundle` (its keys as sha256
+        digests, with init's `catalog_doc`), which its recorded `--configdir` names, and an
+        ingress `manifest` (path, rows). If a write or the rename fails, each is taken back:
+        events.log is cut back to its size at the start, ledger.tsv and the manifest get
+        their old bytes or are removed if new, and each directory this call created is removed.
         """
         state["service"] = statemod.service_to_doc(svc)
         snapshot = None
         if bundle is not None:  # named by the first 12 hex digits of its documents' sha256
+            keys = bundle.credentials
+            bundle = dataclasses.replace(bundle, credentials=CredentialsConfig(
+                _key_digest(keys.storage_key), _key_digest(keys.batch_key)))
             documents = {**bundle_documents(bundle), "catalog.yaml": catalog_doc}
-            name = statemod.sha256_text(json.dumps(documents, sort_keys=True))[:12]
+            name = sha256_text(json.dumps(documents, sort_keys=True))[:12]
             recorded_argv = [*recorded_argv, "--configdir", f"{STATE_DIR}/configs/{name}"]
             snapshot = self.root / recorded_argv[-1]
         state["transcript"].append(recorded_argv)
@@ -274,6 +279,11 @@ class Cli:
 
 def _relpath(path: Path, root: Path) -> Path:
     return path if path.is_absolute() else root / path
+
+
+def _key_digest(key: str) -> str:
+    """A credential as a snapshot keeps it: `sha256:<hex>`, which a snapshot's key already is."""
+    return key if re.fullmatch(r"sha256:[0-9a-f]{64}", key) else f"sha256:{sha256_text(key)}"
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +429,7 @@ def cmd_data_ingress(cli: Cli, args) -> int:
             )
         if (share, directory) not in targets:
             targets.append((share, directory))
-    total = 0
-    for share, directory in targets:
-        record = svc.data_ingress(share, directory, manifest)
-        if record is not None:
-            total += record.bytes
+    total = sum(svc.data_ingress(share, directory, manifest) for share, directory in targets)
     seq = state["ingress_seq"] + 1
     state["ingress_seq"] = seq
     manifest_rel = f"{STATE_DIR}/ingress/{seq:04d}.json"
@@ -441,14 +447,13 @@ def cmd_data_download(cli: Cli, args) -> int:
         raise ValidationError("--source must look like <share>/<directory>")
     dest = _relpath(Path(args.dest), cli.root)
     try:
-        record = svc.data_download(share, directory, dest)
+        nbytes = svc.data_download(share, directory, dest)
     except OSError as exc:
         raise ValidationError(f"cannot write to --dest {args.dest}: {exc}") from None
-    count = len(svc.storage.entries_under(share, directory)) if record is not None else 0
+    count = len(svc.storage.entries_under(share, directory)) if nbytes else 0
     cli.commit(state, svc, ["data", "download", "--source", args.source,
                             "--dest", args.dest])
-    cli.say(f"downloaded {count} files "
-            f"({record.bytes if record else 0} bytes) to {dest}")
+    cli.say(f"downloaded {count} files ({nbytes} bytes) to {dest}")
     return 0
 
 
@@ -537,7 +542,6 @@ def cmd_repro_pack(cli: Cli, args) -> int:
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
     output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
-        "digest_algorithm": DIGEST_ALGORITHM,
         "seed": state["options"]["seed"],
         "transcript": state["transcript"],
         "output_digests": output_digests,

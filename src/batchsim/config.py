@@ -371,9 +371,8 @@ def serialize_config_dir(bundle: ConfigBundle, path):
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation:  # a pool rule broken as a warning; a rule that blocks creation raises
     rule: str
-    severity: str  # always "warning": a broken rule is raised, not returned
     message: str
 
 
@@ -391,7 +390,7 @@ def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota) -> 
     if cfg.shared_filesystem and cfg.low_priority_count > 0:
         raise SharedFsLowPriority("a shared filesystem pool cannot include low-priority nodes")
     if cfg.low_priority_count > 0 and cfg.inter_node_comm:
-        return [Violation("LowPriorityInterNodeComm", "warning",
+        return [Violation("LowPriorityInterNodeComm",
                           "low-priority nodes are preemptible and best avoided for "
                           "long-running jobs with inter-node communication")]
     return []

@@ -169,18 +169,16 @@ _LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
 
 
 class Node:
-    __slots__ = ("node_id", "position", "entity", "sku", "priority", "state", "boot_latency",
-                 "ready_time", "released_time", "preempt_at", "busy_log")
+    __slots__ = ("node_id", "position", "entity", "sku", "priority", "state", "ready_time",
+                 "released_time", "preempt_at", "busy_log")
 
-    def __init__(self, node_id: str, sku: str, priority: Priority, boot_latency: int,
-                 position: int = 0):
+    def __init__(self, node_id: str, sku: str, priority: Priority, position: int = 0):
         self.node_id = node_id
         self.position = position  # index in its provision batch, i.e. in its pool's nodes
         self.entity = f"node/{node_id}"  # the event-log entity
         self.sku = sku
         self.priority = priority
         self.state = NodeState.STARTING
-        self.boot_latency = boot_latency
         self.ready_time: Optional[float] = None
         self.released_time: Optional[float] = None
         self.preempt_at: Optional[float] = None
@@ -252,14 +250,12 @@ class Provisioner:
             raise AllocationUnavailable(
                 f"low-priority capacity unavailable at t={self.clock.now:.0f}s"
             )
-        if dedicated + low_priority == 0:
-            return []
         lo, hi = BOOT_LATENCY_RANGE
         boot = derived_rng(self.seed, f"boot/{batch_id}").randint(lo, hi)
         nodes = []
         for i in range(dedicated + low_priority):
             prio = Priority.DEDICATED if i < dedicated else Priority.LOW_PRIORITY
-            node = Node(f"{batch_id}/{i}", sku, prio, boot, i)
+            node = Node(f"{batch_id}/{i}", sku, prio, i)
             self.log.append(self.clock.now, node.entity, f"->{node.state.value}")
             if staging_seconds > 0 and staging_label:
                 self.clock.schedule_after(boot, _staging_action(node, self, staging_label))

@@ -26,7 +26,7 @@ from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
                      pool_to_doc, task_spec, task_spec_values, workspace_to_doc)
 from .errors import ValidationError
 from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
-from .storage import FileShare, ShareEntry, TransferRecord, Direction
+from .storage import FileShare, ShareEntry
 
 STATE_VERSION = 3
 STATE_DIR = ".batchsim"
@@ -122,17 +122,13 @@ def service_to_doc(svc: BatchService) -> dict:
                 "created_at": pool.created_at,
                 "steady_at": pool.steady_at,
                 "deleted_at": pool.deleted_at,
-                "warnings": [
-                    {"rule": v.rule, "severity": v.severity, "message": v.message}
-                    for v in pool.warnings
-                ],
+                "warnings": [{"rule": v.rule, "message": v.message} for v in pool.warnings],
                 "nodes": [
                     {
                         "id": n.node_id,
                         "sku": n.sku,
                         "priority": n.priority.value,
                         "state": n.state.value,
-                        "boot_latency": n.boot_latency,
                         "ready_time": n.ready_time,
                         "released_time": n.released_time,
                         "preempt_at": n.preempt_at,
@@ -164,7 +160,6 @@ def service_to_doc(svc: BatchService) -> dict:
             {
                 "name": share.name,
                 "quota_gib": share.quota_gib,
-                "directories": sorted(share.directories),
                 "entries": [
                     {
                         "path": e.path,
@@ -185,23 +180,16 @@ def service_to_doc(svc: BatchService) -> dict:
                 "description": item.description,
                 "interval": list(item.interval),
                 "sku": item.sku,
-                "plan": item.plan.value if item.plan else None,
                 "node_seconds": _frac(item.node_seconds) if item.node_seconds is not None else None,
             }
         )
     return {
         "time": svc.clock.now,
         "quotas": {r: [q.dedicated_cores, q.low_priority_cores] for r, q in svc.quotas.items()},
-        "quota_used": {r: list(u) for r, u in svc._used.items()},
         "pools": pools,
         "jobs": jobs,
         "shares": shares,
-        "transfers": [
-            {"direction": t.direction.value, "bytes": t.bytes, "timestamp": t.timestamp}
-            for t in svc.storage.transfers
-        ],
         "ledger": ledger_items,
-        "pool_plans": {k: v.value for k, v in svc.ledger.pool_plans.items()},
     }
 
 
@@ -213,10 +201,8 @@ def service_from_doc(doc: dict, options: ServiceOptions,
     svc.quotas = {
         r: RegionQuota(r, int(v[0]), int(v[1])) for r, v in doc["quotas"].items()
     }
-    svc._used = {r: [int(v[0]), int(v[1])] for r, v in doc["quota_used"].items()}
     for sdoc in doc["shares"]:
         share = FileShare(name=sdoc["name"], quota_gib=int(sdoc["quota_gib"]))
-        share.directories = set(sdoc["directories"])
         for e in sdoc["entries"]:
             content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
             entry = ShareEntry(e["path"], int(e["size"]), content)
@@ -226,20 +212,14 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                 raise ValidationError(f"corrupt state: size of {share.name}/{entry.path}")
             share.put(entry)
         svc.storage.shares[share.name] = share
-    svc.storage.transfers = [
-        TransferRecord(Direction(t["direction"]), int(t["bytes"]), float(t["timestamp"]))
-        for t in doc["transfers"]
-    ]
     for pdoc in doc["pools"]:
         cfg = pool_from_doc(pdoc["config"])
         pool = Pool(config=cfg, plan=PricingPlan(pdoc["plan"]),
                     state=PoolState(pdoc["state"]), created_at=pdoc["created_at"],
                     steady_at=pdoc["steady_at"], deleted_at=pdoc["deleted_at"])
-        pool.warnings = [Violation(w["rule"], w["severity"], w["message"]) for w in
-                         pdoc["warnings"]]
+        pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
         for position, ndoc in enumerate(pdoc["nodes"]):
-            node = Node(ndoc["id"], ndoc["sku"], Priority(ndoc["priority"]),
-                        int(ndoc["boot_latency"]), position)
+            node = Node(ndoc["id"], ndoc["sku"], Priority(ndoc["priority"]), position)
             node.state = NodeState(ndoc["state"])
             node.ready_time = ndoc["ready_time"]
             node.released_time = ndoc["released_time"]
@@ -272,12 +252,10 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                 description=item["description"],
                 interval=tuple(item["interval"]),
                 sku=item["sku"],
-                plan=PricingPlan(item["plan"]) if item["plan"] else None,
                 node_seconds=(Fraction(item["node_seconds"])
                               if item["node_seconds"] is not None else None),
             )
         )
-    svc.ledger.pool_plans = {k: PricingPlan(v) for k, v in doc["pool_plans"].items()}
     _reschedule_events(svc)
     return svc
 
@@ -298,7 +276,7 @@ def _reschedule_events(svc: BatchService):
 
 
 # top-level keys of every workspace state, as new_workspace_state writes them
-STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace", "credentials_digest",
+STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace",
                         "storage_account_created", "service", "transcript", "ingress_seq",
                         "has_completed_run", "events_bytes"})
 
@@ -311,10 +289,6 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "options": options.to_doc(),
         "catalog_doc": catalog_doc,
         "workspace": workspace_to_doc(bundle.workspace),
-        "credentials_digest": {
-            "storage_key": sha256_text(bundle.credentials.storage_key),
-            "batch_key": sha256_text(bundle.credentials.batch_key),
-        },
         "storage_account_created": False,
         "service": None,
         "transcript": [],

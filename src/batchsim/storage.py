@@ -9,7 +9,6 @@ from its content or size only where a state document records it.
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 import posixpath
@@ -20,22 +19,6 @@ from typing import Iterable, Optional
 from .errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
 
 GIB = 2**30
-
-
-class Direction(enum.Enum):
-    INGRESS = "Ingress"
-    EGRESS = "Egress"
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    direction: Direction
-    bytes: int
-    timestamp: float
-
-    def __post_init__(self):
-        if self.bytes <= 0:
-            raise ValueError("transfer records require positive byte counts")
 
 
 @dataclass(slots=True)
@@ -60,13 +43,6 @@ def _normalize(path: str) -> str:
     return norm
 
 
-def _register_dirs(share: "FileShare", directory: str):
-    """Add `directory` and its parents; a registered directory's parents are registered."""
-    while directory and directory not in share.directories:
-        share.directories.add(directory)
-        directory = posixpath.dirname(directory)
-
-
 @dataclass
 class FileShare:
     name: str
@@ -78,8 +54,11 @@ class FileShare:
     def put(self, entry: ShareEntry):
         """Add or replace the entry at its path, keeping `used_bytes` and `directories` current."""
         old = self.entries.get(entry.path)
-        if old is None:
-            _register_dirs(self, posixpath.dirname(entry.path))
+        if old is None:  # register its directory and the parents not yet registered
+            directory = posixpath.dirname(entry.path)
+            while directory and directory not in self.directories:
+                self.directories.add(directory)
+                directory = posixpath.dirname(directory)
         self.used_bytes += entry.size_bytes - (old.size_bytes if old else 0)
         self.entries[entry.path] = entry
 
@@ -89,12 +68,11 @@ class FileShare:
 
 
 class StorageAccount:
-    """Named shares plus the ingress/egress accounting trail."""
+    """Named shares; ingress and download return the bytes they meter."""
 
     def __init__(self, name: str = "storage"):
         self.name = name
         self.shares: dict[str, FileShare] = {}
-        self.transfers: list[TransferRecord] = []
 
     def _share(self, name: str) -> FileShare:
         try:
@@ -109,18 +87,21 @@ class StorageAccount:
         self.shares[name] = share
         return share
 
-    def ingress(self, share: str, directory: str, manifest: Iterable[tuple[str, int]],
-                timestamp: float = 0.0) -> Optional[TransferRecord]:
-        """Add size-only entries under `directory`; returns the metered record.
+    def ingress(self, share: str, directory: str, manifest: Iterable[tuple[str, int]]) -> int:
+        """Add size-only entries under `directory`; returns the metered bytes.
 
-        The whole manifest is admitted or rejected atomically against the
-        share quota. An empty manifest is a no-op and meters nothing.
+        The whole manifest is admitted or rejected atomically: against the
+        share quota, and a path that leaves `directory` is UnknownPath. An
+        empty manifest is a no-op and meters nothing.
         """
         sh = self._share(share)
         directory = _normalize(directory)
-        items = [( _normalize(posixpath.join(directory, p)), int(size)) for p, size in manifest]
-        if not items:
-            return None
+        items = []
+        for p, size in manifest:
+            path = _normalize(posixpath.join(directory, p))
+            if not path.startswith(directory + "/"):
+                raise UnknownPath(f"manifest path leaves {share}/{directory}: {p!r}")
+            items.append((path, int(size)))
         total = sum(size for _, size in items)
         # replaced entries free their bytes; a path listed twice counts once
         growth = sum(size - (sh.entries[p].size_bytes if p in sh.entries else 0)
@@ -130,16 +111,11 @@ class StorageAccount:
                 f"{share}: manifest of {total} bytes exceeds quota "
                 f"({sh.used_bytes} of {sh.quota_bytes} used)"
             )
-        _register_dirs(sh, directory)
         for path, size in items:
             sh.put(ShareEntry(path, size))
-        if total == 0:
-            return None
-        record = TransferRecord(Direction.INGRESS, total, timestamp)
-        self.transfers.append(record)
-        return record
+        return total
 
-    def write_entry(self, share: str, path: str, content: bytes, timestamp: float = 0.0):
+    def write_entry(self, share: str, path: str, content: bytes):
         """Store an artifact produced inside the service (not metered as ingress)."""
         sh = self._share(share)
         path = _normalize(path)
@@ -156,16 +132,13 @@ class StorageAccount:
         prefix = directory + "/"
         return [e for p, e in sorted(sh.entries.items()) if p.startswith(prefix)]
 
-    def download_batch(self, share: str, directory: str, destination: Path,
-                       timestamp: float = 0.0) -> Optional[TransferRecord]:
-        """Copy every entry under `directory` to `destination`, metering egress.
+    def download_batch(self, share: str, directory: str, destination: Path) -> int:
+        """Copy every entry under `directory` to `destination`; returns the metered bytes.
 
         The local layout mirrors <share>/<dir>/<file>. Size-only entries are
         written as sparse zero files of the recorded size.
         """
         entries = self.entries_under(share, directory)
-        if not entries:
-            return None
         destination = Path(destination)
         total = 0
         for entry in entries:
@@ -177,8 +150,4 @@ class StorageAccount:
                 with open(target, "wb") as fh:
                     fh.truncate(entry.size_bytes)
             total += entry.size_bytes
-        if total == 0:
-            return None
-        record = TransferRecord(Direction.EGRESS, total, timestamp)
-        self.transfers.append(record)
-        return record
+        return total

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from batchsim.batch import BatchService, FailureReason, JobState, PoolState, TaskState
-from batchsim.catalog import PricingPlan, default_catalog
+from batchsim.catalog import PricingPlan, RegionQuota, default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.errors import (
     QuotaExceeded,
@@ -15,7 +15,7 @@ from batchsim.errors import (
     UnknownPool,
     ValidationError,
 )
-from batchsim.fabric import NodeState, Priority
+from batchsim.fabric import BOOT_LATENCY_RANGE, NodeState, Priority
 from batchsim.workloads import FixedDuration
 
 from randomized import (
@@ -86,8 +86,7 @@ WARNING_TEXT = ("low-priority nodes are preemptible and best avoided for long-ru
 
 def _rejected(svc, cfg, exc_type):
     def snapshot():
-        return (svc.event_log.lines(), dict(svc.pools), {r: list(u) for r, u in svc._used.items()},
-                svc.ledger.items)
+        return svc.event_log.lines(), dict(svc.pools), svc.status()["quotas"], svc.ledger.items
 
     before = snapshot()
     with pytest.raises(exc_type) as err:
@@ -174,8 +173,8 @@ def test_pool_add_unknown_region_is_checked_before_the_rules():
 def test_pool_add_low_priority_comm_warning_not_rejection():
     svc = make_service(seed=1)
     pool = svc.pool_add(pool_cfg(sku="NC24r", ded=1, low=1, inter_node_comm=True))
-    assert [(v.rule, v.severity, v.message) for v in pool.warnings] == [
-        ("LowPriorityInterNodeComm", "warning", WARNING_TEXT)]
+    assert [(v.rule, v.message) for v in pool.warnings] == [
+        ("LowPriorityInterNodeComm", WARNING_TEXT)]
     assert [tr for _, entity, tr in svc.event_log.records if entity == "pool/p"] == [
         "->Allocating", "warning:LowPriorityInterNodeComm"]
     for cfg in (pool_cfg(pool_id="d", sku="NC24r", ded=1, inter_node_comm=True),
@@ -186,10 +185,12 @@ def test_pool_add_low_priority_comm_warning_not_rejection():
 def test_image_pull_precedes_steady():
     svc = make_service(seed=4, image_pull_seconds=120.0)
     pool = steady_pool(svc, pool_cfg(ded=1))
-    boot = pool.nodes[0].boot_latency
-    assert pool.steady_at == pytest.approx(boot + 120.0)
     pulls = [r for r in svc.event_log.records if r[2].startswith("image_pull:")]
-    assert len(pulls) == 1 and pulls[0][0] == pytest.approx(boot)
+    assert len(pulls) == 1
+    boot = pulls[0][0]  # the pull starts once the node has booted
+    lo, hi = BOOT_LATENCY_RANGE
+    assert lo <= boot <= hi
+    assert pool.steady_at == pool.nodes[0].ready_time == pytest.approx(boot + 120.0)
 
 
 def test_quota_returned_after_delete():
@@ -435,3 +436,53 @@ def test_allocation_unavailable_is_atomic():
     assert svc.pools == {}
     assert svc.available_quota("eastus").dedicated_cores == 200
     assert svc.clock.pending() == 0
+
+
+def test_quota_use_is_derived_from_the_pools_not_deleted():
+    """Cores in use, in two regions, after pool adds, a quota rejection, an allocation
+    denied in a scarcity window, a delete and the re-add of the deleted id; the same
+    after a state round trip."""
+    from batchsim import state
+    from batchsim.errors import AllocationUnavailable
+    from batchsim.fabric import ScarcityWindow
+
+    svc = BatchService(CATALOG, seed=2, preemption_rate=0.0,
+                       scarcity_windows=(ScarcityWindow(2000.0, 1e6),))
+    svc.quota_set("eastus", 48, 24)
+    svc.quota_set("colonial", 64, 32)
+
+    def cfg(pool_id, sku, region, ded, low):
+        return PoolConfig(pool_id, sku, region, ded, low, inter_node_comm=False,
+                          shared_filesystem=False, image="img:1")
+
+    def check(eastus, colonial):
+        used = {"eastus": eastus, "colonial": colonial}
+        quotas = svc.status()["quotas"]
+        assert {r: (q["dedicated_used"], q["low_priority_used"]) for r, q in quotas.items()} == used
+        for region, (dedicated, low_priority) in used.items():
+            quota = svc.quotas[region]
+            assert svc.available_quota(region) == RegionQuota(
+                region, quota.dedicated_cores - dedicated, quota.low_priority_cores - low_priority)
+
+    check((0, 0), (0, 0))
+    steady_pool(svc, cfg("a", "NC6", "eastus", 2, 1))  # 6 vcores a node
+    check((12, 6), (0, 0))
+    steady_pool(svc, cfg("b", "Short", "colonial", 2, 2))  # 16 vcores a node
+    check((12, 6), (32, 32))
+    err = _rejected(svc, cfg("c", "NC24r", "eastus", 2, 0), QuotaExceeded)
+    assert (err.needed, err.available) == (48, 36)
+    check((12, 6), (32, 32))
+    svc.clock.schedule(2100.0, lambda: None)  # into the scarcity window
+    svc.clock.run(until=lambda: svc.clock.now >= 2100.0)
+    with pytest.raises(AllocationUnavailable):
+        svc.pool_add(cfg("c", "NC6", "eastus", 1, 1))
+    assert "c" not in svc.pools
+    check((12, 6), (32, 32))
+    svc.pool_del("a")
+    check((0, 0), (32, 32))
+    steady_pool(svc, cfg("a", "NC12", "eastus", 3, 0))  # 12 vcores a node
+    check((36, 0), (32, 32))
+    svc.pool_del("b")
+    check((36, 0), (0, 0))
+    back = state.service_from_doc(state.service_to_doc(svc), state.ServiceOptions(seed=2))
+    assert back.status()["quotas"] == svc.status()["quotas"]

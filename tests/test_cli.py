@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import posixpath
 import shutil
 import tarfile
 import tempfile
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from batchsim import cli as climod
+from batchsim import state as statemod
 from batchsim.batch import BatchService
 from batchsim.catalog import default_catalog
 from batchsim.cli import _safe_extract, run_command
@@ -253,6 +256,65 @@ def test_state_carrying_the_old_egress_rate_runs_on_like_a_fresh_one(tmp_path):
     assert "\nBandwidth\t" in (old / ".batchsim" / "ledger.tsv").read_text()
 
 
+def _with_dropped_keys(state: dict, events: str) -> dict:
+    """`state` with the keys that state.json held before they were dropped, valued as they
+    were written: derived from the rest of the state, from events.log and from the keys."""
+    svc = state["service"]
+    state["credentials_digest"] = {"storage_key": hashlib.sha256(b"storagekey").hexdigest(),
+                                   "batch_key": hashlib.sha256(b"batchkey").hexdigest()}
+    svc["quota_used"] = {"eastus": [48, 24], "colonial": [0, 0]}  # the live NC24r pool
+    svc["transfers"] = [
+        {"direction": text.split(":")[0].capitalize(), "bytes": int(text.split(":")[1]),
+         "timestamp": float(time)}
+        for time, _, text in (line.split("\t") for line in events.splitlines())
+        if text.startswith(("ingress:", "egress:"))]
+    svc["pool_plans"] = {p["config"]["id"]: p["plan"] for p in svc["pools"]}
+    for pool in svc["pools"]:
+        for node in pool["nodes"]:  # one boot latency a pool, then the image pull
+            node["boot_latency"] = round(node["ready_time"] - pool["created_at"] - 120.0)
+        for warning in pool["warnings"]:
+            warning["severity"] = "warning"
+    for share in svc["shares"]:
+        share["directories"] = sorted({posixpath.dirname(e["path"]) for e in share["entries"]})
+    for item in svc["ledger"]:
+        item["plan"] = (None if item["sku"] is None else "paygo_low_priority"
+                        if "(low_priority)" in item["description"] else "paygo_dedicated")
+    return state
+
+
+DROPPED_KEYS = ("credentials_digest", "quota_used", "transfers", "pool_plans", "boot_latency",
+                "severity", "directories", '"plan":null', '"plan":"paygo_low_priority"')
+
+
+def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
+    """A format-3 state.json written before its write-only and derived fields were dropped
+    still holds them: `status` prints what it prints without them, and the next command
+    that commits writes none of them."""
+    shutil.copytree(EXAMPLE_DIR, tmp_path / "config_shipyard")
+    pool_yaml = tmp_path / "config_shipyard" / "pool.yaml"
+    pool_doc = yaml.safe_load(pool_yaml.read_text())
+    pool_doc["pool"]["vm_count"] = {"dedicated": 2, "low_priority": 1}  # warns: inter-node comm
+    pool_doc["pool"]["shared_filesystem"] = False
+    pool_yaml.write_text(yaml.safe_dump(pool_doc, sort_keys=False))
+    for argv in [*sequence(), ["pool", "add", *CFG]]:  # a billed pool, then a live one
+        ok(tmp_path, *argv)
+    path = tmp_path / ".batchsim" / "state.json"
+    text = path.read_text()
+    status = ok(tmp_path, "status")
+    old = _with_dropped_keys(json.loads(text), (path.parent / "events.log").read_text())
+    svc = old["service"]
+    assert [len(svc["transfers"]), len(svc["pools"][0]["warnings"])] == [2, 1]
+    assert {i["plan"] for i in svc["ledger"]} == {None, "paygo_dedicated", "paygo_low_priority"}
+    assert svc["shares"][0]["directories"] == ["snake2d2k35", "snake2d2k35/output"]
+    path.write_text(json.dumps(old, separators=(",", ":"), sort_keys=True))
+    assert ok(tmp_path, "status") == status
+    assert path.read_text() != text
+    ok(tmp_path, "pool", "del", *CFG)
+    written = path.read_text()
+    assert [key for key in DROPPED_KEYS if key in written] == []
+    assert set(json.loads(written)) == statemod.STATE_KEYS
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_older_state_versions_exit_2_without_mutation(workdir, version):
     ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
@@ -315,20 +377,6 @@ def test_negative_preemption_rate_in_state_exits_2_without_mutation(workdir):
     before = tree(workdir)
     code, _, err = cli(workdir, "status")
     assert (code, err) == (2, "error: corrupt state: ValueError: rate must be non-negative\n")
-    assert tree(workdir) == before
-
-
-def test_transfer_of_zero_bytes_in_state_exits_2_without_mutation(workdir):
-    for argv in sequence()[:6]:  # through `data ingress`, which meters one transfer
-        ok(workdir, *argv)
-    path = workdir / ".batchsim" / "state.json"
-    state = json.loads(path.read_text())
-    state["service"]["transfers"][0]["bytes"] = 0
-    path.write_text(json.dumps(state))
-    before = tree(workdir)
-    code, _, err = cli(workdir, "status")
-    assert (code, err) == (2, "error: corrupt state: ValueError: transfer records require "
-                              "positive byte counts\n")
     assert tree(workdir) == before
 
 
@@ -801,6 +849,18 @@ def test_bad_user_file_exits_2_without_mutation(workdir, argv, text):
     assert tree(workdir) == before
 
 
+def test_ingress_manifest_path_that_leaves_its_directory_exits_2_without_mutation(workdir):
+    for step in sequence()[:5]:  # through `pool add`
+        ok(workdir, *step)
+    (workdir / "user.yaml").write_text(
+        "entries:\n- {path: case.yaml, bytes: 4}\n- {path: ../other/x.bin, bytes: 5}\n")
+    before = tree(workdir)
+    code, out, err = cli(workdir, "data", "ingress", *CFG, "--manifest", "user.yaml")
+    assert (code, out, err) == (
+        2, "", "error: manifest path leaves fileshare/snake2d2k35: '../other/x.bin'\n")
+    assert tree(workdir) == before
+
+
 def test_safe_extract_rejects_a_sibling_directory(tmp_path):
     archive = tmp_path / "evil.tar"
     with tarfile.open(archive, "w") as tar:
@@ -877,6 +937,46 @@ def test_repro_pack_and_verify_manual_flow(workdir):
     full_sequence(workdir)
     ok(workdir, "repro", "pack")
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
+
+
+def test_keys_are_kept_only_as_digests(tmp_path):
+    """A config snapshot keeps each key as `sha256:<hex>`: no file under .batchsim/ and no
+    package member holds a key's text, the package verifies, and a session that loads the
+    snapshot records the snapshot's own id."""
+    shutil.copytree(EXAMPLE_DIR, tmp_path / "config_shipyard")
+    keys = {"storage_key": "storage-key-7f3a91c2", "batch_key": "batch-key-0d5e88b4"}
+    (tmp_path / "config_shipyard" / "credentials.yaml").write_text(
+        yaml.safe_dump({"credentials": keys}))
+    full_sequence(tmp_path)
+    ok(tmp_path, "repro", "pack")
+    with tarfile.open(tmp_path / "repro-package.tar.gz") as tar:
+        members = {m.name: tar.extractfile(m).read() for m in tar.getmembers() if m.isfile()}
+    files = [data for data in tree(tmp_path).values() if data is not None]
+    assert files and members
+    for key in keys.values():
+        assert not any(key.encode() in data for data in [*files, *members.values()])
+    [snapshot] = (tmp_path / ".batchsim" / "configs").iterdir()
+    assert yaml.safe_load((snapshot / "credentials.yaml").read_text()) == {"credentials": {
+        name: f"sha256:{hashlib.sha256(key.encode()).hexdigest()}" for name, key in keys.items()}}
+    assert set(json.loads(members["manifest.json"])) == {"seed", "transcript", "output_digests"}
+    assert ok(tmp_path, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
+    other = tmp_path / "other"
+    ok(other, "workspace", "init", "--configdir", str(snapshot))
+    assert [p.name for p in (other / ".batchsim" / "configs").iterdir()] == [snapshot.name]
+
+
+def test_package_with_keys_in_clear_and_a_digest_algorithm_verifies(tmp_path):
+    """Packages made before keys were digested hold credentials.yaml in clear and a
+    manifest.json `digest_algorithm`; they replay as before."""
+    def as_packed_before(unpacked):
+        [credentials] = _packed_config(unpacked, "credentials.yaml")
+        credentials.write_text("credentials:\n  storage_key: storagekey\n  batch_key: batchkey\n")
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        manifest["digest_algorithm"] = "sha256"
+        (unpacked / "manifest.json").write_text(json.dumps(manifest))
+
+    out = ok(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, as_packed_before))
+    assert out.startswith("PASS: 2 artifacts reproduced (sha256, seed 0)")
 
 
 def test_repro_pack_and_verify_scenario(tmp_path):

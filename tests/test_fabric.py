@@ -118,14 +118,15 @@ def _provision(seed=42, dedicated=2, low_priority=0, windows=()):
 def test_provision_deterministic_replay():
     clock1, log1, nodes1, _ = _provision(seed=42)
     clock2, log2, nodes2, _ = _provision(seed=42)
-    assert [n.boot_latency for n in nodes1] == [n.boot_latency for n in nodes2]
     assert all(n.state is NodeState.STARTING for n in nodes1)
     assert len(nodes1) == 2
     clock1.run()
     clock2.run()
     assert log1.lines() == log2.lines()
-    lo, hi = BOOT_LATENCY_RANGE
-    assert all(lo <= n.boot_latency <= hi for n in nodes1)
+    assert [n.ready_time for n in nodes1] == [n.ready_time for n in nodes2]
+    lo, hi = BOOT_LATENCY_RANGE  # one boot latency per batch, and no staging here
+    assert nodes1[0].ready_time == nodes1[1].ready_time
+    assert lo <= nodes1[0].ready_time <= hi
 
 
 def test_provision_zero_nodes():
@@ -168,13 +169,13 @@ def test_derived_rng_is_stable():
 
 def test_node_transitions_enforced():
     log = EventLog()
-    node = Node("p/0", "NC6", Priority.DEDICATED, 60)
+    node = Node("p/0", "NC6", Priority.DEDICATED)
     with pytest.raises(ValueError):
         node.transition(NodeState.RUNNING, 0.0, log)  # Starting -> Running illegal
     node.transition(NodeState.IDLE, 1.0, log)
     with pytest.raises(ValueError):
         node.transition(NodeState.PREEMPTED, 2.0, log)  # dedicated never preempted
-    lp = Node("p/1", "NC6", Priority.LOW_PRIORITY, 60)
+    lp = Node("p/1", "NC6", Priority.LOW_PRIORITY)
     lp.transition(NodeState.IDLE, 1.0, log)
     lp.transition(NodeState.PREEMPTED, 2.0, log)
     assert lp.state is NodeState.PREEMPTED
@@ -193,7 +194,7 @@ LEGAL_PATHS = {
 @pytest.mark.parametrize("text", sorted(LEGAL_PATHS))
 def test_each_legal_node_transition_logs_its_line(text):
     log = EventLog()
-    node = Node("pool/3", "NC6", Priority.LOW_PRIORITY, 60)
+    node = Node("pool/3", "NC6", Priority.LOW_PRIORITY)
     for step, to in enumerate(LEGAL_PATHS[text]):
         node.transition(to, float(step), log)
     to = NodeState(text.split("->")[1])
@@ -209,13 +210,13 @@ def test_illegal_node_transitions_raise_and_log_nothing():
     assert len(illegal) == 11
     for source, to in illegal:
         log = EventLog()
-        node = Node("pool/0", "NC6", Priority.LOW_PRIORITY, 60)
+        node = Node("pool/0", "NC6", Priority.LOW_PRIORITY)
         node.state = source
         with pytest.raises(ValueError) as err:
             node.transition(to, 1.0, log)
         assert str(err.value) == f"illegal node transition {source.value} -> {to.value}"
         assert node.state is source and log.records == []
-    dedicated = Node("pool/1", "NC6", Priority.DEDICATED, 60)
+    dedicated = Node("pool/1", "NC6", Priority.DEDICATED)
     dedicated.state = NodeState.IDLE
     with pytest.raises(ValueError, match="^dedicated nodes are never preempted$"):
         dedicated.transition(NodeState.PREEMPTED, 1.0, EventLog())
@@ -234,5 +235,6 @@ def test_boot_latency_in_range(seed):
     clock = SimClock()
     prov = Provisioner(clock, EventLog(), seed=seed)
     nodes = prov.provision(f"pool{seed}", "NC6", 1, 0, lambda n: None)
+    clock.run()
     lo, hi = BOOT_LATENCY_RANGE
-    assert lo <= nodes[0].boot_latency <= hi
+    assert lo <= nodes[0].ready_time <= hi

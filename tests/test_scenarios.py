@@ -7,7 +7,6 @@ from batchsim.billing import counterfactual, export_tsv
 from batchsim.catalog import PricingPlan, default_catalog
 from batchsim.config import parse_config_dir, serialize_config_dir
 from batchsim.scenarios import builtin_scenarios, run_scenario, scenario_by_name
-from batchsim.storage import Direction
 
 
 def test_builtin_wall_hours():
@@ -79,11 +78,16 @@ def test_different_seed_changes_boot_schedule():
 
 def test_pipeline_artifacts(tmp_path):
     run = run_scenario(scenario_by_name("snake2d"), seed=0, root=tmp_path)
-    ingress, download = run.service.storage.transfers
-    assert ingress.direction is Direction.INGRESS
-    assert ingress.bytes == 131_072 + 4_096
-    assert download.direction is Direction.EGRESS
-    assert download.bytes > ingress.bytes  # outputs included
+    transfers = [line.split("\t")[2].split(":") for line in run.events.splitlines()
+                 if "\tingress:" in line or "\tegress:" in line]
+    assert [kind for kind, _ in transfers] == ["ingress", "egress"]
+    ingress, egress = (int(nbytes) for _, nbytes in transfers)
+    assert ingress == 131_072 + 4_096
+    assert egress > ingress  # outputs included
+    downloaded = tmp_path / "output" / "fileshare" / "snake2d2k35"
+    assert sum(p.stat().st_size for p in downloaded.rglob("*") if p.is_file()) == egress
+    assert run.service.data_download("fileshare", "snake2d2k35", tmp_path / "again") == egress
+    assert run.service.data_ingress("fileshare", "snake2d2k35", []) == 0
     log = tmp_path / "output" / "fileshare" / "snake2d2k35" / "output" / "run.log"
     assert log.is_file()
     body = tmp_path / "output" / "fileshare" / "snake2d2k35" / "snake2d.body"

@@ -3,16 +3,20 @@
 import gc
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from batchsim import state
 from batchsim.batch import FailureReason, TaskState
-from batchsim.config import TASK_SPEC_KEYS, JobsConfig, PoolConfig
+from batchsim.catalog import default_catalog
+from batchsim.config import TASK_SPEC_KEYS, JobsConfig, PoolConfig, parse_config_dir
 from batchsim.errors import SchemaError, ValidationError
 from batchsim.scenarios import run_scenario, scenario_by_name
 
 from randomized import _task, run_random_schedule
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _low_priority_service():
@@ -247,3 +251,44 @@ def test_finished_tasks_hold_no_completion_event(seed):
     finished = [t for t in svc.all_tasks() if t.terminal]
     assert finished
     assert [t.run_tag for t in finished if t.completion_event is not None] == []
+
+
+def test_state_documents_hold_exactly_these_keys(tmp_path):
+    """The keys written at each level of state.json. A field added or dropped later
+    shows up here as a test change."""
+    bundle = parse_config_dir(REPO_ROOT / "configs" / "snake2d2k35", default_catalog())
+    workspace = state.new_workspace_state(state.ServiceOptions(), bundle)
+    assert set(workspace) == state.STATE_KEYS == {
+        "version", "options", "catalog_doc", "workspace", "storage_account_created", "service",
+        "transcript", "ingress_seq", "has_completed_run", "events_bytes"}
+    options = state.ServiceOptions(seed=5, preemption_rate=0.0)
+    svc = state.build_service(options)
+    svc.quota_set("eastus", 100, 100)
+    svc.storage.share_create("fileshare", 1)
+    svc.pool_add(PoolConfig("p", "NC24r", "eastus", dedicated_count=1, low_priority_count=1,
+                            inter_node_comm=True, shared_filesystem=False, image="img:1"))
+    svc.advance_until_pool_settled("p")
+    svc.data_ingress("fileshare", "in", [("a.bin", 4)])
+    svc.jobs_add(JobsConfig("j", "p", (_task(0, 0, 2, 60),)))
+    svc.run_to_quiescence()
+    svc.pool_del("p")
+    assert svc.data_download("fileshare", "in", tmp_path) == 4
+    doc = state.service_to_doc(svc)
+    assert set(doc) == {"time", "quotas", "pools", "jobs", "shares", "ledger"}
+    [pool] = doc["pools"]
+    assert set(pool) == {"config", "plan", "state", "created_at", "steady_at", "deleted_at",
+                         "warnings", "nodes"}
+    assert [set(w) for w in pool["warnings"]] == [{"rule", "message"}]
+    assert {frozenset(n) for n in pool["nodes"]} == {frozenset(
+        {"id", "sku", "priority", "state", "ready_time", "released_time", "preempt_at",
+         "busy_log"})}
+    assert {frozenset(j) for j in doc["jobs"]} == {frozenset(
+        {"id", "pool", "state", "submitted_at", "tasks"})}
+    [share] = doc["shares"]
+    assert set(share) == {"name", "quota_gib", "entries"}
+    assert {e["content_hex"] is None for e in share["entries"]} == {True, False}
+    assert {frozenset(e) for e in share["entries"]} == {frozenset(
+        {"path", "size", "digest", "content_hex"})}
+    assert {i["category"] for i in doc["ledger"]} == {"Virtual Machines", "Bandwidth"}
+    assert {frozenset(i) for i in doc["ledger"]} == {frozenset(
+        {"category", "usd", "description", "interval", "sku", "node_seconds"})}

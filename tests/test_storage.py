@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from batchsim import state
 from batchsim.errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
-from batchsim.storage import GIB, Direction, StorageAccount
+from batchsim.storage import GIB, StorageAccount
 
 from randomized import run_random_schedule
 
@@ -41,9 +41,7 @@ def test_zero_quota_share_rejects_writes():
 
 
 def test_ingress_one_gib(account):
-    record = account.ingress("fileshare", "run", [("data.bin", GIB)])
-    assert record.direction is Direction.INGRESS
-    assert record.bytes == GIB
+    assert account.ingress("fileshare", "run", [("data.bin", GIB)]) == GIB
     assert account.shares["fileshare"].used_bytes == GIB
 
 
@@ -52,8 +50,8 @@ def test_reingress_replaces_entries_within_quota():
     acc.share_create("s", 1)
     size = 6 * GIB // 10
     acc.ingress("s", "run", [("data.bin", size)])
-    record = acc.ingress("s", "run", [("data.bin", size)])  # replaces, does not add
-    assert record.bytes == size  # the transfer is still metered in full
+    nbytes = acc.ingress("s", "run", [("data.bin", size)])  # replaces, does not add
+    assert nbytes == size  # the transfer is still metered in full
     assert acc.shares["s"].used_bytes == size
     with pytest.raises(QuotaExceededOnShare):
         acc.ingress("s", "run", [("other.bin", size)])
@@ -65,19 +63,17 @@ def test_ingress_over_quota(account):
         account.ingress("fileshare", "run", [("data.bin", 101 * GIB)])
     # atomic: nothing admitted
     assert account.shares["fileshare"].used_bytes == 0
-    assert account.transfers == []
+    assert account.shares["fileshare"].entries == {}
 
 
 def test_ingress_empty_manifest(account):
-    assert account.ingress("fileshare", "run", []) is None
-    assert account.transfers == []
+    assert account.ingress("fileshare", "run", []) == 0
+    assert account.shares["fileshare"].directories == set()
 
 
 def test_download_batch(account, tmp_path):
     account.ingress("fileshare", "run", [("a.bin", 10), ("b.bin", 20), ("sub/c.bin", 30)])
-    record = account.download_batch("fileshare", "run", tmp_path)
-    assert record.direction is Direction.EGRESS
-    assert record.bytes == 60
+    assert account.download_batch("fileshare", "run", tmp_path) == 60
     files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
                    if p.is_file())
     assert files == ["fileshare/run/a.bin", "fileshare/run/b.bin", "fileshare/run/sub/c.bin"]
@@ -85,9 +81,9 @@ def test_download_batch(account, tmp_path):
 
 
 def test_download_empty_directory(account, tmp_path):
-    assert account.ingress("fileshare", "empty", [("zero.bin", 0)]) is None
-    assert account.download_batch("fileshare", "empty", tmp_path) is None
-    assert account.transfers == []
+    assert account.ingress("fileshare", "empty", [("zero.bin", 0)]) == 0
+    assert account.download_batch("fileshare", "empty", tmp_path) == 0
+    assert (tmp_path / "fileshare/empty/zero.bin").stat().st_size == 0
 
 
 def test_download_missing_directory(account, tmp_path):
@@ -144,14 +140,20 @@ def test_ingress_registers_the_directories_of_nested_paths(account, tmp_path):
     assert account.shares["fileshare"].directories == {"run", "run/sub", "run/sub/deep"}
     assert [e.path for e in account.entries_under("fileshare", "run/sub")] == [
         "run/sub/deep/c.bin"]
-    assert account.download_batch("fileshare", "run/sub", tmp_path).bytes == 3
+    assert account.download_batch("fileshare", "run/sub", tmp_path) == 3
 
 
 def test_path_normalization(account):
     account.ingress("fileshare", "run", [("./x//y.bin", 5)])
-    assert "run/x/y.bin" in account.shares["fileshare"].entries
+    share = account.shares["fileshare"]
+    assert "run/x/y.bin" in share.entries
     with pytest.raises(UnknownPath):
         account.ingress("fileshare", "../escape", [("x.bin", 1)])
+    before = (dict(share.entries), set(share.directories), share.used_bytes)
+    for path in ("../other/x.bin", "/other/x.bin", ".", "sub/../../x.bin"):
+        with pytest.raises(UnknownPath, match=f"^manifest path leaves fileshare/run: {path!r}$"):
+            account.ingress("fileshare", "run", [("ok.bin", 1), (path, 5)])
+    assert (share.entries, share.directories, share.used_bytes) == before
     with pytest.raises(UnknownShare):
         account.ingress("nope", "d", [("x.bin", 1)])
 
@@ -185,16 +187,10 @@ def test_ingress_download_round_trips_sizes(names, data, tmp_path_factory):
     acc = StorageAccount()
     acc.share_create("s", 1)
     manifest = list(zip(names, sizes))
-    record = acc.ingress("s", "d", manifest)
     total = sum(sizes)
-    if total == 0:
-        assert record is None
-    else:
-        assert record.bytes == total
+    assert acc.ingress("s", "d", manifest) == total
     dest = tmp_path_factory.mktemp("dl")
-    egress = acc.download_batch("s", "d", dest)
-    if total:
-        assert egress.bytes == total
+    assert acc.download_batch("s", "d", dest) == total
     got = {p.name: p.stat().st_size for p in dest.rglob("*") if p.is_file()}
     assert got == {n: s for n, s in manifest}
 
