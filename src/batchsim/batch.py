@@ -130,7 +130,6 @@ class Job:
 @dataclass
 class Pool:
     config: PoolConfig
-    plan: PricingPlan
     state: PoolState = PoolState.ALLOCATING
     nodes: list[Node] = field(default_factory=list)
     warnings: list[Violation] = field(default_factory=list)
@@ -214,14 +213,14 @@ class BatchService:
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def pool_add(self, cfg: PoolConfig, plan: PricingPlan = PricingPlan.PAYGO_DEDICATED) -> Pool:
+    def pool_add(self, cfg: PoolConfig) -> Pool:
         existing = self.pools.get(cfg.pool_id)
         if existing is not None and existing.alive:
             raise ValidationError(f"pool already exists: {cfg.pool_id!r}")
         if cfg.region not in self.quotas:
             raise ValidationError(f"no quota table for region {cfg.region!r}")
         warnings = validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
-        pool = Pool(config=cfg, plan=plan, created_at=self.clock.now, warnings=warnings)
+        pool = Pool(config=cfg, created_at=self.clock.now, warnings=warnings)
         # provision first: an AllocationUnavailable leaves the service untouched
         nodes = self.provisioner.provision(
             cfg.pool_id, cfg.sku, cfg.dedicated_count, cfg.low_priority_count,
@@ -273,7 +272,7 @@ class BatchService:
                     self._fail_task(pool, job, task, FailureReason.POOL_DELETED)
             self._refresh_job_state(job)
         for node in pool.nodes:  # failing the tasks has freed every node
-            self._close_meter(pool, node, now)
+            self._close_meter(node, now)
             if node.released_time is None:
                 node.released_time = now
                 self.event_log.append(now, f"node/{node.node_id}", "released")
@@ -402,7 +401,7 @@ class BatchService:
         if node.state is NodeState.IDLE:
             pool.idle.remove(node)
         node.transition(NodeState.PREEMPTED, now, self.event_log)
-        self._close_meter(pool, node, now)
+        self._close_meter(node, now)
         node.released_time = now
         if task is not None:
             job = self.jobs[task.job_id]
@@ -472,10 +471,10 @@ class BatchService:
 
     # -- metering ------------------------------------------------------------
 
-    def _close_meter(self, pool: Pool, node: Node, at: float):
+    def _close_meter(self, node: Node, at: float):
         if node.ready_time is None or node.released_time is not None:
             return
-        plan = (pool.plan if node.priority is Priority.DEDICATED
+        plan = (PricingPlan.PAYGO_DEDICATED if node.priority is Priority.DEDICATED
                 else PricingPlan.PAYGO_LOW_PRIORITY)
         seconds = Fraction(at) - Fraction(node.ready_time)
         self.ledger.add_vm(node.sku, plan, seconds,

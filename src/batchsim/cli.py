@@ -106,8 +106,6 @@ def build_parser() -> _Parser:
     pool = top.add_parser("pool").add_subparsers(dest="cmd", required=True)
     pa = pool.add_parser("add", help="create the pool defined in pool.yaml")
     pa.add_argument("--configdir")
-    pa.add_argument("--plan", choices=[p.value for p in PricingPlan],
-                    default=PricingPlan.PAYGO_DEDICATED.value)
     pd = pool.add_parser("del", help="delete a pool")
     pd.add_argument("--configdir")
     pd.add_argument("--pool", help="explicit pool id (default: pool.yaml)")
@@ -185,7 +183,8 @@ class Cli:
         if version != statemod.STATE_VERSION:
             raise ValidationError(f"corrupt state: unsupported state version {version}")
         size = state.get("events_bytes")
-        if not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0:
+        if (not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0
+                or not _is_transcript(state["transcript"])):  # commands read what ran before
             raise ValidationError("corrupt state: not a workspace state document")
         state = {key: state[key] for key in statemod.STATE_KEYS}  # a dropped key is not rewritten
         self.store.truncate_events(size)
@@ -193,6 +192,7 @@ class Cli:
             doc = state["catalog_doc"]
             catalog = Catalog.from_document(doc) if doc else default_catalog()
             options = ServiceOptions.from_doc(state["options"])
+            state["options"] = options.to_doc()  # a key that nothing reads is not rewritten
             svc = statemod.service_from_doc(state["service"], options, catalog)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
@@ -281,6 +281,12 @@ def _relpath(path: Path, root: Path) -> Path:
     return path if path.is_absolute() else root / path
 
 
+def _is_transcript(value) -> bool:
+    """Whether `value` is a list of argument lists, as Cli.commit records commands."""
+    return isinstance(value, list) and all(
+        isinstance(argv, list) and all(isinstance(t, str) for t in argv) for argv in value)
+
+
 def _key_digest(key: str) -> str:
     """A credential as a snapshot keeps it: `sha256:<hex>`, which a snapshot's key already is."""
     return key if re.fullmatch(r"sha256:[0-9a-f]{64}", key) else f"sha256:{sha256_text(key)}"
@@ -328,9 +334,8 @@ def cmd_workspace_init(cli: Cli, args) -> int:
 def cmd_storage_account_create(cli: Cli, args) -> int:
     state, svc = cli.load()
     account = state["workspace"]["storage_account"]
-    if state["storage_account_created"]:
+    if ["storage", "account", "create"] in state["transcript"]:
         raise ValidationError(f"storage account already created: {account}")
-    state["storage_account_created"] = True
     svc.event_log.append(svc.clock.now, f"storage/{account}", "created")
     cli.commit(state, svc, ["storage", "account", "create"])
     cli.say(f"storage account created: {account}")
@@ -339,7 +344,7 @@ def cmd_storage_account_create(cli: Cli, args) -> int:
 
 def cmd_share_create(cli: Cli, args) -> int:
     state, svc = cli.load()
-    if not state["storage_account_created"]:
+    if ["storage", "account", "create"] not in state["transcript"]:
         raise ValidationError("no storage account: run `batchsim storage account create`")
     svc.storage.share_create(args.name, args.quota)
     svc.event_log.append(svc.clock.now, f"share/{args.name}", f"create:quota={args.quota}GiB")
@@ -363,13 +368,9 @@ def cmd_quota_set(cli: Cli, args) -> int:
 def cmd_pool_add(cli: Cli, args) -> int:
     state, svc = cli.load()
     bundle = cli.load_bundle(args.configdir, svc.catalog)
-    plan = PricingPlan(args.plan)
-    pool = svc.pool_add(bundle.pool, plan)
+    pool = svc.pool_add(bundle.pool)
     svc.advance_until_pool_settled(pool.pool_id)
-    recorded = ["pool", "add"]
-    if args.plan != PricingPlan.PAYGO_DEDICATED.value:
-        recorded += ["--plan", args.plan]
-    cli.commit(state, svc, recorded, bundle)
+    cli.commit(state, svc, ["pool", "add"], bundle)
     for warning in pool.warnings:
         cli.say(f"warning: {warning.rule}: {warning.message}")
     cli.say(f"pool {pool.pool_id}: {pool.state.value} "
@@ -430,8 +431,7 @@ def cmd_data_ingress(cli: Cli, args) -> int:
         if (share, directory) not in targets:
             targets.append((share, directory))
     total = sum(svc.data_ingress(share, directory, manifest) for share, directory in targets)
-    seq = state["ingress_seq"] + 1
-    state["ingress_seq"] = seq
+    seq = 1 + sum(argv[:2] == ["data", "ingress"] for argv in state["transcript"])
     manifest_rel = f"{STATE_DIR}/ingress/{seq:04d}.json"
     cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle,
                (manifest_rel, manifest))
@@ -450,7 +450,7 @@ def cmd_data_download(cli: Cli, args) -> int:
         nbytes = svc.data_download(share, directory, dest)
     except OSError as exc:
         raise ValidationError(f"cannot write to --dest {args.dest}: {exc}") from None
-    count = len(svc.storage.entries_under(share, directory)) if nbytes else 0
+    count = len(svc.storage.entries_under(share, directory))
     cli.commit(state, svc, ["data", "download", "--source", args.source,
                             "--dest", args.dest])
     cli.say(f"downloaded {count} files ({nbytes} bytes) to {dest}")
@@ -594,9 +594,7 @@ def read_manifest(path: Path) -> tuple[int, list, dict]:
                                  for key in ("seed", "transcript", "output_digests"))
     if type(seed) is not int:
         raise CorruptArchive("manifest.json: seed must be an integer")
-    if not isinstance(transcript, list) or not all(
-            isinstance(argv, list) and all(isinstance(t, str) for t in argv)
-            for argv in transcript):
+    if not _is_transcript(transcript):
         raise CorruptArchive("manifest.json: transcript must be a list of argument lists")
     if not isinstance(digests, dict) or not digests.keys() >= set(OUTPUT_ARTIFACTS):
         raise CorruptArchive("not a package of a completed run: it must digest "

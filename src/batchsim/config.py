@@ -51,12 +51,6 @@ class PoolConfig:
     shared_filesystem: bool
     image: str
 
-    def __post_init__(self):
-        if self.dedicated_count < 0 or self.low_priority_count < 0:
-            raise ValueError("node counts must be non-negative")
-        if self.dedicated_count + self.low_priority_count < 1:
-            raise ValueError("pool must request at least one node")
-
     @property
     def node_count(self) -> int:
         return self.dedicated_count + self.low_priority_count
@@ -71,10 +65,6 @@ class TaskSpec:
     gpus_per_node: int
     input_dir: str
     output_dir: str
-
-    def __post_init__(self):
-        if self.instances < 1:
-            raise ValueError("instances must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -313,8 +303,8 @@ def task_spec(values, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
     task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
     if not (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
             and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
-            and instances >= 1 and task_id.strip() and workload.strip() and input_dir.strip()
-            and output_dir.strip()):
+            and instances >= 1 and procs_per_node >= 1 and gpus_per_node >= 0
+            and task_id.strip() and workload.strip() and input_dir.strip() and output_dir.strip()):
         _first_task_error(values, path, prefix)  # returns only for str and int subclasses
     return TaskSpec(task_id.strip(), _workload(workload, path, prefix), instances, procs_per_node,
                     gpus_per_node, input_dir.strip(), output_dir.strip())
@@ -323,11 +313,11 @@ def task_spec(values, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
 def _first_task_error(values, path: str, prefix: str):
     doc = dict(zip(TASK_SPEC_KEYS, values))
     _workload(_checked(doc["workload"], str, path, f"{prefix}workload"), path, prefix)
-    if _checked(doc["instances"], int, path, f"{prefix}instances") < 1:
-        raise SchemaError(path, f"{prefix}instances", "must be at least 1")
-    for key, kind in (("id", str), ("procs_per_node", int), ("gpus_per_node", int),
-                      ("input_dir", str), ("output_dir", str)):
-        _checked(doc[key], kind, path, prefix + key)
+    for key, least in (("instances", 1), ("id", None), ("procs_per_node", 1),
+                       ("gpus_per_node", 0), ("input_dir", None), ("output_dir", None)):
+        value = _checked(doc[key], str if least is None else int, path, prefix + key)
+        if least is not None and value < least:
+            raise SchemaError(path, prefix + key, f"must be at least {least}")
 
 
 def _workload(text: str, path: str, prefix: str):

@@ -37,10 +37,6 @@ class Scenario:
     data_dir: str
     ingress_manifest: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        if self.expected_wall_hours <= 0:
-            raise ValueError("expected_wall_hours must be positive")
-
     def bundle(self) -> ConfigBundle:
         """The scenario's config documents, as `run_scenario` writes them for its commands."""
         return ConfigBundle(

@@ -117,7 +117,6 @@ def service_to_doc(svc: BatchService) -> dict:
         pools.append(
             {
                 "config": pool_to_doc(pool.config),
-                "plan": pool.plan.value,
                 "state": pool.state.value,
                 "created_at": pool.created_at,
                 "steady_at": pool.steady_at,
@@ -214,8 +213,10 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         svc.storage.shares[share.name] = share
     for pdoc in doc["pools"]:
         cfg = pool_from_doc(pdoc["config"])
-        pool = Pool(config=cfg, plan=PricingPlan(pdoc["plan"]),
-                    state=PoolState(pdoc["state"]), created_at=pdoc["created_at"],
+        plan = pdoc.get("plan", PricingPlan.PAYGO_DEDICATED.value)
+        if plan != PricingPlan.PAYGO_DEDICATED.value:  # a pool bills by node priority alone
+            raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
+        pool = Pool(config=cfg, state=PoolState(pdoc["state"]), created_at=pdoc["created_at"],
                     steady_at=pdoc["steady_at"], deleted_at=pdoc["deleted_at"])
         pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
         for position, ndoc in enumerate(pdoc["nodes"]):
@@ -276,8 +277,7 @@ def _reschedule_events(svc: BatchService):
 
 
 # top-level keys of every workspace state, as new_workspace_state writes them
-STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace",
-                        "storage_account_created", "service", "transcript", "ingress_seq",
+STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace", "service", "transcript",
                         "has_completed_run", "events_bytes"})
 
 
@@ -289,10 +289,8 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "options": options.to_doc(),
         "catalog_doc": catalog_doc,
         "workspace": workspace_to_doc(bundle.workspace),
-        "storage_account_created": False,
         "service": None,
         "transcript": [],
-        "ingress_seq": 0,
         "has_completed_run": False,
         "events_bytes": 0,  # size of events.log after the last committed command
     }

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from batchsim.batch import BatchService, FailureReason, JobState, PoolState, TaskState
-from batchsim.catalog import PricingPlan, RegionQuota, default_catalog
+from batchsim.catalog import RegionQuota, default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.errors import (
     QuotaExceeded,
@@ -54,8 +54,8 @@ def jobs_cfg(pool_id, *tasks, job_id="job"):
     return JobsConfig(job_id=job_id, pool_id=pool_id, tasks=tuple(tasks))
 
 
-def steady_pool(svc, cfg, plan=PricingPlan.PAYGO_DEDICATED):
-    pool = svc.pool_add(cfg, plan)
+def steady_pool(svc, cfg):
+    pool = svc.pool_add(cfg)
     svc.advance_until_pool_settled(pool.pool_id)
     assert pool.state is PoolState.STEADY
     return pool

@@ -131,6 +131,7 @@ def test_validation_failure_leaves_state_unchanged(workdir):
 
 
 INIT = ["workspace", "init", "--configdir", "config_shipyard"]
+ACCOUNT = ["storage", "account", "create"]
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -145,9 +146,10 @@ INIT = ["workspace", "init", "--configdir", "config_shipyard"]
     ([*INIT, "--scarcity", "0", "inf"], 64),
     ([*INIT, "--scarcity", "100", "50"], 64),
     ([*INIT, "--scarcity", "50", "50"], 64),
+    (["pool", "add", "--configdir", "config_shipyard", "--plan", "reserved_3yr"], 64),
 ], ids=["negative-quota", "unknown-region", "negative-share-quota", "negative-rate",
         "infinite-image-pull", "infinite-rate", "nan-rate", "nan-scarcity-start",
-        "infinite-scarcity-end", "reversed-scarcity", "empty-scarcity"])
+        "infinite-scarcity-end", "reversed-scarcity", "empty-scarcity", "removed-plan-option"])
 def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected):
     if argv[0] != "workspace":
         ok(workdir, *INIT)
@@ -177,6 +179,10 @@ def _drop_transcript(state):
     del state["transcript"]
 
 
+def _number_transcript(state):
+    state["transcript"] = 5
+
+
 def _list_document(state):
     return []
 
@@ -195,6 +201,7 @@ CORRUPTIONS = {
     "wrong-type-value": _text_time,
     "wrong-type-container": _number_pools,
     "missing-top-level-key": _drop_transcript,
+    "number-transcript": _number_transcript,
     "not-an-object": _list_document,
     "state-format-1": _format_1,
     "wrong-type-events-bytes": _text_events_bytes,
@@ -260,6 +267,8 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
     """`state` with the keys that state.json held before they were dropped, valued as they
     were written: derived from the rest of the state, from events.log and from the keys."""
     svc = state["service"]
+    state["storage_account_created"] = ["storage", "account", "create"] in state["transcript"]
+    state["ingress_seq"] = sum(argv[:2] == ["data", "ingress"] for argv in state["transcript"])
     state["credentials_digest"] = {"storage_key": hashlib.sha256(b"storagekey").hexdigest(),
                                    "batch_key": hashlib.sha256(b"batchkey").hexdigest()}
     svc["quota_used"] = {"eastus": [48, 24], "colonial": [0, 0]}  # the live NC24r pool
@@ -268,8 +277,9 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
          "timestamp": float(time)}
         for time, _, text in (line.split("\t") for line in events.splitlines())
         if text.startswith(("ingress:", "egress:"))]
-    svc["pool_plans"] = {p["config"]["id"]: p["plan"] for p in svc["pools"]}
+    svc["pool_plans"] = {p["config"]["id"]: "paygo_dedicated" for p in svc["pools"]}
     for pool in svc["pools"]:
+        pool["plan"] = "paygo_dedicated"
         for node in pool["nodes"]:  # one boot latency a pool, then the image pull
             node["boot_latency"] = round(node["ready_time"] - pool["created_at"] - 120.0)
         for warning in pool["warnings"]:
@@ -283,7 +293,7 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
 
 
 DROPPED_KEYS = ("credentials_digest", "quota_used", "transfers", "pool_plans", "boot_latency",
-                "severity", "directories", '"plan":null', '"plan":"paygo_low_priority"')
+                "severity", "directories", '"plan":', "storage_account_created", "ingress_seq")
 
 
 def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
@@ -304,6 +314,7 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     old = _with_dropped_keys(json.loads(text), (path.parent / "events.log").read_text())
     svc = old["service"]
     assert [len(svc["transfers"]), len(svc["pools"][0]["warnings"])] == [2, 1]
+    assert [old["storage_account_created"], old["ingress_seq"]] == [True, 1]
     assert {i["plan"] for i in svc["ledger"]} == {None, "paygo_dedicated", "paygo_low_priority"}
     assert svc["shares"][0]["directories"] == ["snake2d2k35", "snake2d2k35/output"]
     path.write_text(json.dumps(old, separators=(",", ":"), sort_keys=True))
@@ -313,6 +324,71 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     written = path.read_text()
     assert [key for key in DROPPED_KEYS if key in written] == []
     assert set(json.loads(written)) == statemod.STATE_KEYS
+
+
+def test_state_with_an_unread_option_drops_it_on_the_next_commit(workdir):
+    """`options` is written back from the options that were read, so a key inside it that
+    nothing reads is gone after the next committing command."""
+    ok(workdir, *INIT)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    options = dict(state["options"])
+    state["options"]["egress_usd_per_gib"] = "0.087"
+    path.write_text(json.dumps(state))
+    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "100")
+    assert json.loads(path.read_text())["options"] == options
+
+
+def test_pool_with_another_pricing_plan_in_state_exits_2_without_mutation(workdir):
+    """Only `pool add --plan`, which is gone, wrote a pool plan other than paygo_dedicated;
+    such a workspace is not re-priced by node priority, it is refused."""
+    for argv in sequence()[:5]:  # through `pool add`
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    state["service"]["pools"][0]["plan"] = "reserved_3yr"
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    code, _, err = cli(workdir, "pool", "del", *CFG)
+    assert (code, err) == (
+        2, "error: corrupt state: pricing plan 'reserved_3yr' of pool snake2d2k35\n")
+    assert tree(workdir) == before
+
+
+@pytest.mark.parametrize("done, argv, message", [
+    ([INIT, ACCOUNT], ACCOUNT, "storage account already created: reprostorage"),
+    ([INIT], ["share", "create", "--name", "fileshare", "--quota", "100"],
+     "no storage account: run `batchsim storage account create`"),
+], ids=["second-account", "share-before-account"])
+def test_storage_account_order_is_read_from_the_transcript(workdir, done, argv, message):
+    for step in done:
+        ok(workdir, *step)
+    before = tree(workdir)
+    assert cli(workdir, *argv) == (2, "", f"error: {message}\n")
+    assert tree(workdir) == before
+
+
+def test_each_ingress_records_the_next_manifest(workdir):
+    for argv in sequence()[:6]:  # through the first `data ingress`
+        ok(workdir, *argv)
+    (workdir / "user.yaml").write_text("entries:\n- {path: extra.bin, bytes: 7}\n")
+    ok(workdir, "data", "ingress", *CFG, "--manifest", "user.yaml")
+    ingress = workdir / ".batchsim" / "ingress"
+    assert sorted(p.name for p in ingress.iterdir()) == ["0001.json", "0002.json"]
+    assert json.loads((ingress / "0002.json").read_text()) == {"entries": [["extra.bin", 7]]}
+    transcript = json.loads((workdir / ".batchsim" / "state.json").read_text())["transcript"]
+    assert [argv[3] for argv in transcript if argv[:3] == ["data", "ingress", "--manifest"]] == [
+        ".batchsim/ingress/0001.json", ".batchsim/ingress/0002.json"]
+
+
+def test_download_counts_zero_byte_entries(workdir):
+    for argv in sequence()[:5]:  # through `pool add`
+        ok(workdir, *argv)
+    (workdir / "user.yaml").write_text("entries:\n- {path: z.bin, bytes: 0}\n")
+    ok(workdir, "data", "ingress", *CFG, "--manifest", "user.yaml")
+    out = ok(workdir, "data", "download", "--source", "fileshare/snake2d2k35", "--dest", "out")
+    assert out == f"downloaded 1 files (0 bytes) to {workdir / 'out'}\n"
+    assert (workdir / "out" / "fileshare" / "snake2d2k35" / "z.bin").read_bytes() == b""
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -385,6 +461,7 @@ ROW_CORRUPTIONS = {
     "blank-id": (0, " "),
     "unknown-workload": (1, "nosuch:1"),
     "string-instances": (2, "2"),
+    "zero-procs": (3, 0),
     "bool-gpus": (4, True),
     "running-state": (7, "Running"),
     "staging-state": (7, "Staging"),
@@ -816,11 +893,23 @@ MANIFESTS = {
     "scalar-manifest": "5\n",
     "negative-size": "entries:\n- {path: case.yaml, bytes: -1}\n",
 }
+
+
+def _catalog_text(edit) -> str:
+    doc = default_catalog().to_document()
+    edit(doc)
+    return yaml.safe_dump(doc)
+
+
 CATALOGS = {
     "missing-catalog": None,
     "unparseable-catalog": "skus: [unclosed\n",
     "scalar-skus": "skus: 5\n",
     "dated-catalog": yaml.safe_dump(default_catalog().to_document()) + "updated: 2020-01-01\n",
+    "zero-vcores": _catalog_text(lambda doc: doc["skus"][0].update(vcores=0)),
+    "zero-rate": _catalog_text(lambda doc: doc["skus"][0]["prices"].update(reserved_3yr="0")),
+    "negative-quota": _catalog_text(lambda doc: doc["quotas"]["eastus"].update(
+        low_priority_cores=-1)),
 }
 USER_FILE_ERRORS = [
     *[(["data", "ingress", "--configdir", "config_shipyard", "--manifest", "user.yaml"], text)
@@ -1108,6 +1197,7 @@ CRAFTED = {
     "unknown-command": ["pool", "resize"],
     "no-configdir": ["jobs", "add"],
     "no-configdir-or-pool": ["pool", "del"],
+    "pool-add-plan": ["pool", "add", "--configdir", "{cfg}", "--plan", "reserved_3yr"],
 }
 
 

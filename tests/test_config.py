@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from batchsim.catalog import RegionQuota, default_catalog
+from batchsim.catalog import Catalog, RegionQuota, default_catalog
 from batchsim.config import (
     PoolConfig,
     bundle_documents,
@@ -206,11 +206,71 @@ def test_validate_pool_rdma_rule():
         validate_pool(_pool(sku="NC6", inter_node=True), CATALOG, _available())
 
 
-def test_pool_config_invariants():
-    with pytest.raises(ValueError):
-        _pool(ded=0, low=0)
-    with pytest.raises(ValueError):
-        PoolConfig("p", "NC6", "eastus", -1, 1, False, False, "img")
+def _set(name, value, *keys):
+    """A mutation that sets document `name` at `keys` to `value`; no keys replaces it whole."""
+    def mutate(docs):
+        if not keys:
+            docs[name] = value
+            return
+        doc = docs[name]
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return mutate
+
+
+# (mutation, document, key reported, message): the readers' checks of each document's shape
+SCHEMA_ERRORS = {
+    "top-level-list": (_set("pool.yaml", [1]), "pool.yaml", "<document>",
+                       "top level must be a mapping"),
+    "text-inter-node-comm": (_set("pool.yaml", "yes", "pool", "inter_node_comm"), "pool.yaml",
+                             "pool.inter_node_comm", "expected a boolean"),
+    "list-vm-count": (_set("pool.yaml", [2, 0], "pool", "vm_count"), "pool.yaml",
+                      "pool.vm_count", "expected a mapping"),
+    "negative-vm-count": (_set("pool.yaml", -1, "pool", "vm_count", "dedicated"), "pool.yaml",
+                          "pool.vm_count", "counts must be non-negative"),
+    "mapping-tasks": (_set("jobs.yaml", {"task0": {}}, "job", "tasks"), "jobs.yaml",
+                      "job.tasks", "expected a list"),
+    "empty-tasks": (_set("jobs.yaml", [], "job", "tasks"), "jobs.yaml", "job.tasks",
+                    "at least one task required"),
+    "text-task": (_set("jobs.yaml", ["task0"], "job", "tasks"), "jobs.yaml", "job.tasks[0]",
+                  "expected a mapping"),
+}
+
+
+@pytest.mark.parametrize("mutate, name, key, message", list(SCHEMA_ERRORS.values()),
+                         ids=list(SCHEMA_ERRORS))
+def test_config_schema_errors(tmp_path, mutate, name, key, message):
+    _write_example(tmp_path, mutate)
+    with pytest.raises(SchemaError) as err:
+        parse_config_dir(tmp_path, CATALOG)
+    assert str(err.value) == f"{tmp_path / name}: key {key!r}: {message}"
+
+
+def _catalog_without(sku: str, region: str) -> Catalog:
+    """The default catalog as a `--catalog` override in which `sku` is not sold in `region`."""
+    doc = CATALOG.to_document()
+    for entry in doc["skus"]:
+        if entry["name"] == sku:
+            entry["regions"].remove(region)
+    return Catalog.from_document(doc)
+
+
+CROSS_REF_ERRORS = {
+    "workspace-region": (_set("workspace.yaml", "nowhere", "workspace", "region"), CATALOG,
+                         "workspace region 'nowhere' not in catalog"),
+    "sku-not-in-pool-region": (None, _catalog_without("NC24r", "eastus"),
+                               "SKU NC24r is not available in region 'eastus'"),
+}
+
+
+@pytest.mark.parametrize("mutate, catalog, message", list(CROSS_REF_ERRORS.values()),
+                         ids=list(CROSS_REF_ERRORS))
+def test_config_cross_ref_errors(tmp_path, mutate, catalog, message):
+    _write_example(tmp_path, mutate)
+    with pytest.raises(CrossRefError) as err:
+        parse_config_dir(tmp_path, catalog)
+    assert str(err.value) == message
 
 
 def _task_entry(**changes):
@@ -258,9 +318,11 @@ JOBS_DIAGNOSTICS = {
     "procs_per_node-absent": ({"procs_per_node": ...}, "procs_per_node", ABSENT),
     "procs_per_node-string": ({"procs_per_node": "12"}, "procs_per_node", NOT_INT),
     "procs_per_node-bool": ({"procs_per_node": False}, "procs_per_node", NOT_INT),
+    "procs_per_node-zero": ({"procs_per_node": 0}, "procs_per_node", "must be at least 1"),
     "gpus_per_node-absent": ({"gpus_per_node": ...}, "gpus_per_node", ABSENT),
     "gpus_per_node-float": ({"gpus_per_node": 2.0}, "gpus_per_node", NOT_INT),
     "gpus_per_node-bool": ({"gpus_per_node": True}, "gpus_per_node", NOT_INT),
+    "gpus_per_node-negative": ({"gpus_per_node": -1}, "gpus_per_node", "must be at least 0"),
     "input_dir-absent": ({"input_dir": ...}, "input_dir", ABSENT),
     "input_dir-list": ({"input_dir": ["a"]}, "input_dir", NOT_STRING),
     "input_dir-empty": ({"input_dir": ""}, "input_dir", NOT_STRING),

@@ -113,7 +113,7 @@ def _retry_mix(seed: int) -> BatchService:
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
-    "service_to_doc": "9847a63f2330bf15f73b8d0f73db8c3ff79333d6b96818cdd8b993d8da0d45aa",
+    "service_to_doc": "7ba6183f422ac0db4c02cc76cd60fb60cd8236f05883f7df5ac7329b5b1733c1",
 }
 
 
@@ -168,7 +168,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "999d23ac404dd975964a9e42092a17a5f68dc3b800bf52912f1029d44e86e12f",
+            "ced3516f0636337d0975b60feeead9a073c43fc4bbd080ae118ea59353f5937d",
     },
     "poisson_h16r": {
         "configs/c04bd6145343/credentials.yaml":
@@ -186,7 +186,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "fa881a30de02eeb82b5bcb10d2db9adc5363f019988510a035a02f626a0a42fe",
+            "c113272a7d3e9c80eb0431af96d504a33660baae4867702c4ad5c10efc6278d5",
     },
     "snake2d2k35": {
         "configs/95ad2d9e1a47/credentials.yaml":
@@ -204,7 +204,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "8e98ef0562d603f26c490fccf0b9e76fd9d7c203dcbe64eb768d09b2f1bd510b",
+            "e8eff25dd47b0a0272557cb07a17d16b793a1c2883851817ff6c414fb866b7cd",
     },
 }
 
@@ -225,7 +225,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "35bae0e1730e20cc52fe8857b839d5bfc266cb37bb54736808487d413b36f117",
+            "a182512f902bdd8e4af34d72038735eae1e2b4911a1f8fd5445bf387d4619d7a",
     },
     "snake3d": {
         "configs/558f439409ba/credentials.yaml":
@@ -243,7 +243,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "fbb943c1456fda190abe883c12470b049c43b9c9e47b2f0c5ccae3f1e3652204",
+            "f8cd7300cb48758f45d63bf2a2a39ce2de013919025b2f7b122ae3afee27e1d6",
     },
     "snake3d_fine": {
         "configs/61e3fe057bed/credentials.yaml":
@@ -263,7 +263,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "aa41d5fa01b2532fb394f3a8d709c02cc5cf14d22848edcd518eb1248673e9f0",
+            "94c96bba379da39c124214c08f7117c2e2b464d918c58e14904e806cf142a72a",
     },
 }
 

@@ -32,3 +32,16 @@ def test_tracer_sees_config_io_and_undo_restores_every_attribute(tmp_path, monke
     for owner, key, original in patched:
         now = owner[key] if isinstance(owner, dict) else getattr(owner, key)
         assert now is original, f"{key} still patched"
+
+
+def test_import_split_reads_numpy_yaml_and_batchsim_from_a_child(tmp_path, monkeypatch):
+    """The traced cli_walkthrough pass splits `import batchsim.cli` into numpy, yaml and the
+    rest; it needs the child's -X importtime lines for all three modules."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import passes
+
+    (tmp_path / "tmp").mkdir()
+    env = passes.Env(REPO_ROOT, tmp_path, passes.child_environment(REPO_ROOT, tmp_path))
+    split = passes.import_split(env)
+    assert set(split) == {"import.numpy_s", "import.yaml_s", "import.batchsim_s"}
+    assert all(seconds > 0 for seconds in split.values())

@@ -76,8 +76,8 @@ BAD_SPEC_VALUES = {
     "id": [7, None, ["t0"], "", "   "],
     "workload": [25200, None, "", " \t", "nosuch:1", "fixed:soon"],
     "instances": ["2", 2.0, True, None, 0, -1],
-    "procs_per_node": ["12", 12.5, False, None],
-    "gpus_per_node": ["2", True, None, [2]],
+    "procs_per_node": ["12", 12.5, False, None, 0, -1],
+    "gpus_per_node": ["2", True, None, [2], -1],
     "input_dir": [0, None, {}, "", "  "],
     "output_dir": [1.5, None, "", "\n"],
 }
@@ -259,8 +259,8 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
     bundle = parse_config_dir(REPO_ROOT / "configs" / "snake2d2k35", default_catalog())
     workspace = state.new_workspace_state(state.ServiceOptions(), bundle)
     assert set(workspace) == state.STATE_KEYS == {
-        "version", "options", "catalog_doc", "workspace", "storage_account_created", "service",
-        "transcript", "ingress_seq", "has_completed_run", "events_bytes"}
+        "version", "options", "catalog_doc", "workspace", "service", "transcript",
+        "has_completed_run", "events_bytes"}
     options = state.ServiceOptions(seed=5, preemption_rate=0.0)
     svc = state.build_service(options)
     svc.quota_set("eastus", 100, 100)
@@ -276,8 +276,8 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
     doc = state.service_to_doc(svc)
     assert set(doc) == {"time", "quotas", "pools", "jobs", "shares", "ledger"}
     [pool] = doc["pools"]
-    assert set(pool) == {"config", "plan", "state", "created_at", "steady_at", "deleted_at",
-                         "warnings", "nodes"}
+    assert set(pool) == {"config", "state", "created_at", "steady_at", "deleted_at", "warnings",
+                         "nodes"}
     assert [set(w) for w in pool["warnings"]] == [{"rule", "message"}]
     assert {frozenset(n) for n in pool["nodes"]} == {frozenset(
         {"id", "sku", "priority", "state", "ready_time", "released_time", "preempt_at",
