@@ -95,6 +95,9 @@ class Task:
     completion_event: Optional[object] = field(default=None, repr=False, compare=False)
     seq: int = field(default=0, repr=False, compare=False)  # FIFO key in the pool queue
     nodes: tuple[Node, ...] = field(default=(), repr=False, compare=False)  # of a running attempt
+    # (start_time, end_time, run_tag) of the attempt this row shows, once it has ended: the one
+    # tuple in each of its nodes' busy_logs; None while it runs and after a retry
+    interval: Optional[tuple] = field(default=None, repr=False, compare=False)
     entity: str = field(init=False, repr=False, compare=False)  # the event-log entity
 
     def __post_init__(self):
@@ -396,8 +399,6 @@ class BatchService:
             return
         now = self.clock.now
         task = self._running.get(node.node_id)
-        if task is not None:
-            node.busy_log.append((task.start_time, now, task.run_tag))
         if node.state is NodeState.IDLE:
             pool.idle.remove(node)
         node.transition(NodeState.PREEMPTED, now, self.event_log)
@@ -421,7 +422,7 @@ class BatchService:
             task.attempts += 1
             task.state = TaskState.PENDING
             task.assigned_nodes = ()
-            task.start_time = task.end_time = None
+            task.start_time = task.end_time = task.interval = None
             self.event_log.append(now, task.entity,
                                   f"{previous.value}->{TaskState.PENDING.value} "
                                   f"(retry {task.attempts})")
@@ -435,12 +436,14 @@ class BatchService:
                               f"{previous.value}->{TaskState.FAILED.value}({reason.value})")
 
     def _free_nodes(self, pool: Pool, task: Task):
-        """Return a running task's nodes to the pool, logging each busy interval."""
-        now, tag = self.clock.now, task.run_tag
+        """End a running attempt: log its busy interval on each of its nodes, a preempted
+        one included, and return the others to the pool."""
+        now = self.clock.now
+        task.interval = interval = (task.start_time, now, task.run_tag)
         for node in task.nodes:
             del self._running[node.node_id]
+            node.busy_log.append(interval)
             if node.state is NodeState.RUNNING:
-                node.busy_log.append((task.start_time, now, tag))
                 node.transition(NodeState.IDLE, now, self.event_log)
                 insort(pool.idle, node, key=_POSITION)
         task.nodes = ()

@@ -182,7 +182,8 @@ class Node:
         self.ready_time: Optional[float] = None
         self.released_time: Optional[float] = None
         self.preempt_at: Optional[float] = None
-        # busy intervals (start, end, "task/<job>/<task>#<attempt>"), for the gang invariants
+        # busy intervals (start, end, "task/<job>/<task>#<attempt>") in the order they end;
+        # state.json stores only those that no task row records, and a load rebuilds the rest
         self.busy_log: list[tuple[float, float, str]] = []
 
     def transition(self, to: NodeState, at: float, log: EventLog):

@@ -4,7 +4,9 @@ One command per process invocation: service state is rehydrated from
 structured JSON under .batchsim/ before a command and written back after.
 Because every RNG stream is derived by hashing (seed, purpose), nothing
 about generator state needs saving; pending events are reconstructed from
-entity timestamps.
+entity timestamps, and a node's busy intervals that a task row records are
+rebuilt from the rows, so only the others (attempts that were retried, or
+whose job was re-added) are stored.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import gc
 import hashlib
 import json
 import os
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -110,10 +114,27 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _recording_tasks(svc: BatchService, pool: Pool):
+    """The tasks whose row records a busy interval (start_time, end_time, run_tag) on each
+    of its assigned_nodes in `pool`: every row that shows an attempt that ran.
+
+    Only a start after the pool's creation counts: a pool deleted and re-added under its
+    id reuses its node ids, and a new node boots for at least BOOT_LATENCY_RANGE[0] s.
+    """
+    pool_id, created = pool.pool_id, pool.created_at
+    for job in svc.jobs.values():
+        if job.pool_id == pool_id:
+            for task in job.tasks:
+                if task.start_time is not None and task.start_time > created:
+                    yield task
+
+
 @_gc_paused()
 def service_to_doc(svc: BatchService) -> dict:
     pools = []
     for pool in svc.pools.values():
+        # a row's interval is one tuple shared by its nodes' busy_logs (Task.interval)
+        recorded = {id(t.interval) for t in _recording_tasks(svc, pool) if t.interval}
         pools.append(
             {
                 "config": pool_to_doc(pool.config),
@@ -131,7 +152,7 @@ def service_to_doc(svc: BatchService) -> dict:
                         "ready_time": n.ready_time,
                         "released_time": n.released_time,
                         "preempt_at": n.preempt_at,
-                        "busy_log": [list(b) for b in n.busy_log],
+                        "busy_log": [list(b) for b in n.busy_log if id(b) not in recorded],
                     }
                     for n in pool.nodes
                 ],
@@ -216,19 +237,23 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         plan = pdoc.get("plan", PricingPlan.PAYGO_DEDICATED.value)
         if plan != PricingPlan.PAYGO_DEDICATED.value:  # a pool bills by node priority alone
             raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
-        pool = Pool(config=cfg, state=PoolState(pdoc["state"]), created_at=pdoc["created_at"],
-                    steady_at=pdoc["steady_at"], deleted_at=pdoc["deleted_at"])
+        owner = f"pool {cfg.pool_id}"
+        pool = Pool(config=cfg, state=PoolState(pdoc["state"]),
+                    created_at=_instant(pdoc, "created_at", owner, optional=False),
+                    steady_at=_instant(pdoc, "steady_at", owner),
+                    deleted_at=_instant(pdoc, "deleted_at", owner))
         pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
         for position, ndoc in enumerate(pdoc["nodes"]):
             node = Node(ndoc["id"], ndoc["sku"], Priority(ndoc["priority"]), position)
+            owner = f"node {node.node_id}"
             node.state = NodeState(ndoc["state"])
-            node.ready_time = ndoc["ready_time"]
-            node.released_time = ndoc["released_time"]
+            node.ready_time = _instant(ndoc, "ready_time", owner)
+            node.released_time = _instant(ndoc, "released_time", owner)
             if node.state is NodeState.STARTING and node.released_time is None:
                 # every command that creates nodes runs until they are ready
                 raise ValidationError("corrupt state: persisted node still starting")
-            node.preempt_at = ndoc["preempt_at"]
-            node.busy_log = [tuple(b) for b in ndoc["busy_log"]]
+            node.preempt_at = _instant(ndoc, "preempt_at", owner)
+            node.busy_log = [_interval(b, owner) for b in ndoc["busy_log"]]
             pool.nodes.append(node)
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
@@ -257,8 +282,64 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                               if item["node_seconds"] is not None else None),
             )
         )
+    _rebuild_busy_logs(svc)
     _reschedule_events(svc)
     return svc
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite(value) -> bool:
+    """A JSON number that is a finite float, or an int within a float's range (no bool)."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _instant(doc: dict, key: str, owner: str, optional: bool = True):
+    """`doc[key]` if it is a finite number, or None where `optional`."""
+    value = doc[key]
+    if not (_is_finite(value) or optional and value is None):
+        raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
+    return value
+
+
+def _interval(row, owner: str) -> tuple:
+    """A busy_log row as the interval tuple: [start, end, tag], start <= end."""
+    if not (type(row) is list and len(row) == 3 and _is_finite(row[0]) and _is_finite(row[1])
+            and row[0] <= row[1] and type(row[2]) is str):
+        raise ValidationError(f"corrupt state: busy_log row {row!r} of {owner}")
+    return tuple(row)
+
+
+def _rebuild_busy_logs(svc: BatchService):
+    """Give each node back the intervals that task rows record, one tuple a row kept as its
+    Task.interval, and sort its busy_log into the order the service appends it in. A stored
+    interval is added to them unless it is there already, as in a state with full logs."""
+    for pool in svc.pools.values():
+        stored = [n.busy_log for n in pool.nodes]
+        for node in pool.nodes:
+            node.busy_log = []
+        logs = {n.node_id: n.busy_log for n in pool.nodes}
+        for task in _recording_tasks(svc, pool):
+            start, end, tag = task.start_time, task.end_time, task.run_tag
+            # _is_finite of both, inlined for states of 10,000 rows; start > created_at holds
+            if not (type(start) in (int, float) and type(end) in (int, float)
+                    and start <= end <= _FLOAT_MAX):
+                raise ValidationError(f"corrupt state: task times {start!r}, {end!r} of {tag}")
+            task.interval = interval = (start, end, tag)
+            for node_id in task.assigned_nodes:
+                log = logs.get(node_id)
+                if log is None:
+                    raise ValidationError(f"corrupt state: task node {node_id!r} of {tag} "
+                                          f"is not in pool {pool.pool_id}")
+                log.append(interval)
+        for node, kept in zip(pool.nodes, stored):
+            log = node.busy_log
+            log.sort()
+            for interval in kept:
+                i = bisect_left(log, interval)
+                if i == len(log) or log[i] != interval:
+                    log.insert(i, interval)
 
 
 def _reschedule_events(svc: BatchService):

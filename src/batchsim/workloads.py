@@ -9,6 +9,7 @@ scaling studies, and fixed-duration scenario tasks.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import os
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ WorkloadSpec = Union[FixedDuration, PingPongLatency, PingPongBandwidth,
                      PoissonCGReal, PoissonScalingModeled]
 
 
+@functools.lru_cache(maxsize=4096)  # task rows repeat their references; specs are frozen
 def parse_workload(text: str) -> WorkloadSpec:
     """Parse the task workload reference grammar used in jobs documents.
 

@@ -132,6 +132,7 @@ def test_validation_failure_leaves_state_unchanged(workdir):
 
 INIT = ["workspace", "init", "--configdir", "config_shipyard"]
 ACCOUNT = ["storage", "account", "create"]
+CFG = ["--configdir", "config_shipyard"]
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -326,6 +327,77 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     assert set(json.loads(written)) == statemod.STATE_KEYS
 
 
+def _with_full_busy_logs(state: dict) -> dict:
+    """`state` with each node's busy_log as state.json held it before the intervals that a
+    task row records were left out: every interval, in the order they ended."""
+    svc = state["service"]
+    created = {p["config"]["id"]: p["created_at"] for p in svc["pools"]}
+    logs = {(p["config"]["id"], n["id"]): n["busy_log"] for p in svc["pools"] for n in p["nodes"]}
+    for job in svc["jobs"]:
+        for task_id, *_, nodes, start, end, _, attempts in job["tasks"]:
+            if start is not None and start > created[job["pool"]]:
+                for node_id in nodes:
+                    logs[job["pool"], node_id].append(
+                        [start, end, f"task/{job['id']}/{task_id}#{attempts}"])
+    for log in logs.values():
+        log.sort(key=lambda b: (b[1], b[0]))
+    return state
+
+
+def _busy_logs(root) -> dict:
+    """Each node's busy_log after the workspace's state.json is loaded."""
+    state = json.loads((root / ".batchsim" / "state.json").read_text())
+    svc = statemod.service_from_doc(state["service"],
+                                    statemod.ServiceOptions.from_doc(state["options"]))
+    return {n.node_id: n.busy_log for p in svc.pools.values() for n in p.nodes}
+
+
+# the state.json that BUSY_SESSION left while every busy interval was stored
+FULL_BUSY_LOG_STATE_SHA256 = "542ddb642c961ffb83229b20922f9636f7dbcc3162dec07b46ab41cbfcc501c6"
+BUSY_SESSION = [
+    [*INIT, "--seed", "1", "--preemption-rate", "0.2", "--task-retries", "1"],
+    ACCOUNT,
+    ["share", "create", "--name", "fileshare", "--quota", "100"],
+    ["quota", "set", "--region", "eastus", "--dedicated", "100", "--low-priority", "100"],
+    ["pool", "add", *CFG],
+    ["jobs", "add", *CFG],  # preempted on a low-priority node, then run again
+    ["jobs", "add", *CFG],  # the same job id again: these tags are the task row's now
+    ["pool", "del", *CFG],
+]
+
+
+def test_state_with_full_busy_logs_loads_them_once_and_is_written_short(tmp_path):
+    """A format-3 state.json written before the intervals that task rows record were left
+    out holds every interval: it loads the same busy logs, and the next command that
+    commits writes the short form."""
+    roots = tmp_path / "short", tmp_path / "full"
+    for root in roots:
+        shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+        pool_yaml = root / "config_shipyard" / "pool.yaml"
+        pool_doc = yaml.safe_load(pool_yaml.read_text())
+        pool_doc["pool"]["vm_count"] = {"dedicated": 1, "low_priority": 2}
+        pool_doc["pool"]["shared_filesystem"] = False
+        pool_yaml.write_text(yaml.safe_dump(pool_doc, sort_keys=False))
+        for argv in BUSY_SESSION:
+            ok(root, *argv)
+    short, full = roots
+    path = full / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    stored = [b for p in state["service"]["pools"] for n in p["nodes"] for b in n["busy_log"]]
+    assert sorted(tag for _, _, tag in stored) == [  # the first run of the job, twice retried
+        "task/snake2d2k35-job/task0#0", "task/snake2d2k35-job/task0#0",
+        "task/snake2d2k35-job/task0#1", "task/snake2d2k35-job/task0#1"]
+    text = json.dumps(_with_full_busy_logs(state), separators=(",", ":"), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_BUSY_LOG_STATE_SHA256
+    path.write_text(text)
+    assert _busy_logs(full) == _busy_logs(short)
+    assert sum(map(len, _busy_logs(full).values())) == len(stored) + 2
+    assert ok(full, "status") == ok(short, "status")
+    for root in roots:
+        ok(root, "quota", "set", "--region", "eastus", "--dedicated", "50")
+    assert tree(full) == tree(short)
+
+
 def test_state_with_an_unread_option_drops_it_on_the_next_commit(workdir):
     """`options` is written back from the options that were read, so a key inside it that
     nothing reads is gone after the next committing command."""
@@ -456,6 +528,38 @@ def test_negative_preemption_rate_in_state_exits_2_without_mutation(workdir):
     assert tree(workdir) == before
 
 
+def _node(state) -> dict:
+    return state["service"]["pools"][0]["nodes"][0]
+
+
+# (change to the state, error text): pool and node fields that no command writes; unchecked,
+# `pool del` fails on the text time (exit 1), and the others load and are written back
+POOL_NODE_CORRUPTIONS = {
+    "ready-time-text": (lambda state: _node(state).update(ready_time="soon"),
+                        "ready_time 'soon' of node snake2d2k35/0"),
+    "busy-log-text": (lambda state: _node(state).update(busy_log=[["a", "b"]]),
+                      "busy_log row ['a', 'b'] of node snake2d2k35/0"),
+    "created-at-null": (lambda state: state["service"]["pools"][0].update(created_at=None),
+                        "created_at None of pool snake2d2k35"),
+}
+
+
+@pytest.mark.parametrize("argv", [["jobs", "add", *CFG], ["pool", "del", *CFG]],
+                         ids=["jobs-add", "pool-del"])
+@pytest.mark.parametrize("corrupt, message", list(POOL_NODE_CORRUPTIONS.values()),
+                         ids=list(POOL_NODE_CORRUPTIONS))
+def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, message, argv):
+    for step in sequence()[:6]:  # through `data ingress`
+        ok(workdir, *step)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    corrupt(state)
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
+    assert tree(workdir) == before
+
+
 # (position in the task row, value written there); positions 0-6 are the spec
 ROW_CORRUPTIONS = {
     "blank-id": (0, " "),
@@ -466,6 +570,10 @@ ROW_CORRUPTIONS = {
     "running-state": (7, "Running"),
     "staging-state": (7, "Staging"),
     "unknown-failure-reason": (11, "Crashed"),
+    "unknown-node": (8, ["snake2d2k35/9"]),
+    "text-end-time": (10, "soon"),
+    "infinite-end-time": (10, float("inf")),
+    "end-before-start": (10, 0.0),
     "short-row": (None, None),
 }
 
@@ -658,7 +766,6 @@ def test_failed_ledger_write_exits_2_and_records_nothing(workdir, monkeypatch):
     assert tree(workdir) == tree(plain)
 
 
-CFG = ["--configdir", "config_shipyard"]
 # a session that makes every kind of commit: (id, argv, the writes it makes)
 COMMITS = [
     ("workspace-init", [*INIT, "--seed", "7"], ("snapshot", "ledger", "save")),

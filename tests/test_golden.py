@@ -113,7 +113,7 @@ def _retry_mix(seed: int) -> BatchService:
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
-    "service_to_doc": "7ba6183f422ac0db4c02cc76cd60fb60cd8236f05883f7df5ac7329b5b1733c1",
+    "service_to_doc": "268fbfe91ffc6a104c8b8a9a4cefb44ab9e5f6ee4533992b19ac04a47f4e76ed",
 }
 
 
@@ -168,7 +168,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "ced3516f0636337d0975b60feeead9a073c43fc4bbd080ae118ea59353f5937d",
+            "722e34cefba56ae3f55762659fa9605a9c9569da6a0080d5176e8e7a1d7983f3",
     },
     "poisson_h16r": {
         "configs/c04bd6145343/credentials.yaml":
@@ -186,7 +186,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "c113272a7d3e9c80eb0431af96d504a33660baae4867702c4ad5c10efc6278d5",
+            "f9287c0dbf2c646ea67533d6aa6dfe3c25996bb53ee57b16e283e206be19334e",
     },
     "snake2d2k35": {
         "configs/95ad2d9e1a47/credentials.yaml":
@@ -204,7 +204,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "e8eff25dd47b0a0272557cb07a17d16b793a1c2883851817ff6c414fb866b7cd",
+            "bdcdd699e6f1c0db530f0e48c04176b7639f9943ed377218d02e0c446a67ec06",
     },
 }
 
@@ -225,7 +225,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "a182512f902bdd8e4af34d72038735eae1e2b4911a1f8fd5445bf387d4619d7a",
+            "8ec28ed1f9254e8afeff23096504ae59f1cd1bd85b24f086fd0b3818ae738dcc",
     },
     "snake3d": {
         "configs/558f439409ba/credentials.yaml":
@@ -243,7 +243,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "f8cd7300cb48758f45d63bf2a2a39ce2de013919025b2f7b122ae3afee27e1d6",
+            "627462029a0999329cf6b7c5d4b97e1024fa5cbe254b4fe83d88396649272c91",
     },
     "snake3d_fine": {
         "configs/61e3fe057bed/credentials.yaml":
@@ -263,7 +263,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "94c96bba379da39c124214c08f7117c2e2b464d918c58e14904e806cf142a72a",
+            "70fb151d6f84e1c02ba666dbc19106d4dc3040b1639861797ea5e4fbf823d7b6",
     },
 }
 

@@ -45,3 +45,22 @@ def test_import_split_reads_numpy_yaml_and_batchsim_from_a_child(tmp_path, monke
     split = passes.import_split(env)
     assert set(split) == {"import.numpy_s", "import.yaml_s", "import.batchsim_s"}
     assert all(seconds > 0 for seconds in split.values())
+
+
+def test_traced_sched_pass_reports_every_state_layer(tmp_path, monkeypatch):
+    """The traced sched_mix pass times the state round trip through the wrapped
+    service_to_doc, service_from_doc, WorkspaceStore.save and WorkspaceStore.load, and
+    reads state_path after a save; layer_metrics needs each of them."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import calibrate
+    import passes
+    import run
+
+    env = passes.Env(REPO_ROOT, tmp_path, passes.child_environment(REPO_ROOT, tmp_path))
+    p = passes.sched_pass(env, 1, calibrate.Speed("python"), traced=True)
+    assert p.problems == []
+    metrics = run.layer_metrics("sched_mix", p)
+    assert {k for k in metrics if k.startswith("state.")} == {
+        "state.load_s", "state.rehydrate_s", "state.to_doc_s", "state.save_s",
+        "state.json_bytes"}
+    assert all(metrics[k] > 0 for k in metrics if k.startswith("state."))

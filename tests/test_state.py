@@ -57,6 +57,54 @@ def test_persisted_starting_node_is_rejected():
         state.service_from_doc(doc, options)
 
 
+def _pool_doc(doc):
+    return doc["pools"][0]
+
+
+def _node_doc(doc):
+    return doc["pools"][0]["nodes"][1]
+
+
+# (document part, key, value); each time must be a finite number, or null where optional
+TIME_CORRUPTIONS = {
+    "created-at-null": (_pool_doc, "created_at", None),
+    "created-at-text": (_pool_doc, "created_at", "0"),
+    "created-at-bool": (_pool_doc, "created_at", False),
+    "steady-at-inf": (_pool_doc, "steady_at", float("inf")),
+    "deleted-at-list": (_pool_doc, "deleted_at", [1.0]),
+    "ready-time-text": (_node_doc, "ready_time", "soon"),
+    "ready-time-huge-int": (_node_doc, "ready_time", 10**400),
+    "released-time-nan": (_node_doc, "released_time", float("nan")),
+    "preempt-at-minus-inf": (_node_doc, "preempt_at", float("-inf")),
+    "busy-log-text": (_node_doc, "busy_log", [["a", "b"]]),
+    "busy-log-short-row": (_node_doc, "busy_log", [[1.0, 2.0]]),
+    "busy-log-ends-first": (_node_doc, "busy_log", [[2.0, 1.0, "task/j/t0#0"]]),
+    "busy-log-number-tag": (_node_doc, "busy_log", [[1.0, 2.0, 3]]),
+    "busy-log-inf": (_node_doc, "busy_log", [[1.0, float("inf"), "task/j/t0#0"]]),
+    "busy-log-text-row": (_node_doc, "busy_log", ["ab"]),
+}
+
+
+@pytest.mark.parametrize("part, key, value", list(TIME_CORRUPTIONS.values()),
+                         ids=list(TIME_CORRUPTIONS))
+def test_pool_and_node_times_must_be_finite_numbers(part, key, value):
+    options, svc = _low_priority_service()
+    doc = state.service_to_doc(svc)
+    part(doc)[key] = value
+    with pytest.raises(ValidationError, match=f"^corrupt state: (busy_log row .*|{key} .*) of "):
+        state.service_from_doc(doc, options)
+
+
+def test_pool_and_node_times_may_be_integers_and_optional_ones_null():
+    options, svc = _low_priority_service()
+    doc = state.service_to_doc(svc)
+    _pool_doc(doc).update(created_at=0, steady_at=None, deleted_at=None)
+    _node_doc(doc).update(ready_time=400, released_time=None, preempt_at=None,
+                          busy_log=[[400, 400.5, "task/j/t0#0"]])
+    node = state.service_from_doc(doc, options).pools["lp"].nodes[1]
+    assert (node.ready_time, node.busy_log) == (400, [(400, 400.5, "task/j/t0#0")])
+
+
 def test_embedded_task_spec_is_validated():
     run = run_scenario(scenario_by_name("snake2d"), seed=0)
     doc = state.service_to_doc(run.service)
@@ -165,6 +213,113 @@ def test_random_services_round_trip_through_the_store(seed, tmp_path):
         assert back.all_tasks() == svc.all_tasks()
         store.save({"service": state.service_to_doc(back)})
         assert store.state_path.read_bytes() == text
+
+
+def _readded_pool_and_job(seed):
+    """A pool deleted at the instant its first tasks start (they fail PoolDeleted, holding
+    their nodes for no time) and re-added under its id at that instant, so that the new
+    nodes reuse the ids; then a job that finishes and is re-added under its id, with its
+    retries on preempted low-priority nodes."""
+    rng = random.Random(seed)
+    options = state.ServiceOptions(seed=seed, preemption_rate=2.0, task_retries=1)
+    svc = state.build_service(options)
+    svc.quota_set("eastus", 1000, 1000)
+    cfg = PoolConfig("re", "NC6", "eastus", dedicated_count=2, low_priority_count=2,
+                     inter_node_comm=False, shared_filesystem=False, image="img:1")
+    svc.pool_add(cfg)
+    svc.advance_until_pool_settled("re")
+    svc.jobs_add(JobsConfig("first", "re", (_task(0, 0, 2, 600),)))
+    assert svc.all_tasks()[0].start_time == svc.clock.now
+    svc.pool_del("re")
+    svc.pool_add(cfg)
+    svc.advance_until_pool_settled("re")
+    again = JobsConfig("again", "re", tuple(
+        _task(i, 1, rng.randint(1, 2), rng.randint(600, 5400)) for i in range(3)))
+    svc.jobs_add(again)
+    svc.advance_until_job_terminal("again")
+    svc.jobs_add(again)
+    svc.run_to_quiescence()
+    svc.pool_del("re")
+    return svc, options
+
+
+def _busy_services(seed):
+    return [*_round_trip_services(seed), _readded_pool_and_job(seed)]
+
+
+def _recorded_by_rows(doc) -> set:
+    """(node, start, end, tag) of each busy interval that a task row of the service document
+    records: on each assigned node of a row whose attempt started after its pool was made."""
+    created = {p["config"]["id"]: p["created_at"] for p in doc["pools"]}
+    return {(node_id, start, end, f"task/{job['id']}/{task_id}#{attempts}")
+            for job in doc["jobs"]
+            for task_id, *_, nodes, start, end, _, attempts in job["tasks"]
+            if start is not None and start > created[job["pool"]] for node_id in nodes}
+
+
+def _busy_logs(svc) -> dict:
+    return {n.node_id: n.busy_log for p in svc.pools.values() for n in p.nodes}
+
+
+@pytest.mark.parametrize("seed", ROUND_TRIP_SEEDS)
+def test_busy_logs_store_only_what_no_row_records_and_load_whole(seed):
+    for svc, options in _busy_services(seed):
+        doc = json.loads(json.dumps(state.service_to_doc(svc)))
+        stored = {(n["id"], *b) for p in doc["pools"] for n in p["nodes"] for b in n["busy_log"]}
+        assert not stored & _recorded_by_rows(doc)
+        assert _busy_logs(state.service_from_doc(doc, options)) == _busy_logs(svc)
+
+
+def test_busy_log_seeds_cover_retries_readded_jobs_and_a_pool_readded_as_tasks_start():
+    """The services above store intervals of attempts that were retried and of a job's run
+    before it was re-added under its id (whose tags are the new rows' too), and the pool
+    re-added at the instant its tasks started keeps no interval of the old one."""
+    readded = retried = 0
+    first = []
+    for seed in ROUND_TRIP_SEEDS:
+        for svc, _ in _busy_services(seed):
+            doc = state.service_to_doc(svc)
+            tags = {t.run_tag for t in svc.all_tasks()}
+            stored = [tag for p in doc["pools"] for n in p["nodes"] for _, _, tag in n["busy_log"]]
+            readded += sum(tag in tags for tag in stored)
+            retried += sum(tag not in tags for tag in stored)
+            first += [t for t in svc.all_tasks() if t.job_id == "first"]
+    assert readded and retried
+    assert first and {t.failure_reason for t in first} == {FailureReason.POOL_DELETED}
+    assert all(t.start_time == t.end_time for t in first)
+
+
+def test_row_interval_stored_on_a_node_the_row_does_not_name_is_kept():
+    """A row gives its interval back only to its assigned nodes, so the same interval
+    stored on another node belongs to that node and is written again."""
+    svc, options = _readded_pool_and_job(0)
+    doc = json.loads(json.dumps(state.service_to_doc(svc)))
+    job = next(j for j in doc["jobs"] if j["id"] == "again")
+    task_id, *_, nodes, start, end, _, attempts = job["tasks"][0]
+    other = next(n for n in _pool_doc(doc)["nodes"] if n["id"] not in nodes)
+    interval = [start, end, f"task/again/{task_id}#{attempts}"]
+    other["busy_log"].append(interval)
+    back = state.service_to_doc(state.service_from_doc(doc, options))
+    [node] = [n for n in _pool_doc(back)["nodes"] if n["id"] == other["id"]]
+    assert interval in node["busy_log"]
+
+
+def test_the_preempted_attempt_of_a_running_retry_is_stored():
+    """Mid-run, a retried task's row shows the attempt that runs, so the intervals of the
+    attempt that was preempted are written."""
+    options = state.ServiceOptions(seed=1, preemption_rate=4.0, task_retries=1)
+    svc = state.build_service(options)
+    svc.quota_set("eastus", 1000, 1000)
+    svc.pool_add(PoolConfig("r", "NC6", "eastus", dedicated_count=1, low_priority_count=3,
+                            inter_node_comm=False, shared_filesystem=False, image="img:1"))
+    svc.advance_until_pool_settled("r")
+    svc.jobs_add(JobsConfig("j", "r", tuple(_task(i, 0, 1, 3600) for i in range(4))))
+    svc.clock.run(until=lambda: any(t.state is TaskState.RUNNING and t.attempts
+                                    for t in svc.all_tasks()))
+    task = next(t for t in svc.all_tasks() if t.state is TaskState.RUNNING and t.attempts)
+    doc = state.service_to_doc(svc)
+    stored = [b for n in _pool_doc(doc)["nodes"] for b in n["busy_log"]]
+    assert f"{task.entity}#0" in [tag for _, _, tag in stored]
 
 
 def test_round_trip_seeds_cover_every_task_outcome():

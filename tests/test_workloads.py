@@ -275,6 +275,12 @@ def test_workload_reference_round_trip(text, spec):
     assert parse_workload(workload_ref(spec)) == spec
 
 
+def test_parse_workload_reuses_the_spec_of_a_text():
+    """Task rows repeat their workload texts (3,335 distinct ones in sched_mix's 10,000), so
+    each text is parsed once; a spec is frozen, so rows can share it."""
+    assert parse_workload("fixed:61") is parse_workload("fixed:61")
+
+
 workload_specs = st.one_of(
     st.builds(FixedDuration, st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
     st.just(PingPongLatency()),
