@@ -20,13 +20,7 @@ from typing import Optional
 from . import billing, workloads
 from .catalog import Catalog, PricingPlan, RegionQuota
 from .config import JobsConfig, PoolConfig, TaskSpec, Violation, validate_pool
-from .errors import (
-    TaskTooWide,
-    UnknownJob,
-    UnknownPool,
-    UnknownRegion,
-    ValidationError,
-)
+from .errors import ValidationError
 from .fabric import (
     AZURE_INTERCONNECT,
     DEFAULT_PREEMPTION_RATE,
@@ -190,7 +184,7 @@ class BatchService:
                   low_priority_cores: Optional[int] = None):
         """Raise or lower a catalog region's quotas; low-priority defaults to unchanged."""
         if region not in self.quotas:
-            raise UnknownRegion(f"no quota table for region {region!r}")
+            raise ValidationError(f"no quota table for region {region!r}")
         if low_priority_cores is None:
             low_priority_cores = self.quotas[region].low_priority_cores
         self.quotas[region] = RegionQuota(region, dedicated_cores, low_priority_cores)
@@ -224,7 +218,7 @@ class BatchService:
             raise ValidationError(f"no quota table for region {cfg.region!r}")
         warnings = validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
         pool = Pool(config=cfg, created_at=self.clock.now, warnings=warnings)
-        # provision first: an AllocationUnavailable leaves the service untouched
+        # provision first: a SimulationError there leaves the service untouched
         nodes = self.provisioner.provision(
             cfg.pool_id, cfg.sku, cfg.dedicated_count, cfg.low_priority_count,
             on_ready=lambda node, p=pool: self._on_node_ready(p, node),
@@ -264,7 +258,7 @@ class BatchService:
     def pool_del(self, pool_id: str):
         pool = self.pools.get(pool_id)
         if pool is None or not pool.alive:
-            raise UnknownPool(f"no such pool: {pool_id!r}")
+            raise ValidationError(f"no such pool: {pool_id!r}")
         now = self.clock.now
         self.event_log.append(now, f"pool/{pool_id}",
                               f"{pool.state.value}->{PoolState.DELETING.value}")
@@ -289,12 +283,12 @@ class BatchService:
     def jobs_add(self, cfg: JobsConfig) -> Job:
         pool = self.pools.get(cfg.pool_id)
         if pool is None or not pool.alive:
-            raise UnknownPool(f"no such pool: {cfg.pool_id!r}")
+            raise ValidationError(f"no such pool: {cfg.pool_id!r}")
         if cfg.job_id in self.jobs and not self.jobs[cfg.job_id].terminal:
             raise ValidationError(f"job already exists: {cfg.job_id!r}")
         for spec in cfg.tasks:
             if spec.instances > pool.config.node_count:
-                raise TaskTooWide(
+                raise ValidationError(
                     f"task {spec.task_id!r} wants {spec.instances} instances; pool "
                     f"{pool.pool_id!r} has {pool.config.node_count} nodes"
                 )
@@ -321,7 +315,7 @@ class BatchService:
     def jobs_del(self, job_id: str):
         job = self.jobs.get(job_id)
         if job is None or job.state is JobState.DELETED:
-            raise UnknownJob(f"no such job: {job_id!r}")
+            raise ValidationError(f"no such job: {job_id!r}")
         pool = self.pools.get(job.pool_id)
         for task in job.tasks:
             if not task.terminal:

@@ -60,8 +60,6 @@ def meter_vm(catalog: Catalog, sku: str, plan: PricingPlan, node_seconds: Second
 
 
 def meter_egress(transfer_bytes: int) -> Fraction:
-    if transfer_bytes < 0:
-        raise ValueError("bytes must be non-negative")
     return Fraction(EGRESS_USD_PER_GIB) * Fraction(transfer_bytes, GIB)
 
 

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import UnknownRegion, UnknownSku
+from .errors import ValidationError
 
 
 class PricingPlan(enum.Enum):
@@ -70,7 +70,7 @@ class Catalog:
         try:
             return self._skus[name]
         except KeyError:
-            raise UnknownSku(f"SKU not in catalog: {name!r}") from None
+            raise ValidationError(f"SKU not in catalog: {name!r}") from None
 
     def price_rate(self, sku: str, plan: PricingPlan) -> Decimal:
         return self.lookup(sku).price(plan)
@@ -87,10 +87,7 @@ class Catalog:
         return region in self._quotas
 
     def default_quota(self, region: str) -> RegionQuota:
-        try:
-            q = self._quotas[region]
-        except KeyError:
-            raise UnknownRegion(f"region not in catalog: {region!r}") from None
+        q = self._quotas[region]
         return RegionQuota(q.region, q.dedicated_cores, q.low_priority_cores)
 
     def default_quotas(self) -> dict[str, RegionQuota]:

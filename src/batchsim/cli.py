@@ -28,12 +28,7 @@ from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
 from .config import (ConfigBundle, CredentialsConfig, bundle_documents, dump_yaml, load_yaml,
                      parse_config_dir, serialize_config_dir)
-from .errors import (
-    CorruptArchive,
-    NoCompletedRun,
-    SimulationError,
-    ValidationError,
-)
+from .errors import SimulationError, ValidationError
 from .fabric import INTERCONNECTS
 from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file, sha256_text
 
@@ -538,7 +533,7 @@ def cmd_scenario_run(cli: Cli, args) -> int:
 def cmd_repro_pack(cli: Cli, args) -> int:
     state, _ = cli.load()
     if not state["has_completed_run"]:
-        raise NoCompletedRun("no completed run to pack: run a job or scenario first")
+        raise ValidationError("no completed run to pack: run a job or scenario first")
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
     output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
@@ -566,12 +561,12 @@ def cmd_repro_pack(cli: Cli, args) -> int:
 
 def _safe_extract(tar: tarfile.TarFile, dest: Path):
     """Write the regular files and directories of `tar` under `dest`. A member of any other
-    kind (a link, a device) or one whose path leaves `dest` is CorruptArchive."""
+    kind (a link, a device) or one whose path leaves `dest` is a ValidationError."""
     root = dest.resolve()
     for member in tar.getmembers():
         path = (dest / member.name).resolve()
         if not path.is_relative_to(root):
-            raise CorruptArchive(f"archive member escapes extraction root: {member.name}")
+            raise ValidationError(f"archive member escapes extraction root: {member.name}")
         if member.isdir():
             path.mkdir(parents=True, exist_ok=True)
         elif member.isfile():
@@ -579,33 +574,33 @@ def _safe_extract(tar: tarfile.TarFile, dest: Path):
             with tar.extractfile(member) as src, open(path, "wb") as dst:
                 shutil.copyfileobj(src, dst)
         else:
-            raise CorruptArchive(f"archive member is not a file or directory: {member.name}")
+            raise ValidationError(f"archive member is not a file or directory: {member.name}")
 
 
 def read_manifest(path: Path) -> tuple[int, list, dict]:
     """The seed, transcript and output digests of a package's manifest.json; a manifest
-    that `repro pack` cannot have written is CorruptArchive."""
+    that `repro pack` cannot have written is a ValidationError."""
     try:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        raise CorruptArchive(f"not a readable package: {exc}") from None
+        raise ValidationError(f"not a readable package: {exc}") from None
     manifest = manifest if isinstance(manifest, dict) else {}
     seed, transcript, digests = (manifest.get(key)
                                  for key in ("seed", "transcript", "output_digests"))
     if type(seed) is not int:
-        raise CorruptArchive("manifest.json: seed must be an integer")
+        raise ValidationError("manifest.json: seed must be an integer")
     if not _is_transcript(transcript):
-        raise CorruptArchive("manifest.json: transcript must be a list of argument lists")
+        raise ValidationError("manifest.json: transcript must be a list of argument lists")
     if not isinstance(digests, dict) or not digests.keys() >= set(OUTPUT_ARTIFACTS):
-        raise CorruptArchive("not a package of a completed run: it must digest "
-                             + " and ".join(OUTPUT_ARTIFACTS))
+        raise ValidationError("not a package of a completed run: it must digest "
+                              + " and ".join(OUTPUT_ARTIFACTS))
     return seed, transcript, digests
 
 
 def cmd_repro_verify(cli: Cli, args) -> int:
     archive = _relpath(Path(args.archive), cli.root)
     if not archive.is_file():
-        raise CorruptArchive(f"no such archive: {archive}")
+        raise ValidationError(f"no such archive: {archive}")
     with tempfile.TemporaryDirectory(prefix="batchsim-verify-") as tmp:
         tmpdir = Path(tmp)
         extracted = tmpdir / "archive"
@@ -614,7 +609,7 @@ def cmd_repro_verify(cli: Cli, args) -> int:
             with tarfile.open(archive, "r:gz") as tar:
                 _safe_extract(tar, extracted)
         except (tarfile.TarError, OSError, EOFError) as exc:
-            raise CorruptArchive(f"not a readable package: {exc}") from None
+            raise ValidationError(f"not a readable package: {exc}") from None
         seed, transcript, expected = read_manifest(extracted / "manifest.json")
         commands = [recorded_command(argv) for argv in transcript]
         workdir = tmpdir / "replay"
@@ -651,7 +646,7 @@ RECORDED_VALUES = {"configdir": re.compile(r"\.batchsim/configs/[0-9a-f]{12}"),
 
 def recorded_command(argv: list) -> list:
     """`argv` as a replay runs it, if it is a command as Cli.commit records it; anything
-    else is CorruptArchive, raised before it can print help or touch a file. Every
+    else is a ValidationError, raised before it can print help or touch a file. Every
     --dest becomes replay-download, inside the replay workspace."""
     parser, words = build_parser(), ()
     for word in argv:  # down the subcommand words to the parser of their options
@@ -675,7 +670,7 @@ def recorded_command(argv: list) -> list:
     if not values or ("configdir" in values and not named) or any(
             values.get(k) is not None and not pattern.fullmatch(values[k])
             for k, pattern in RECORDED_VALUES.items()):
-        raise CorruptArchive(f"not a recorded command: {argv}")
+        raise ValidationError(f"not a recorded command: {argv}")
     return ["replay-download" if i and argv[i - 1] == "--dest" else t
             for i, t in enumerate(argv)]
 

@@ -15,8 +15,7 @@ from pathlib import Path
 import yaml
 
 from .catalog import Catalog, RegionQuota
-from .errors import (CrossRefError, MissingDocument, QuotaExceeded, RdmaRequired, SchemaError,
-                     SharedFsLowPriority)
+from .errors import SchemaError, ValidationError
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
 STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
@@ -99,7 +98,7 @@ def dump_yaml(doc, stream):
 def _load_doc(directory: Path, name: str) -> dict:
     path = directory / name
     if not path.is_file():
-        raise MissingDocument(str(path))
+        raise ValidationError(f"missing configuration document: {path}")
     with open(path) as fh:
         try:
             doc = load_yaml(fh)
@@ -185,29 +184,29 @@ def _parse_jobs(directory: Path) -> JobsConfig:
 def _cross_validate(bundle: ConfigBundle, catalog: Catalog):
     pool, jobs, workspace = bundle.pool, bundle.jobs, bundle.workspace
     if not catalog.has_region(workspace.region):
-        raise CrossRefError(f"workspace region {workspace.region!r} not in catalog")
+        raise ValidationError(f"workspace region {workspace.region!r} not in catalog")
     if not catalog.has_region(pool.region):
-        raise CrossRefError(f"pool region {pool.region!r} not in catalog")
-    sku = catalog.lookup(pool.sku)  # raises UnknownSku
+        raise ValidationError(f"pool region {pool.region!r} not in catalog")
+    sku = catalog.lookup(pool.sku)  # an unknown SKU is a ValidationError there
     if pool.region not in sku.region_availability:
-        raise CrossRefError(f"SKU {sku.name} is not available in region {pool.region!r}")
+        raise ValidationError(f"SKU {sku.name} is not available in region {pool.region!r}")
     if pool.inter_node_comm and not sku.rdma_capable:
-        raise CrossRefError(
+        raise ValidationError(
             f"inter_node_comm requires an RDMA-capable SKU; {sku.name} has no RDMA interface"
         )
     if jobs.pool_id != pool.pool_id:
-        raise CrossRefError(
+        raise ValidationError(
             f"jobs document targets pool {jobs.pool_id!r} but pool document defines "
             f"{pool.pool_id!r}"
         )
     for task in jobs.tasks:
         if task.gpus_per_node > sku.gpu_count:
-            raise CrossRefError(
+            raise ValidationError(
                 f"task {task.task_id!r} wants {task.gpus_per_node} GPUs per node; "
                 f"{sku.name} has {sku.gpu_count}"
             )
         if task.procs_per_node > sku.vcores:
-            raise CrossRefError(
+            raise ValidationError(
                 f"task {task.task_id!r} wants {task.procs_per_node} processes per node; "
                 f"{sku.name} has {sku.vcores} vcores"
             )
@@ -217,7 +216,7 @@ def parse_config_dir(path, catalog: Catalog) -> ConfigBundle:
     """Load and cross-validate the four documents from one directory."""
     directory = Path(path)
     if not directory.is_dir():
-        raise MissingDocument(str(directory))
+        raise ValidationError(f"missing configuration document: {directory}")
     bundle = ConfigBundle(
         workspace=_parse_workspace(directory),
         credentials=_parse_credentials(directory),
@@ -373,12 +372,13 @@ def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota) -> 
     for needed, cores in ((cfg.dedicated_count * sku.vcores, available.dedicated_cores),
                           (cfg.low_priority_count * sku.vcores, available.low_priority_cores)):
         if needed > cores:
-            raise QuotaExceeded(needed, cores, cfg.region)
+            raise ValidationError(f"quota exceeded in region {cfg.region}: needed {needed} cores, "
+                                  f"available {cores}")
     if cfg.inter_node_comm and not sku.rdma_capable:
-        raise RdmaRequired(f"inter-node communication requires an RDMA-capable SKU; "
-                           f"{sku.name} has none")
+        raise ValidationError(f"inter-node communication requires an RDMA-capable SKU; "
+                              f"{sku.name} has none")
     if cfg.shared_filesystem and cfg.low_priority_count > 0:
-        raise SharedFsLowPriority("a shared filesystem pool cannot include low-priority nodes")
+        raise ValidationError("a shared filesystem pool cannot include low-priority nodes")
     if cfg.low_priority_count > 0 and cfg.inter_node_comm:
         return [Violation("LowPriorityInterNodeComm",
                           "low-priority nodes are preemptible and best avoided for "

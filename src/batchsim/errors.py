@@ -1,37 +1,22 @@
-"""Exception hierarchy shared by all simulator modules.
+"""The errors a command reports: one class per CLI exit code, and how to name a bad key.
 
-ValidationError subclasses map to CLI exit code 2 (bad input, nothing
-mutated), SimulationError subclasses to exit code 3 (the run itself failed).
+ValidationError is exit code 2 (bad input, nothing mutated) and SimulationError exit
+code 3 (the run itself failed). The message is all the CLI prints, after `error: ` or
+`simulation error: `, so callers and tests tell failures apart by their text.
 """
 
 
-class BatchSimError(Exception):
+class ValidationError(Exception):
     pass
 
 
-class ValidationError(BatchSimError):
+class SimulationError(Exception):
     pass
-
-
-class SimulationError(BatchSimError):
-    pass
-
-
-class UnknownSku(ValidationError):
-    pass
-
-
-class UnknownRegion(ValidationError):
-    pass
-
-
-class MissingDocument(ValidationError):
-    def __init__(self, path):
-        super().__init__(f"missing configuration document: {path}")
-        self.path = path
 
 
 class SchemaError(ValidationError):
+    """A bad key of a configuration or state document: `<path>: key '<key>': <message>`."""
+
     def __init__(self, path, key, message=""):
         detail = f"{path}: key {key!r}"
         if message:
@@ -39,77 +24,3 @@ class SchemaError(ValidationError):
         super().__init__(detail)
         self.path = path
         self.key = key
-
-
-class CrossRefError(ValidationError):
-    pass
-
-
-class QuotaExceeded(ValidationError):
-    def __init__(self, needed, available, region=""):
-        where = f" in region {region}" if region else ""
-        super().__init__(f"quota exceeded{where}: needed {needed} cores, available {available}")
-        self.needed = needed
-        self.available = available
-        self.region = region
-
-
-class SharedFsLowPriority(ValidationError):
-    pass
-
-
-class RdmaRequired(ValidationError):
-    pass
-
-
-class UnknownPool(ValidationError):
-    pass
-
-
-class UnknownJob(ValidationError):
-    pass
-
-
-class TaskTooWide(ValidationError):
-    pass
-
-
-class DuplicateShare(ValidationError):
-    pass
-
-
-class UnknownShare(ValidationError):
-    pass
-
-
-class UnknownPath(ValidationError):
-    pass
-
-
-class QuotaExceededOnShare(ValidationError):
-    pass
-
-
-class ShapeMismatch(ValidationError):
-    pass
-
-
-class NoCompletedRun(ValidationError):
-    pass
-
-
-class CorruptArchive(ValidationError):
-    pass
-
-
-class AllocationUnavailable(SimulationError):
-    pass
-
-
-class MaxIterExceeded(SimulationError):
-    def __init__(self, iterations, best_residual):
-        super().__init__(
-            f"no convergence after {iterations} iterations, best residual {best_residual:.3e}"
-        )
-        self.iterations = iterations
-        self.best_residual = best_residual

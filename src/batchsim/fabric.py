@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import AllocationUnavailable
+from .errors import SimulationError
 
 BOOT_LATENCY_RANGE = (60, 300)  # uniform integer seconds per provision batch
 DEFAULT_PREEMPTION_RATE = 0.05  # events per node-hour
@@ -248,9 +248,7 @@ class Provisioner:
                   on_ready: Callable[[Node], None], staging_seconds: float = 0.0,
                   staging_label: str = "") -> list[Node]:
         if low_priority > 0 and not self.low_priority_available(self.clock.now):
-            raise AllocationUnavailable(
-                f"low-priority capacity unavailable at t={self.clock.now:.0f}s"
-            )
+            raise SimulationError(f"low-priority capacity unavailable at t={self.clock.now:.0f}s")
         lo, hi = BOOT_LATENCY_RANGE
         boot = derived_rng(self.seed, f"boot/{batch_id}").randint(lo, hi)
         nodes = []

@@ -146,7 +146,6 @@ def service_to_doc(svc: BatchService) -> dict:
                 "nodes": [
                     {
                         "id": n.node_id,
-                        "sku": n.sku,
                         "priority": n.priority.value,
                         "state": n.state.value,
                         "ready_time": n.ready_time,
@@ -244,7 +243,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                     deleted_at=_instant(pdoc, "deleted_at", owner))
         pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
         for position, ndoc in enumerate(pdoc["nodes"]):
-            node = Node(ndoc["id"], ndoc["sku"], Priority(ndoc["priority"]), position)
+            node = Node(ndoc["id"], cfg.sku, Priority(ndoc["priority"]), position)
             owner = f"node {node.node_id}"
             node.state = NodeState(ndoc["state"])
             node.ready_time = _instant(ndoc, "ready_time", owner)
@@ -265,11 +264,13 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             *spec, state, nodes, start_time, end_time, reason, attempts = row
             if state not in _PERSISTED_TASK_STATES or reason not in _FAILURE_REASONS:
                 raise ValidationError(f"corrupt state: task state {state!r}, reason {reason!r}")
+            if not (type(attempts) is int and attempts >= 0):
+                raise ValidationError(f"corrupt state: task attempts {attempts!r}")
             tasks.append(Task(task_spec(spec), job_id, _PERSISTED_TASK_STATES[state],
                               tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
-                              int(attempts)))
-        svc.enqueue(Job(jdoc["id"], jdoc["pool"], tasks, JobState(jdoc["state"]),
-                        jdoc["submitted_at"]))
+                              attempts))
+        svc.enqueue(Job(job_id, jdoc["pool"], tasks, JobState(jdoc["state"]),
+                        _instant(jdoc, "submitted_at", f"job {job_id}", optional=False)))
     for item in doc["ledger"]:
         svc.ledger.add(
             MeterEvent(

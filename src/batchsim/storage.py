@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
+from .errors import ValidationError
 
 GIB = 2**30
 
@@ -39,7 +39,7 @@ class ShareEntry:
 def _normalize(path: str) -> str:
     norm = posixpath.normpath(path.strip("/"))
     if norm in (".", "") or norm.startswith(".."):
-        raise UnknownPath(f"invalid share path: {path!r}")
+        raise ValidationError(f"invalid share path: {path!r}")
     return norm
 
 
@@ -78,11 +78,11 @@ class StorageAccount:
         try:
             return self.shares[name]
         except KeyError:
-            raise UnknownShare(f"no such share: {name!r}") from None
+            raise ValidationError(f"no such share: {name!r}") from None
 
     def share_create(self, name: str, quota_gib: int) -> FileShare:
         if name in self.shares:
-            raise DuplicateShare(f"share already exists: {name!r}")
+            raise ValidationError(f"share already exists: {name!r}")
         share = FileShare(name=name, quota_gib=quota_gib)
         self.shares[name] = share
         return share
@@ -91,7 +91,7 @@ class StorageAccount:
         """Add size-only entries under `directory`; returns the metered bytes.
 
         The whole manifest is admitted or rejected atomically: against the
-        share quota, and a path that leaves `directory` is UnknownPath. An
+        share quota, and against a path that leaves `directory`. An
         empty manifest is a no-op and meters nothing.
         """
         sh = self._share(share)
@@ -100,14 +100,14 @@ class StorageAccount:
         for p, size in manifest:
             path = _normalize(posixpath.join(directory, p))
             if not path.startswith(directory + "/"):
-                raise UnknownPath(f"manifest path leaves {share}/{directory}: {p!r}")
+                raise ValidationError(f"manifest path leaves {share}/{directory}: {p!r}")
             items.append((path, int(size)))
         total = sum(size for _, size in items)
         # replaced entries free their bytes; a path listed twice counts once
         growth = sum(size - (sh.entries[p].size_bytes if p in sh.entries else 0)
                      for p, size in dict(items).items())
         if sh.used_bytes + growth > sh.quota_bytes:
-            raise QuotaExceededOnShare(
+            raise ValidationError(
                 f"{share}: manifest of {total} bytes exceeds quota "
                 f"({sh.used_bytes} of {sh.quota_bytes} used)"
             )
@@ -121,14 +121,14 @@ class StorageAccount:
         path = _normalize(path)
         old = sh.entries.get(path)
         if sh.used_bytes + len(content) - (old.size_bytes if old else 0) > sh.quota_bytes:
-            raise QuotaExceededOnShare(f"{share}: artifact {path!r} exceeds quota")
+            raise ValidationError(f"{share}: artifact {path!r} exceeds quota")
         sh.put(ShareEntry(path, len(content), content))
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
         sh = self._share(share)
         directory = _normalize(directory)
         if directory not in sh.directories:
-            raise UnknownPath(f"no such directory: {share}/{directory}")
+            raise ValidationError(f"no such directory: {share}/{directory}")
         prefix = directory + "/"
         return [e for p, e in sorted(sh.entries.items()) if p.startswith(prefix)]
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .errors import MaxIterExceeded, ShapeMismatch
+from .errors import SimulationError, ValidationError
 from .fabric import InterconnectModel, allreduce_time, comm_time
 
 if TYPE_CHECKING:
@@ -110,9 +110,7 @@ def workload_ref(spec: WorkloadSpec) -> str:
         return "pingpong:bandwidth"
     if isinstance(spec, PoissonCGReal):
         return f"poisson:cg:{spec.n}"
-    if isinstance(spec, PoissonScalingModeled):
-        return f"poisson:{spec.mode.value}:{spec.base_cells}"
-    raise TypeError(f"not a workload spec: {spec!r}")
+    return f"poisson:{spec.mode.value}:{spec.base_cells}"  # the last class: PoissonScalingModeled
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +127,6 @@ def osu_latency(model: InterconnectModel, sizes: Sequence[int] = LATENCY_SIZES,
                 repetitions: int = LATENCY_REPETITIONS) -> list[tuple[int, float]]:
     """Mean one-way latency per message size (round-trip time halved), an exact
     evaluation of the timing model."""
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     table = []
@@ -172,10 +168,8 @@ class PoissonGrid:
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 2:
-            raise ShapeMismatch(f"grid must be at least 2 cells per axis, got "
-                                f"{self.nx}x{self.ny}x{self.nz}")
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
+            raise ValidationError(f"grid must be at least 2 cells per axis, got "
+                                  f"{self.nx}x{self.ny}x{self.nz}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -256,11 +250,11 @@ def apply_poisson(grid: PoissonGrid, field_values: np.ndarray,
     input) when given.
     """
     if field_values.shape != grid.shape:
-        raise ShapeMismatch(f"field shape {field_values.shape} does not match grid {grid.shape}")
+        raise ValidationError(f"field shape {field_values.shape} does not match grid {grid.shape}")
     if out is None:
         out = np.empty(grid.shape)
     elif out.shape != grid.shape or out.dtype != np.float64:
-        raise ShapeMismatch(f"out must be a float64 array of shape {grid.shape}")
+        raise ValidationError(f"out must be a float64 array of shape {grid.shape}")
     elif not out.flags.c_contiguous or np.shares_memory(out, field_values):
         raise ValueError("out must be C-contiguous and not share memory with the input")
     u = np.ascontiguousarray(field_values, dtype=np.float64)
@@ -328,7 +322,7 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     libraries do.
     """
     if rhs.shape != grid.shape:
-        raise ShapeMismatch(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
+        raise ValidationError(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
     b = np.asarray(rhs, dtype=np.float64)
     step = _slab_planes(grid.shape)
     workers = min(_sweep_threads(), -(-grid.nx // step))  # at most one thread per slab
@@ -372,7 +366,8 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
                 return CGResult(x, k, res, history)
             _run_ranks(pool, workers, update_p, rz_new / rz)
             rz = rz_new
-    raise MaxIterExceeded(max_iter, min(history))
+    raise SimulationError(f"no convergence after {max_iter} iterations, "
+                          f"best residual {min(history):.3e}")
 
 
 def manufactured_solution(grid: PoissonGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -412,8 +407,6 @@ def modeled_poisson_runtime(cells: int, nodes: int, procs_per_node: int,
     plus halo exchange) applies only across nodes, so a single node has no
     communication term.
     """
-    if cells < 1 or nodes < 1 or procs_per_node < 1:
-        raise ValueError("cells, nodes and procs_per_node must be positive")
     procs = nodes * procs_per_node
     compute = cells * SECONDS_PER_CELL / procs
     if nodes == 1:
@@ -482,11 +475,10 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
         report.write(f"iterations\t{result.iterations}\n")
         report.write(f"final_residual\t{result.final_residual!r}\n")
         return WorkloadResult(duration, [("solve.tsv", report.getvalue().encode())])
-    if isinstance(spec, PoissonScalingModeled):
-        counts = list(range(1, ctx.instances + 1))
-        rows = scaling_table(spec, counts, ctx.procs_per_node, ctx.model)
-        duration = sum(r for _, r in rows) * 100  # nominal 100 iterations per point
-        text = format_table(rows, f"{spec.mode.value} scaling, base={spec.base_cells} cells "
-                                  f"(seconds/iteration)")
-        return WorkloadResult(duration, [("scaling.tsv", text.encode())])
-    raise TypeError(f"not a workload spec: {spec!r}")
+    # the last WorkloadSpec class: PoissonScalingModeled
+    counts = list(range(1, ctx.instances + 1))
+    rows = scaling_table(spec, counts, ctx.procs_per_node, ctx.model)
+    duration = sum(r for _, r in rows) * 100  # nominal 100 iterations per point
+    text = format_table(rows, f"{spec.mode.value} scaling, base={spec.base_cells} cells "
+                              f"(seconds/iteration)")
+    return WorkloadResult(duration, [("scaling.tsv", text.encode())])

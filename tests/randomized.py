@@ -7,7 +7,7 @@ from fractions import Fraction
 from batchsim.batch import BatchService, FailureReason, TaskState
 from batchsim.catalog import default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
-from batchsim.errors import QuotaExceeded, SharedFsLowPriority
+from batchsim.errors import ValidationError
 from batchsim.fabric import NodeState, Priority
 from batchsim.workloads import FixedDuration
 
@@ -141,8 +141,8 @@ def check_quota_rejection(seed):
                      inter_node_comm=True, shared_filesystem=True, image="img:1")
     try:
         svc.pool_add(cfg)
-    except QuotaExceeded as exc:
-        assert exc.needed == 48 and exc.available == 24
+    except ValidationError as exc:
+        assert str(exc) == "quota exceeded in region eastus: needed 48 cores, available 24"
         assert svc.pools == {}
         return
     raise AssertionError("48-core pool admitted under a 24-core quota")
@@ -155,7 +155,8 @@ def check_shared_fs_rejection(seed):
                      inter_node_comm=False, shared_filesystem=True, image="img:1")
     try:
         svc.pool_add(cfg)
-    except SharedFsLowPriority:
+    except ValidationError as exc:
+        assert str(exc) == "a shared filesystem pool cannot include low-priority nodes"
         assert svc.pools == {}
         return
     raise AssertionError("shared-filesystem pool with low-priority nodes admitted")

@@ -18,7 +18,7 @@ from batchsim.billing import (
     usd_str,
 )
 from batchsim.catalog import PricingPlan, default_catalog
-from batchsim.errors import UnknownSku
+from batchsim.errors import ValidationError
 
 CATALOG = default_catalog()
 
@@ -54,7 +54,7 @@ def test_meter_vm_zero_seconds():
 
 
 def test_meter_vm_unknown_sku():
-    with pytest.raises(UnknownSku):
+    with pytest.raises(ValidationError, match="^SKU not in catalog: 'XYZ'$"):
         meter_vm(CATALOG, "XYZ", PricingPlan.PAYGO_DEDICATED, 10)
 
 

@@ -3,7 +3,7 @@ from decimal import Decimal
 import pytest
 
 from batchsim.catalog import Catalog, PricingPlan, default_catalog
-from batchsim.errors import UnknownSku
+from batchsim.errors import ValidationError
 
 NC_SERIES = ("NC6", "NC12", "NC24", "NC24r")
 
@@ -46,9 +46,9 @@ def test_rdma_flags(catalog):
 
 
 def test_unknown_sku(catalog):
-    with pytest.raises(UnknownSku):
+    with pytest.raises(ValidationError, match="^SKU not in catalog: 'XYZ'$"):
         catalog.lookup("XYZ")
-    with pytest.raises(UnknownSku):
+    with pytest.raises(ValidationError, match="^SKU not in catalog: 'XYZ'$"):
         catalog.price_rate("XYZ", PricingPlan.PAYGO_DEDICATED)
 
 

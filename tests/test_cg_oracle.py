@@ -21,7 +21,7 @@ import pytest
 
 from batchsim import workloads
 from batchsim.cli import run_command
-from batchsim.errors import MaxIterExceeded, ShapeMismatch
+from batchsim.errors import SimulationError, ValidationError
 from batchsim.workloads import (PoissonGrid, _run_ranks, _slab_planes, apply_poisson,
                                 manufactured_solution, solve_cg, unit_cube_grid)
 
@@ -62,7 +62,8 @@ def oracle_solve_cg(grid, rhs, tol_abs=1e-12, max_iter=20000):
             return x, k, history
         p = r + (rz_new / rz) * p
         rz = rz_new
-    raise MaxIterExceeded(max_iter, min(history))
+    raise SimulationError(f"no convergence after {max_iter} iterations, "
+                          f"best residual {min(history):.3e}")
 
 
 def oracle_manufactured_solution(grid):
@@ -141,11 +142,11 @@ def test_cg_matches_allocating_solver_n64():
 def test_cg_max_iter_matches_allocating_solver():
     grid = _grid(*SHAPES["partial-last-slab"])
     rhs = np.random.default_rng(2).standard_normal(grid.shape)
-    with pytest.raises(MaxIterExceeded) as new:
+    with pytest.raises(SimulationError, match="^no convergence after 5 iterations, ") as new:
         solve_cg(grid, rhs, max_iter=5)
-    with pytest.raises(MaxIterExceeded) as old:
+    with pytest.raises(SimulationError) as old:
         oracle_solve_cg(grid, rhs, max_iter=5)
-    assert new.value.best_residual == old.value.best_residual
+    assert str(new.value) == str(old.value)
 
 
 def test_stencil_out_is_filled_and_returned():
@@ -173,9 +174,10 @@ def test_stencil_out_must_be_contiguous_and_not_alias_input():
 
 def test_stencil_out_shape_checked():
     grid = _grid(4, 5, 6)
-    with pytest.raises(ShapeMismatch):
+    text = r"^out must be a float64 array of shape \(4, 5, 6\)$"
+    with pytest.raises(ValidationError, match=text):
         apply_poisson(grid, np.ones(grid.shape), out=np.empty((4, 5, 7)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValidationError, match=text):
         apply_poisson(grid, np.ones(grid.shape), out=np.empty(grid.shape, dtype=np.float32))
 
 
@@ -213,13 +215,13 @@ def test_more_threads_than_cores_with_frequent_switches(monkeypatch):
                 assert np.array_equal(apply_poisson(grid, v, pool=pool, ranks=5),
                                       oracle_apply_poisson(grid, v))
         rhs = rng.standard_normal(grid.shape)
-        with pytest.raises(MaxIterExceeded) as new:
+        with pytest.raises(SimulationError, match="^no convergence after 20 iterations, ") as new:
             solve_cg(grid, rhs, max_iter=20)
     finally:
         sys.setswitchinterval(interval)
-    with pytest.raises(MaxIterExceeded) as old:
+    with pytest.raises(SimulationError) as old:
         oracle_solve_cg(grid, rhs, max_iter=20)
-    assert new.value.best_residual == old.value.best_residual
+    assert str(new.value) == str(old.value)
 
 
 def test_cg_team_has_the_sweep_threads_up_to_one_per_slab(monkeypatch):
@@ -241,7 +243,7 @@ def test_cg_team_has_the_sweep_threads_up_to_one_per_slab(monkeypatch):
     for workers in (2, 5):
         monkeypatch.setattr(workloads, "_sweep_threads", lambda: workers)
         for name in ("one-plane-slabs", "tiny"):
-            with contextlib.suppress(MaxIterExceeded):
+            with contextlib.suppress(SimulationError):
                 solve_cg(_grid(*SHAPES[name]), np.ones(SHAPES[name]), max_iter=1)
     assert pools == [1, 1, 4, 1]
     assert ranks == [2, 2, 1, 1, 5, 5, 1, 1]  # the initial product, then one per iteration
@@ -312,7 +314,7 @@ def test_no_thread_outlives_a_solve_or_a_cli_session(monkeypatch, tmp_path):
     grid = unit_cube_grid(32)
     solve_cg(grid, manufactured_solution(grid)[1])
     assert threading.active_count() == before
-    with pytest.raises(MaxIterExceeded):
+    with pytest.raises(SimulationError, match="^no convergence after 2 iterations, "):
         solve_cg(grid, np.ones(grid.shape), max_iter=2)
     assert threading.active_count() == before
 

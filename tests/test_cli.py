@@ -19,7 +19,7 @@ from batchsim.batch import BatchService
 from batchsim.catalog import default_catalog
 from batchsim.cli import _safe_extract, run_command
 from batchsim.config import serialize_config_dir
-from batchsim.errors import CorruptArchive, TaskTooWide
+from batchsim.errors import ValidationError
 from batchsim.scenarios import builtin_scenarios, scenario_by_name, transcript
 from batchsim.state import WorkspaceStore
 
@@ -164,6 +164,87 @@ def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected
         assert "usage error" in err
 
 
+def _edited_configdir(workdir, name, pool=None, task=None) -> list[str]:
+    """--configdir of a copy of the example configs with `pool` merged into pool.yaml's
+    pool and `task` into jobs.yaml's first task."""
+    shutil.copytree(EXAMPLE_DIR, workdir / name)
+    for file, key, edit in (("pool.yaml", "pool", pool), ("jobs.yaml", "job", task)):
+        doc = yaml.safe_load((workdir / name / file).read_text())
+        (doc[key] if key == "pool" else doc[key]["tasks"][0]).update(edit or {})
+        (workdir / name / file).write_text(yaml.safe_dump(doc, sort_keys=False))
+    return ["--configdir", name]
+
+
+def _unjson_package(workdir) -> str:
+    data = b"not json"
+    with tarfile.open(workdir / "unjson.tar.gz", "w:gz") as tar:
+        info = tarfile.TarInfo("manifest.json")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    return "unjson.tar.gz"
+
+
+# one dedicated and one low-priority node; the gang task outlives the low-priority one
+LOW_PRIORITY = {"vm_count": {"dedicated": 1, "low_priority": 1}, "shared_filesystem": False}
+LONG_TASK = {"workload": "fixed:200000"}
+QUOTAS = ["quota", "set", "--region", "eastus", "--dedicated", "100"]
+
+# id: (setup, failing argv, exit code, stderr); each setup step and argv runs in `workdir`
+# and may make a config dir there first; {root} is the workdir
+CLI_ERRORS = {
+    "no-configdir": (lambda w: [INIT], lambda w: ["pool", "add"], 2,
+                     "error: no configuration directory: pass --configdir or set "
+                     "BATCHSIM_CONFIGDIR"),
+    "ingress-source-not-a-directory": (
+        lambda w: sequence()[:5], lambda w: ["data", "ingress", *CFG, "--source", "nowhere"],
+        2, "error: ingress source is not a directory: {root}/nowhere"),
+    "input-dir-without-directory": (
+        lambda w: sequence()[:5],
+        lambda w: ["data", "ingress", *_edited_configdir(w, "flat", task={"input_dir": "share"}),
+                   "--source", "config_shipyard/inputs"],
+        2, "error: task 'task0' input_dir must look like <share>/<directory>"),
+    "download-source-without-directory": (
+        lambda w: [INIT], lambda w: ["data", "download", "--source", "fileshare", "--dest", "o"],
+        2, "error: --source must look like <share>/<directory>"),
+    "verify-missing-archive": (
+        lambda w: [INIT], lambda w: ["repro", "verify", "missing.tar.gz"],
+        2, "error: no such archive: {root}/missing.tar.gz"),
+    "verify-manifest-not-json": (
+        lambda w: [INIT], lambda w: ["repro", "verify", _unjson_package(w)],
+        2, "error: not a readable package: Expecting value: line 1 column 1 (char 0)"),
+    "duplicate-pool-add": (lambda w: sequence()[:5], lambda w: ["pool", "add", *CFG], 2,
+                           "error: pool already exists: 'snake2d2k35'"),
+    "duplicate-jobs-add": (
+        lambda w: [[*INIT, "--preemption-rate", "20", "--task-retries", "1"], QUOTAS,
+                   ["pool", "add", *_edited_configdir(w, "lp", LOW_PRIORITY, LONG_TASK)],
+                   ["jobs", "add", "--configdir", "lp"]],
+        lambda w: ["jobs", "add", "--configdir", "lp"],
+        2, "error: job already exists: 'snake2d2k35-job'"),
+    "pack-without-completed-run": (lambda w: [INIT], lambda w: ["repro", "pack"], 2,
+                                   "error: no completed run to pack: run a job or scenario "
+                                   "first"),
+    "help": (lambda w: [INIT], lambda w: ["--help"], 0, None),
+    "low-priority-in-scarcity-window": (
+        lambda w: [[*INIT, "--scarcity", "0", "3600"], QUOTAS],
+        lambda w: ["pool", "add", *_edited_configdir(w, "lp", LOW_PRIORITY)],
+        3, "simulation error: low-priority capacity unavailable at t=0s"),
+}
+
+
+@pytest.mark.parametrize("setup, argv, code, message", list(CLI_ERRORS.values()),
+                         ids=list(CLI_ERRORS))
+def test_cli_error_exits_with_its_code_and_line_without_mutation(workdir, monkeypatch, setup,
+                                                                 argv, code, message):
+    monkeypatch.delenv("BATCHSIM_CONFIGDIR", raising=False)
+    for step in setup(workdir):
+        ok(workdir, *step)
+    argv = argv(workdir)
+    before = tree(workdir)
+    got, _, err = cli(workdir, *argv)
+    assert (got, err) == (code, "" if message is None else message.format(root=workdir) + "\n")
+    assert tree(workdir) == before
+
+
 def _drop_time(state):
     del state["service"]["time"]
 
@@ -283,6 +364,7 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
         pool["plan"] = "paygo_dedicated"
         for node in pool["nodes"]:  # one boot latency a pool, then the image pull
             node["boot_latency"] = round(node["ready_time"] - pool["created_at"] - 120.0)
+            node["sku"] = pool["config"]["sku"]
         for warning in pool["warnings"]:
             warning["severity"] = "warning"
     for share in svc["shares"]:
@@ -325,12 +407,18 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     written = path.read_text()
     assert [key for key in DROPPED_KEYS if key in written] == []
     assert set(json.loads(written)) == statemod.STATE_KEYS
+    nodes = [n for p in json.loads(written)["service"]["pools"] for n in p["nodes"]]
+    assert nodes and [n for n in nodes if "sku" in n] == []  # "sku" is a pool config key too
 
 
 def _with_full_busy_logs(state: dict) -> dict:
     """`state` with each node's busy_log as state.json held it before the intervals that a
-    task row records were left out: every interval, in the order they ended."""
+    task row records were left out: every interval, in the order they ended; and with each
+    node's sku, which state.json held then too."""
     svc = state["service"]
+    for pool in svc["pools"]:
+        for node in pool["nodes"]:
+            node["sku"] = pool["config"]["sku"]
     created = {p["config"]["id"]: p["created_at"] for p in svc["pools"]}
     logs = {(p["config"]["id"], n["id"]): n["busy_log"] for p in svc["pools"] for n in p["nodes"]}
     for job in svc["jobs"]:
@@ -541,6 +629,8 @@ POOL_NODE_CORRUPTIONS = {
                       "busy_log row ['a', 'b'] of node snake2d2k35/0"),
     "created-at-null": (lambda state: state["service"]["pools"][0].update(created_at=None),
                         "created_at None of pool snake2d2k35"),
+    "submitted-at-text": (lambda state: state["service"]["jobs"][0].update(submitted_at="soon"),
+                          "submitted_at 'soon' of job snake2d2k35-job"),
 }
 
 
@@ -549,7 +639,7 @@ POOL_NODE_CORRUPTIONS = {
 @pytest.mark.parametrize("corrupt, message", list(POOL_NODE_CORRUPTIONS.values()),
                          ids=list(POOL_NODE_CORRUPTIONS))
 def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, message, argv):
-    for step in sequence()[:6]:  # through `data ingress`
+    for step in sequence()[:7]:  # through `jobs add`
         ok(workdir, *step)
     path = workdir / ".batchsim" / "state.json"
     state = json.loads(path.read_text())
@@ -558,6 +648,23 @@ def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, m
     before = tree(workdir)
     assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
     assert tree(workdir) == before
+
+
+def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
+    """A node is its pool's SKU: a node `sku` in state.json, as older states hold it, is
+    not read, and the next commit leaves the tree of a session without it."""
+    roots = tmp_path / "plain", tmp_path / "edited"
+    for root in roots:
+        shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+        for step in sequence()[:7]:  # through `jobs add`
+            ok(root, *step)
+    path = roots[1] / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    _node(state)["sku"] = 5
+    path.write_text(json.dumps(state))
+    for root in roots:
+        ok(root, "pool", "del", *CFG)
+    assert tree(roots[1]) == tree(roots[0])
 
 
 # (position in the task row, value written there); positions 0-6 are the spec
@@ -574,6 +681,8 @@ ROW_CORRUPTIONS = {
     "text-end-time": (10, "soon"),
     "infinite-end-time": (10, float("inf")),
     "end-before-start": (10, 0.0),
+    "fractional-attempts": (12, 0.5),
+    "negative-attempts": (12, -1),
     "short-row": (None, None),
 }
 
@@ -677,7 +786,7 @@ def test_scenario_run_in_a_workspace_is_rejected(workdir):
 
 def test_failed_scenario_leaves_no_workspace(tmp_path, monkeypatch):
     def too_wide(svc, jobs):
-        raise TaskTooWide("task0 needs more nodes than the pool has")
+        raise ValidationError("task0 needs more nodes than the pool has")
 
     monkeypatch.setattr(BatchService, "jobs_add", too_wide)
     code, _, err = cli(tmp_path, "scenario", "run", "snake2d")
@@ -1064,7 +1173,8 @@ def test_safe_extract_rejects_a_sibling_directory(tmp_path):
         info.size = 1
         tar.addfile(info, io.BytesIO(b"x"))
     (tmp_path / "archive").mkdir()
-    with tarfile.open(archive) as tar, pytest.raises(CorruptArchive, match="escapes"):
+    with tarfile.open(archive) as tar, pytest.raises(
+            ValidationError, match="^archive member escapes extraction root: ../archive2/x$"):
         _safe_extract(tar, tmp_path / "archive")
     assert not (tmp_path / "archive2").exists()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchsim.errors import AllocationUnavailable
+from batchsim.errors import SimulationError
 from batchsim.fabric import (
     AZURE_INTERCONNECT,
     BOOT_LATENCY_RANGE,
@@ -137,7 +137,7 @@ def test_provision_zero_nodes():
 
 
 def test_provision_scarcity_window():
-    with pytest.raises(AllocationUnavailable):
+    with pytest.raises(SimulationError, match="^low-priority capacity unavailable at t=0s$"):
         _provision(low_priority=1, windows=(ScarcityWindow(0.0, 3600.0),))
     # dedicated requests are unaffected
     clock, _, nodes, _ = _provision(dedicated=1, windows=(ScarcityWindow(0.0, 3600.0),))

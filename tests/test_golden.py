@@ -113,7 +113,7 @@ def _retry_mix(seed: int) -> BatchService:
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
-    "service_to_doc": "268fbfe91ffc6a104c8b8a9a4cefb44ab9e5f6ee4533992b19ac04a47f4e76ed",
+    "service_to_doc": "b77f776d39781f6f75966b5a6fd6fb2474d01928b0742177f82e6acc79f8b504",
 }
 
 
@@ -168,7 +168,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "722e34cefba56ae3f55762659fa9605a9c9569da6a0080d5176e8e7a1d7983f3",
+            "7994c0279a0b7cb9facac57c3183188b7b423aa504f88012562ef587792602b6",
     },
     "poisson_h16r": {
         "configs/c04bd6145343/credentials.yaml":
@@ -186,7 +186,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "f9287c0dbf2c646ea67533d6aa6dfe3c25996bb53ee57b16e283e206be19334e",
+            "166f7d1f0cc872caeb94d9fa488b82660d418d11f85288e0019ccaefc52219e6",
     },
     "snake2d2k35": {
         "configs/95ad2d9e1a47/credentials.yaml":
@@ -204,7 +204,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "bdcdd699e6f1c0db530f0e48c04176b7639f9943ed377218d02e0c446a67ec06",
+            "efd64e8a6eadd42b6ad428a6ea7b07ac59ef2d21dfc047e47b96123a5371e065",
     },
 }
 
@@ -225,7 +225,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "8ec28ed1f9254e8afeff23096504ae59f1cd1bd85b24f086fd0b3818ae738dcc",
+            "e6dc937aa83f3ee29d1960afd64982d2bda188dce955260f49add9b57a2fe607",
     },
     "snake3d": {
         "configs/558f439409ba/credentials.yaml":
@@ -243,7 +243,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "627462029a0999329cf6b7c5d4b97e1024fa5cbe254b4fe83d88396649272c91",
+            "4d26c15287709ff5b112ea26142321a3c1862903dcab5fd53211dad182fbf44d",
     },
     "snake3d_fine": {
         "configs/61e3fe057bed/credentials.yaml":
@@ -263,7 +263,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "70fb151d6f84e1c02ba666dbc19106d4dc3040b1639861797ea5e4fbf823d7b6",
+            "f955832cd2c9eaf87a77d5089445fcde2e46f6a0ff33a294b408c7f92f63e3f3",
     },
 }
 

@@ -1,4 +1,5 @@
-"""Smoke tests: each script under scripts/ runs to completion on small inputs."""
+"""Smoke tests: each script under scripts/ runs to completion on small inputs, and
+run_osu_tables.py stops on a repetition count or window below 1."""
 
 import os
 import subprocess
@@ -18,10 +19,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
     (["run_cost_analysis.py"], "scenario\tnodes\thours\tvm_usd\ttotal_usd\treserved_3yr_usd"),
 ], ids=["poisson-benchmarks", "osu-tables", "cost-analysis"])
 def test_script_exits_0_and_prints_its_header(tmp_path, argv, header):
-    script, *args = argv
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    done = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / script),
-                           *(a.format(tmp=tmp_path) for a in args)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    done = _run(tmp_path, argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("option, text", [("--repetitions", "repetitions must be at least 1"),
+                                          ("--window", "window must be at least 1")])
+def test_osu_tables_reject_a_count_below_1_before_writing_a_table(tmp_path, option, text):
+    done = _run(tmp_path, ["run_osu_tables.py", "--outdir", "{tmp}/tables", option, "0"])
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == f"ValueError: {text}"
+    assert list((tmp_path / "tables").iterdir()) == []
+
+
+def _run(tmp_path, argv) -> subprocess.CompletedProcess:
+    script, *args = argv
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / script),
+                           *(a.format(tmp=tmp_path) for a in args)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)

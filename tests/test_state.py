@@ -435,8 +435,7 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
                          "nodes"}
     assert [set(w) for w in pool["warnings"]] == [{"rule", "message"}]
     assert {frozenset(n) for n in pool["nodes"]} == {frozenset(
-        {"id", "sku", "priority", "state", "ready_time", "released_time", "preempt_at",
-         "busy_log"})}
+        {"id", "priority", "state", "ready_time", "released_time", "preempt_at", "busy_log"})}
     assert {frozenset(j) for j in doc["jobs"]} == {frozenset(
         {"id", "pool", "state", "submitted_at", "tasks"})}
     [share] = doc["shares"]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from batchsim import state
-from batchsim.errors import DuplicateShare, QuotaExceededOnShare, UnknownPath, UnknownShare
+from batchsim.errors import ValidationError
 from batchsim.storage import GIB, StorageAccount
 
 from randomized import run_random_schedule
@@ -27,16 +27,17 @@ def test_share_create(account):
 
 
 def test_duplicate_share(account):
-    with pytest.raises(DuplicateShare):
+    with pytest.raises(ValidationError, match="^share already exists: 'fileshare'$"):
         account.share_create("fileshare", 100)
 
 
 def test_zero_quota_share_rejects_writes():
     acc = StorageAccount()
     acc.share_create("s", 0)
-    with pytest.raises(QuotaExceededOnShare):
+    with pytest.raises(ValidationError,
+                       match=r"^s: manifest of 1 bytes exceeds quota \(0 of 0 used\)$"):
         acc.ingress("s", "d", [("f", 1)])
-    with pytest.raises(QuotaExceededOnShare):
+    with pytest.raises(ValidationError, match="^s: artifact 'f' exceeds quota$"):
         acc.write_entry("s", "f", b"x")
 
 
@@ -53,13 +54,15 @@ def test_reingress_replaces_entries_within_quota():
     nbytes = acc.ingress("s", "run", [("data.bin", size)])  # replaces, does not add
     assert nbytes == size  # the transfer is still metered in full
     assert acc.shares["s"].used_bytes == size
-    with pytest.raises(QuotaExceededOnShare):
+    with pytest.raises(ValidationError, match=rf"^s: manifest of {size} bytes exceeds quota "
+                                              rf"\({size} of {GIB} used\)$"):
         acc.ingress("s", "run", [("other.bin", size)])
     assert acc.shares["s"].used_bytes == size
 
 
 def test_ingress_over_quota(account):
-    with pytest.raises(QuotaExceededOnShare):
+    with pytest.raises(ValidationError, match=rf"^fileshare: manifest of {101 * GIB} bytes "
+                                              rf"exceeds quota \(0 of {100 * GIB} used\)$"):
         account.ingress("fileshare", "run", [("data.bin", 101 * GIB)])
     # atomic: nothing admitted
     assert account.shares["fileshare"].used_bytes == 0
@@ -87,7 +90,7 @@ def test_download_empty_directory(account, tmp_path):
 
 
 def test_download_missing_directory(account, tmp_path):
-    with pytest.raises(UnknownPath):
+    with pytest.raises(ValidationError, match="^no such directory: fileshare/nope$"):
         account.download_batch("fileshare", "nope", tmp_path)
 
 
@@ -128,7 +131,7 @@ def test_overwrite_at_full_quota_is_admitted_up_to_the_old_size(full_share):
 
 def test_larger_overwrite_at_full_quota_is_rejected_and_changes_nothing(full_share):
     share = full_share.shares["s"]
-    with pytest.raises(QuotaExceededOnShare):
+    with pytest.raises(ValidationError, match="^s: artifact 'out/f' exceeds quota$"):
         full_share.write_entry("s", "out/f", b"y" * 11)
     assert share.used_bytes == GIB
     assert share.entries["out/f"].content == b"x" * 10
@@ -147,14 +150,15 @@ def test_path_normalization(account):
     account.ingress("fileshare", "run", [("./x//y.bin", 5)])
     share = account.shares["fileshare"]
     assert "run/x/y.bin" in share.entries
-    with pytest.raises(UnknownPath):
+    with pytest.raises(ValidationError, match="^invalid share path: '../escape'$"):
         account.ingress("fileshare", "../escape", [("x.bin", 1)])
     before = (dict(share.entries), set(share.directories), share.used_bytes)
     for path in ("../other/x.bin", "/other/x.bin", ".", "sub/../../x.bin"):
-        with pytest.raises(UnknownPath, match=f"^manifest path leaves fileshare/run: {path!r}$"):
+        with pytest.raises(ValidationError,
+                           match=f"^manifest path leaves fileshare/run: {path!r}$"):
             account.ingress("fileshare", "run", [("ok.bin", 1), (path, 5)])
     assert (share.entries, share.directories, share.used_bytes) == before
-    with pytest.raises(UnknownShare):
+    with pytest.raises(ValidationError, match="^no such share: 'nope'$"):
         account.ingress("nope", "d", [("x.bin", 1)])
 
 
