@@ -11,15 +11,13 @@ from batchsim.workloads import BANDWIDTH_SIZES, LATENCY_SIZES, format_table, osu
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="benchmark-tables")
-    parser.add_argument("--repetitions", type=int, default=5)
-    parser.add_argument("--window", type=int, default=64)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, model in INTERCONNECTS.items():
-        lat = osu_latency(model, LATENCY_SIZES, args.repetitions)
-        bw = osu_bandwidth(model, BANDWIDTH_SIZES, args.window)
+        lat = osu_latency(model, LATENCY_SIZES)
+        bw = osu_bandwidth(model, BANDWIDTH_SIZES)
         lat_text = format_table(lat, f"ping-pong latency, model={name} (seconds)")
         bw_text = format_table(bw, f"streaming bandwidth, model={name} (bytes/s)")
         (outdir / f"latency_{name}.tsv").write_text(lat_text)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,19 +21,18 @@ from typing import Optional
 from . import billing, workloads
 from .catalog import Catalog, PricingPlan, RegionQuota
 from .config import JobsConfig, PoolConfig, TaskSpec, Violation, validate_pool
-from .errors import ValidationError
+from .errors import SimulationError, ValidationError
 from .fabric import (
     AZURE_INTERCONNECT,
+    BOOT_LATENCY_RANGE,
     DEFAULT_PREEMPTION_RATE,
     EventLog,
     InterconnectModel,
     Node,
     NodeState,
-    PreemptionProcess,
     Priority,
-    Provisioner,
-    ScarcityWindow,
     SimClock,
+    derived_rng,
 )
 from .storage import StorageAccount
 
@@ -156,19 +156,19 @@ class BatchService:
     def __init__(self, catalog: Catalog, *, seed: int = 0,
                  interconnect: InterconnectModel = AZURE_INTERCONNECT,
                  preemption_rate: float = DEFAULT_PREEMPTION_RATE,
-                 scarcity_windows: tuple[ScarcityWindow, ...] = (),
+                 scarcity_windows: tuple[tuple[float, float], ...] = (),
                  image_pull_seconds: float = IMAGE_PULL_SECONDS,
                  task_retries: int = 0):
         self.catalog = catalog
         self.seed = seed
         self.interconnect = interconnect
+        self.preemption_rate = preemption_rate
+        self.scarcity_windows = scarcity_windows  # (start, end): no low-priority allocation
         self.image_pull_seconds = image_pull_seconds
         self.task_retries = task_retries
         self.clock = SimClock()
         self.event_log = EventLog()
         self._log = self.event_log.records.append  # takes one (time, entity, text) record
-        self.provisioner = Provisioner(self.clock, self.event_log, seed, scarcity_windows)
-        self.preemption = PreemptionProcess(preemption_rate, seed)
         self.storage = StorageAccount()
         self.ledger = billing.Ledger(catalog)
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
@@ -217,32 +217,41 @@ class BatchService:
         if cfg.region not in self.quotas:
             raise ValidationError(f"no quota table for region {cfg.region!r}")
         warnings = validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
-        pool = Pool(config=cfg, created_at=self.clock.now, warnings=warnings)
-        # provision first: a SimulationError there leaves the service untouched
-        nodes = self.provisioner.provision(
-            cfg.pool_id, cfg.sku, cfg.dedicated_count, cfg.low_priority_count,
-            on_ready=lambda node, p=pool: self._on_node_ready(p, node),
-            staging_seconds=self.image_pull_seconds,
-            staging_label=f"image_pull:{cfg.image}",
-        )
-        pool.nodes = nodes
+        now = self.clock.now
+        if cfg.low_priority_count > 0 and any(a <= now < b for a, b in self.scarcity_windows):
+            raise SimulationError(f"low-priority capacity unavailable at t={now:.0f}s")
+        pool = Pool(config=cfg, created_at=now, warnings=warnings)
+        # one boot latency per pool, so that all its nodes become usable at one instant:
+        # billed node time then equals the pool's usable life
+        boot = derived_rng(self.seed, f"boot/{cfg.pool_id}").randint(*BOOT_LATENCY_RANGE)
+        pull = self.image_pull_seconds
+        for i in range(cfg.node_count):
+            node = Node(f"{cfg.pool_id}/{i}", Priority.DEDICATED if i < cfg.dedicated_count
+                        else Priority.LOW_PRIORITY, i)
+            self._log((now, node.entity, f"->{node.state.value}"))
+            if pull > 0:
+                self.clock.schedule(now + boot, functools.partial(
+                    self._on_node_staging, node, f"image_pull:{cfg.image}"))
+            self.clock.schedule(now + (boot + pull),
+                                functools.partial(self._on_node_ready, pool, node))
+            pool.nodes.append(node)
         self.pools[cfg.pool_id] = pool
-        self.event_log.append(self.clock.now, f"pool/{cfg.pool_id}",
-                              f"->{PoolState.ALLOCATING.value}")
+        self.event_log.append(now, f"pool/{cfg.pool_id}", f"->{PoolState.ALLOCATING.value}")
         for v in warnings:
-            self.event_log.append(self.clock.now, f"pool/{cfg.pool_id}", f"warning:{v.rule}")
+            self.event_log.append(now, f"pool/{cfg.pool_id}", f"warning:{v.rule}")
         return pool
 
+    def _on_node_staging(self, node: Node, label: str):
+        if node.released_time is None:  # else pool_del released it while it booted
+            self._log((self.clock.now, node.entity, label))
+
     def _on_node_ready(self, pool: Pool, node: Node):
-        if not pool.alive:
+        if node.released_time is not None:  # pool_del released it while it booted
             return
+        node.transition(NodeState.IDLE, self.clock.now, self.event_log)
         insort(pool.idle, node, key=_POSITION)
         if node.priority is Priority.LOW_PRIORITY:
-            delay = self.preemption.preempt_after(node.node_id)
-            if delay != float("inf"):
-                node.preempt_at = self.clock.now + delay
-                self.clock.schedule(node.preempt_at,
-                                    lambda p=pool, n=node: self._on_preempt(p, n))
+            self.schedule_preemption(pool, node)
         if pool.state is PoolState.ALLOCATING:
             dedicated_ready = sum(
                 1 for n in pool.nodes
@@ -254,6 +263,19 @@ class BatchService:
                 self.event_log.append(self.clock.now, f"pool/{pool.pool_id}",
                                       f"{PoolState.ALLOCATING.value}->{PoolState.STEADY.value}")
         self.schedule_step()
+
+    def schedule_preemption(self, pool: Pool, node: Node):
+        """Schedule a low-priority node's preemption at its `preempt_at`; a node that has
+        none draws it from its own stream as it becomes ready."""
+        if node.preempt_at is None:
+            rate = self.preemption_rate  # events per node-hour
+            delay = (derived_rng(self.seed, f"preempt/{node.node_id}").expovariate(rate) * 3600.0
+                     if rate else math.inf)
+            if delay == math.inf:  # a rate of 0 never preempts
+                return
+            node.preempt_at = self.clock.now + delay
+        self.clock.schedule(max(node.preempt_at, self.clock.now),
+                            functools.partial(self._on_preempt, pool, node))
 
     def pool_del(self, pool_id: str):
         pool = self.pools.get(pool_id)
@@ -269,7 +291,7 @@ class BatchService:
                     self._fail_task(pool, job, task, FailureReason.POOL_DELETED)
             self._refresh_job_state(job)
         for node in pool.nodes:  # failing the tasks has freed every node
-            self._close_meter(node, now)
+            self._close_meter(pool, node, now)
             if node.released_time is None:
                 node.released_time = now
                 self.event_log.append(now, f"node/{node.node_id}", "released")
@@ -365,11 +387,10 @@ class BatchService:
             node.transition(NodeState.RUNNING, now, self.event_log)
             self._running[node.node_id] = task
         task.completion_event = self.clock.schedule(
-            task.end_time, functools.partial(self._finish_task, job, task, result, task.attempts))
+            task.end_time, functools.partial(self._finish_task, job, task, result))
 
-    def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult, attempt: int):
-        if task.state is not TaskState.RUNNING or task.attempts != attempt:
-            return
+    def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult):
+        # _fail_task cancels this event on every path that stops the attempt
         self._free_nodes(self.pools[job.pool_id], task)
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
@@ -396,7 +417,7 @@ class BatchService:
         if node.state is NodeState.IDLE:
             pool.idle.remove(node)
         node.transition(NodeState.PREEMPTED, now, self.event_log)
-        self._close_meter(node, now)
+        self._close_meter(pool, node, now)
         node.released_time = now
         if task is not None:
             job = self.jobs[task.job_id]
@@ -468,14 +489,14 @@ class BatchService:
 
     # -- metering ------------------------------------------------------------
 
-    def _close_meter(self, node: Node, at: float):
+    def _close_meter(self, pool: Pool, node: Node, at: float):
         if node.ready_time is None or node.released_time is not None:
             return
         plan = (PricingPlan.PAYGO_DEDICATED if node.priority is Priority.DEDICATED
                 else PricingPlan.PAYGO_LOW_PRIORITY)
         seconds = Fraction(at) - Fraction(node.ready_time)
-        self.ledger.add_vm(node.sku, plan, seconds,
-                           f"{node.sku} {node.node_id} ({node.priority.value})",
+        sku = pool.config.sku
+        self.ledger.add_vm(sku, plan, seconds, f"{sku} {node.node_id} ({node.priority.value})",
                            (node.ready_time, at))
 
     # -- simulation drivers ----------------------------------------------------

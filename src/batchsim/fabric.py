@@ -1,11 +1,11 @@
 """Deterministic discrete-event substrate.
 
-Simulation clock with FIFO tie-break at equal timestamps, node state
-machines with provisioning and preemption, and the latency/bandwidth
-interconnect timing model. Everything observable is a pure function of
-(initial state, seed): per-entity RNG streams are derived by hashing the
-master seed with a stable purpose string, so draw order never depends on
-scheduling order.
+Simulation clock with FIFO tie-break at equal timestamps, the event log,
+the node state machine (the batch service boots and preempts nodes), and
+the latency/bandwidth interconnect timing model. Everything observable is
+a pure function of (initial state, seed): per-entity RNG streams are
+derived by hashing the master seed with a stable purpose string, so draw
+order never depends on scheduling order.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import SimulationError
-
-BOOT_LATENCY_RANGE = (60, 300)  # uniform integer seconds per provision batch
+BOOT_LATENCY_RANGE = (60, 300)  # uniform integer seconds, one draw per pool
 DEFAULT_PREEMPTION_RATE = 0.05  # events per node-hour
 
 
@@ -117,9 +115,6 @@ class SimClock:
         self._seq += 1
         return ev
 
-    def schedule_after(self, delay: float, action: Callable[[], None]) -> _Scheduled:
-        return self.schedule(self.now + delay, action)
-
     def pending(self) -> int:
         return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
@@ -169,14 +164,15 @@ _LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
 
 
 class Node:
-    __slots__ = ("node_id", "position", "entity", "sku", "priority", "state", "ready_time",
+    """A VM of a pool; its SKU is the pool's `config.sku`."""
+
+    __slots__ = ("node_id", "position", "entity", "priority", "state", "ready_time",
                  "released_time", "preempt_at", "busy_log")
 
-    def __init__(self, node_id: str, sku: str, priority: Priority, position: int = 0):
+    def __init__(self, node_id: str, priority: Priority, position: int = 0):
         self.node_id = node_id
-        self.position = position  # index in its provision batch, i.e. in its pool's nodes
+        self.position = position  # index in its pool's nodes
         self.entity = f"node/{node_id}"  # the event-log entity
-        self.sku = sku
         self.priority = priority
         self.state = NodeState.STARTING
         self.ready_time: Optional[float] = None
@@ -196,86 +192,3 @@ class Node:
         self.state = to
         if to is NodeState.IDLE and self.ready_time is None:
             self.ready_time = at
-
-
-@dataclass(frozen=True)
-class ScarcityWindow:
-    """Interval of simulated time during which low-priority allocation is denied."""
-
-    start: float
-    end: float
-
-    def covers(self, t: float) -> bool:
-        return self.start <= t < self.end
-
-
-class PreemptionProcess:
-    """Exponential per-node preemption clock; rate is events per node-hour."""
-
-    def __init__(self, rate: float = DEFAULT_PREEMPTION_RATE, seed: int = 0):
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
-        self.rate = rate
-        self.seed = seed
-
-    def preempt_after(self, node_id: str) -> float:
-        """Seconds from node readiness to preemption (inf when rate is 0)."""
-        if self.rate == 0:
-            return math.inf
-        rng = derived_rng(self.seed, f"preempt/{node_id}")
-        return rng.expovariate(self.rate) * 3600.0
-
-
-class Provisioner:
-    """Creates nodes with seeded boot latencies and enqueues readiness events.
-
-    One boot latency is drawn per provision batch and shared by the batch, so
-    all nodes of a pool become usable at the same instant; this keeps billed
-    node time equal to the pool's wall-clock life.
-    """
-
-    def __init__(self, clock: SimClock, log: EventLog, seed: int = 0,
-                 scarcity_windows: tuple[ScarcityWindow, ...] = ()):
-        self.clock = clock
-        self.log = log
-        self.seed = seed
-        self.scarcity_windows = tuple(scarcity_windows)
-
-    def low_priority_available(self, at: float) -> bool:
-        return not any(w.covers(at) for w in self.scarcity_windows)
-
-    def provision(self, batch_id: str, sku: str, dedicated: int, low_priority: int,
-                  on_ready: Callable[[Node], None], staging_seconds: float = 0.0,
-                  staging_label: str = "") -> list[Node]:
-        if low_priority > 0 and not self.low_priority_available(self.clock.now):
-            raise SimulationError(f"low-priority capacity unavailable at t={self.clock.now:.0f}s")
-        lo, hi = BOOT_LATENCY_RANGE
-        boot = derived_rng(self.seed, f"boot/{batch_id}").randint(lo, hi)
-        nodes = []
-        for i in range(dedicated + low_priority):
-            prio = Priority.DEDICATED if i < dedicated else Priority.LOW_PRIORITY
-            node = Node(f"{batch_id}/{i}", sku, prio, i)
-            self.log.append(self.clock.now, node.entity, f"->{node.state.value}")
-            if staging_seconds > 0 and staging_label:
-                self.clock.schedule_after(boot, _staging_action(node, self, staging_label))
-            self.clock.schedule_after(boot + staging_seconds,
-                                      _ready_action(node, self, on_ready))
-            nodes.append(node)
-        return nodes
-
-
-def _staging_action(node: Node, prov: Provisioner, label: str):
-    def action():
-        if node.state is NodeState.STARTING and node.released_time is None:
-            prov.log.append(prov.clock.now, node.entity, label)
-
-    return action
-
-
-def _ready_action(node: Node, prov: Provisioner, on_ready: Callable[[Node], None]):
-    def action():
-        if node.state is NodeState.STARTING and node.released_time is None:
-            node.transition(NodeState.IDLE, prov.clock.now, prov.log)
-            on_ready(node)
-
-    return action

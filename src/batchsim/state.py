@@ -23,13 +23,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .batch import BatchService, FailureReason, Job, JobState, Pool, PoolState, Task, TaskState
+from .batch import (IMAGE_PULL_SECONDS, BatchService, FailureReason, Job, JobState, Pool,
+                    PoolState, Task, TaskState)
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
 from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
                      pool_to_doc, task_spec, task_spec_values, workspace_to_doc)
 from .errors import ValidationError
-from .fabric import INTERCONNECTS, Node, NodeState, Priority, ScarcityWindow
+from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
 from .storage import FileShare, ShareEntry
 
 STATE_VERSION = 3
@@ -60,8 +61,8 @@ def sha256_text(text: str) -> str:
 class ServiceOptions:
     seed: int = 0
     interconnect: str = "azure"
-    preemption_rate: float = 0.05
-    image_pull_seconds: float = 120.0
+    preemption_rate: float = DEFAULT_PREEMPTION_RATE
+    image_pull_seconds: float = IMAGE_PULL_SECONDS
     task_retries: int = 0
     scarcity_windows: tuple[tuple[float, float], ...] = ()
 
@@ -77,14 +78,20 @@ class ServiceOptions:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ServiceOptions":
-        return cls(
-            seed=int(doc["seed"]),
-            interconnect=doc["interconnect"],
-            preemption_rate=float(doc["preemption_rate"]),
-            image_pull_seconds=float(doc["image_pull_seconds"]),
-            task_retries=int(doc["task_retries"]),
-            scarcity_windows=tuple((float(a), float(b)) for a, b in doc["scarcity_windows"]),
-        )
+        """The stored options as `workspace init` writes them; none is converted."""
+        seed, rate, pull, retries = (doc[key] for key in (
+            "seed", "preemption_rate", "image_pull_seconds", "task_retries"))
+        windows = tuple(tuple(w) for w in doc["scarcity_windows"])
+        for key, ok in (("seed", type(seed) is int), ("preemption_rate", _is_finite(rate)),
+                        ("image_pull_seconds", _is_finite(pull) and pull >= 0),
+                        ("task_retries", type(retries) is int and retries >= 0),
+                        ("scarcity_windows", all(len(w) == 2 and all(map(_is_finite, w))
+                                                 and w[0] < w[1] for w in windows))):
+            if not ok:
+                raise ValidationError(f"corrupt state: {key} {doc[key]!r} of options")
+        if rate < 0:
+            raise ValueError("rate must be non-negative")
+        return cls(seed, doc["interconnect"], rate, pull, retries, windows)
 
 
 def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) -> BatchService:
@@ -94,7 +101,7 @@ def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) ->
         seed=options.seed,
         interconnect=model,
         preemption_rate=options.preemption_rate,
-        scarcity_windows=tuple(ScarcityWindow(a, b) for a, b in options.scarcity_windows),
+        scarcity_windows=options.scarcity_windows,
         image_pull_seconds=options.image_pull_seconds,
         task_retries=options.task_retries,
     )
@@ -216,10 +223,14 @@ def service_to_doc(svc: BatchService) -> dict:
 def service_from_doc(doc: dict, options: ServiceOptions,
                      catalog: Optional[Catalog] = None) -> BatchService:
     svc = build_service(options, catalog)
-    svc.clock.now = float(doc["time"])
-    svc.quotas = {
-        r: RegionQuota(r, int(v[0]), int(v[1])) for r, v in doc["quotas"].items()
-    }
+    # every stored instant but a preempt_at is at most the service time
+    svc.clock.now = now = _instant(doc, "time", "service", optional=False)
+    svc.quotas = {}
+    for region, cores in doc["quotas"].items():
+        if not (type(cores) is list and len(cores) == 2
+                and all(type(c) is int and c >= 0 for c in cores)):
+            raise ValidationError(f"corrupt state: quota {cores!r} of region {region}")
+        svc.quotas[region] = RegionQuota(region, *cores)
     for sdoc in doc["shares"]:
         share = FileShare(name=sdoc["name"], quota_gib=int(sdoc["quota_gib"]))
         for e in sdoc["entries"]:
@@ -238,21 +249,21 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
         owner = f"pool {cfg.pool_id}"
         pool = Pool(config=cfg, state=PoolState(pdoc["state"]),
-                    created_at=_instant(pdoc, "created_at", owner, optional=False),
-                    steady_at=_instant(pdoc, "steady_at", owner),
-                    deleted_at=_instant(pdoc, "deleted_at", owner))
+                    created_at=_instant(pdoc, "created_at", owner, now, optional=False),
+                    steady_at=_instant(pdoc, "steady_at", owner, now),
+                    deleted_at=_instant(pdoc, "deleted_at", owner, now))
         pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
         for position, ndoc in enumerate(pdoc["nodes"]):
-            node = Node(ndoc["id"], cfg.sku, Priority(ndoc["priority"]), position)
+            node = Node(ndoc["id"], Priority(ndoc["priority"]), position)
             owner = f"node {node.node_id}"
             node.state = NodeState(ndoc["state"])
-            node.ready_time = _instant(ndoc, "ready_time", owner)
-            node.released_time = _instant(ndoc, "released_time", owner)
+            node.ready_time = _instant(ndoc, "ready_time", owner, now)
+            node.released_time = _instant(ndoc, "released_time", owner, now)
             if node.state is NodeState.STARTING and node.released_time is None:
                 # every command that creates nodes runs until they are ready
                 raise ValidationError("corrupt state: persisted node still starting")
             node.preempt_at = _instant(ndoc, "preempt_at", owner)
-            node.busy_log = [_interval(b, owner) for b in ndoc["busy_log"]]
+            node.busy_log = [_interval(b, owner, now) for b in ndoc["busy_log"]]
             pool.nodes.append(node)
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
@@ -270,14 +281,18 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                               tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
                               attempts))
         svc.enqueue(Job(job_id, jdoc["pool"], tasks, JobState(jdoc["state"]),
-                        _instant(jdoc, "submitted_at", f"job {job_id}", optional=False)))
-    for item in doc["ledger"]:
+                        _instant(jdoc, "submitted_at", f"job {job_id}", now, optional=False)))
+    for number, item in enumerate(doc["ledger"]):
+        start, end = interval = tuple(item["interval"])
+        if not (_is_finite(start) and _is_finite(end) and start <= end <= now):
+            raise ValidationError(f"corrupt state: interval {item['interval']!r} "
+                                  f"of ledger item {number}")
         svc.ledger.add(
             MeterEvent(
                 category=ServiceCategory(item["category"]),
                 usd=Fraction(item["usd"]),
                 description=item["description"],
-                interval=tuple(item["interval"]),
+                interval=interval,
                 sku=item["sku"],
                 node_seconds=(Fraction(item["node_seconds"])
                               if item["node_seconds"] is not None else None),
@@ -296,18 +311,18 @@ def _is_finite(value) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _instant(doc: dict, key: str, owner: str, optional: bool = True):
-    """`doc[key]` if it is a finite number, or None where `optional`."""
+def _instant(doc: dict, key: str, owner: str, latest: float = _FLOAT_MAX, optional: bool = True):
+    """`doc[key]` if it is a finite number no later than `latest`, or None where `optional`."""
     value = doc[key]
-    if not (_is_finite(value) or optional and value is None):
+    if not (_is_finite(value) and value <= latest or optional and value is None):
         raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
     return value
 
 
-def _interval(row, owner: str) -> tuple:
-    """A busy_log row as the interval tuple: [start, end, tag], start <= end."""
+def _interval(row, owner: str, latest: float) -> tuple:
+    """A busy_log row as the interval tuple: [start, end, tag], start <= end <= latest."""
     if not (type(row) is list and len(row) == 3 and _is_finite(row[0]) and _is_finite(row[1])
-            and row[0] <= row[1] and type(row[2]) is str):
+            and row[0] <= row[1] <= latest and type(row[2]) is str):
         raise ValidationError(f"corrupt state: busy_log row {row!r} of {owner}")
     return tuple(row)
 
@@ -325,7 +340,7 @@ def _rebuild_busy_logs(svc: BatchService):
             start, end, tag = task.start_time, task.end_time, task.run_tag
             # _is_finite of both, inlined for states of 10,000 rows; start > created_at holds
             if not (type(start) in (int, float) and type(end) in (int, float)
-                    and start <= end <= _FLOAT_MAX):
+                    and start <= end <= svc.clock.now):
                 raise ValidationError(f"corrupt state: task times {start!r}, {end!r} of {tag}")
             task.interval = interval = (start, end, tag)
             for node_id in task.assigned_nodes:
@@ -350,8 +365,7 @@ def _reschedule_events(svc: BatchService):
             continue
         for node in pool.nodes:  # only low-priority nodes get a preempt_at
             if node.preempt_at is not None and node.state in (NodeState.IDLE, NodeState.RUNNING):
-                svc.clock.schedule(max(node.preempt_at, svc.clock.now),
-                                   lambda p=pool, n=node: svc._on_preempt(p, n))
+                svc.schedule_preemption(pool, node)
 
 
 # ---------------------------------------------------------------------------

@@ -123,27 +123,23 @@ LATENCY_REPETITIONS = 5  # round trips averaged per size
 BANDWIDTH_WINDOW = 64  # messages in flight per size
 
 
-def osu_latency(model: InterconnectModel, sizes: Sequence[int] = LATENCY_SIZES,
-                repetitions: int = LATENCY_REPETITIONS) -> list[tuple[int, float]]:
-    """Mean one-way latency per message size (round-trip time halved), an exact
-    evaluation of the timing model."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+def osu_latency(model: InterconnectModel,
+                sizes: Sequence[int] = LATENCY_SIZES) -> list[tuple[int, float]]:
+    """Mean one-way latency per message size over LATENCY_REPETITIONS round trips
+    (round-trip time halved), an exact evaluation of the timing model."""
     table = []
     for size in sizes:
         one_way = comm_time(model, size)
-        table.append((size, sum([one_way] * repetitions) / repetitions))
+        table.append((size, sum([one_way] * LATENCY_REPETITIONS) / LATENCY_REPETITIONS))
     return table
 
 
-def osu_bandwidth(model: InterconnectModel, sizes: Sequence[int] = BANDWIDTH_SIZES,
-                  window: int = BANDWIDTH_WINDOW) -> list[tuple[int, float]]:
-    """Sustained rate per size: window*m / (alpha + window*m/beta)."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
+def osu_bandwidth(model: InterconnectModel,
+                  sizes: Sequence[int] = BANDWIDTH_SIZES) -> list[tuple[int, float]]:
+    """Sustained rate per size: window*m / (alpha + window*m/beta), BANDWIDTH_WINDOW messages."""
     table = []
     for size in sizes:
-        burst = window * size
+        burst = BANDWIDTH_WINDOW * size
         table.append((size, burst / (model.alpha + burst / model.beta)))
     return table
 

@@ -196,6 +196,20 @@ def test_delete_steady_pool_closes_meters():
         assert item.node_seconds == Fraction(node.released_time) - Fraction(node.ready_time)
 
 
+def test_pool_del_while_booting_drops_its_boot_events():
+    """pool_del releases the nodes that are still starting: their image pull and readiness
+    events then do nothing, and no meter runs for them."""
+    svc = make_service(seed=2, preemption_rate=50.0)
+    pool = svc.pool_add(pool_cfg(ded=1, low=1))
+    svc.pool_del(pool.pool_id)
+    logged = svc.event_log.lines()
+    svc.run_to_quiescence()
+    assert svc.event_log.lines() == logged
+    assert [(n.state, n.ready_time, n.released_time) for n in pool.nodes] == [
+        (NodeState.STARTING, None, 0.0)] * 2
+    assert not svc.ledger.items and svc.clock.now > 0
+
+
 # ---------------------------------------------------------------------------
 # jobs and gang scheduling
 
@@ -404,9 +418,7 @@ def test_event_log_deterministic_for_same_seed():
 
 
 def test_allocation_unavailable_is_atomic():
-    from batchsim.fabric import ScarcityWindow
-
-    svc = BatchService(CATALOG, seed=1, scarcity_windows=(ScarcityWindow(0.0, 1e6),))
+    svc = BatchService(CATALOG, seed=1, scarcity_windows=((0.0, 1e6),))
     svc.quota_set("eastus", 200, 200)
     with pytest.raises(SimulationError, match="^low-priority capacity unavailable at t=0s$"):
         svc.pool_add(pool_cfg(ded=1, low=1))
@@ -420,10 +432,9 @@ def test_quota_use_is_derived_from_the_pools_not_deleted():
     denied in a scarcity window, a delete and the re-add of the deleted id; the same
     after a state round trip."""
     from batchsim import state
-    from batchsim.fabric import ScarcityWindow
 
     svc = BatchService(CATALOG, seed=2, preemption_rate=0.0,
-                       scarcity_windows=(ScarcityWindow(2000.0, 1e6),))
+                       scarcity_windows=((2000.0, 1e6),))
     svc.quota_set("eastus", 48, 24)
     svc.quota_set("colonial", 64, 32)
 

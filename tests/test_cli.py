@@ -631,6 +631,11 @@ POOL_NODE_CORRUPTIONS = {
                         "created_at None of pool snake2d2k35"),
     "submitted-at-text": (lambda state: state["service"]["jobs"][0].update(submitted_at="soon"),
                           "submitted_at 'soon' of job snake2d2k35-job"),
+    # no stored instant but a preempt_at is later than the service time
+    "ready-time-future": (lambda state: _node(state).update(ready_time=1e300),
+                          "ready_time 1e+300 of node snake2d2k35/0"),
+    "steady-at-future": (lambda state: state["service"]["pools"][0].update(steady_at=1e300),
+                         "steady_at 1e+300 of pool snake2d2k35"),
 }
 
 
@@ -646,6 +651,42 @@ def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, m
     corrupt(state)
     path.write_text(json.dumps(state))
     before = tree(workdir)
+    assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
+    assert tree(workdir) == before
+
+
+# (change to the state, error text): a value of another type than the one a command
+# writes; unchecked, each loaded and the next commit wrote it back converted
+CONVERTED_VALUES = {
+    "seed-text": (lambda state: state["options"].update(seed="7"), "seed '7' of options"),
+    "rate-text": (lambda state: state["options"].update(preemption_rate="0.05"),
+                  "preemption_rate '0.05' of options"),
+    "pull-seconds-bool": (lambda state: state["options"].update(image_pull_seconds=True),
+                          "image_pull_seconds True of options"),
+    "retries-fraction": (lambda state: state["options"].update(task_retries=0.5),
+                         "task_retries 0.5 of options"),
+    "scarcity-text": (lambda state: state["options"].update(scarcity_windows=[["1", "2"]]),
+                      "scarcity_windows [['1', '2']] of options"),
+    "time-text": (lambda state: state["service"].update(time="322.0"),
+                  "time '322.0' of service"),
+    "quota-text": (lambda state: state["service"]["quotas"].update(eastus=["100", 24]),
+                   "quota ['100', 24] of region eastus"),
+    "quota-bool": (lambda state: state["service"]["quotas"].update(eastus=[100, True]),
+                   "quota [100, True] of region eastus"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", list(CONVERTED_VALUES.values()),
+                         ids=list(CONVERTED_VALUES))
+def test_wrong_typed_option_time_or_quota_exits_2_without_mutation(workdir, corrupt, message):
+    for step in sequence()[:5]:  # through `pool add`
+        ok(workdir, *step)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    corrupt(state)
+    path.write_text(json.dumps(state))
+    before = tree(workdir)
+    argv = ["quota", "set", "--region", "eastus", "--dedicated", "90"]
     assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
     assert tree(workdir) == before
 
@@ -680,6 +721,7 @@ ROW_CORRUPTIONS = {
     "unknown-node": (8, ["snake2d2k35/9"]),
     "text-end-time": (10, "soon"),
     "infinite-end-time": (10, float("inf")),
+    "late-end-time": (10, 1e300),
     "end-before-start": (10, 0.0),
     "fractional-attempts": (12, 0.5),
     "negative-attempts": (12, -1),

@@ -1,9 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchsim.batch import BatchService, PoolState
+from batchsim.catalog import default_catalog
+from batchsim.config import PoolConfig
 from batchsim.errors import SimulationError
 from batchsim.fabric import (
     AZURE_INTERCONNECT,
@@ -13,10 +14,7 @@ from batchsim.fabric import (
     InterconnectModel,
     Node,
     NodeState,
-    PreemptionProcess,
     Priority,
-    Provisioner,
-    ScarcityWindow,
     SimClock,
     allreduce_time,
     comm_time,
@@ -106,57 +104,56 @@ def test_clock_cancel():
     assert seen == ["kept"]
 
 
-def _provision(seed=42, dedicated=2, low_priority=0, windows=()):
-    clock = SimClock()
-    log = EventLog()
-    prov = Provisioner(clock, log, seed=seed, scarcity_windows=windows)
-    ready = []
-    nodes = prov.provision("pool", "NC24r", dedicated, low_priority, ready.append)
-    return clock, log, nodes, ready
+# node provisioning and preemption, which BatchService.pool_add does on this substrate
+
+
+def _cfg(pool_id, dedicated, low_priority):
+    return PoolConfig(pool_id, "NC6", "eastus", dedicated, low_priority, inter_node_comm=False,
+                      shared_filesystem=False, image="img:1")
+
+
+def _pool_add(seed=42, dedicated=2, low_priority=0, pool_id="pool", **options):
+    svc = BatchService(default_catalog(), seed=seed, **options)
+    svc.quota_set("eastus", 200, 200)
+    return svc, svc.pool_add(_cfg(pool_id, dedicated, low_priority))
 
 
 def test_provision_deterministic_replay():
-    clock1, log1, nodes1, _ = _provision(seed=42)
-    clock2, log2, nodes2, _ = _provision(seed=42)
-    assert all(n.state is NodeState.STARTING for n in nodes1)
-    assert len(nodes1) == 2
-    clock1.run()
-    clock2.run()
-    assert log1.lines() == log2.lines()
-    assert [n.ready_time for n in nodes1] == [n.ready_time for n in nodes2]
-    lo, hi = BOOT_LATENCY_RANGE  # one boot latency per batch, and no staging here
-    assert nodes1[0].ready_time == nodes1[1].ready_time
-    assert lo <= nodes1[0].ready_time <= hi
-
-
-def test_provision_zero_nodes():
-    clock, log, nodes, ready = _provision(dedicated=0, low_priority=0)
-    assert nodes == []
-    assert clock.pending() == 0
-    assert log.lines() == []
+    (svc1, pool1), (svc2, pool2) = _pool_add(low_priority=1), _pool_add(low_priority=1)
+    assert [n.state for n in pool1.nodes] == [NodeState.STARTING] * 3
+    svc1.run_to_quiescence()  # until the low-priority node is preempted
+    svc2.run_to_quiescence()
+    assert svc1.event_log.lines() == svc2.event_log.lines()
+    assert [n.ready_time for n in pool1.nodes] == [n.ready_time for n in pool2.nodes]
+    assert pool1.nodes[2].state is NodeState.PREEMPTED
 
 
 def test_provision_scarcity_window():
+    svc, _ = _pool_add(scarcity_windows=((0.0, 3600.0),))  # dedicated nodes are unaffected
     with pytest.raises(SimulationError, match="^low-priority capacity unavailable at t=0s$"):
-        _provision(low_priority=1, windows=(ScarcityWindow(0.0, 3600.0),))
-    # dedicated requests are unaffected
-    clock, _, nodes, _ = _provision(dedicated=1, windows=(ScarcityWindow(0.0, 3600.0),))
-    assert len(nodes) == 1
+        svc.pool_add(_cfg("lp", 0, 1))
+    svc.clock.schedule(3600.0, lambda: None)  # the window ends at 3600 s
+    svc.run_to_quiescence()
+    assert svc.pool_add(_cfg("lp", 0, 1)).state is PoolState.ALLOCATING
 
 
 def test_preemption_schedule_reproducible():
-    proc_a = PreemptionProcess(rate=0.5, seed=9)
-    proc_b = PreemptionProcess(rate=0.5, seed=9)
-    ids = [f"pool/{i}" for i in range(4)]
-    delays = [proc_a.preempt_after(i) for i in ids]
-    assert delays == [proc_b.preempt_after(i) for i in ids]
-    other_seed = PreemptionProcess(rate=0.5, seed=10)
-    assert [other_seed.preempt_after(i) for i in ids] != delays
+    def preempt_times(seed):
+        svc, pool = _pool_add(seed, dedicated=0, low_priority=4, preemption_rate=0.5)
+        svc.advance_until_pool_settled(pool.pool_id)
+        return [n.preempt_at - n.ready_time for n in pool.nodes]
+
+    delays = preempt_times(9)  # each node's own stream, drawn as it becomes ready
+    assert delays == [derived_rng(9, f"preempt/pool/{i}").expovariate(0.5) * 3600.0
+                      for i in range(4)]
+    assert preempt_times(9) == delays
+    assert preempt_times(10) != delays
 
 
 def test_preemption_zero_rate_never_fires():
-    proc = PreemptionProcess(rate=0.0, seed=1)
-    assert proc.preempt_after("pool/0") == math.inf
+    svc, pool = _pool_add(dedicated=0, low_priority=2, preemption_rate=0.0)
+    svc.run_to_quiescence()
+    assert [(n.state, n.preempt_at) for n in pool.nodes] == [(NodeState.IDLE, None)] * 2
 
 
 def test_derived_rng_is_stable():
@@ -169,13 +166,13 @@ def test_derived_rng_is_stable():
 
 def test_node_transitions_enforced():
     log = EventLog()
-    node = Node("p/0", "NC6", Priority.DEDICATED)
+    node = Node("p/0", Priority.DEDICATED)
     with pytest.raises(ValueError):
         node.transition(NodeState.RUNNING, 0.0, log)  # Starting -> Running illegal
     node.transition(NodeState.IDLE, 1.0, log)
     with pytest.raises(ValueError):
         node.transition(NodeState.PREEMPTED, 2.0, log)  # dedicated never preempted
-    lp = Node("p/1", "NC6", Priority.LOW_PRIORITY)
+    lp = Node("p/1", Priority.LOW_PRIORITY)
     lp.transition(NodeState.IDLE, 1.0, log)
     lp.transition(NodeState.PREEMPTED, 2.0, log)
     assert lp.state is NodeState.PREEMPTED
@@ -194,7 +191,7 @@ LEGAL_PATHS = {
 @pytest.mark.parametrize("text", sorted(LEGAL_PATHS))
 def test_each_legal_node_transition_logs_its_line(text):
     log = EventLog()
-    node = Node("pool/3", "NC6", Priority.LOW_PRIORITY)
+    node = Node("pool/3", Priority.LOW_PRIORITY)
     for step, to in enumerate(LEGAL_PATHS[text]):
         node.transition(to, float(step), log)
     to = NodeState(text.split("->")[1])
@@ -210,13 +207,13 @@ def test_illegal_node_transitions_raise_and_log_nothing():
     assert len(illegal) == 11
     for source, to in illegal:
         log = EventLog()
-        node = Node("pool/0", "NC6", Priority.LOW_PRIORITY)
+        node = Node("pool/0", Priority.LOW_PRIORITY)
         node.state = source
         with pytest.raises(ValueError) as err:
             node.transition(to, 1.0, log)
         assert str(err.value) == f"illegal node transition {source.value} -> {to.value}"
         assert node.state is source and log.records == []
-    dedicated = Node("pool/1", "NC6", Priority.DEDICATED)
+    dedicated = Node("pool/1", Priority.DEDICATED)
     dedicated.state = NodeState.IDLE
     with pytest.raises(ValueError, match="^dedicated nodes are never preempted$"):
         dedicated.transition(NodeState.PREEMPTED, 1.0, EventLog())
@@ -232,9 +229,12 @@ def test_event_log_format():
 @settings(max_examples=50)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_boot_latency_in_range(seed):
-    clock = SimClock()
-    prov = Provisioner(clock, EventLog(), seed=seed)
-    nodes = prov.provision(f"pool{seed}", "NC6", 1, 0, lambda n: None)
-    clock.run()
+    """One boot latency per pool, from the pool's own stream, shared by all its nodes."""
+    svc, pool = _pool_add(seed, 1, 1, f"pool{seed}", preemption_rate=0.0, image_pull_seconds=0)
+    other = svc.pool_add(_cfg("other", 2, 0))
+    svc.run_to_quiescence()
     lo, hi = BOOT_LATENCY_RANGE
-    assert lo <= nodes[0].ready_time <= hi
+    for p in (pool, other):
+        boot = derived_rng(seed, f"boot/{p.pool_id}").randint(lo, hi)
+        assert [n.ready_time for n in p.nodes] == [boot] * 2
+        assert lo <= boot <= hi

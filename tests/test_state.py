@@ -65,7 +65,8 @@ def _node_doc(doc):
     return doc["pools"][0]["nodes"][1]
 
 
-# (document part, key, value); each time must be a finite number, or null where optional
+# (document part, key, value); each time must be a finite number, or null where optional,
+# and none but a preempt_at later than the service time
 TIME_CORRUPTIONS = {
     "created-at-null": (_pool_doc, "created_at", None),
     "created-at-text": (_pool_doc, "created_at", "0"),
@@ -82,6 +83,8 @@ TIME_CORRUPTIONS = {
     "busy-log-number-tag": (_node_doc, "busy_log", [[1.0, 2.0, 3]]),
     "busy-log-inf": (_node_doc, "busy_log", [[1.0, float("inf"), "task/j/t0#0"]]),
     "busy-log-text-row": (_node_doc, "busy_log", ["ab"]),
+    "released-time-late": (_node_doc, "released_time", 1e6),
+    "busy-log-ends-late": (_node_doc, "busy_log", [[1.0, 1e6, "task/j/t0#0"]]),
 }
 
 
@@ -98,11 +101,22 @@ def test_pool_and_node_times_must_be_finite_numbers(part, key, value):
 def test_pool_and_node_times_may_be_integers_and_optional_ones_null():
     options, svc = _low_priority_service()
     doc = state.service_to_doc(svc)
+    doc["time"] = 401  # no stored time but a preempt_at may be later
     _pool_doc(doc).update(created_at=0, steady_at=None, deleted_at=None)
     _node_doc(doc).update(ready_time=400, released_time=None, preempt_at=None,
                           busy_log=[[400, 400.5, "task/j/t0#0"]])
     node = state.service_from_doc(doc, options).pools["lp"].nodes[1]
     assert (node.ready_time, node.busy_log) == (400, [(400, 400.5, "task/j/t0#0")])
+
+
+@pytest.mark.parametrize("interval", [[0.0, 1e300], ["a", "b"], [2.0, 1.0]],
+                         ids=["late", "text", "ends-first"])
+def test_ledger_interval_must_end_by_the_service_time(interval):
+    doc = state.service_to_doc(run_scenario(scenario_by_name("snake2d"), seed=0).service)
+    doc["ledger"][0]["interval"] = interval
+    with pytest.raises(ValidationError) as err:
+        state.service_from_doc(doc, state.ServiceOptions())
+    assert str(err.value) == f"corrupt state: interval {interval!r} of ledger item 0"
 
 
 def test_embedded_task_spec_is_validated():

@@ -217,14 +217,14 @@ def test_bandwidth_plateau_within_one_percent():
 
 
 def test_bandwidth_zero_message():
-    table = osu_bandwidth(AZURE_INTERCONNECT, (0, 1), window=1)
+    table = osu_bandwidth(AZURE_INTERCONNECT, (0, 1))
     assert table[0] == (0, 0.0)
     assert table[1][1] > 0
 
 
 def test_bandwidth_formula():
-    window, size = 64, 65536
-    (got,) = [v for s, v in osu_bandwidth(AZURE_INTERCONNECT, (size,), window) if s == size]
+    window, size = 64, 65536  # BANDWIDTH_WINDOW messages in flight
+    (got,) = [v for s, v in osu_bandwidth(AZURE_INTERCONNECT, (size,)) if s == size]
     burst = window * size
     assert got == pytest.approx(burst / (1.95e-6 + burst / 5.2e9), rel=1e-15)
 
