@@ -232,10 +232,11 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             raise ValidationError(f"corrupt state: quota {cores!r} of region {region}")
         svc.quotas[region] = RegionQuota(region, *cores)
     for sdoc in doc["shares"]:
-        share = FileShare(name=sdoc["name"], quota_gib=int(sdoc["quota_gib"]))
+        share = FileShare(name=sdoc["name"], quota_gib=_count(sdoc, "quota_gib",
+                                                              f"share {sdoc['name']}"))
         for e in sdoc["entries"]:
             content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
-            entry = ShareEntry(e["path"], int(e["size"]), content)
+            entry = ShareEntry(e["path"], _count(e, "size", f"{share.name}/{e['path']}"), content)
             if entry.digest != e["digest"]:
                 raise ValidationError(f"corrupt state: digest of {share.name}/{entry.path}")
             if content is not None and entry.size_bytes != len(content):
@@ -315,6 +316,14 @@ def _instant(doc: dict, key: str, owner: str, latest: float = _FLOAT_MAX, option
     """`doc[key]` if it is a finite number no later than `latest`, or None where `optional`."""
     value = doc[key]
     if not (_is_finite(value) and value <= latest or optional and value is None):
+        raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
+    return value
+
+
+def _count(doc: dict, key: str, owner: str) -> int:
+    """`doc[key]` if it is an int of at least 0 (no bool, float or text)."""
+    value = doc[key]
+    if not (type(value) is int and value >= 0):
         raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
     return value
 

@@ -263,7 +263,7 @@ def _stencil_slabs(rank: int, slabs: list[list[slice]], u: np.ndarray, out: np.n
                    grid: PoissonGrid):
     """apply_poisson's sweep over slabs[rank], with this thread's own edge buffer."""
     nx, hh = grid.nx, grid.h * grid.h
-    edge = np.empty((_slab_planes(grid.shape), grid.ny))
+    edge = np.empty((min(_slab_planes(grid.shape), nx), grid.ny))
     for s in slabs[rank]:
         i0, i1 = s.start, s.stop
         us, o, e = u[s], out[s], edge[:i1 - i0]
@@ -300,27 +300,34 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
              max_iter: int = 20000) -> CGResult:
     """Conjugate gradients on the stencil operator, absolute 2-norm exit test.
 
-    The iterate, residual, direction and operator-product arrays are
-    allocated once. The stencil and the vector updates run in place, slab by
-    slab along axis 0, on one thread per CPU this process may use, up to
-    MAX_SWEEP_THREADS and one per slab: the calling thread sweeps the first
-    range of planes and the threads of a ThreadPoolExecutor, opened for the
-    solve and shut down at its end, sweep the others, each update through
-    its own slab-sized scratch buffer; with one range, no thread starts.
-    Every element is computed by the same operations whichever thread
-    sweeps it, and each update rounds as the textbook expressions do
-    (x + alpha*p, r - alpha*ap, r + beta*p), so the iterates do not depend
-    on the thread count. Both reductions are numpy dots over whole flattened
-    arrays on the calling thread, so identical inputs give bit-identical
-    iterates for a fixed BLAS thread count: the dot's summation order, and
-    so the iteration count, can change with OPENBLAS_NUM_THREADS. The
-    convergence test uses the recurrence residual, as iterative solver
-    libraries do.
+    Consumes `rhs`: from x = 0 the first residual is rhs itself, bit for bit, so a
+    C-contiguous, writeable float64 `rhs` is the residual array and holds the final
+    recurrence residual on return; any other is copied first. The only grid arrays
+    it allocates are x, p and A*p. The stencil and the vector updates run in place,
+    slab by slab along axis 0, on one thread per CPU this process may use, up to
+    MAX_SWEEP_THREADS and one per slab: the calling thread sweeps the first range of
+    planes and the threads of a ThreadPoolExecutor, opened for the solve and shut
+    down at its end, sweep the others, each update through its own slab-sized
+    scratch buffer; with one range, no thread starts. Every element is computed by
+    the same operations whichever thread sweeps it, and each update rounds as the
+    textbook expressions do (x + alpha*p, r - alpha*ap, r + beta*p), so the iterates
+    do not depend on the thread count. Both reductions are numpy dots over whole
+    flattened arrays on the calling thread, so identical inputs give bit-identical
+    iterates for a fixed BLAS thread count: the dot's summation order, and so the
+    iteration count, can change with OPENBLAS_NUM_THREADS. The convergence test uses
+    the recurrence residual, as iterative solver libraries do.
     """
     if rhs.shape != grid.shape:
         raise ValidationError(f"rhs shape {rhs.shape} does not match grid {grid.shape}")
-    b = np.asarray(rhs, dtype=np.float64)
-    step = _slab_planes(grid.shape)
+    r = np.require(rhs, np.float64, "CW")
+    x = np.zeros(grid.shape)
+    rz = float(np.dot(r.ravel(), r.ravel()))
+    res = float(np.sqrt(rz))
+    history = [res]
+    if res <= tol_abs:
+        return CGResult(x, 0, res, history)
+    p, ap = r.copy(), np.empty(grid.shape)
+    step = min(_slab_planes(grid.shape), grid.nx)
     workers = min(_sweep_threads(), -(-grid.nx // step))  # at most one thread per slab
     slabs = _rank_slabs(grid.nx, step, workers)
     scratch = [np.empty((step,) + grid.shape[1:]) for _ in slabs]
@@ -343,15 +350,6 @@ def solve_cg(grid: PoissonGrid, rhs: np.ndarray, tol_abs: float = 1e-12,
     # not at module level: it imports logging, which would slow every CLI start-up
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max(workers - 1, 1), thread_name_prefix="batchsim-cg") as pool:
-        x = np.zeros(grid.shape)
-        ap = apply_poisson(grid, x, pool=pool, ranks=workers)
-        r = np.subtract(b, ap)
-        p = r.copy()
-        rz = float(np.dot(r.ravel(), r.ravel()))
-        res = float(np.sqrt(rz))
-        history = [res]
-        if res <= tol_abs:
-            return CGResult(x, 0, res, history)
         for k in range(1, max_iter + 1):
             apply_poisson(grid, p, out=ap, pool=pool, ranks=workers)
             _run_ranks(pool, workers, update_xr, rz / float(np.dot(p.ravel(), ap.ravel())))
@@ -461,7 +459,7 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
     if isinstance(spec, PoissonCGReal):
         grid = unit_cube_grid(spec.n)
         rhs = sine_sample(grid)  # manufactured_solution's forcing, scaled in the sample's
-        rhs *= 12.0 * np.pi**2   # array: the same bits, and no second grid-sized array
+        rhs *= 12.0 * np.pi**2   # array: the same bits; solve_cg then uses it as its residual
         result = solve_cg(grid, rhs)
         per_iter = modeled_poisson_runtime(grid.cells, ctx.instances, ctx.procs_per_node,
                                            ctx.model)

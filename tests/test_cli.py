@@ -620,8 +620,13 @@ def _node(state) -> dict:
     return state["service"]["pools"][0]["nodes"][0]
 
 
-# (change to the state, error text): pool and node fields that no command writes; unchecked,
-# `pool del` fails on the text time (exit 1), and the others load and are written back
+def _share(state) -> dict:
+    return state["service"]["shares"][0]
+
+
+# (change to the state, error text): pool, node, job and share fields that no command writes;
+# unchecked, `pool del` fails on the text time (exit 1), and the others load and are written
+# back (a share quota of "100" as 100)
 POOL_NODE_CORRUPTIONS = {
     "ready-time-text": (lambda state: _node(state).update(ready_time="soon"),
                         "ready_time 'soon' of node snake2d2k35/0"),
@@ -636,6 +641,21 @@ POOL_NODE_CORRUPTIONS = {
                           "ready_time 1e+300 of node snake2d2k35/0"),
     "steady-at-future": (lambda state: state["service"]["pools"][0].update(steady_at=1e300),
                          "steady_at 1e+300 of pool snake2d2k35"),
+    "share-quota-text": (lambda state: _share(state).update(quota_gib="100"),
+                         "quota_gib '100' of share fileshare"),
+    "share-quota-float": (lambda state: _share(state).update(quota_gib=100.0),
+                          "quota_gib 100.0 of share fileshare"),
+    "share-quota-bool": (lambda state: _share(state).update(quota_gib=True),
+                         "quota_gib True of share fileshare"),
+    "share-quota-negative": (lambda state: _share(state).update(quota_gib=-1),
+                             "quota_gib -1 of share fileshare"),
+    # run.log of 67 B, whose digest covers only its content
+    "entry-size-text": (lambda state: _entry(state, True).update(size="67"),
+                        "size '67' of fileshare/snake2d2k35/output/run.log"),
+    "entry-size-float": (lambda state: _entry(state, True).update(size=67.0),
+                         "size 67.0 of fileshare/snake2d2k35/output/run.log"),
+    "entry-size-bool": (lambda state: _entry(state, True).update(size=True),
+                        "size True of fileshare/snake2d2k35/output/run.log"),
 }
 
 

@@ -64,3 +64,24 @@ def test_traced_sched_pass_reports_every_state_layer(tmp_path, monkeypatch):
         "state.load_s", "state.rehydrate_s", "state.to_doc_s", "state.save_s",
         "state.json_bytes"}
     assert all(metrics[k] > 0 for k in metrics if k.startswith("state."))
+
+
+def test_traced_cg_pass_counts_one_stencil_per_iteration(tmp_path, monkeypatch):
+    """The traced cg_solve pass counts each solve_cg and apply_poisson call through the
+    workloads module attributes: execute must call solve_cg, and solve_cg apply_poisson,
+    through them. With x = 0 the first residual is the rhs, so no stencil runs before the
+    first iteration."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import calibrate
+    import passes
+    import run
+
+    env = passes.Env(REPO_ROOT, tmp_path, passes.child_environment(REPO_ROOT, tmp_path))
+    p = passes.cg_pass(env, 1, calibrate.Speed("python"), traced=True)
+    assert p.problems == []
+    metrics = run.layer_metrics("cg_solve", p)
+    assert metrics["workloads.execute_calls"] == len(passes.CG_SIZES)
+    for n in passes.CG_SIZES:
+        iterations = metrics[f"workloads.cg_iterations.n{n}"]
+        assert iterations == p.layer[f"workloads.cg_iterations.n{n}"] > 0
+        assert metrics[f"workloads.stencil_calls.n{n}"] == iterations

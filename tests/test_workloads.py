@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batchsim import workloads
 from batchsim.errors import SimulationError, ValidationError
 from batchsim.fabric import AZURE_INTERCONNECT, COLONIAL_INTERCONNECT, allreduce_time, comm_time
 from batchsim.workloads import (
@@ -110,12 +112,70 @@ def test_operator_matrix_is_exactly_symmetric():
 # conjugate gradients
 
 
-def test_cg_zero_rhs():
+def test_cg_zero_rhs(monkeypatch):
+    """The first residual is the rhs itself, so a zero rhs returns before any stencil."""
+    calls = []
+    monkeypatch.setattr(workloads, "apply_poisson", lambda *args, **kwargs: calls.append(args))
     grid = unit_cube_grid(8)
     result = solve_cg(grid, np.zeros(grid.shape))
     assert result.iterations == 0
     assert result.final_residual == 0.0
     assert not result.solution.any()
+    assert calls == []
+
+
+def test_cg_leaves_the_final_recurrence_residual_in_rhs():
+    for n, rhs in ((12, np.random.default_rng(7).standard_normal((12, 12, 12))),
+                   (16, manufactured_solution(unit_cube_grid(16))[1])):
+        result = solve_cg(unit_cube_grid(n), rhs)
+        assert result.iterations > 0
+        assert float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel()))) == result.final_residual
+
+
+RHS_COPIED = {
+    "int": lambda f: np.rint(f * 100).astype(np.int64),
+    "fortran-order": np.asfortranarray,
+    "read-only": lambda f: np.lib.stride_tricks.as_strided(f, writeable=False),
+}
+
+
+@pytest.mark.parametrize("make", list(RHS_COPIED.values()), ids=list(RHS_COPIED))
+def test_cg_copies_an_rhs_it_cannot_use_as_its_residual(make):
+    """Only a C-contiguous, writeable float64 rhs is consumed; any other is copied, left as
+    it was, and solved to the same bits as its C-contiguous float64 copy."""
+    grid = unit_cube_grid(10)
+    rhs = make(np.random.default_rng(8).standard_normal(grid.shape))
+    before = rhs.copy(order="A")
+    result = solve_cg(grid, rhs)
+    assert rhs.dtype == before.dtype and rhs.flags.f_contiguous == before.flags.f_contiguous
+    assert np.array_equal(rhs, before)
+    ref = solve_cg(grid, np.array(rhs, dtype=np.float64, order="C"))
+    assert result.residual_history == ref.residual_history
+    assert np.array_equal(result.solution, ref.solution)
+
+
+def test_cg_holds_three_grid_arrays_and_one_slab_buffer_per_rank():
+    """Besides the rhs it consumes, a solve holds x, p and A*p, one scratch buffer per rank
+    of at most a slab and never more planes than the grid has, and the stencil's own
+    transient (numpy's ufunc buffers). At n = 32 a slab of SLAB_BYTES would be 64 planes:
+    one rank, and a buffer of one grid array."""
+    grid = unit_cube_grid(32)
+    assert workloads._slab_planes(grid.shape) >= 2 * grid.nx
+    rhs = manufactured_solution(grid)[1]
+    solve_cg(grid, rhs.copy())  # first-call imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        apply_poisson(grid, rhs, out=np.empty(grid.shape))
+        stencil_transient = tracemalloc.get_traced_memory()[1] - base - rhs.nbytes
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = solve_cg(grid, rhs)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.final_residual <= 1e-12
+    assert extra <= (3 + 1) * rhs.nbytes + stencil_transient + 64 * 1024
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -168,7 +228,7 @@ def test_cg_bit_identical_reruns():
     grid = unit_cube_grid(16)
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(grid.shape)
-    a = solve_cg(grid, rhs)
+    a = solve_cg(grid, rhs.copy())  # solve_cg consumes its rhs
     b = solve_cg(grid, rhs)
     assert a.iterations == b.iterations
     assert np.array_equal(a.solution, b.solution)
