@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -156,16 +156,27 @@ def report(items) -> list[ReportRow]:
     return rows
 
 
+def _context_for(value: Fraction, places: int):
+    """A decimal context for `value` to `places` decimals: the default one of 28 digits, or
+    one of as many as its integer part needs beside them."""
+    ctx = getcontext().copy()
+    ctx.prec = max(ctx.prec, len(str(value.numerator // value.denominator)) + places)
+    return localcontext(ctx)
+
+
 def usd_str(value: Fraction, places: int = 10) -> str:
     """Deterministic decimal rendering used by exports and reports."""
-    quant = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quant.quantize(Decimal(1).scaleb(-places)).normalize())
+    with _context_for(value, places):
+        quant = Decimal(value.numerator) / Decimal(value.denominator)
+        return str(quant.quantize(Decimal(1).scaleb(-places)).normalize())
 
 
 def render_report(rows: list[ReportRow]) -> str:
     lines = ["service\tusd\tpercent"]
     for row in rows:
-        usd = (Decimal(row.usd.numerator) / Decimal(row.usd.denominator)).quantize(Decimal("0.01"))
+        with _context_for(row.usd, 2):
+            usd = Decimal(row.usd.numerator) / Decimal(row.usd.denominator)
+            usd = usd.quantize(Decimal("0.01"))
         lines.append(f"{row.category.value}\t{usd:,}\t{row.percent:.3g}")
     return "\n".join(lines) + "\n"
 

@@ -31,14 +31,7 @@ class SkuSpec:
     gpu_model: str
     rdma_capable: bool
     region_availability: frozenset[str]
-    prices: dict[PricingPlan, Decimal] = field(hash=False)
-
-    def __post_init__(self):
-        if self.vcores < 1 or self.ram_gib <= 0 or self.gpu_count < 0:
-            raise ValueError(f"invalid hardware spec for {self.name}")
-        for plan, rate in self.prices.items():
-            if rate <= 0:
-                raise ValueError(f"{self.name}: {plan.value} rate must be positive")
+    prices: dict[PricingPlan, Decimal] = field(hash=False)  # each rate positive
 
     def price(self, plan: PricingPlan) -> Decimal:
         return self.prices[plan]
@@ -46,13 +39,11 @@ class SkuSpec:
 
 @dataclass
 class RegionQuota:
+    """A region's cores; what `available_quota` leaves is below 0 where a quota was lowered
+    under the cores its pools use."""
     region: str
     dedicated_cores: int
     low_priority_cores: int
-
-    def __post_init__(self):
-        if self.dedicated_cores < 0 or self.low_priority_cores < 0:
-            raise ValueError("quota counts must be non-negative")
 
 
 DEFAULT_DEDICATED_QUOTA = 24
@@ -92,52 +83,6 @@ class Catalog:
 
     def default_quotas(self) -> dict[str, RegionQuota]:
         return {r: self.default_quota(r) for r in self._quotas}
-
-    def to_document(self) -> dict:
-        skus = []
-        for s in self.skus:
-            skus.append(
-                {
-                    "name": s.name,
-                    "vcores": s.vcores,
-                    "ram_gib": s.ram_gib,
-                    "ssd_gib": s.ssd_gib,
-                    "gpu_count": s.gpu_count,
-                    "gpu_model": s.gpu_model,
-                    "rdma_capable": s.rdma_capable,
-                    "regions": sorted(s.region_availability),
-                    "prices": {p.value: str(rate) for p, rate in s.prices.items()},
-                }
-            )
-        quotas = {
-            r: {"dedicated_cores": q.dedicated_cores, "low_priority_cores": q.low_priority_cores}
-            for r, q in self._quotas.items()
-        }
-        return {"skus": skus, "quotas": quotas}
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "Catalog":
-        skus = []
-        for entry in doc["skus"]:
-            prices = {PricingPlan(k): Decimal(str(v)) for k, v in entry["prices"].items()}
-            skus.append(
-                SkuSpec(
-                    name=entry["name"],
-                    vcores=int(entry["vcores"]),
-                    ram_gib=int(entry["ram_gib"]),
-                    ssd_gib=int(entry["ssd_gib"]),
-                    gpu_count=int(entry["gpu_count"]),
-                    gpu_model=str(entry.get("gpu_model", "")),
-                    rdma_capable=bool(entry["rdma_capable"]),
-                    region_availability=frozenset(entry["regions"]),
-                    prices=prices,
-                )
-            )
-        quotas = {
-            r: RegionQuota(r, int(q["dedicated_cores"]), int(q["low_priority_cores"]))
-            for r, q in doc["quotas"].items()
-        }
-        return cls(skus, quotas)
 
 
 def _sku(name, vcores, ram, ssd, gpus, gpu_model, rdma, regions, ded, low, r1, r3):

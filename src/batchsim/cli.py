@@ -162,35 +162,22 @@ class Cli:
         """The committed workspace: its state document and the service rehydrated from it.
 
         A command killed before its state.json rename may have left events.log longer and
-        ledger.tsv other than the state records: both are put back to the committed outputs.
+        ledger.tsv other than the state records: both are put back to the committed outputs,
+        once every record of the state has been checked.
         """
         if not self.store.exists():
             raise ValidationError(
                 f"no workspace in {self.root}: run `batchsim workspace init` first"
             )
         try:
-            state = self.store.load()
+            doc = self.store.load()
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValidationError(f"corrupt state: {exc}") from None
-        if not isinstance(state, dict):
-            raise ValidationError("corrupt state: not a workspace state document")
-        version = state.get("version")
-        if version != statemod.STATE_VERSION:
-            raise ValidationError(f"corrupt state: unsupported state version {version}")
-        size = state.get("events_bytes")
-        if (not statemod.STATE_KEYS <= state.keys() or type(size) is not int or size < 0
-                or not _is_transcript(state["transcript"])):  # commands read what ran before
-            raise ValidationError("corrupt state: not a workspace state document")
-        state = {key: state[key] for key in statemod.STATE_KEYS}  # a dropped key is not rewritten
-        self.store.truncate_events(size)
         try:
-            doc = state["catalog_doc"]
-            catalog = Catalog.from_document(doc) if doc else default_catalog()
-            options = ServiceOptions.from_doc(state["options"])
-            state["options"] = options.to_doc()  # a key that nothing reads is not rewritten
-            svc = statemod.service_from_doc(state["service"], options, catalog)
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            state, svc = statemod.read_state(doc)
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:  # a task row
             raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
+        self.store.truncate_events(state["events_bytes"])  # the last check, then the repairs
         tsv = billing.export_tsv(svc.ledger)
         ledger = self.store.ledger_path
         if not ledger.is_file() or ledger.read_bytes() != tsv.encode():
@@ -276,12 +263,6 @@ def _relpath(path: Path, root: Path) -> Path:
     return path if path.is_absolute() else root / path
 
 
-def _is_transcript(value) -> bool:
-    """Whether `value` is a list of argument lists, as Cli.commit records commands."""
-    return isinstance(value, list) and all(
-        isinstance(argv, list) and all(isinstance(t, str) for t in argv) for argv in value)
-
-
 def _key_digest(key: str) -> str:
     """A credential as a snapshot keeps it: `sha256:<hex>`, which a snapshot's key already is."""
     return key if re.fullmatch(r"sha256:[0-9a-f]{64}", key) else f"sha256:{sha256_text(key)}"
@@ -302,9 +283,8 @@ def cmd_workspace_init(cli: Cli, args) -> int:
             with open(_relpath(Path(args.catalog), cli.resolve_configdir(args.configdir))) as fh:
                 catalog_doc = load_yaml(fh)
             json.dumps(catalog_doc, allow_nan=False)  # state.json stores it: no dates, no inf
-            catalog = Catalog.from_document(catalog_doc)
-        except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError, ArithmeticError,
-                AttributeError) as exc:
+            catalog = statemod.catalog_from_doc(catalog_doc, f"unreadable catalog {args.catalog}")
+        except (OSError, yaml.YAMLError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"unreadable catalog {args.catalog}: {exc}") from None
     bundle = cli.load_bundle(args.configdir, catalog)
     options = ServiceOptions(seed=args.seed, interconnect=args.interconnect,
@@ -589,7 +569,7 @@ def read_manifest(path: Path) -> tuple[int, list, dict]:
                                  for key in ("seed", "transcript", "output_digests"))
     if type(seed) is not int:
         raise ValidationError("manifest.json: seed must be an integer")
-    if not _is_transcript(transcript):
+    if not statemod.is_transcript(transcript):
         raise ValidationError("manifest.json: transcript must be a list of argument lists")
     if not isinstance(digests, dict) or not digests.keys() >= set(OUTPUT_ARTIFACTS):
         raise ValidationError("not a package of a completed run: it must digest "

@@ -16,19 +16,24 @@ import gc
 import hashlib
 import json
 import os
+import posixpath
+import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .batch import (IMAGE_PULL_SECONDS, BatchService, FailureReason, Job, JobState, Pool,
                     PoolState, Task, TaskState)
 from .billing import MeterEvent, ServiceCategory
-from .catalog import Catalog, PricingPlan, RegionQuota, default_catalog
-from .config import (TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
-                     pool_to_doc, task_spec, task_spec_values, workspace_to_doc)
+from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
+from .config import (STATE_DOCUMENT, TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
+                     pool_to_doc, task_spec, task_spec_values, workspace_from_doc,
+                     workspace_to_doc)
 from .errors import ValidationError
 from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
 from .storage import FileShare, ShareEntry
@@ -57,6 +62,158 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# field tables: each record kind of state.json, and of a catalog document, as key -> kind;
+# one checker reads every record against its table, and the writers build it from the same
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """A JSON number that is a finite float, or an int within a float's range (no bool)."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+class Kind(NamedTuple):
+    """A kind of leaf: `ok(value, at)` says whether `value` may stand there, `load` makes
+    the attribute it stands for and `dump` the leaf again (None: the value itself); `attr`
+    names that attribute where it is not the key."""
+    ok: Callable
+    load: Optional[Callable] = None
+    dump: Optional[Callable] = None
+    attr: Optional[str] = None
+
+
+class At(NamedTuple):
+    """What the leaves of a record are checked against."""
+    now: float = _FLOAT_MAX  # the latest instant it may hold: the service time
+    names: frozenset = frozenset()  # what a reference may name: pool ids or catalog regions
+
+
+class _Absent:  # the value of a key that a record does not have
+    def __repr__(self):
+        return "<absent>"
+
+
+_ABSENT = _Absent()
+
+
+def _optional(kind: Kind) -> Kind:
+    return Kind(lambda v, at: v is None or kind.ok(v, at),
+                kind.load and (lambda v: None if v is None else kind.load(v)),
+                kind.dump and (lambda v: None if v is None else kind.dump(v)), kind.attr)
+
+
+def _enum(cls) -> Kind:
+    members = {m.value: m for m in cls}
+    return Kind(lambda v, at: type(v) is str and v in members, members.__getitem__,
+                attrgetter("value"))
+
+
+def _span(row, at: At) -> bool:
+    """Whether row[0] <= row[1] <= at.now, both finite."""
+    return _finite(row[0]) and _finite(row[1]) and row[0] <= row[1] <= at.now
+
+
+def is_transcript(value) -> bool:
+    """Whether `value` is a list of argument lists, as Cli.commit records commands."""
+    return isinstance(value, list) and all(
+        isinstance(argv, list) and all(isinstance(t, str) for t in argv) for argv in value)
+
+
+_PLANS = {p.value: p for p in PricingPlan}
+
+TEXT = Kind(lambda v, at: type(v) is str)
+BOOL = Kind(lambda v, at: type(v) is bool)
+COUNT = Kind(lambda v, at: type(v) is int and v >= 0)
+POSITIVE = Kind(lambda v, at: type(v) is int and v >= 1)
+AMOUNT = Kind(lambda v, at: _finite(v) and v >= 0)  # a rate or a duration
+INSTANT = Kind(lambda v, at: type(v) in (int, float) and -_FLOAT_MAX <= v <= at.now)
+REFERENCE = Kind(lambda v, at: type(v) is str and v in at.names)
+RECORD = Kind(lambda v, at: type(v) is dict)
+RECORDS = Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {dict})
+FRACTION = Kind(lambda v, at: type(v) is str and re.fullmatch(r"[0-9]+/[1-9][0-9]*", v), Fraction,
+                lambda f: f"{f.numerator}/{f.denominator}")
+
+STATE = {  # the top level, as new_workspace_state writes it
+    "version": Kind(lambda v, at: type(v) is int and v == STATE_VERSION),
+    "options": RECORD, "catalog_doc": _optional(RECORD), "workspace": RECORD, "service": RECORD,
+    "transcript": Kind(lambda v, at: is_transcript(v)), "has_completed_run": BOOL,
+    "events_bytes": COUNT}
+OPTIONS = {
+    "seed": Kind(lambda v, at: type(v) is int),
+    "interconnect": Kind(lambda v, at: type(v) is str and v in INTERCONNECTS),
+    "preemption_rate": AMOUNT, "image_pull_seconds": AMOUNT, "task_retries": COUNT,
+    "scarcity_windows": Kind(lambda v, at: type(v) is list and all(
+        type(w) is list and len(w) == 2 and _span(w, At()) and w[0] < w[1] for w in v),
+        lambda v: tuple(map(tuple, v)), lambda v: [list(w) for w in v])}
+SERVICE = {"time": INSTANT, "quotas": RECORD, "pools": RECORDS, "jobs": RECORDS,
+           "shares": RECORDS, "ledger": RECORDS}
+QUOTA = {"region": REFERENCE, "quota": Kind(lambda v, at: type(v) is list and len(v) == 2 and all(
+    type(c) is int and c >= 0 for c in v))}
+POOL = {"config": RECORD, "state": _enum(PoolState), "created_at": INSTANT,
+        "steady_at": _optional(INSTANT), "deleted_at": _optional(INSTANT), "warnings": RECORDS,
+        "nodes": RECORDS}
+WARNING = {"rule": TEXT, "message": TEXT}
+NODE = {"id": TEXT._replace(attr="node_id"), "priority": _enum(Priority),
+        "state": _enum(NodeState), "ready_time": _optional(INSTANT),
+        "released_time": _optional(INSTANT),
+        "preempt_at": _optional(Kind(lambda v, at: _finite(v))),  # a pending preemption
+        "busy_log": Kind(lambda v, at: type(v) is list and all(
+            type(r) is list and len(r) == 3 and _span(r, at) and type(r[2]) is str for r in v),
+            lambda v: [tuple(r) for r in v])}
+JOB = {"id": TEXT._replace(attr="job_id"), "pool": REFERENCE._replace(attr="pool_id"),
+       "state": _enum(JobState), "submitted_at": INSTANT,
+       "tasks": Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {list})}  # rows
+SHARE = {"name": TEXT, "quota_gib": COUNT, "entries": RECORDS}
+ENTRY = {"path": Kind(lambda v, at: type(v) is str and v == posixpath.normpath(v) != "."
+                      and not v.startswith(("/", ".."))),  # a path that stays in its share
+         "size": COUNT._replace(attr="size_bytes"), "digest": TEXT,
+         "content_hex": _optional(Kind(lambda v, at: type(v) is str and len(v) % 2 == 0
+                                       and not v.strip("0123456789abcdef"),  # lower-case hex
+                                       bytes.fromhex, bytes.hex, "content"))}
+LEDGER_ITEM = {"category": _enum(ServiceCategory), "usd": FRACTION, "description": TEXT,
+               "interval": Kind(lambda v, at: type(v) is list and len(v) == 2 and _span(v, at),
+                                tuple, list),
+               "sku": _optional(TEXT), "node_seconds": _optional(FRACTION)}
+CATALOG = {"skus": RECORDS, "quotas": Kind(lambda v, at: type(v) is dict and all(
+    type(region) is str and type(q) is dict for region, q in v.items()))}
+SKU = {"name": TEXT, "vcores": POSITIVE, "ram_gib": POSITIVE, "ssd_gib": COUNT,
+       "gpu_count": COUNT, "gpu_model": TEXT, "rdma_capable": BOOL,
+       "regions": Kind(lambda v, at: type(v) is list and all(type(r) is str for r in v),
+                       frozenset, sorted, "region_availability"),
+       "prices": Kind(  # each plan's rate: positive decimal text, as written, or a number
+           lambda v, at: type(v) is dict and v.keys() == _PLANS.keys() and all(
+               (_finite(p) or type(p) is str and re.fullmatch(r"[0-9]+(\.[0-9]+)?", p))
+               and Decimal(str(p)) > 0 for p in v.values()),
+           lambda v: {_PLANS[plan]: Decimal(str(rate)) for plan, rate in v.items()},
+           lambda v: {plan.value: str(rate) for plan, rate in v.items()})}
+REGION_QUOTA = {"dedicated_cores": COUNT, "low_priority_cores": COUNT}
+
+
+def _read(doc: dict, table: dict, owner: str, at: At = At(), label="corrupt state") -> dict:
+    """The attributes that `doc`, a record of `table`, stands for, by name; a value that is
+    not of its key's kind is a ValidationError `<label>: <key> <value!r> of <owner>`."""
+    values = {}
+    for key, (ok, load, _, attr) in table.items():
+        value = doc.get(key, _ABSENT)
+        if not ok(value, at):
+            raise ValidationError(f"{label}: {key} {value!r} of {owner}")
+        values[attr or key] = load(value) if load else value
+    return values
+
+
+def _written(obj, table: dict, **given) -> dict:
+    """The record of `obj` by `table`: each key's attribute as its kind writes it, or the
+    value `given` for the key."""
+    record = {}
+    for key, (_, _, dump, attr) in table.items():
+        value = given[key] if key in given else getattr(obj, attr or key)
+        record[key] = dump(value) if dump and key not in given else value
+    return record
+
+
 @dataclass
 class ServiceOptions:
     seed: int = 0
@@ -67,44 +224,35 @@ class ServiceOptions:
     scarcity_windows: tuple[tuple[float, float], ...] = ()
 
     def to_doc(self) -> dict:
-        return {
-            "seed": self.seed,
-            "interconnect": self.interconnect,
-            "preemption_rate": self.preemption_rate,
-            "image_pull_seconds": self.image_pull_seconds,
-            "task_retries": self.task_retries,
-            "scarcity_windows": [list(w) for w in self.scarcity_windows],
-        }
+        return _written(self, OPTIONS)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ServiceOptions":
         """The stored options as `workspace init` writes them; none is converted."""
-        seed, rate, pull, retries = (doc[key] for key in (
-            "seed", "preemption_rate", "image_pull_seconds", "task_retries"))
-        windows = tuple(tuple(w) for w in doc["scarcity_windows"])
-        for key, ok in (("seed", type(seed) is int), ("preemption_rate", _is_finite(rate)),
-                        ("image_pull_seconds", _is_finite(pull) and pull >= 0),
-                        ("task_retries", type(retries) is int and retries >= 0),
-                        ("scarcity_windows", all(len(w) == 2 and all(map(_is_finite, w))
-                                                 and w[0] < w[1] for w in windows))):
-            if not ok:
-                raise ValidationError(f"corrupt state: {key} {doc[key]!r} of options")
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
-        return cls(seed, doc["interconnect"], rate, pull, retries, windows)
+        return cls(**_read(doc, OPTIONS, "options"))
 
 
 def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) -> BatchService:
-    model = INTERCONNECTS[options.interconnect]
-    return BatchService(
-        catalog or default_catalog(),
-        seed=options.seed,
-        interconnect=model,
-        preemption_rate=options.preemption_rate,
-        scarcity_windows=options.scarcity_windows,
-        image_pull_seconds=options.image_pull_seconds,
-        task_retries=options.task_retries,
-    )
+    """The service of `options`, each passed as the BatchService keyword of its name."""
+    return BatchService(catalog or default_catalog(), **{
+        **vars(options), "interconnect": INTERCONNECTS[options.interconnect]})
+
+
+def catalog_to_doc(catalog: Catalog) -> dict:
+    return {"skus": [_written(sku, SKU) for sku in catalog.skus],
+            "quotas": {region: _written(quota, REGION_QUOTA)
+                       for region, quota in catalog.default_quotas().items()}}
+
+
+def catalog_from_doc(doc: dict, label="corrupt state") -> Catalog:
+    """The catalog of a `--catalog` document or of a state's `catalog_doc`, read through
+    the tables; a bad leaf is a ValidationError that starts with `label`."""
+    _read(doc, CATALOG, "catalog", label=label)
+    skus = [SkuSpec(**_read({"gpu_model": "", **s}, SKU, f"sku {s.get('name')}", label=label))
+            for s in doc["skus"]]
+    quotas = {r: RegionQuota(r, **_read(q, REGION_QUOTA, f"region {r}", label=label))
+              for r, q in doc["quotas"].items()}
+    return Catalog(skus, quotas)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +263,6 @@ def build_service(options: ServiceOptions, catalog: Optional[Catalog] = None) ->
 TASK_ROW_LEN = len(TASK_SPEC_KEYS) + 6
 _PERSISTED_TASK_STATES = {s.value: s for s in TaskState if s is not TaskState.RUNNING}
 _FAILURE_REASONS = {None: None, **{r.value: r for r in FailureReason}}
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _recording_tasks(svc: BatchService, pool: Pool):
@@ -142,80 +286,25 @@ def service_to_doc(svc: BatchService) -> dict:
     for pool in svc.pools.values():
         # a row's interval is one tuple shared by its nodes' busy_logs (Task.interval)
         recorded = {id(t.interval) for t in _recording_tasks(svc, pool) if t.interval}
-        pools.append(
-            {
-                "config": pool_to_doc(pool.config),
-                "state": pool.state.value,
-                "created_at": pool.created_at,
-                "steady_at": pool.steady_at,
-                "deleted_at": pool.deleted_at,
-                "warnings": [{"rule": v.rule, "message": v.message} for v in pool.warnings],
-                "nodes": [
-                    {
-                        "id": n.node_id,
-                        "priority": n.priority.value,
-                        "state": n.state.value,
-                        "ready_time": n.ready_time,
-                        "released_time": n.released_time,
-                        "preempt_at": n.preempt_at,
-                        "busy_log": [list(b) for b in n.busy_log if id(b) not in recorded],
-                    }
-                    for n in pool.nodes
-                ],
-            }
-        )
-    jobs = []
-    for job in svc.jobs.values():
-        jobs.append(
-            {
-                "id": job.job_id,
-                "pool": job.pool_id,
-                "state": job.state.value,
-                "submitted_at": job.submitted_at,
-                "tasks": [
-                    [*task_spec_values(t.spec), t.state.value, list(t.assigned_nodes),
-                     t.start_time, t.end_time,
-                     t.failure_reason.value if t.failure_reason else None, t.attempts]
-                    for t in job.tasks
-                ],
-            }
-        )
-    shares = []
-    for share in svc.storage.shares.values():
-        shares.append(
-            {
-                "name": share.name,
-                "quota_gib": share.quota_gib,
-                "entries": [
-                    {
-                        "path": e.path,
-                        "size": e.size_bytes,
-                        "digest": e.digest,
-                        "content_hex": e.content.hex() if e.content is not None else None,
-                    }
-                    for _, e in sorted(share.entries.items())
-                ],
-            }
-        )
-    ledger_items = []
-    for item in svc.ledger.items:
-        ledger_items.append(
-            {
-                "category": item.category.value,
-                "usd": _frac(item.usd),
-                "description": item.description,
-                "interval": list(item.interval),
-                "sku": item.sku,
-                "node_seconds": _frac(item.node_seconds) if item.node_seconds is not None else None,
-            }
-        )
+        pools.append(_written(
+            pool, POOL, config=pool_to_doc(pool.config),
+            warnings=[_written(v, WARNING) for v in pool.warnings],
+            nodes=[_written(n, NODE, busy_log=[list(b) for b in n.busy_log
+                                               if id(b) not in recorded]) for n in pool.nodes]))
+    jobs = [_written(job, JOB, tasks=[
+        [*task_spec_values(t.spec), t.state.value, list(t.assigned_nodes), t.start_time,
+         t.end_time, t.failure_reason.value if t.failure_reason else None, t.attempts]
+        for t in job.tasks]) for job in svc.jobs.values()]
+    shares = [_written(share, SHARE, entries=[_written(e, ENTRY) for _, e in
+                                              sorted(share.entries.items())])
+              for share in svc.storage.shares.values()]
     return {
         "time": svc.clock.now,
         "quotas": {r: [q.dedicated_cores, q.low_priority_cores] for r, q in svc.quotas.items()},
         "pools": pools,
         "jobs": jobs,
         "shares": shares,
-        "ledger": ledger_items,
+        "ledger": [_written(item, LEDGER_ITEM) for item in svc.ledger.items],
     }
 
 
@@ -224,53 +313,56 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                      catalog: Optional[Catalog] = None) -> BatchService:
     svc = build_service(options, catalog)
     # every stored instant but a preempt_at is at most the service time
-    svc.clock.now = now = _instant(doc, "time", "service", optional=False)
+    svc.clock.now = now = _read(doc, SERVICE, "service")["time"]
+    at, regions = At(now), At(names=frozenset(svc.catalog.regions))
     svc.quotas = {}
     for region, cores in doc["quotas"].items():
-        if not (type(cores) is list and len(cores) == 2
-                and all(type(c) is int and c >= 0 for c in cores)):
-            raise ValidationError(f"corrupt state: quota {cores!r} of region {region}")
-        svc.quotas[region] = RegionQuota(region, *cores)
+        quota = _read({"region": region, "quota": cores}, QUOTA, f"region {region}", regions)
+        svc.quotas[region] = RegionQuota(region, *quota["quota"])
     for sdoc in doc["shares"]:
-        share = FileShare(name=sdoc["name"], quota_gib=_count(sdoc, "quota_gib",
-                                                              f"share {sdoc['name']}"))
-        for e in sdoc["entries"]:
-            content = bytes.fromhex(e["content_hex"]) if e["content_hex"] is not None else None
-            entry = ShareEntry(e["path"], _count(e, "size", f"{share.name}/{e['path']}"), content)
-            if entry.digest != e["digest"]:
-                raise ValidationError(f"corrupt state: digest of {share.name}/{entry.path}")
-            if content is not None and entry.size_bytes != len(content):
-                raise ValidationError(f"corrupt state: size of {share.name}/{entry.path}")
+        values = _read(sdoc, SHARE, f"share {sdoc.get('name')}")
+        share = FileShare(values["name"], values["quota_gib"])
+        for e in values["entries"]:
+            owner = f"{share.name}/{e.get('path')}"
+            entry = _read(e, ENTRY, owner)
+            digest = entry.pop("digest")
+            entry = ShareEntry(**entry)
+            if entry.digest != digest:
+                raise ValidationError(f"corrupt state: digest {digest!r} of {owner}")
+            if entry.content is not None and entry.size_bytes != len(entry.content):
+                raise ValidationError(f"corrupt state: size {entry.size_bytes} of {owner}")
             share.put(entry)
         svc.storage.shares[share.name] = share
     for pdoc in doc["pools"]:
-        cfg = pool_from_doc(pdoc["config"])
+        config = pdoc.get("config")
+        owner = f"pool {config.get('id') if type(config) is dict else config}"
+        values = _read(pdoc, POOL, owner, at)
+        cfg = pool_from_doc(values["config"])
         plan = pdoc.get("plan", PricingPlan.PAYGO_DEDICATED.value)
         if plan != PricingPlan.PAYGO_DEDICATED.value:  # a pool bills by node priority alone
             raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
-        owner = f"pool {cfg.pool_id}"
-        pool = Pool(config=cfg, state=PoolState(pdoc["state"]),
-                    created_at=_instant(pdoc, "created_at", owner, now, optional=False),
-                    steady_at=_instant(pdoc, "steady_at", owner, now),
-                    deleted_at=_instant(pdoc, "deleted_at", owner, now))
-        pool.warnings = [Violation(w["rule"], w["message"]) for w in pdoc["warnings"]]
+        values.update(config=cfg, nodes=[], warnings=[Violation(**_read(w, WARNING, owner))
+                                                      for w in values["warnings"]])
+        pool = Pool(**values)
         for position, ndoc in enumerate(pdoc["nodes"]):
-            node = Node(ndoc["id"], Priority(ndoc["priority"]), position)
-            owner = f"node {node.node_id}"
-            node.state = NodeState(ndoc["state"])
-            node.ready_time = _instant(ndoc, "ready_time", owner, now)
-            node.released_time = _instant(ndoc, "released_time", owner, now)
+            owner = f"node {ndoc.get('id')}"
+            values = _read(ndoc, NODE, owner, at)
+            node = Node(values.pop("node_id"), values.pop("priority"), position)
+            for attr, value in values.items():
+                setattr(node, attr, value)
             if node.state is NodeState.STARTING and node.released_time is None:
                 # every command that creates nodes runs until they are ready
                 raise ValidationError("corrupt state: persisted node still starting")
-            node.preempt_at = _instant(ndoc, "preempt_at", owner)
-            node.busy_log = [_interval(b, owner, now) for b in ndoc["busy_log"]]
+            if node.preempt_at is not None and node.priority is Priority.DEDICATED:
+                raise ValidationError(f"corrupt state: preempt_at {node.preempt_at!r} of {owner}")
             pool.nodes.append(node)
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
+    jobs_at = At(now, frozenset(svc.pools))
     for jdoc in doc["jobs"]:
-        job_id, tasks = jdoc["id"], []
-        for row in jdoc["tasks"]:
+        values = _read(jdoc, JOB, f"job {jdoc.get('id')}", jobs_at)
+        job_id, tasks = values["job_id"], []
+        for row in values["tasks"]:
             if len(row) != TASK_ROW_LEN:
                 raise ValidationError(f"corrupt state: task row of {len(row)} values")
             *spec, state, nodes, start_time, end_time, reason, attempts = row
@@ -281,59 +373,13 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             tasks.append(Task(task_spec(spec), job_id, _PERSISTED_TASK_STATES[state],
                               tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
                               attempts))
-        svc.enqueue(Job(job_id, jdoc["pool"], tasks, JobState(jdoc["state"]),
-                        _instant(jdoc, "submitted_at", f"job {job_id}", now, optional=False)))
+        values["tasks"] = tasks
+        svc.enqueue(Job(**values))
     for number, item in enumerate(doc["ledger"]):
-        start, end = interval = tuple(item["interval"])
-        if not (_is_finite(start) and _is_finite(end) and start <= end <= now):
-            raise ValidationError(f"corrupt state: interval {item['interval']!r} "
-                                  f"of ledger item {number}")
-        svc.ledger.add(
-            MeterEvent(
-                category=ServiceCategory(item["category"]),
-                usd=Fraction(item["usd"]),
-                description=item["description"],
-                interval=interval,
-                sku=item["sku"],
-                node_seconds=(Fraction(item["node_seconds"])
-                              if item["node_seconds"] is not None else None),
-            )
-        )
+        svc.ledger.add(MeterEvent(**_read(item, LEDGER_ITEM, f"ledger item {number}", at)))
     _rebuild_busy_logs(svc)
     _reschedule_events(svc)
     return svc
-
-
-_FLOAT_MAX = sys.float_info.max
-
-
-def _is_finite(value) -> bool:
-    """A JSON number that is a finite float, or an int within a float's range (no bool)."""
-    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-
-
-def _instant(doc: dict, key: str, owner: str, latest: float = _FLOAT_MAX, optional: bool = True):
-    """`doc[key]` if it is a finite number no later than `latest`, or None where `optional`."""
-    value = doc[key]
-    if not (_is_finite(value) and value <= latest or optional and value is None):
-        raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
-    return value
-
-
-def _count(doc: dict, key: str, owner: str) -> int:
-    """`doc[key]` if it is an int of at least 0 (no bool, float or text)."""
-    value = doc[key]
-    if not (type(value) is int and value >= 0):
-        raise ValidationError(f"corrupt state: {key} {value!r} of {owner}")
-    return value
-
-
-def _interval(row, owner: str, latest: float) -> tuple:
-    """A busy_log row as the interval tuple: [start, end, tag], start <= end <= latest."""
-    if not (type(row) is list and len(row) == 3 and _is_finite(row[0]) and _is_finite(row[1])
-            and row[0] <= row[1] <= latest and type(row[2]) is str):
-        raise ValidationError(f"corrupt state: busy_log row {row!r} of {owner}")
-    return tuple(row)
 
 
 def _rebuild_busy_logs(svc: BatchService):
@@ -381,11 +427,6 @@ def _reschedule_events(svc: BatchService):
 # workspace documents
 
 
-# top-level keys of every workspace state, as new_workspace_state writes them
-STATE_KEYS = frozenset({"version", "options", "catalog_doc", "workspace", "service", "transcript",
-                        "has_completed_run", "events_bytes"})
-
-
 def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
                         catalog_doc: Optional[dict] = None) -> dict:
     """A new workspace's state; the creating command fills `service` and `transcript`."""
@@ -399,6 +440,23 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "has_completed_run": False,
         "events_bytes": 0,  # size of events.log after the last committed command
     }
+
+
+def read_state(doc) -> tuple[dict, BatchService]:
+    """A workspace state document read through the tables, and the service it holds. Only
+    the table's keys are kept, and `options` as they were read, so a key that nothing
+    reads is not written back."""
+    if not isinstance(doc, dict):
+        raise ValidationError("corrupt state: not a workspace state document")
+    if doc.get("version") != STATE_VERSION:
+        raise ValidationError(f"corrupt state: unsupported state version {doc.get('version')}")
+    state = _read(doc, STATE, "state")
+    workspace_from_doc(state["workspace"], STATE_DOCUMENT, "workspace.")
+    catalog_doc = state["catalog_doc"]
+    catalog = default_catalog() if catalog_doc is None else catalog_from_doc(catalog_doc)
+    options = ServiceOptions.from_doc(state["options"])
+    state["options"] = options.to_doc()
+    return state, service_from_doc(state["service"], options, catalog)
 
 
 class WorkspaceStore:
@@ -435,10 +493,14 @@ class WorkspaceStore:
         return self.events_path.stat().st_size
 
     def truncate_events(self, size: int):
-        """Cut events.log back to `size` bytes, dropping lines of an uncommitted command."""
-        with contextlib.suppress(FileNotFoundError):
-            if self.events_path.stat().st_size > size:
-                os.truncate(self.events_path, size)
+        """Cut events.log back to `size` bytes, dropping lines of an uncommitted command. A
+        shorter log lost lines that a committed state records, as a crash can leave it."""
+        logged = self.events_path.stat().st_size if self.events_path.is_file() else 0
+        if logged < size:  # a package made from it would not verify
+            raise ValidationError(f"corrupt state: events.log of {logged} bytes is shorter "
+                                  f"than events_bytes {size}")
+        if logged > size:
+            os.truncate(self.events_path, size)
 
     def write_ledger(self, tsv: str):
         with self._replacing(self.ledger_path) as fh:

@@ -159,6 +159,15 @@ def test_usd_str_and_tsv_stable():
     assert "Virtual Machines\t55.44\t" in first
 
 
+def test_an_amount_of_more_digits_than_the_decimal_context_is_rendered_whole():
+    """A ledger can bill a node for up to a float's range of seconds (a service time near
+    1e308 in state.json): its amount has more than the default context's 28 digits."""
+    huge = Fraction(10**30, 3)
+    assert usd_str(huge) == "333333333333333333333333333333.3333333333"
+    item = MeterEvent(ServiceCategory.VIRTUAL_MACHINES, huge, "vm", (0.0, 1e308))
+    assert "\t333,333,333,333,333,333,333,333,333,333.33\t100\n" in render_report(report([item]))
+
+
 def test_render_report_layout():
     text = render_report(report(_charge_ledger()))
     assert text.startswith("service\tusd\tpercent\n")

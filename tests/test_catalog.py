@@ -2,8 +2,9 @@ from decimal import Decimal
 
 import pytest
 
-from batchsim.catalog import Catalog, PricingPlan, default_catalog
+from batchsim.catalog import PricingPlan, default_catalog
 from batchsim.errors import ValidationError
+from batchsim.state import catalog_from_doc, catalog_to_doc
 
 NC_SERIES = ("NC6", "NC12", "NC24", "NC24r")
 
@@ -75,9 +76,9 @@ def test_default_quota_is_24(catalog):
 
 
 def test_document_round_trip(catalog):
-    doc = catalog.to_document()
-    rebuilt = Catalog.from_document(doc)
-    assert rebuilt.to_document() == doc
+    doc = catalog_to_doc(catalog)
+    rebuilt = catalog_from_doc(doc)
+    assert catalog_to_doc(rebuilt) == doc
     assert rebuilt.price_rate("NC24r", PricingPlan.PAYGO_DEDICATED) == Decimal("3.96")
     assert rebuilt.lookup("NC24r").region_availability == frozenset({"eastus"})
 

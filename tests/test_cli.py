@@ -3,6 +3,7 @@ import io
 import json
 import os
 import posixpath
+import re
 import shutil
 import tarfile
 import tempfile
@@ -175,6 +176,14 @@ def _edited_configdir(workdir, name, pool=None, task=None) -> list[str]:
     return ["--configdir", name]
 
 
+def _other_pool_configdir(workdir) -> list[str]:
+    """--configdir of a copy of the example configs whose pool, and job, name pool `other`."""
+    argv = _edited_configdir(workdir, "other", pool={"id": "other"})
+    jobs = workdir / "other" / "jobs.yaml"
+    jobs.write_text(jobs.read_text().replace("pool: snake2d2k35", "pool: other"))
+    return argv
+
+
 def _unjson_package(workdir) -> str:
     data = b"not json"
     with tarfile.open(workdir / "unjson.tar.gz", "w:gz") as tar:
@@ -224,6 +233,12 @@ CLI_ERRORS = {
                                    "error: no completed run to pack: run a job or scenario "
                                    "first"),
     "help": (lambda w: [INIT], lambda w: ["--help"], 0, None),
+    # the quota set below the cores of the live pool: unchecked, a RegionQuota of what is
+    # left raised ValueError (exit 1)
+    "pool-add-over-a-lowered-quota": (
+        lambda w: [*sequence()[:5], ["quota", "set", "--region", "eastus", "--dedicated", "0"]],
+        lambda w: ["pool", "add", *_other_pool_configdir(w)],
+        2, "error: quota exceeded in region eastus: needed 48 cores, available -48"),
     "low-priority-in-scarcity-window": (
         lambda w: [[*INIT, "--scarcity", "0", "3600"], QUOTAS],
         lambda w: ["pool", "add", *_edited_configdir(w, "lp", LOW_PRIORITY)],
@@ -406,7 +421,7 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     ok(tmp_path, "pool", "del", *CFG)
     written = path.read_text()
     assert [key for key in DROPPED_KEYS if key in written] == []
-    assert set(json.loads(written)) == statemod.STATE_KEYS
+    assert json.loads(written).keys() == statemod.STATE.keys()
     nodes = [n for p in json.loads(written)["service"]["pools"] for n in p["nodes"]]
     assert nodes and [n for n in nodes if "sku" in n] == []  # "sku" is a pool config key too
 
@@ -584,7 +599,8 @@ def test_tampered_share_digest_exits_2_without_mutation(workdir, content):
     path.write_text(json.dumps(state))
     before = tree(workdir)
     code, _, err = cli(workdir, "status")
-    assert (code, err) == (2, f"error: corrupt state: digest of fileshare/{entry['path']}\n")
+    assert (code, err) == (
+        2, f"error: corrupt state: digest {entry['digest']!r} of fileshare/{entry['path']}\n")
     assert tree(workdir) == before
 
 
@@ -600,7 +616,8 @@ def test_tampered_content_size_exits_2_without_mutation(workdir):
     path.write_text(json.dumps(state))
     before = tree(workdir)
     code, _, err = cli(workdir, "status")
-    assert (code, err) == (2, f"error: corrupt state: size of fileshare/{entry['path']}\n")
+    assert (code, err) == (
+        2, f"error: corrupt state: size 1000000000000 of fileshare/{entry['path']}\n")
     assert tree(workdir) == before
 
 
@@ -612,7 +629,7 @@ def test_negative_preemption_rate_in_state_exits_2_without_mutation(workdir):
     path.write_text(json.dumps(state))
     before = tree(workdir)
     code, _, err = cli(workdir, "status")
-    assert (code, err) == (2, "error: corrupt state: ValueError: rate must be non-negative\n")
+    assert (code, err) == (2, "error: corrupt state: preemption_rate -1.0 of options\n")
     assert tree(workdir) == before
 
 
@@ -624,6 +641,21 @@ def _share(state) -> dict:
     return state["service"]["shares"][0]
 
 
+def _pool(state) -> dict:
+    return state["service"]["pools"][0]
+
+
+def _job(state) -> dict:
+    return state["service"]["jobs"][0]
+
+
+def _add_ledger_item(state, **edit):
+    """Add a Bandwidth item of 0 USD, with `edit` merged in, to a ledger with none yet."""
+    state["service"]["ledger"].append({"category": "Bandwidth", "usd": "0/1", "sku": None,
+                                       "description": "egress:0", "interval": [0.0, 0.0],
+                                       "node_seconds": None, **edit})
+
+
 # (change to the state, error text): pool, node, job and share fields that no command writes;
 # unchecked, `pool del` fails on the text time (exit 1), and the others load and are written
 # back (a share quota of "100" as 100)
@@ -631,7 +663,7 @@ POOL_NODE_CORRUPTIONS = {
     "ready-time-text": (lambda state: _node(state).update(ready_time="soon"),
                         "ready_time 'soon' of node snake2d2k35/0"),
     "busy-log-text": (lambda state: _node(state).update(busy_log=[["a", "b"]]),
-                      "busy_log row ['a', 'b'] of node snake2d2k35/0"),
+                      "busy_log [['a', 'b']] of node snake2d2k35/0"),
     "created-at-null": (lambda state: state["service"]["pools"][0].update(created_at=None),
                         "created_at None of pool snake2d2k35"),
     "submitted-at-text": (lambda state: state["service"]["jobs"][0].update(submitted_at="soon"),
@@ -656,6 +688,49 @@ POOL_NODE_CORRUPTIONS = {
                          "size 67.0 of fileshare/snake2d2k35/output/run.log"),
     "entry-size-bool": (lambda state: _entry(state, True).update(size=True),
                         "size True of fileshare/snake2d2k35/output/run.log"),
+    # leaves that no check reached: unchecked, each loaded (exit 0), or exited 2 with a
+    # Python message (warnings, entry path, pool state, node priority, content_hex)
+    "job-pool-number": (lambda state: _job(state).update(pool=5),
+                        "pool 5 of job snake2d2k35-job"),
+    "job-pool-unknown": (lambda state: _job(state).update(pool="nope"),
+                         "pool 'nope' of job snake2d2k35-job"),
+    "job-id-number": (lambda state: _job(state).update(id=5), "id 5 of job 5"),
+    "share-name-number": (lambda state: _share(state).update(name=5), "name 5 of share 5"),
+    "workspace-region-number": (lambda state: state["workspace"].update(region=5),
+                                "state.json: key 'workspace.region': expected a non-empty "
+                                "string"),
+    "completed-run-number": (lambda state: state.update(has_completed_run=1),
+                             "has_completed_run 1 of state"),
+    "ledger-sku-number": (lambda state: _add_ledger_item(state, sku=5),
+                          "sku 5 of ledger item 0"),
+    "ledger-description-number": (lambda state: _add_ledger_item(state, description=5),
+                                  "description 5 of ledger item 0"),
+    "warning-rule-number": (lambda state: _pool(state).update(
+        warnings=[{"rule": 5, "message": "m"}]), "rule 5 of pool snake2d2k35"),
+    "warnings-text": (lambda state: _pool(state).update(warnings="x"),
+                      "warnings 'x' of pool snake2d2k35"),
+    "entry-path-number": (lambda state: _entry(state, True).update(path=5),
+                          "path 5 of fileshare/5"),
+    "entry-path-leaves-share": (lambda state: _entry(state, True).update(path="../../x"),
+                                "path '../../x' of fileshare/../../x"),
+    "pool-state-unknown": (lambda state: _pool(state).update(state="Bogus"),
+                           "state 'Bogus' of pool snake2d2k35"),
+    "node-priority-unknown": (lambda state: _node(state).update(priority="Bogus"),
+                              "priority 'Bogus' of node snake2d2k35/0"),
+    "content-hex-not-hex": (lambda state: _entry(state, True).update(content_hex="zz"),
+                            "content_hex 'zz' of fileshare/snake2d2k35/output/run.log"),
+    # a dedicated node is never preempted: unchecked, `jobs add` ran into the preemption
+    # (exit 1), and `pool del` wrote it back
+    "dedicated-preempt-at": (lambda state: _node(state).update(preempt_at=1e9),
+                             "preempt_at 1000000000.0 of node snake2d2k35/0"),
+    "node-number": (lambda state: _pool(state).update(nodes=[5]),
+                    "nodes [5] of pool snake2d2k35"),
+    "task-row-number": (lambda state: _job(state).update(tasks=[5]),
+                        "tasks [5] of job snake2d2k35-job"),
+    # a task row is read on its own path, which no table reaches; an error there keeps the
+    # name of the exception
+    "task-nodes-number": (lambda state: _job(state)["tasks"][0].__setitem__(8, 5),
+                          "TypeError: 'int' object is not iterable"),
 }
 
 
@@ -671,7 +746,9 @@ def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, m
     corrupt(state)
     path.write_text(json.dumps(state))
     before = tree(workdir)
-    assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
+    # the embedded workspace is read by config.py, in its `state.json: key ...` form
+    text = message if message.startswith("state.json: ") else f"corrupt state: {message}"
+    assert cli(workdir, *argv) == (2, "", f"error: {text}\n")
     assert tree(workdir) == before
 
 
@@ -693,6 +770,12 @@ CONVERTED_VALUES = {
                    "quota ['100', 24] of region eastus"),
     "quota-bool": (lambda state: state["service"]["quotas"].update(eastus=[100, True]),
                    "quota [100, True] of region eastus"),
+    # unchecked, these loaded too: an unknown region was written back, and an unknown
+    # interconnect was a KeyError
+    "quota-unknown-region": (lambda state: state["service"]["quotas"].update(mars=[24, 24]),
+                             "region 'mars' of region mars"),
+    "interconnect-unknown": (lambda state: state["options"].update(interconnect="bogus"),
+                             "interconnect 'bogus' of options"),
 }
 
 
@@ -709,6 +792,69 @@ def test_wrong_typed_option_time_or_quota_exits_2_without_mutation(workdir, corr
     argv = ["quota", "set", "--region", "eastus", "--dedicated", "90"]
     assert cli(workdir, *argv) == (2, "", f"error: corrupt state: {message}\n")
     assert tree(workdir) == before
+
+
+@pytest.fixture(scope="module")
+def readme_workspace(tmp_path_factory):
+    """The README session's workspace through `data download`, with its pool added again:
+    it holds a job, share entries, VM and Bandwidth ledger items and a live pool."""
+    root = tmp_path_factory.mktemp("readme")
+    shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    for argv in [*sequence()[:7], *sequence()[8:9], *sequence()[10:], ["pool", "add", *CFG]]:
+        ok(root, *argv)
+    return root
+
+
+# the table of each record that nests in another, by the key it is found under
+NESTED = {"options": statemod.OPTIONS, "service": statemod.SERVICE, "pools": statemod.POOL,
+          "nodes": statemod.NODE, "warnings": statemod.WARNING, "jobs": statemod.JOB,
+          "shares": statemod.SHARE, "entries": statemod.ENTRY, "ledger": statemod.LEDGER_ITEM}
+
+
+def _table_leaves(doc, table=statemod.STATE, path=()):
+    """The path of each value in `doc`, a record of `table`, that a field table checks:
+    every key of every record, and each region's quota."""
+    for key in table:
+        yield (*path, key)
+        value, nested = doc[key], NESTED.get(key)
+        if isinstance(value, dict) and nested is not None:
+            yield from _table_leaves(value, nested, (*path, key))
+        elif nested is not None:
+            for i, record in enumerate(value):
+                yield from _table_leaves(record, nested, (*path, key, i))
+        elif key == "quotas" and value is not None:
+            yield from ((*path, key, region) for region in value)
+
+
+# what a field-table error and the embedded workspace reader print
+CORRUPT_STATE_ERROR = re.compile(r"error: (corrupt state: (\w+ .+ of .+|unsupported state "
+                                 r"version .+)|state\.json: key '[\w.]+': .+)\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.data())
+def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace, data):
+    """Any leaf that a field table checks, set to a value of another JSON kind, either
+    loads or is exit 2 with the table's message, `.batchsim/` byte-identical."""
+    state = json.loads((readme_workspace / ".batchsim" / "state.json").read_text())
+    leaf = data.draw(st.sampled_from(list(_table_leaves(state))))
+    value = data.draw(st.sampled_from([None, "x", -1, 1e308, [1], True]))
+    record = state
+    for key in leaf[:-1]:
+        record = record[key]
+    record[leaf[-1]] = value
+    with tempfile.TemporaryDirectory(prefix="batchsim-leaf-") as tmp:
+        root = Path(tmp)
+        shutil.copytree(readme_workspace, root, dirs_exist_ok=True)
+        (root / ".batchsim" / "state.json").write_text(json.dumps(state))
+        for argv in (["status"], ["pool", "del", *CFG]):
+            before = tree(root)
+            code, _, err = cli(root, *argv)
+            assert code in (0, 2, 3, 64), err
+            if code:
+                assert code == 2 and CORRUPT_STATE_ERROR.fullmatch(err), err
+                assert tree(root) == before
 
 
 def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
@@ -1147,6 +1293,37 @@ def test_lines_of_a_killed_command_are_cut_back_by_the_next(workdir):
     assert tree(workdir) == tree(plain)
 
 
+def test_corrupt_state_is_found_before_the_lines_of_a_killed_command_are_cut_back(workdir):
+    """The next command puts back events.log and ledger.tsv only once every record of the
+    state has been checked: a corrupt state leaves the killed command's line in place."""
+    for argv in sequence()[:7]:  # through jobs add
+        ok(workdir, *argv)
+    path = workdir / ".batchsim" / "state.json"
+    state = json.loads(path.read_text())
+    state["service"]["time"] = "x"
+    path.write_text(json.dumps(state))
+    with open(workdir / ".batchsim" / "events.log", "a") as fh:
+        fh.write("900000.000000\tpool/snake2d2k35\tSteady->Deleting\n")
+    (workdir / ".batchsim" / "ledger.tsv").write_text("category\tusd\n")
+    before = tree(workdir)
+    assert cli(workdir, "status") == (2, "", "error: corrupt state: time 'x' of service\n")
+    assert tree(workdir) == before
+
+
+@pytest.mark.parametrize("argv", [["status"], ["pool", "del", *CFG]], ids=["status", "pool-del"])
+def test_events_log_shorter_than_events_bytes_exits_2_without_mutation(workdir, argv):
+    """A log that lost its tail, as a crash can leave it, is corrupt state: a package made
+    from it would not verify."""
+    for step in sequence()[:7]:  # through jobs add
+        ok(workdir, *step)
+    size = json.loads((workdir / ".batchsim" / "state.json").read_text())["events_bytes"]
+    os.truncate(workdir / ".batchsim" / "events.log", size - 100)
+    before = tree(workdir)
+    assert cli(workdir, *argv) == (2, "", f"error: corrupt state: events.log of {size - 100} "
+                                          f"bytes is shorter than events_bytes {size}\n")
+    assert tree(workdir) == before
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["no-batchsim-dir", "stray-file"])
 def test_failed_workspace_init_save_leaves_tree_as_it_was(workdir, monkeypatch, existing):
     """A failed state save writes no configs/, and removes a .batchsim/ it created."""
@@ -1174,7 +1351,7 @@ MANIFESTS = {
 
 
 def _catalog_text(edit) -> str:
-    doc = default_catalog().to_document()
+    doc = statemod.catalog_to_doc(default_catalog())
     edit(doc)
     return yaml.safe_dump(doc)
 
@@ -1183,11 +1360,15 @@ CATALOGS = {
     "missing-catalog": None,
     "unparseable-catalog": "skus: [unclosed\n",
     "scalar-skus": "skus: 5\n",
-    "dated-catalog": yaml.safe_dump(default_catalog().to_document()) + "updated: 2020-01-01\n",
+    "dated-catalog": _catalog_text(lambda doc: None) + "updated: 2020-01-01\n",
     "zero-vcores": _catalog_text(lambda doc: doc["skus"][0].update(vcores=0)),
     "zero-rate": _catalog_text(lambda doc: doc["skus"][0]["prices"].update(reserved_3yr="0")),
     "negative-quota": _catalog_text(lambda doc: doc["quotas"]["eastus"].update(
         low_priority_cores=-1)),
+    # each was converted: read as True, as 6 vcores, and as the letters of the word
+    "rdma-text": _catalog_text(lambda doc: doc["skus"][0].update(rdma_capable="false")),
+    "fractional-vcores": _catalog_text(lambda doc: doc["skus"][0].update(vcores=6.9)),
+    "regions-text": _catalog_text(lambda doc: doc["skus"][0].update(regions="eastus")),
 }
 USER_FILE_ERRORS = [
     *[(["data", "ingress", "--configdir", "config_shipyard", "--manifest", "user.yaml"], text)
@@ -1477,6 +1658,7 @@ CRAFTED = {
     "no-configdir": ["jobs", "add"],
     "no-configdir-or-pool": ["pool", "del"],
     "pool-add-plan": ["pool", "add", "--configdir", "{cfg}", "--plan", "reserved_3yr"],
+    "missing-required-option": ["quota", "set", "--region", "eastus"],
 }
 
 

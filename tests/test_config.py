@@ -12,6 +12,7 @@ from batchsim.config import (
     validate_pool,
 )
 from batchsim.errors import SchemaError, ValidationError
+from batchsim.state import catalog_from_doc, catalog_to_doc
 from batchsim.workloads import FixedDuration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -251,11 +252,11 @@ def test_config_schema_errors(tmp_path, mutate, name, key, message):
 
 def _catalog_without(sku: str, region: str) -> Catalog:
     """The default catalog as a `--catalog` override in which `sku` is not sold in `region`."""
-    doc = CATALOG.to_document()
+    doc = catalog_to_doc(CATALOG)
     for entry in doc["skus"]:
         if entry["name"] == sku:
             entry["regions"].remove(region)
-    return Catalog.from_document(doc)
+    return catalog_from_doc(doc)
 
 
 CROSS_REF_ERRORS = {

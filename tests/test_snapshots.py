@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from batchsim import cli
 from batchsim.catalog import default_catalog
 from batchsim.scenarios import run_scenario, scenario_by_name
+from batchsim.state import catalog_to_doc
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIRS = sorted(p.name for p in (REPO_ROOT / "configs").iterdir() if p.is_dir())
@@ -117,7 +118,7 @@ def test_a_snapshot_write_cut_short_stores_nothing(tmp_path, monkeypatch):
 def test_a_catalog_is_stored_in_the_init_snapshot_only(tmp_path):
     shutil.copytree(REPO_ROOT / "configs" / "snake2d2k35", tmp_path / "cfg")
     (tmp_path / "cfg" / "catalog.yaml").write_text(
-        yaml.safe_dump(default_catalog().to_document()))
+        yaml.safe_dump(catalog_to_doc(default_catalog())))
     ok(tmp_path, "workspace", "init", "--configdir", "cfg", "--catalog", "catalog.yaml")
     ok(tmp_path, "quota", "set", "--region", "eastus", "--dedicated", "100")
     for verb in BUNDLE_VERBS[:2]:

@@ -427,7 +427,7 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
     shows up here as a test change."""
     bundle = parse_config_dir(REPO_ROOT / "configs" / "snake2d2k35", default_catalog())
     workspace = state.new_workspace_state(state.ServiceOptions(), bundle)
-    assert set(workspace) == state.STATE_KEYS == {
+    assert workspace.keys() == state.STATE.keys() == {
         "version", "options", "catalog_doc", "workspace", "service", "transcript",
         "has_completed_run", "events_bytes"}
     options = state.ServiceOptions(seed=5, preemption_rate=0.0)
