@@ -26,8 +26,8 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import (ConfigBundle, CredentialsConfig, bundle_documents, dump_yaml, load_yaml,
-                     parse_config_dir, serialize_config_dir)
+from .config import (COUNT, TEXT, ConfigBundle, CredentialsConfig, Kind, _read, bundle_documents,
+                     dump_yaml, load_yaml, of_owner, parse_config_dir, serialize_config_dir)
 from .errors import SimulationError, ValidationError
 from .fabric import INTERCONNECTS
 from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file, sha256_text
@@ -173,10 +173,7 @@ class Cli:
             doc = self.store.load()
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValidationError(f"corrupt state: {exc}") from None
-        try:
-            state, svc = statemod.read_state(doc)
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:  # a task row
-            raise ValidationError(f"corrupt state: {type(exc).__name__}: {exc}") from None
+        state, svc = statemod.read_state(doc)
         self.store.truncate_events(state["events_bytes"])  # the last check, then the repairs
         tsv = billing.export_tsv(svc.ledger)
         ledger = self.store.ledger_path
@@ -365,19 +362,25 @@ def cmd_pool_del(cli: Cli, args) -> int:
     return 0
 
 
+# an ingress manifest: a list, or a mapping's `entries`, of {path, bytes} mappings or
+# [path, bytes] pairs
+MANIFEST = {"entries": Kind(lambda v, at: type(v) is list and all(
+    type(e) is dict or type(e) is list and len(e) == 2 for e in v))}
+MANIFEST_ENTRY = {"path": TEXT, "bytes": COUNT}
+
+
 def _load_manifest(path: Path) -> list[tuple[str, int]]:
+    label = f"unreadable manifest {path}"
     try:
         with open(path) as fh:
             doc = load_yaml(fh)
-        manifest = []
-        for item in doc["entries"] if isinstance(doc, dict) else doc:
-            path_, size = (item["path"], item["bytes"]) if isinstance(item, dict) else item
-            if int(size) < 0:
-                raise ValueError(f"negative size for {path_}")
-            manifest.append((str(path_), int(size)))
-    except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
-        raise ValidationError(f"unreadable manifest {path}: {exc}") from None
-    return manifest
+    except (OSError, yaml.YAMLError) as exc:
+        raise ValidationError(f"{label}: {exc}") from None
+    form = of_owner(label)
+    entries = _read(doc if type(doc) is dict else {"entries": doc}, MANIFEST, "manifest",
+                    form=form)["entries"]
+    return [tuple(_read(e if type(e) is dict else dict(zip(MANIFEST_ENTRY, e)), MANIFEST_ENTRY,
+                        f"entry {i}", form=form).values()) for i, e in enumerate(entries)]
 
 
 def _scan_source(source: Path) -> list[tuple[str, int]]:

@@ -3,19 +3,22 @@
 A run is driven by workspace.yaml, credentials.yaml, pool.yaml, and
 jobs.yaml in one directory. Parsing is pure and the resulting configs are
 immutable; every cross-reference (sku, region, pool id, task geometry) is
-resolved against the catalog at parse time. The same writers and readers
-carry the pool and task documents embedded in state.json.
+resolved against the catalog at parse time. Each record is read and written through
+a field table of its keys, as state.json's and a catalog's are; the same tables carry
+the workspace, pool and task documents embedded in state.json.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import yaml
 
 from .catalog import Catalog, RegionQuota
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
 STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
@@ -82,6 +85,124 @@ class ConfigBundle:
 
 
 # ---------------------------------------------------------------------------
+# field tables: each record kind of a document as key -> kind. One checker reads every
+# record against its table, the YAML documents, state.json and catalog documents alike,
+# and the writers build each record from the same table
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+class Kind(NamedTuple):
+    """A kind of leaf: `ok(value, at)` says whether `value` may stand there, `load` makes
+    the attribute it stands for and `dump` the leaf again (None: the value itself); `attr`
+    names that attribute where it is not the key, and `why(value)` says what is wrong with
+    a value that is not ok, as a configuration document's message does."""
+    ok: Callable
+    load: Optional[Callable] = None
+    dump: Optional[Callable] = None
+    attr: Optional[str] = None
+    why: Optional[Callable] = None
+
+
+class At(NamedTuple):
+    """What the leaves of a record are checked against."""
+    now: float = _FLOAT_MAX  # the latest instant it may hold: the service time
+    names: frozenset = frozenset()  # what a reference may name: pool ids or catalog regions
+
+
+class _Absent:  # the value of a key that a record does not have
+    def __repr__(self):
+        return "<absent>"
+
+
+_ABSENT = _Absent()
+
+
+def of_owner(label: str) -> Callable:
+    """The message form `<label>: <key> <value!r> of <owner>`."""
+    return lambda owner, key, value, kind: f"{label}: {key} {value!r} of {owner}"
+
+
+CORRUPT_STATE = of_owner("corrupt state")
+
+
+def at_key(where: tuple, key: str, value, kind: Kind) -> str:
+    """A configuration document's message form, `where` being (path, prefix):
+    `<path>: key '<prefix><key>': <why>`."""
+    path, prefix = where
+    return (f"{path}: key {prefix + key!r}: "
+            f"{'required key absent' if value is _ABSENT else kind.why(value)}")
+
+
+def _read(doc: dict, table: dict, owner, at: At = At(), form: Callable = CORRUPT_STATE) -> dict:
+    """The attributes that `doc`, a record of `table`, stands for, by name; the first value,
+    in the table's order, that is not of its key's kind is a ValidationError whose message
+    is `form(owner, key, value, kind)`."""
+    values = {}
+    for key, (ok, load, _, attr, _) in table.items():
+        value = doc.get(key, _ABSENT)
+        if not ok(value, at):
+            raise ValidationError(form(owner, key, value, table[key]))
+        values[attr or key] = load(value) if load else value
+    return values
+
+
+def _written(obj, table: dict, **given) -> dict:
+    """The record of `obj` by `table`: each key's attribute as its kind writes it, or the
+    value `given` for the key."""
+    record = {}
+    for key, (_, _, dump, attr, _) in table.items():
+        value = given[key] if key in given else getattr(obj, attr or key)
+        record[key] = dump(value) if dump and key not in given else value
+    return record
+
+
+def _least(n: int) -> Kind:
+    """An integer of at least `n`."""
+    return Kind(lambda v, at: type(v) is int and v >= n,
+                why=lambda v: f"must be at least {n}" if type(v) is int else "expected an integer")
+
+
+def _workload_error(text) -> Optional[str]:
+    """What is wrong with `text` as a task's workload reference, or None."""
+    if type(text) is not str or not text.strip():
+        return "expected a non-empty string"
+    try:
+        parse_workload(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+TEXT = Kind(lambda v, at: type(v) is str)
+STRIPPED = Kind(lambda v, at: type(v) is str and v.strip() != "", str.strip,  # read stripped
+                why=lambda v: "expected a non-empty string")
+BOOL = Kind(lambda v, at: type(v) is bool, why=lambda v: "expected a boolean")
+INTEGER = Kind(lambda v, at: type(v) is int, why=lambda v: "expected an integer")
+COUNT = _least(0)
+POSITIVE = _least(1)
+RECORD = Kind(lambda v, at: type(v) is dict, why=lambda v: "expected a mapping")
+
+WORKSPACE = dict.fromkeys(("subscription", "resource_group", "region", "storage_account",
+                           "batch_account"), STRIPPED)
+CREDENTIALS = dict.fromkeys(("storage_key", "batch_key"), STRIPPED)
+POOL_CONFIG = {"id": STRIPPED._replace(attr="pool_id"), "sku": STRIPPED, "region": STRIPPED,
+               "vm_count": RECORD, "inter_node_comm": BOOL, "shared_filesystem": BOOL,
+               "image": STRIPPED}
+VM_COUNT = {"dedicated": INTEGER._replace(attr="dedicated_count"),
+            "low_priority": INTEGER._replace(attr="low_priority_count")}
+TASK = {  # in the order of checks, which a jobs.yaml message names the first failure of
+    "workload": Kind(lambda v, at: _workload_error(v) is None, parse_workload, workload_ref,
+                     why=_workload_error),
+    "instances": POSITIVE, "id": STRIPPED._replace(attr="task_id"), "procs_per_node": POSITIVE,
+    "gpus_per_node": COUNT, "input_dir": STRIPPED, "output_dir": STRIPPED}
+JOB = {"id": STRIPPED._replace(attr="job_id"), "pool": STRIPPED._replace(attr="pool_id"),
+       "tasks": Kind(lambda v, at: type(v) is list and v != [], why=lambda v: (
+           "at least one task required" if type(v) is list else "expected a list"))}
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 
@@ -95,7 +216,8 @@ def dump_yaml(doc, stream):
     yaml.dump(doc, stream, Dumper=yaml.CSafeDumper, sort_keys=False)
 
 
-def _load_doc(directory: Path, name: str) -> dict:
+def _document(directory: Path, name: str, key: str) -> tuple[dict, tuple]:
+    """The `key` mapping of document `name`, and where its keys are reported."""
     path = directory / name
     if not path.is_file():
         raise ValidationError(f"missing configuration document: {path}")
@@ -103,82 +225,10 @@ def _load_doc(directory: Path, name: str) -> dict:
         try:
             doc = load_yaml(fh)
         except yaml.YAMLError as exc:
-            raise SchemaError(str(path), "<document>", f"not parseable: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(str(path), "<document>", "top level must be a mapping")
-    return doc
-
-
-_ABSENT = object()  # a key the document does not have
-
-
-def _checked(value, kind, path: str, key: str):
-    """`value` of document key `key` if it is of `kind`; strings come back stripped."""
-    if value is _ABSENT:
-        raise SchemaError(path, key, "required key absent")
-    if kind is bool and not isinstance(value, bool):
-        raise SchemaError(path, key, "expected a boolean")
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise SchemaError(path, key, "expected an integer")
-    if kind is str:
-        if not isinstance(value, str) or not value.strip():
-            raise SchemaError(path, key, "expected a non-empty string")
-        return value.strip()
-    if kind is dict and not isinstance(value, dict):
-        raise SchemaError(path, key, "expected a mapping")
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(path, key, "expected a list")
-    return value
-
-
-class _Reader:
-    def __init__(self, path: str, mapping: dict, prefix: str = ""):
-        self.path, self.mapping, self.prefix = path, mapping, prefix
-
-    def child(self, key: str) -> "_Reader":
-        return _Reader(self.path, self.require(key, dict), f"{self.prefix}{key}.")
-
-    def require(self, key: str, kind):
-        return _checked(self.mapping.get(key, _ABSENT), kind, self.path, f"{self.prefix}{key}")
-
-
-def _parse_workspace(directory: Path) -> WorkspaceConfig:
-    path = str(directory / "workspace.yaml")
-    doc = _Reader(path, _load_doc(directory, "workspace.yaml")).require("workspace", dict)
-    return workspace_from_doc(doc, path, "workspace.")
-
-
-def _parse_credentials(directory: Path) -> CredentialsConfig:
-    doc = _load_doc(directory, "credentials.yaml")
-    r = _Reader(str(directory / "credentials.yaml"), doc).child("credentials")
-    return CredentialsConfig(
-        storage_key=r.require("storage_key", str),
-        batch_key=r.require("batch_key", str),
-    )
-
-
-def _parse_pool(directory: Path) -> PoolConfig:
-    path = str(directory / "pool.yaml")
-    doc = _Reader(path, _load_doc(directory, "pool.yaml")).require("pool", dict)
-    return pool_from_doc(doc, path, "pool.")
-
-
-def _parse_jobs(directory: Path) -> JobsConfig:
-    path = str(directory / "jobs.yaml")
-    r = _Reader(path, _load_doc(directory, "jobs.yaml")).child("job")
-    entries = r.require("tasks", list)
-    if not entries:
-        raise SchemaError(path, "job.tasks", "at least one task required")
-    tasks = []
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(path, f"job.tasks[{idx}]", "expected a mapping")
-        tasks.append(task_spec_from_doc(entry, path, f"job.tasks[{idx}]."))
-    ids = [t.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
-        raise SchemaError(path, "job.tasks", "task ids must be unique within the job")
-    return JobsConfig(job_id=r.require("id", str), pool_id=r.require("pool", str),
-                      tasks=tuple(tasks))
+            raise ValidationError(f"{path}: key '<document>': not parseable: {exc}") from None
+    if type(doc) is not dict:
+        raise ValidationError(f"{path}: key '<document>': top level must be a mapping")
+    return _read(doc, {key: RECORD}, (str(path), ""), form=at_key)[key], (str(path), f"{key}.")
 
 
 def _cross_validate(bundle: ConfigBundle, catalog: Catalog):
@@ -213,16 +263,18 @@ def _cross_validate(bundle: ConfigBundle, catalog: Catalog):
 
 
 def parse_config_dir(path, catalog: Catalog) -> ConfigBundle:
-    """Load and cross-validate the four documents from one directory."""
+    """Load and cross-validate the four documents from one directory, each read whole
+    before the next is loaded."""
     directory = Path(path)
     if not directory.is_dir():
         raise ValidationError(f"missing configuration document: {directory}")
-    bundle = ConfigBundle(
-        workspace=_parse_workspace(directory),
-        credentials=_parse_credentials(directory),
-        pool=_parse_pool(directory),
-        jobs=_parse_jobs(directory),
-    )
+    doc, where = _document(directory, "workspace.yaml", "workspace")
+    workspace = WorkspaceConfig(**_read(doc, WORKSPACE, where, form=at_key))
+    doc, where = _document(directory, "credentials.yaml", "credentials")
+    credentials = CredentialsConfig(**_read(doc, CREDENTIALS, where, form=at_key))
+    pool = pool_from_doc(*_document(directory, "pool.yaml", "pool"))
+    jobs = _jobs_from_doc(*_document(directory, "jobs.yaml", "job"))
+    bundle = ConfigBundle(workspace, credentials, pool, jobs)
     _cross_validate(bundle, catalog)
     return bundle
 
@@ -232,61 +284,37 @@ def parse_config_dir(path, catalog: Catalog) -> ConfigBundle:
 # YAML bundle and the embedded copies in state.json (parse . write == identity)
 
 
-def workspace_to_doc(ws: WorkspaceConfig) -> dict:
-    return {
-        "subscription": ws.subscription,
-        "resource_group": ws.resource_group,
-        "region": ws.region,
-        "storage_account": ws.storage_account,
-        "batch_account": ws.batch_account,
-    }
-
-
-def workspace_from_doc(doc: dict, path: str, prefix: str) -> WorkspaceConfig:
-    r = _Reader(path, doc, prefix)
-    return WorkspaceConfig(
-        subscription=r.require("subscription", str),
-        resource_group=r.require("resource_group", str),
-        region=r.require("region", str),
-        storage_account=r.require("storage_account", str),
-        batch_account=r.require("batch_account", str),
-    )
-
-
 def pool_to_doc(cfg: PoolConfig) -> dict:
-    return {
-        "id": cfg.pool_id,
-        "sku": cfg.sku,
-        "region": cfg.region,
-        "vm_count": {"dedicated": cfg.dedicated_count, "low_priority": cfg.low_priority_count},
-        "inter_node_comm": cfg.inter_node_comm,
-        "shared_filesystem": cfg.shared_filesystem,
-        "image": cfg.image,
-    }
+    return _written(cfg, POOL_CONFIG, vm_count=_written(cfg, VM_COUNT))
 
 
-def pool_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> PoolConfig:
-    r = _Reader(path, doc, prefix)
-    counts = r.child("vm_count")
-    dedicated = counts.require("dedicated", int)
-    low_priority = counts.require("low_priority", int)
-    if dedicated < 0 or low_priority < 0:
-        raise SchemaError(path, f"{prefix}vm_count", "counts must be non-negative")
-    if dedicated + low_priority < 1:
-        raise SchemaError(path, f"{prefix}vm_count", "pool must request at least one node")
-    return PoolConfig(
-        pool_id=r.require("id", str),
-        sku=r.require("sku", str),
-        region=r.require("region", str),
-        dedicated_count=dedicated,
-        low_priority_count=low_priority,
-        inter_node_comm=r.require("inter_node_comm", bool),
-        shared_filesystem=r.require("shared_filesystem", bool),
-        image=r.require("image", str),
-    )
+def pool_from_doc(doc: dict, where: tuple = (STATE_DOCUMENT, "")) -> PoolConfig:
+    values = _read(doc, POOL_CONFIG, where, form=at_key)
+    path, prefix = where
+    counts = _read(values.pop("vm_count"), VM_COUNT, (path, f"{prefix}vm_count."), form=at_key)
+    if min(counts.values()) < 0:
+        raise ValidationError(f"{path}: key '{prefix}vm_count': counts must be non-negative")
+    if sum(counts.values()) < 1:
+        raise ValidationError(f"{path}: key '{prefix}vm_count': pool must request at least "
+                              f"one node")
+    return PoolConfig(**values, **counts)
 
 
-# the order of a task spec's values in a state.json task row
+def _jobs_from_doc(doc: dict, where: tuple) -> JobsConfig:
+    """jobs.yaml's job, its tasks read first."""
+    path, prefix = where
+    tasks = []
+    for idx, entry in enumerate(_read(doc, {"tasks": JOB["tasks"]}, where, form=at_key)["tasks"]):
+        if type(entry) is not dict:
+            raise ValidationError(f"{path}: key '{prefix}tasks[{idx}]': expected a mapping")
+        tasks.append(TaskSpec(**_read(entry, TASK, (path, f"{prefix}tasks[{idx}]."), form=at_key)))
+    if len({t.task_id for t in tasks}) != len(tasks):
+        raise ValidationError(f"{path}: key '{prefix}tasks': task ids must be unique within "
+                              f"the job")
+    return JobsConfig(**{**_read(doc, JOB, where, form=at_key), "tasks": tuple(tasks)})
+
+
+# the order of a task spec's values in a state.json task row and in jobs.yaml
 TASK_SPEC_KEYS = ("id", "workload", "instances", "procs_per_node", "gpus_per_node", "input_dir",
                   "output_dir")
 
@@ -296,55 +324,29 @@ def task_spec_values(spec: TaskSpec) -> tuple:
             spec.gpus_per_node, spec.input_dir, spec.output_dir)
 
 
-def task_spec(values, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
-    """The one reader of task specs, for jobs.yaml entries and state.json task rows. Exact
-    types pass at once; else the first bad value is raised in jobs.yaml's order of checks."""
+def task_spec(values) -> TaskSpec:
+    """The spec of a state.json task row's TASK_SPEC_KEYS values. Exact types pass at once;
+    else the values are read through TASK, which raises the first bad one."""
     task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
-    if not (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
+    if (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
             and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
             and instances >= 1 and procs_per_node >= 1 and gpus_per_node >= 0
-            and task_id.strip() and workload.strip() and input_dir.strip() and output_dir.strip()):
-        _first_task_error(values, path, prefix)  # returns only for str and int subclasses
-    return TaskSpec(task_id.strip(), _workload(workload, path, prefix), instances, procs_per_node,
-                    gpus_per_node, input_dir.strip(), output_dir.strip())
-
-
-def _first_task_error(values, path: str, prefix: str):
-    doc = dict(zip(TASK_SPEC_KEYS, values))
-    _workload(_checked(doc["workload"], str, path, f"{prefix}workload"), path, prefix)
-    for key, least in (("instances", 1), ("id", None), ("procs_per_node", 1),
-                       ("gpus_per_node", 0), ("input_dir", None), ("output_dir", None)):
-        value = _checked(doc[key], str if least is None else int, path, prefix + key)
-        if least is not None and value < least:
-            raise SchemaError(path, prefix + key, f"must be at least {least}")
-
-
-def _workload(text: str, path: str, prefix: str):
-    try:
-        return parse_workload(text)
-    except ValueError as exc:
-        raise SchemaError(path, f"{prefix}workload", str(exc)) from None
-
-
-def task_spec_from_doc(doc: dict, path: str = STATE_DOCUMENT, prefix: str = "") -> TaskSpec:
-    return task_spec([doc.get(key, _ABSENT) for key in TASK_SPEC_KEYS], path, prefix)
+            and task_id.strip() and input_dir.strip() and output_dir.strip()):
+        try:
+            return TaskSpec(task_id.strip(), parse_workload(workload), instances, procs_per_node,
+                            gpus_per_node, input_dir.strip(), output_dir.strip())
+        except ValueError:  # a workload reference that does not parse, or a blank one
+            pass
+    return TaskSpec(**_read(dict(zip(TASK_SPEC_KEYS, values)), TASK, (STATE_DOCUMENT, ""),
+                            form=at_key))
 
 
 def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:
-    jobs = bundle.jobs
-    return {
-        "workspace.yaml": {"workspace": workspace_to_doc(bundle.workspace)},
-        "credentials.yaml": {
-            "credentials": {
-                "storage_key": bundle.credentials.storage_key,
-                "batch_key": bundle.credentials.batch_key,
-            }
-        },
-        "pool.yaml": {"pool": pool_to_doc(bundle.pool)},
-        "jobs.yaml": {"job": {"id": jobs.job_id, "pool": jobs.pool_id,
-                              "tasks": [dict(zip(TASK_SPEC_KEYS, task_spec_values(t)))
-                                        for t in jobs.tasks]}},
-    }
+    tasks = [dict(zip(TASK_SPEC_KEYS, task_spec_values(t))) for t in bundle.jobs.tasks]
+    return {"workspace.yaml": {"workspace": _written(bundle.workspace, WORKSPACE)},
+            "credentials.yaml": {"credentials": _written(bundle.credentials, CREDENTIALS)},
+            "pool.yaml": {"pool": pool_to_doc(bundle.pool)},
+            "jobs.yaml": {"job": _written(bundle.jobs, JOB, tasks=tasks)}}
 
 
 def serialize_config_dir(bundle: ConfigBundle, path):

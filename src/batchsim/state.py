@@ -18,25 +18,25 @@ import json
 import os
 import posixpath
 import re
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .batch import (IMAGE_PULL_SECONDS, BatchService, FailureReason, Job, JobState, Pool,
                     PoolState, Task, TaskState)
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
-from .config import (STATE_DOCUMENT, TASK_SPEC_KEYS, ConfigBundle, Violation, pool_from_doc,
-                     pool_to_doc, task_spec, task_spec_values, workspace_from_doc,
-                     workspace_to_doc)
+from .config import (_FLOAT_MAX, BOOL, COUNT, INTEGER, POSITIVE, RECORD, STATE_DOCUMENT,
+                     TASK_SPEC_KEYS, TEXT, WORKSPACE, At, ConfigBundle, Kind, Violation, _read,
+                     _written, at_key, of_owner, pool_from_doc, pool_to_doc, task_spec,
+                     task_spec_values)
 from .errors import ValidationError
 from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
-from .storage import FileShare, ShareEntry
+from .storage import FileShare, ShareEntry, is_share_name
 
 STATE_VERSION = 3
 STATE_DIR = ".batchsim"
@@ -63,11 +63,7 @@ def sha256_text(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# field tables: each record kind of state.json, and of a catalog document, as key -> kind;
-# one checker reads every record against its table, and the writers build it from the same
-
-
-_FLOAT_MAX = sys.float_info.max
+# field tables: each record kind of state.json, and of a catalog document, as key -> kind
 
 
 def _finite(value) -> bool:
@@ -75,34 +71,10 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-class Kind(NamedTuple):
-    """A kind of leaf: `ok(value, at)` says whether `value` may stand there, `load` makes
-    the attribute it stands for and `dump` the leaf again (None: the value itself); `attr`
-    names that attribute where it is not the key."""
-    ok: Callable
-    load: Optional[Callable] = None
-    dump: Optional[Callable] = None
-    attr: Optional[str] = None
-
-
-class At(NamedTuple):
-    """What the leaves of a record are checked against."""
-    now: float = _FLOAT_MAX  # the latest instant it may hold: the service time
-    names: frozenset = frozenset()  # what a reference may name: pool ids or catalog regions
-
-
-class _Absent:  # the value of a key that a record does not have
-    def __repr__(self):
-        return "<absent>"
-
-
-_ABSENT = _Absent()
-
-
 def _optional(kind: Kind) -> Kind:
-    return Kind(lambda v, at: v is None or kind.ok(v, at),
-                kind.load and (lambda v: None if v is None else kind.load(v)),
-                kind.dump and (lambda v: None if v is None else kind.dump(v)), kind.attr)
+    return kind._replace(ok=lambda v, at: v is None or kind.ok(v, at),
+                         load=kind.load and (lambda v: None if v is None else kind.load(v)),
+                         dump=kind.dump and (lambda v: None if v is None else kind.dump(v)))
 
 
 def _enum(cls) -> Kind:
@@ -124,14 +96,9 @@ def is_transcript(value) -> bool:
 
 _PLANS = {p.value: p for p in PricingPlan}
 
-TEXT = Kind(lambda v, at: type(v) is str)
-BOOL = Kind(lambda v, at: type(v) is bool)
-COUNT = Kind(lambda v, at: type(v) is int and v >= 0)
-POSITIVE = Kind(lambda v, at: type(v) is int and v >= 1)
 AMOUNT = Kind(lambda v, at: _finite(v) and v >= 0)  # a rate or a duration
 INSTANT = Kind(lambda v, at: type(v) in (int, float) and -_FLOAT_MAX <= v <= at.now)
 REFERENCE = Kind(lambda v, at: type(v) is str and v in at.names)
-RECORD = Kind(lambda v, at: type(v) is dict)
 RECORDS = Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {dict})
 FRACTION = Kind(lambda v, at: type(v) is str and re.fullmatch(r"[0-9]+/[1-9][0-9]*", v), Fraction,
                 lambda f: f"{f.numerator}/{f.denominator}")
@@ -142,7 +109,7 @@ STATE = {  # the top level, as new_workspace_state writes it
     "transcript": Kind(lambda v, at: is_transcript(v)), "has_completed_run": BOOL,
     "events_bytes": COUNT}
 OPTIONS = {
-    "seed": Kind(lambda v, at: type(v) is int),
+    "seed": INTEGER,
     "interconnect": Kind(lambda v, at: type(v) is str and v in INTERCONNECTS),
     "preemption_rate": AMOUNT, "image_pull_seconds": AMOUNT, "task_retries": COUNT,
     "scarcity_windows": Kind(lambda v, at: type(v) is list and all(
@@ -166,7 +133,7 @@ NODE = {"id": TEXT._replace(attr="node_id"), "priority": _enum(Priority),
 JOB = {"id": TEXT._replace(attr="job_id"), "pool": REFERENCE._replace(attr="pool_id"),
        "state": _enum(JobState), "submitted_at": INSTANT,
        "tasks": Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {list})}  # rows
-SHARE = {"name": TEXT, "quota_gib": COUNT, "entries": RECORDS}
+SHARE = {"name": Kind(lambda v, at: is_share_name(v)), "quota_gib": COUNT, "entries": RECORDS}
 ENTRY = {"path": Kind(lambda v, at: type(v) is str and v == posixpath.normpath(v) != "."
                       and not v.startswith(("/", ".."))),  # a path that stays in its share
          "size": COUNT._replace(attr="size_bytes"), "digest": TEXT,
@@ -190,28 +157,6 @@ SKU = {"name": TEXT, "vcores": POSITIVE, "ram_gib": POSITIVE, "ssd_gib": COUNT,
            lambda v: {_PLANS[plan]: Decimal(str(rate)) for plan, rate in v.items()},
            lambda v: {plan.value: str(rate) for plan, rate in v.items()})}
 REGION_QUOTA = {"dedicated_cores": COUNT, "low_priority_cores": COUNT}
-
-
-def _read(doc: dict, table: dict, owner: str, at: At = At(), label="corrupt state") -> dict:
-    """The attributes that `doc`, a record of `table`, stands for, by name; a value that is
-    not of its key's kind is a ValidationError `<label>: <key> <value!r> of <owner>`."""
-    values = {}
-    for key, (ok, load, _, attr) in table.items():
-        value = doc.get(key, _ABSENT)
-        if not ok(value, at):
-            raise ValidationError(f"{label}: {key} {value!r} of {owner}")
-        values[attr or key] = load(value) if load else value
-    return values
-
-
-def _written(obj, table: dict, **given) -> dict:
-    """The record of `obj` by `table`: each key's attribute as its kind writes it, or the
-    value `given` for the key."""
-    record = {}
-    for key, (_, _, dump, attr) in table.items():
-        value = given[key] if key in given else getattr(obj, attr or key)
-        record[key] = dump(value) if dump and key not in given else value
-    return record
 
 
 @dataclass
@@ -247,10 +192,11 @@ def catalog_to_doc(catalog: Catalog) -> dict:
 def catalog_from_doc(doc: dict, label="corrupt state") -> Catalog:
     """The catalog of a `--catalog` document or of a state's `catalog_doc`, read through
     the tables; a bad leaf is a ValidationError that starts with `label`."""
-    _read(doc, CATALOG, "catalog", label=label)
-    skus = [SkuSpec(**_read({"gpu_model": "", **s}, SKU, f"sku {s.get('name')}", label=label))
+    form = of_owner(label)
+    _read(doc, CATALOG, "catalog", form=form)
+    skus = [SkuSpec(**_read({"gpu_model": "", **s}, SKU, f"sku {s.get('name')}", form=form))
             for s in doc["skus"]]
-    quotas = {r: RegionQuota(r, **_read(q, REGION_QUOTA, f"region {r}", label=label))
+    quotas = {r: RegionQuota(r, **_read(q, REGION_QUOTA, f"region {r}", form=form))
               for r, q in doc["quotas"].items()}
     return Catalog(skus, quotas)
 
@@ -333,11 +279,15 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                 raise ValidationError(f"corrupt state: size {entry.size_bytes} of {owner}")
             share.put(entry)
         svc.storage.shares[share.name] = share
+    skus = {sku.name for sku in svc.catalog.skus}
     for pdoc in doc["pools"]:
         config = pdoc.get("config")
         owner = f"pool {config.get('id') if type(config) is dict else config}"
         values = _read(pdoc, POOL, owner, at)
         cfg = pool_from_doc(values["config"])
+        if cfg.sku not in skus or cfg.region not in regions.names:  # as pool add found them
+            raise ValidationError(f"corrupt state: config sku {cfg.sku!r}, region "
+                                  f"{cfg.region!r} of {owner}")
         plan = pdoc.get("plan", PricingPlan.PAYGO_DEDICATED.value)
         if plan != PricingPlan.PAYGO_DEDICATED.value:  # a pool bills by node priority alone
             raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
@@ -366,10 +316,17 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             if len(row) != TASK_ROW_LEN:
                 raise ValidationError(f"corrupt state: task row of {len(row)} values")
             *spec, state, nodes, start_time, end_time, reason, attempts = row
-            if state not in _PERSISTED_TASK_STATES or reason not in _FAILURE_REASONS:
-                raise ValidationError(f"corrupt state: task state {state!r}, reason {reason!r}")
-            if not (type(attempts) is int and attempts >= 0):
-                raise ValidationError(f"corrupt state: task attempts {attempts!r}")
+            # inlined for states of 10,000 rows: node ids are distinct text, and each time
+            # an instant or None
+            if not (type(state) is str and state in _PERSISTED_TASK_STATES
+                    and (reason is None or type(reason) is str and reason in _FAILURE_REASONS)
+                    and type(attempts) is int and attempts >= 0 and type(nodes) is list
+                    and {*map(type, nodes)} <= {str} and len({*nodes}) == len(nodes)
+                    and (start_time is None or type(start_time) in (int, float)
+                         and -_FLOAT_MAX <= start_time <= now)
+                    and (end_time is None or type(end_time) in (int, float)
+                         and -_FLOAT_MAX <= end_time <= now)):
+                raise ValidationError(f"corrupt state: task row {row!r} of job {job_id}")
             tasks.append(Task(task_spec(spec), job_id, _PERSISTED_TASK_STATES[state],
                               tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
                               attempts))
@@ -393,9 +350,7 @@ def _rebuild_busy_logs(svc: BatchService):
         logs = {n.node_id: n.busy_log for n in pool.nodes}
         for task in _recording_tasks(svc, pool):
             start, end, tag = task.start_time, task.end_time, task.run_tag
-            # _is_finite of both, inlined for states of 10,000 rows; start > created_at holds
-            if not (type(start) in (int, float) and type(end) in (int, float)
-                    and start <= end <= svc.clock.now):
+            if end is None or start > end:  # each is an instant or None, as its row was read
                 raise ValidationError(f"corrupt state: task times {start!r}, {end!r} of {tag}")
             task.interval = interval = (start, end, tag)
             for node_id in task.assigned_nodes:
@@ -434,7 +389,7 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "version": STATE_VERSION,
         "options": options.to_doc(),
         "catalog_doc": catalog_doc,
-        "workspace": workspace_to_doc(bundle.workspace),
+        "workspace": _written(bundle.workspace, WORKSPACE),
         "service": None,
         "transcript": [],
         "has_completed_run": False,
@@ -451,7 +406,7 @@ def read_state(doc) -> tuple[dict, BatchService]:
     if doc.get("version") != STATE_VERSION:
         raise ValidationError(f"corrupt state: unsupported state version {doc.get('version')}")
     state = _read(doc, STATE, "state")
-    workspace_from_doc(state["workspace"], STATE_DOCUMENT, "workspace.")
+    _read(state["workspace"], WORKSPACE, (STATE_DOCUMENT, "workspace."), form=at_key)
     catalog_doc = state["catalog_doc"]
     catalog = default_catalog() if catalog_doc is None else catalog_from_doc(catalog_doc)
     options = ServiceOptions.from_doc(state["options"])

@@ -43,6 +43,11 @@ def _normalize(path: str) -> str:
     return norm
 
 
+def is_share_name(name) -> bool:
+    """Whether `name` may name a share: one path component, as a download joins it."""
+    return type(name) is str and name not in ("", ".", "..") and "/" not in name
+
+
 @dataclass
 class FileShare:
     name: str
@@ -81,6 +86,8 @@ class StorageAccount:
             raise ValidationError(f"no such share: {name!r}") from None
 
     def share_create(self, name: str, quota_gib: int) -> FileShare:
+        if not is_share_name(name):
+            raise ValidationError(f"invalid share name: {name!r}")
         if name in self.shares:
             raise ValidationError(f"share already exists: {name!r}")
         share = FileShare(name=name, quota_gib=quota_gib)

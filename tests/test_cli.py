@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from batchsim import cli as climod
+from batchsim import config as configmod
 from batchsim import state as statemod
 from batchsim.batch import BatchService
 from batchsim.catalog import default_catalog
@@ -165,6 +166,58 @@ def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected
         assert "usage error" in err
 
 
+@pytest.fixture(scope="module")
+def quota_workspace(tmp_path_factory):
+    """The README session's workspace through `quota set`, ready for `pool add`."""
+    root = tmp_path_factory.mktemp("quota")
+    shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    for argv in sequence()[:4]:
+        ok(root, *argv)
+    return root
+
+
+# (document, keys to the record, message prefix, table): each record a config table reads
+CONFIG_RECORDS = [("workspace.yaml", ("workspace",), "workspace.", configmod.WORKSPACE),
+                  ("credentials.yaml", ("credentials",), "credentials.", configmod.CREDENTIALS),
+                  ("pool.yaml", ("pool",), "pool.", configmod.POOL_CONFIG),
+                  ("pool.yaml", ("pool", "vm_count"), "pool.vm_count.", configmod.VM_COUNT),
+                  ("jobs.yaml", ("job", "tasks", 0), "job.tasks[0].", configmod.TASK),
+                  ("jobs.yaml", ("job",), "job.", configmod.JOB)]
+CONFIG_LEAVES = [(name, keys, prefix + key, kind) for name, keys, prefix, table in CONFIG_RECORDS
+                 for key, kind in table.items()]
+
+
+@pytest.mark.parametrize("value", [configmod._ABSENT, None, "x", -1, 1e308, [1], True],
+                         ids=["absent", "null", "text", "negative", "huge", "list", "true"])
+@pytest.mark.parametrize("name, keys, key, kind", CONFIG_LEAVES,
+                         ids=[leaf[2] for leaf in CONFIG_LEAVES])
+def test_a_config_leaf_of_another_kind_exits_2_naming_its_key(quota_workspace, tmp_path, name,
+                                                              keys, key, kind, value):
+    """A config leaf that its table's kind does not take is exit 2 naming its key, in the
+    `<path>: key '<key>': ` form; one it takes runs, or is exit 2 on a later check."""
+    root = tmp_path / "w"
+    shutil.copytree(quota_workspace, root)
+    path = root / "config_shipyard" / name
+    doc = yaml.safe_load(path.read_text())
+    record = doc
+    for k in keys:
+        record = record[k]
+    leaf = key.rpartition(".")[2]
+    if value is configmod._ABSENT:
+        del record[leaf]
+    else:
+        record[leaf] = value
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    before = tree(root)
+    code, _, err = cli(root, "pool", "add", *CFG)
+    if kind.ok(value, configmod.At()):
+        assert code in (0, 2), err
+    else:
+        assert code == 2 and err.startswith(f"error: {path}: key {key!r}: "), err
+    if code:
+        assert tree(root) == before
+
+
 def _edited_configdir(workdir, name, pool=None, task=None) -> list[str]:
     """--configdir of a copy of the example configs with `pool` merged into pool.yaml's
     pool and `task` into jobs.yaml's first task."""
@@ -239,6 +292,13 @@ CLI_ERRORS = {
         lambda w: [*sequence()[:5], ["quota", "set", "--region", "eastus", "--dedicated", "0"]],
         lambda w: ["pool", "add", *_other_pool_configdir(w)],
         2, "error: quota exceeded in region eastus: needed 48 cores, available -48"),
+    # a download writes a share's files under <dest>/<share>: unchecked, a share `..` put
+    # them beside <dest>
+    **{f"share-name-{label}": (lambda w: [INIT, ACCOUNT],
+                               lambda w, name=name: ["share", "create", "--name", name,
+                                                     "--quota", "100"],
+                               2, f"error: invalid share name: {name!r}")
+       for label, name in (("dot-dot", ".."), ("dot", "."), ("slash", "a/b"), ("empty", ""))},
     "low-priority-in-scarcity-window": (
         lambda w: [[*INIT, "--scarcity", "0", "3600"], QUOTAS],
         lambda w: ["pool", "add", *_edited_configdir(w, "lp", LOW_PRIORITY)],
@@ -696,6 +756,14 @@ POOL_NODE_CORRUPTIONS = {
                          "pool 'nope' of job snake2d2k35-job"),
     "job-id-number": (lambda state: _job(state).update(id=5), "id 5 of job 5"),
     "share-name-number": (lambda state: _share(state).update(name=5), "name 5 of share 5"),
+    "share-name-dot-dot": (lambda state: _share(state).update(name=".."),
+                           "name '..' of share .."),
+    # a pool config of a SKU or region not in the catalog: unchecked, an unknown SKU was
+    # `SKU not in catalog` at its first lookup, and an unknown region loaded
+    "pool-sku-unknown": (lambda state: _pool(state)["config"].update(sku="x"),
+                         "config sku 'x', region 'eastus' of pool snake2d2k35"),
+    "pool-region-unknown": (lambda state: _pool(state)["config"].update(region="x"),
+                            "config sku 'NC24r', region 'x' of pool snake2d2k35"),
     "workspace-region-number": (lambda state: state["workspace"].update(region=5),
                                 "state.json: key 'workspace.region': expected a non-empty "
                                 "string"),
@@ -727,10 +795,12 @@ POOL_NODE_CORRUPTIONS = {
                     "nodes [5] of pool snake2d2k35"),
     "task-row-number": (lambda state: _job(state).update(tasks=[5]),
                         "tasks [5] of job snake2d2k35-job"),
-    # a task row is read on its own path, which no table reaches; an error there keeps the
+    # a task row is read on its own path, which no table reaches; an error there kept the
     # name of the exception
     "task-nodes-number": (lambda state: _job(state)["tasks"][0].__setitem__(8, 5),
-                          "TypeError: 'int' object is not iterable"),
+                          "task row ['task0', 'fixed:25200', 2, 12, 2, 'fileshare/snake2d2k35', "
+                          "'fileshare/snake2d2k35/output', 'Completed', 5, 400.0, 25600.0, None, "
+                          "0] of job snake2d2k35-job"),
 }
 
 
@@ -806,9 +876,11 @@ def readme_workspace(tmp_path_factory):
 
 
 # the table of each record that nests in another, by the key it is found under
-NESTED = {"options": statemod.OPTIONS, "service": statemod.SERVICE, "pools": statemod.POOL,
-          "nodes": statemod.NODE, "warnings": statemod.WARNING, "jobs": statemod.JOB,
-          "shares": statemod.SHARE, "entries": statemod.ENTRY, "ledger": statemod.LEDGER_ITEM}
+NESTED = {"workspace": configmod.WORKSPACE, "config": configmod.POOL_CONFIG,
+          "vm_count": configmod.VM_COUNT, "options": statemod.OPTIONS,
+          "service": statemod.SERVICE, "pools": statemod.POOL, "nodes": statemod.NODE,
+          "warnings": statemod.WARNING, "jobs": statemod.JOB, "shares": statemod.SHARE,
+          "entries": statemod.ENTRY, "ledger": statemod.LEDGER_ITEM}
 
 
 def _table_leaves(doc, table=statemod.STATE, path=()):
@@ -892,6 +964,13 @@ ROW_CORRUPTIONS = {
     "fractional-attempts": (12, 0.5),
     "negative-attempts": (12, -1),
     "short-row": (None, None),
+    # each exited 2 with a Python message, or (the node listed twice) loaded
+    "number-nodes": (8, 5),
+    "nested-node": (8, [["x"]]),
+    "list-state": (7, ["Completed"]),
+    "mapping-failure-reason": (11, {"a": 1}),
+    "text-start-time": (9, "x"),
+    "node-twice": (8, ["snake2d2k35/0", "snake2d2k35/0"]),
 }
 
 
@@ -1347,6 +1426,11 @@ MANIFESTS = {
     "entry-without-bytes": "entries:\n- {path: case.yaml}\n",
     "scalar-manifest": "5\n",
     "negative-size": "entries:\n- {path: case.yaml, bytes: -1}\n",
+    # each was converted: read as 12 bytes, as 1 byte, as 40 bytes and as the path "5"
+    "fractional-size": "entries:\n- {path: case.yaml, bytes: 12.7}\n",
+    "bool-size": "entries:\n- [case.yaml, true]\n",
+    "text-size": "entries:\n- {path: case.yaml, bytes: \"40\"}\n",
+    "number-path": "- [5, 1]\n",
 }
 
 
@@ -1395,6 +1479,14 @@ def test_bad_user_file_exits_2_without_mutation(workdir, argv, text):
     if argv[0] == "workspace":
         assert err.startswith("error: unreadable catalog ../user.yaml: ")
     assert tree(workdir) == before
+
+
+def test_a_manifest_entry_is_read_through_its_table(workdir):
+    for step in sequence()[:5]:  # through `pool add`
+        ok(workdir, *step)
+    (workdir / "user.yaml").write_text(MANIFESTS["fractional-size"])
+    assert cli(workdir, "data", "ingress", *CFG, "--manifest", "user.yaml") == (
+        2, "", f"error: unreadable manifest {workdir / 'user.yaml'}: bytes 12.7 of entry 0\n")
 
 
 def test_ingress_manifest_path_that_leaves_its_directory_exits_2_without_mutation(workdir):
