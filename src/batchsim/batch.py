@@ -3,7 +3,8 @@
 Pool lifecycle, job and task queues, gang scheduling of multi-instance
 tasks, preemption and deletion semantics, and the wiring into storage and
 the billing ledger. All mutations happen inside the fabric event loop;
-queries hand out plain-data snapshots.
+queries hand out the live objects, and `state.status_doc` writes the status
+document from them.
 """
 
 from __future__ import annotations
@@ -522,61 +523,3 @@ class BatchService:
 
     def all_tasks(self) -> list[Task]:
         return [t for j in self.jobs.values() for t in j.tasks]
-
-    def status(self) -> dict:
-        pools = []
-        for pool in self.pools.values():
-            pools.append(
-                {
-                    "id": pool.pool_id,
-                    "state": pool.state.value,
-                    "sku": pool.config.sku,
-                    "region": pool.config.region,
-                    "dedicated": pool.config.dedicated_count,
-                    "low_priority": pool.config.low_priority_count,
-                    "shared_fs_mounted": pool.shared_fs_mounted,
-                    "warnings": [v.rule for v in pool.warnings],
-                    "created_at": pool.created_at,
-                    "steady_at": pool.steady_at,
-                    "deleted_at": pool.deleted_at,
-                    "nodes": [
-                        {
-                            "id": n.node_id,
-                            "state": n.state.value,
-                            "priority": n.priority.value,
-                            "ready_at": n.ready_time,
-                            "released_at": n.released_time,
-                        }
-                        for n in pool.nodes
-                    ],
-                }
-            )
-        jobs = []
-        for job in self.jobs.values():
-            jobs.append(
-                {
-                    "id": job.job_id,
-                    "pool": job.pool_id,
-                    "state": job.state.value,
-                    "submitted_at": job.submitted_at,
-                    "tasks": [
-                        {
-                            "id": t.spec.task_id,
-                            "state": t.state.value,
-                            "instances": t.spec.instances,
-                            "nodes": list(t.assigned_nodes),
-                            "start_time": t.start_time,
-                            "end_time": t.end_time,
-                            "failure": t.failure_reason.value if t.failure_reason else None,
-                        }
-                        for t in job.tasks
-                    ],
-                }
-            )
-        quotas = {}
-        for r, q in self.quotas.items():
-            dedicated, low_priority = self.quota_used(r)
-            quotas[r] = {"dedicated_cores": q.dedicated_cores,
-                         "low_priority_cores": q.low_priority_cores,
-                         "dedicated_used": dedicated, "low_priority_used": low_priority}
-        return {"time": self.clock.now, "quotas": quotas, "pools": pools, "jobs": jobs}

@@ -26,8 +26,9 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import (COUNT, TEXT, ConfigBundle, CredentialsConfig, Kind, _read, bundle_documents,
-                     dump_yaml, load_yaml, of_owner, parse_config_dir, serialize_config_dir)
+from .config import (COUNT, INTEGER, TEXT, ConfigBundle, CredentialsConfig, Kind, _read, at_key,
+                     bundle_documents, dump_yaml, load_yaml, of_owner, parse_config_dir,
+                     serialize_config_dir)
 from .errors import SimulationError, ValidationError
 from .fabric import INTERCONNECTS
 from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file, sha256_text
@@ -461,13 +462,7 @@ def cmd_jobs_del(cli: Cli, args) -> int:
 
 def cmd_status(cli: Cli, args) -> int:
     _, svc = cli.load()
-    doc = svc.status()
-    doc["shares"] = [
-        {"name": s.name, "quota_gib": s.quota_gib, "used_bytes": s.used_bytes,
-         "entries": len(s.entries)}
-        for s in svc.storage.shares.values()
-    ]
-    cli.say(json.dumps(doc, indent=2, sort_keys=True))
+    cli.say(json.dumps(statemod.status_doc(svc), indent=2, sort_keys=True))
     return 0
 
 
@@ -560,6 +555,14 @@ def _safe_extract(tar: tarfile.TarFile, dest: Path):
             raise ValidationError(f"archive member is not a file or directory: {member.name}")
 
 
+# a package's manifest.json, as `repro pack` writes it
+PACKAGE = {"seed": INTEGER, "transcript": statemod.STATE["transcript"],
+           "output_digests": Kind(lambda v, at: type(v) is dict and all(
+               type(v.get(name)) is str and re.fullmatch("[0-9a-f]{64}", v[name])
+               for name in OUTPUT_ARTIFACTS),
+               why=lambda v: "must digest events.log and ledger.tsv in 64 lower-case hex digits")}
+
+
 def read_manifest(path: Path) -> tuple[int, list, dict]:
     """The seed, transcript and output digests of a package's manifest.json; a manifest
     that `repro pack` cannot have written is a ValidationError."""
@@ -567,17 +570,9 @@ def read_manifest(path: Path) -> tuple[int, list, dict]:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ValidationError(f"not a readable package: {exc}") from None
-    manifest = manifest if isinstance(manifest, dict) else {}
-    seed, transcript, digests = (manifest.get(key)
-                                 for key in ("seed", "transcript", "output_digests"))
-    if type(seed) is not int:
-        raise ValidationError("manifest.json: seed must be an integer")
-    if not statemod.is_transcript(transcript):
-        raise ValidationError("manifest.json: transcript must be a list of argument lists")
-    if not isinstance(digests, dict) or not digests.keys() >= set(OUTPUT_ARTIFACTS):
-        raise ValidationError("not a package of a completed run: it must digest "
-                              + " and ".join(OUTPUT_ARTIFACTS))
-    return seed, transcript, digests
+    if type(manifest) is not dict:
+        raise ValidationError("manifest.json: key '<document>': top level must be a mapping")
+    return tuple(_read(manifest, PACKAGE, ("manifest.json", ""), form=at_key).values())
 
 
 def cmd_repro_verify(cli: Cli, args) -> int:

@@ -21,8 +21,6 @@ from .catalog import Catalog, RegionQuota
 from .errors import ValidationError
 from .workloads import WorkloadSpec, parse_workload, workload_ref
 
-STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
-
 
 @dataclass(frozen=True)
 class WorkspaceConfig:
@@ -288,7 +286,7 @@ def pool_to_doc(cfg: PoolConfig) -> dict:
     return _written(cfg, POOL_CONFIG, vm_count=_written(cfg, VM_COUNT))
 
 
-def pool_from_doc(doc: dict, where: tuple = (STATE_DOCUMENT, "")) -> PoolConfig:
+def pool_from_doc(doc: dict, where: tuple) -> PoolConfig:
     values = _read(doc, POOL_CONFIG, where, form=at_key)
     path, prefix = where
     counts = _read(values.pop("vm_count"), VM_COUNT, (path, f"{prefix}vm_count."), form=at_key)
@@ -322,23 +320,6 @@ TASK_SPEC_KEYS = ("id", "workload", "instances", "procs_per_node", "gpus_per_nod
 def task_spec_values(spec: TaskSpec) -> tuple:
     return (spec.task_id, workload_ref(spec.workload), spec.instances, spec.procs_per_node,
             spec.gpus_per_node, spec.input_dir, spec.output_dir)
-
-
-def task_spec(values) -> TaskSpec:
-    """The spec of a state.json task row's TASK_SPEC_KEYS values. Exact types pass at once;
-    else the values are read through TASK, which raises the first bad one."""
-    task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
-    if (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
-            and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
-            and instances >= 1 and procs_per_node >= 1 and gpus_per_node >= 0
-            and task_id.strip() and input_dir.strip() and output_dir.strip()):
-        try:
-            return TaskSpec(task_id.strip(), parse_workload(workload), instances, procs_per_node,
-                            gpus_per_node, input_dir.strip(), output_dir.strip())
-        except ValueError:  # a workload reference that does not parse, or a blank one
-            pass
-    return TaskSpec(**_read(dict(zip(TASK_SPEC_KEYS, values)), TASK, (STATE_DOCUMENT, ""),
-                            form=at_key))
 
 
 def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:

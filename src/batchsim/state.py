@@ -30,16 +30,17 @@ from .batch import (IMAGE_PULL_SECONDS, BatchService, FailureReason, Job, JobSta
                     PoolState, Task, TaskState)
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
-from .config import (_FLOAT_MAX, BOOL, COUNT, INTEGER, POSITIVE, RECORD, STATE_DOCUMENT,
-                     TASK_SPEC_KEYS, TEXT, WORKSPACE, At, ConfigBundle, Kind, Violation, _read,
-                     _written, at_key, of_owner, pool_from_doc, pool_to_doc, task_spec,
-                     task_spec_values)
+from .config import (_FLOAT_MAX, BOOL, COUNT, INTEGER, POSITIVE, RECORD, TASK, TASK_SPEC_KEYS,
+                     TEXT, VM_COUNT, WORKSPACE, At, ConfigBundle, Kind, TaskSpec, Violation, _read,
+                     _written, at_key, of_owner, pool_from_doc, pool_to_doc, task_spec_values)
 from .errors import ValidationError
 from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
 from .storage import FileShare, ShareEntry, is_share_name
+from .workloads import parse_workload
 
 STATE_VERSION = 3
 STATE_DIR = ".batchsim"
+STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
 
 
 @contextlib.contextmanager
@@ -88,25 +89,23 @@ def _span(row, at: At) -> bool:
     return _finite(row[0]) and _finite(row[1]) and row[0] <= row[1] <= at.now
 
 
-def is_transcript(value) -> bool:
-    """Whether `value` is a list of argument lists, as Cli.commit records commands."""
-    return isinstance(value, list) and all(
-        isinstance(argv, list) and all(isinstance(t, str) for t in argv) for argv in value)
-
-
 _PLANS = {p.value: p for p in PricingPlan}
 
 AMOUNT = Kind(lambda v, at: _finite(v) and v >= 0)  # a rate or a duration
 INSTANT = Kind(lambda v, at: type(v) in (int, float) and -_FLOAT_MAX <= v <= at.now)
 REFERENCE = Kind(lambda v, at: type(v) is str and v in at.names)
 RECORDS = Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {dict})
+TEXTS = Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {str}, dump=list)
 FRACTION = Kind(lambda v, at: type(v) is str and re.fullmatch(r"[0-9]+/[1-9][0-9]*", v), Fraction,
                 lambda f: f"{f.numerator}/{f.denominator}")
 
 STATE = {  # the top level, as new_workspace_state writes it
     "version": Kind(lambda v, at: type(v) is int and v == STATE_VERSION),
     "options": RECORD, "catalog_doc": _optional(RECORD), "workspace": RECORD, "service": RECORD,
-    "transcript": Kind(lambda v, at: is_transcript(v)), "has_completed_run": BOOL,
+    "transcript": Kind(lambda v, at: type(v) is list and all(  # as Cli.commit records them
+        type(argv) is list and {*map(type, argv)} <= {str} for argv in v),
+        why=lambda v: "expected a list of argument lists"),
+    "has_completed_run": BOOL,
     "events_bytes": COUNT}
 OPTIONS = {
     "seed": INTEGER,
@@ -157,6 +156,23 @@ SKU = {"name": TEXT, "vcores": POSITIVE, "ram_gib": POSITIVE, "ssd_gib": COUNT,
            lambda v: {_PLANS[plan]: Decimal(str(rate)) for plan, rate in v.items()},
            lambda v: {plan.value: str(rate) for plan, rate in v.items()})}
 REGION_QUOTA = {"dedicated_cores": COUNT, "low_priority_cores": COUNT}
+
+# the document `batchsim status` prints, in the kinds of state.json's records
+STATUS_POOL = {"id": TEXT._replace(attr="pool_id"), "sku": TEXT, "region": TEXT,
+               "dedicated": COUNT, "low_priority": COUNT, "shared_fs_mounted": BOOL,
+               "warnings": TEXTS, "nodes": RECORDS,
+               **{key: POOL[key] for key in ("state", "created_at", "steady_at", "deleted_at")}}
+STATUS_NODE = {**{key: NODE[key] for key in ("id", "state", "priority")},
+               "ready_at": NODE["ready_time"]._replace(attr="ready_time"),
+               "released_at": NODE["released_time"]._replace(attr="released_time")}
+STATUS_JOB = {**{key: JOB[key] for key in ("id", "pool", "state", "submitted_at")},
+              "tasks": RECORDS}
+STATUS_TASK = {"id": TEXT, "state": _enum(TaskState), "instances": POSITIVE,
+               "nodes": TEXTS._replace(attr="assigned_nodes"),
+               "start_time": _optional(INSTANT), "end_time": _optional(INSTANT),
+               "failure": _optional(_enum(FailureReason))._replace(attr="failure_reason")}
+STATUS_SHARE = {"name": SHARE["name"], "quota_gib": COUNT, "used_bytes": COUNT,
+                "entries": COUNT}
 
 
 @dataclass
@@ -211,6 +227,23 @@ _PERSISTED_TASK_STATES = {s.value: s for s in TaskState if s is not TaskState.RU
 _FAILURE_REASONS = {None: None, **{r.value: r for r in FailureReason}}
 
 
+def _task_spec(values, job: int, row: int) -> TaskSpec:
+    """The spec of the TASK_SPEC_KEYS values of `service.jobs[job].tasks[row]`. Exact types
+    pass at once; else the values are read through TASK, which raises the first bad one."""
+    task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
+    if (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
+            and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
+            and instances >= 1 and procs_per_node >= 1 and gpus_per_node >= 0
+            and task_id.strip() and input_dir.strip() and output_dir.strip()):
+        try:
+            return TaskSpec(task_id.strip(), parse_workload(workload), instances, procs_per_node,
+                            gpus_per_node, input_dir.strip(), output_dir.strip())
+        except ValueError:  # a workload reference that does not parse, or a blank one
+            pass
+    return TaskSpec(**_read(dict(zip(TASK_SPEC_KEYS, values)), TASK,
+                            (STATE_DOCUMENT, f"service.jobs[{job}].tasks[{row}]."), form=at_key))
+
+
 def _recording_tasks(svc: BatchService, pool: Pool):
     """The tasks whose row records a busy interval (start_time, end_time, run_tag) on each
     of its assigned_nodes in `pool`: every row that shows an attempt that ran.
@@ -254,6 +287,27 @@ def service_to_doc(svc: BatchService) -> dict:
     }
 
 
+def status_doc(svc: BatchService) -> dict:
+    """What `batchsim status` prints: each record by its STATUS_* table, and each region's
+    quota with the cores of its pools that are not deleted."""
+    return {
+        "time": svc.clock.now,
+        "quotas": {r: {**_written(q, REGION_QUOTA), **dict(zip(
+            ("dedicated_used", "low_priority_used"), svc.quota_used(r)))}
+            for r, q in svc.quotas.items()},
+        "pools": [_written(pool, STATUS_POOL, **_written(pool.config, VM_COUNT),
+                           sku=pool.config.sku, region=pool.config.region,
+                           warnings=[v.rule for v in pool.warnings],
+                           nodes=[_written(n, STATUS_NODE) for n in pool.nodes])
+                  for pool in svc.pools.values()],
+        "jobs": [_written(job, STATUS_JOB, tasks=[
+            _written(t, STATUS_TASK, id=t.spec.task_id, instances=t.spec.instances)
+            for t in job.tasks]) for job in svc.jobs.values()],
+        "shares": [_written(share, STATUS_SHARE, entries=len(share.entries))
+                   for share in svc.storage.shares.values()],
+    }
+
+
 @_gc_paused()
 def service_from_doc(doc: dict, options: ServiceOptions,
                      catalog: Optional[Catalog] = None) -> BatchService:
@@ -280,11 +334,11 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             share.put(entry)
         svc.storage.shares[share.name] = share
     skus = {sku.name for sku in svc.catalog.skus}
-    for pdoc in doc["pools"]:
+    for i, pdoc in enumerate(doc["pools"]):
         config = pdoc.get("config")
         owner = f"pool {config.get('id') if type(config) is dict else config}"
         values = _read(pdoc, POOL, owner, at)
-        cfg = pool_from_doc(values["config"])
+        cfg = pool_from_doc(values["config"], (STATE_DOCUMENT, f"service.pools[{i}].config."))
         if cfg.sku not in skus or cfg.region not in regions.names:  # as pool add found them
             raise ValidationError(f"corrupt state: config sku {cfg.sku!r}, region "
                                   f"{cfg.region!r} of {owner}")
@@ -309,10 +363,10 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
     jobs_at = At(now, frozenset(svc.pools))
-    for jdoc in doc["jobs"]:
+    for j, jdoc in enumerate(doc["jobs"]):
         values = _read(jdoc, JOB, f"job {jdoc.get('id')}", jobs_at)
         job_id, tasks = values["job_id"], []
-        for row in values["tasks"]:
+        for k, row in enumerate(values["tasks"]):
             if len(row) != TASK_ROW_LEN:
                 raise ValidationError(f"corrupt state: task row of {len(row)} values")
             *spec, state, nodes, start_time, end_time, reason, attempts = row
@@ -327,7 +381,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                     and (end_time is None or type(end_time) in (int, float)
                          and -_FLOAT_MAX <= end_time <= now)):
                 raise ValidationError(f"corrupt state: task row {row!r} of job {job_id}")
-            tasks.append(Task(task_spec(spec), job_id, _PERSISTED_TASK_STATES[state],
+            tasks.append(Task(_task_spec(spec, j, k), job_id, _PERSISTED_TASK_STATES[state],
                               tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
                               attempts))
         values["tasks"] = tasks

@@ -8,6 +8,7 @@ from batchsim.catalog import RegionQuota, default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.errors import SimulationError, ValidationError
 from batchsim.fabric import BOOT_LATENCY_RANGE, NodeState, Priority
+from batchsim.state import status_doc
 from batchsim.workloads import FixedDuration
 
 from randomized import (
@@ -78,7 +79,7 @@ WARNING_TEXT = ("low-priority nodes are preemptible and best avoided for long-ru
 
 def _rejected(svc, cfg):
     def snapshot():
-        return svc.event_log.lines(), dict(svc.pools), svc.status()["quotas"], svc.ledger.items
+        return svc.event_log.lines(), dict(svc.pools), status_doc(svc)["quotas"], svc.ledger.items
 
     before = snapshot()
     with pytest.raises(ValidationError) as err:
@@ -388,12 +389,12 @@ def test_status_snapshot():
     pool = steady_pool(svc, pool_cfg(ded=1))
     job = svc.jobs_add(jobs_cfg("p", task("t0", 1, 60)))
     svc.advance_until_job_terminal(job.job_id)
-    doc = svc.status()
+    doc = status_doc(svc)
     assert doc["pools"][0]["state"] == "Steady"
     assert doc["jobs"][0]["tasks"][0]["state"] == "Completed"
     assert doc["quotas"]["eastus"]["dedicated_used"] == 6
     svc.pool_del(pool.pool_id)
-    assert svc.status()["pools"][0]["state"] == "Deleted"
+    assert status_doc(svc)["pools"][0]["state"] == "Deleted"
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +445,7 @@ def test_quota_use_is_derived_from_the_pools_not_deleted():
 
     def check(eastus, colonial):
         used = {"eastus": eastus, "colonial": colonial}
-        quotas = svc.status()["quotas"]
+        quotas = status_doc(svc)["quotas"]
         assert {r: (q["dedicated_used"], q["low_priority_used"]) for r, q in quotas.items()} == used
         for region, (dedicated, low_priority) in used.items():
             quota = svc.quotas[region]
@@ -471,4 +472,4 @@ def test_quota_use_is_derived_from_the_pools_not_deleted():
     svc.pool_del("b")
     check((36, 0), (0, 0))
     back = state.service_from_doc(state.service_to_doc(svc), state.ServiceOptions(seed=2))
-    assert back.status()["quotas"] == svc.status()["quotas"]
+    assert status_doc(back)["quotas"] == status_doc(svc)["quotas"]

@@ -709,6 +709,13 @@ def _job(state) -> dict:
     return state["service"]["jobs"][0]
 
 
+def _second_pool(state, **config):
+    """Add a copy of the first pool as pool `other`, `config` merged into its config."""
+    pool = json.loads(json.dumps(_pool(state)))
+    pool["config"].update(id="other", **config)
+    state["service"]["pools"].append(pool)
+
+
 def _add_ledger_item(state, **edit):
     """Add a Bandwidth item of 0 USD, with `edit` merged in, to a ledger with none yet."""
     state["service"]["ledger"].append({"category": "Bandwidth", "usd": "0/1", "sku": None,
@@ -795,6 +802,14 @@ POOL_NODE_CORRUPTIONS = {
                     "nodes [5] of pool snake2d2k35"),
     "task-row-number": (lambda state: _job(state).update(tasks=[5]),
                         "tasks [5] of job snake2d2k35-job"),
+    # an error in a document embedded in state.json names its record; each was
+    # `state.json: key '<key>': `, naming no pool or job
+    "second-pool-config": (lambda state: _second_pool(state, image=None),
+                           "state.json: key 'service.pools[1].config.image': expected a "
+                           "non-empty string"),
+    "task-row-workload": (lambda state: _job(state)["tasks"][0].__setitem__(1, "bogus"),
+                          "state.json: key 'service.jobs[0].tasks[0].workload': unknown "
+                          "workload reference 'bogus'"),
     # a task row is read on its own path, which no table reaches; an error there kept the
     # name of the exception
     "task-nodes-number": (lambda state: _job(state)["tasks"][0].__setitem__(8, 5),
@@ -816,7 +831,7 @@ def test_corrupt_pool_or_node_field_exits_2_without_mutation(workdir, corrupt, m
     corrupt(state)
     path.write_text(json.dumps(state))
     before = tree(workdir)
-    # the embedded workspace is read by config.py, in its `state.json: key ...` form
+    # the embedded documents are read by config.py, in its `state.json: key ...` form
     text = message if message.startswith("state.json: ") else f"corrupt state: {message}"
     assert cli(workdir, *argv) == (2, "", f"error: {text}\n")
     assert tree(workdir) == before
@@ -898,9 +913,9 @@ def _table_leaves(doc, table=statemod.STATE, path=()):
             yield from ((*path, key, region) for region in value)
 
 
-# what a field-table error and the embedded workspace reader print
+# what a field-table error and the readers of embedded documents print
 CORRUPT_STATE_ERROR = re.compile(r"error: (corrupt state: (\w+ .+ of .+|unsupported state "
-                                 r"version .+)|state\.json: key '[\w.]+': .+)\n")
+                                 r"version .+)|state\.json: key '[\w.\[\]]+': .+)\n")
 
 
 @settings(max_examples=200, deadline=None,
@@ -1563,8 +1578,8 @@ def test_repro_verify_rejects_a_package_without_both_output_digests(tmp_path, di
     code, out, err = cli(tmp_path, "repro", "verify",
                          _edited_scenario_package(tmp_path, drop_digests))
     assert (code, out) == (2, "")
-    assert err == ("error: not a package of a completed run: "
-                   "it must digest events.log and ledger.tsv\n")
+    assert err == ("error: manifest.json: key 'output_digests': must digest events.log and "
+                   "ledger.tsv in 64 lower-case hex digits\n")
 
 
 def test_repro_pack_requires_completed_run(workdir):
@@ -1779,9 +1794,7 @@ def test_repro_verify_rejects_a_command_no_commit_records(tmp_path, monkeypatch,
 
     archive = _edited_scenario_package(tmp_path, append_crafted)
     before = _listing(tmp_path)
-    replayed = []
-    real = climod.run_command
-    monkeypatch.setattr(climod, "run_command", lambda *a, **k: replayed.append(a) or real(*a, **k))
+    replayed = _replayed(monkeypatch)
     monkeypatch.chdir(outside)  # where "-C ." points
     code, out, err = cli(tmp_path, "repro", "verify", archive)
     assert (code, out, replayed) == (2, "", [])
@@ -1798,18 +1811,33 @@ BAD_MANIFESTS = {
     "number-in-argv": lambda m: {**m, "transcript": [*m["transcript"], [5]]},
     "text-argv": lambda m: {**m, "transcript": [*m["transcript"], "status"]},
     "list-manifest": lambda m: [m],
+    # each replayed all ten commands and exited 3 at `first divergence at events.log`
+    "number-digest": lambda m: {**m, "output_digests": {**m["output_digests"], "events.log": 5}},
+    "text-digest": lambda m: {**m, "output_digests": {**m["output_digests"], "ledger.tsv": "x"}},
+    "upper-case-digest": lambda m: {**m, "output_digests": {
+        **m["output_digests"], "events.log": m["output_digests"]["events.log"].upper()}},
 }
 
 
+def _replayed(monkeypatch) -> list:
+    """The argument lists of each command that `repro verify` replays from now on."""
+    replayed, real = [], climod.run_command
+    monkeypatch.setattr(climod, "run_command", lambda *a, **k: replayed.append(a) or real(*a, **k))
+    return replayed
+
+
 @pytest.mark.parametrize("edit", list(BAD_MANIFESTS.values()), ids=list(BAD_MANIFESTS))
-def test_repro_verify_rejects_a_malformed_manifest(tmp_path, edit):
-    """A manifest that `repro pack` cannot have written is a corrupt package (exit 2)."""
+def test_repro_verify_rejects_a_malformed_manifest(tmp_path, monkeypatch, edit):
+    """A manifest that `repro pack` cannot have written is a corrupt package (exit 2), and
+    no command is replayed."""
     def rewrite(unpacked):
         manifest = json.loads((unpacked / "manifest.json").read_text())
         (unpacked / "manifest.json").write_text(json.dumps(edit(manifest)))
 
-    code, out, err = cli(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, rewrite))
-    assert (code, out) == (2, "")
+    archive = _edited_scenario_package(tmp_path, rewrite)
+    replayed = _replayed(monkeypatch)
+    code, out, err = cli(tmp_path, "repro", "verify", archive)
+    assert (code, out, replayed) == (2, "", [])
     assert err.startswith("error: manifest.json: ")
 
 
@@ -1821,6 +1849,43 @@ def scenario_package(tmp_path_factory) -> dict:
     ok(root, "repro", "pack")
     with tarfile.open(root / "repro-package.tar.gz") as tar:
         return {m.name: tar.extractfile(m).read() for m in tar.getmembers() if m.isfile()}
+
+
+def _write_package(path: Path, members: dict, links=()):
+    """A package at `path` of `links` (TarInfos), then of `members`: name -> bytes."""
+    with tarfile.open(path, "w:gz") as tar:
+        for link in links:
+            tar.addfile(link)
+        for name, data in members.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+
+
+@pytest.mark.parametrize("value", [configmod._ABSENT, None, "x", -1, 1e308, [1], True],
+                         ids=["absent", "null", "text", "negative", "huge", "list", "true"])
+@pytest.mark.parametrize("key", list(climod.PACKAGE))
+def test_a_package_leaf_of_another_kind_exits_2_before_any_replay(scenario_package, tmp_path,
+                                                                  monkeypatch, key, value):
+    """A manifest.json leaf that its PACKAGE kind does not take is exit 2 in the
+    `manifest.json: key '<key>': ` form, before any command is replayed; one it takes
+    verifies. Nothing beside the package is written."""
+    manifest = json.loads(scenario_package["manifest.json"])
+    if value is configmod._ABSENT:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    _write_package(tmp_path / "package.tar.gz",
+                   {**scenario_package, "manifest.json": json.dumps(manifest).encode()})
+    before = _listing(tmp_path)
+    replayed = _replayed(monkeypatch)
+    code, out, err = cli(tmp_path, "repro", "verify", "package.tar.gz")
+    if climod.PACKAGE[key].ok(value, configmod.At()):
+        assert (code, err) == (0, "") and out.startswith("PASS") and replayed
+    else:
+        assert (code, out, replayed) == (2, "", [])
+        assert err.startswith(f"error: manifest.json: key {key!r}: "), err
+    assert _listing(tmp_path) == before
 
 
 TOKENS = ["-C", ".", "-C{out}", "{out}", "{out}/x", "--export", "--dest", "--de", "--configdir",
@@ -1888,13 +1953,7 @@ def test_repro_verify_of_a_mutated_package_writes_only_its_temp_dir(scenario_pac
                 links.append(_link("configs/evil", tarfile.SYMTYPE, outside) if kind == "symlink"
                              else _link("configs/evil", tarfile.LNKTYPE, outside / "kept.txt"))
                 members["configs/evil" + ("/x.yaml" if kind == "symlink" else "")] = b"x\n"
-        with tarfile.open(work / "package.tar.gz", "w:gz") as tar:
-            for link in links:
-                tar.addfile(link)
-            for name, data in members.items():
-                info = tarfile.TarInfo(name)
-                info.size = len(data)
-                tar.addfile(info, io.BytesIO(data))
+        _write_package(work / "package.tar.gz", members, links)
         before = _listing(outside, work)
         cwd = os.getcwd()
         os.chdir(outside)  # where "-C ." points

@@ -1,4 +1,4 @@
-"""Golden digests of the digested artifacts.
+"""Golden digests of the digested artifacts, and of what `status` prints.
 
 A change that moves a digest on purpose re-records it this way: run this
 file at the parent commit and check that it passes there; apply the change
@@ -41,7 +41,7 @@ from batchsim.cli import run_command
 codes = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
-    codes.append([run_command(argv, out=out, err=err), err.getvalue()])
+    codes.append([run_command(argv, out=out, err=err), err.getvalue(), out.getvalue()])
 print(json.dumps(codes))
 """
 
@@ -291,14 +291,93 @@ def _tree_digests(workdir: Path) -> dict:
             for p in sorted(store.rglob("*")) if p.is_file()}
 
 
+def _status_digests(commands: list[list[str]], results: list) -> dict:
+    """Digest of the stdout of each `status` in `commands`, named by the command before it."""
+    return {f"status after {' '.join(before[:2])}": _sha(out.encode())
+            for before, argv, (_, _, out) in zip(commands, commands[1:], results[1:])
+            if argv == ["status"]}
+
+
+def _with_status(session: list[list[str]]) -> list[list[str]]:
+    """`session` with a `status` after its `jobs add`, `pool del` and `jobs del`."""
+    return [step for argv in session for step in (
+        [argv, ["status"]] if argv[:2] in (["jobs", "add"], ["pool", "del"], ["jobs", "del"])
+        else [argv])]
+
+
+# the `status` stdout of each SESSIONS config, and of LOW_PRIORITY_SESSION
+STATUS_DIGESTS = {
+    "osu_nc24r": {
+        "status after jobs add":
+            "2745d06a9e8f9cf6217eab1893d1601e5659af94193a56d1eb6e3df5c5e63e63",
+        "status after jobs del":
+            "1853302ff305afe1ca4d9d2f94b5a136581bef2e0427b5112c0ba9b4ad5931bd",
+        "status after pool del":
+            "baeed8e733fb9413a8dd629c439c49da5943d883dd5782d0e0727d61b6e5f0ae",
+    },
+    "poisson_h16r": {
+        "status after jobs add":
+            "fc55f8138d02496bf31e9e7e6e6c58ab9659a099dc62a464ca0660d7c250742d",
+        "status after jobs del":
+            "79310aa1b56a83feb2fd5794e3206974849a2a835585dc9157671593cbd881c7",
+        "status after pool del":
+            "b0ce202287491a5db6e4216fac35dba76cb19d576ea566255d03e4ac35fc10be",
+    },
+    "snake2d2k35": {
+        "status after jobs add":
+            "0a91d1d0b8776e64da11d707966d02a13c03ead63a4fe406006ea294a10f9086",
+        "status after jobs del":
+            "13250a4aa352b5aa4de945ab916d1e7ff207c1bb751de945d726645a3df79682",
+        "status after pool del":
+            "e2e62ce77f6d217d0adc30b5695aa6a1cb90335420b212ebad6c6b6f71c79a5c",
+    },
+    "snake2d2k35-low-priority": {
+        "status after jobs add":
+            "31400f07d1f53e8842f6f7ca0d19b49bc2e40d95934390d35a70953f0383dc77",
+        "status after jobs del":
+            "f1237bcc64abfe763dc0fc20cb63da54976a2a1521b044e34c586d377f31eb20",
+        "status after pool del":
+            "442ec034bf040ad0b6d3c999b3ee1e8680f30697d82c0b10983d7eb86f25b31c",
+    },
+}
+
+
 @pytest.mark.parametrize("config", sorted(SESSION_DIGESTS))
 def test_cli_session_digests(config, tmp_path):
     shutil.copytree(REPO_ROOT / "configs" / config, tmp_path / "cfg")
     (tmp_path / "manifest.yaml").write_text(
         "entries:\n- {path: case.yaml, bytes: 4096}\n- {path: mesh.bin, bytes: 65536}\n")
-    codes = _run_child(tmp_path, SESSIONS[config])
-    assert all(code == 0 for code, _ in codes), codes
+    commands = _with_status(SESSIONS[config])
+    results = _run_child(tmp_path, commands)
+    assert all(code == 0 for code, *_ in results), results
     _check(_tree_digests(tmp_path), SESSION_DIGESTS[config])
+    _check(_status_digests(commands, results), STATUS_DIGESTS[config])
+
+
+# the snake2d2k35 session on one dedicated and three low-priority nodes, preempted at one
+# per node-hour with one retry, so that status shows Preempted nodes and a failed task
+LOW_PRIORITY_SESSION = [
+    ["workspace", "init", "--configdir", "cfg", "--seed", "0", "--preemption-rate", "1.0",
+     "--task-retries", "1"],
+    *SESSIONS["snake2d2k35"][1:3],
+    ["quota", "set", "--region", "eastus", "--dedicated", "100", "--low-priority", "100"],
+    *SESSIONS["snake2d2k35"][4:],
+]
+
+
+def test_cli_low_priority_status_digests(tmp_path):
+    shutil.copytree(REPO_ROOT / "configs" / "snake2d2k35", tmp_path / "cfg")
+    pool = tmp_path / "cfg" / "pool.yaml"
+    pool.write_text(pool.read_text().replace("dedicated: 2\n    low_priority: 0", "dedicated: 1\n"
+                                             "    low_priority: 3").replace(
+        "shared_filesystem: true", "shared_filesystem: false"))
+    commands = _with_status(LOW_PRIORITY_SESSION)
+    results = _run_child(tmp_path, commands)
+    assert all(code == 0 for code, *_ in results), results
+    status = results[commands.index(["status"])][2]
+    for text in ('"Preempted"', '"failure": "NodePreempted"', '"LowPriorityInterNodeComm"'):
+        assert text in status
+    _check(_status_digests(commands, results), STATUS_DIGESTS["snake2d2k35-low-priority"])
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_RUN_DIGESTS))

@@ -7,6 +7,7 @@ from batchsim.billing import counterfactual, export_tsv
 from batchsim.catalog import PricingPlan, default_catalog
 from batchsim.config import parse_config_dir, serialize_config_dir
 from batchsim.scenarios import builtin_scenarios, run_scenario, scenario_by_name
+from batchsim.state import status_doc
 
 
 def test_builtin_wall_hours():
@@ -97,7 +98,7 @@ def test_pipeline_artifacts(tmp_path):
 
 def test_pool_torn_down_and_job_kept():
     run = run_scenario(scenario_by_name("snake2d"), seed=0)
-    status = run.service.status()
+    status = status_doc(run.service)
     assert status["pools"][0]["state"] == "Deleted"
     assert status["jobs"][0]["state"] == "Deleted"
     assert status["jobs"][0]["tasks"][0]["state"] == "Completed"

@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchsim import state
 from batchsim.batch import FailureReason, TaskState
@@ -152,7 +154,7 @@ def test_corrupt_task_row_spec_names_its_field(snake2d_doc_text, key, value):
     doc["jobs"][0]["tasks"][0][TASK_SPEC_KEYS.index(key)] = value
     with pytest.raises(ValidationError) as err:
         state.service_from_doc(doc, state.ServiceOptions())
-    assert str(err.value).startswith(f"state.json: key {key!r}: ")
+    assert str(err.value).startswith(f"state.json: key 'service.jobs[0].tasks[0].{key}': ")
 
 
 def _set(index, value):
@@ -261,6 +263,18 @@ def _busy_services(seed):
     return [*_round_trip_services(seed), _readded_pool_and_job(seed)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_reloaded_service_prints_the_status_of_the_in_process_one(seed):
+    """`status` in a per-command session, which reads the service back from its state
+    document, prints what the service that wrote the document would."""
+    shared = run_random_schedule(seed, share=True)[0], state.ServiceOptions(seed=seed)
+    for svc, options in [*_busy_services(seed), shared]:
+        back = state.service_from_doc(json.loads(json.dumps(state.service_to_doc(svc))), options)
+        assert (json.dumps(state.status_doc(back), sort_keys=True)
+                == json.dumps(state.status_doc(svc), sort_keys=True))
+
+
 def _recorded_by_rows(doc) -> set:
     """(node, start, end, tag) of each busy interval that a task row of the service document
     records: on each assigned node of a row whose attempt started after its pool was made."""
@@ -352,7 +366,7 @@ def test_resubmitted_job_is_listed_once_and_queues_last():
     svc.advance_until_job_terminal("b")
     svc.jobs_del("a")
     svc.jobs_add(JobsConfig("a", "lp", (_task(0, 0, 1, 60),)))
-    assert [j["id"] for j in svc.status()["jobs"]] == ["b", "a"]
+    assert [j["id"] for j in state.status_doc(svc)["jobs"]] == ["b", "a"]
     assert len(svc.all_tasks()) == 2
     svc.advance_until_job_terminal("a")
     doc = state.service_to_doc(svc)
