@@ -177,7 +177,6 @@ class BatchService:
         self.jobs: dict[str, Job] = {}  # in submission order
         self._running: dict[str, Task] = {}  # node id -> the task running on it
         self._submitted = 0  # tasks ever queued; the next task's FIFO key
-        self._contexts: dict[tuple[int, int], workloads.TaskContext] = {}
 
     # -- quotas ------------------------------------------------------------
 
@@ -372,10 +371,9 @@ class BatchService:
 
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
         now = self.clock.now
-        key = (task.spec.instances, task.spec.procs_per_node)
-        if key not in self._contexts:
-            self._contexts[key] = workloads.TaskContext(*key, self.interconnect)
-        result = workloads.execute(task.spec.workload, self._contexts[key])
+        spec = task.spec
+        result = workloads.execute(spec.workload, spec.instances, spec.procs_per_node,
+                                   self.interconnect)
         task.nodes = nodes = tuple(nodes)
         task.assigned_nodes = tuple([n.node_id for n in nodes])
         self._log((now, task.entity, _PENDING_TO_STAGING))

@@ -46,17 +46,12 @@ class MeterEvent:
             raise ValueError("meter events are non-negative")
 
 
-def _as_fraction(seconds: Seconds) -> Fraction:
-    frac = Fraction(seconds)
-    if frac < 0:
-        raise ValueError("seconds must be non-negative")
-    return frac
-
-
 def meter_vm(catalog: Catalog, sku: str, plan: PricingPlan, node_seconds: Seconds) -> Fraction:
     """Pro-rata per-second charge: rate * node_seconds / 3600, exact."""
-    rate = Fraction(catalog.price_rate(sku, plan))
-    return rate * _as_fraction(node_seconds) / 3600
+    seconds = Fraction(node_seconds)
+    if seconds < 0:
+        raise ValueError("seconds must be non-negative")
+    return Fraction(catalog.lookup(sku).prices[plan]) * seconds / 3600
 
 
 def meter_egress(transfer_bytes: int) -> Fraction:
@@ -79,14 +74,13 @@ class Ledger:
 
     def add_vm(self, sku: str, plan: PricingPlan, node_seconds: Seconds,
                description: str, interval: tuple[float, float]) -> MeterEvent:
-        seconds = _as_fraction(node_seconds)
         item = MeterEvent(
             category=ServiceCategory.VIRTUAL_MACHINES,
-            usd=meter_vm(self.catalog, sku, plan, seconds),
+            usd=meter_vm(self.catalog, sku, plan, node_seconds),
             description=description,
             interval=interval,
             sku=sku,
-            node_seconds=seconds,
+            node_seconds=Fraction(node_seconds),
         )
         self.add(item)
         return item
@@ -105,11 +99,9 @@ class Ledger:
     def total(self) -> Fraction:
         return sum((i.usd for i in self._items), Fraction(0))
 
-    def category_total(self, category: ServiceCategory) -> Fraction:
-        return sum((i.usd for i in self._items if i.category is category), Fraction(0))
-
     def vm_total(self) -> Fraction:
-        return self.category_total(ServiceCategory.VIRTUAL_MACHINES)
+        vm = ServiceCategory.VIRTUAL_MACHINES
+        return sum((i.usd for i in self._items if i.category is vm), Fraction(0))
 
 
 def counterfactual(ledger: Ledger, plan: PricingPlan) -> Fraction:

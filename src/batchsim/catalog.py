@@ -33,9 +33,6 @@ class SkuSpec:
     region_availability: frozenset[str]
     prices: dict[PricingPlan, Decimal] = field(hash=False)  # each rate positive
 
-    def price(self, plan: PricingPlan) -> Decimal:
-        return self.prices[plan]
-
 
 @dataclass
 class RegionQuota:
@@ -63,9 +60,6 @@ class Catalog:
         except KeyError:
             raise ValidationError(f"SKU not in catalog: {name!r}") from None
 
-    def price_rate(self, sku: str, plan: PricingPlan) -> Decimal:
-        return self.lookup(sku).price(plan)
-
     @property
     def skus(self) -> tuple[SkuSpec, ...]:
         return tuple(self._skus.values())
@@ -74,15 +68,10 @@ class Catalog:
     def regions(self) -> tuple[str, ...]:
         return tuple(self._quotas)
 
-    def has_region(self, region: str) -> bool:
-        return region in self._quotas
-
-    def default_quota(self, region: str) -> RegionQuota:
-        q = self._quotas[region]
-        return RegionQuota(q.region, q.dedicated_cores, q.low_priority_cores)
-
     def default_quotas(self) -> dict[str, RegionQuota]:
-        return {r: self.default_quota(r) for r in self._quotas}
+        """A copy of each region's default quota, which its caller may change."""
+        return {r: RegionQuota(r, q.dedicated_cores, q.low_priority_cores)
+                for r, q in self._quotas.items()}
 
 
 def _sku(name, vcores, ram, ssd, gpus, gpu_model, rdma, regions, ded, low, r1, r3):

@@ -590,6 +590,10 @@ def cmd_repro_verify(cli: Cli, args) -> int:
             raise ValidationError(f"not a readable package: {exc}") from None
         seed, transcript, expected = read_manifest(extracted / "manifest.json")
         commands = [recorded_command(argv) for argv in transcript]
+        init = next((argv for argv in commands if argv[:2] == ["workspace", "init"]), None)
+        if init is None or build_parser().parse_args(init).seed != seed:
+            raise ValidationError("manifest.json: key 'seed': must be the seed that the "
+                                  "transcript's workspace init sets")
         workdir = tmpdir / "replay"
         workdir.mkdir()
         for name in ("configs", "ingress"):  # the files that recorded commands name

@@ -231,9 +231,9 @@ def _document(directory: Path, name: str, key: str) -> tuple[dict, tuple]:
 
 def _cross_validate(bundle: ConfigBundle, catalog: Catalog):
     pool, jobs, workspace = bundle.pool, bundle.jobs, bundle.workspace
-    if not catalog.has_region(workspace.region):
+    if workspace.region not in catalog.regions:
         raise ValidationError(f"workspace region {workspace.region!r} not in catalog")
-    if not catalog.has_region(pool.region):
+    if pool.region not in catalog.regions:
         raise ValidationError(f"pool region {pool.region!r} not in catalog")
     sku = catalog.lookup(pool.sku)  # an unknown SKU is a ValidationError there
     if pool.region not in sku.region_availability:

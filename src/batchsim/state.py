@@ -332,6 +332,8 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             if entry.content is not None and entry.size_bytes != len(entry.content):
                 raise ValidationError(f"corrupt state: size {entry.size_bytes} of {owner}")
             share.put(entry)
+        if share.name in svc.storage.shares:
+            raise ValidationError(f"corrupt state: share {share.name!r} twice")
         svc.storage.shares[share.name] = share
     skus = {sku.name for sku in svc.catalog.skus}
     for i, pdoc in enumerate(doc["pools"]):
@@ -360,12 +362,20 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             if node.preempt_at is not None and node.priority is Priority.DEDICATED:
                 raise ValidationError(f"corrupt state: preempt_at {node.preempt_at!r} of {owner}")
             pool.nodes.append(node)
+        ids = [n.node_id for n in pool.nodes]
+        if len({*ids}) < len(ids):
+            twice = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise ValidationError(f"corrupt state: node {twice!r} twice in pool {cfg.pool_id}")
+        if cfg.pool_id in svc.pools:
+            raise ValidationError(f"corrupt state: pool {cfg.pool_id!r} twice")
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
     jobs_at = At(now, frozenset(svc.pools))
     for j, jdoc in enumerate(doc["jobs"]):
         values = _read(jdoc, JOB, f"job {jdoc.get('id')}", jobs_at)
         job_id, tasks = values["job_id"], []
+        if job_id in svc.jobs:
+            raise ValidationError(f"corrupt state: job {job_id!r} twice")
         for k, row in enumerate(values["tasks"]):
             if len(row) != TASK_ROW_LEN:
                 raise ValidationError(f"corrupt state: task row of {len(row)} values")

@@ -53,17 +53,11 @@ class FileShare:
     name: str
     quota_gib: int
     entries: dict[str, ShareEntry] = field(default_factory=dict)
-    directories: set[str] = field(default_factory=set)
     used_bytes: int = field(default=0, init=False)
 
     def put(self, entry: ShareEntry):
-        """Add or replace the entry at its path, keeping `used_bytes` and `directories` current."""
+        """Add or replace the entry at its path, keeping `used_bytes` current."""
         old = self.entries.get(entry.path)
-        if old is None:  # register its directory and the parents not yet registered
-            directory = posixpath.dirname(entry.path)
-            while directory and directory not in self.directories:
-                self.directories.add(directory)
-                directory = posixpath.dirname(directory)
         self.used_bytes += entry.size_bytes - (old.size_bytes if old else 0)
         self.entries[entry.path] = entry
 
@@ -75,8 +69,7 @@ class FileShare:
 class StorageAccount:
     """Named shares; ingress and download return the bytes they meter."""
 
-    def __init__(self, name: str = "storage"):
-        self.name = name
+    def __init__(self):
         self.shares: dict[str, FileShare] = {}
 
     def _share(self, name: str) -> FileShare:
@@ -132,12 +125,14 @@ class StorageAccount:
         sh.put(ShareEntry(path, len(content), content))
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
+        """The entries below `directory` in path order; a ValidationError if none lies there."""
         sh = self._share(share)
         directory = _normalize(directory)
-        if directory not in sh.directories:
-            raise ValidationError(f"no such directory: {share}/{directory}")
         prefix = directory + "/"
-        return [e for p, e in sorted(sh.entries.items()) if p.startswith(prefix)]
+        entries = [e for p, e in sorted(sh.entries.items()) if p.startswith(prefix)]
+        if not entries:
+            raise ValidationError(f"no such directory: {share}/{directory}")
+        return entries
 
     def download_batch(self, share: str, directory: str, destination: Path) -> int:
         """Copy every entry under `directory` to `destination`; returns the metered bytes.

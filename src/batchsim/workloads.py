@@ -426,43 +426,36 @@ def scaling_table(spec: PoissonScalingModeled, node_counts: Sequence[int],
 # task execution: simulated duration plus output artifacts
 
 
-@dataclass(frozen=True)
-class TaskContext:
-    instances: int
-    procs_per_node: int
-    model: InterconnectModel
-
-
 @dataclass(slots=True)
 class WorkloadResult:
     duration_seconds: float
     outputs: list[tuple[str, bytes]] = field(default_factory=list)
 
 
-def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
-    """Run (or model) the workload, yielding simulated duration and artifacts."""
+def execute(spec: WorkloadSpec, instances: int, procs_per_node: int,
+            model: InterconnectModel) -> WorkloadResult:
+    """Run (or model) the workload of a task on `instances` nodes, yielding simulated
+    duration and artifacts."""
     if isinstance(spec, FixedDuration):
-        text = (f"fixed-duration task: {spec.seconds:g} s on {ctx.instances} instances, "
-                f"{ctx.procs_per_node} processes per node\n")
+        text = (f"fixed-duration task: {spec.seconds:g} s on {instances} instances, "
+                f"{procs_per_node} processes per node\n")
         return WorkloadResult(spec.seconds, [("run.log", text.encode())])
     if isinstance(spec, PingPongLatency):
-        table = osu_latency(ctx.model)
-        duration = LATENCY_REPETITIONS * sum(2.0 * comm_time(ctx.model, s) for s in LATENCY_SIZES)
-        text = format_table(table, f"ping-pong latency, model={ctx.model.name} (seconds)")
+        table = osu_latency(model)
+        duration = LATENCY_REPETITIONS * sum(2.0 * comm_time(model, s) for s in LATENCY_SIZES)
+        text = format_table(table, f"ping-pong latency, model={model.name} (seconds)")
         return WorkloadResult(duration, [("latency.tsv", text.encode())])
     if isinstance(spec, PingPongBandwidth):
-        table = osu_bandwidth(ctx.model)
-        duration = sum(ctx.model.alpha + BANDWIDTH_WINDOW * s / ctx.model.beta
-                       for s in BANDWIDTH_SIZES)
-        text = format_table(table, f"streaming bandwidth, model={ctx.model.name} (bytes/s)")
+        table = osu_bandwidth(model)
+        duration = sum(model.alpha + BANDWIDTH_WINDOW * s / model.beta for s in BANDWIDTH_SIZES)
+        text = format_table(table, f"streaming bandwidth, model={model.name} (bytes/s)")
         return WorkloadResult(duration, [("bandwidth.tsv", text.encode())])
     if isinstance(spec, PoissonCGReal):
         grid = unit_cube_grid(spec.n)
         rhs = sine_sample(grid)  # manufactured_solution's forcing, scaled in the sample's
         rhs *= 12.0 * np.pi**2   # array: the same bits; solve_cg then uses it as its residual
         result = solve_cg(grid, rhs)
-        per_iter = modeled_poisson_runtime(grid.cells, ctx.instances, ctx.procs_per_node,
-                                           ctx.model)
+        per_iter = modeled_poisson_runtime(grid.cells, instances, procs_per_node, model)
         duration = max(result.iterations, 1) * per_iter
         report = io.StringIO()
         report.write(f"grid\t{spec.n}x{spec.n}x{spec.n}\n")
@@ -470,8 +463,8 @@ def execute(spec: WorkloadSpec, ctx: TaskContext) -> WorkloadResult:
         report.write(f"final_residual\t{result.final_residual!r}\n")
         return WorkloadResult(duration, [("solve.tsv", report.getvalue().encode())])
     # the last WorkloadSpec class: PoissonScalingModeled
-    counts = list(range(1, ctx.instances + 1))
-    rows = scaling_table(spec, counts, ctx.procs_per_node, ctx.model)
+    counts = list(range(1, instances + 1))
+    rows = scaling_table(spec, counts, procs_per_node, model)
     duration = sum(r for _, r in rows) * 100  # nominal 100 iterations per point
     text = format_table(rows, f"{spec.mode.value} scaling, base={spec.base_cells} cells "
                               f"(seconds/iteration)")

@@ -1,0 +1,116 @@
+"""Named mutants: small faults in src/batchsim, each with the tests that must catch it.
+
+    python tests/mutants.py [NAME ...]
+
+For each mutant of MUTANTS (all of them, or those named), copies src/, tests/ and
+configs/ into a temporary directory, replaces the mutant's old text with its new text
+in its file there, and runs pytest on only its test ids. It prints `killed` when they
+fail, `SURVIVED` when they pass, `STALE` when the old text does not occur exactly once
+in the file, and `ERROR` when pytest could not run them (its exit status is neither 0
+nor 1: an id that names no test, or a mutant that does not import). The exit status is
+1 if any mutant is not killed, else 0. tests/test_mutants.py checks only that each old
+text occurs once, so the table cannot rot; the full run is not part of the suite.
+The name does not match pytest's `test_*.py`, so the suite does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = REPO_ROOT / "src" / "batchsim"
+COPIED = ("src", "tests", "configs")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/batchsim
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple  # pytest ids, relative to the repository root
+
+
+_CORRUPT = "tests/test_cli.py::test_corrupt_pool_or_node_field_exits_2_without_mutation"
+_ENTRIES_UNDER = ("tests/test_storage.py::test_download_missing_directory",
+                  "tests/test_storage.py::"
+                  "test_entries_under_lists_exactly_the_entries_below_a_parent_of_one")
+
+MUTANTS = [
+    # a share's directories are the proper parents of its entries' paths
+    Mutant("entries-under-never-raises", "storage.py", "        if not entries:\n",
+           "        if entries is None:\n", _ENTRIES_UNDER),
+    Mutant("entries-under-prefix-without-slash", "storage.py", 'prefix = directory + "/"',
+           "prefix = directory", _ENTRIES_UNDER[1:]),
+    # ids are unique in state.json
+    Mutant("node-id-twice-taken", "state.py", "if len({*ids}) < len(ids):", "if False:",
+           (f"{_CORRUPT}[node-id-twice-jobs-add]", f"{_CORRUPT}[node-id-twice-pool-del]")),
+    Mutant("pool-twice-taken", "state.py", "if cfg.pool_id in svc.pools:", "if False:",
+           (f"{_CORRUPT}[pool-twice-jobs-add]", f"{_CORRUPT}[pool-twice-pool-del]")),
+    Mutant("job-twice-taken", "state.py", "if job_id in svc.jobs:", "if False:",
+           (f"{_CORRUPT}[job-twice-jobs-add]", f"{_CORRUPT}[job-twice-pool-del]")),
+    Mutant("share-twice-taken", "state.py", "if share.name in svc.storage.shares:", "if False:",
+           (f"{_CORRUPT}[share-twice-jobs-add]", f"{_CORRUPT}[share-twice-pool-del]")),
+    # a package's manifest seed is the one its transcript's workspace init sets
+    Mutant("manifest-seed-unchecked", "cli.py",
+           "if init is None or build_parser().parse_args(init).seed != seed:", "if init is None:",
+           ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[other-seed]",
+            "tests/test_cli.py::"
+            "test_a_package_leaf_of_another_kind_exits_2_before_any_replay[seed-negative]")),
+    Mutant("manifest-without-init-taken", "cli.py",
+           "if init is None or build_parser().parse_args(init).seed != seed:",
+           "if init is not None and build_parser().parse_args(init).seed != seed:",
+           ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[no-init]",)),
+    # the pass-throughs' callers
+    Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
+           "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),
+    Mutant("default-quotas-shared", "catalog.py",
+           "return {r: RegionQuota(r, q.dedicated_cores, q.low_priority_cores)\n"
+           "                for r, q in self._quotas.items()}",
+           "return dict(self._quotas)", ("tests/test_catalog.py::test_quota_snapshot_is_copy",)),
+]
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file."""
+    return (PACKAGE / mutant.file).read_text().count(mutant.old)
+
+
+def run(mutant: Mutant) -> str:
+    """`killed`, `SURVIVED`, `STALE` or `ERROR`, as the module docstring says."""
+    if occurrences(mutant) != 1:
+        return "STALE"
+    with tempfile.TemporaryDirectory(prefix="batchsim-mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            shutil.copytree(REPO_ROOT / name, root / name, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".pytest_cache"))
+        path = root / "src" / "batchsim" / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=root, capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
+    return {0: "SURVIVED", 1: "killed"}.get(done.returncode, "ERROR")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        outcome = run(mutant)
+        failed += outcome != "killed"
+        print(f"{mutant.name}\t{outcome}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -28,14 +28,14 @@ def test_nc24r_hardware(catalog):
 
 
 def test_nc24r_prices_exact(catalog):
-    assert catalog.price_rate("NC24r", PricingPlan.PAYGO_DEDICATED) == Decimal("3.96")
-    assert catalog.price_rate("NC24r", PricingPlan.PAYGO_LOW_PRIORITY) == Decimal("0.792")
-    assert catalog.price_rate("NC24r", PricingPlan.RESERVED_1YR) == Decimal("2.5224")
-    assert catalog.price_rate("NC24r", PricingPlan.RESERVED_3YR) == Decimal("1.7578")
+    assert catalog.lookup("NC24r").prices[PricingPlan.PAYGO_DEDICATED] == Decimal("3.96")
+    assert catalog.lookup("NC24r").prices[PricingPlan.PAYGO_LOW_PRIORITY] == Decimal("0.792")
+    assert catalog.lookup("NC24r").prices[PricingPlan.RESERVED_1YR] == Decimal("2.5224")
+    assert catalog.lookup("NC24r").prices[PricingPlan.RESERVED_3YR] == Decimal("1.7578")
 
 
 def test_nc6_reserved_3yr(catalog):
-    assert catalog.lookup("NC6").price(PricingPlan.RESERVED_3YR) == Decimal("0.3996")
+    assert catalog.lookup("NC6").prices[PricingPlan.RESERVED_3YR] == Decimal("0.3996")
 
 
 def test_rdma_flags(catalog):
@@ -50,28 +50,28 @@ def test_unknown_sku(catalog):
     with pytest.raises(ValidationError, match="^SKU not in catalog: 'XYZ'$"):
         catalog.lookup("XYZ")
     with pytest.raises(ValidationError, match="^SKU not in catalog: 'XYZ'$"):
-        catalog.price_rate("XYZ", PricingPlan.PAYGO_DEDICATED)
+        catalog.lookup("XYZ").prices[PricingPlan.PAYGO_DEDICATED]
 
 
 def test_low_priority_is_fifth_of_dedicated(catalog):
     for name in NC_SERIES:
         sku = catalog.lookup(name)
-        dedicated = sku.price(PricingPlan.PAYGO_DEDICATED)
-        low = sku.price(PricingPlan.PAYGO_LOW_PRIORITY)
+        dedicated = sku.prices[PricingPlan.PAYGO_DEDICATED]
+        low = sku.prices[PricingPlan.PAYGO_LOW_PRIORITY]
         assert abs(low - dedicated / 5) <= Decimal("0.0001")
 
 
 def test_plan_ordering_every_sku(catalog):
     for sku in catalog.skus:
-        assert (sku.price(PricingPlan.RESERVED_3YR)
-                < sku.price(PricingPlan.RESERVED_1YR)
-                < sku.price(PricingPlan.PAYGO_DEDICATED))
-        assert sku.price(PricingPlan.PAYGO_LOW_PRIORITY) > 0
+        assert (sku.prices[PricingPlan.RESERVED_3YR]
+                < sku.prices[PricingPlan.RESERVED_1YR]
+                < sku.prices[PricingPlan.PAYGO_DEDICATED])
+        assert sku.prices[PricingPlan.PAYGO_LOW_PRIORITY] > 0
 
 
 def test_default_quota_is_24(catalog):
     for region in catalog.regions:
-        quota = catalog.default_quota(region)
+        quota = catalog.default_quotas()[region]
         assert quota.dedicated_cores == 24
 
 
@@ -79,11 +79,11 @@ def test_document_round_trip(catalog):
     doc = catalog_to_doc(catalog)
     rebuilt = catalog_from_doc(doc)
     assert catalog_to_doc(rebuilt) == doc
-    assert rebuilt.price_rate("NC24r", PricingPlan.PAYGO_DEDICATED) == Decimal("3.96")
+    assert rebuilt.lookup("NC24r").prices[PricingPlan.PAYGO_DEDICATED] == Decimal("3.96")
     assert rebuilt.lookup("NC24r").region_availability == frozenset({"eastus"})
 
 
 def test_quota_snapshot_is_copy(catalog):
-    quota = catalog.default_quota("eastus")
+    quota = catalog.default_quotas()["eastus"]
     quota.dedicated_cores = 999
-    assert catalog.default_quota("eastus").dedicated_cores == 24
+    assert catalog.default_quotas()["eastus"].dedicated_cores == 24

@@ -175,7 +175,7 @@ def _pool(ded=1, low=0, sku="NC6", inter_node=False, shared_fs=False):
 
 
 def _available():
-    return CATALOG.default_quota("eastus")  # 24 dedicated and 24 low-priority cores
+    return CATALOG.default_quotas()["eastus"]  # 24 dedicated and 24 low-priority cores
 
 
 def test_validate_pool_quota_exceeded():

@@ -1,5 +1,4 @@
 import hashlib
-import posixpath
 import random
 
 import pytest
@@ -71,7 +70,8 @@ def test_ingress_over_quota(account):
 
 def test_ingress_empty_manifest(account):
     assert account.ingress("fileshare", "run", []) == 0
-    assert account.shares["fileshare"].directories == set()
+    with pytest.raises(ValidationError, match="^no such directory: fileshare/run$"):
+        account.entries_under("fileshare", "run")
 
 
 def test_download_batch(account, tmp_path):
@@ -135,14 +135,16 @@ def test_larger_overwrite_at_full_quota_is_rejected_and_changes_nothing(full_sha
         full_share.write_entry("s", "out/f", b"y" * 11)
     assert share.used_bytes == GIB
     assert share.entries["out/f"].content == b"x" * 10
-    assert share.directories == {"in", "out"}
+    assert [e.path for e in full_share.entries_under("s", "out")] == ["out/f"]
 
 
 def test_ingress_registers_the_directories_of_nested_paths(account, tmp_path):
     account.ingress("fileshare", "run", [("a.bin", 1), ("sub/deep/c.bin", 3)])
-    assert account.shares["fileshare"].directories == {"run", "run/sub", "run/sub/deep"}
-    assert [e.path for e in account.entries_under("fileshare", "run/sub")] == [
-        "run/sub/deep/c.bin"]
+    assert [e.path for e in account.entries_under("fileshare", "run")] == [
+        "run/a.bin", "run/sub/deep/c.bin"]
+    for directory in ("run/sub", "run/sub/deep"):
+        assert [e.path for e in account.entries_under("fileshare", directory)] == [
+            "run/sub/deep/c.bin"]
     assert account.download_batch("fileshare", "run/sub", tmp_path) == 3
 
 
@@ -152,12 +154,12 @@ def test_path_normalization(account):
     assert "run/x/y.bin" in share.entries
     with pytest.raises(ValidationError, match="^invalid share path: '../escape'$"):
         account.ingress("fileshare", "../escape", [("x.bin", 1)])
-    before = (dict(share.entries), set(share.directories), share.used_bytes)
+    before = (dict(share.entries), share.used_bytes)
     for path in ("../other/x.bin", "/other/x.bin", ".", "sub/../../x.bin"):
         with pytest.raises(ValidationError,
                            match=f"^manifest path leaves fileshare/run: {path!r}$"):
             account.ingress("fileshare", "run", [("ok.bin", 1), (path, 5)])
-    assert (share.entries, share.directories, share.used_bytes) == before
+    assert (share.entries, share.used_bytes) == before
     with pytest.raises(ValidationError, match="^no such share: 'nope'$"):
         account.ingress("nope", "d", [("x.bin", 1)])
 
@@ -168,15 +170,47 @@ def test_directory_index_survives_a_state_round_trip():
     svc.storage.share_create("fileshare", 1)
     for path in ("a/b/c/x", "a/b/d/y", "a/e"):
         svc.storage.write_entry("fileshare", path, path.encode())
-    dirs = {"a", "a/b", "a/b/c", "a/b/d"}
-    assert svc.storage.shares["fileshare"].directories == dirs
-    assert [e.path for e in svc.storage.entries_under("fileshare", "a/b")] == ["a/b/c/x",
-                                                                               "a/b/d/y"]
+    under_b = ["a/b/c/x", "a/b/d/y"]
+    assert [e.path for e in svc.storage.entries_under("fileshare", "a/b")] == under_b
     back = state.service_from_doc(state.service_to_doc(svc), options).storage
-    assert back.shares["fileshare"].directories == dirs
+    assert [e.path for e in back.entries_under("fileshare", "a/b")] == under_b
     back.write_entry("fileshare", "a/f/g/z", b"z")
-    assert back.shares["fileshare"].directories == dirs | {"a/f", "a/f/g"}
     assert [e.path for e in back.entries_under("fileshare", "a/f")] == ["a/f/g/z"]
+
+
+PATHS = st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, max_size=4).map("/".join)
+
+
+def check_entries_under(account, probes):
+    """`entries_under("s", d)` lists the entries whose path is below `d`, in path order, and
+    raises for a `d` that is a parent of none, for each probe and each parent of an entry."""
+    paths = sorted(account.shares["s"].entries)
+    parents = {p[:i] for p in paths for i, c in enumerate(p) if c == "/"}
+    for d in parents | set(probes):
+        under = [p for p in paths if p.startswith(d + "/")]
+        if under:
+            assert [e.path for e in account.entries_under("s", d)] == under
+        else:
+            with pytest.raises(ValidationError, match=f"^no such directory: s/{d}$"):
+                account.entries_under("s", d)
+
+
+@given(writes=st.lists(st.tuples(st.booleans(), PATHS, PATHS), max_size=8),
+       probes=st.lists(PATHS, max_size=4))
+def test_entries_under_lists_exactly_the_entries_below_a_parent_of_one(writes, probes):
+    """Artifacts written at `name`, top-level paths included, and size-only entries
+    ingressed as `name` into `directory`; checked in process and after a state round trip."""
+    options = state.ServiceOptions()
+    svc = state.build_service(options)
+    svc.storage.share_create("s", 1)
+    for artifact, directory, name in writes:
+        if artifact:
+            svc.storage.write_entry("s", name, directory.encode())
+        else:
+            svc.storage.ingress("s", directory, [(name, len(name))])
+    check_entries_under(svc.storage, probes)
+    back = state.service_from_doc(state.service_to_doc(svc), options).storage
+    check_entries_under(back, probes)
 
 
 names = st.lists(
@@ -205,16 +239,12 @@ def _expected_digest(content, size) -> str:
 
 
 def check_share_bookkeeping(svc):
-    """Each share's used bytes, directory index and entry digests agree with its entries,
-    in the service and in the state document written from it."""
+    """Each share's used bytes and entry digests agree with its entries, in the service and
+    in the state document written from it."""
     for share in svc.storage.shares.values():
         assert share.used_bytes == sum(e.size_bytes for e in share.entries.values())
         for path, entry in share.entries.items():
             assert entry.path == path
-            parent = posixpath.dirname(path)
-            while parent:
-                assert parent in share.directories, (path, parent)
-                parent = posixpath.dirname(parent)
             assert entry.digest == _expected_digest(entry.content, entry.size_bytes)
     for sdoc in state.service_to_doc(svc)["shares"]:
         for e in sdoc["entries"]:

@@ -19,7 +19,6 @@ from batchsim.workloads import (
     PoissonGrid,
     PoissonScalingModeled,
     ScalingMode,
-    TaskContext,
     apply_poisson,
     execute,
     manufactured_solution,
@@ -377,18 +376,18 @@ def test_workload_reference_rejects_garbage():
 
 @pytest.fixture
 def ctx():
-    return TaskContext(instances=2, procs_per_node=12, model=AZURE_INTERCONNECT)
+    return 2, 12, AZURE_INTERCONNECT  # instances, procs_per_node, model
 
 
 def test_execute_fixed(ctx):
-    result = execute(FixedDuration(3600.0), ctx)
+    result = execute(FixedDuration(3600.0), *ctx)
     assert result.duration_seconds == 3600.0
     assert result.outputs == [
         ("run.log", b"fixed-duration task: 3600 s on 2 instances, 12 processes per node\n")]
 
 
 def test_execute_latency_benchmark(ctx):
-    result = execute(PingPongLatency(), ctx)
+    result = execute(PingPongLatency(), *ctx)
     assert result.duration_seconds > 0
     name, content = result.outputs[0]
     assert name == "latency.tsv"
@@ -399,7 +398,7 @@ def test_execute_latency_benchmark(ctx):
 def test_execute_poisson_cg(ctx):
     """The task solves manufactured_solution's forcing, to the last bit of the residual."""
     for n in (8, 24):
-        result = execute(PoissonCGReal(n), ctx)
+        result = execute(PoissonCGReal(n), *ctx)
         assert result.duration_seconds > 0
         name, content = result.outputs[0]
         assert name == "solve.tsv"
@@ -410,7 +409,7 @@ def test_execute_poisson_cg(ctx):
 
 
 def test_execute_scaling(ctx):
-    result = execute(PoissonScalingModeled(1_000_000, ScalingMode.STRONG), ctx)
+    result = execute(PoissonScalingModeled(1_000_000, ScalingMode.STRONG), *ctx)
     name, content = result.outputs[0]
     assert name == "scaling.tsv"
     assert content.count(b"\n") >= 4
