@@ -182,34 +182,37 @@ class Cli:
             self.store.write_ledger(tsv)
         return state, svc
 
-    def commit(self, state: dict, svc, recorded_argv: list, bundle: ConfigBundle | None = None,
-               manifest: tuple[str, list] | None = None, catalog_doc: dict | None = None):
-        """Write a command's results to .batchsim/, all or nothing.
-
-        Renaming state.json in commits them, and every other write comes before it: the
-        events.log append, ledger.tsv, the snapshot of a loaded `bundle` (its keys as sha256
-        digests, with init's `catalog_doc`), which its recorded `--configdir` names, and an
-        ingress `manifest` (path, rows). If a write or the rename fails, each is taken back:
-        events.log is cut back to its size at the start, ledger.tsv and the manifest get
-        their old bytes or are removed if new, and each directory this call created is removed.
+    def commit(self, state: dict, svc, args, bundle: ConfigBundle | None = None,
+               manifest: list | None = None, catalog_doc: dict | None = None):
+        """Write a command's results to .batchsim/, all or nothing, and its `args` to the
+        transcript as `recorded_argv` writes them; an entry that a replay rejects is a
+        ValidationError before any write. Renaming state.json in commits them, and every
+        other write comes before it: the events.log append, ledger.tsv, the snapshot of a
+        loaded `bundle` (its keys as sha256 digests, with init's `catalog_doc`), which
+        `args.configdir` names, and an ingress `manifest`'s rows at `args.manifest`. If a
+        write or the rename fails, each is taken back: events.log is cut back to its size at
+        the start, ledger.tsv and the manifest get their old bytes or are removed if new, and
+        each directory this call created is removed.
         """
         state["service"] = statemod.service_to_doc(svc)
-        snapshot = None
+        snapshot = args.configdir = None
         if bundle is not None:  # named by the first 12 hex digits of its documents' sha256
             keys = bundle.credentials
             bundle = dataclasses.replace(bundle, credentials=CredentialsConfig(
                 _key_digest(keys.storage_key), _key_digest(keys.batch_key)))
             documents = {**bundle_documents(bundle), "catalog.yaml": catalog_doc}
             name = sha256_text(json.dumps(documents, sort_keys=True))[:12]
-            recorded_argv = [*recorded_argv, "--configdir", f"{STATE_DIR}/configs/{name}"]
-            snapshot = self.root / recorded_argv[-1]
-        state["transcript"].append(recorded_argv)
+            args.configdir = f"{STATE_DIR}/configs/{name}"
+            snapshot = self.root / args.configdir
+        entry = recorded_argv(vars(args))
+        recorded_command(entry)  # a replay runs every entry that a commit writes
+        state["transcript"].append(entry)
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
         store, events = self.store, self.store.events_path
         created = [d for d in (store.dir, store.configs_dir, store.ingress_dir) if not d.is_dir()]
         events_size = events.stat().st_size if events.is_file() else None
-        manifest_path = self.root / manifest[0] if manifest else None
+        manifest_path = self.root / args.manifest if manifest is not None else None
         kept = {path: path.read_bytes() if path.is_file() else None
                 for path in (store.ledger_path, manifest_path) if path is not None}
         try:
@@ -226,7 +229,7 @@ class Cli:
                         dump_yaml(catalog_doc, fh)
                 os.replace(tmp, snapshot)
             if manifest is not None:
-                store.write_manifest(manifest_path, manifest[1])
+                store.write_manifest(manifest_path, manifest)
             store.write_ledger(billing.export_tsv(svc.ledger))
             store.save(state)
         except BaseException:
@@ -290,14 +293,9 @@ def cmd_workspace_init(cli: Cli, args) -> int:
                              image_pull_seconds=args.image_pull_seconds,
                              task_retries=args.task_retries,
                              scarcity_windows=tuple((a, b) for a, b in args.scarcity))
-    recorded = ["workspace", "init", "--seed", str(options.seed), "--interconnect",
-                options.interconnect, "--preemption-rate", str(options.preemption_rate),
-                "--image-pull-seconds", str(options.image_pull_seconds),
-                "--task-retries", str(options.task_retries),  # every option, defaults included
-                *(["--catalog", "catalog.yaml"] if catalog_doc is not None else []),
-                *(t for w in options.scarcity_windows for t in ("--scarcity", *map(str, w)))]
+    args.catalog = "catalog.yaml" if catalog_doc is not None else None  # as the snapshot names it
     cli.commit(statemod.new_workspace_state(options, bundle, catalog_doc),
-               statemod.build_service(options, catalog), recorded, bundle, catalog_doc=catalog_doc)
+               statemod.build_service(options, catalog), args, bundle, catalog_doc=catalog_doc)
     ws = bundle.workspace
     cli.say(f"workspace initialized: subscription={ws.subscription} "
             f"resource_group={ws.resource_group} region={ws.region} seed={args.seed}")
@@ -310,7 +308,7 @@ def cmd_storage_account_create(cli: Cli, args) -> int:
     if ["storage", "account", "create"] in state["transcript"]:
         raise ValidationError(f"storage account already created: {account}")
     svc.event_log.append(svc.clock.now, f"storage/{account}", "created")
-    cli.commit(state, svc, ["storage", "account", "create"])
+    cli.commit(state, svc, args)
     cli.say(f"storage account created: {account}")
     return 0
 
@@ -321,8 +319,7 @@ def cmd_share_create(cli: Cli, args) -> int:
         raise ValidationError("no storage account: run `batchsim storage account create`")
     svc.storage.share_create(args.name, args.quota)
     svc.event_log.append(svc.clock.now, f"share/{args.name}", f"create:quota={args.quota}GiB")
-    cli.commit(state, svc, ["share", "create", "--name", args.name,
-                            "--quota", str(args.quota)])
+    cli.commit(state, svc, args)
     cli.say(f"share created: {args.name} ({args.quota} GiB)")
     return 0
 
@@ -330,10 +327,8 @@ def cmd_share_create(cli: Cli, args) -> int:
 def cmd_quota_set(cli: Cli, args) -> int:
     state, svc = cli.load()
     svc.quota_set(args.region, args.dedicated, args.low_priority)
-    low = svc.quotas[args.region].low_priority_cores
-    recorded = ["quota", "set", "--region", args.region, "--dedicated", str(args.dedicated),
-                "--low-priority", str(low)]
-    cli.commit(state, svc, recorded)
+    low = args.low_priority = svc.quotas[args.region].low_priority_cores
+    cli.commit(state, svc, args)
     cli.say(f"quota set: {args.region} dedicated={args.dedicated} low_priority={low}")
     return 0
 
@@ -343,7 +338,7 @@ def cmd_pool_add(cli: Cli, args) -> int:
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     pool = svc.pool_add(bundle.pool)
     svc.advance_until_pool_settled(pool.pool_id)
-    cli.commit(state, svc, ["pool", "add"], bundle)
+    cli.commit(state, svc, args, bundle)
     for warning in pool.warnings:
         cli.say(f"warning: {warning.rule}: {warning.message}")
     cli.say(f"pool {pool.pool_id}: {pool.state.value} "
@@ -357,8 +352,7 @@ def cmd_pool_del(cli: Cli, args) -> int:
     bundle = None if args.pool else cli.load_bundle(args.configdir, svc.catalog)
     pool_id = args.pool or bundle.pool.pool_id
     svc.pool_del(pool_id)
-    recorded = ["pool", "del", "--pool", pool_id] if args.pool else ["pool", "del"]
-    cli.commit(state, svc, recorded, bundle)
+    cli.commit(state, svc, args, bundle)
     cli.say(f"pool deleted: {pool_id}")
     return 0
 
@@ -411,9 +405,8 @@ def cmd_data_ingress(cli: Cli, args) -> int:
             targets.append((share, directory))
     total = sum(svc.data_ingress(share, directory, manifest) for share, directory in targets)
     seq = 1 + sum(argv[:2] == ["data", "ingress"] for argv in state["transcript"])
-    manifest_rel = f"{STATE_DIR}/ingress/{seq:04d}.json"
-    cli.commit(state, svc, ["data", "ingress", "--manifest", manifest_rel], bundle,
-               (manifest_rel, manifest))
+    args.manifest = f"{STATE_DIR}/ingress/{seq:04d}.json"
+    cli.commit(state, svc, args, bundle, manifest)
     cli.say(f"ingress complete: {len(manifest)} files, {total} bytes into "
             + ", ".join(f"{s}/{d}" for s, d in targets))
     return 0
@@ -430,8 +423,7 @@ def cmd_data_download(cli: Cli, args) -> int:
     except OSError as exc:
         raise ValidationError(f"cannot write to --dest {args.dest}: {exc}") from None
     count = len(svc.storage.entries_under(share, directory))
-    cli.commit(state, svc, ["data", "download", "--source", args.source,
-                            "--dest", args.dest])
+    cli.commit(state, svc, args)
     cli.say(f"downloaded {count} files ({nbytes} bytes) to {dest}")
     return 0
 
@@ -441,7 +433,7 @@ def cmd_jobs_add(cli: Cli, args) -> int:
     bundle = cli.load_bundle(args.configdir, svc.catalog)
     job = svc.jobs_add(bundle.jobs)
     svc.advance_until_job_terminal(job.job_id)
-    cli.commit(state, svc, ["jobs", "add"], bundle)
+    cli.commit(state, svc, args, bundle)
     for task in job.tasks:
         suffix = f" ({task.failure_reason.value})" if task.failure_reason else ""
         cli.say(f"task {task.spec.task_id}: {task.state.value}{suffix}")
@@ -454,8 +446,7 @@ def cmd_jobs_del(cli: Cli, args) -> int:
     bundle = None if args.job else cli.load_bundle(args.configdir, svc.catalog)
     job_id = args.job or bundle.jobs.job_id
     svc.jobs_del(job_id)
-    recorded = ["jobs", "del", "--job", job_id] if args.job else ["jobs", "del"]
-    cli.commit(state, svc, recorded, bundle)
+    cli.commit(state, svc, args, bundle)
     cli.say(f"job deleted: {job_id}")
     return 0
 
@@ -617,41 +608,54 @@ def cmd_repro_verify(cli: Cli, args) -> int:
     return 0
 
 
-# the commands that Cli.commit records, and the only value each of these options takes there
-COMMITTING = {("workspace", "init"), ("storage", "account", "create"), ("share", "create"),
-              ("quota", "set"), ("pool", "add"), ("pool", "del"), ("data", "ingress"),
-              ("data", "download"), ("jobs", "add"), ("jobs", "del")}
+# the commands that Cli.commit records, each with the options (argparse dests) that its
+# transcript entry lists, in order; and the only value each of these options takes there
+COMMITTING = {
+    ("workspace", "init"): ("seed", "interconnect", "preemption_rate", "image_pull_seconds",
+                            "task_retries", "catalog", "scarcity", "configdir"),
+    ("storage", "account", "create"): (), ("share", "create"): ("name", "quota"),
+    ("quota", "set"): ("region", "dedicated", "low_priority"), ("pool", "add"): ("configdir",),
+    ("pool", "del"): ("pool", "configdir"), ("data", "ingress"): ("manifest", "configdir"),
+    ("data", "download"): ("source", "dest"), ("jobs", "add"): ("configdir",),
+    ("jobs", "del"): ("job", "configdir")}
 RECORDED_VALUES = {"configdir": re.compile(r"\.batchsim/configs/[0-9a-f]{12}"),
                    "manifest": re.compile(r"\.batchsim/ingress/[0-9]{4}\.json"),
                    "catalog": re.compile(r"catalog\.yaml")}
+NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # what argparse reads as a value, not a flag
+
+
+def recorded_argv(values: dict) -> list:
+    """The transcript entry of a committing command's parsed `values` (`vars(args)`): its
+    words, then `--flag value` for each of its COMMITTING options that is not None (one
+    `--scarcity START END` per window). A value that RECORDED_VALUES does not take, or a
+    command that loads configs but names no snapshot, pool or job, is a ValidationError."""
+    words = tuple(w for w in (values["group"], values.get("cmd"), values.get("sub")) if w)
+    argv = [*words]
+    for dest in COMMITTING[words]:
+        value = values[dest]
+        for window in value if dest == "scarcity" else [] if value is None else [[value]]:
+            argv += ["--" + dest.replace("_", "-"), *map(str, window)]
+    named = values.get("configdir") or values.get("pool") or values.get("job")
+    if ("configdir" in COMMITTING[words] and not named) or any(
+            values.get(k) is not None and not pattern.fullmatch(values[k])
+            for k, pattern in RECORDED_VALUES.items()):
+        raise ValidationError(f"not a recorded command: {argv}")
+    return argv
 
 
 def recorded_command(argv: list) -> list:
-    """`argv` as a replay runs it, if it is a command as Cli.commit records it; anything
+    """`argv` as a replay runs it, if it is an entry as `recorded_argv` writes it; anything
     else is a ValidationError, raised before it can print help or touch a file. Every
     --dest becomes replay-download, inside the replay workspace."""
-    parser, words = build_parser(), ()
-    for word in argv:  # down the subcommand words to the parser of their options
-        choices = next((a.choices for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)), {})
-        if word not in choices:
-            break
-        parser, words = choices[word], (*words, word)
-    options = parser._option_string_actions.keys() - {"-h", "--help"}
-    if words == ("data", "ingress"):
-        options -= {"--source"}  # a recorded ingress reads its manifest
-    recorded = words in COMMITTING and all(  # whole option names only: no abbreviation
-        t in options or not t.startswith("-") or parser._negative_number_matcher.match(t)
-        for t in argv)
-    try:
-        values = vars(build_parser().parse_args(argv)) if recorded else {}
-    except UsageError:
-        values = {}
-    # a command that loads its configs names their snapshot, unless it names its pool or job
-    named = values.get("configdir") or values.get("pool") or values.get("job")
-    if not values or ("configdir" in values and not named) or any(
-            values.get(k) is not None and not pattern.fullmatch(values[k])
-            for k, pattern in RECORDED_VALUES.items()):
+    words = next((w for w in (tuple(argv[:3]), tuple(argv[:2])) if w in COMMITTING), None)
+    flags = {"--" + dest.replace("_", "-") for dest in COMMITTING.get(words, ())}
+    try:  # whole recorded flags only: no -C, no --help, no abbreviation, no --flag=value
+        recorded = words is not None and all(
+            t in flags or not t.startswith("-") or NEGATIVE_NUMBER.fullmatch(t) for t in argv
+        ) and recorded_argv(vars(build_parser().parse_args(argv))) == argv
+    except (UsageError, ValidationError):
+        recorded = False
+    if not recorded:
         raise ValidationError(f"not a recorded command: {argv}")
     return ["replay-download" if i and argv[i - 1] == "--dest" else t
             for i, t in enumerate(argv)]

@@ -58,11 +58,7 @@ def comm_time(model: InterconnectModel, message_bytes: int) -> float:
 
 
 def allreduce_time(model: InterconnectModel, participants: int, message_bytes: int) -> float:
-    """Binomial-tree closure: ceil(log2(p)) latency-bound rounds."""
-    if participants < 1:
-        raise ValueError("participants must be at least 1")
-    if participants == 1:
-        return 0.0
+    """Binomial-tree closure: ceil(log2(p)) latency-bound rounds; p < 1 is a ValueError."""
     rounds = math.ceil(math.log2(participants))
     return rounds * comm_time(model, message_bytes)
 

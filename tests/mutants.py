@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 
 _CORRUPT = "tests/test_cli.py::test_corrupt_pool_or_node_field_exits_2_without_mutation"
+_CLI_ERROR = "tests/test_cli.py::test_cli_error_exits_with_its_code_and_line_without_mutation"
+_CRAFTED = "tests/test_cli.py::test_repro_verify_rejects_a_command_no_commit_records"
 _ENTRIES_UNDER = ("tests/test_storage.py::test_download_missing_directory",
                   "tests/test_storage.py::"
                   "test_entries_under_lists_exactly_the_entries_below_a_parent_of_one")
@@ -64,6 +66,25 @@ MUTANTS = [
            "if init is None or build_parser().parse_args(init).seed != seed:",
            "if init is not None and build_parser().parse_args(init).seed != seed:",
            ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[no-init]",)),
+    # a manifest that fills a share exactly is admitted
+    Mutant("ingress-rejects-a-full-share", "storage.py",
+           "if sh.used_bytes + growth > sh.quota_bytes:",
+           "if sh.used_bytes + growth >= sh.quota_bytes:",
+           ("tests/test_storage.py::"
+            "test_ingress_of_exactly_the_quota_is_admitted_and_one_byte_more_is_not",)),
+    # a commit writes only an entry that a replay accepts, and a replay accepts only an
+    # entry in the form and order that a commit writes
+    Mutant("commit-entry-unchecked", "cli.py", "        recorded_command(entry)  # ", "        # ",
+           tuple(f"{_CLI_ERROR}[{case}]" for case in (
+               "init-records-an-exponent-scarcity", "share-name-like-a-flag",
+               "download-dest-like-a-flag"))),
+    Mutant("replay-round-trip-unchecked", "cli.py",
+           "recorded_argv(vars(build_parser().parse_args(argv))) == argv",
+           "bool(recorded_argv(vars(build_parser().parse_args(argv))))",
+           (f"{_CRAFTED}[reordered-options]", f"{_CRAFTED}[non-canonical-number]")),
+    Mutant("replay-takes-any-flag", "cli.py",
+           't in flags or not t.startswith("-") or NEGATIVE_NUMBER.fullmatch(t) for t in argv',
+           "True for t in argv", (f"{_CRAFTED}[help]", f"{_CRAFTED}[abbreviated-help]")),
     # the pass-throughs' callers
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),

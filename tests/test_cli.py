@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from batchsim import cli as climod
@@ -101,6 +102,84 @@ def test_usage_error_exit_64(tmp_path):
     assert code == 64
     code, _, _ = cli(tmp_path, "no-such-command")
     assert code == 64
+
+
+# the sha256 of each parser's --help stdout at 80 columns, as argparse of Python 3.11
+# formats it
+HELP_DIGESTS = {
+    "": "bed965af14dc2ce9bd46fd6159137223f868f9564cb351268136700ab8a19fbc",
+    "workspace": "7f5f7fea2a4c04ba7dbf5b9e00215795699f86afde2b806574801149b2b8a464",
+    "workspace init": "c850e1509c94932183a7585212c950cb0bca3f32c5cdc4a8d369f7a5ef407e7c",
+    "storage": "4f455c60162c3c91b7bdef7b58223288697cac718ade9d47620bd4b0f4b5c8b1",
+    "storage account": "455f1b77017a3f3dc63deb7c000693e2ddbf7bc94c72b3df7271dd744be7ad5a",
+    "storage account create": "b0eed96f073b3650df76094ac9284bae6a71a91aec239d24c1e2285a8a3b5843",
+    "share": "10b9fde8987ee3d7cb92a6e1806a1fb357cf38ed43768a4f93f4c5f335c1e5ed",
+    "share create": "9b4f25cb0fc1205f00ed5fff718a49058d8737138cd1ad509256ade3903c4c3a",
+    "quota": "109bbe743ef19877a13a2c820354293a8f095f2a59625a778e1d952b457827bc",
+    "quota set": "13fb0ae937e3237cf7eca936581b1eebc88ee033ff02a0cb63e9b1beb1ad8843",
+    "pool": "cb064b8dfd3a8f6f0c448be3ee84396cd58363e06997a3b749c2f9c70dbd3c87",
+    "pool add": "a7bfcdbc78131149a5c822626a546ed136ed9f1cabba6d33cefaf446fc4047ad",
+    "pool del": "c0d00b62e8e837a7c6845c5f550e75cfe49693bb836707763972ea2d48b466cd",
+    "data": "2b681d0f8b9e52c958a3d471e7f4b32e8ec4b5e7d30fd300c6b7a31f8d0dbe75",
+    "data ingress": "7841322b3997e8a96682b0399f6830bc305e38854bdbddbdf91af58f244901a5",
+    "data download": "200f2c4f74d8e58943ae8a74cf67aca2e25eaf76dc24d99f4c940cf5aef4d9d8",
+    "jobs": "0a3d327251980df9ce55376d877d55edbd14b0ec73bb89318bc65652bc64908f",
+    "jobs add": "ac69d123ec503a73a68e1b22677b73b72737a4d71792e004d0063494e378f193",
+    "jobs del": "a1a63d35d8f92c61b0a543e600760867e761155f661fd9efdde86350b37a4ff2",
+    "status": "29484a524cc33967b263e8fe25b2736e330372683b31dba5f2e1d8161c960672",
+    "ledger": "751eb8e035d0779ddf37f24926f54ed5ffbfc8736cfdc21de3dfc8191eccbc3d",
+    "ledger report": "1fc05f4682557244a49d0528bc724bb85f558ded42e1e9b71dc0d0cabb0a0820",
+    "scenario": "4df465ca08739128c308e7a5fa8fbaf6327eadd97610b6e26b6251e528da1bc3",
+    "scenario list": "f8260dbde658a49d04ab8c5f2d66fedc578855cba3d83521588150878877907b",
+    "scenario run": "379b898f44cf8cc0dcc3431486beb0be19f827e945cbf8706b7f9c457133a386",
+    "repro": "5c83829d606a0aa754c44b4ec1a706ed02b71171f9166e38b5a0fbfa95de10e1",
+    "repro pack": "1c4eacc4442a57bd92004fc9a2b7369ea1b013648709a878b221a5e45750d702",
+    "repro verify": "3006999c6756cdf81ca88b8e227c8508f2594d688b9218ae8cefb6c2cc9ea997",
+}
+
+
+@pytest.mark.parametrize("words", list(HELP_DIGESTS), ids=lambda w: w or "batchsim")
+def test_help_text_is_pinned(tmp_path, monkeypatch, words):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code, _, err = cli(tmp_path, *words.split(), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_DIGESTS[words]
+
+
+USAGE_ERRORS = {
+    "bad-seed": (["workspace", "init", "--seed", "x"],
+                 "argument --seed: invalid int value: 'x'"),
+    "inf-rate": (["workspace", "init", "--preemption-rate", "inf"],
+                 "argument --preemption-rate: must be finite, got inf"),
+    "inf-image-pull": (["workspace", "init", "--image-pull-seconds", "inf"],
+                       "argument --image-pull-seconds: must be finite, got inf"),
+    "one-value-scarcity": (["workspace", "init", "--scarcity", "5"],
+                           "argument --scarcity: expected 2 arguments"),
+    "unknown-interconnect": (["workspace", "init", "--interconnect", "myrinet"],
+                             "argument --interconnect: invalid choice: 'myrinet' (choose from "
+                             "'azure', 'colonial-one')"),
+    "missing-quota": (["share", "create", "--name", "x"],
+                      "the following arguments are required: --quota"),
+    "source-and-manifest": (["data", "ingress", "--source", "a", "--manifest", "b"],
+                            "argument --manifest: not allowed with argument --source"),
+    "bare-pool": (["pool"], "the following arguments are required: cmd"),
+    "unknown-group": (["no-such-command"],
+                      "argument group: invalid choice: 'no-such-command' (choose from "
+                      "'workspace', 'storage', 'share', 'quota', 'pool', 'data', 'jobs', "
+                      "'status', 'ledger', 'scenario', 'repro')"),
+    "pool-add-plan": (["pool", "add", "--plan", "reserved_3yr"],
+                      "unrecognized arguments: --plan reserved_3yr"),
+    "bare-C": (["-C"], "argument -C: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_text_is_pinned(argv, message):
+    err = io.StringIO()
+    assert run_command(argv, io.StringIO(), err) == 64
+    assert err.getvalue() == f"usage error: {message}\n"
 
 
 def tree(workdir) -> dict:
@@ -303,6 +382,23 @@ CLI_ERRORS = {
         lambda w: [[*INIT, "--scarcity", "0", "3600"], QUOTAS],
         lambda w: ["pool", "add", *_edited_configdir(w, "lp", LOW_PRIORITY)],
         3, "simulation error: low-priority capacity unavailable at t=0s"),
+    # a commit writes only an entry that a replay accepts: unchecked, each exited 0 and
+    # wrote an entry that made `repro verify` of its package exit 2
+    "init-records-an-exponent-scarcity": (
+        lambda w: [], lambda w: [*INIT, "--scarcity", "-0.00001", "5"],
+        2, "error: not a recorded command: ['workspace', 'init', '--seed', '0', "
+           "'--interconnect', 'azure', '--preemption-rate', '0.05', '--image-pull-seconds', "
+           "'120.0', '--task-retries', '0', '--scarcity', '-1e-05', '5.0', '--configdir', "
+           "'.batchsim/configs/95ad2d9e1a47']"),
+    "share-name-like-a-flag": (
+        lambda w: [INIT, ACCOUNT], lambda w: ["share", "create", "--name=-x", "--quota", "100"],
+        2, "error: not a recorded command: ['share', 'create', '--name', '-x', '--quota', "
+           "'100']"),
+    "download-dest-like-a-flag": (
+        lambda w: sequence()[:6],
+        lambda w: ["data", "download", "--source", "fileshare/snake2d2k35", "--dest=-o"],
+        2, "error: not a recorded command: ['data', 'download', '--source', "
+           "'fileshare/snake2d2k35', '--dest', '-o']"),
 }
 
 
@@ -1778,6 +1874,9 @@ CRAFTED = {
     "no-configdir-or-pool": ["pool", "del"],
     "pool-add-plan": ["pool", "add", "--configdir", "{cfg}", "--plan", "reserved_3yr"],
     "missing-required-option": ["quota", "set", "--region", "eastus"],
+    # only the form and order that a commit writes
+    "reordered-options": ["share", "create", "--quota", "100", "--name", "other"],
+    "non-canonical-number": ["share", "create", "--name", "other", "--quota", "0100"],
 }
 
 
@@ -1981,6 +2080,50 @@ def test_repro_verify_of_a_mutated_package_writes_only_its_temp_dir(scenario_pac
             os.chdir(cwd)
         assert code in (0, 2, 3, 64)
         assert _listing(outside, work) == before
+
+
+# values that a handler may leave on `args` for its entry: numbers whose str() is not what
+# was typed (negative, exponent, non-finite), text that starts like a flag, and the values
+# that a commit records
+_FLOATS = st.one_of(st.floats(allow_nan=False), st.sampled_from([1e-05, 1e20, -5.0, -1e-05]))
+_TEXTS = st.one_of(st.text(max_size=6), st.text(max_size=4).map("-".__add__),
+                   st.sampled_from(["-5", "--dest", "--configdir"]))
+_RECORDED = {"configdir": ".batchsim/configs/0123456789ab", "catalog": "catalog.yaml",
+             "manifest": ".batchsim/ingress/0001.json", "interconnect": "azure"}
+
+
+def _recorded_values(words) -> st.SearchStrategy:
+    def value(dest):
+        if dest == "scarcity":
+            return st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=2)
+        if dest in ("seed", "task_retries", "quota", "dedicated", "low_priority"):
+            return st.integers(-10**20, 10**20)
+        if dest in ("preemption_rate", "image_pull_seconds"):
+            return _FLOATS
+        return st.one_of(st.none(), st.just(_RECORDED.get(dest, "x")), _TEXTS)
+    return st.fixed_dictionaries({**{k: st.just(w) for k, w in zip(("group", "cmd", "sub"), words)},
+                                  **{dest: value(dest) for dest in climod.COMMITTING[words]}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(climod.COMMITTING)).flatmap(_recorded_values))
+@example({"group": "workspace", "cmd": "init", "seed": -5, "interconnect": "azure",
+          "preemption_rate": 1e20, "image_pull_seconds": 1e-05, "task_retries": 0,
+          "catalog": "catalog.yaml", "scarcity": [[-5.0, 1e20]],
+          "configdir": ".batchsim/configs/0123456789ab"})
+@example({"group": "data", "cmd": "download", "source": "s/d", "dest": "output"})
+@example({"group": "share", "cmd": "create", "name": "other", "quota": 100})
+def test_an_entry_that_a_replay_accepts_parses_to_the_values_it_records(values):
+    """recorded_command(recorded_argv(values)) is a ValidationError, or an entry whose parse
+    gives back each recorded value (--dest as replay-download)."""
+    try:
+        entry = climod.recorded_command(climod.recorded_argv(values))
+    except ValidationError:
+        return
+    dests = climod.COMMITTING[tuple(values[k] for k in ("group", "cmd", "sub") if k in values)]
+    parsed = vars(climod.build_parser().parse_args(entry))
+    assert {d: parsed[d] for d in dests} == {
+        d: "replay-download" if d == "dest" else values[d] for d in dests}
 
 
 def test_repro_verify_truncated_archive(workdir):

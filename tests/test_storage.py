@@ -68,6 +68,19 @@ def test_ingress_over_quota(account):
     assert account.shares["fileshare"].entries == {}
 
 
+def test_ingress_of_exactly_the_quota_is_admitted_and_one_byte_more_is_not():
+    acc = StorageAccount()
+    acc.share_create("s", 1)
+    with pytest.raises(ValidationError, match=rf"^s: manifest of {GIB + 1} bytes exceeds quota "
+                                              rf"\(0 of {GIB} used\)$"):
+        acc.ingress("s", "run", [("a.bin", GIB // 2), ("b.bin", GIB // 2 + 1)])
+    assert acc.ingress("s", "run", [("a.bin", GIB // 2), ("b.bin", GIB // 2)]) == GIB
+    assert acc.shares["s"].used_bytes == GIB
+    with pytest.raises(ValidationError, match=rf"^s: manifest of 1 bytes exceeds quota "
+                                              rf"\({GIB} of {GIB} used\)$"):
+        acc.ingress("s", "run", [("c.bin", 1)])
+
+
 def test_ingress_empty_manifest(account):
     assert account.ingress("fileshare", "run", []) == 0
     with pytest.raises(ValidationError, match="^no such directory: fileshare/run$"):
