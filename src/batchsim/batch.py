@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import math
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import billing, workloads
 from .catalog import Catalog, PricingPlan, RegionQuota
@@ -33,6 +33,7 @@ from .fabric import (
     NodeState,
     Priority,
     SimClock,
+    _LEGAL_TRANSITIONS,
     derived_rng,
 )
 from .storage import StorageAccount
@@ -68,13 +69,16 @@ class FailureReason(enum.Enum):
 
 TERMINAL_TASK_STATES = (TaskState.COMPLETED, TaskState.FAILED)
 
-# event-log texts of the task transitions every task makes; a task goes from
+# event-log texts of the task and node moves every task makes; a task goes from
 # Pending to Running at one instant, logged as two hops through Staging
 _TO_PENDING = f"->{TaskState.PENDING.value}"
 _PENDING_TO_STAGING = "Pending->Staging"
 _STAGING_TO_RUNNING = "Staging->Running"
 _RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}"
+_IDLE_TO_RUNNING = _LEGAL_TRANSITIONS[NodeState.IDLE, NodeState.RUNNING]
+_RUNNING_TO_IDLE = _LEGAL_TRANSITIONS[NodeState.RUNNING, NodeState.IDLE]
 _POSITION = attrgetter("position")
+_NODE_ID = attrgetter("node_id")
 
 
 @dataclass(slots=True)
@@ -87,9 +91,9 @@ class Task:
     end_time: Optional[float] = None
     failure_reason: Optional[FailureReason] = None
     attempts: int = 0
-    completion_event: Optional[object] = field(default=None, repr=False, compare=False)
+    completion_event: Optional[list] = field(default=None, repr=False, compare=False)
     seq: int = field(default=0, repr=False, compare=False)  # FIFO key in the pool queue
-    nodes: tuple[Node, ...] = field(default=(), repr=False, compare=False)  # of a running attempt
+    nodes: Sequence[Node] = field(default=(), repr=False, compare=False)  # of a running attempt
     # (start_time, end_time, run_tag) of the attempt this row shows, once it has ended: the one
     # tuple in each of its nodes' busy_logs; None while it runs and after a retry
     interval: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -118,7 +122,7 @@ class Job:
     unfinished: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.unfinished = sum(not t.terminal for t in self.tasks)
+        self.unfinished = len([t for t in self.tasks if t.state not in TERMINAL_TASK_STATES])
 
     @property
     def terminal(self) -> bool:
@@ -134,7 +138,8 @@ class Pool:
     created_at: float = 0.0
     steady_at: Optional[float] = None
     deleted_at: Optional[float] = None
-    queue: list[tuple[int, Task]] = field(default_factory=list, repr=False, compare=False)
+    # the pending tasks in `seq` order; a task that left the pending state is a stale entry
+    queue: deque[Task] = field(default_factory=deque, repr=False, compare=False)
     # the nodes in state Idle, in `nodes` order; kept current where a node changes state
     idle: list[Node] = field(default_factory=list, repr=False, compare=False)
 
@@ -175,7 +180,6 @@ class BatchService:
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
         self.pools: dict[str, Pool] = {}
         self.jobs: dict[str, Job] = {}  # in submission order
-        self._running: dict[str, Task] = {}  # node id -> the task running on it
         self._submitted = 0  # tasks ever queued; the next task's FIFO key
 
     # -- quotas ------------------------------------------------------------
@@ -308,8 +312,9 @@ class BatchService:
             raise ValidationError(f"no such pool: {cfg.pool_id!r}")
         if cfg.job_id in self.jobs and not self.jobs[cfg.job_id].terminal:
             raise ValidationError(f"job already exists: {cfg.job_id!r}")
+        node_count = pool.config.node_count
         for spec in cfg.tasks:
-            if spec.instances > pool.config.node_count:
+            if spec.instances > node_count:
                 raise ValidationError(
                     f"task {spec.task_id!r} wants {spec.instances} instances; pool "
                     f"{pool.pool_id!r} has {pool.config.node_count} nodes"
@@ -332,7 +337,7 @@ class BatchService:
             self._submitted += 1
             task.seq = self._submitted
             if task.state is TaskState.PENDING:
-                heapq.heappush(self.pools[job.pool_id].queue, (task.seq, task))
+                self.pools[job.pool_id].queue.append(task)
 
     def jobs_del(self, job_id: str):
         job = self.jobs.get(job_id)
@@ -349,8 +354,8 @@ class BatchService:
     def schedule_step(self):
         """Gang-scheduling pass: strict FIFO per pool, no backfilling.
 
-        Each pool's pending tasks wait in a heap keyed by submission order; a
-        task retried after preemption keeps its key, so it regains its place.
+        Each pool's pending tasks wait in submission order; a task retried
+        after preemption keeps its key, so it regains its place.
         A multi-instance task starts only when its full node complement is idle
         at once; the first pending task that does not fit blocks the rest.
         """
@@ -361,58 +366,57 @@ class BatchService:
     def _schedule_pool(self, pool: Pool):
         queue, idle = pool.queue, pool.idle
         while queue:
-            task = queue[0][1]
+            task = queue[0]
             if task.state is TaskState.PENDING:  # others are stale entries
                 width = task.spec.instances
                 if len(idle) < width:
                     return
                 self._start_task(pool, self.jobs[task.job_id], task, idle[:width])
-            heapq.heappop(queue)
+            queue.popleft()
 
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
-        now = self.clock.now
+        now, log = self.clock.now, self._log
         spec = task.spec
         result = workloads.execute(spec.workload, spec.instances, spec.procs_per_node,
                                    self.interconnect)
-        task.nodes = nodes = tuple(nodes)
-        task.assigned_nodes = tuple([n.node_id for n in nodes])
-        self._log((now, task.entity, _PENDING_TO_STAGING))
+        task.nodes = nodes
+        task.assigned_nodes = tuple(map(_NODE_ID, nodes))
+        log((now, task.entity, _PENDING_TO_STAGING))
         task.state = TaskState.RUNNING
         task.start_time = now
-        task.end_time = now + result.duration_seconds
-        self._log((now, task.entity, _STAGING_TO_RUNNING))
+        task.end_time = end = now + result.duration_seconds
+        log((now, task.entity, _STAGING_TO_RUNNING))
         del pool.idle[:len(nodes)]  # a gang takes the first idle nodes
         for node in nodes:
-            node.transition(NodeState.RUNNING, now, self.event_log)
-            self._running[node.node_id] = task
+            node.state = NodeState.RUNNING
+            node.task = task
+            log((now, node.entity, _IDLE_TO_RUNNING))
         task.completion_event = self.clock.schedule(
-            task.end_time, functools.partial(self._finish_task, job, task, result))
+            end, functools.partial(self._finish_task, job, task, result))
 
     def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult):
         # _fail_task cancels this event on every path that stops the attempt
+        now, log = self.clock.now, self._log
         self._free_nodes(self.pools[job.pool_id], task)
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
         job.unfinished -= 1
-        self._log((self.clock.now, task.entity, _RUNNING_TO_COMPLETED))
-        self._store_outputs(task, result)
-        self._refresh_job_state(job)
-        self.schedule_step()
-
-    def _store_outputs(self, task: Task, result: workloads.WorkloadResult):
+        log((now, task.entity, _RUNNING_TO_COMPLETED))
         share, _, directory = task.spec.output_dir.partition("/")
-        if share not in self.storage.shares:
-            return  # outputs are dropped when no share is mounted
-        for name, content in result.outputs:
-            path = f"{directory}/{name}" if directory else name
-            self.storage.write_entry(share, path, content)
-            self._log((self.clock.now, f"share/{share}", f"write:{path}:{len(content)}"))
+        if share in self.storage.shares:  # else no share is mounted and outputs are dropped
+            for name, content in result.outputs:
+                path = f"{directory}/{name}" if directory else name
+                self.storage.write_entry(share, path, content)
+                log((now, f"share/{share}", f"write:{path}:{len(content)}"))
+        if not job.unfinished:
+            self._refresh_job_state(job)
+        self.schedule_step()
 
     def _on_preempt(self, pool: Pool, node: Node):
         if not pool.alive or node.state not in (NodeState.IDLE, NodeState.RUNNING):
             return
         now = self.clock.now
-        task = self._running.get(node.node_id)
+        task = node.task
         if node.state is NodeState.IDLE:
             pool.idle.remove(node)
         node.transition(NodeState.PREEMPTED, now, self.event_log)
@@ -427,7 +431,7 @@ class BatchService:
     def _fail_task(self, pool: Optional[Pool], job: Job, task: Task, reason: FailureReason):
         now = self.clock.now
         if task.completion_event is not None:
-            task.completion_event.cancel()
+            self.clock.cancel(task.completion_event)
             task.completion_event = None
         if task.state is TaskState.RUNNING:
             self._free_nodes(pool, task)
@@ -440,7 +444,7 @@ class BatchService:
             self.event_log.append(now, task.entity,
                                   f"{previous.value}->{TaskState.PENDING.value} "
                                   f"(retry {task.attempts})")
-            heapq.heappush(pool.queue, (task.seq, task))
+            insort(pool.queue, task, key=attrgetter("seq"))
             return
         task.state = TaskState.FAILED
         job.unfinished -= 1
@@ -451,15 +455,19 @@ class BatchService:
 
     def _free_nodes(self, pool: Pool, task: Task):
         """End a running attempt: log its busy interval on each of its nodes, a preempted
-        one included, and return the others to the pool."""
+        one included, and return the others to the pool. Their Running->Idle moves need no
+        Node.transition check: `_start_task` took them from the idle index, Idle, for this
+        attempt alone, and only this call returns them there."""
         now = self.clock.now
         task.interval = interval = (task.start_time, now, task.run_tag)
+        idle, log = pool.idle, self._log
         for node in task.nodes:
-            del self._running[node.node_id]
             node.busy_log.append(interval)
+            node.task = None
             if node.state is NodeState.RUNNING:
-                node.transition(NodeState.IDLE, now, self.event_log)
-                insort(pool.idle, node, key=_POSITION)
+                node.state = NodeState.IDLE
+                log((now, node.entity, _RUNNING_TO_IDLE))
+                insort(idle, node, key=_POSITION)
         task.nodes = ()
 
     def _refresh_job_state(self, job: Job):
@@ -502,13 +510,9 @@ class BatchService:
 
     def advance_until_pool_settled(self, pool_id: str):
         """Advance past pool readiness including any low-priority stragglers."""
-        pool = self.pools[pool_id]
-
-        def settled():
-            return all(n.state is not NodeState.STARTING or n.released_time is not None
-                       for n in pool.nodes)
-
-        self.clock.run(until=settled)
+        nodes = self.pools[pool_id].nodes
+        self.clock.run(until=lambda: all(n.state is not NodeState.STARTING
+                                         or n.released_time is not None for n in nodes))
 
     def advance_until_job_terminal(self, job_id: str):
         job = self.jobs[job_id]

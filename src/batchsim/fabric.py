@@ -67,17 +67,6 @@ def allreduce_time(model: InterconnectModel, participants: int, message_bytes: i
 # event loop
 
 
-@dataclass(slots=True)
-class _Scheduled:
-    time: float
-    seq: int
-    action: Callable[[], None]
-    cancelled: bool = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
 class EventLog:
     """Append-only transition log, serialized as time<TAB>entity<TAB>transition."""
 
@@ -100,38 +89,39 @@ class SimClock:
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, _Scheduled]] = []
+        self._heap: list[list] = []  # [time, seq, action]; a cancelled entry has no action
         self._seq = 0
 
-    def schedule(self, at: float, action: Callable[[], None]) -> _Scheduled:
+    def schedule(self, at: float, action: Callable[[], None]) -> list:
         if at < self.now:
             raise ValueError(f"cannot schedule into the past ({at} < {self.now})")
-        ev = _Scheduled(at, self._seq, action)
-        heapq.heappush(self._heap, (at, self._seq, ev))
+        entry = [at, self._seq, action]
+        heapq.heappush(self._heap, entry)
         self._seq += 1
-        return ev
+        return entry
+
+    @staticmethod
+    def cancel(entry: list):
+        entry[2] = None
 
     def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return sum(1 for _, _, action in self._heap if action is not None)
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is drained."""
         while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
+            at, _, action = heapq.heappop(self._heap)
+            if action is None:
                 continue
-            self.now = ev.time
-            ev.action()
+            self.now = at
+            action()
             return True
         return False
 
     def run(self, until: Optional[Callable[[], bool]] = None):
         """Drain the queue, stopping early once `until()` becomes true."""
-        while True:
-            if until is not None and until():
-                return
-            if not self.step():
-                return
+        while (until is None or not until()) and self.step():
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +153,7 @@ class Node:
     """A VM of a pool; its SKU is the pool's `config.sku`."""
 
     __slots__ = ("node_id", "position", "entity", "priority", "state", "ready_time",
-                 "released_time", "preempt_at", "busy_log")
+                 "released_time", "preempt_at", "busy_log", "task")
 
     def __init__(self, node_id: str, priority: Priority, position: int = 0):
         self.node_id = node_id
@@ -177,8 +167,11 @@ class Node:
         # busy intervals (start, end, "task/<job>/<task>#<attempt>") in the order they end;
         # state.json stores only those that no task row records, and a load rebuilds the rest
         self.busy_log: list[tuple[float, float, str]] = []
+        self.task = None  # the batch task attempt running on it
 
     def transition(self, to: NodeState, at: float, log: EventLog):
+        """Make and log a move that `_LEGAL_TRANSITIONS` has: boot and preemption. The batch
+        scheduler logs Idle->Running and Running->Idle itself; its idle index makes them legal."""
         text = _LEGAL_TRANSITIONS.get((self.state, to))
         if text is None:
             raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")

@@ -117,12 +117,14 @@ class StorageAccount:
 
     def write_entry(self, share: str, path: str, content: bytes):
         """Store an artifact produced inside the service (not metered as ingress)."""
-        sh = self._share(share)
-        path = _normalize(path)
+        sh = self.shares.get(share) or self._share(share)  # _share raises for a missing one
+        path, size = _normalize(path), len(content)
         old = sh.entries.get(path)
-        if sh.used_bytes + len(content) - (old.size_bytes if old else 0) > sh.quota_bytes:
+        used = sh.used_bytes + size - (old.size_bytes if old else 0)
+        if used > sh.quota_gib * GIB:
             raise ValidationError(f"{share}: artifact {path!r} exceeds quota")
-        sh.put(ShareEntry(path, len(content), content))
+        sh.used_bytes = used
+        sh.entries[path] = ShareEntry(path, size, content)
 
     def entries_under(self, share: str, directory: str) -> list[ShareEntry]:
         """The entries below `directory` in path order; a ValidationError if none lies there."""

@@ -437,9 +437,9 @@ def execute(spec: WorkloadSpec, instances: int, procs_per_node: int,
     """Run (or model) the workload of a task on `instances` nodes, yielding simulated
     duration and artifacts."""
     if isinstance(spec, FixedDuration):
-        text = (f"fixed-duration task: {spec.seconds:g} s on {instances} instances, "
-                f"{procs_per_node} processes per node\n")
-        return WorkloadResult(spec.seconds, [("run.log", text.encode())])
+        text = (b"fixed-duration task: %g s on %d instances, %d processes per node\n"
+                % (spec.seconds, instances, procs_per_node))
+        return WorkloadResult(spec.seconds, [("run.log", text)])
     if isinstance(spec, PingPongLatency):
         table = osu_latency(model)
         duration = LATENCY_REPETITIONS * sum(2.0 * comm_time(model, s) for s in LATENCY_SIZES)

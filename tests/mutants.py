@@ -85,6 +85,22 @@ MUTANTS = [
     Mutant("replay-takes-any-flag", "cli.py",
            't in flags or not t.startswith("-") or NEGATIVE_NUMBER.fullmatch(t) for t in argv',
            "True for t in argv", (f"{_CRAFTED}[help]", f"{_CRAFTED}[abbreviated-help]")),
+    # the clock runs an event scheduled at its own instant, after those queued before it
+    Mutant("clock-rejects-the-current-instant", "fabric.py", "if at < self.now:",
+           "if at <= self.now:", ("tests/test_fabric.py::test_clock_runs_an_event_scheduled_"
+                                  "at_its_own_instant_after_those_queued_before",)),
+    # the scheduler's own node moves: the idle index stays in node order, each move is
+    # logged, and a node is linked to the task it runs only while it runs it
+    Mutant("freed-node-appended-to-idle", "batch.py", "insort(idle, node, key=_POSITION)",
+           "idle.append(node)",
+           ("tests/test_scheduler_oracle.py::test_idle_index_matches_node_states_on_large_mix",)),
+    Mutant("node-start-unlogged", "batch.py",
+           "            log((now, node.entity, _IDLE_TO_RUNNING))\n", "",
+           ("tests/test_batch.py::"
+            "test_each_attempt_logs_one_move_to_running_and_back_per_node",)),
+    Mutant("finished-task-linked-to-its-nodes", "batch.py", "            node.task = None\n", "",
+           ("tests/test_batch.py::"
+            "test_preempting_an_idle_node_leaves_the_task_it_finished_completed",)),
     # the pass-throughs' callers
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),

@@ -7,7 +7,7 @@ from batchsim.batch import BatchService, FailureReason, JobState, PoolState, Tas
 from batchsim.catalog import RegionQuota, default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.errors import SimulationError, ValidationError
-from batchsim.fabric import BOOT_LATENCY_RANGE, NodeState, Priority
+from batchsim.fabric import _LEGAL_TRANSITIONS, BOOT_LATENCY_RANGE, NodeState, Priority
 from batchsim.state import status_doc
 from batchsim.workloads import FixedDuration
 
@@ -339,6 +339,38 @@ def test_retried_attempts_keep_their_run_tags():
         (started + 4600, "Running->Completed"),
     ]
     assert not any(float(t) == started + 3600 for t, _, _ in lines)  # attempt 0's end
+
+
+def test_preempting_an_idle_node_leaves_the_task_it_finished_completed():
+    svc = BatchService(CATALOG, seed=3, preemption_rate=0.0)
+    svc.quota_set("eastus", 200, 200)
+    pool = steady_pool(svc, pool_cfg(ded=0, low=1))
+    job = svc.jobs_add(jobs_cfg("p", task("t0", 1, 100)))
+    tk, node = job.tasks[0], pool.nodes[0]
+    svc.clock.schedule(tk.end_time + 1000, lambda: svc._on_preempt(pool, node))
+    svc.run_to_quiescence()
+    assert node.state is NodeState.PREEMPTED and node.released_time == tk.end_time + 1000
+    assert (tk.state, job.state, job.unfinished) == (TaskState.COMPLETED, JobState.COMPLETED, 0)
+    assert [tr for _, e, tr in svc.event_log.records if e == tk.entity][-1] == "Running->Completed"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_each_attempt_logs_one_move_to_running_and_back_per_node(seed):
+    """A node's logged moves, replayed from Starting, are legal and end in its state, and
+    it logs one Idle->Running per busy interval, at the interval's start."""
+    svc, pool = run_random_schedule(seed)
+    moves = {text: move for move, text in _LEGAL_TRANSITIONS.items()}
+    for node in pool.nodes:
+        state, starts = NodeState.STARTING, []
+        for t, entity, text in svc.event_log.records:
+            if entity == node.entity and text in moves:  # not ->Starting, image_pull, released
+                source, target = moves[text]
+                assert source is state, (node.entity, t, text)
+                state = target
+                if text == "Idle->Running":
+                    starts.append(t)
+        assert state is node.state
+        assert starts == [start for start, _, _ in node.busy_log]
 
 
 def test_pool_delete_fails_running_task():

@@ -1,0 +1,150 @@
+"""Deterministic cost counters of the scheduler, as exact pins and stated bounds.
+
+A fixed 1,000-task mix shaped like the benchmark's `sched_mix` (one 32-node NC6 pool,
+8 of its nodes low-priority and preempted at 0.5 per node-hour, one retry, jobs of
+mostly 1-16 tasks plus a few sweeps) runs at seed 1. Its work is counted in units that
+do not depend on the host's speed: events dispatched, scheduler passes, event-log
+records and state bytes are pinned exactly; Python calls per completed task and the
+traced allocation peak are bounded. A change that moves a pinned count updates it here
+and names the reason; a perf change shows its mechanism in these counts.
+"""
+
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from batchsim import state
+from batchsim.batch import TaskState
+from batchsim.config import JobsConfig, PoolConfig, TaskSpec
+from batchsim.workloads import FixedDuration
+
+TASKS = 1_000
+SWEEPS = (50, 100) * 4  # 600 of the tasks
+SEED = 1
+
+
+def mix_jobs(seed: int) -> list[JobsConfig]:
+    rng = random.Random(seed)
+    sizes, left = [], TASKS - sum(SWEEPS)
+    while left > 0:
+        sizes.append(min(int(2 ** rng.uniform(0.0, 4.0)), left))
+        left -= sizes[-1]
+    step = (len(sizes) + len(SWEEPS)) / len(SWEEPS)
+    for i, sweep in enumerate(SWEEPS):
+        sizes.insert(int((i + 0.5) * step), sweep)
+    return [JobsConfig(job_id=f"job{j:04d}", pool_id="mix", tasks=tuple(
+        TaskSpec(task_id=f"t{i}", workload=FixedDuration(float(rng.randint(60, 3600))),
+                 instances=rng.randint(1, 4), procs_per_node=1, gpus_per_node=0,
+                 input_dir="fileshare/inputs", output_dir=f"fileshare/out/job{j:04d}")
+        for i in range(size))) for j, size in enumerate(sizes)]
+
+
+OPTIONS = state.ServiceOptions(seed=SEED, preemption_rate=0.5, task_retries=1)
+
+
+def mix_service():
+    """The service with its pool added and booting, and the jobs to submit."""
+    svc = state.build_service(OPTIONS)
+    svc.quota_set("eastus", 32 * 6, 32 * 6)
+    svc.storage.share_create("fileshare", 100)
+    svc.pool_add(PoolConfig(pool_id="mix", sku="NC6", region="eastus", dedicated_count=24,
+                            low_priority_count=8, inter_node_comm=False,
+                            shared_filesystem=False, image="img:1"))
+    return svc, mix_jobs(SEED)
+
+
+def run_mix(svc, jobs):
+    """The run phase: submit every job, then drain the event queue."""
+    for cfg in jobs:
+        svc.jobs_add(cfg)
+    svc.run_to_quiescence()
+
+
+def ended(svc) -> int:
+    """Tasks that completed or failed: the work a run does, as the benchmark counts it."""
+    return sum(t.terminal for t in svc.all_tasks())
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """Events, passes and starts of one run, counted by wrappers on the service; the
+    service is returned after its pool is deleted, as the benchmark saves it."""
+    svc, jobs = mix_service()
+    counts = {"events": 0, "passes": 0, "idle_passes": 0, "starts": 0}
+    step, schedule_step, start_task = svc.clock.step, svc.schedule_step, svc._start_task
+
+    def counting_step():
+        stepped = step()
+        counts["events"] += stepped
+        return stepped
+
+    def counting_schedule_step():
+        before = counts["starts"]
+        schedule_step()
+        counts["passes"] += 1
+        counts["idle_passes"] += counts["starts"] == before
+
+    def counting_start_task(*args):
+        counts["starts"] += 1
+        start_task(*args)
+
+    svc.clock.step, svc.schedule_step = counting_step, counting_schedule_step
+    svc._start_task = counting_start_task
+    run_mix(svc, jobs)
+    svc.pool_del("mix")
+    return svc, counts
+
+
+def test_the_mix_ends_every_task(counted):
+    svc, _ = counted
+    assert ended(svc) == len(svc.all_tasks()) == TASKS
+    # one task was preempted on its retry too
+    assert [(t.entity, t.state, t.attempts) for t in svc.all_tasks()
+            if t.state is not TaskState.COMPLETED] == [("task/job0001/t9", TaskState.FAILED, 1)]
+
+
+def test_event_and_pass_counts_are_pinned(counted):
+    _, counts = counted
+    # 1,007 starts for 1,000 tasks: seven attempts were preempted and retried
+    assert counts == {"events": 1071, "passes": 1130, "idle_passes": 388, "starts": 1007}
+
+
+def test_log_records_and_state_bytes_per_task_are_pinned(counted, tmp_path):
+    svc, _ = counted
+    store = state.WorkspaceStore(tmp_path)
+    store.save({"options": OPTIONS.to_doc(), "service": state.service_to_doc(svc)})
+    assert len(svc.event_log.records) / TASKS == 10.349
+    assert store.state_path.stat().st_size / TASKS == 190.218
+
+
+def test_python_calls_per_ended_task_are_bounded():
+    """Python function calls, from sys.setprofile, over the whole run phase."""
+    svc, jobs = mix_service()
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        run_mix(svc, jobs)
+    finally:
+        sys.setprofile(None)
+    # 31.5 before the scheduler logged its own node moves and stored outputs in one call;
+    # 16.7 since
+    assert calls / ended(svc) <= 18
+
+
+def test_traced_allocation_peak_of_the_run_is_bounded():
+    svc, jobs = mix_service()
+    tracemalloc.start()
+    try:
+        run_mix(svc, jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1.42 MB both before and after that change, most of it the event-log records
+    assert peak <= 1_600_000

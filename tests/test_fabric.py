@@ -94,12 +94,28 @@ def test_clock_rejects_past():
         clock.schedule(5.0, lambda: None)
 
 
+def test_clock_runs_an_event_scheduled_at_its_own_instant_after_those_queued_before():
+    clock = SimClock()
+    seen = []
+
+    def at_five():
+        seen.append(("first", clock.now))
+        clock.schedule(5.0, lambda: seen.append(("scheduled at 5", clock.now)))
+
+    clock.schedule(5.0, at_five)
+    clock.schedule(5.0, lambda: seen.append(("queued before", clock.now)))
+    clock.schedule(6.0, lambda: seen.append(("later", clock.now)))
+    clock.run()
+    assert seen == [("first", 5.0), ("queued before", 5.0), ("scheduled at 5", 5.0),
+                    ("later", 6.0)]
+
+
 def test_clock_cancel():
     clock = SimClock()
     seen = []
     ev = clock.schedule(1.0, lambda: seen.append("cancelled"))
     clock.schedule(2.0, lambda: seen.append("kept"))
-    ev.cancel()
+    clock.cancel(ev)
     clock.run()
     assert seen == ["kept"]
 
