@@ -174,7 +174,7 @@ class BatchService:
         self.task_retries = task_retries
         self.clock = SimClock()
         self.event_log = EventLog()
-        self._log = self.event_log.records.append  # takes one (time, entity, text) record
+        self._log = self.event_log.flat.extend  # takes one (time, entity, text) record
         self.storage = StorageAccount()
         self.ledger = billing.Ledger(catalog)
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()

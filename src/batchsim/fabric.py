@@ -68,16 +68,24 @@ def allreduce_time(model: InterconnectModel, participants: int, message_bytes: i
 
 
 class EventLog:
-    """Append-only transition log, serialized as time<TAB>entity<TAB>transition."""
+    """Append-only transition log, serialized as time<TAB>entity<TAB>transition. Writers
+    extend `flat` by a record's time, entity and text, so no object stays alive per record
+    for the cyclic GC to count; `records` is a read-only copy as (t, e, text) tuples."""
 
     def __init__(self):
-        self.records: list[tuple[float, str, str]] = []
+        self.flat: list = []
+
+    @property
+    def records(self) -> tuple[tuple[float, str, str], ...]:
+        items = iter(self.flat)
+        return tuple(zip(items, items, items))
 
     def append(self, time: float, entity: str, transition: str):
-        self.records.append((time, entity, transition))
+        self.flat.extend((time, entity, transition))
 
     def lines(self) -> list[str]:
-        return [f"{t:.6f}\t{e}\t{tr}" for t, e, tr in self.records]
+        items = iter(self.flat)
+        return [f"{t:.6f}\t{e}\t{tr}" for t, e, tr in zip(items, items, items)]
 
     def dump(self) -> str:
         out = "\n".join(self.lines())
@@ -177,7 +185,7 @@ class Node:
             raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
         if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
             raise ValueError("dedicated nodes are never preempted")
-        log.records.append((at, self.entity, text))
+        log.flat.extend((at, self.entity, text))
         self.state = to
         if to is NodeState.IDLE and self.ready_time is None:
             self.ready_time = at

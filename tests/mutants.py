@@ -101,6 +101,17 @@ MUTANTS = [
     Mutant("finished-task-linked-to-its-nodes", "batch.py", "            node.task = None\n", "",
            ("tests/test_batch.py::"
             "test_preempting_an_idle_node_leaves_the_task_it_finished_completed",)),
+    # the event log keeps its records flat: each writer extends the one list, and no
+    # object stays alive per record
+    Mutant("transition-log-dropped", "fabric.py", "log.flat.extend((at, self.entity, text))",
+           "log.flat.copy().extend((at, self.entity, text))",
+           ("tests/test_golden.py::test_preemption_retry_mix_digests",
+            "tests/test_fabric.py::"
+            "test_event_log_records_come_back_in_write_order_from_each_writer")),
+    Mutant("log-keeps-a-tuple-per-record", "batch.py", "self._log = self.event_log.flat.extend",
+           "self._log = lambda record, kept=[]: kept.append(record) or "
+           "self.event_log.flat.extend(record)",
+           ("tests/test_costs.py::test_the_run_makes_few_young_collections_and_no_full_one",)),
     # the pass-throughs' callers
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),

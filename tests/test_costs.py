@@ -4,11 +4,13 @@ A fixed 1,000-task mix shaped like the benchmark's `sched_mix` (one 32-node NC6 
 8 of its nodes low-priority and preempted at 0.5 per node-hour, one retry, jobs of
 mostly 1-16 tasks plus a few sweeps) runs at seed 1. Its work is counted in units that
 do not depend on the host's speed: events dispatched, scheduler passes, event-log
-records and state bytes are pinned exactly; Python calls per completed task and the
-traced allocation peak are bounded. A change that moves a pinned count updates it here
-and names the reason; a perf change shows its mechanism in these counts.
+records and state bytes are pinned exactly; Python calls per completed task, the cyclic
+garbage collections of the run and the traced allocation peaks of the run and of a state
+load are bounded. A change that moves a pinned count updates it here and names the
+reason; a perf change shows its mechanism in these counts.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -18,7 +20,7 @@ import pytest
 from batchsim import state
 from batchsim.batch import TaskState
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
-from batchsim.workloads import FixedDuration
+from batchsim.workloads import FixedDuration, parse_workload
 
 TASKS = 1_000
 SWEEPS = (50, 100) * 4  # 600 of the tasks
@@ -146,5 +148,38 @@ def test_traced_allocation_peak_of_the_run_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1.42 MB both before and after that change, most of it the event-log records
-    assert peak <= 1_600_000
+    # 1.42 MB both before and after that change, most of it the event-log records; 0.96 MB
+    # since the log keeps its records flat, not as one tuple each
+    assert peak <= 1_100_000
+
+
+def test_the_run_makes_few_young_collections_and_no_full_one():
+    """Collections per generation over the run phase, from gc.get_stats()."""
+    svc, jobs = mix_service()
+    gc.collect()
+    before = gc.get_stats()
+    run_mix(svc, jobs)
+    made = [a["collections"] - b["collections"] for a, b in zip(gc.get_stats(), before)]
+    # 18/1/0 while each event-log record was a tuple that stayed alive; 4/0/0 since the
+    # log keeps its records flat
+    assert made[0] <= 6 and made[1] <= 1 and made[2] == 0
+
+
+def test_traced_allocation_peak_of_the_load_is_bounded(counted, tmp_path):
+    """The peak of rebuilding the service from its saved and reloaded state document, cold
+    as in each CLI command: the workload-reference cache is emptied first."""
+    svc, _ = counted
+    store = state.WorkspaceStore(tmp_path)
+    store.save({"options": OPTIONS.to_doc(), "service": state.service_to_doc(svc)})
+    loaded = store.load()
+    options = state.ServiceOptions.from_doc(loaded["options"])
+    parse_workload.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state.service_from_doc(loaded["service"], options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 0.84 MB both before and after the event log kept its records flat
+    assert peak <= 950_000

@@ -228,7 +228,7 @@ def test_illegal_node_transitions_raise_and_log_nothing():
         with pytest.raises(ValueError) as err:
             node.transition(to, 1.0, log)
         assert str(err.value) == f"illegal node transition {source.value} -> {to.value}"
-        assert node.state is source and log.records == []
+        assert node.state is source and log.records == ()
     dedicated = Node("pool/1", Priority.DEDICATED)
     dedicated.state = NodeState.IDLE
     with pytest.raises(ValueError, match="^dedicated nodes are never preempted$"):
@@ -240,6 +240,31 @@ def test_event_log_format():
     log.append(1.5, "node/p/0", "Starting->Idle")
     assert log.lines() == ["1.500000\tnode/p/0\tStarting->Idle"]
     assert log.dump().endswith("\n")
+
+
+def test_event_log_records_come_back_in_write_order_from_each_writer():
+    """The service's `_log`, `EventLog.append` and `Node.transition` write one flat log;
+    `records` reads it back as (time, entity, text) tuples and cannot be appended to."""
+    svc = BatchService(default_catalog())
+    log = svc.event_log
+    node = Node("p/0", Priority.LOW_PRIORITY)
+    svc._log((1e-7, "task/j/t", "Pending->Staging"))
+    node.transition(NodeState.IDLE, 2.0, log)
+    log.append(1975015.2358226948, "pool/p", "->Steady")
+    svc._log((3.0, "node/p/0", "Idle->Running"))
+    node.transition(NodeState.PREEMPTED, 4.5, log)
+    written = ((1e-7, "task/j/t", "Pending->Staging"), (2.0, "node/p/0", "Starting->Idle"),
+               (1975015.2358226948, "pool/p", "->Steady"), (3.0, "node/p/0", "Idle->Running"),
+               (4.5, "node/p/0", "Idle->Preempted"))
+    assert log.records == written and len(log.records) == 5
+    assert log.lines() == [
+        "0.000000\ttask/j/t\tPending->Staging", "2.000000\tnode/p/0\tStarting->Idle",
+        "1975015.235823\tpool/p\t->Steady", "3.000000\tnode/p/0\tIdle->Running",
+        "4.500000\tnode/p/0\tIdle->Preempted"]
+    assert log.dump() == "\n".join(log.lines()) + "\n"
+    with pytest.raises(AttributeError):
+        log.records.append((5.0, "pool/p", "->Deleted"))
+    assert len(log.records) == 5
 
 
 @settings(max_examples=50)
