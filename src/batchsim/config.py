@@ -56,8 +56,7 @@ class PoolConfig:
         return self.dedicated_count + self.low_priority_count
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):  # a tuple: a frozen dataclass sets each field by object.__setattr__
     task_id: str
     workload: WorkloadSpec
     instances: int
@@ -317,13 +316,9 @@ TASK_SPEC_KEYS = ("id", "workload", "instances", "procs_per_node", "gpus_per_nod
                   "output_dir")
 
 
-def task_spec_values(spec: TaskSpec) -> tuple:
-    return (spec.task_id, workload_ref(spec.workload), spec.instances, spec.procs_per_node,
-            spec.gpus_per_node, spec.input_dir, spec.output_dir)
-
-
 def bundle_documents(bundle: ConfigBundle) -> dict[str, dict]:
-    tasks = [dict(zip(TASK_SPEC_KEYS, task_spec_values(t))) for t in bundle.jobs.tasks]
+    tasks = [dict(zip(TASK_SPEC_KEYS, (t.task_id, workload_ref(t.workload), *t[2:])))
+             for t in bundle.jobs.tasks]
     return {"workspace.yaml": {"workspace": _written(bundle.workspace, WORKSPACE)},
             "credentials.yaml": {"credentials": _written(bundle.credentials, CREDENTIALS)},
             "pool.yaml": {"pool": pool_to_doc(bundle.pool)},

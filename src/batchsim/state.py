@@ -22,7 +22,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import attrgetter
+from functools import partial
+from itertools import chain, islice, repeat
+from operator import attrgetter, is_not, ne
 from pathlib import Path
 from typing import Optional
 
@@ -32,11 +34,11 @@ from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
 from .config import (_FLOAT_MAX, BOOL, COUNT, INTEGER, POSITIVE, RECORD, TASK, TASK_SPEC_KEYS,
                      TEXT, VM_COUNT, WORKSPACE, At, ConfigBundle, Kind, TaskSpec, Violation, _read,
-                     _written, at_key, of_owner, pool_from_doc, pool_to_doc, task_spec_values)
+                     _written, at_key, of_owner, pool_from_doc, pool_to_doc)
 from .errors import ValidationError
 from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
 from .storage import FileShare, ShareEntry, is_share_name
-from .workloads import parse_workload
+from .workloads import workload_ref
 
 STATE_VERSION = 3
 STATE_DIR = ".batchsim"
@@ -78,10 +80,10 @@ def _optional(kind: Kind) -> Kind:
                          dump=kind.dump and (lambda v: None if v is None else kind.dump(v)))
 
 
-def _enum(cls) -> Kind:
-    members = {m.value: m for m in cls}
+def _enum(members) -> Kind:  # one of `members`, an Enum or some of its members, by its value
+    members = {m.value: m for m in members}
     return Kind(lambda v, at: type(v) is str and v in members, members.__getitem__,
-                attrgetter("value"))
+                attrgetter("_value_"))  # not the `value` property: a C-level read
 
 
 def _span(row, at: At) -> bool:
@@ -132,6 +134,19 @@ NODE = {"id": TEXT._replace(attr="node_id"), "priority": _enum(Priority),
 JOB = {"id": TEXT._replace(attr="job_id"), "pool": REFERENCE._replace(attr="pool_id"),
        "state": _enum(JobState), "submitted_at": INSTANT,
        "tasks": Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {list})}  # rows
+# a task row of a job's tasks: the TASK_SPEC_KEYS values, then these six
+TASK_ROW_KEYS = (*TASK_SPEC_KEYS, "state", "nodes", "start", "end", "reason", "attempts")
+_PERSISTED_TASK_STATES = {s.value: s for s in TaskState if s is not TaskState.RUNNING}
+_FAILURE_REASONS = {None: None, **{r.value: r for r in FailureReason}}
+TASK_ROW = {  # in the order of checks, the spec's last: any other bad value names the row
+    "state": _enum(_PERSISTED_TASK_STATES.values()),
+    "nodes": Kind(lambda v, at: type(v) is list and {*map(type, v)} <= {str}
+                  and len({*v}) == len(v), tuple, list, "assigned_nodes"),  # distinct node ids
+    "start": _optional(INSTANT)._replace(attr="start_time"),
+    "end": _optional(INSTANT)._replace(attr="end_time"),
+    "reason": Kind(lambda v, at: (v is None or type(v) is str) and v in _FAILURE_REASONS,
+                   _FAILURE_REASONS.__getitem__, lambda r: r and r._value_, "failure_reason"),
+    "attempts": COUNT, **TASK}
 SHARE = {"name": Kind(lambda v, at: is_share_name(v)), "quota_gib": COUNT, "entries": RECORDS}
 ENTRY = {"path": Kind(lambda v, at: type(v) is str and v == posixpath.normpath(v) != "."
                       and not v.startswith(("/", ".."))),  # a path that stays in its share
@@ -169,8 +184,8 @@ STATUS_JOB = {**{key: JOB[key] for key in ("id", "pool", "state", "submitted_at"
               "tasks": RECORDS}
 STATUS_TASK = {"id": TEXT, "state": _enum(TaskState), "instances": POSITIVE,
                "nodes": TEXTS._replace(attr="assigned_nodes"),
-               "start_time": _optional(INSTANT), "end_time": _optional(INSTANT),
-               "failure": _optional(_enum(FailureReason))._replace(attr="failure_reason")}
+               "start_time": TASK_ROW["start"], "end_time": TASK_ROW["end"],
+               "failure": TASK_ROW["reason"]}
 STATUS_SHARE = {"name": SHARE["name"], "quota_gib": COUNT, "used_bytes": COUNT,
                 "entries": COUNT}
 
@@ -221,30 +236,62 @@ def catalog_from_doc(doc: dict, label="corrupt state") -> Catalog:
 # service <-> state document
 
 
-# task row: TASK_SPEC_KEYS values, state, assigned_nodes, start/end_time, failure_reason, attempts
-TASK_ROW_LEN = len(TASK_SPEC_KEYS) + 6
-_PERSISTED_TASK_STATES = {s.value: s for s in TaskState if s is not TaskState.RUNNING}
-_FAILURE_REASONS = {None: None, **{r.value: r for r in FailureReason}}
+def _task(row: list, job_id: str, prefix: str, at: At) -> Task:
+    """The task of a row of job `job_id` read through TASK_ROW; `prefix` places its keys."""
+    if len(row) != len(TASK_ROW_KEYS):
+        raise ValidationError(f"corrupt state: task row of {len(row)} values")
+    values = _read(dict(zip(TASK_ROW_KEYS, row)), TASK_ROW, (STATE_DOCUMENT, prefix), at,
+                   lambda where, key, value, kind: at_key(where, key, value, kind) if key in TASK
+                   else f"corrupt state: task row {row!r} of job {job_id}")
+    return Task(TaskSpec(*map(values.pop, TaskSpec._fields)), job_id, **values)
 
 
-def _task_spec(values, job: int, row: int) -> TaskSpec:
-    """The spec of the TASK_SPEC_KEYS values of `service.jobs[job].tasks[row]`. Exact types
-    pass at once; else the values are read through TASK, which raises the first bad one."""
-    task_id, workload, instances, procs_per_node, gpus_per_node, input_dir, output_dir = values
-    if (type(task_id) is type(workload) is type(input_dir) is type(output_dir) is str
-            and type(instances) is type(procs_per_node) is type(gpus_per_node) is int
-            and instances >= 1 and procs_per_node >= 1 and gpus_per_node >= 0
-            and task_id.strip() and input_dir.strip() and output_dir.strip()):
-        try:
-            return TaskSpec(task_id.strip(), parse_workload(workload), instances, procs_per_node,
-                            gpus_per_node, input_dir.strip(), output_dir.strip())
-        except ValueError:  # a workload reference that does not parse, or a blank one
-            pass
-    return TaskSpec(**_read(dict(zip(TASK_SPEC_KEYS, values)), TASK,
-                            (STATE_DOCUMENT, f"service.jobs[{job}].tasks[{row}]."), form=at_key))
+def _column_tasks(rows: list, job_ids, now: float) -> list[Task]:
+    """The tasks of `rows`, checked at once, a column at a time, by C-level builtins; a
+    ValueError unless there are rows and TASK_ROW takes each."""
+    (ids, workloads, instances, procs, gpus, inputs, outputs, states, nodes, starts, ends,
+     reasons, attempts) = columns = [*zip(*rows, strict=True)]  # 13 values in each row
+    times = [*filter(partial(is_not, None), starts + ends)]
+    if not ({*map(type, chain(ids, inputs, outputs, workloads, states))} == {str}
+            and all(map(str.strip, chain(ids, inputs, outputs)))
+            and {*map(type, instances + procs + gpus + attempts)} == {int}  # a bool is no int
+            and min(instances + procs) >= 1 and min(gpus + attempts) >= 0
+            and {*states} <= _PERSISTED_TASK_STATES.keys()
+            and {*map(type, reasons)} <= {str, type(None)} and {*reasons} <= _FAILURE_REASONS.keys()
+            and {*map(type, nodes)} == {list} and {*map(type, chain(*nodes))} <= {str}
+            and [*map(len, nodes)] == [*map(len, map(set, nodes))]  # distinct node ids
+            and {*map(type, times)} <= {int, float} and (not times or -_FLOAT_MAX <= min(times)
+                 and max(times) <= now and not any(map(ne, times, times)))):  # NaN != NaN
+        raise ValueError("a task row that TASK_ROW does not take")
+    values = [map(kind.load, column) if kind.load else column
+              for kind, column in zip(map(TASK_ROW.get, TASK_ROW_KEYS), columns)]
+    return [*map(Task, map(TaskSpec, *values[:7]), job_ids, *values[7:])]
 
 
-def _recording_tasks(svc: BatchService, pool: Pool):
+def _jobs_from_doc(docs: list, at: At) -> list[Job]:
+    """The jobs of `docs`. The task rows of all jobs are checked at once; only if that fails
+    are they read again a row at a time, which raises the first bad value's message."""
+    with contextlib.suppress(ValidationError, ValueError):
+        jobs = [_read(jdoc, JOB, f"job {jdoc.get('id')}", at) for jdoc in docs]
+        ids, sizes = [job["job_id"] for job in jobs], [len(job["tasks"]) for job in jobs]
+        tasks = iter(_column_tasks([*chain.from_iterable(job["tasks"] for job in jobs)],
+                                   chain.from_iterable(map(repeat, ids, sizes)), at.now))
+        if len({*ids}) == len(ids):
+            return [Job(**{**job, "tasks": [*islice(tasks, size)]})
+                    for job, size in zip(jobs, sizes)]
+    jobs = {}
+    for j, jdoc in enumerate(docs):
+        values = _read(jdoc, JOB, f"job {jdoc.get('id')}", at)
+        job_id = values["job_id"]
+        if job_id in jobs:
+            raise ValidationError(f"corrupt state: job {job_id!r} twice")
+        values["tasks"] = [_task(row, job_id, f"service.jobs[{j}].tasks[{k}].", at)
+                           for k, row in enumerate(values["tasks"])]
+        jobs[job_id] = Job(**values)
+    return [*jobs.values()]
+
+
+def _recording_tasks(svc: BatchService, pool: Pool) -> list[Task]:
     """The tasks whose row records a busy interval (start_time, end_time, run_tag) on each
     of its assigned_nodes in `pool`: every row that shows an attempt that ran.
 
@@ -252,11 +299,8 @@ def _recording_tasks(svc: BatchService, pool: Pool):
     id reuses its node ids, and a new node boots for at least BOOT_LATENCY_RANGE[0] s.
     """
     pool_id, created = pool.pool_id, pool.created_at
-    for job in svc.jobs.values():
-        if job.pool_id == pool_id:
-            for task in job.tasks:
-                if task.start_time is not None and task.start_time > created:
-                    yield task
+    return [task for job in svc.jobs.values() if job.pool_id == pool_id for task in job.tasks
+            if task.start_time is not None and task.start_time > created]
 
 
 @_gc_paused()
@@ -270,9 +314,10 @@ def service_to_doc(svc: BatchService) -> dict:
             warnings=[_written(v, WARNING) for v in pool.warnings],
             nodes=[_written(n, NODE, busy_log=[list(b) for b in n.busy_log
                                                if id(b) not in recorded]) for n in pool.nodes]))
-    jobs = [_written(job, JOB, tasks=[
-        [*task_spec_values(t.spec), t.state.value, list(t.assigned_nodes), t.start_time,
-         t.end_time, t.failure_reason.value if t.failure_reason else None, t.attempts]
+    jobs = [_written(job, JOB, tasks=[  # each row as TASK_ROW's kinds write it
+        [t.spec.task_id, workload_ref(t.spec.workload), *t.spec[2:], t.state._value_,
+         list(t.assigned_nodes), t.start_time, t.end_time,
+         t.failure_reason and t.failure_reason._value_, t.attempts]
         for t in job.tasks]) for job in svc.jobs.values()]
     shares = [_written(share, SHARE, entries=[_written(e, ENTRY) for _, e in
                                               sorted(share.entries.items())])
@@ -370,76 +415,36 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             raise ValidationError(f"corrupt state: pool {cfg.pool_id!r} twice")
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]
         svc.pools[cfg.pool_id] = pool
-    jobs_at = At(now, frozenset(svc.pools))
-    for j, jdoc in enumerate(doc["jobs"]):
-        values = _read(jdoc, JOB, f"job {jdoc.get('id')}", jobs_at)
-        job_id, tasks = values["job_id"], []
-        if job_id in svc.jobs:
-            raise ValidationError(f"corrupt state: job {job_id!r} twice")
-        for k, row in enumerate(values["tasks"]):
-            if len(row) != TASK_ROW_LEN:
-                raise ValidationError(f"corrupt state: task row of {len(row)} values")
-            *spec, state, nodes, start_time, end_time, reason, attempts = row
-            # inlined for states of 10,000 rows: node ids are distinct text, and each time
-            # an instant or None
-            if not (type(state) is str and state in _PERSISTED_TASK_STATES
-                    and (reason is None or type(reason) is str and reason in _FAILURE_REASONS)
-                    and type(attempts) is int and attempts >= 0 and type(nodes) is list
-                    and {*map(type, nodes)} <= {str} and len({*nodes}) == len(nodes)
-                    and (start_time is None or type(start_time) in (int, float)
-                         and -_FLOAT_MAX <= start_time <= now)
-                    and (end_time is None or type(end_time) in (int, float)
-                         and -_FLOAT_MAX <= end_time <= now)):
-                raise ValidationError(f"corrupt state: task row {row!r} of job {job_id}")
-            tasks.append(Task(_task_spec(spec, j, k), job_id, _PERSISTED_TASK_STATES[state],
-                              tuple(nodes), start_time, end_time, _FAILURE_REASONS[reason],
-                              attempts))
-        values["tasks"] = tasks
-        svc.enqueue(Job(**values))
+    for job in _jobs_from_doc(doc["jobs"], At(now, frozenset(svc.pools))):
+        svc.enqueue(job)
     for number, item in enumerate(doc["ledger"]):
         svc.ledger.add(MeterEvent(**_read(item, LEDGER_ITEM, f"ledger item {number}", at)))
-    _rebuild_busy_logs(svc)
-    _reschedule_events(svc)
-    return svc
-
-
-def _rebuild_busy_logs(svc: BatchService):
-    """Give each node back the intervals that task rows record, one tuple a row kept as its
-    Task.interval, and sort its busy_log into the order the service appends it in. A stored
-    interval is added to them unless it is there already, as in a state with full logs."""
     for pool in svc.pools.values():
-        stored = [n.busy_log for n in pool.nodes]
-        for node in pool.nodes:
-            node.busy_log = []
-        logs = {n.node_id: n.busy_log for n in pool.nodes}
+        # each node's busy_log: the intervals that rows record, one tuple a row kept as its
+        # Task.interval, and the stored ones not among them, in the service's order
+        logs = {n.node_id: [] for n in pool.nodes}  # in node order: the ids are distinct
         for task in _recording_tasks(svc, pool):
             start, end, tag = task.start_time, task.end_time, task.run_tag
             if end is None or start > end:  # each is an instant or None, as its row was read
                 raise ValidationError(f"corrupt state: task times {start!r}, {end!r} of {tag}")
             task.interval = interval = (start, end, tag)
-            for node_id in task.assigned_nodes:
-                log = logs.get(node_id)
-                if log is None:
-                    raise ValidationError(f"corrupt state: task node {node_id!r} of {tag} "
-                                          f"is not in pool {pool.pool_id}")
-                log.append(interval)
-        for node, kept in zip(pool.nodes, stored):
-            log = node.busy_log
+            try:
+                for node_id in task.assigned_nodes:
+                    logs[node_id].append(interval)
+            except KeyError:
+                raise ValidationError(f"corrupt state: task node {node_id!r} of {tag} is not "
+                                      f"in pool {pool.pool_id}") from None
+        for node, log in zip(pool.nodes, logs.values()):
             log.sort()
-            for interval in kept:
+            for interval in node.busy_log:
                 i = bisect_left(log, interval)
                 if i == len(log) or log[i] != interval:
                     log.insert(i, interval)
-
-
-def _reschedule_events(svc: BatchService):
-    """Rebuild the pending event queue from persisted entity timestamps."""
-    for pool in svc.pools.values():
-        if not pool.alive:
-            continue
-        for node in pool.nodes:  # only low-priority nodes get a preempt_at
+            node.busy_log = log
+        for node in pool.nodes if pool.alive else ():  # the pending low-priority preemptions
             if node.preempt_at is not None and node.state in (NodeState.IDLE, NodeState.RUNNING):
                 svc.schedule_preemption(pool, node)
+    return svc
 
 
 # ---------------------------------------------------------------------------

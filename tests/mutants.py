@@ -37,6 +37,10 @@ class Mutant(NamedTuple):
 _CORRUPT = "tests/test_cli.py::test_corrupt_pool_or_node_field_exits_2_without_mutation"
 _CLI_ERROR = "tests/test_cli.py::test_cli_error_exits_with_its_code_and_line_without_mutation"
 _CRAFTED = "tests/test_cli.py::test_repro_verify_rejects_a_command_no_commit_records"
+_ROWS = "tests/test_state.py::test_corrupt_task_row_is_rejected"
+_CORRUPT_ROW = "tests/test_cli.py::test_corrupt_task_row_exits_2_without_mutation"
+_COLUMN_CHECK = ("tests/test_state.py::"
+                 "test_the_column_check_takes_exactly_the_rows_that_the_row_reader_takes")
 _ENTRIES_UNDER = ("tests/test_storage.py::test_download_missing_directory",
                   "tests/test_storage.py::"
                   "test_entries_under_lists_exactly_the_entries_below_a_parent_of_one")
@@ -52,7 +56,7 @@ MUTANTS = [
            (f"{_CORRUPT}[node-id-twice-jobs-add]", f"{_CORRUPT}[node-id-twice-pool-del]")),
     Mutant("pool-twice-taken", "state.py", "if cfg.pool_id in svc.pools:", "if False:",
            (f"{_CORRUPT}[pool-twice-jobs-add]", f"{_CORRUPT}[pool-twice-pool-del]")),
-    Mutant("job-twice-taken", "state.py", "if job_id in svc.jobs:", "if False:",
+    Mutant("job-twice-taken", "state.py", "if job_id in jobs:", "if False:",
            (f"{_CORRUPT}[job-twice-jobs-add]", f"{_CORRUPT}[job-twice-pool-del]")),
     Mutant("share-twice-taken", "state.py", "if share.name in svc.storage.shares:", "if False:",
            (f"{_CORRUPT}[share-twice-jobs-add]", f"{_CORRUPT}[share-twice-pool-del]")),
@@ -112,6 +116,17 @@ MUTANTS = [
            "self._log = lambda record, kept=[]: kept.append(record) or "
            "self.event_log.flat.extend(record)",
            ("tests/test_costs.py::test_the_run_makes_few_young_collections_and_no_full_one",)),
+    # the task rows of a state document are checked at once, a column at a time, and the
+    # check takes exactly the rows that the row reader takes
+    Mutant("row-check-takes-a-bool", "state.py",
+           "{*map(type, instances + procs + gpus + attempts)} == {int}",
+           "{*map(type, instances + procs + gpus + attempts)} <= {int, bool}",
+           (f"{_ROWS}[bool-attempts]", f"{_CORRUPT_ROW}[bool-attempts]", _COLUMN_CHECK)),
+    Mutant("row-check-takes-nan", "state.py", " and not any(map(ne, times, times))", "",
+           (f"{_ROWS}[nan-end-time]", f"{_CORRUPT_ROW}[nan-end-time]", _COLUMN_CHECK)),
+    Mutant("row-check-takes-a-node-twice", "state.py",
+           "\n            and [*map(len, nodes)] == [*map(len, map(set, nodes))]", "",
+           (f"{_ROWS}[node-twice]", f"{_CORRUPT_ROW}[node-twice]", _COLUMN_CHECK)),
     # the pass-throughs' callers
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),

@@ -998,6 +998,23 @@ def readme_workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def retry_workspace(tmp_path_factory):
+    """BUSY_SESSION's workspace before its `pool del`: gang tasks retried after their
+    low-priority nodes were preempted, a job added again under its id, intervals stored in
+    busy logs, and a live pool whose low-priority nodes have preemptions pending."""
+    root = tmp_path_factory.mktemp("retry")
+    shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    pool_yaml = root / "config_shipyard" / "pool.yaml"
+    pool_doc = yaml.safe_load(pool_yaml.read_text())
+    pool_doc["pool"].update(vm_count={"dedicated": 1, "low_priority": 2},
+                            shared_filesystem=False)
+    pool_yaml.write_text(yaml.safe_dump(pool_doc, sort_keys=False))
+    for argv in BUSY_SESSION[:-1]:
+        ok(root, *argv)
+    return root
+
+
 # the table of each record that nests in another, by the key it is found under
 NESTED = {"workspace": configmod.WORKSPACE, "config": configmod.POOL_CONFIG,
           "vm_count": configmod.VM_COUNT, "options": statemod.OPTIONS,
@@ -1008,7 +1025,8 @@ NESTED = {"workspace": configmod.WORKSPACE, "config": configmod.POOL_CONFIG,
 
 def _table_leaves(doc, table=statemod.STATE, path=()):
     """The path of each value in `doc`, a record of `table`, that a field table checks:
-    every key of every record, and each region's quota."""
+    every key of every record, each region's quota, each busy_log row, and each value of
+    each task row."""
     for key in table:
         yield (*path, key)
         value, nested = doc[key], NESTED.get(key)
@@ -1019,6 +1037,10 @@ def _table_leaves(doc, table=statemod.STATE, path=()):
                 yield from _table_leaves(record, nested, (*path, key, i))
         elif key == "quotas" and value is not None:
             yield from ((*path, key, region) for region in value)
+        elif key == "busy_log":
+            yield from ((*path, key, i) for i in range(len(value)))
+        elif key == "tasks":
+            yield from ((*path, key, i, k) for i, row in enumerate(value) for k in range(len(row)))
 
 
 # what a field-table error and the readers of embedded documents print
@@ -1029,10 +1051,13 @@ CORRUPT_STATE_ERROR = re.compile(r"error: (corrupt state: (\w+ .+ of .+|unsuppor
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(st.data())
-def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace, data):
-    """Any leaf that a field table checks, set to a value of another JSON kind, either
-    loads or is exit 2 with the table's message, `.batchsim/` byte-identical."""
-    state = json.loads((readme_workspace / ".batchsim" / "state.json").read_text())
+def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace,
+                                                               retry_workspace, data):
+    """Any leaf that a field table checks, in the README session's state or in one with
+    retried tasks and preempted low-priority nodes, set to a value of another JSON kind,
+    either loads or is exit 2 with the table's message, `.batchsim/` byte-identical."""
+    workspace = data.draw(st.sampled_from([readme_workspace, retry_workspace]))
+    state = json.loads((workspace / ".batchsim" / "state.json").read_text())
     leaf = data.draw(st.sampled_from(list(_table_leaves(state))))
     value = data.draw(st.sampled_from([None, "x", -1, 1e308, [1], True]))
     record = state
@@ -1041,7 +1066,7 @@ def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace,
     record[leaf[-1]] = value
     with tempfile.TemporaryDirectory(prefix="batchsim-leaf-") as tmp:
         root = Path(tmp)
-        shutil.copytree(readme_workspace, root, dirs_exist_ok=True)
+        shutil.copytree(workspace, root, dirs_exist_ok=True)
         (root / ".batchsim" / "state.json").write_text(json.dumps(state))
         for argv in (["status"], ["pool", "del", *CFG]):
             before = tree(root)
@@ -1069,50 +1094,114 @@ def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
     assert tree(roots[1]) == tree(roots[0])
 
 
-# (position in the task row, value written there); positions 0-6 are the spec
+def _row(index, value):
+    """Sets position `index` of the first job's first task row to `value`; positions 0-6
+    are the spec."""
+    def corrupt(jobs):
+        jobs[0]["tasks"][0][index] = value
+    return corrupt
+
+
+ROW_SPEC = ("'task0', 'fixed:25200', 2, 12, 2, 'fileshare/snake2d2k35', "
+            "'fileshare/snake2d2k35/output'")
+ROW_NODES = "['snake2d2k35/0', 'snake2d2k35/1']"
+
+
+def _bad_row(rest: str, job: str = "snake2d2k35-job") -> str:
+    """The stderr of a row of `job` whose values after the spec print as `rest`."""
+    return f"error: corrupt state: task row [{ROW_SPEC}, {rest}] of job {job}\n"
+
+
+def _bad_key(key: str, why: str, job: int = 0) -> str:
+    return f"error: state.json: key 'service.jobs[{job}].tasks[0].{key}': {why}\n"
+
+
+def _later_jobs(index, value, third_job):
+    """Two copies of the job after it: the row of the one named `second` gets `value` at
+    `index`, and `third_job` edits the other."""
+    def corrupt(jobs):
+        second = json.loads(json.dumps(jobs[0]))
+        second["id"] = "second"
+        third = json.loads(json.dumps(second))
+        second["tasks"][0][index] = value
+        third_job(third)
+        jobs += [second, third]
+    return corrupt
+
+
+# (corruption of the service's jobs, stderr); recorded before the rows were checked a
+# column at a time
 ROW_CORRUPTIONS = {
-    "blank-id": (0, " "),
-    "unknown-workload": (1, "nosuch:1"),
-    "string-instances": (2, "2"),
-    "zero-procs": (3, 0),
-    "bool-gpus": (4, True),
-    "running-state": (7, "Running"),
-    "staging-state": (7, "Staging"),
-    "unknown-failure-reason": (11, "Crashed"),
-    "unknown-node": (8, ["snake2d2k35/9"]),
-    "text-end-time": (10, "soon"),
-    "infinite-end-time": (10, float("inf")),
-    "late-end-time": (10, 1e300),
-    "end-before-start": (10, 0.0),
-    "fractional-attempts": (12, 0.5),
-    "negative-attempts": (12, -1),
-    "short-row": (None, None),
+    "blank-id": (_row(0, " "), _bad_key("id", "expected a non-empty string")),
+    "unknown-workload": (_row(1, "nosuch:1"),
+                         _bad_key("workload", "unknown workload reference 'nosuch:1'")),
+    "string-instances": (_row(2, "2"), _bad_key("instances", "expected an integer")),
+    "zero-procs": (_row(3, 0), _bad_key("procs_per_node", "must be at least 1")),
+    "bool-gpus": (_row(4, True), _bad_key("gpus_per_node", "expected an integer")),
+    "running-state": (_row(7, "Running"),
+                      _bad_row(f"'Running', {ROW_NODES}, 400.0, 25600.0, None, 0")),
+    "staging-state": (_row(7, "Staging"),
+                      _bad_row(f"'Staging', {ROW_NODES}, 400.0, 25600.0, None, 0")),
+    "unknown-failure-reason": (
+        _row(11, "Crashed"), _bad_row(f"'Completed', {ROW_NODES}, 400.0, 25600.0, 'Crashed', 0")),
+    "unknown-node": (_row(8, ["snake2d2k35/9"]),
+                     "error: corrupt state: task node 'snake2d2k35/9' of "
+                     "task/snake2d2k35-job/task0#0 is not in pool snake2d2k35\n"),
+    "text-end-time": (_row(10, "soon"),
+                      _bad_row(f"'Completed', {ROW_NODES}, 400.0, 'soon', None, 0")),
+    "infinite-end-time": (_row(10, float("inf")),
+                          _bad_row(f"'Completed', {ROW_NODES}, 400.0, inf, None, 0")),
+    "late-end-time": (_row(10, 1e300),
+                      _bad_row(f"'Completed', {ROW_NODES}, 400.0, 1e+300, None, 0")),
+    "end-before-start": (_row(10, 0.0), "error: corrupt state: task times 400.0, 0.0 of "
+                                        "task/snake2d2k35-job/task0#0\n"),
+    "fractional-attempts": (_row(12, 0.5),
+                            _bad_row(f"'Completed', {ROW_NODES}, 400.0, 25600.0, None, 0.5")),
+    "negative-attempts": (_row(12, -1),
+                          _bad_row(f"'Completed', {ROW_NODES}, 400.0, 25600.0, None, -1")),
+    "short-row": (lambda jobs: jobs[0]["tasks"][0].pop(),
+                  "error: corrupt state: task row of 12 values\n"),
     # each exited 2 with a Python message, or (the node listed twice) loaded
-    "number-nodes": (8, 5),
-    "nested-node": (8, [["x"]]),
-    "list-state": (7, ["Completed"]),
-    "mapping-failure-reason": (11, {"a": 1}),
-    "text-start-time": (9, "x"),
-    "node-twice": (8, ["snake2d2k35/0", "snake2d2k35/0"]),
+    "number-nodes": (_row(8, 5), _bad_row("'Completed', 5, 400.0, 25600.0, None, 0")),
+    "nested-node": (_row(8, [["x"]]), _bad_row("'Completed', [['x']], 400.0, 25600.0, None, 0")),
+    "list-state": (_row(7, ["Completed"]),
+                   _bad_row(f"['Completed'], {ROW_NODES}, 400.0, 25600.0, None, 0")),
+    "mapping-failure-reason": (
+        _row(11, {"a": 1}), _bad_row(f"'Completed', {ROW_NODES}, 400.0, 25600.0, {{'a': 1}}, 0")),
+    "text-start-time": (_row(9, "x"),
+                        _bad_row(f"'Completed', {ROW_NODES}, 'x', 25600.0, None, 0")),
+    "node-twice": (_row(8, ["snake2d2k35/0", "snake2d2k35/0"]), _bad_row(
+        "'Completed', ['snake2d2k35/0', 'snake2d2k35/0'], 400.0, 25600.0, None, 0")),
+    # what a check of all rows at once gets wrong easily: a bool is an int subclass,
+    # json.load reads NaN, a row may be a mapping, and a later job's error comes after a
+    # bad row of an earlier one
+    "bool-attempts": (_row(12, True),
+                      _bad_row(f"'Completed', {ROW_NODES}, 400.0, 25600.0, None, True")),
+    "nan-start-time": (_row(9, float("nan")),
+                       _bad_row(f"'Completed', {ROW_NODES}, nan, 25600.0, None, 0")),
+    "nan-end-time": (_row(10, float("nan")),
+                     _bad_row(f"'Completed', {ROW_NODES}, 400.0, nan, None, 0")),
+    "mapping-row": (lambda jobs: jobs[0]["tasks"].__setitem__(0, {"id": "task0"}),
+                    "error: corrupt state: tasks [{'id': 'task0'}] of job snake2d2k35-job\n"),
+    "bad-row-then-job-twice": (
+        _later_jobs(7, "Done", lambda job: None),
+        _bad_row(f"'Done', {ROW_NODES}, 400.0, 25600.0, None, 0", "second")),
+    "bad-spec-then-number-id": (_later_jobs(2, True, lambda job: job.update(id=5)),
+                                _bad_key("instances", "expected an integer", 1)),
 }
 
 
-@pytest.mark.parametrize("index, value", list(ROW_CORRUPTIONS.values()), ids=list(ROW_CORRUPTIONS))
-def test_corrupt_task_row_exits_2_without_mutation(workdir, index, value):
+@pytest.mark.parametrize("corrupt, expected", list(ROW_CORRUPTIONS.values()),
+                         ids=list(ROW_CORRUPTIONS))
+def test_corrupt_task_row_exits_2_without_mutation(workdir, corrupt, expected):
     for argv in sequence()[:7]:  # through `jobs add`
         ok(workdir, *argv)
     path = workdir / ".batchsim" / "state.json"
     state = json.loads(path.read_text())
-    row = state["service"]["jobs"][0]["tasks"][0]
-    if index is None:
-        row.pop()
-    else:
-        row[index] = value
+    corrupt(state["service"]["jobs"])
     path.write_text(json.dumps(state))
     before = tree(workdir)
-    code, _, err = cli(workdir, "status")
-    assert code == 2, err
-    assert err.startswith(("error: corrupt state: task ", "error: state.json: key "))
+    assert cli(workdir, "status") == (2, "", expected)
     assert tree(workdir) == before
 
 

@@ -1,5 +1,6 @@
 """The state.json codec: service documents round-trip, and corrupt ones are rejected."""
 
+import functools
 import gc
 import json
 import random
@@ -164,28 +165,100 @@ def _set(index, value):
     return corrupt
 
 
+SPEC = ("'task0', 'fixed:25200', 2, 12, 2, 'fileshare/snake2d2k35', "
+        "'fileshare/snake2d2k35/output'")
+NODES = "['snake2d/0', 'snake2d/1']"
+
+
+def _bad_row(rest: str, job: str = "snake2d-job") -> str:
+    """The message of a row of `job` whose values after the spec print as `rest`."""
+    return f"corrupt state: task row [{SPEC}, {rest}] of job {job}"
+
+
+# (corruption of snake2d's one task row, the full message); recorded before the rows were
+# checked a column at a time
 ROW_CORRUPTIONS = {
-    "too-short": lambda row: row[:-1],
-    "spec-only": lambda row: row[:len(TASK_SPEC_KEYS)],
-    "too-long": lambda row: row + [0],
-    "empty": lambda row: [],
-    "unknown-state": _set(7, "Done"),
-    "lower-case-state": _set(7, "completed"),
-    "running-state": _set(7, "Running"),
-    "staging-state": _set(7, "Staging"),
-    "unknown-failure-reason": _set(11, "Crashed"),
-    "empty-failure-reason": _set(11, ""),
+    "too-short": (lambda row: row[:-1], "corrupt state: task row of 12 values"),
+    "spec-only": (lambda row: row[:len(TASK_SPEC_KEYS)], "corrupt state: task row of 7 values"),
+    "too-long": (lambda row: row + [0], "corrupt state: task row of 14 values"),
+    "empty": (lambda row: [], "corrupt state: task row of 0 values"),
+    "unknown-state": (_set(7, "Done"), _bad_row(f"'Done', {NODES}, 294.0, 25494.0, None, 0")),
+    "lower-case-state": (_set(7, "completed"),
+                         _bad_row(f"'completed', {NODES}, 294.0, 25494.0, None, 0")),
+    "running-state": (_set(7, "Running"),
+                      _bad_row(f"'Running', {NODES}, 294.0, 25494.0, None, 0")),
+    "staging-state": (_set(7, "Staging"),
+                      _bad_row(f"'Staging', {NODES}, 294.0, 25494.0, None, 0")),
+    "unknown-failure-reason": (_set(11, "Crashed"),
+                               _bad_row(f"'Completed', {NODES}, 294.0, 25494.0, 'Crashed', 0")),
+    "empty-failure-reason": (_set(11, ""),
+                             _bad_row(f"'Completed', {NODES}, 294.0, 25494.0, '', 0")),
+    # a bool is an int subclass, and json.load reads NaN
+    "bool-attempts": (_set(12, True),
+                      _bad_row(f"'Completed', {NODES}, 294.0, 25494.0, None, True")),
+    "bool-instances": (_set(2, True), "state.json: key 'service.jobs[0].tasks[0].instances': "
+                                      "expected an integer"),
+    "nan-start-time": (_set(9, float("nan")),
+                       _bad_row(f"'Completed', {NODES}, nan, 25494.0, None, 0")),
+    "nan-end-time": (_set(10, float("nan")),
+                     _bad_row(f"'Completed', {NODES}, 294.0, nan, None, 0")),
+    "node-list-in-nodes": (_set(8, [["snake2d/0"]]),
+                           _bad_row("'Completed', [['snake2d/0']], 294.0, 25494.0, None, 0")),
+    "node-twice": (_set(8, ["snake2d/0", "snake2d/0"]),
+                   _bad_row("'Completed', ['snake2d/0', 'snake2d/0'], 294.0, 25494.0, None, 0")),
+    "mapping-row": (lambda row: {"id": row[0]},
+                    "corrupt state: tasks [{'id': 'task0'}] of job snake2d-job"),
 }
 
 
-@pytest.mark.parametrize("corrupt", list(ROW_CORRUPTIONS.values()), ids=list(ROW_CORRUPTIONS))
-def test_corrupt_task_row_is_rejected(snake2d_doc_text, corrupt):
+@pytest.mark.parametrize("corrupt, message", list(ROW_CORRUPTIONS.values()),
+                         ids=list(ROW_CORRUPTIONS))
+def test_corrupt_task_row_is_rejected(snake2d_doc_text, corrupt, message):
     doc = json.loads(snake2d_doc_text)
     tasks = doc["jobs"][0]["tasks"]
-    assert len(tasks[0]) == state.TASK_ROW_LEN
+    assert len(tasks[0]) == len(state.TASK_ROW_KEYS)
     tasks[0] = corrupt(tasks[0])
-    with pytest.raises(ValidationError, match="^corrupt state: task "):
+    with pytest.raises(ValidationError) as err:
         state.service_from_doc(doc, state.ServiceOptions())
+    assert str(err.value) == message
+
+
+def _later_jobs(second_row, third_job):
+    """Two copies of the first job after it: `second_row` corrupts the row of the copy
+    named `second`, and `third_job` edits the third."""
+    def corrupt(jobs):
+        second = json.loads(json.dumps(jobs[0]))
+        second["id"] = "second"
+        third = json.loads(json.dumps(second))
+        second["tasks"][0] = second_row(second["tasks"][0])
+        third_job(third)
+        jobs += [second, third]
+    return corrupt
+
+
+# a bad row of one job is named before a job-level error of a later one, as when the jobs
+# were read one after the other
+LATER_JOB_CORRUPTIONS = {
+    "bad-row-then-job-twice": (
+        _later_jobs(_set(7, "Done"), lambda job: None),
+        _bad_row(f"'Done', {NODES}, 294.0, 25494.0, None, 0", "second")),
+    "bad-spec-then-number-id": (
+        _later_jobs(_set(2, True), lambda job: job.update(id=5)),
+        "state.json: key 'service.jobs[1].tasks[0].instances': expected an integer"),
+    "bad-row-then-mapping-row": (
+        _later_jobs(_set(12, -1), lambda job: job["tasks"].append({})),
+        _bad_row(f"'Completed', {NODES}, 294.0, 25494.0, None, -1", "second")),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", list(LATER_JOB_CORRUPTIONS.values()),
+                         ids=list(LATER_JOB_CORRUPTIONS))
+def test_a_bad_row_is_named_before_a_later_jobs_error(snake2d_doc_text, corrupt, message):
+    doc = json.loads(snake2d_doc_text)
+    corrupt(doc["jobs"])
+    with pytest.raises(ValidationError) as err:
+        state.service_from_doc(doc, state.ServiceOptions())
+    assert str(err.value) == message
 
 
 def _deleted_job_mix(seed):
@@ -209,6 +282,73 @@ def _deleted_job_mix(seed):
     svc.pool_del("mix")
     svc.run_to_quiescence()
     return svc, options
+
+
+@functools.lru_cache(maxsize=None)
+def _row_documents() -> tuple:
+    """Service documents of three jobs each, as JSON text, whose rows hold every task
+    state and failure reason, retries and a job deleted while a task ran."""
+    return tuple(json.dumps(state.service_to_doc(_deleted_job_mix(seed)[0])) for seed in (0, 1))
+
+
+def _tasks_by_row(doc: dict, at: state.At):
+    """The tasks of `doc`'s jobs read one row at a time through TASK_ROW, or the message
+    of the first bad value."""
+    try:
+        return [state._task(row, job["id"], f"service.jobs[{j}].tasks[{k}].", at)
+                for j, job in enumerate(doc["jobs"]) for k, row in enumerate(job["tasks"])]
+    except ValidationError as exc:
+        return str(exc)
+
+
+# values of every JSON kind
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.sampled_from([10**400, -10**400]), st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=1), st.dictionaries(st.text(max_size=1),
+                                                                             st.integers()))
+TIMES = st.one_of(st.just(float("nan")),
+                  st.sampled_from([float("inf"), -float("inf"), None, 1e308]),
+                  st.floats(-1.0, 5e4), st.integers(-1, 5 * 10**4))
+
+
+def _near_bounds(position: int):
+    """Values near the bounds of the column of a task row position."""
+    return {1: st.sampled_from(["fixed:60", " fixed:60", "fixed:0", "nosuch:1", " ", ""]),
+            2: st.integers(-1, 2), 3: st.integers(-1, 2), 4: st.integers(-1, 2),
+            7: st.sampled_from(["Completed", "Failed", "Pending", "Running", "completed"]),
+            8: st.sampled_from([["mix/0", "mix/0"], ["mix/1", "mix/0", "mix/1"], ["mix/0"], []])
+            | st.lists(st.sampled_from(["mix/0", "mix/1"]), max_size=3),
+            9: TIMES, 10: TIMES,
+            11: st.sampled_from([None, "NodePreempted", "JobDeleted", "PoolDeleted", "Crashed"]),
+            12: st.integers(-1, 2)}.get(position, st.sampled_from(["t0", " t0 ", " ", "", "x"]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_the_column_check_takes_exactly_the_rows_that_the_row_reader_takes(data):
+    """One leaf of one task row of a document of several jobs, set to any value: the
+    column check takes the rows exactly when every row reads through TASK_ROW, to the same
+    tasks, and the jobs' reader then gives those tasks or the row reader's message."""
+    doc = json.loads(data.draw(st.sampled_from(_row_documents())))
+    row = data.draw(st.sampled_from([row for job in doc["jobs"] for row in job["tasks"]]))
+    position = data.draw(st.sampled_from(range(len(row))))
+    row[position] = data.draw(st.one_of(_near_bounds(position), JSON_VALUES))
+    at = state.At(doc["time"], frozenset({"mix"}))
+    expected = _tasks_by_row(doc, at)
+    rows = [row for job in doc["jobs"] for row in job["tasks"]]
+    try:
+        by_column = state._column_tasks(
+            rows, [job["id"] for job in doc["jobs"] for _ in job["tasks"]], doc["time"])
+    except ValueError:
+        by_column = None
+    if isinstance(expected, str):
+        assert by_column is None
+        with pytest.raises(ValidationError) as err:
+            state._jobs_from_doc(doc["jobs"], at)
+        assert str(err.value) == expected
+    else:
+        assert by_column == expected
+        assert [t for job in state._jobs_from_doc(doc["jobs"], at) for t in job.tasks] == expected
 
 
 def _round_trip_services(seed):
