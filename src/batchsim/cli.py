@@ -3,7 +3,8 @@
 One command per process invocation; persistent state lives under
 .batchsim/ in the working directory (or the directory given with -C).
 Exit codes: 0 success, 2 validation error or failed I/O, 3 simulation error,
-64 usage error; a non-zero exit leaves .batchsim/ as it was.
+64 usage error; a non-zero exit leaves .batchsim/ as it was: each load, and a failed
+commit after it, make .batchsim/ what the committed state.json names.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ class Cli:
         self.root = root
         self.store = WorkspaceStore(root)
         self.out = out
+        self.kept = None  # what load kept: the arguments of store.restore
 
     def say(self, text: str):
         print(text, file=self.out)
@@ -161,12 +163,9 @@ class Cli:
 
     def load(self):
         """The committed workspace: its state document and the service rehydrated from it.
-
-        A command killed before its state.json rename may have left events.log longer and
-        ledger.tsv other than the state records: both are put back to the committed outputs,
-        once every record of the state has been checked.
-        """
-        if not self.store.exists():
+        Once every record is checked, `store.restore` makes .batchsim/ what the state names:
+        whatever a command killed before its state.json rename wrote is taken back."""
+        if not self.store.state_path.is_file():
             raise ValidationError(
                 f"no workspace in {self.root}: run `batchsim workspace init` first"
             )
@@ -175,11 +174,8 @@ class Cli:
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValidationError(f"corrupt state: {exc}") from None
         state, svc = statemod.read_state(doc)
-        self.store.truncate_events(state["events_bytes"])  # the last check, then the repairs
-        tsv = billing.export_tsv(svc.ledger)
-        ledger = self.store.ledger_path
-        if not ledger.is_file() or ledger.read_bytes() != tsv.encode():
-            self.store.write_ledger(tsv)
+        self.kept = (state["events_bytes"], billing.export_tsv(svc.ledger), [*state["transcript"]])
+        self.store.restore(*self.kept)  # the last check, then the repairs
         return state, svc
 
     def commit(self, state: dict, svc, args, bundle: ConfigBundle | None = None,
@@ -190,9 +186,9 @@ class Cli:
         other write comes before it: the events.log append, ledger.tsv, the snapshot of a
         loaded `bundle` (its keys as sha256 digests, with init's `catalog_doc`), which
         `args.configdir` names, and an ingress `manifest`'s rows at `args.manifest`. If a
-        write or the rename fails, each is taken back: events.log is cut back to its size at
-        the start, ledger.tsv and the manifest get their old bytes or are removed if new, and
-        each directory this call created is removed.
+        write or the rename fails, a loaded command's .batchsim/ is restored to what `load`
+        kept; `workspace init`, which loads nothing, takes back only its own writes: ledger.tsv
+        gets its old bytes or is removed if new, and each directory it created is removed.
         """
         state["service"] = statemod.service_to_doc(svc)
         snapshot = args.configdir = None
@@ -209,12 +205,9 @@ class Cli:
         state["transcript"].append(entry)
         if any(t.terminal for t in svc.all_tasks()):
             state["has_completed_run"] = True
-        store, events = self.store, self.store.events_path
-        created = [d for d in (store.dir, store.configs_dir, store.ingress_dir) if not d.is_dir()]
-        events_size = events.stat().st_size if events.is_file() else None
-        manifest_path = self.root / args.manifest if manifest is not None else None
-        kept = {path: path.read_bytes() if path.is_file() else None
-                for path in (store.ledger_path, manifest_path) if path is not None}
+        store, init = self.store, self.kept is None
+        created = [d for d in (store.dir, store.configs_dir) if init and not d.is_dir()]
+        ledger = store.ledger_path.read_bytes() if init and store.ledger_path.is_file() else None
         try:
             lines = svc.event_log.lines()
             if lines:  # init logs none: it records events_bytes 0 beside a stray events.log
@@ -229,19 +222,17 @@ class Cli:
                         dump_yaml(catalog_doc, fh)
                 os.replace(tmp, snapshot)
             if manifest is not None:
-                store.write_manifest(manifest_path, manifest)
+                store.write_manifest(self.root / args.manifest, manifest)
             store.write_ledger(billing.export_tsv(svc.ledger))
             store.save(state)
         except BaseException:
-            if events_size is None:
-                events.unlink(missing_ok=True)
+            if not init:
+                store.restore(*self.kept)
+                raise
+            if ledger is None:  # init logs no line, so a stray events.log stays as it was
+                store.ledger_path.unlink(missing_ok=True)
             else:
-                store.truncate_events(events_size)
-            for path, data in kept.items():
-                if data is None:
-                    path.unlink(missing_ok=True)
-                else:
-                    path.write_bytes(data)
+                store.ledger_path.write_bytes(ledger)
             for path in reversed(created):
                 shutil.rmtree(path, ignore_errors=True)
             raise
@@ -276,7 +267,7 @@ def _key_digest(key: str) -> str:
 def cmd_workspace_init(cli: Cli, args) -> int:
     if any(end <= start for start, end in args.scarcity):
         raise UsageError("--scarcity: END must be greater than START")
-    if cli.store.exists():
+    if cli.store.state_path.is_file():
         raise ValidationError(f"workspace already initialized in {cli.root}")
     catalog, catalog_doc = default_catalog(), None
     if args.catalog:
@@ -516,11 +507,9 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
-        for p in sorted(cli.store.configs_dir.glob("[!.]*/*.yaml")):  # not a .<id>.tmp/
-            tar.add(p, arcname=f"configs/{p.relative_to(cli.store.configs_dir).as_posix()}")
-        if cli.store.ingress_dir.is_dir():
-            for p in sorted(cli.store.ingress_dir.glob("*.json")):
-                tar.add(p, arcname=f"ingress/{p.name}")
+        for path in cli.store.named(state["transcript"]):
+            for p in sorted(path.glob("*.yaml")) if path.is_dir() else [path]:
+                tar.add(p, arcname=p.relative_to(cli.store.dir).as_posix())
         for name in output_digests:
             tar.add(cli.store.dir / name, arcname=f"outputs/{name}")
     cli.say(f"packed {out} ({len(manifest['transcript'])} commands, "
@@ -571,9 +560,7 @@ def cmd_repro_verify(cli: Cli, args) -> int:
     if not archive.is_file():
         raise ValidationError(f"no such archive: {archive}")
     with tempfile.TemporaryDirectory(prefix="batchsim-verify-") as tmp:
-        tmpdir = Path(tmp)
-        extracted = tmpdir / "archive"
-        extracted.mkdir()
+        extracted = Path(tmp)
         try:
             with tarfile.open(archive, "r:gz") as tar:
                 _safe_extract(tar, extracted)
@@ -585,19 +572,14 @@ def cmd_repro_verify(cli: Cli, args) -> int:
         if init is None or build_parser().parse_args(init).seed != seed:
             raise ValidationError("manifest.json: key 'seed': must be the seed that the "
                                   "transcript's workspace init sets")
-        workdir = tmpdir / "replay"
-        workdir.mkdir()
-        for name in ("configs", "ingress"):  # the files that recorded commands name
-            if (extracted / name).is_dir():
-                shutil.copytree(extracted / name, workdir / STATE_DIR / name)
-        try:
+        try:  # in the package, whose configs/ and ingress/ the commands read
             for argv in commands:
-                run_command(["-C", str(workdir), *argv], io.StringIO(), raising=True)
+                run_command(["-C", str(extracted), *argv], io.StringIO(), raising=True)
         except (UsageError, ValidationError, SimulationError) as exc:
             cli.say(f"FAIL: replayed command failed: {exc}")
             return 3
         for name in OUTPUT_ARTIFACTS:
-            path = workdir / STATE_DIR / name
+            path = extracted / STATE_DIR / name
             actual = sha256_file(path) if path.exists() else "<missing>"
             if actual != expected[name]:
                 cli.say(f"FAIL: first divergence at {name}: expected {expected[name]}, "
@@ -646,7 +628,8 @@ def recorded_argv(values: dict) -> list:
 def recorded_command(argv: list) -> list:
     """`argv` as a replay runs it, if it is an entry as `recorded_argv` writes it; anything
     else is a ValidationError, raised before it can print help or touch a file. Every
-    --dest becomes replay-download, inside the replay workspace."""
+    --dest becomes replay-download, and each --configdir and --manifest the package's own
+    copy (`.batchsim/configs/<id>` its `configs/<id>`), all inside the replay workspace."""
     words = next((w for w in (tuple(argv[:3]), tuple(argv[:2])) if w in COMMITTING), None)
     flags = {"--" + dest.replace("_", "-") for dest in COMMITTING.get(words, ())}
     try:  # whole recorded flags only: no -C, no --help, no abbreviation, no --flag=value
@@ -657,8 +640,9 @@ def recorded_command(argv: list) -> list:
         recorded = False
     if not recorded:
         raise ValidationError(f"not a recorded command: {argv}")
-    return ["replay-download" if i and argv[i - 1] == "--dest" else t
-            for i, t in enumerate(argv)]
+    return ["replay-download" if i and argv[i - 1] == "--dest" else
+            t.removeprefix(f"{STATE_DIR}/") if i and argv[i - 1] in ("--configdir", "--manifest")
+            else t for i, t in enumerate(argv)]
 
 
 # ---------------------------------------------------------------------------

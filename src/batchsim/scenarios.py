@@ -151,7 +151,7 @@ def run_scenario(scenario: Scenario, seed: int, *, root=None) -> ScenarioRun:
 
     with tempfile.TemporaryDirectory(prefix="batchsim-scenario-") as tmp:
         session = cli.Cli(Path(root if root is not None else tmp), io.StringIO())
-        if session.store.exists():
+        if session.store.state_path.is_file():
             raise ValidationError(f"workspace already initialized in {session.root}")
         aside = Path(tmp) / "aside"
         if session.store.dir.exists():

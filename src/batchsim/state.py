@@ -18,6 +18,7 @@ import json
 import os
 import posixpath
 import re
+import shutil
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
@@ -495,9 +496,6 @@ class WorkspaceStore:
         self.configs_dir = self.dir / "configs"
         self.ingress_dir = self.dir / "ingress"
 
-    def exists(self) -> bool:
-        return self.state_path.is_file()
-
     def load(self) -> dict:
         with open(self.state_path) as fh, _gc_paused():
             return json.load(fh)
@@ -516,15 +514,34 @@ class WorkspaceStore:
             fh.write("\n".join(lines) + "\n")
         return self.events_path.stat().st_size
 
-    def truncate_events(self, size: int):
-        """Cut events.log back to `size` bytes, dropping lines of an uncommitted command. A
-        shorter log lost lines that a committed state records, as a crash can leave it."""
+    def named(self, transcript: list) -> list[Path]:
+        """The snapshots and ingress manifests that the --configdir and --manifest values of
+        `transcript` name, in path order: what configs/ and ingress/ hold."""
+        paths = {self.root / value for argv in transcript for flag, value in zip(argv, argv[1:])
+                 if flag in ("--configdir", "--manifest")}
+        return sorted(p for p in paths if p.parent in (self.configs_dir, self.ingress_dir))
+
+    def restore(self, events_bytes: int, tsv: str, transcript: list):
+        """Make .batchsim/ what a committed state names: events.log of `events_bytes` bytes,
+        absent at 0; in configs/ and ingress/ only what `named(transcript)` gives, and neither
+        dir if empty; ledger.tsv of `tsv`, written last. A shorter log lost lines that the
+        state records, as a crash can leave it: a ValidationError before any write."""
         logged = self.events_path.stat().st_size if self.events_path.is_file() else 0
-        if logged < size:  # a package made from it would not verify
+        if logged < events_bytes:  # a package made from it would not verify
             raise ValidationError(f"corrupt state: events.log of {logged} bytes is shorter "
-                                  f"than events_bytes {size}")
-        if logged > size:
-            os.truncate(self.events_path, size)
+                                  f"than events_bytes {events_bytes}")
+        if not events_bytes:
+            self.events_path.unlink(missing_ok=True)
+        elif logged > events_bytes:
+            os.truncate(self.events_path, events_bytes)
+        named = self.named(transcript)
+        for directory in (self.configs_dir, self.ingress_dir):
+            for path in {*directory.glob("*")}.difference(named):  # what a killed command left
+                (shutil.rmtree if path.is_dir() else os.remove)(path)
+            if directory.is_dir() and not any(directory.iterdir()):
+                directory.rmdir()
+        if not self.ledger_path.is_file() or self.ledger_path.read_bytes() != tsv.encode():
+            self.write_ledger(tsv)
 
     def write_ledger(self, tsv: str):
         with self._replacing(self.ledger_path) as fh:
@@ -532,7 +549,6 @@ class WorkspaceStore:
 
     def write_manifest(self, path: Path, rows: list):
         """Write an ingress manifest of (path, bytes) rows, as `--manifest` reads it."""
-        self.ingress_dir.mkdir(parents=True, exist_ok=True)
         with self._replacing(path) as fh:
             json.dump({"entries": [list(row) for row in rows]}, fh, indent=1)
             fh.write("\n")
@@ -544,7 +560,7 @@ class WorkspaceStore:
         A reader sees the old file or the new one, never a partial write; on
         failure the temporary file is removed and `path` is untouched.
         """
-        self.dir.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.tmp")
         try:
             with open(tmp, "w") as fh:

@@ -41,6 +41,8 @@ _ROWS = "tests/test_state.py::test_corrupt_task_row_is_rejected"
 _CORRUPT_ROW = "tests/test_cli.py::test_corrupt_task_row_exits_2_without_mutation"
 _COLUMN_CHECK = ("tests/test_state.py::"
                  "test_the_column_check_takes_exactly_the_rows_that_the_row_reader_takes")
+_KILLED = "tests/test_cli.py::test_a_killed_command_leaves_the_session_without_it"
+_FAILED_WRITE = "tests/test_cli.py::test_a_failed_write_takes_the_whole_command_back"
 _ENTRIES_UNDER = ("tests/test_storage.py::test_download_missing_directory",
                   "tests/test_storage.py::"
                   "test_entries_under_lists_exactly_the_entries_below_a_parent_of_one")
@@ -127,6 +129,38 @@ MUTANTS = [
     Mutant("row-check-takes-a-node-twice", "state.py",
            "\n            and [*map(len, nodes)] == [*map(len, map(set, nodes))]", "",
            (f"{_ROWS}[node-twice]", f"{_CORRUPT_ROW}[node-twice]", _COLUMN_CHECK)),
+    # one restore makes .batchsim/ what a committed state names: a snapshot or manifest
+    # that a killed or failed command left is removed, and so is an ingress/ left empty and
+    # an events.log of no committed line; a package then holds only what its transcript names
+    Mutant("restore-keeps-an-unnamed-snapshot", "state.py",
+           "for directory in (self.configs_dir, self.ingress_dir):",
+           "for directory in (self.ingress_dir,):",
+           (f"{_KILLED}[pool-add-other-configdir-before-save]",
+            f"{_FAILED_WRITE}[pool-add-other-configdir-save]")),
+    Mutant("restore-keeps-an-unnamed-manifest", "state.py",
+           "for directory in (self.configs_dir, self.ingress_dir):",
+           "for directory in (self.configs_dir,):",
+           (f"{_KILLED}[data-ingress-manifest-before-save]",
+            f"{_FAILED_WRITE}[data-ingress-manifest-save]")),
+    Mutant("restore-keeps-an-empty-ingress-dir", "state.py",
+           "            if directory.is_dir() and not any(directory.iterdir()):\n"
+           "                directory.rmdir()\n", "",
+           (f"{_KILLED}[data-ingress-before-save]", f"{_FAILED_WRITE}[data-ingress-save]")),
+    Mutant("restore-leaves-an-empty-events-log", "state.py",
+           "        if not events_bytes:\n            self.events_path.unlink(missing_ok=True)\n"
+           "        elif logged > events_bytes:", "        if logged > events_bytes:",
+           (f"{_KILLED}[storage-account-create-after-events]",
+            f"{_FAILED_WRITE}[storage-account-create-events]")),
+    # a failed workspace init, which loads no state, puts back the ledger.tsv it found
+    Mutant("failed-init-keeps-its-own-ledger", "cli.py",
+           "                store.ledger_path.write_bytes(ledger)\n", "                pass\n",
+           ("tests/test_cli.py::"
+            "test_failed_init_beside_the_files_of_a_killed_one_leaves_them[save]",)),
+    # a CG solve allocates no grid array per iteration
+    Mutant("cg-stencil-allocates-per-iteration", "workloads.py",
+           "apply_poisson(grid, p, out=ap, pool=pool, ranks=workers)",
+           "ap = apply_poisson(grid, p, pool=pool, ranks=workers)",
+           ("tests/test_costs.py::test_traced_allocation_peak_of_a_small_cg_solve_is_bounded",)),
     # the pass-throughs' callers
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),

@@ -107,7 +107,7 @@ def test_usage_error_exit_64(tmp_path):
 # the sha256 of each parser's --help stdout at 80 columns, as argparse of Python 3.11
 # formats it
 HELP_DIGESTS = {
-    "": "bed965af14dc2ce9bd46fd6159137223f868f9564cb351268136700ab8a19fbc",
+    "": "f8e7c66bb83642cf8195bf2728b58c9ce9a3c8565e9248742224126a7888fc56",
     "workspace": "7f5f7fea2a4c04ba7dbf5b9e00215795699f86afde2b806574801149b2b8a464",
     "workspace init": "c850e1509c94932183a7585212c950cb0bca3f32c5cdc4a8d369f7a5ef407e7c",
     "storage": "4f455c60162c3c91b7bdef7b58223288697cac718ade9d47620bd4b0f4b5c8b1",
@@ -1333,19 +1333,19 @@ def _no_space(*args):
                                    "--source", "config_shipyard/inputs"]],
                          ids=["pool-del", "pool-add-other-configdir", "data-ingress"])
 def test_failed_save_keeps_ledger_and_configs(workdir, monkeypatch, argv):
-    """state.json commits a command: a failed save takes back the snapshot and ingress
-    manifest written before it and leaves ledger.tsv, written after it, as it was. Only
-    events.log differs, and the next command cuts it back."""
+    """state.json commits a command: a failed save restores the tree that the loaded state
+    names, so the snapshot and ingress manifest written before it are removed, and
+    events.log and ledger.tsv, written before it too, get their committed bytes back."""
     for step in sequence()[:7]:  # through jobs add; the pool is still up
         ok(workdir, *step)
     shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", workdir / "poisson")
     ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "200")
-    kept = {k: v for k, v in tree(workdir).items() if k != "events.log"}
+    kept = tree(workdir)
     monkeypatch.setattr(WorkspaceStore, "save", _no_space)
     code, _, err = cli(workdir, *argv)
     assert (code, err) == (2, "error: no space left on device\n")
     monkeypatch.undo()
-    assert {k: v for k, v in tree(workdir).items() if k != "events.log"} == kept
+    assert tree(workdir) == kept
     ok(workdir, *argv)
     ok(workdir, "repro", "pack")
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
@@ -1374,7 +1374,8 @@ def test_failed_ledger_write_exits_2_and_records_nothing(workdir, monkeypatch):
     assert tree(workdir) == tree(plain)
 
 
-# a session that makes every kind of commit: (id, argv, the writes it makes)
+# a session that makes every kind of commit: (id, argv, the writes it makes); a snapshot and
+# a manifest are also written after `jobs add`, when the session has a run to pack
 COMMITS = [
     ("workspace-init", [*INIT, "--seed", "7"], ("snapshot", "ledger", "save")),
     ("storage-account-create", ["storage", "account", "create"], ("events", "ledger", "save")),
@@ -1383,11 +1384,13 @@ COMMITS = [
     ("quota-set", ["quota", "set", "--region", "eastus", "--dedicated", "200"],
      ("ledger", "save")),
     ("pool-add", ["pool", "add", *CFG], ("events", "ledger", "save")),
-    ("pool-add-other-configdir", ["pool", "add", "--configdir", "poisson"],
-     ("events", "snapshot", "ledger", "save")),
     ("data-ingress", ["data", "ingress", *CFG, "--source", "config_shipyard/inputs"],
      ("events", "manifest", "ledger", "save")),
     ("jobs-add", ["jobs", "add", *CFG], ("events", "ledger", "save")),
+    ("pool-add-other-configdir", ["pool", "add", "--configdir", "poisson"],
+     ("events", "snapshot", "ledger", "save")),
+    ("data-ingress-manifest", ["data", "ingress", *CFG, "--manifest", "m.json"],
+     ("events", "manifest", "ledger", "save")),
     ("pool-del", ["pool", "del", *CFG], ("events", "ledger", "save")),
     ("jobs-del", ["jobs", "del", *CFG], ("events", "ledger", "save")),
     ("data-download", ["data", "download", "--source", "fileshare/snake2d2k35",
@@ -1406,6 +1409,7 @@ WRITES = {
 def _commit_workdir(root: Path) -> Path:
     shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
     shutil.copytree(REPO_ROOT / "configs" / "poisson_h16r", root / "poisson")
+    (root / "m.json").write_text('[["mesh.bin", 4096]]\n')
     return root
 
 
@@ -1457,10 +1461,21 @@ KILLS = [(i, point, when) for i, (_, _, writes) in enumerate(COMMITS)
 
 
 def _views(root) -> list:
-    """What `status` and `ledger report` print, and what `repro pack` exits with; the
-    package, if any, is ../view.tar.gz."""
+    """What `status` and `ledger report` print, what `repro pack` exits with, and the
+    members of its package ../view.tar.gz, if any: exactly the snapshots and manifests
+    that the package's transcript names, besides manifest.json and the two outputs."""
     views = [cli(root, *argv)[:2] for argv in (["status"], ["ledger", "report"])]
-    return [*views, cli(root, "repro", "pack", "--out", "../view.tar.gz")[0]]
+    code = cli(root, "repro", "pack", "--out", "../view.tar.gz")[0]
+    if code:
+        return [*views, code, None]
+    with tarfile.open(Path(root).parent / "view.tar.gz") as tar:
+        members = tar.getnames()
+        transcript = json.load(tar.extractfile("manifest.json"))["transcript"]
+    named = {value.removeprefix(".batchsim/") for argv in transcript
+             for flag, value in zip(argv, argv[1:]) if flag in ("--configdir", "--manifest")}
+    assert {posixpath.dirname(m) if m.startswith("configs/") else m for m in members} == {
+        "manifest.json", *named, "outputs/events.log", "outputs/ledger.tsv"}
+    return [*views, code, members]
 
 
 @pytest.fixture(scope="module")
@@ -1506,9 +1521,10 @@ def _run_killed(root, argv, point, when) -> int:
 def test_a_killed_command_leaves_the_session_without_it(tmp_path, commit_steps, step, point,
                                                         when):
     """A command killed at any write leaves the committed session: the next command,
-    whatever it is, shows and restores the outputs of the session without it, a package
-    of that session verifies, and the rerun gives the uninterrupted tree. Killed after
-    its state.json rename, the command is committed whole."""
+    whatever it is, shows and restores the tree of the session without it (a snapshot or
+    manifest that no transcript entry names is removed), a package of that session holds
+    only what its transcript names and verifies, and the rerun gives the uninterrupted
+    tree. Killed after its state.json rename, the command is committed whole."""
     before, views, views_after, tree_after = commit_steps[step]
     root = shutil.copytree(before, tmp_path / "root")
     argv = COMMITS[step][1]
@@ -1517,8 +1533,7 @@ def test_a_killed_command_leaves_the_session_without_it(tmp_path, commit_steps, 
     expected, kept = (views_after, tree_after) if committed else (views, tree(before))
     assert _views(root) == expected
     if step > 0 or committed:  # a killed init leaves no workspace to restore files in
-        for name in ("events.log", "ledger.tsv"):  # an events.log cut back to 0 bytes stays
-            assert (tree(root).get(name) or b"") == (kept.get(name) or b""), name
+        assert tree(root) == kept
     if expected[2] == 0:  # the session has a completed run to pack
         assert ok(root, "repro", "verify", "../view.tar.gz").startswith("PASS")
     if not committed:
@@ -1563,6 +1578,22 @@ def test_init_beside_a_stray_events_log_leaves_it_as_it_was(workdir, monkeypatch
     assert ledger.startswith("category\tusd\t") and ledger.count("\n") == 1  # the header
     ok(workdir, "storage", "account", "create")
     assert "stray" not in events.read_text()
+
+
+@pytest.mark.parametrize("write", ["ledger", "save"])
+def test_failed_init_beside_the_files_of_a_killed_one_leaves_them(tmp_path, monkeypatch, write):
+    """A killed init leaves a snapshot and ledger.tsv without state.json, so no committed
+    state names what .batchsim/ holds: a failed init there takes back only its own writes,
+    and a ledger.tsv of any bytes gets them back."""
+    _killed_init(tmp_path, "snake2d")
+    (tmp_path / ".batchsim" / "ledger.tsv").write_text("category\tusd\nstray\t1\n")
+    before = tree(tmp_path)
+    owner, name, _ = WRITES[write]
+    monkeypatch.setattr(owner, name, _no_space)
+    init = transcript(scenario_by_name("snake2d"), 0, "cfg", "manifest.json")[0]
+    assert cli(tmp_path, *init) == (2, "", "error: no space left on device\n")
+    monkeypatch.undo()
+    assert tree(tmp_path) == before
 
 
 def test_lines_of_a_killed_command_are_cut_back_by_the_next(workdir):
@@ -2204,15 +2235,19 @@ def _recorded_values(words) -> st.SearchStrategy:
 @example({"group": "share", "cmd": "create", "name": "other", "quota": 100})
 def test_an_entry_that_a_replay_accepts_parses_to_the_values_it_records(values):
     """recorded_command(recorded_argv(values)) is a ValidationError, or an entry whose parse
-    gives back each recorded value (--dest as replay-download)."""
+    gives back each recorded value (--dest as replay-download, and --configdir and
+    --manifest as the package's configs/<id> and ingress/<n>.json)."""
     try:
         entry = climod.recorded_command(climod.recorded_argv(values))
     except ValidationError:
         return
     dests = climod.COMMITTING[tuple(values[k] for k in ("group", "cmd", "sub") if k in values)]
     parsed = vars(climod.build_parser().parse_args(entry))
+    replayed = {"dest": lambda v: "replay-download",
+                "configdir": lambda v: v and v.removeprefix(".batchsim/"),
+                "manifest": lambda v: v and v.removeprefix(".batchsim/")}
     assert {d: parsed[d] for d in dests} == {
-        d: "replay-download" if d == "dest" else values[d] for d in dests}
+        d: replayed.get(d, lambda v: v)(values[d]) for d in dests}
 
 
 def test_repro_verify_truncated_archive(workdir):

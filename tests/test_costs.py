@@ -1,4 +1,5 @@
-"""Deterministic cost counters of the scheduler, as exact pins and stated bounds.
+"""Deterministic cost counters of the scheduler and of a CG solve, as exact pins and stated
+bounds.
 
 A fixed 1,000-task mix shaped like the benchmark's `sched_mix` (one 32-node NC6 pool,
 8 of its nodes low-priority and preempted at 0.5 per node-hour, one retry, jobs of
@@ -8,9 +9,15 @@ records and state bytes are pinned exactly; Python calls per completed task and 
 row of a state load, the cyclic garbage collections of the run and the traced allocation
 peaks of the run and of a state load are bounded. A change that moves a pinned count
 updates it here and names the reason; a perf change shows its mechanism in these counts.
+
+A small `poisson:cg:24` task runs in a child interpreter with BLAS on one thread, as the
+golden digests do, because the dot products' summation order, and so the iteration count,
+depends on the BLAS thread count: its stencil calls and iterations are pinned exactly and
+the traced allocation peak of the solve is bounded.
 """
 
 import gc
+import json
 import random
 import sys
 import tracemalloc
@@ -21,6 +28,7 @@ from batchsim import state
 from batchsim.batch import TaskState
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.workloads import FixedDuration, parse_workload
+from test_golden import _run_python
 
 TASKS = 1_000
 SWEEPS = (50, 100) * 4  # 600 of the tasks
@@ -208,3 +216,47 @@ def test_python_calls_per_row_of_the_load_are_bounded(counted, tmp_path):
     # 12.07 while each row was checked and its spec built by a Python function of its
     # own; 10.17 since the rows are checked a column at a time and built by map
     assert calls / sum(len(job["tasks"]) for job in doc["jobs"]) <= 11
+
+
+CG_EDGE = 24
+_CG_CHILD = f"""
+import json, tracemalloc
+from batchsim import workloads
+from batchsim.fabric import INTERCONNECTS
+spec, model = workloads.parse_workload("poisson:cg:{CG_EDGE}"), INTERCONNECTS["azure"]
+workloads.execute(spec, 1, 1, model)  # the imports and caches of a first solve, untraced
+stencil, calls = workloads.apply_poisson, [0]
+
+def counting(*args, **kwargs):
+    calls[0] += 1
+    return stencil(*args, **kwargs)
+
+workloads.apply_poisson = counting
+tracemalloc.start()
+report = workloads.execute(spec, 1, 1, model).outputs[0][1].decode()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps([calls[0], report, peak]))
+"""
+
+
+@pytest.fixture(scope="module")
+def cg_solve(tmp_path_factory) -> tuple[int, int, int]:
+    """Stencil calls, iterations and traced allocation peak of the second of two solves."""
+    calls, report, peak = json.loads(_run_python(tmp_path_factory.mktemp("cg"), "-c", _CG_CHILD))
+    rows = dict(line.split("\t") for line in report.splitlines())
+    return calls, int(rows["iterations"]), peak
+
+
+def test_a_small_cg_solve_makes_one_stencil_call_per_iteration(cg_solve):
+    calls, iterations, _ = cg_solve
+    # 13 with BLAS on one thread; 14 on two
+    assert (calls, iterations) == (13, 13)
+
+
+def test_traced_allocation_peak_of_a_small_cg_solve_is_bounded(cg_solve):
+    grid_array = 8 * CG_EDGE ** 3
+    # 6.78 grid arrays (749,600 B): rhs (the residual), x, p, A*p and one slab of
+    # update scratch, which is the whole grid at this size, plus the stencil's iterator
+    # buffers, 1.74 arrays at their peak
+    assert cg_solve[2] <= 7 * grid_array
