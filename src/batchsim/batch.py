@@ -33,7 +33,6 @@ from .fabric import (
     NodeState,
     Priority,
     SimClock,
-    _LEGAL_TRANSITIONS,
     derived_rng,
 )
 from .storage import StorageAccount
@@ -69,14 +68,16 @@ class FailureReason(enum.Enum):
 
 TERMINAL_TASK_STATES = (TaskState.COMPLETED, TaskState.FAILED)
 
-# event-log texts of the task and node moves every task makes; a task goes from
-# Pending to Running at one instant, logged as two hops through Staging
+# event-log texts of the task and node moves; a task goes from Pending to Running at one
+# instant, logged as two hops through Staging, and a node is preempted from Idle or Running
 _TO_PENDING = f"->{TaskState.PENDING.value}"
 _PENDING_TO_STAGING = "Pending->Staging"
 _STAGING_TO_RUNNING = "Staging->Running"
 _RUNNING_TO_COMPLETED = f"{TaskState.RUNNING.value}->{TaskState.COMPLETED.value}"
-_IDLE_TO_RUNNING = _LEGAL_TRANSITIONS[NodeState.IDLE, NodeState.RUNNING]
-_RUNNING_TO_IDLE = _LEGAL_TRANSITIONS[NodeState.RUNNING, NodeState.IDLE]
+_STARTING_TO_IDLE = "Starting->Idle"
+_IDLE_TO_RUNNING = "Idle->Running"
+_RUNNING_TO_IDLE = "Running->Idle"
+_TO_PREEMPTED = "->Preempted"
 _POSITION = attrgetter("position")
 _NODE_ID = attrgetter("node_id")
 
@@ -174,7 +175,6 @@ class BatchService:
         self.task_retries = task_retries
         self.clock = SimClock()
         self.event_log = EventLog()
-        self._log = self.event_log.flat.extend  # takes one (time, entity, text) record
         self.storage = StorageAccount()
         self.ledger = billing.Ledger(catalog)
         self.quotas: dict[str, RegionQuota] = catalog.default_quotas()
@@ -192,8 +192,8 @@ class BatchService:
         if low_priority_cores is None:
             low_priority_cores = self.quotas[region].low_priority_cores
         self.quotas[region] = RegionQuota(region, dedicated_cores, low_priority_cores)
-        self.event_log.append(self.clock.now, f"quota/{region}",
-                              f"dedicated={dedicated_cores},low_priority={low_priority_cores}")
+        self.event_log.append((self.clock.now, f"quota/{region}",
+                               f"dedicated={dedicated_cores},low_priority={low_priority_cores}"))
 
     def quota_used(self, region: str) -> tuple[int, int]:
         """Dedicated and low-priority cores of the region's pools that are not deleted."""
@@ -228,11 +228,11 @@ class BatchService:
         # one boot latency per pool, so that all its nodes become usable at one instant:
         # billed node time then equals the pool's usable life
         boot = derived_rng(self.seed, f"boot/{cfg.pool_id}").randint(*BOOT_LATENCY_RANGE)
-        pull = self.image_pull_seconds
+        pull, log = self.image_pull_seconds, self.event_log.append
         for i in range(cfg.node_count):
             node = Node(f"{cfg.pool_id}/{i}", Priority.DEDICATED if i < cfg.dedicated_count
                         else Priority.LOW_PRIORITY, i)
-            self._log((now, node.entity, f"->{node.state.value}"))
+            log((now, node.entity, f"->{node.state.value}"))
             if pull > 0:
                 self.clock.schedule(now + boot, functools.partial(
                     self._on_node_staging, node, f"image_pull:{cfg.image}"))
@@ -240,19 +240,21 @@ class BatchService:
                                 functools.partial(self._on_node_ready, pool, node))
             pool.nodes.append(node)
         self.pools[cfg.pool_id] = pool
-        self.event_log.append(now, f"pool/{cfg.pool_id}", f"->{PoolState.ALLOCATING.value}")
+        log((now, f"pool/{cfg.pool_id}", f"->{PoolState.ALLOCATING.value}"))
         for v in warnings:
-            self.event_log.append(now, f"pool/{cfg.pool_id}", f"warning:{v.rule}")
+            log((now, f"pool/{cfg.pool_id}", f"warning:{v.rule}"))
         return pool
 
     def _on_node_staging(self, node: Node, label: str):
         if node.released_time is None:  # else pool_del released it while it booted
-            self._log((self.clock.now, node.entity, label))
+            self.event_log.append((self.clock.now, node.entity, label))
 
     def _on_node_ready(self, pool: Pool, node: Node):
         if node.released_time is not None:  # pool_del released it while it booted
             return
-        node.transition(NodeState.IDLE, self.clock.now, self.event_log)
+        node.state = NodeState.IDLE
+        node.ready_time = now = self.clock.now
+        self.event_log.append((now, node.entity, _STARTING_TO_IDLE))
         insort(pool.idle, node, key=_POSITION)
         if node.priority is Priority.LOW_PRIORITY:
             self.schedule_preemption(pool, node)
@@ -263,9 +265,9 @@ class BatchService:
             )
             if dedicated_ready == pool.config.dedicated_count:
                 pool.state = PoolState.STEADY
-                pool.steady_at = self.clock.now
-                self.event_log.append(self.clock.now, f"pool/{pool.pool_id}",
-                                      f"{PoolState.ALLOCATING.value}->{PoolState.STEADY.value}")
+                pool.steady_at = now
+                self.event_log.append((now, f"pool/{pool.pool_id}",
+                                       f"{PoolState.ALLOCATING.value}->{PoolState.STEADY.value}"))
         self.schedule_step()
 
     def schedule_preemption(self, pool: Pool, node: Node):
@@ -278,16 +280,15 @@ class BatchService:
             if delay == math.inf:  # a rate of 0 never preempts
                 return
             node.preempt_at = self.clock.now + delay
-        self.clock.schedule(max(node.preempt_at, self.clock.now),
-                            functools.partial(self._on_preempt, pool, node))
+        self.clock.schedule(node.preempt_at, functools.partial(self._on_preempt, pool, node))
 
     def pool_del(self, pool_id: str):
         pool = self.pools.get(pool_id)
         if pool is None or not pool.alive:
             raise ValidationError(f"no such pool: {pool_id!r}")
         now = self.clock.now
-        self.event_log.append(now, f"pool/{pool_id}",
-                              f"{pool.state.value}->{PoolState.DELETING.value}")
+        self.event_log.append((now, f"pool/{pool_id}",
+                               f"{pool.state.value}->{PoolState.DELETING.value}"))
         pool.state = PoolState.DELETING
         for job in [j for j in self.jobs.values() if j.pool_id == pool_id]:
             for task in job.tasks:
@@ -298,11 +299,11 @@ class BatchService:
             self._close_meter(pool, node, now)
             if node.released_time is None:
                 node.released_time = now
-                self.event_log.append(now, f"node/{node.node_id}", "released")
+                self.event_log.append((now, f"node/{node.node_id}", "released"))
         pool.state = PoolState.DELETED
         pool.deleted_at = now
-        self.event_log.append(now, f"pool/{pool_id}",
-                              f"{PoolState.DELETING.value}->{PoolState.DELETED.value}")
+        self.event_log.append((now, f"pool/{pool_id}",
+                               f"{PoolState.DELETING.value}->{PoolState.DELETED.value}"))
 
     # -- jobs and tasks ------------------------------------------------------
 
@@ -323,9 +324,10 @@ class BatchService:
                   [Task(spec=s, job_id=cfg.job_id) for s in cfg.tasks],
                   submitted_at=self.clock.now)
         self.enqueue(job)
-        self._log((self.clock.now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}"))
+        now, log = self.clock.now, self.event_log.append
+        log((now, f"job/{cfg.job_id}", f"->{JobState.ACTIVE.value}"))
         for task in job.tasks:
-            self._log((self.clock.now, task.entity, _TO_PENDING))
+            log((now, task.entity, _TO_PENDING))
         self.schedule_step()
         return job
 
@@ -348,7 +350,7 @@ class BatchService:
             if not task.terminal:
                 self._fail_task(pool, job, task, FailureReason.JOB_DELETED)
         job.state = JobState.DELETED
-        self.event_log.append(self.clock.now, f"job/{job_id}", f"->{JobState.DELETED.value}")
+        self.event_log.append((self.clock.now, f"job/{job_id}", f"->{JobState.DELETED.value}"))
         self.schedule_step()
 
     def schedule_step(self):
@@ -375,7 +377,7 @@ class BatchService:
             queue.popleft()
 
     def _start_task(self, pool: Pool, job: Job, task: Task, nodes: list[Node]):
-        now, log = self.clock.now, self._log
+        now, log = self.clock.now, self.event_log.append
         spec = task.spec
         result = workloads.execute(spec.workload, spec.instances, spec.procs_per_node,
                                    self.interconnect)
@@ -396,7 +398,7 @@ class BatchService:
 
     def _finish_task(self, job: Job, task: Task, result: workloads.WorkloadResult):
         # _fail_task cancels this event on every path that stops the attempt
-        now, log = self.clock.now, self._log
+        now, log = self.clock.now, self.event_log.append
         self._free_nodes(self.pools[job.pool_id], task)
         task.state = TaskState.COMPLETED
         task.completion_event = None  # the event holds the task and its result alive
@@ -419,7 +421,8 @@ class BatchService:
         task = node.task
         if node.state is NodeState.IDLE:
             pool.idle.remove(node)
-        node.transition(NodeState.PREEMPTED, now, self.event_log)
+        self.event_log.append((now, node.entity, node.state.value + _TO_PREEMPTED))
+        node.state = NodeState.PREEMPTED
         self._close_meter(pool, node, now)
         node.released_time = now
         if task is not None:
@@ -441,26 +444,26 @@ class BatchService:
             task.state = TaskState.PENDING
             task.assigned_nodes = ()
             task.start_time = task.end_time = task.interval = None
-            self.event_log.append(now, task.entity,
-                                  f"{previous.value}->{TaskState.PENDING.value} "
-                                  f"(retry {task.attempts})")
+            self.event_log.append((now, task.entity,
+                                   f"{previous.value}->{TaskState.PENDING.value} "
+                                   f"(retry {task.attempts})"))
             insort(pool.queue, task, key=attrgetter("seq"))
             return
         task.state = TaskState.FAILED
         job.unfinished -= 1
         task.failure_reason = reason
         task.end_time = now
-        self.event_log.append(now, task.entity,
-                              f"{previous.value}->{TaskState.FAILED.value}({reason.value})")
+        self.event_log.append((now, task.entity,
+                               f"{previous.value}->{TaskState.FAILED.value}({reason.value})"))
 
     def _free_nodes(self, pool: Pool, task: Task):
         """End a running attempt: log its busy interval on each of its nodes, a preempted
-        one included, and return the others to the pool. Their Running->Idle moves need no
-        Node.transition check: `_start_task` took them from the idle index, Idle, for this
-        attempt alone, and only this call returns them there."""
+        one included, and return the others to the pool. Their Running->Idle moves are
+        legal: `_start_task` took them from the idle index, Idle, for this attempt alone, and
+        only this call returns them there."""
         now = self.clock.now
         task.interval = interval = (task.start_time, now, task.run_tag)
-        idle, log = pool.idle, self._log
+        idle, log = pool.idle, self.event_log.append
         for node in task.nodes:
             node.busy_log.append(interval)
             node.task = None
@@ -473,8 +476,8 @@ class BatchService:
     def _refresh_job_state(self, job: Job):
         if job.state is JobState.ACTIVE and not job.unfinished:
             job.state = JobState.COMPLETED
-            self.event_log.append(self.clock.now, f"job/{job.job_id}",
-                                  f"{JobState.ACTIVE.value}->{JobState.COMPLETED.value}")
+            self.event_log.append((self.clock.now, f"job/{job.job_id}",
+                                   f"{JobState.ACTIVE.value}->{JobState.COMPLETED.value}"))
 
     # -- data transfers --------------------------------------------------------
 
@@ -482,7 +485,7 @@ class BatchService:
         """Upload a size manifest into a share directory; returns and logs the metered bytes."""
         nbytes = self.storage.ingress(share, directory, manifest)
         if nbytes:
-            self.event_log.append(self.clock.now, f"share/{share}", f"ingress:{nbytes}")
+            self.event_log.append((self.clock.now, f"share/{share}", f"ingress:{nbytes}"))
         return nbytes
 
     def data_download(self, share: str, directory: str, dest) -> int:
@@ -491,7 +494,7 @@ class BatchService:
         nbytes = self.storage.download_batch(share, directory, dest)
         if nbytes:
             self.ledger.add_egress(nbytes, f"download {share}/{directory}", (now, now))
-            self.event_log.append(now, f"share/{share}", f"egress:{nbytes}")
+            self.event_log.append((now, f"share/{share}", f"egress:{nbytes}"))
         return nbytes
 
     # -- metering ------------------------------------------------------------

@@ -298,7 +298,7 @@ def cmd_storage_account_create(cli: Cli, args) -> int:
     account = state["workspace"]["storage_account"]
     if ["storage", "account", "create"] in state["transcript"]:
         raise ValidationError(f"storage account already created: {account}")
-    svc.event_log.append(svc.clock.now, f"storage/{account}", "created")
+    svc.event_log.append((svc.clock.now, f"storage/{account}", "created"))
     cli.commit(state, svc, args)
     cli.say(f"storage account created: {account}")
     return 0
@@ -309,7 +309,7 @@ def cmd_share_create(cli: Cli, args) -> int:
     if ["storage", "account", "create"] not in state["transcript"]:
         raise ValidationError("no storage account: run `batchsim storage account create`")
     svc.storage.share_create(args.name, args.quota)
-    svc.event_log.append(svc.clock.now, f"share/{args.name}", f"create:quota={args.quota}GiB")
+    svc.event_log.append((svc.clock.now, f"share/{args.name}", f"create:quota={args.quota}GiB"))
     cli.commit(state, svc, args)
     cli.say(f"share created: {args.name} ({args.quota} GiB)")
     return 0
@@ -494,6 +494,10 @@ def cmd_repro_pack(cli: Cli, args) -> int:
     state, _ = cli.load()
     if not state["has_completed_run"]:
         raise ValidationError("no completed run to pack: run a job or scenario first")
+    named = cli.store.named(state["transcript"])
+    for path in named:
+        if not path.exists():
+            raise ValidationError(f"cannot pack: {path.relative_to(cli.root)} is missing")
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
     output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
@@ -501,13 +505,12 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         "transcript": state["transcript"],
         "output_digests": output_digests,
     }
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(out, "w:gz") as tar:
+    with statemod.replacing(out, "wb") as fh, tarfile.open(out, "w:gz", fh) as tar:
         info = tarfile.TarInfo("manifest.json")
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
-        for path in cli.store.named(state["transcript"]):
+        for path in named:
             for p in sorted(path.glob("*.yaml")) if path.is_dir() else [path]:
                 tar.add(p, arcname=p.relative_to(cli.store.dir).as_posix())
         for name in output_digests:

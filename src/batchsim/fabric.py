@@ -1,7 +1,7 @@
 """Deterministic discrete-event substrate.
 
 Simulation clock with FIFO tie-break at equal timestamps, the event log,
-the node state machine (the batch service boots and preempts nodes), and
+the node record (the batch service makes and logs every move of a node), and
 the latency/bandwidth interconnect timing model. Everything observable is
 a pure function of (initial state, seed): per-entity RNG streams are
 derived by hashing the master seed with a stable purpose string, so draw
@@ -68,20 +68,18 @@ def allreduce_time(model: InterconnectModel, participants: int, message_bytes: i
 
 
 class EventLog:
-    """Append-only transition log, serialized as time<TAB>entity<TAB>transition. Writers
-    extend `flat` by a record's time, entity and text, so no object stays alive per record
-    for the cyclic GC to count; `records` is a read-only copy as (t, e, text) tuples."""
+    """Append-only transition log, serialized as time<TAB>entity<TAB>transition. Every writer
+    calls `append` with one (time, entity, text) record, which extends `flat` by its values, so
+    no object stays alive per record for the GC to count; `records` is a read-only copy."""
 
     def __init__(self):
         self.flat: list = []
+        self.append = self.flat.extend  # takes one (time, entity, text) record
 
     @property
     def records(self) -> tuple[tuple[float, str, str], ...]:
         items = iter(self.flat)
         return tuple(zip(items, items, items))
-
-    def append(self, time: float, entity: str, transition: str):
-        self.flat.extend((time, entity, transition))
 
     def lines(self) -> list[str]:
         items = iter(self.flat)
@@ -147,15 +145,6 @@ class NodeState(enum.Enum):
     RUNNING = "Running"
     PREEMPTED = "Preempted"
 
-    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ is Python code
-
-
-# each legal (from, to) node transition and its event-log text
-_LEGAL_TRANSITIONS = {(a, b): f"{a.value}->{b.value}" for a, b in (
-    (NodeState.STARTING, NodeState.IDLE), (NodeState.IDLE, NodeState.RUNNING),
-    (NodeState.RUNNING, NodeState.IDLE), (NodeState.IDLE, NodeState.PREEMPTED),
-    (NodeState.RUNNING, NodeState.PREEMPTED))}
-
 
 class Node:
     """A VM of a pool; its SKU is the pool's `config.sku`."""
@@ -176,16 +165,3 @@ class Node:
         # state.json stores only those that no task row records, and a load rebuilds the rest
         self.busy_log: list[tuple[float, float, str]] = []
         self.task = None  # the batch task attempt running on it
-
-    def transition(self, to: NodeState, at: float, log: EventLog):
-        """Make and log a move that `_LEGAL_TRANSITIONS` has: boot and preemption. The batch
-        scheduler logs Idle->Running and Running->Idle itself; its idle index makes them legal."""
-        text = _LEGAL_TRANSITIONS.get((self.state, to))
-        if text is None:
-            raise ValueError(f"illegal node transition {self.state.value} -> {to.value}")
-        if to is NodeState.PREEMPTED and self.priority is not Priority.LOW_PRIORITY:
-            raise ValueError("dedicated nodes are never preempted")
-        log.flat.extend((at, self.entity, text))
-        self.state = to
-        if to is NodeState.IDLE and self.ready_time is None:
-            self.ready_time = at

@@ -405,7 +405,10 @@ def service_from_doc(doc: dict, options: ServiceOptions,
             if node.state is NodeState.STARTING and node.released_time is None:
                 # every command that creates nodes runs until they are ready
                 raise ValidationError("corrupt state: persisted node still starting")
-            if node.preempt_at is not None and node.priority is Priority.DEDICATED:
+            # a preemption pends on a low-priority node alone, never earlier than the clock
+            pending = pool.alive and node.state in (NodeState.IDLE, NodeState.RUNNING)
+            if node.preempt_at is not None and (node.priority is Priority.DEDICATED
+                                                or pending and node.preempt_at < now):
                 raise ValidationError(f"corrupt state: preempt_at {node.preempt_at!r} of {owner}")
             pool.nodes.append(node)
         ids = [n.node_id for n in pool.nodes]
@@ -505,7 +508,7 @@ class WorkspaceStore:
         with _gc_paused():  # a non-finite float, which JSON cannot hold, raises ValueError
             text = json.dumps(state, separators=(",", ":"), sort_keys=True,
                               allow_nan=False) + "\n"
-        with self._replacing(self.state_path) as fh:
+        with replacing(self.state_path) as fh:
             fh.write(text)
 
     def append_events(self, lines: list[str]) -> int:
@@ -524,8 +527,8 @@ class WorkspaceStore:
     def restore(self, events_bytes: int, tsv: str, transcript: list):
         """Make .batchsim/ what a committed state names: events.log of `events_bytes` bytes,
         absent at 0; in configs/ and ingress/ only what `named(transcript)` gives, and neither
-        dir if empty; ledger.tsv of `tsv`, written last. A shorter log lost lines that the
-        state records, as a crash can leave it: a ValidationError before any write."""
+        dir if empty; no .state.json.tmp or .ledger.tsv.tmp; ledger.tsv of `tsv`, written last.
+        A shorter log lost lines that the state records: a ValidationError before any write."""
         logged = self.events_path.stat().st_size if self.events_path.is_file() else 0
         if logged < events_bytes:  # a package made from it would not verify
             raise ValidationError(f"corrupt state: events.log of {logged} bytes is shorter "
@@ -540,32 +543,35 @@ class WorkspaceStore:
                 (shutil.rmtree if path.is_dir() else os.remove)(path)
             if directory.is_dir() and not any(directory.iterdir()):
                 directory.rmdir()
+        for path in (self.state_path, self.ledger_path):
+            path.with_name(f".{path.name}.tmp").unlink(missing_ok=True)
         if not self.ledger_path.is_file() or self.ledger_path.read_bytes() != tsv.encode():
             self.write_ledger(tsv)
 
     def write_ledger(self, tsv: str):
-        with self._replacing(self.ledger_path) as fh:
+        with replacing(self.ledger_path) as fh:
             fh.write(tsv)
 
     def write_manifest(self, path: Path, rows: list):
         """Write an ingress manifest of (path, bytes) rows, as `--manifest` reads it."""
-        with self._replacing(path) as fh:
+        with replacing(path) as fh:
             json.dump({"entries": [list(row) for row in rows]}, fh, indent=1)
             fh.write("\n")
 
-    @contextlib.contextmanager
-    def _replacing(self, path: Path):
-        """Write a temporary file beside `path`, then move it over `path`.
 
-        A reader sees the old file or the new one, never a partial write; on
-        failure the temporary file is removed and `path` is untouched.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp")
-        try:
-            with open(tmp, "w") as fh:
-                yield fh
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+@contextlib.contextmanager
+def replacing(path: Path, mode: str = "w"):
+    """Write a temporary file beside `path`, opened in `mode`, then move it over `path`.
+
+    A reader sees the old file or the new one, never a partial write; on
+    failure the temporary file is removed and `path` is untouched.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

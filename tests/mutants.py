@@ -109,15 +109,26 @@ MUTANTS = [
             "test_preempting_an_idle_node_leaves_the_task_it_finished_completed",)),
     # the event log keeps its records flat: each writer extends the one list, and no
     # object stays alive per record
-    Mutant("transition-log-dropped", "fabric.py", "log.flat.extend((at, self.entity, text))",
-           "log.flat.copy().extend((at, self.entity, text))",
+    Mutant("transition-log-dropped", "batch.py",
+           "self.event_log.append((now, node.entity, _STARTING_TO_IDLE))",
+           "self.event_log.flat.copy().extend((now, node.entity, _STARTING_TO_IDLE))",
            ("tests/test_golden.py::test_preemption_retry_mix_digests",
             "tests/test_fabric.py::"
             "test_event_log_records_come_back_in_write_order_from_each_writer")),
-    Mutant("log-keeps-a-tuple-per-record", "batch.py", "self._log = self.event_log.flat.extend",
-           "self._log = lambda record, kept=[]: kept.append(record) or "
-           "self.event_log.flat.extend(record)",
+    Mutant("log-keeps-a-tuple-per-record", "fabric.py", "self.append = self.flat.extend",
+           "self.append = lambda record, kept=[]: kept.append(record) or "
+           "self.flat.extend(record)",
            ("tests/test_costs.py::test_the_run_makes_few_young_collections_and_no_full_one",)),
+    # only a low-priority node is preempted, and never before the clock
+    Mutant("dedicated-node-preempted", "batch.py",
+           "        if node.priority is Priority.LOW_PRIORITY:\n"
+           "            self.schedule_preemption(pool, node)\n",
+           "        self.schedule_preemption(pool, node)\n",
+           ("tests/test_golden.py::test_run_scenario_digests[snake2d]",
+            "tests/test_batch.py::"
+            "test_each_attempt_logs_one_move_to_running_and_back_per_node[retry-mix]")),
+    Mutant("past-preempt-at-taken", "state.py", "or pending and node.preempt_at < now", "or False",
+           (f"{_CORRUPT}[preempt-at-past-jobs-add]", f"{_CORRUPT}[preempt-at-past-pool-del]")),
     # the task rows of a state document are checked at once, a column at a time, and the
     # check takes exactly the rows that the row reader takes
     Mutant("row-check-takes-a-bool", "state.py",
@@ -151,6 +162,19 @@ MUTANTS = [
            "        elif logged > events_bytes:", "        if logged > events_bytes:",
            (f"{_KILLED}[storage-account-create-after-events]",
             f"{_FAILED_WRITE}[storage-account-create-events]")),
+    Mutant("restore-keeps-a-temporary-state", "state.py",
+           "        for path in (self.state_path, self.ledger_path):\n"
+           "            path.with_name(f\".{path.name}.tmp\").unlink(missing_ok=True)\n", "",
+           (f"{_KILLED}[pool-add-before-state-rename]",
+            f"{_KILLED}[pool-add-before-ledger-rename]")),
+    # a package is renamed in at --out whole, once every file it names is found
+    Mutant("pack-of-a-removed-file-written", "cli.py", "        if not path.exists():\n",
+           "        if False:\n", tuple(f"tests/test_cli.py::test_repro_pack_of_a_removed_"
+                                    f"named_file_exits_2_and_creates_nothing[{case}]"
+                                    for case in ("manifest", "snapshot"))),
+    Mutant("pack-written-in-place", "cli.py", 'statemod.replacing(out, "wb") as fh',
+           'open(out, "wb") as fh', ("tests/test_cli.py::test_repro_pack_that_fails_mid_write_"
+                                     "leaves_the_package_at_out_as_it_was",)),
     # a failed workspace init, which loads no state, puts back the ledger.tsv it found
     Mutant("failed-init-keeps-its-own-ledger", "cli.py",
            "                store.ledger_path.write_bytes(ledger)\n", "                pass\n",

@@ -1,5 +1,5 @@
-"""Randomized schedule generator and invariant checks shared by the batch
-property tests and the acceptance suite."""
+"""Randomized schedule generator, the preemption retry mix, and invariant checks shared
+by the batch property tests, the golden digests and the acceptance suite."""
 
 import random
 from fractions import Fraction
@@ -58,6 +58,32 @@ def run_random_schedule(seed, share=False):
     svc.run_to_quiescence()
     svc.pool_del(pool.pool_id)
     return svc, pool
+
+
+def run_retry_mix(seed: int) -> BatchService:
+    """Gang tasks on a pool whose low-priority nodes are preempted, one retry per
+    task, and the job of a running task deleted mid-run; outputs go to per-job
+    directories of a share."""
+    rng = random.Random(seed)
+    svc = BatchService(default_catalog(), seed=seed, preemption_rate=1.0, task_retries=1)
+    svc.quota_set("eastus", 1000, 1000)
+    svc.storage.share_create("fileshare", 1)
+    svc.pool_add(PoolConfig(pool_id="mix", sku="NC6", region="eastus", dedicated_count=2,
+                            low_priority_count=4, inter_node_comm=False,
+                            shared_filesystem=False, image="img:1"))
+    svc.advance_until_pool_settled("mix")
+    for j in range(8):
+        tasks = tuple(TaskSpec(task_id=f"t{i}",
+                               workload=FixedDuration(float(rng.randint(60, 7200))),
+                               instances=rng.randint(1, 3), procs_per_node=1, gpus_per_node=0,
+                               input_dir="fileshare/in", output_dir=f"fileshare/out/job{j}")
+                      for i in range(rng.randint(1, 6)))
+        svc.jobs_add(JobsConfig(job_id=f"job{j}", pool_id="mix", tasks=tasks))
+    svc.clock.run(until=lambda: svc.clock.now >= 3 * 3600)
+    svc.jobs_del(next(t.job_id for t in svc.all_tasks() if t.state is TaskState.RUNNING))
+    svc.run_to_quiescence()
+    svc.pool_del("mix")
+    return svc
 
 
 def check_gang_atomicity(svc, pool):

@@ -7,7 +7,7 @@ from batchsim.batch import BatchService, FailureReason, JobState, PoolState, Tas
 from batchsim.catalog import RegionQuota, default_catalog
 from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.errors import SimulationError, ValidationError
-from batchsim.fabric import _LEGAL_TRANSITIONS, BOOT_LATENCY_RANGE, NodeState, Priority
+from batchsim.fabric import BOOT_LATENCY_RANGE, NodeState, Priority
 from batchsim.state import status_doc
 from batchsim.workloads import FixedDuration
 
@@ -16,6 +16,7 @@ from randomized import (
     check_quota_rejection,
     check_shared_fs_rejection,
     run_random_schedule,
+    run_retry_mix,
 )
 
 CATALOG = default_catalog()
@@ -354,17 +355,32 @@ def test_preempting_an_idle_node_leaves_the_task_it_finished_completed():
     assert [tr for _, e, tr in svc.event_log.records if e == tk.entity][-1] == "Running->Completed"
 
 
-@pytest.mark.parametrize("seed", range(20))
+# each legal node move: its event-log text, and its source and target states
+NODE_MOVES = {f"{a.value}->{b.value}": (a, b) for a, b in (
+    (NodeState.STARTING, NodeState.IDLE), (NodeState.IDLE, NodeState.RUNNING),
+    (NodeState.RUNNING, NodeState.IDLE), (NodeState.IDLE, NodeState.PREEMPTED),
+    (NodeState.RUNNING, NodeState.PREEMPTED))}
+
+
+@pytest.mark.parametrize("seed", [*range(20), "retry-mix"])
 def test_each_attempt_logs_one_move_to_running_and_back_per_node(seed):
-    """A node's logged moves, replayed from Starting, are legal and end in its state, and
-    it logs one Idle->Running per busy interval, at the interval's start."""
-    svc, pool = run_random_schedule(seed)
-    moves = {text: move for move, text in _LEGAL_TRANSITIONS.items()}
+    """A node's logged moves, replayed from Starting, are legal and end in its state, it
+    logs one Idle->Running per busy interval, at the interval's start, and no dedicated
+    node logs a move to Preempted."""
+    if seed == "retry-mix":
+        svc = run_retry_mix(16)
+        pool = svc.pools["mix"]
+        assert any(n.state is NodeState.PREEMPTED for n in pool.nodes)
+    else:
+        svc, pool = run_random_schedule(seed)
     for node in pool.nodes:
+        texts = [(t, text) for t, entity, text in svc.event_log.records if entity == node.entity]
+        if node.priority is Priority.DEDICATED:
+            assert not [text for _, text in texts if text.endswith("->Preempted")]
         state, starts = NodeState.STARTING, []
-        for t, entity, text in svc.event_log.records:
-            if entity == node.entity and text in moves:  # not ->Starting, image_pull, released
-                source, target = moves[text]
+        for t, text in texts:
+            if text in NODE_MOVES:  # not ->Starting, image_pull, released
+                source, target = NODE_MOVES[text]
                 assert source is state, (node.entity, t, text)
                 state = target
                 if text == "Idle->Running":

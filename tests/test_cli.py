@@ -899,6 +899,11 @@ POOL_NODE_CORRUPTIONS = {
     # (exit 1), and `pool del` wrote it back
     "dedicated-preempt-at": (lambda state: _node(state).update(preempt_at=1e9),
                              "preempt_at 1000000000.0 of node snake2d2k35/0"),
+    # a pending preemption is never earlier than the clock: unchecked, each command exited 0
+    # with the preemption moved to the service time
+    "preempt-at-past": (lambda state: _node(state).update(priority="low_priority",
+                                                          preempt_at=1.0),
+                        "preempt_at 1.0 of node snake2d2k35/0"),
     "node-number": (lambda state: _pool(state).update(nodes=[5]),
                     "nodes [5] of pool snake2d2k35"),
     "task-row-number": (lambda state: _job(state).update(tasks=[5]),
@@ -1451,13 +1456,19 @@ def test_a_failed_write_takes_the_whole_command_back(tmp_path, monkeypatch, comm
     assert tree(root) == commit_trees[step]
 
 
-# each write a kill can interrupt; a snapshot is written to a temporary dir, then renamed
+# each write a kill can interrupt; a snapshot is written to a temporary dir, and ledger.tsv
+# and state.json to temporary files, each then renamed: write -> (its rename's point, which
+# os.replace calls that point takes). A kill after either file's rename is one after its write.
+RENAMES = {"snapshot": ("snapshot-rename", lambda src, dst: Path(src).is_dir()),
+           "ledger": ("ledger-rename", lambda src, dst: Path(dst).name == "ledger.tsv"),
+           "save": ("state-rename", lambda src, dst: Path(dst).name == "state.json")}
 KILL_POINTS = {**{write: (owner, name) for write, (owner, name, _) in WRITES.items()},
-               "snapshot-rename": (os, "replace")}
+               **{point: (os, "replace") for point, _ in RENAMES.values()}}
 KILLS = [(i, point, when) for i, (_, _, writes) in enumerate(COMMITS)
          for write in writes
-         for point in ([write, "snapshot-rename"] if write == "snapshot" else [write])
-         for when in ("before", "after")]
+         for point in ([write, RENAMES[write][0]] if write in RENAMES else [write])
+         for when in ("before", "after")
+         if when == "before" or point not in ("ledger-rename", "state-rename")]
 
 
 def _views(root) -> list:
@@ -1500,10 +1511,11 @@ def _run_killed(root, argv, point, when) -> int:
         try:
             owner, name = KILL_POINTS[point]
             real = getattr(owner, name)
+            takes = dict(RENAMES.values()).get(point)
 
             def kill(*args):
-                if point == "snapshot-rename" and not Path(args[0]).is_dir():
-                    return real(*args)  # a file's rename, not the snapshot's
+                if takes is not None and not takes(*args):
+                    return real(*args)  # the rename of another file
                 if when == "after":
                     real(*args)
                 os._exit(9)
@@ -1522,9 +1534,10 @@ def test_a_killed_command_leaves_the_session_without_it(tmp_path, commit_steps, 
                                                         when):
     """A command killed at any write leaves the committed session: the next command,
     whatever it is, shows and restores the tree of the session without it (a snapshot or
-    manifest that no transcript entry names is removed), a package of that session holds
-    only what its transcript names and verifies, and the rerun gives the uninterrupted
-    tree. Killed after its state.json rename, the command is committed whole."""
+    manifest that no transcript entry names is removed, and so is a temporary state.json
+    or ledger.tsv), a package of that session holds only what its transcript names and
+    verifies, and the rerun gives the uninterrupted tree. Killed after its state.json
+    rename, the command is committed whole."""
     before, views, views_after, tree_after = commit_steps[step]
     root = shutil.copytree(before, tmp_path / "root")
     argv = COMMITS[step][1]
@@ -1821,6 +1834,32 @@ def test_repro_pack_and_verify_manual_flow(workdir):
     full_sequence(workdir)
     ok(workdir, "repro", "pack")
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
+
+
+@pytest.mark.parametrize("removed", ["ingress/0001.json", "configs/*"],
+                         ids=["manifest", "snapshot"])
+def test_repro_pack_of_a_removed_named_file_exits_2_and_creates_nothing(workdir, removed):
+    """A snapshot or manifest that the transcript names but that was removed by hand is
+    named in the message, before anything is created at --out."""
+    full_sequence(workdir)
+    path, = (workdir / ".batchsim").glob(removed)
+    (shutil.rmtree if path.is_dir() else os.remove)(path)
+    assert cli(workdir, "repro", "pack", "--out", "packages/p.tar.gz") == (
+        2, "", f"error: cannot pack: {path.relative_to(workdir).as_posix()} is missing\n")
+    assert not (workdir / "packages").exists()
+
+
+def test_repro_pack_that_fails_mid_write_leaves_the_package_at_out_as_it_was(workdir,
+                                                                             monkeypatch):
+    """The archive is written to a temporary file beside --out and renamed in whole: a
+    write that fails leaves the package that was there, and no temporary file."""
+    full_sequence(workdir)
+    ok(workdir, "repro", "pack")
+    packed = (workdir / "repro-package.tar.gz").read_bytes()
+    monkeypatch.setattr(tarfile.TarFile, "add", lambda *args, **kwargs: _no_space())
+    assert cli(workdir, "repro", "pack") == (2, "", "error: no space left on device\n")
+    assert (workdir / "repro-package.tar.gz").read_bytes() == packed
+    assert not [p for p in workdir.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_keys_are_kept_only_as_digests(tmp_path):

@@ -12,9 +12,7 @@ from batchsim.fabric import (
     COLONIAL_INTERCONNECT,
     EventLog,
     InterconnectModel,
-    Node,
     NodeState,
-    Priority,
     SimClock,
     allreduce_time,
     comm_time,
@@ -180,91 +178,38 @@ def test_derived_rng_is_stable():
     assert a != c
 
 
-def test_node_transitions_enforced():
-    log = EventLog()
-    node = Node("p/0", Priority.DEDICATED)
-    with pytest.raises(ValueError):
-        node.transition(NodeState.RUNNING, 0.0, log)  # Starting -> Running illegal
-    node.transition(NodeState.IDLE, 1.0, log)
-    with pytest.raises(ValueError):
-        node.transition(NodeState.PREEMPTED, 2.0, log)  # dedicated never preempted
-    lp = Node("p/1", Priority.LOW_PRIORITY)
-    lp.transition(NodeState.IDLE, 1.0, log)
-    lp.transition(NodeState.PREEMPTED, 2.0, log)
-    assert lp.state is NodeState.PREEMPTED
-
-
-# each legal transition, with a path of legal transitions that reaches its source state
-LEGAL_PATHS = {
-    "Starting->Idle": [],
-    "Idle->Running": [NodeState.IDLE],
-    "Running->Idle": [NodeState.IDLE, NodeState.RUNNING],
-    "Idle->Preempted": [NodeState.IDLE],
-    "Running->Preempted": [NodeState.IDLE, NodeState.RUNNING],
-}
-
-
-@pytest.mark.parametrize("text", sorted(LEGAL_PATHS))
-def test_each_legal_node_transition_logs_its_line(text):
-    log = EventLog()
-    node = Node("pool/3", Priority.LOW_PRIORITY)
-    for step, to in enumerate(LEGAL_PATHS[text]):
-        node.transition(to, float(step), log)
-    to = NodeState(text.split("->")[1])
-    node.transition(to, 9.25, log)
-    assert node.state is to
-    assert log.lines()[-1] == f"9.250000\tnode/pool/3\t{text}"
-    assert len(log.records) == len(LEGAL_PATHS[text]) + 1
-
-
-def test_illegal_node_transitions_raise_and_log_nothing():
-    legal = {tuple(text.split("->")) for text in LEGAL_PATHS}
-    illegal = [(a, b) for a in NodeState for b in NodeState if (a.value, b.value) not in legal]
-    assert len(illegal) == 11
-    for source, to in illegal:
-        log = EventLog()
-        node = Node("pool/0", Priority.LOW_PRIORITY)
-        node.state = source
-        with pytest.raises(ValueError) as err:
-            node.transition(to, 1.0, log)
-        assert str(err.value) == f"illegal node transition {source.value} -> {to.value}"
-        assert node.state is source and log.records == ()
-    dedicated = Node("pool/1", Priority.DEDICATED)
-    dedicated.state = NodeState.IDLE
-    with pytest.raises(ValueError, match="^dedicated nodes are never preempted$"):
-        dedicated.transition(NodeState.PREEMPTED, 1.0, EventLog())
-
-
 def test_event_log_format():
     log = EventLog()
-    log.append(1.5, "node/p/0", "Starting->Idle")
+    log.append((1.5, "node/p/0", "Starting->Idle"))
     assert log.lines() == ["1.500000\tnode/p/0\tStarting->Idle"]
     assert log.dump().endswith("\n")
 
 
 def test_event_log_records_come_back_in_write_order_from_each_writer():
-    """The service's `_log`, `EventLog.append` and `Node.transition` write one flat log;
-    `records` reads it back as (time, entity, text) tuples and cannot be appended to."""
-    svc = BatchService(default_catalog())
-    log = svc.event_log
-    node = Node("p/0", Priority.LOW_PRIORITY)
-    svc._log((1e-7, "task/j/t", "Pending->Staging"))
-    node.transition(NodeState.IDLE, 2.0, log)
-    log.append(1975015.2358226948, "pool/p", "->Steady")
-    svc._log((3.0, "node/p/0", "Idle->Running"))
-    node.transition(NodeState.PREEMPTED, 4.5, log)
-    written = ((1e-7, "task/j/t", "Pending->Staging"), (2.0, "node/p/0", "Starting->Idle"),
-               (1975015.2358226948, "pool/p", "->Steady"), (3.0, "node/p/0", "Idle->Running"),
-               (4.5, "node/p/0", "Idle->Preempted"))
-    assert log.records == written and len(log.records) == 5
-    assert log.lines() == [
-        "0.000000\ttask/j/t\tPending->Staging", "2.000000\tnode/p/0\tStarting->Idle",
-        "1975015.235823\tpool/p\t->Steady", "3.000000\tnode/p/0\tIdle->Running",
-        "4.500000\tnode/p/0\tIdle->Preempted"]
+    """The service's writers, boot and preemption among them, and a direct `append` write
+    one flat log; `records` reads it back as (time, entity, text) tuples and cannot be
+    appended to."""
+    svc, pool = _pool_add(dedicated=0, low_priority=1, image_pull_seconds=0)
+    log, node = svc.event_log, pool.nodes[0]
+    log.append((1e-7, "task/j/t", "Pending->Staging"))
+    svc.run_to_quiescence()  # the node boots, then is preempted
+    log.append((1975015.2358226948, "pool/pool", "->Steady"))
+    ready, preempted = node.ready_time, node.released_time
+    assert 0 < ready < preempted and node.state is NodeState.PREEMPTED
+    written = ((0.0, "quota/eastus", "dedicated=200,low_priority=200"),
+               (0.0, "node/pool/0", "->Starting"), (0.0, "pool/pool", "->Allocating"),
+               (1e-7, "task/j/t", "Pending->Staging"), (ready, "node/pool/0", "Starting->Idle"),
+               (ready, "pool/pool", "Allocating->Steady"),
+               (preempted, "node/pool/0", "Idle->Preempted"),
+               (1975015.2358226948, "pool/pool", "->Steady"))
+    assert log.records == written and len(log.records) == 8
+    assert log.lines() == [f"{t:.6f}\t{e}\t{text}" for t, e, text in written]
+    assert log.lines()[3] == "0.000000\ttask/j/t\tPending->Staging"
+    assert log.lines()[7] == "1975015.235823\tpool/pool\t->Steady"
     assert log.dump() == "\n".join(log.lines()) + "\n"
     with pytest.raises(AttributeError):
         log.records.append((5.0, "pool/p", "->Deleted"))
-    assert len(log.records) == 5
+    assert len(log.records) == 8
 
 
 @settings(max_examples=50)

@@ -15,7 +15,6 @@ its solve.tsv and the event log) depends on the BLAS thread count.
 import hashlib
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -24,12 +23,10 @@ from pathlib import Path
 import pytest
 
 from batchsim import billing
-from batchsim.batch import BatchService, TaskState
-from batchsim.catalog import default_catalog
-from batchsim.config import JobsConfig, PoolConfig, TaskSpec
 from batchsim.scenarios import run_scenario, scenario_by_name
 from batchsim.state import service_to_doc
-from batchsim.workloads import FixedDuration
+
+from randomized import run_retry_mix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -84,32 +81,6 @@ def test_run_scenario_digests(name):
            SCENARIO_DIGESTS[name])
 
 
-def _retry_mix(seed: int) -> BatchService:
-    """Gang tasks on a pool whose low-priority nodes are preempted, one retry per
-    task, and the job of a running task deleted mid-run; outputs go to per-job
-    directories of a share."""
-    rng = random.Random(seed)
-    svc = BatchService(default_catalog(), seed=seed, preemption_rate=1.0, task_retries=1)
-    svc.quota_set("eastus", 1000, 1000)
-    svc.storage.share_create("fileshare", 1)
-    svc.pool_add(PoolConfig(pool_id="mix", sku="NC6", region="eastus", dedicated_count=2,
-                            low_priority_count=4, inter_node_comm=False,
-                            shared_filesystem=False, image="img:1"))
-    svc.advance_until_pool_settled("mix")
-    for j in range(8):
-        tasks = tuple(TaskSpec(task_id=f"t{i}",
-                               workload=FixedDuration(float(rng.randint(60, 7200))),
-                               instances=rng.randint(1, 3), procs_per_node=1, gpus_per_node=0,
-                               input_dir="fileshare/in", output_dir=f"fileshare/out/job{j}")
-                      for i in range(rng.randint(1, 6)))
-        svc.jobs_add(JobsConfig(job_id=f"job{j}", pool_id="mix", tasks=tasks))
-    svc.clock.run(until=lambda: svc.clock.now >= 3 * 3600)
-    svc.jobs_del(next(t.job_id for t in svc.all_tasks() if t.state is TaskState.RUNNING))
-    svc.run_to_quiescence()
-    svc.pool_del("mix")
-    return svc
-
-
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
@@ -118,7 +89,7 @@ RETRY_MIX_DIGESTS = {
 
 
 def test_preemption_retry_mix_digests():
-    svc = _retry_mix(16)
+    svc = run_retry_mix(16)
     events = svc.event_log.dump()
     for text in ("->Preempted", "Running->Pending (retry 1)", "Failed(NodePreempted)",
                  "Running->Failed(JobDeleted)", "Pending->Failed(JobDeleted)"):
