@@ -163,13 +163,18 @@ def usd_str(value: Fraction, places: int = 10) -> str:
         return str(quant.quantize(Decimal(1).scaleb(-places)).normalize())
 
 
+def _cents(value: Fraction) -> str:
+    """`value` to the cent, its digits grouped in threes: 0.00, 60.00, 7,965.06."""
+    with _context_for(value, 2):
+        cents = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(Decimal("0.01"))
+        return f"{cents:,}"
+
+
 def render_report(rows: list[ReportRow]) -> str:
+    """One line per category, then the total of the rows, each amount to the cent."""
     lines = ["service\tusd\tpercent"]
-    for row in rows:
-        with _context_for(row.usd, 2):
-            usd = Decimal(row.usd.numerator) / Decimal(row.usd.denominator)
-            usd = usd.quantize(Decimal("0.01"))
-        lines.append(f"{row.category.value}\t{usd:,}\t{row.percent:.3g}")
+    lines += [f"{row.category.value}\t{_cents(row.usd)}\t{row.percent:.3g}" for row in rows]
+    lines.append(f"total\t{_cents(sum((row.usd for row in rows), Fraction(0)))}")
     return "\n".join(lines) + "\n"
 
 

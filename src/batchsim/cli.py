@@ -103,9 +103,7 @@ def build_parser() -> _Parser:
     pool = top.add_parser("pool").add_subparsers(dest="cmd", required=True)
     pa = pool.add_parser("add", help="create the pool defined in pool.yaml")
     pa.add_argument("--configdir")
-    pd = pool.add_parser("del", help="delete a pool")
-    pd.add_argument("--configdir")
-    pd.add_argument("--pool", help="explicit pool id (default: pool.yaml)")
+    pool.add_parser("del", help="delete a pool").add_argument("--configdir")
 
     data = top.add_parser("data").add_subparsers(dest="cmd", required=True)
     di = data.add_parser("ingress", help="upload task input files to the share")
@@ -120,15 +118,12 @@ def build_parser() -> _Parser:
     jobs = top.add_parser("jobs").add_subparsers(dest="cmd", required=True)
     ja = jobs.add_parser("add", help="submit the job defined in jobs.yaml and run it")
     ja.add_argument("--configdir")
-    jd = jobs.add_parser("del", help="delete a job")
-    jd.add_argument("--configdir")
-    jd.add_argument("--job", help="explicit job id (default: jobs.yaml)")
+    jobs.add_parser("del", help="delete a job").add_argument("--configdir")
 
     top.add_parser("status", help="print service state as JSON")
 
     ledger = top.add_parser("ledger").add_subparsers(dest="cmd", required=True)
-    lr = ledger.add_parser("report", help="cost by service category")
-    lr.add_argument("--export", help="write the full ledger as TSV")
+    ledger.add_parser("report", help="cost by service category")
 
     scen = top.add_parser("scenario").add_subparsers(dest="cmd", required=True)
     scen.add_parser("list", help="list built-in scenarios")
@@ -340,11 +335,10 @@ def cmd_pool_add(cli: Cli, args) -> int:
 
 def cmd_pool_del(cli: Cli, args) -> int:
     state, svc = cli.load()
-    bundle = None if args.pool else cli.load_bundle(args.configdir, svc.catalog)
-    pool_id = args.pool or bundle.pool.pool_id
-    svc.pool_del(pool_id)
+    bundle = cli.load_bundle(args.configdir, svc.catalog)
+    svc.pool_del(bundle.pool.pool_id)
     cli.commit(state, svc, args, bundle)
-    cli.say(f"pool deleted: {pool_id}")
+    cli.say(f"pool deleted: {bundle.pool.pool_id}")
     return 0
 
 
@@ -434,11 +428,10 @@ def cmd_jobs_add(cli: Cli, args) -> int:
 
 def cmd_jobs_del(cli: Cli, args) -> int:
     state, svc = cli.load()
-    bundle = None if args.job else cli.load_bundle(args.configdir, svc.catalog)
-    job_id = args.job or bundle.jobs.job_id
-    svc.jobs_del(job_id)
+    bundle = cli.load_bundle(args.configdir, svc.catalog)
+    svc.jobs_del(bundle.jobs.job_id)
     cli.commit(state, svc, args, bundle)
-    cli.say(f"job deleted: {job_id}")
+    cli.say(f"job deleted: {bundle.jobs.job_id}")
     return 0
 
 
@@ -450,18 +443,7 @@ def cmd_status(cli: Cli, args) -> int:
 
 def cmd_ledger_report(cli: Cli, args) -> int:
     _, svc = cli.load()
-    rows = billing.report(svc.ledger)
-    cli.say(billing.render_report(rows).rstrip("\n"))
-    total = svc.ledger.total()
-    cli.say(f"total\t{billing.usd_str(total, 2)}")
-    if args.export:
-        out = _relpath(Path(args.export), cli.root)
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(billing.export_tsv(svc.ledger))
-        except OSError as exc:
-            raise ValidationError(f"cannot write to --export {args.export}: {exc}") from None
-        cli.say(f"ledger exported to {out}")
+    cli.say(billing.render_report(billing.report(svc.ledger)).rstrip("\n"))
     return 0
 
 
@@ -499,6 +481,8 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         if not path.exists():
             raise ValidationError(f"cannot pack: {path.relative_to(cli.root)} is missing")
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
+    if not out.parent.is_dir():
+        raise ValidationError(f"cannot pack: no directory {Path(args.out).parent}")
     output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
     manifest = {
         "seed": state["options"]["seed"],
@@ -510,9 +494,8 @@ def cmd_repro_pack(cli: Cli, args) -> int:
         payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
-        for path in named:
-            for p in sorted(path.glob("*.yaml")) if path.is_dir() else [path]:
-                tar.add(p, arcname=p.relative_to(cli.store.dir).as_posix())
+        for path in filter(Path.is_file, named):  # a snapshot's documents, not its directory
+            tar.add(path, arcname=path.relative_to(cli.store.dir).as_posix())
         for name in output_digests:
             tar.add(cli.store.dir / name, arcname=f"outputs/{name}")
     cli.say(f"packed {out} ({len(manifest['transcript'])} commands, "
@@ -600,9 +583,9 @@ COMMITTING = {
                             "task_retries", "catalog", "scarcity", "configdir"),
     ("storage", "account", "create"): (), ("share", "create"): ("name", "quota"),
     ("quota", "set"): ("region", "dedicated", "low_priority"), ("pool", "add"): ("configdir",),
-    ("pool", "del"): ("pool", "configdir"), ("data", "ingress"): ("manifest", "configdir"),
+    ("pool", "del"): ("configdir",), ("data", "ingress"): ("manifest", "configdir"),
     ("data", "download"): ("source", "dest"), ("jobs", "add"): ("configdir",),
-    ("jobs", "del"): ("job", "configdir")}
+    ("jobs", "del"): ("configdir",)}
 RECORDED_VALUES = {"configdir": re.compile(r"\.batchsim/configs/[0-9a-f]{12}"),
                    "manifest": re.compile(r"\.batchsim/ingress/[0-9]{4}\.json"),
                    "catalog": re.compile(r"catalog\.yaml")}
@@ -613,15 +596,14 @@ def recorded_argv(values: dict) -> list:
     """The transcript entry of a committing command's parsed `values` (`vars(args)`): its
     words, then `--flag value` for each of its COMMITTING options that is not None (one
     `--scarcity START END` per window). A value that RECORDED_VALUES does not take, or a
-    command that loads configs but names no snapshot, pool or job, is a ValidationError."""
+    command that lists `configdir` but records none, is a ValidationError."""
     words = tuple(w for w in (values["group"], values.get("cmd"), values.get("sub")) if w)
     argv = [*words]
     for dest in COMMITTING[words]:
         value = values[dest]
         for window in value if dest == "scarcity" else [] if value is None else [[value]]:
             argv += ["--" + dest.replace("_", "-"), *map(str, window)]
-    named = values.get("configdir") or values.get("pool") or values.get("job")
-    if ("configdir" in COMMITTING[words] and not named) or any(
+    if ("configdir" in COMMITTING[words] and not values["configdir"]) or any(
             values.get(k) is not None and not pattern.fullmatch(values[k])
             for k, pattern in RECORDED_VALUES.items()):
         raise ValidationError(f"not a recorded command: {argv}")

@@ -237,10 +237,6 @@ def _cross_validate(bundle: ConfigBundle, catalog: Catalog):
     sku = catalog.lookup(pool.sku)  # an unknown SKU is a ValidationError there
     if pool.region not in sku.region_availability:
         raise ValidationError(f"SKU {sku.name} is not available in region {pool.region!r}")
-    if pool.inter_node_comm and not sku.rdma_capable:
-        raise ValidationError(
-            f"inter_node_comm requires an RDMA-capable SKU; {sku.name} has no RDMA interface"
-        )
     if jobs.pool_id != pool.pool_id:
         raise ValidationError(
             f"jobs document targets pool {jobs.pool_id!r} but pool document defines "

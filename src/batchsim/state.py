@@ -44,6 +44,8 @@ from .workloads import workload_ref
 STATE_VERSION = 3
 STATE_DIR = ".batchsim"
 STATE_DOCUMENT = "state.json"  # where the readers report errors in embedded documents
+# the documents of a config snapshot; catalog.yaml only in that of an init with --catalog
+SNAPSHOT = ("catalog.yaml", "credentials.yaml", "jobs.yaml", "pool.yaml", "workspace.yaml")
 
 
 @contextlib.contextmanager
@@ -508,6 +510,7 @@ class WorkspaceStore:
         with _gc_paused():  # a non-finite float, which JSON cannot hold, raises ValueError
             text = json.dumps(state, separators=(",", ":"), sort_keys=True,
                               allow_nan=False) + "\n"
+        self.dir.mkdir(exist_ok=True)
         with replacing(self.state_path) as fh:
             fh.write(text)
 
@@ -519,10 +522,14 @@ class WorkspaceStore:
 
     def named(self, transcript: list) -> list[Path]:
         """The snapshots and ingress manifests that the --configdir and --manifest values of
-        `transcript` name, in path order: what configs/ and ingress/ hold."""
+        `transcript` name, each snapshot followed by its documents (with catalog.yaml if an
+        init that records --catalog names it), in path order: what configs/ and ingress/ hold."""
         paths = {self.root / value for argv in transcript for flag, value in zip(argv, argv[1:])
                  if flag in ("--configdir", "--manifest")}
-        return sorted(p for p in paths if p.parent in (self.configs_dir, self.ingress_dir))
+        paths = {p for p in paths if p.parent in (self.configs_dir, self.ingress_dir)}
+        catalogued = {self.root / argv[-1] for argv in transcript if "--catalog" in argv}
+        return sorted([*paths, *(p / d for p in paths if p.parent == self.configs_dir
+                                 for d in SNAPSHOT if d != "catalog.yaml" or p in catalogued)])
 
     def restore(self, events_bytes: int, tsv: str, transcript: list):
         """Make .batchsim/ what a committed state names: events.log of `events_bytes` bytes,
@@ -554,6 +561,7 @@ class WorkspaceStore:
 
     def write_manifest(self, path: Path, rows: list):
         """Write an ingress manifest of (path, bytes) rows, as `--manifest` reads it."""
+        path.parent.mkdir(exist_ok=True)
         with replacing(path) as fh:
             json.dump({"entries": [list(row) for row in rows]}, fh, indent=1)
             fh.write("\n")
@@ -564,9 +572,9 @@ def replacing(path: Path, mode: str = "w"):
     """Write a temporary file beside `path`, opened in `mode`, then move it over `path`.
 
     A reader sees the old file or the new one, never a partial write; on
-    failure the temporary file is removed and `path` is untouched.
+    failure the temporary file is removed and `path` is untouched. No directory
+    is made: one missing for `path` is an OSError before anything is written.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, mode) as fh:

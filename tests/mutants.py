@@ -175,6 +175,32 @@ MUTANTS = [
     Mutant("pack-written-in-place", "cli.py", 'statemod.replacing(out, "wb") as fh',
            'open(out, "wb") as fh', ("tests/test_cli.py::test_repro_pack_that_fails_mid_write_"
                                      "leaves_the_package_at_out_as_it_was",)),
+    # a package is written only into a directory that exists, and only once every document
+    # of each named snapshot is found; `replacing` makes no directory
+    Mutant("pack-into-a-missing-directory", "cli.py", "    if not out.parent.is_dir():\n",
+           "    if False:\n", ("tests/test_cli.py::test_repro_pack_that_cannot_write_at_out_"
+                             "exits_2_and_creates_nothing[missing-dir]",)),
+    Mutant("replacing-makes-its-directory", "state.py",
+           '    tmp = path.with_name(f".{path.name}.tmp")\n',
+           '    path.parent.mkdir(parents=True, exist_ok=True)\n'
+           '    tmp = path.with_name(f".{path.name}.tmp")\n',
+           ("tests/test_state.py::"
+            "test_replacing_into_a_missing_directory_raises_and_makes_nothing",)),
+    Mutant("snapshot-documents-unnamed", "state.py",
+           'for d in SNAPSHOT if d != "catalog.yaml" or p in catalogued', "for d in ()",
+           ("tests/test_cli.py::test_repro_pack_of_a_removed_named_file_exits_2_and_creates_"
+            "nothing[snapshot-document]",)),
+    # pool add checks its rules once, quota before RDMA
+    Mutant("rdma-checked-at-parse", "config.py", "    if jobs.pool_id != pool.pool_id:\n",
+           "    if pool.inter_node_comm and not sku.rdma_capable:\n"
+           "        raise ValidationError(f\"{sku.name} has no RDMA interface\")\n"
+           "    if jobs.pool_id != pool.pool_id:\n", (f"{_CLI_ERROR}[rdma-pool-over-the-quota]",)),
+    # the report's total is printed to the cent, as its rows are
+    Mutant("report-total-normalized", "billing.py",
+           "{_cents(sum((row.usd for row in rows), Fraction(0)))}",
+           "{usd_str(sum((row.usd for row in rows), Fraction(0)), 2)}",
+           tuple(f"tests/test_billing.py::test_render_report_ends_with_the_total_to_the_cent"
+                 f"[{case}]" for case in ("nothing-billed", "whole-dollars"))),
     # a failed workspace init, which loads no state, puts back the ledger.tsv it found
     Mutant("failed-init-keeps-its-own-ledger", "cli.py",
            "                store.ledger_path.write_bytes(ledger)\n", "                pass\n",

@@ -172,3 +172,14 @@ def test_render_report_layout():
     text = render_report(report(_charge_ledger()))
     assert text.startswith("service\tusd\tpercent\n")
     assert "Virtual Machines\t20,582.64\t99.6" in text
+
+
+@pytest.mark.parametrize("amounts, total", [
+    ((), "0.00"),  # was `total 0`: the README session's ledger after `jobs add`
+    (("60",), "60.00"),  # was `total 6E+1`: usd_str normalizes 60.00
+    (("7965.055", "0.005"), "7,965.06"),
+], ids=["nothing-billed", "whole-dollars", "grouped"])
+def test_render_report_ends_with_the_total_to_the_cent(amounts, total):
+    items = [MeterEvent(ServiceCategory.VIRTUAL_MACHINES, Fraction(Decimal(a)), "vm", (0.0, 1.0))
+             for a in amounts]
+    assert render_report(report(items)).endswith(f"\ntotal\t{total}\n")

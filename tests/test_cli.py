@@ -119,16 +119,16 @@ HELP_DIGESTS = {
     "quota set": "13fb0ae937e3237cf7eca936581b1eebc88ee033ff02a0cb63e9b1beb1ad8843",
     "pool": "cb064b8dfd3a8f6f0c448be3ee84396cd58363e06997a3b749c2f9c70dbd3c87",
     "pool add": "a7bfcdbc78131149a5c822626a546ed136ed9f1cabba6d33cefaf446fc4047ad",
-    "pool del": "c0d00b62e8e837a7c6845c5f550e75cfe49693bb836707763972ea2d48b466cd",
+    "pool del": "1f98f587772c22c0e981ace5fac7ff0a121186793cf747db6bcc17b8164852d1",
     "data": "2b681d0f8b9e52c958a3d471e7f4b32e8ec4b5e7d30fd300c6b7a31f8d0dbe75",
     "data ingress": "7841322b3997e8a96682b0399f6830bc305e38854bdbddbdf91af58f244901a5",
     "data download": "200f2c4f74d8e58943ae8a74cf67aca2e25eaf76dc24d99f4c940cf5aef4d9d8",
     "jobs": "0a3d327251980df9ce55376d877d55edbd14b0ec73bb89318bc65652bc64908f",
     "jobs add": "ac69d123ec503a73a68e1b22677b73b72737a4d71792e004d0063494e378f193",
-    "jobs del": "a1a63d35d8f92c61b0a543e600760867e761155f661fd9efdde86350b37a4ff2",
+    "jobs del": "5ed296baa6da196a0bf47f6acb09afbef1b3c1ab6d568b37c181bdee1c11686b",
     "status": "29484a524cc33967b263e8fe25b2736e330372683b31dba5f2e1d8161c960672",
     "ledger": "751eb8e035d0779ddf37f24926f54ed5ffbfc8736cfdc21de3dfc8191eccbc3d",
-    "ledger report": "1fc05f4682557244a49d0528bc724bb85f558ded42e1e9b71dc0d0cabb0a0820",
+    "ledger report": "a3e9a22b04be6c9066ded0c7325fe7d294995dbd0a6e3a1f7c365dc78af0e7fa",
     "scenario": "4df465ca08739128c308e7a5fa8fbaf6327eadd97610b6e26b6251e528da1bc3",
     "scenario list": "f8260dbde658a49d04ab8c5f2d66fedc578855cba3d83521588150878877907b",
     "scenario run": "379b898f44cf8cc0dcc3431486beb0be19f827e945cbf8706b7f9c457133a386",
@@ -171,6 +171,13 @@ USAGE_ERRORS = {
                       "'status', 'ledger', 'scenario', 'repro')"),
     "pool-add-plan": (["pool", "add", "--plan", "reserved_3yr"],
                       "unrecognized arguments: --plan reserved_3yr"),
+    # options that repeated another path: pool.yaml's and jobs.yaml's ids, and ledger.tsv
+    "pool-del-pool": (["pool", "del", "--pool", "snake2d2k35"],
+                      "unrecognized arguments: --pool snake2d2k35"),
+    "jobs-del-job": (["jobs", "del", "--job", "snake2d2k35-job"],
+                     "unrecognized arguments: --job snake2d2k35-job"),
+    "ledger-report-export": (["ledger", "report", "--export", "ledger-out.tsv"],
+                             "unrecognized arguments: --export ledger-out.tsv"),
     "bare-C": (["-C"], "argument -C: expected one argument"),
 }
 
@@ -243,6 +250,44 @@ def test_out_of_range_input_is_rejected_without_mutation(workdir, argv, expected
     if argv[0] == "workspace":
         assert not (workdir / ".batchsim").exists()
         assert "usage error" in err
+
+
+@pytest.fixture(scope="module")
+def session_workspace(tmp_path_factory):
+    """The README session's workspace, through its `data download`."""
+    root = tmp_path_factory.mktemp("session")
+    shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
+    full_sequence(root)
+    return root
+
+
+@pytest.mark.parametrize("name", ["pool-del-pool", "jobs-del-job", "ledger-report-export"])
+def test_a_removed_option_exits_64_and_leaves_the_workspace_as_it_was(session_workspace,
+                                                                       name):
+    argv, message = USAGE_ERRORS[name]
+    before = tree(session_workspace)
+    assert cli(session_workspace, *argv) == (64, "", f"usage error: {message}\n")
+    assert tree(session_workspace) == before
+    assert not (session_workspace / "ledger-out.tsv").exists()
+
+
+def test_pool_and_jobs_del_of_the_recorded_snapshot_give_the_session_of_the_config_dir(
+        session_workspace, tmp_path):
+    """What `pool del --pool` and `jobs del --job` did: `--configdir` of the snapshot that
+    `pool add` recorded deletes the same pool and job and records that same snapshot, so
+    the whole .batchsim/ tree is that of the session run with config_shipyard."""
+    shutil.copytree(EXAMPLE_DIR, tmp_path / "config_shipyard")
+    steps = sequence()
+    for argv in steps[:8]:
+        ok(tmp_path, *argv)
+    state = json.loads((tmp_path / ".batchsim" / "state.json").read_text())
+    snapshot = state["transcript"][4][-1]  # pool add's --configdir
+    assert snapshot.startswith(".batchsim/configs/")
+    assert ok(tmp_path, "pool", "del", "--configdir", snapshot) == "pool deleted: snake2d2k35\n"
+    assert ok(tmp_path, "jobs", "del", "--configdir", snapshot) == \
+        "job deleted: snake2d2k35-job\n"
+    ok(tmp_path, *steps[10])
+    assert tree(tmp_path) == tree(session_workspace)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +416,11 @@ CLI_ERRORS = {
         lambda w: [*sequence()[:5], ["quota", "set", "--region", "eastus", "--dedicated", "0"]],
         lambda w: ["pool", "add", *_other_pool_configdir(w)],
         2, "error: quota exceeded in region eastus: needed 48 cores, available -48"),
+    # pool add checks quota before RDMA: unchecked at pool add, the config parse raised its
+    # own RDMA text for this pool of two NC24 nodes first
+    "rdma-pool-over-the-quota": (
+        lambda w: [INIT], lambda w: ["pool", "add", *_edited_configdir(w, "nc24", {"sku": "NC24"})],
+        2, "error: quota exceeded in region eastus: needed 48 cores, available 24"),
     # a download writes a share's files under <dest>/<share>: unchecked, a share `..` put
     # them beside <dest>
     **{f"share-name-{label}": (lambda w: [INIT, ACCOUNT],
@@ -1246,14 +1296,6 @@ def test_status_is_json(workdir):
     assert doc["shares"][0]["name"] == "fileshare"
 
 
-def test_ledger_export(workdir):
-    full_sequence(workdir)
-    ok(workdir, "ledger", "report", "--export", "ledger-out.tsv")
-    text = (workdir / "ledger-out.tsv").read_text()
-    assert text.startswith("category\tusd\t")
-    assert "Virtual Machines" in text
-
-
 def test_scenario_run_and_list(tmp_path):
     out = ok(tmp_path, "scenario", "list")
     assert "snake2d" in out and "snake3d_fine" in out
@@ -1716,12 +1758,11 @@ USER_FILE_ERRORS = [
     *[(["workspace", "init", "--configdir", "config_shipyard", "--catalog", "../user.yaml"], text)
       for text in CATALOGS.values()],
     (["data", "download", "--source", "fileshare/snake2d2k35", "--dest", "user.yaml/out"], ""),
-    (["ledger", "report", "--export", "user.yaml/ledger.tsv"], ""),
 ]
 
 
 @pytest.mark.parametrize("argv,text", USER_FILE_ERRORS,
-                         ids=[*MANIFESTS, *CATALOGS, "download-under-file", "export-under-file"])
+                         ids=[*MANIFESTS, *CATALOGS, "download-under-file"])
 def test_bad_user_file_exits_2_without_mutation(workdir, argv, text):
     if argv[0] != "workspace":
         for step in sequence()[:7]:
@@ -1836,17 +1877,37 @@ def test_repro_pack_and_verify_manual_flow(workdir):
     assert ok(workdir, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
 
 
-@pytest.mark.parametrize("removed", ["ingress/0001.json", "configs/*"],
-                         ids=["manifest", "snapshot"])
+@pytest.mark.parametrize("removed", ["ingress/0001.json", "configs/*", "configs/*/jobs.yaml"],
+                         ids=["manifest", "snapshot", "snapshot-document"])
 def test_repro_pack_of_a_removed_named_file_exits_2_and_creates_nothing(workdir, removed):
-    """A snapshot or manifest that the transcript names but that was removed by hand is
-    named in the message, before anything is created at --out."""
+    """A snapshot, one of its documents or a manifest that the transcript names but that was
+    removed by hand is named in the message, before anything is created at --out."""
     full_sequence(workdir)
     path, = (workdir / ".batchsim").glob(removed)
     (shutil.rmtree if path.is_dir() else os.remove)(path)
     assert cli(workdir, "repro", "pack", "--out", "packages/p.tar.gz") == (
         2, "", f"error: cannot pack: {path.relative_to(workdir).as_posix()} is missing\n")
     assert not (workdir / "packages").exists()
+
+
+LONG_NAME = "x" * 300  # longer than a file name may be
+
+
+@pytest.mark.parametrize("out, message", [
+    ("packages/p.tar.gz", "error: cannot pack: no directory packages\n"),
+    (f"packdir/{LONG_NAME}", "error: cannot pack: no directory packdir\n"),
+    (LONG_NAME, None),
+], ids=["missing-dir", "long-name-in-missing-dir", "long-name"])
+def test_repro_pack_that_cannot_write_at_out_exits_2_and_creates_nothing(workdir, out,
+                                                                        message):
+    """The directory of --out must exist: nothing is made there, not even the directory,
+    whether the pack stops at that check or at a name the file system refuses."""
+    full_sequence(workdir)
+    before = _listing(workdir)
+    code, stdout, err = cli(workdir, "repro", "pack", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == message if message else err.startswith("error: ")
+    assert _listing(workdir) == before
 
 
 def test_repro_pack_that_fails_mid_write_leaves_the_package_at_out_as_it_was(workdir,

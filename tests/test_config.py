@@ -81,16 +81,6 @@ def test_missing_sku_key(tmp_path):
     assert "sku" in str(err.value)
 
 
-def test_rdma_cross_ref(tmp_path):
-    def swap_sku(docs):
-        docs["pool.yaml"]["pool"]["sku"] = "NC24"  # no RDMA interface
-
-    _write_example(tmp_path, swap_sku)
-    with pytest.raises(ValidationError, match="^inter_node_comm requires an RDMA-capable SKU; "
-                                              "NC24 has no RDMA interface$"):
-        parse_config_dir(tmp_path, CATALOG)
-
-
 def test_unknown_region(tmp_path):
     def bad_region(docs):
         docs["pool.yaml"]["pool"]["region"] = "nowhere"

@@ -7,9 +7,10 @@ file still means the same (for state.json: the decoded documents differ
 only where the change says they should); then list each changed digest
 and its reason in CHANGES.md. On a mismatch each test prints the whole
 actual digest dict as a Python literal, to copy over the recorded one.
-Each CLI session and experiment script runs in a child interpreter with
-BLAS pinned to one thread, because the CG task's iteration count (and so
-its solve.tsv and the event log) depends on the BLAS thread count.
+Each CLI session runs in a child interpreter with BLAS pinned to one
+thread, because the CG task's iteration count (and so its solve.tsv and
+the event log) depends on the BLAS thread count. tests/test_scripts.py pins
+the experiment scripts' tables the same way.
 """
 
 import hashlib
@@ -356,39 +357,3 @@ def test_cli_scenario_run_digests(name, tmp_path):
     codes = _run_child(tmp_path, [["scenario", "run", name, "--seed", "0"]])
     assert codes[0][0] == 0, codes
     _check(_tree_digests(tmp_path), SCENARIO_RUN_DIGESTS[name])
-
-
-SCRIPT_DIGESTS = {
-    "run_cost_analysis.py stdout":
-        "e063349d0f85ee9c0c1e1805c3a7092d378a290c3afbf9c7eeb5e0904b2ac177",
-    "run_osu_tables.py bandwidth_azure.tsv":
-        "ce90f14466eefd287b97e43425c38e2423af54eaaa941c414f2a7820d3f23cee",
-    "run_osu_tables.py bandwidth_colonial-one.tsv":
-        "7ea8ca3b4f7bb90e76fa3b0c1cd8237d3ae3b9981078525c12e92b84333f4cee",
-    "run_osu_tables.py latency_azure.tsv":
-        "0b5df09f126eabb3464cba2733bacaf71084599577f2cf135a943982ed00ed95",
-    "run_osu_tables.py latency_colonial-one.tsv":
-        "cb107ce9ec9ae844631a9ea4bf069c3c0bb512640f4452e2b41180cc93ce061b",
-    "run_osu_tables.py stdout":
-        "a1a30fd9c1159713c6eeb3728907b76619f08d7651c69e6c3170b7d2a646ada4",
-    "run_poisson_benchmarks.py modeled scaling":
-        "bfbc12c06bb1ff68a49c72181fbf437d851ac5abf4b811e530002d653b71221d",
-}
-
-
-def test_experiment_script_digests(tmp_path):
-    """The tables the three experiment scripts print or write. Of the Poisson script
-    only the modeled scaling section is pinned: the real solves print host wall times."""
-    scripts = REPO_ROOT / "scripts"
-    osu = _run_python(tmp_path, str(scripts / "run_osu_tables.py"), "--outdir", "tables")
-    actual = {"run_osu_tables.py stdout": _sha(osu.encode())}
-    for path in sorted((tmp_path / "tables").iterdir()):
-        actual[f"run_osu_tables.py {path.name}"] = _sha(path.read_bytes())
-    cost = _run_python(tmp_path, str(scripts / "run_cost_analysis.py"))
-    actual["run_cost_analysis.py stdout"] = _sha(cost.encode())
-    poisson = _run_python(tmp_path, str(scripts / "run_poisson_benchmarks.py"),
-                          "--edges", "8", "12")
-    head, sep, modeled = poisson.partition("\n# modeled strong scaling")
-    assert sep and "# real CG solves" in head
-    actual["run_poisson_benchmarks.py modeled scaling"] = _sha((sep + modeled).encode())
-    _check(actual, SCRIPT_DIGESTS)

@@ -534,6 +534,15 @@ def test_failed_save_keeps_the_old_state(tmp_path):
     assert sorted(p.name for p in store.dir.iterdir()) == ["ledger.tsv", "state.json"]
 
 
+def test_replacing_into_a_missing_directory_raises_and_makes_nothing(tmp_path):
+    """`replacing` makes no directory: a write into one that is missing fails before it
+    creates anything, so a failed `repro pack --out` leaves no directory behind."""
+    with pytest.raises(FileNotFoundError):
+        with state.replacing(tmp_path / "missing" / "package.tar.gz", "wb") as fh:
+            fh.write(b"never written")
+    assert not [*tmp_path.iterdir()]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_gc_paused_restores_the_previous_gc_state(enabled):
     was_enabled = gc.isenabled()
