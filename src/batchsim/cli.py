@@ -27,15 +27,14 @@ import yaml
 
 from . import billing, scenarios, state as statemod
 from .catalog import Catalog, PricingPlan, default_catalog
-from .config import (COUNT, INTEGER, TEXT, ConfigBundle, CredentialsConfig, Kind, _read, at_key,
+from .config import (COUNT, TEXT, ConfigBundle, CredentialsConfig, Kind, _read, at_key,
                      bundle_documents, dump_yaml, load_yaml, of_owner, parse_config_dir,
                      serialize_config_dir)
 from .errors import SimulationError, ValidationError
 from .fabric import INTERCONNECTS
-from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_file, sha256_text
+from .state import STATE_DIR, ServiceOptions, WorkspaceStore, sha256_text
 
 CONFIGDIR_ENV = "BATCHSIM_CONFIGDIR"
-DIGEST_ALGORITHM = "sha256"
 OUTPUT_ARTIFACTS = ("events.log", "ledger.tsv")
 
 
@@ -132,9 +131,9 @@ def build_parser() -> _Parser:
     sr.add_argument("--seed", type=int, default=0)
 
     repro = top.add_parser("repro").add_subparsers(dest="cmd", required=True)
-    rp = repro.add_parser("pack", help="pack configs, seed, transcript, output digests")
+    rp = repro.add_parser("pack", help="pack configs, transcript and outputs")
     rp.add_argument("--out", default=None)
-    rv = repro.add_parser("verify", help="re-run a package and compare digests")
+    rv = repro.add_parser("verify", help="re-run a package and compare its outputs")
     rv.add_argument("archive")
 
     return parser
@@ -198,8 +197,6 @@ class Cli:
         entry = recorded_argv(vars(args))
         recorded_command(entry)  # a replay runs every entry that a commit writes
         state["transcript"].append(entry)
-        if any(t.terminal for t in svc.all_tasks()):
-            state["has_completed_run"] = True
         store, init = self.store, self.kept is None
         created = [d for d in (store.dir, store.configs_dir) if init and not d.is_dir()]
         ledger = store.ledger_path.read_bytes() if init and store.ledger_path.is_file() else None
@@ -473,8 +470,8 @@ def cmd_scenario_run(cli: Cli, args) -> int:
 
 
 def cmd_repro_pack(cli: Cli, args) -> int:
-    state, _ = cli.load()
-    if not state["has_completed_run"]:
+    state, svc = cli.load()
+    if not any(t.terminal for t in svc.all_tasks()):
         raise ValidationError("no completed run to pack: run a job or scenario first")
     named = cli.store.named(state["transcript"])
     for path in named:
@@ -483,23 +480,17 @@ def cmd_repro_pack(cli: Cli, args) -> int:
     out = _relpath(Path(args.out or "repro-package.tar.gz"), cli.root)
     if not out.parent.is_dir():
         raise ValidationError(f"cannot pack: no directory {Path(args.out).parent}")
-    output_digests = {name: sha256_file(cli.store.dir / name) for name in OUTPUT_ARTIFACTS}
-    manifest = {
-        "seed": state["options"]["seed"],
-        "transcript": state["transcript"],
-        "output_digests": output_digests,
-    }
     with statemod.replacing(out, "wb") as fh, tarfile.open(out, "w:gz", fh) as tar:
         info = tarfile.TarInfo("manifest.json")
-        payload = json.dumps(manifest, indent=1, sort_keys=True).encode() + b"\n"
+        payload = json.dumps({"transcript": state["transcript"]}, indent=1).encode() + b"\n"
         info.size = len(payload)
         tar.addfile(info, io.BytesIO(payload))
         for path in filter(Path.is_file, named):  # a snapshot's documents, not its directory
             tar.add(path, arcname=path.relative_to(cli.store.dir).as_posix())
-        for name in output_digests:
+        for name in OUTPUT_ARTIFACTS:
             tar.add(cli.store.dir / name, arcname=f"outputs/{name}")
-    cli.say(f"packed {out} ({len(manifest['transcript'])} commands, "
-            f"{len(output_digests)} output digests, seed {manifest['seed']})")
+    cli.say(f"packed {out} ({len(state['transcript'])} commands, {len(OUTPUT_ARTIFACTS)} "
+            f"outputs, seed {state['options']['seed']})")
     return 0
 
 
@@ -522,23 +513,24 @@ def _safe_extract(tar: tarfile.TarFile, dest: Path):
 
 
 # a package's manifest.json, as `repro pack` writes it
-PACKAGE = {"seed": INTEGER, "transcript": statemod.STATE["transcript"],
-           "output_digests": Kind(lambda v, at: type(v) is dict and all(
-               type(v.get(name)) is str and re.fullmatch("[0-9a-f]{64}", v[name])
-               for name in OUTPUT_ARTIFACTS),
-               why=lambda v: "must digest events.log and ledger.tsv in 64 lower-case hex digits")}
+PACKAGE = {"transcript": statemod.STATE["transcript"]}
 
 
-def read_manifest(path: Path) -> tuple[int, list, dict]:
-    """The seed, transcript and output digests of a package's manifest.json; a manifest
-    that `repro pack` cannot have written is a ValidationError."""
+def read_manifest(path: Path) -> list:
+    """The transcript of a package's manifest.json; a manifest that `repro pack` cannot
+    have written is a ValidationError."""
     try:
         manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ValidationError(f"not a readable package: {exc}") from None
     if type(manifest) is not dict:
         raise ValidationError("manifest.json: key '<document>': top level must be a mapping")
-    return tuple(_read(manifest, PACKAGE, ("manifest.json", ""), form=at_key).values())
+    return _read(manifest, PACKAGE, ("manifest.json", ""), form=at_key)["transcript"]
+
+
+def _lines(path: Path) -> list[bytes]:
+    """The lines of a file, each with its newline; none if there is no file."""
+    return io.BytesIO(path.read_bytes()).readlines() if path.is_file() else []
 
 
 def cmd_repro_verify(cli: Cli, args) -> int:
@@ -552,27 +544,35 @@ def cmd_repro_verify(cli: Cli, args) -> int:
                 _safe_extract(tar, extracted)
         except (tarfile.TarError, OSError, EOFError) as exc:
             raise ValidationError(f"not a readable package: {exc}") from None
-        seed, transcript, expected = read_manifest(extracted / "manifest.json")
+        transcript = read_manifest(extracted / "manifest.json")
         commands = [recorded_command(argv) for argv in transcript]
-        init = next((argv for argv in commands if argv[:2] == ["workspace", "init"]), None)
-        if init is None or build_parser().parse_args(init).seed != seed:
-            raise ValidationError("manifest.json: key 'seed': must be the seed that the "
-                                  "transcript's workspace init sets")
+        if not commands or commands[0][:2] != ["workspace", "init"]:
+            raise ValidationError(
+                "manifest.json: key 'transcript': must begin with workspace init")
+        for name in OUTPUT_ARTIFACTS:
+            if not (extracted / "outputs" / name).is_file():
+                raise ValidationError(f"not a readable package: outputs/{name} is not a file")
+        counts = []  # each replayed output's line count after each command
         try:  # in the package, whose configs/ and ingress/ the commands read
             for argv in commands:
                 run_command(["-C", str(extracted), *argv], io.StringIO(), raising=True)
+                counts.append([len(_lines(extracted / STATE_DIR / n)) for n in OUTPUT_ARTIFACTS])
         except (UsageError, ValidationError, SimulationError) as exc:
             cli.say(f"FAIL: replayed command failed: {exc}")
             return 3
-        for name in OUTPUT_ARTIFACTS:
-            path = extracted / STATE_DIR / name
-            actual = sha256_file(path) if path.exists() else "<missing>"
-            if actual != expected[name]:
-                cli.say(f"FAIL: first divergence at {name}: expected {expected[name]}, "
-                        f"got {actual}")
+        for k, name in enumerate(OUTPUT_ARTIFACTS):
+            sides = [_lines(extracted / where / name) for where in ("outputs", STATE_DIR)]
+            if sides[0] != sides[1]:  # each line with its newline, so byte for byte
+                n = [*map(bytes.__eq__, *sides), False].index(False)  # or the first one side lacks
+                packed, replayed = (repr(lines[n].decode(errors="replace")) if n < len(lines)
+                                    else "<missing>" for lines in sides)
+                # the first commit that held line n + 1, if the replay has it
+                writer = next((argv for argv, held in zip(transcript, counts) if held[k] > n), None)
+                cli.say(f"FAIL: first divergence at {name} line {n + 1}: expected {packed}, "
+                        f"got {replayed}" + (f" (written by {' '.join(writer)})" if writer else ""))
                 return 3
         cli.say(f"PASS: {len(OUTPUT_ARTIFACTS)} artifacts reproduced "
-                f"({DIGEST_ALGORITHM}, seed {seed})")
+                f"(seed {build_parser().parse_args(commands[0]).seed})")
     return 0
 
 

@@ -60,10 +60,6 @@ def _gc_paused():
             gc.enable()
 
 
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -110,7 +106,6 @@ STATE = {  # the top level, as new_workspace_state writes it
     "transcript": Kind(lambda v, at: type(v) is list and all(  # as Cli.commit records them
         type(argv) is list and {*map(type, argv)} <= {str} for argv in v),
         why=lambda v: "expected a list of argument lists"),
-    "has_completed_run": BOOL,
     "events_bytes": COUNT}
 OPTIONS = {
     "seed": INTEGER,
@@ -467,7 +462,6 @@ def new_workspace_state(options: ServiceOptions, bundle: ConfigBundle,
         "workspace": _written(bundle.workspace, WORKSPACE),
         "service": None,
         "transcript": [],
-        "has_completed_run": False,
         "events_bytes": 0,  # size of events.log after the last committed command
     }
 

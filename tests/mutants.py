@@ -62,16 +62,32 @@ MUTANTS = [
            (f"{_CORRUPT}[job-twice-jobs-add]", f"{_CORRUPT}[job-twice-pool-del]")),
     Mutant("share-twice-taken", "state.py", "if share.name in svc.storage.shares:", "if False:",
            (f"{_CORRUPT}[share-twice-jobs-add]", f"{_CORRUPT}[share-twice-pool-del]")),
-    # a package's manifest seed is the one its transcript's workspace init sets
-    Mutant("manifest-seed-unchecked", "cli.py",
-           "if init is None or build_parser().parse_args(init).seed != seed:", "if init is None:",
-           ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[other-seed]",
-            "tests/test_cli.py::"
-            "test_a_package_leaf_of_another_kind_exits_2_before_any_replay[seed-negative]")),
-    Mutant("manifest-without-init-taken", "cli.py",
-           "if init is None or build_parser().parse_args(init).seed != seed:",
-           "if init is not None and build_parser().parse_args(init).seed != seed:",
-           ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[no-init]",)),
+    # a package replays a transcript that begins with workspace init, against packed
+    # outputs that are files; PASS names the seed of that init, and a FAIL the first line
+    # that differs
+    Mutant("manifest-without-init-first-taken", "cli.py",
+           'if not commands or commands[0][:2] != ["workspace", "init"]:', "if not commands:",
+           tuple(f"tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[{case}]"
+                 for case in ("no-init", "init-second"))),
+    Mutant("manifest-init-unchecked", "cli.py",
+           'if not commands or commands[0][:2] != ["workspace", "init"]:', "if False:",
+           ("tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest[no-init]",
+            "tests/test_cli.py::test_repro_verify_rejects_a_malformed_manifest"
+            "[empty-transcript]")),
+    Mutant("packed-outputs-unchecked", "cli.py",
+           'if not (extracted / "outputs" / name).is_file():', "if False:",
+           tuple(f"tests/test_cli.py::test_a_package_without_a_packed_output_file_exits_2_"
+                 f"before_any_replay[{case}]" for case in ("missing", "directory"))),
+    Mutant("pass-names-the-default-seed", "cli.py",
+           "(seed {build_parser().parse_args(commands[0]).seed})", "(seed {ServiceOptions().seed})",
+           ("tests/test_cli.py::test_repro_pack_and_verify_scenario",)),
+    Mutant("divergence-line-off-by-one", "cli.py", "line {n + 1}: expected", "line {n}: expected",
+           ("tests/test_cli.py::test_repro_verify_names_the_edited_ledger_line_and_the_command_"
+            "that_billed_it",
+            "tests/test_cli.py::test_repro_verify_names_the_edited_line_of_a_packed_output")),
+    Mutant("pack-without-a-finished-task", "cli.py",
+           "    if not any(t.terminal for t in svc.all_tasks()):\n", "    if False:\n",
+           ("tests/test_cli.py::test_repro_pack_requires_completed_run",)),
     # a manifest that fills a share exactly is admitted
     Mutant("ingress-rejects-a-full-share", "storage.py",
            "if sh.used_bytes + growth > sh.quota_bytes:",

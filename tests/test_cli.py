@@ -132,7 +132,7 @@ HELP_DIGESTS = {
     "scenario": "4df465ca08739128c308e7a5fa8fbaf6327eadd97610b6e26b6251e528da1bc3",
     "scenario list": "f8260dbde658a49d04ab8c5f2d66fedc578855cba3d83521588150878877907b",
     "scenario run": "379b898f44cf8cc0dcc3431486beb0be19f827e945cbf8706b7f9c457133a386",
-    "repro": "5c83829d606a0aa754c44b4ec1a706ed02b71171f9166e38b5a0fbfa95de10e1",
+    "repro": "40bd4d611e93f973a0c234197bd9f7ba06c6b1a80dbec9285538b7bfe35bd147",
     "repro pack": "1c4eacc4442a57bd92004fc9a2b7369ea1b013648709a878b221a5e45750d702",
     "repro verify": "3006999c6756cdf81ca88b8e227c8508f2594d688b9218ae8cefb6c2cc9ea997",
 }
@@ -571,6 +571,8 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
     were written: derived from the rest of the state, from events.log and from the keys."""
     svc = state["service"]
     state["storage_account_created"] = ["storage", "account", "create"] in state["transcript"]
+    state["has_completed_run"] = any(  # a finished task: what `repro pack` asks the service
+        row[7] in ("Completed", "Failed") for job in svc["jobs"] for row in job["tasks"])
     state["ingress_seq"] = sum(argv[:2] == ["data", "ingress"] for argv in state["transcript"])
     state["credentials_digest"] = {"storage_key": hashlib.sha256(b"storagekey").hexdigest(),
                                    "batch_key": hashlib.sha256(b"batchkey").hexdigest()}
@@ -597,7 +599,8 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
 
 
 DROPPED_KEYS = ("credentials_digest", "quota_used", "transfers", "pool_plans", "boot_latency",
-                "severity", "directories", '"plan":', "storage_account_created", "ingress_seq")
+                "severity", "directories", '"plan":', "storage_account_created", "ingress_seq",
+                "has_completed_run")
 
 
 def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
@@ -618,7 +621,8 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     old = _with_dropped_keys(json.loads(text), (path.parent / "events.log").read_text())
     svc = old["service"]
     assert [len(svc["transfers"]), len(svc["pools"][0]["warnings"])] == [2, 1]
-    assert [old["storage_account_created"], old["ingress_seq"]] == [True, 1]
+    assert [old["storage_account_created"], old["ingress_seq"], old["has_completed_run"]] == [
+        True, 1, True]
     assert {i["plan"] for i in svc["ledger"]} == {None, "paygo_dedicated", "paygo_low_priority"}
     assert svc["shares"][0]["directories"] == ["snake2d2k35", "snake2d2k35/output"]
     path.write_text(json.dumps(old, separators=(",", ":"), sort_keys=True))
@@ -635,8 +639,9 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
 def _with_full_busy_logs(state: dict) -> dict:
     """`state` with each node's busy_log as state.json held it before the intervals that a
     task row records were left out: every interval, in the order they ended; and with each
-    node's sku, which state.json held then too."""
+    node's sku and the has_completed_run flag, which state.json held then too."""
     svc = state["service"]
+    state["has_completed_run"] = True
     for pool in svc["pools"]:
         for node in pool["nodes"]:
             node["sku"] = pool["config"]["sku"]
@@ -925,8 +930,6 @@ POOL_NODE_CORRUPTIONS = {
     "workspace-region-number": (lambda state: state["workspace"].update(region=5),
                                 "state.json: key 'workspace.region': expected a non-empty "
                                 "string"),
-    "completed-run-number": (lambda state: state.update(has_completed_run=1),
-                             "has_completed_run 1 of state"),
     "ledger-sku-number": (lambda state: _add_ledger_item(state, sku=5),
                           "sku 5 of ledger item 0"),
     "ledger-description-number": (lambda state: _add_ledger_item(state, description=5),
@@ -1848,27 +1851,15 @@ def test_repro_verify_rejects_a_link_member_without_writing_outside(tmp_path, mo
     assert (outside / "kept.txt").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("digests", [{}, {"events.log": "0" * 64}], ids=["none", "events-only"])
-def test_repro_verify_rejects_a_package_without_both_output_digests(tmp_path, digests):
-    """`repro pack` needs a completed run, so a real package digests events.log and
-    ledger.tsv; one that does not would pass while comparing nothing."""
-    def drop_digests(unpacked):
-        manifest = json.loads((unpacked / "manifest.json").read_text())
-        manifest["output_digests"] = digests
-        (unpacked / "manifest.json").write_text(json.dumps(manifest))
-
-    code, out, err = cli(tmp_path, "repro", "verify",
-                         _edited_scenario_package(tmp_path, drop_digests))
-    assert (code, out) == (2, "")
-    assert err == ("error: manifest.json: key 'output_digests': must digest events.log and "
-                   "ledger.tsv in 64 lower-case hex digits\n")
-
-
 def test_repro_pack_requires_completed_run(workdir):
-    ok(workdir, "workspace", "init", "--configdir", "config_shipyard")
-    code, _, err = cli(workdir, "repro", "pack")
-    assert code == 2
-    assert "completed run" in err
+    """Pack asks the service whether a task finished: a workspace with a pool, an ingress,
+    events and a ledger but no job has nothing to pack, and nothing is written."""
+    for step in sequence()[:6]:  # through `data ingress`
+        ok(workdir, *step)
+    before = _listing(workdir)
+    assert cli(workdir, "repro", "pack") == (
+        2, "", "error: no completed run to pack: run a job or scenario first\n")
+    assert _listing(workdir) == before
 
 
 def test_repro_pack_and_verify_manual_flow(workdir):
@@ -1942,7 +1933,7 @@ def test_keys_are_kept_only_as_digests(tmp_path):
     [snapshot] = (tmp_path / ".batchsim" / "configs").iterdir()
     assert yaml.safe_load((snapshot / "credentials.yaml").read_text()) == {"credentials": {
         name: f"sha256:{hashlib.sha256(key.encode()).hexdigest()}" for name, key in keys.items()}}
-    assert set(json.loads(members["manifest.json"])) == {"seed", "transcript", "output_digests"}
+    assert set(json.loads(members["manifest.json"])) == {"transcript"}
     assert ok(tmp_path, "repro", "verify", "repro-package.tar.gz").startswith("PASS")
     other = tmp_path / "other"
     ok(other, "workspace", "init", "--configdir", str(snapshot))
@@ -1960,13 +1951,71 @@ def test_package_with_keys_in_clear_and_a_digest_algorithm_verifies(tmp_path):
         (unpacked / "manifest.json").write_text(json.dumps(manifest))
 
     out = ok(tmp_path, "repro", "verify", _edited_scenario_package(tmp_path, as_packed_before))
-    assert out.startswith("PASS: 2 artifacts reproduced (sha256, seed 0)")
+    assert out.startswith("PASS: 2 artifacts reproduced (seed 0)")
+
+
+@pytest.mark.parametrize("seed", [0, 7], ids=["its-seed", "another-seed"])
+def test_an_old_form_manifest_verifies(tmp_path, seed):
+    """Packages made while manifest.json also held `seed`, `output_digests` and
+    `digest_algorithm` verify: only `transcript` is read, so the seed that PASS names is
+    the one the transcript's workspace init sets, whatever `seed` says."""
+    def as_packed_before(unpacked):
+        manifest = json.loads((unpacked / "manifest.json").read_text())
+        manifest.update(seed=seed, digest_algorithm="sha256", output_digests={
+            name: hashlib.sha256((unpacked / "outputs" / name).read_bytes()).hexdigest()
+            for name in climod.OUTPUT_ARTIFACTS})
+        (unpacked / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+    archive = _edited_scenario_package(tmp_path, as_packed_before)
+    assert ok(tmp_path, "repro", "verify", archive) == "PASS: 2 artifacts reproduced (seed 0)\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_package_without_a_packed_output_file_exits_2_before_any_replay(tmp_path,
+                                                                          monkeypatch, kind):
+    """The packed outputs are what a replay is compared with, so a package whose
+    outputs/ledger.tsv is not a file is corrupt, and nothing is replayed."""
+    def drop_ledger(unpacked):
+        path = unpacked / "outputs" / "ledger.tsv"
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+
+    archive = _edited_scenario_package(tmp_path, drop_ledger)
+    replayed = _replayed(monkeypatch)
+    assert cli(tmp_path, "repro", "verify", archive) == (
+        2, "", "error: not a readable package: outputs/ledger.tsv is not a file\n")
+    assert replayed == []
+
+
+def test_repro_verify_names_the_edited_ledger_line_and_the_command_that_billed_it(tmp_path):
+    """A FAIL names the first line where the packed and the replayed output differ, both
+    texts, and the transcript entry whose commit first held that line."""
+    def overcharge(unpacked):
+        ledger = unpacked / "outputs" / "ledger.tsv"
+        lines = ledger.read_text().splitlines(keepends=True)
+        assert lines[2].startswith("Virtual Machines\t27.72\tNC24r snake2d/1 ")
+        ledger.write_text("".join([*lines[:2], lines[2].replace("27.72", "27.73"), *lines[3:]]))
+
+    archive = _edited_scenario_package(tmp_path, overcharge)
+    unpacked = tmp_path / "unpacked"
+    edited = (unpacked / "outputs" / "ledger.tsv").read_text().splitlines(keepends=True)[2]
+    transcript = json.loads((unpacked / "manifest.json").read_text())["transcript"]
+    pool_del = next(argv for argv in transcript if argv[:2] == ["pool", "del"])  # it bills
+    assert cli(tmp_path, "repro", "verify", archive) == (
+        3, f"FAIL: first divergence at ledger.tsv line 3: expected {edited!r}, got "
+           f"{edited.replace('27.73', '27.72')!r} (written by {' '.join(pool_del)})\n", "")
 
 
 def test_repro_pack_and_verify_scenario(tmp_path):
-    ok(tmp_path, "scenario", "run", "snake3d", "--seed", "5")
-    ok(tmp_path, "repro", "pack", "--out", "snake3d.tar.gz")
-    assert ok(tmp_path, "repro", "verify", "snake3d.tar.gz").startswith("PASS")
+    """Each scenario's package verifies, and pack and verify name the seed of its init."""
+    for scenario in builtin_scenarios():
+        root = tmp_path / scenario.name
+        ok(root, "scenario", "run", scenario.name, "--seed", "5")
+        assert ok(root, "repro", "pack", "--out", "package.tar.gz") == (
+            f"packed {root / 'package.tar.gz'} (10 commands, 2 outputs, seed 5)\n")
+        assert ok(root, "repro", "verify", "package.tar.gz") == (
+            "PASS: 2 artifacts reproduced (seed 5)\n")
 
 
 def _packed_config(unpacked: Path, *names: str) -> list[Path]:
@@ -2134,23 +2183,16 @@ def test_repro_verify_rejects_a_command_no_commit_records(tmp_path, monkeypatch,
 
 
 BAD_MANIFESTS = {
-    "no-seed": lambda m: {k: v for k, v in m.items() if k != "seed"},
-    "text-seed": lambda m: {**m, "seed": "3"},
-    "bool-seed": lambda m: {**m, "seed": True},
     "no-transcript": lambda m: {k: v for k, v in m.items() if k != "transcript"},
     "number-transcript": lambda m: {**m, "transcript": 5},
     "number-in-argv": lambda m: {**m, "transcript": [*m["transcript"], [5]]},
     "text-argv": lambda m: {**m, "transcript": [*m["transcript"], "status"]},
     "list-manifest": lambda m: [m],
-    # passed, printing the seed that the replay never used
-    "other-seed": lambda m: {**m, "seed": m["seed"] + 1},
     # replayed its first command, which found no workspace, and exited 3
     "no-init": lambda m: {**m, "transcript": m["transcript"][1:]},
-    # each replayed all ten commands and exited 3 at `first divergence at events.log`
-    "number-digest": lambda m: {**m, "output_digests": {**m["output_digests"], "events.log": 5}},
-    "text-digest": lambda m: {**m, "output_digests": {**m["output_digests"], "ledger.tsv": "x"}},
-    "upper-case-digest": lambda m: {**m, "output_digests": {
-        **m["output_digests"], "events.log": m["output_digests"]["events.log"].upper()}},
+    "init-second": lambda m: {**m, "transcript": [m["transcript"][1], m["transcript"][0],
+                                                  *m["transcript"][2:]]},
+    "empty-transcript": lambda m: {**m, "transcript": []},
 }
 
 
@@ -2204,8 +2246,7 @@ def test_a_package_leaf_of_another_kind_exits_2_before_any_replay(scenario_packa
                                                                   monkeypatch, key, value):
     """A manifest.json leaf that its PACKAGE kind does not take is exit 2 in the
     `manifest.json: key '<key>': ` form, before any command is replayed; one it takes
-    verifies, but for a seed that is not the transcript's. Nothing beside the package is
-    written."""
+    verifies. Nothing beside the package is written."""
     manifest = json.loads(scenario_package["manifest.json"])
     if value is configmod._ABSENT:
         del manifest[key]
@@ -2216,13 +2257,56 @@ def test_a_package_leaf_of_another_kind_exits_2_before_any_replay(scenario_packa
     before = _listing(tmp_path)
     replayed = _replayed(monkeypatch)
     code, out, err = cli(tmp_path, "repro", "verify", "package.tar.gz")
-    # the transcript's workspace init sets seed 0, which none of the values is
-    if climod.PACKAGE[key].ok(value, configmod.At()) and key != "seed":
+    if climod.PACKAGE[key].ok(value, configmod.At()):
         assert (code, err) == (0, "") and out.startswith("PASS") and replayed
     else:
         assert (code, out, replayed) == (2, "", [])
         assert err.startswith(f"error: manifest.json: key {key!r}: "), err
     assert _listing(tmp_path) == before
+
+
+OUTPUT_EDITS = st.tuples(st.sampled_from(climod.OUTPUT_ARTIFACTS),
+                         st.sampled_from(["none", "byte", "crlf", "drop", "append",
+                                          "no-final-newline"]),
+                         st.integers(0, 10**4), st.integers(0, 10**4))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(OUTPUT_EDITS)
+def test_repro_verify_names_the_edited_line_of_a_packed_output(scenario_package, edit):
+    """One edit of a packed output: a byte of line k changed, a carriage return put before
+    its newline, line k dropped, a line appended, or the last newline removed. Verify exits
+    3 and names exactly that line, and the command that wrote it unless the replay lacks
+    it; an unedited package passes."""
+    name, kind, k, j = edit
+    lines = io.BytesIO(scenario_package[f"outputs/{name}"]).readlines()
+    # no empty line, and no line twice in a row: a dropped line is the first to differ
+    assert min(map(len, lines)) > 1 and all(map(bytes.__ne__, lines, lines[1:]))
+    k %= len(lines)
+    if kind == "byte":
+        j %= len(lines[k]) - 1  # not its newline
+        lines[k] = lines[k][:j] + (b"%" if lines[k][j] == ord("#") else b"#") + lines[k][j + 1:]
+    elif kind == "crlf":
+        lines[k] = lines[k][:-1] + b"\r\n"
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "append":
+        k = len(lines)
+        lines.append(b"0.000000\tpool/extra\tcreated\n")
+    elif kind == "no-final-newline":
+        k = len(lines) - 1
+        lines[k] = lines[k][:-1]
+    with tempfile.TemporaryDirectory(prefix="batchsim-edited-") as tmp:
+        _write_package(Path(tmp) / "package.tar.gz",
+                       {**scenario_package, f"outputs/{name}": b"".join(lines)})
+        code, out, err = cli(tmp, "repro", "verify", "package.tar.gz")
+    if kind == "none":
+        assert (code, out, err) == (0, "PASS: 2 artifacts reproduced (seed 0)\n", "")
+    else:
+        assert (code, err) == (3, "")
+        assert out.startswith(f"FAIL: first divergence at {name} line {k + 1}: "), out
+        assert (" (written by " in out) == (kind != "append"), out
 
 
 TOKENS = ["-C", ".", "-C{out}", "{out}", "{out}/x", "--export", "--dest", "--de", "--configdir",

@@ -10,7 +10,10 @@ actual digest dict as a Python literal, to copy over the recorded one.
 Each CLI session runs in a child interpreter with BLAS pinned to one
 thread, because the CG task's iteration count (and so its solve.tsv and
 the event log) depends on the BLAS thread count. tests/test_scripts.py pins
-the experiment scripts' tables the same way.
+the experiment scripts' tables the same way. The environment cells run a
+session and a scenario, each packed and verified, under other hash seeds, a
+far time zone, the C locale, umask 077, a deep working directory and -C DIR,
+and check them against the same digests.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,18 @@ import io, json, sys
 from batchsim.cli import run_command
 codes = []
 for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    codes.append([run_command(argv, out=out, err=err), err.getvalue(), out.getvalue()])
+print(json.dumps(codes))
+"""
+
+# the same, but each command runs in the directory that it is paired with
+_CHILD_IN_DIRS = """
+import io, json, os, sys
+from batchsim.cli import run_command
+codes = []
+for cwd, argv in json.loads(sys.argv[1]):
+    os.chdir(cwd)
     out, err = io.StringIO(), io.StringIO()
     codes.append([run_command(argv, out=out, err=err), err.getvalue(), out.getvalue()])
 print(json.dumps(codes))
@@ -140,7 +156,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "7994c0279a0b7cb9facac57c3183188b7b423aa504f88012562ef587792602b6",
+            "1aea5a8e7617a1e587c768b010151fd6aaf2b4d373fc9ce05d9156670478254b",
     },
     "poisson_h16r": {
         "configs/c04bd6145343/credentials.yaml":
@@ -158,7 +174,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "166f7d1f0cc872caeb94d9fa488b82660d418d11f85288e0019ccaefc52219e6",
+            "c59f395bdaa3ef85483d6d290ebdbba36612359758c4e205ea71668546c34c8e",
     },
     "snake2d2k35": {
         "configs/95ad2d9e1a47/credentials.yaml":
@@ -176,7 +192,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "efd64e8a6eadd42b6ad428a6ea7b07ac59ef2d21dfc047e47b96123a5371e065",
+            "a1e2f9f04a5008477400e0ef866c1df93807f4be004642b59b77b9a29f594d47",
     },
 }
 
@@ -197,7 +213,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "e6dc937aa83f3ee29d1960afd64982d2bda188dce955260f49add9b57a2fe607",
+            "db78c2cdde72af0039001f6716de19c0185ca6be984d9956ea05dd8954826256",
     },
     "snake3d": {
         "configs/558f439409ba/credentials.yaml":
@@ -215,7 +231,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "4d26c15287709ff5b112ea26142321a3c1862903dcab5fd53211dad182fbf44d",
+            "3a4cb1f8f5561701a2c08280f11d205e77a38945a2c2e9816c34ba0b12e44ab1",
     },
     "snake3d_fine": {
         "configs/61e3fe057bed/credentials.yaml":
@@ -235,19 +251,19 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "f955832cd2c9eaf87a77d5089445fcde2e46f6a0ff33a294b408c7f92f63e3f3",
+            "dac897d2e70febbde345af023ae71850b3c7bf843fa329f00e10515078e88c58",
     },
 }
 
 
-def _run_python(workdir: Path, *args: str) -> str:
-    """stdout of a child interpreter run on this checkout's sources, BLAS on one thread."""
-    env = dict(os.environ)
-    env.update({var: "1" for var in THREAD_VARS})
+def _run_python(workdir: Path, *args: str, env: dict | None = None, umask: int = -1) -> str:
+    """stdout of a child interpreter run on this checkout's sources, BLAS on one thread,
+    with `env` added to this process's environment and, unless it is -1, `umask`."""
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}, **(env or {})}
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env, umask=umask,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -357,3 +373,67 @@ def test_cli_scenario_run_digests(name, tmp_path):
     codes = _run_child(tmp_path, [["scenario", "run", name, "--seed", "0"]])
     assert codes[0][0] == 0, codes
     _check(_tree_digests(tmp_path), SCENARIO_RUN_DIGESTS[name])
+
+
+# the sha256 of the manifest.json that `repro pack` writes after the snake2d2k35 session
+# of SESSIONS and after the snake2d scenario; every other package member is a file of
+# .batchsim/, which SESSION_DIGESTS and SCENARIO_RUN_DIGESTS pin
+MANIFEST_DIGESTS = {
+    "snake2d2k35": "3178c6d6136b22b81e2712142dc194286550c020d8e5b8db1992a6abb8ce717e",
+    "snake2d": "3d3ee8710a80be79779f3d42619bcfd36cfe9092f0052a18a660f8c31ed6c6d4",
+}
+REPRO = [["repro", "pack"], ["repro", "verify", "repro-package.tar.gz"]]
+
+# each cell changes two things from the default run: the environment, the umask, the
+# working directory (about 200 characters deep), or -C DIR from elsewhere for cd DIR
+ENVIRONMENT_CELLS = {  # name: (environment, umask or -1, cd or -C, deep)
+    "hash-seed-0-kiritimati": ({"PYTHONHASHSEED": "0", "TZ": "Pacific/Kiritimati"}, -1, "cd",
+                               False),
+    "hash-seed-12345-c-utf8": ({"PYTHONHASHSEED": "12345", "LC_ALL": "C.UTF-8"}, -1, "cd",
+                               False),
+    "umask-077-deep-cwd": ({}, 0o077, "cd", True),
+    "dash-c-deep-dir": ({}, -1, "-C", True),
+}
+
+
+def _package_digests(workspace: Path) -> dict:
+    """Digest of every file member of the package that `repro pack` wrote in `workspace`."""
+    with tarfile.open(workspace / "repro-package.tar.gz") as tar:
+        return {m.name: _sha(tar.extractfile(m).read()) for m in tar.getmembers() if m.isfile()}
+
+
+def _packed(tree: dict, manifest: str) -> dict:
+    """The package member digests of a workspace of `tree` digests."""
+    return {"manifest.json": manifest, **{
+        f"outputs/{name}" if name in ("events.log", "ledger.tsv") else name: digest
+        for name, digest in tree.items() if name != "state.json"}}
+
+
+@pytest.mark.parametrize("cell", sorted(ENVIRONMENT_CELLS))
+def test_outputs_state_and_package_do_not_depend_on_the_environment(cell, tmp_path):
+    """The snake2d2k35 session and the snake2d scenario, each packed and verified, leave
+    the default run's events.log, ledger.tsv, state.json and package members whatever the
+    hash seed, time zone, locale, umask, depth of the working directory, or way of naming
+    the workspace (-C DIR or cd DIR)."""
+    env, umask, naming, deep = ENVIRONMENT_CELLS[cell]
+    depth = 200 - len(str(tmp_path)) if deep else 0  # in directories of 40 characters
+    base = tmp_path.joinpath(*[("d" * depth)[i:i + 40] for i in range(0, depth, 40)])
+    session, scenario = base / "session", base / "scenario"
+    shutil.copytree(REPO_ROOT / "configs" / "snake2d2k35", session / "cfg")
+    scenario.mkdir()
+    commands = [(session, argv) for argv in [*SESSIONS["snake2d2k35"], *REPRO]] + [
+        (scenario, argv) for argv in [["scenario", "run", "snake2d", "--seed", "0"], *REPRO]]
+    steps = [[str(where), argv] if naming == "cd" else [str(tmp_path), ["-C", str(where), *argv]]
+             for where, argv in commands]
+    assert len(str(base)) >= 200 if deep else base == tmp_path
+    results = json.loads(_run_python(tmp_path, "-c", _CHILD_IN_DIRS, json.dumps(steps),
+                                     env=env, umask=umask))
+    assert all(code == 0 for code, *_ in results), results
+    assert [out for _, _, out in results if out.startswith(("PASS", "FAIL"))] == [
+        "PASS: 2 artifacts reproduced (seed 0)\n"] * 2
+    _check(_tree_digests(session), SESSION_DIGESTS["snake2d2k35"])
+    _check(_tree_digests(scenario), SCENARIO_RUN_DIGESTS["snake2d"])
+    _check(_package_digests(session), _packed(SESSION_DIGESTS["snake2d2k35"],
+                                              MANIFEST_DIGESTS["snake2d2k35"]))
+    _check(_package_digests(scenario), _packed(SCENARIO_RUN_DIGESTS["snake2d"],
+                                               MANIFEST_DIGESTS["snake2d"]))

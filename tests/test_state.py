@@ -592,7 +592,7 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
     workspace = state.new_workspace_state(state.ServiceOptions(), bundle)
     assert workspace.keys() == state.STATE.keys() == {
         "version", "options", "catalog_doc", "workspace", "service", "transcript",
-        "has_completed_run", "events_bytes"}
+        "events_bytes"}
     options = state.ServiceOptions(seed=5, preemption_rate=0.0)
     svc = state.build_service(options)
     svc.quota_set("eastus", 100, 100)
