@@ -85,6 +85,10 @@ MUTANTS = [
            ("tests/test_cli.py::test_repro_verify_names_the_edited_ledger_line_and_the_command_"
             "that_billed_it",
             "tests/test_cli.py::test_repro_verify_names_the_edited_line_of_a_packed_output")),
+    # the FAIL names the entry before the one whose commit first held the line
+    Mutant("divergence-writer-one-early", "cli.py", "if held[k] > n), None)",
+           "if held[k] >= n), None)",
+           ("tests/test_cli.py::test_repro_verify_names_the_command_that_wrote_each_edited_line",)),
     Mutant("pack-without-a-finished-task", "cli.py",
            "    if not any(t.terminal for t in svc.all_tasks()):\n", "    if False:\n",
            ("tests/test_cli.py::test_repro_pack_requires_completed_run",)),

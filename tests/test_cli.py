@@ -2241,15 +2241,17 @@ def _write_package(path: Path, members: dict, links=()):
 
 @pytest.mark.parametrize("value", [configmod._ABSENT, None, "x", -1, 1e308, [1], True],
                          ids=["absent", "null", "text", "negative", "huge", "list", "true"])
-@pytest.mark.parametrize("key", list(climod.PACKAGE))
+@pytest.mark.parametrize("key", [*climod.PACKAGE, "seed", "output_digests"])
 def test_a_package_leaf_of_another_kind_exits_2_before_any_replay(scenario_package, tmp_path,
                                                                   monkeypatch, key, value):
     """A manifest.json leaf that its PACKAGE kind does not take is exit 2 in the
     `manifest.json: key '<key>': ` form, before any command is replayed; one it takes
-    verifies. Nothing beside the package is written."""
+    verifies. A key outside PACKAGE, as `seed` and `output_digests` of older packages, is
+    not read: any leaf of it verifies, for the seed that the transcript's init sets.
+    Nothing beside the package is written."""
     manifest = json.loads(scenario_package["manifest.json"])
     if value is configmod._ABSENT:
-        del manifest[key]
+        manifest.pop(key, None)
     else:
         manifest[key] = value
     _write_package(tmp_path / "package.tar.gz",
@@ -2257,12 +2259,48 @@ def test_a_package_leaf_of_another_kind_exits_2_before_any_replay(scenario_packa
     before = _listing(tmp_path)
     replayed = _replayed(monkeypatch)
     code, out, err = cli(tmp_path, "repro", "verify", "package.tar.gz")
-    if climod.PACKAGE[key].ok(value, configmod.At()):
+    if key not in climod.PACKAGE:
+        assert (code, out, err) == (0, "PASS: 2 artifacts reproduced (seed 0)\n", "")
+        assert replayed
+    elif climod.PACKAGE[key].ok(value, configmod.At()):
         assert (code, err) == (0, "") and out.startswith("PASS") and replayed
     else:
         assert (code, out, replayed) == (2, "", [])
         assert err.startswith(f"error: manifest.json: key {key!r}: "), err
     assert _listing(tmp_path) == before
+
+
+def test_repro_verify_names_the_command_that_wrote_each_edited_line(scenario_package,
+                                                                     tmp_path):
+    """For each transcript entry that adds lines to a packed output, an edit of the first
+    line it added gives a FAIL that names that entry: the line counts are those of each
+    command's commit, run one by one in the unpacked package as a replay runs it."""
+    transcript = json.loads(scenario_package["manifest.json"])["transcript"]
+    steps = tmp_path / "steps"
+    _write_package(tmp_path / "package.tar.gz", scenario_package)
+    with tarfile.open(tmp_path / "package.tar.gz") as tar:
+        tar.extractall(steps, filter="data")
+    firsts = []  # (output, index of the first line that an entry added, the entry)
+    held = dict.fromkeys(climod.OUTPUT_ARTIFACTS, 0)
+    for argv in transcript:
+        ok(steps, *climod.recorded_command(argv))
+        for name in climod.OUTPUT_ARTIFACTS:
+            path = steps / ".batchsim" / name
+            count = len(path.read_bytes().splitlines()) if path.exists() else 0
+            if count > held[name]:
+                firsts.append((name, held[name], argv))
+            held[name] = count
+    assert {name for name, _, _ in firsts} == set(climod.OUTPUT_ARTIFACTS)
+    assert len({" ".join(argv) for _, _, argv in firsts}) >= 5
+    for name, n, argv in firsts:
+        lines = io.BytesIO(scenario_package[f"outputs/{name}"]).readlines()
+        original = lines[n].decode()
+        lines[n] = lines[n][:-2] + (b"%" if lines[n][-2:-1] == b"#" else b"#") + b"\n"
+        _write_package(tmp_path / "edited.tar.gz",
+                       {**scenario_package, f"outputs/{name}": b"".join(lines)})
+        assert cli(tmp_path, "repro", "verify", "edited.tar.gz") == (
+            3, f"FAIL: first divergence at {name} line {n + 1}: expected "
+               f"{lines[n].decode()!r}, got {original!r} (written by {' '.join(argv)})\n", "")
 
 
 OUTPUT_EDITS = st.tuples(st.sampled_from(climod.OUTPUT_ARTIFACTS),
