@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import billing, workloads
 from .catalog import Catalog, PricingPlan, RegionQuota
-from .config import JobsConfig, PoolConfig, TaskSpec, Violation, validate_pool
+from .config import JobsConfig, PoolConfig, TaskSpec, validate_pool
 from .errors import SimulationError, ValidationError
 from .fabric import (
     AZURE_INTERCONNECT,
@@ -43,7 +43,6 @@ IMAGE_PULL_SECONDS = 120.0  # deterministic pull stage at pool creation
 class PoolState(enum.Enum):
     ALLOCATING = "Allocating"
     STEADY = "Steady"
-    DELETING = "Deleting"
     DELETED = "Deleted"
 
 
@@ -130,12 +129,18 @@ class Job:
         return self.state in (JobState.COMPLETED, JobState.DELETED)
 
 
+def pool_node(cfg: PoolConfig, i: int) -> Node:
+    """Node `i` of a pool of `cfg`: `<pool>/<i>`, dedicated if among the first
+    `dedicated_count`, else low-priority."""
+    return Node(f"{cfg.pool_id}/{i}",
+                Priority.DEDICATED if i < cfg.dedicated_count else Priority.LOW_PRIORITY, i)
+
+
 @dataclass
 class Pool:
     config: PoolConfig
     state: PoolState = PoolState.ALLOCATING
     nodes: list[Node] = field(default_factory=list)
-    warnings: list[Violation] = field(default_factory=list)
     created_at: float = 0.0
     steady_at: Optional[float] = None
     deleted_at: Optional[float] = None
@@ -154,7 +159,7 @@ class Pool:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (PoolState.DELETING, PoolState.DELETED)
+        return self.state is not PoolState.DELETED
 
 
 class BatchService:
@@ -191,7 +196,7 @@ class BatchService:
             raise ValidationError(f"no quota table for region {region!r}")
         if low_priority_cores is None:
             low_priority_cores = self.quotas[region].low_priority_cores
-        self.quotas[region] = RegionQuota(region, dedicated_cores, low_priority_cores)
+        self.quotas[region] = RegionQuota(dedicated_cores, low_priority_cores)
         self.event_log.append((self.clock.now, f"quota/{region}",
                                f"dedicated={dedicated_cores},low_priority={low_priority_cores}"))
 
@@ -200,7 +205,7 @@ class BatchService:
         dedicated = low_priority = 0
         for pool in self.pools.values():
             cfg = pool.config
-            if cfg.region == region and pool.state is not PoolState.DELETED:
+            if cfg.region == region and pool.alive:
                 vcores = self.catalog.lookup(cfg.sku).vcores
                 dedicated += cfg.dedicated_count * vcores
                 low_priority += cfg.low_priority_count * vcores
@@ -209,7 +214,7 @@ class BatchService:
     def available_quota(self, region: str) -> RegionQuota:
         quota = self.quotas[region]
         dedicated, low_priority = self.quota_used(region)
-        return RegionQuota(region, quota.dedicated_cores - dedicated,
+        return RegionQuota(quota.dedicated_cores - dedicated,
                            quota.low_priority_cores - low_priority)
 
     # -- pool lifecycle ----------------------------------------------------
@@ -220,18 +225,17 @@ class BatchService:
             raise ValidationError(f"pool already exists: {cfg.pool_id!r}")
         if cfg.region not in self.quotas:
             raise ValidationError(f"no quota table for region {cfg.region!r}")
-        warnings = validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
+        validate_pool(cfg, self.catalog, self.available_quota(cfg.region))
         now = self.clock.now
         if cfg.low_priority_count > 0 and any(a <= now < b for a, b in self.scarcity_windows):
             raise SimulationError(f"low-priority capacity unavailable at t={now:.0f}s")
-        pool = Pool(config=cfg, created_at=now, warnings=warnings)
+        pool = Pool(config=cfg, created_at=now)
         # one boot latency per pool, so that all its nodes become usable at one instant:
         # billed node time then equals the pool's usable life
         boot = derived_rng(self.seed, f"boot/{cfg.pool_id}").randint(*BOOT_LATENCY_RANGE)
         pull, log = self.image_pull_seconds, self.event_log.append
         for i in range(cfg.node_count):
-            node = Node(f"{cfg.pool_id}/{i}", Priority.DEDICATED if i < cfg.dedicated_count
-                        else Priority.LOW_PRIORITY, i)
+            node = pool_node(cfg, i)
             log((now, node.entity, f"->{node.state.value}"))
             if pull > 0:
                 self.clock.schedule(now + boot, functools.partial(
@@ -241,8 +245,8 @@ class BatchService:
             pool.nodes.append(node)
         self.pools[cfg.pool_id] = pool
         log((now, f"pool/{cfg.pool_id}", f"->{PoolState.ALLOCATING.value}"))
-        for v in warnings:
-            log((now, f"pool/{cfg.pool_id}", f"warning:{v.rule}"))
+        for rule in cfg.warnings:
+            log((now, f"pool/{cfg.pool_id}", f"warning:{rule}"))
         return pool
 
     def _on_node_staging(self, node: Node, label: str):
@@ -287,9 +291,8 @@ class BatchService:
         if pool is None or not pool.alive:
             raise ValidationError(f"no such pool: {pool_id!r}")
         now = self.clock.now
-        self.event_log.append((now, f"pool/{pool_id}",
-                               f"{pool.state.value}->{PoolState.DELETING.value}"))
-        pool.state = PoolState.DELETING
+        # Deleting lasts only this call: no reader sees it, and no state.json holds it
+        self.event_log.append((now, f"pool/{pool_id}", f"{pool.state.value}->Deleting"))
         for job in [j for j in self.jobs.values() if j.pool_id == pool_id]:
             for task in job.tasks:
                 if not task.terminal:
@@ -302,8 +305,7 @@ class BatchService:
                 self.event_log.append((now, f"node/{node.node_id}", "released"))
         pool.state = PoolState.DELETED
         pool.deleted_at = now
-        self.event_log.append((now, f"pool/{pool_id}",
-                               f"{PoolState.DELETING.value}->{PoolState.DELETED.value}"))
+        self.event_log.append((now, f"pool/{pool_id}", "Deleting->Deleted"))
 
     # -- jobs and tasks ------------------------------------------------------
 

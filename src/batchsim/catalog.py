@@ -37,8 +37,7 @@ class SkuSpec:
 @dataclass
 class RegionQuota:
     """A region's cores; what `available_quota` leaves is below 0 where a quota was lowered
-    under the cores its pools use."""
-    region: str
+    under the cores its pools use. Every table of them is keyed by region."""
     dedicated_cores: int
     low_priority_cores: int
 
@@ -70,7 +69,7 @@ class Catalog:
 
     def default_quotas(self) -> dict[str, RegionQuota]:
         """A copy of each region's default quota, which its caller may change."""
-        return {r: RegionQuota(r, q.dedicated_cores, q.low_priority_cores)
+        return {r: RegionQuota(q.dedicated_cores, q.low_priority_cores)
                 for r, q in self._quotas.items()}
 
 
@@ -114,7 +113,7 @@ def default_catalog() -> Catalog:
         _sku("Short", 16, 120, 93, 0, "", False, onprem, "0.90", "0.18", "0.6000", "0.4500"),
     ]
     quotas = {
-        region: RegionQuota(region, DEFAULT_DEDICATED_QUOTA, DEFAULT_LOW_PRIORITY_QUOTA)
+        region: RegionQuota(DEFAULT_DEDICATED_QUOTA, DEFAULT_LOW_PRIORITY_QUOTA)
         for region in ("eastus", "colonial")
     }
     return Catalog(skus, quotas)

@@ -322,8 +322,8 @@ def cmd_pool_add(cli: Cli, args) -> int:
     pool = svc.pool_add(bundle.pool)
     svc.advance_until_pool_settled(pool.pool_id)
     cli.commit(state, svc, args, bundle)
-    for warning in pool.warnings:
-        cli.say(f"warning: {warning.rule}: {warning.message}")
+    for rule, message in bundle.pool.warnings.items():
+        cli.say(f"warning: {rule}: {message}")
     cli.say(f"pool {pool.pool_id}: {pool.state.value} "
             f"({bundle.pool.dedicated_count} dedicated, "
             f"{bundle.pool.low_priority_count} low-priority {bundle.pool.sku})")

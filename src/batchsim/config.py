@@ -55,6 +55,14 @@ class PoolConfig:
     def node_count(self) -> int:
         return self.dedicated_count + self.low_priority_count
 
+    @property
+    def warnings(self) -> dict[str, str]:
+        """The pool rules it breaks as warnings, which do not block creation: rule -> message."""
+        if self.low_priority_count > 0 and self.inter_node_comm:
+            return {"LowPriorityInterNodeComm": "low-priority nodes are preemptible and best "
+                    "avoided for long-running jobs with inter-node communication"}
+        return {}
+
 
 class TaskSpec(NamedTuple):  # a tuple: a frozen dataclass sets each field by object.__setattr__
     task_id: str
@@ -333,15 +341,9 @@ def serialize_config_dir(bundle: ConfigBundle, path):
 # pool admission
 
 
-@dataclass(frozen=True)
-class Violation:  # a pool rule broken as a warning; a rule that blocks creation raises
-    rule: str
-    message: str
-
-
-def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota) -> list[Violation]:
+def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota):
     """Raise the first broken pool rule in the order dedicated quota, low-priority
-    quota, RDMA, shared filesystem; else return the warnings, which do not block creation."""
+    quota, RDMA, shared filesystem; `cfg.warnings` are the rules that do not block creation."""
     sku = catalog.lookup(cfg.sku)
     for needed, cores in ((cfg.dedicated_count * sku.vcores, available.dedicated_cores),
                           (cfg.low_priority_count * sku.vcores, available.low_priority_cores)):
@@ -353,8 +355,3 @@ def validate_pool(cfg: PoolConfig, catalog: Catalog, available: RegionQuota) -> 
                               f"{sku.name} has none")
     if cfg.shared_filesystem and cfg.low_priority_count > 0:
         raise ValidationError("a shared filesystem pool cannot include low-priority nodes")
-    if cfg.low_priority_count > 0 and cfg.inter_node_comm:
-        return [Violation("LowPriorityInterNodeComm",
-                          "low-priority nodes are preemptible and best avoided for "
-                          "long-running jobs with inter-node communication")]
-    return []

@@ -147,7 +147,9 @@ class NodeState(enum.Enum):
 
 
 class Node:
-    """A VM of a pool; its SKU is the pool's `config.sku`."""
+    """A VM of a pool; its SKU is the pool's `config.sku`. Node `i` of a pool is
+    `<pool>/<i>`, dedicated if among its first `dedicated_count`: state.json stores neither
+    id nor priority, and a load derives both from the node's position (`batch.pool_node`)."""
 
     __slots__ = ("node_id", "position", "entity", "priority", "state", "ready_time",
                  "released_time", "preempt_at", "busy_log", "task")

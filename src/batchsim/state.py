@@ -30,14 +30,14 @@ from pathlib import Path
 from typing import Optional
 
 from .batch import (IMAGE_PULL_SECONDS, BatchService, FailureReason, Job, JobState, Pool,
-                    PoolState, Task, TaskState)
+                    PoolState, Task, TaskState, pool_node)
 from .billing import MeterEvent, ServiceCategory
 from .catalog import Catalog, PricingPlan, RegionQuota, SkuSpec, default_catalog
 from .config import (_FLOAT_MAX, BOOL, COUNT, INTEGER, POSITIVE, RECORD, TASK, TASK_SPEC_KEYS,
-                     TEXT, VM_COUNT, WORKSPACE, At, ConfigBundle, Kind, TaskSpec, Violation, _read,
-                     _written, at_key, of_owner, pool_from_doc, pool_to_doc)
+                     TEXT, VM_COUNT, WORKSPACE, At, ConfigBundle, Kind, TaskSpec, _read, _written,
+                     at_key, of_owner, pool_from_doc, pool_to_doc)
 from .errors import ValidationError
-from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, Node, NodeState, Priority
+from .fabric import DEFAULT_PREEMPTION_RATE, INTERCONNECTS, NodeState, Priority
 from .storage import FileShare, ShareEntry, is_share_name
 from .workloads import workload_ref
 
@@ -119,12 +119,9 @@ SERVICE = {"time": INSTANT, "quotas": RECORD, "pools": RECORDS, "jobs": RECORDS,
 QUOTA = {"region": REFERENCE, "quota": Kind(lambda v, at: type(v) is list and len(v) == 2 and all(
     type(c) is int and c >= 0 for c in v))}
 POOL = {"config": RECORD, "state": _enum(PoolState), "created_at": INSTANT,
-        "steady_at": _optional(INSTANT), "deleted_at": _optional(INSTANT), "warnings": RECORDS,
-        "nodes": RECORDS}
-WARNING = {"rule": TEXT, "message": TEXT}
-NODE = {"id": TEXT._replace(attr="node_id"), "priority": _enum(Priority),
-        "state": _enum(NodeState), "ready_time": _optional(INSTANT),
-        "released_time": _optional(INSTANT),
+        "steady_at": _optional(INSTANT), "deleted_at": _optional(INSTANT), "nodes": RECORDS}
+NODE = {"state": _enum(NodeState), "ready_time": _optional(INSTANT),  # id and priority: by
+        "released_time": _optional(INSTANT),  # the node's position (batch.pool_node)
         "preempt_at": _optional(Kind(lambda v, at: _finite(v))),  # a pending preemption
         "busy_log": Kind(lambda v, at: type(v) is list and all(
             type(r) is list and len(r) == 3 and _span(r, at) and type(r[2]) is str for r in v),
@@ -175,7 +172,8 @@ STATUS_POOL = {"id": TEXT._replace(attr="pool_id"), "sku": TEXT, "region": TEXT,
                "dedicated": COUNT, "low_priority": COUNT, "shared_fs_mounted": BOOL,
                "warnings": TEXTS, "nodes": RECORDS,
                **{key: POOL[key] for key in ("state", "created_at", "steady_at", "deleted_at")}}
-STATUS_NODE = {**{key: NODE[key] for key in ("id", "state", "priority")},
+STATUS_NODE = {"id": TEXT._replace(attr="node_id"), "state": NODE["state"],
+               "priority": _enum(Priority),
                "ready_at": NODE["ready_time"]._replace(attr="ready_time"),
                "released_at": NODE["released_time"]._replace(attr="released_time")}
 STATUS_JOB = {**{key: JOB[key] for key in ("id", "pool", "state", "submitted_at")},
@@ -225,7 +223,7 @@ def catalog_from_doc(doc: dict, label="corrupt state") -> Catalog:
     _read(doc, CATALOG, "catalog", form=form)
     skus = [SkuSpec(**_read({"gpu_model": "", **s}, SKU, f"sku {s.get('name')}", form=form))
             for s in doc["skus"]]
-    quotas = {r: RegionQuota(r, **_read(q, REGION_QUOTA, f"region {r}", form=form))
+    quotas = {r: RegionQuota(**_read(q, REGION_QUOTA, f"region {r}", form=form))
               for r, q in doc["quotas"].items()}
     return Catalog(skus, quotas)
 
@@ -307,11 +305,9 @@ def service_to_doc(svc: BatchService) -> dict:
     for pool in svc.pools.values():
         # a row's interval is one tuple shared by its nodes' busy_logs (Task.interval)
         recorded = {id(t.interval) for t in _recording_tasks(svc, pool) if t.interval}
-        pools.append(_written(
-            pool, POOL, config=pool_to_doc(pool.config),
-            warnings=[_written(v, WARNING) for v in pool.warnings],
-            nodes=[_written(n, NODE, busy_log=[list(b) for b in n.busy_log
-                                               if id(b) not in recorded]) for n in pool.nodes]))
+        pools.append(_written(pool, POOL, config=pool_to_doc(pool.config), nodes=[
+            _written(n, NODE, busy_log=[list(b) for b in n.busy_log if id(b) not in recorded])
+            for n in pool.nodes]))
     jobs = [_written(job, JOB, tasks=[  # each row as TASK_ROW's kinds write it
         [t.spec.task_id, workload_ref(t.spec.workload), *t.spec[2:], t.state._value_,
          list(t.assigned_nodes), t.start_time, t.end_time,
@@ -340,7 +336,7 @@ def status_doc(svc: BatchService) -> dict:
             for r, q in svc.quotas.items()},
         "pools": [_written(pool, STATUS_POOL, **_written(pool.config, VM_COUNT),
                            sku=pool.config.sku, region=pool.config.region,
-                           warnings=[v.rule for v in pool.warnings],
+                           warnings=[*pool.config.warnings],
                            nodes=[_written(n, STATUS_NODE) for n in pool.nodes])
                   for pool in svc.pools.values()],
         "jobs": [_written(job, STATUS_JOB, tasks=[
@@ -361,7 +357,7 @@ def service_from_doc(doc: dict, options: ServiceOptions,
     svc.quotas = {}
     for region, cores in doc["quotas"].items():
         quota = _read({"region": region, "quota": cores}, QUOTA, f"region {region}", regions)
-        svc.quotas[region] = RegionQuota(region, *quota["quota"])
+        svc.quotas[region] = RegionQuota(*quota["quota"])
     for sdoc in doc["shares"]:
         values = _read(sdoc, SHARE, f"share {sdoc.get('name')}")
         share = FileShare(values["name"], values["quota_gib"])
@@ -390,14 +386,13 @@ def service_from_doc(doc: dict, options: ServiceOptions,
         plan = pdoc.get("plan", PricingPlan.PAYGO_DEDICATED.value)
         if plan != PricingPlan.PAYGO_DEDICATED.value:  # a pool bills by node priority alone
             raise ValidationError(f"corrupt state: pricing plan {plan!r} of pool {cfg.pool_id}")
-        values.update(config=cfg, nodes=[], warnings=[Violation(**_read(w, WARNING, owner))
-                                                      for w in values["warnings"]])
-        pool = Pool(**values)
+        if len(values["nodes"]) != cfg.node_count:  # each is node i of cfg, as pool add made it
+            raise ValidationError(f"corrupt state: node count {len(values['nodes'])} of {owner}")
+        pool = Pool(**{**values, "config": cfg, "nodes": []})
         for position, ndoc in enumerate(pdoc["nodes"]):
-            owner = f"node {ndoc.get('id')}"
-            values = _read(ndoc, NODE, owner, at)
-            node = Node(values.pop("node_id"), values.pop("priority"), position)
-            for attr, value in values.items():
+            node = pool_node(cfg, position)
+            owner = f"node {node.node_id}"
+            for attr, value in _read(ndoc, NODE, owner, at).items():
                 setattr(node, attr, value)
             if node.state is NodeState.STARTING and node.released_time is None:
                 # every command that creates nodes runs until they are ready
@@ -408,10 +403,6 @@ def service_from_doc(doc: dict, options: ServiceOptions,
                                                 or pending and node.preempt_at < now):
                 raise ValidationError(f"corrupt state: preempt_at {node.preempt_at!r} of {owner}")
             pool.nodes.append(node)
-        ids = [n.node_id for n in pool.nodes]
-        if len({*ids}) < len(ids):
-            twice = next(i for k, i in enumerate(ids) if i in ids[:k])
-            raise ValidationError(f"corrupt state: node {twice!r} twice in pool {cfg.pool_id}")
         if cfg.pool_id in svc.pools:
             raise ValidationError(f"corrupt state: pool {cfg.pool_id!r} twice")
         pool.idle = [n for n in pool.nodes if n.state is NodeState.IDLE]

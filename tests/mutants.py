@@ -54,14 +54,28 @@ MUTANTS = [
     Mutant("entries-under-prefix-without-slash", "storage.py", 'prefix = directory + "/"',
            "prefix = directory", _ENTRIES_UNDER[1:]),
     # ids are unique in state.json
-    Mutant("node-id-twice-taken", "state.py", "if len({*ids}) < len(ids):", "if False:",
-           (f"{_CORRUPT}[node-id-twice-jobs-add]", f"{_CORRUPT}[node-id-twice-pool-del]")),
     Mutant("pool-twice-taken", "state.py", "if cfg.pool_id in svc.pools:", "if False:",
            (f"{_CORRUPT}[pool-twice-jobs-add]", f"{_CORRUPT}[pool-twice-pool-del]")),
     Mutant("job-twice-taken", "state.py", "if job_id in jobs:", "if False:",
            (f"{_CORRUPT}[job-twice-jobs-add]", f"{_CORRUPT}[job-twice-pool-del]")),
     Mutant("share-twice-taken", "state.py", "if share.name in svc.storage.shares:", "if False:",
            (f"{_CORRUPT}[share-twice-jobs-add]", f"{_CORRUPT}[share-twice-pool-del]")),
+    # node i of a pool is dedicated if i < vm_count.dedicated, as pool add and a load build it
+    Mutant("node-priority-off-by-one", "batch.py", "i < cfg.dedicated_count",
+           "i <= cfg.dedicated_count",
+           ("tests/test_golden.py::test_cli_low_priority_status_digests",
+            "tests/test_batch.py::test_preemption_fails_whole_gang_task")),
+    # a pool holds the nodes of its vm_count, so a load builds each from its position alone
+    Mutant("node-count-unchecked", "state.py", 'if len(values["nodes"]) != cfg.node_count:',
+           "if False:", (f"{_CORRUPT}[node-dropped-jobs-add]", f"{_CORRUPT}[node-added-pool-del]")),
+    # a pool's warnings follow from its config: pool add logs and prints them, status shows them
+    Mutant("pool-warning-dropped", "config.py",
+           "        if self.low_priority_count > 0 and self.inter_node_comm:\n",
+           "        if False:\n",
+           ("tests/test_config.py::test_validate_pool_low_priority_comm_is_warning",
+            "tests/test_batch.py::test_pool_add_low_priority_comm_warning_not_rejection",
+            "tests/test_cli.py::test_pool_add_prints_the_warnings_of_its_config_before_the_pool",
+            "tests/test_golden.py::test_cli_low_priority_status_digests")),
     # a package replays a transcript that begins with workspace init, against packed
     # outputs that are files; PASS names the seed of that init, and a FAIL the first line
     # that differs
@@ -235,7 +249,7 @@ MUTANTS = [
     Mutant("negative-seconds-metered", "billing.py", "    if seconds < 0:\n",
            "    if False:\n", ("tests/test_billing.py::test_meter_vm_rejects_negative",)),
     Mutant("default-quotas-shared", "catalog.py",
-           "return {r: RegionQuota(r, q.dedicated_cores, q.low_priority_cores)\n"
+           "return {r: RegionQuota(q.dedicated_cores, q.low_priority_cores)\n"
            "                for r, q in self._quotas.items()}",
            "return dict(self._quotas)", ("tests/test_catalog.py::test_quota_snapshot_is_copy",)),
 ]

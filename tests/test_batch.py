@@ -152,13 +152,12 @@ def test_pool_add_unknown_region_is_checked_before_the_rules():
 def test_pool_add_low_priority_comm_warning_not_rejection():
     svc = make_service(seed=1)
     pool = svc.pool_add(pool_cfg(sku="NC24r", ded=1, low=1, inter_node_comm=True))
-    assert [(v.rule, v.message) for v in pool.warnings] == [
-        ("LowPriorityInterNodeComm", WARNING_TEXT)]
+    assert pool.config.warnings == {"LowPriorityInterNodeComm": WARNING_TEXT}
     assert [tr for _, entity, tr in svc.event_log.records if entity == "pool/p"] == [
         "->Allocating", "warning:LowPriorityInterNodeComm"]
     for cfg in (pool_cfg(pool_id="d", sku="NC24r", ded=1, inter_node_comm=True),
                 pool_cfg(pool_id="l", sku="NC24r", ded=0, low=1)):
-        assert svc.pool_add(cfg).warnings == []
+        assert svc.pool_add(cfg).config.warnings == {}
 
 
 def test_image_pull_precedes_steady():
@@ -498,7 +497,7 @@ def test_quota_use_is_derived_from_the_pools_not_deleted():
         for region, (dedicated, low_priority) in used.items():
             quota = svc.quotas[region]
             assert svc.available_quota(region) == RegionQuota(
-                region, quota.dedicated_cores - dedicated, quota.low_priority_cores - low_priority)
+                quota.dedicated_cores - dedicated, quota.low_priority_cores - low_priority)
 
     check((0, 0), (0, 0))
     steady_pool(svc, cfg("a", "NC6", "eastus", 2, 1))  # 6 vcores a node

@@ -566,10 +566,24 @@ def test_state_carrying_the_old_egress_rate_runs_on_like_a_fresh_one(tmp_path):
     assert "\nBandwidth\t" in (old / ".batchsim" / "ledger.tsv").read_text()
 
 
+def _with_derived_keys(state: dict) -> dict:
+    """`state` with each node's id and priority and each pool's warnings, as state.json held
+    them before they were derived from the pool's config and the node's position."""
+    for pool in state["service"]["pools"]:
+        config = pool["config"]
+        warnings = configmod.pool_from_doc(config, ("state.json", "")).warnings
+        pool["warnings"] = [{"rule": rule, "message": text} for rule, text in warnings.items()]
+        for i, node in enumerate(pool["nodes"]):
+            node["id"] = f"{config['id']}/{i}"
+            node["priority"] = ("dedicated" if i < config["vm_count"]["dedicated"]
+                                else "low_priority")
+    return state
+
+
 def _with_dropped_keys(state: dict, events: str) -> dict:
     """`state` with the keys that state.json held before they were dropped, valued as they
     were written: derived from the rest of the state, from events.log and from the keys."""
-    svc = state["service"]
+    svc = _with_derived_keys(state)["service"]
     state["storage_account_created"] = ["storage", "account", "create"] in state["transcript"]
     state["has_completed_run"] = any(  # a finished task: what `repro pack` asks the service
         row[7] in ("Completed", "Failed") for job in svc["jobs"] for row in job["tasks"])
@@ -600,7 +614,7 @@ def _with_dropped_keys(state: dict, events: str) -> dict:
 
 DROPPED_KEYS = ("credentials_digest", "quota_used", "transfers", "pool_plans", "boot_latency",
                 "severity", "directories", '"plan":', "storage_account_created", "ingress_seq",
-                "has_completed_run")
+                "has_completed_run", "warnings", '"priority":')  # and a node's "id" and "sku"
 
 
 def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
@@ -633,14 +647,30 @@ def test_state_carrying_the_dropped_keys_runs_on_and_drops_them(tmp_path):
     assert [key for key in DROPPED_KEYS if key in written] == []
     assert json.loads(written).keys() == statemod.STATE.keys()
     nodes = [n for p in json.loads(written)["service"]["pools"] for n in p["nodes"]]
-    assert nodes and [n for n in nodes if "sku" in n] == []  # "sku" is a pool config key too
+    assert nodes and [n for n in nodes if {"sku", "id"} & n.keys()] == []  # pool config keys
+
+
+def test_pool_add_prints_the_warnings_of_its_config_before_the_pool(workdir):
+    """`pool add` of a pool with low-priority nodes and inter-node communication prints the
+    rule and message of its one warning, then the pool line."""
+    pool_yaml = workdir / "config_shipyard" / "pool.yaml"
+    pool_doc = yaml.safe_load(pool_yaml.read_text())
+    pool_doc["pool"].update(vm_count={"dedicated": 1, "low_priority": 1}, shared_filesystem=False)
+    pool_yaml.write_text(yaml.safe_dump(pool_doc, sort_keys=False))
+    ok(workdir, *INIT)
+    ok(workdir, "quota", "set", "--region", "eastus", "--dedicated", "100", "--low-priority", "100")
+    assert ok(workdir, "pool", "add", *CFG) == (
+        "warning: LowPriorityInterNodeComm: low-priority nodes are preemptible and best avoided "
+        "for long-running jobs with inter-node communication\n"
+        "pool snake2d2k35: Steady (1 dedicated, 1 low-priority NC24r)\n")
 
 
 def _with_full_busy_logs(state: dict) -> dict:
     """`state` with each node's busy_log as state.json held it before the intervals that a
     task row records were left out: every interval, in the order they ended; and with each
-    node's sku and the has_completed_run flag, which state.json held then too."""
-    svc = state["service"]
+    node's sku, id and priority, each pool's warnings and the has_completed_run flag, which
+    state.json held then too."""
+    svc = _with_derived_keys(state)["service"]
     state["has_completed_run"] = True
     for pool in svc["pools"]:
         for node in pool["nodes"]:
@@ -912,7 +942,7 @@ POOL_NODE_CORRUPTIONS = {
     "entry-size-bool": (lambda state: _entry(state, True).update(size=True),
                         "size True of fileshare/snake2d2k35/output/run.log"),
     # leaves that no check reached: unchecked, each loaded (exit 0), or exited 2 with a
-    # Python message (warnings, entry path, pool state, node priority, content_hex)
+    # Python message (entry path, pool state, content_hex)
     "job-pool-number": (lambda state: _job(state).update(pool=5),
                         "pool 5 of job snake2d2k35-job"),
     "job-pool-unknown": (lambda state: _job(state).update(pool="nope"),
@@ -934,18 +964,12 @@ POOL_NODE_CORRUPTIONS = {
                           "sku 5 of ledger item 0"),
     "ledger-description-number": (lambda state: _add_ledger_item(state, description=5),
                                   "description 5 of ledger item 0"),
-    "warning-rule-number": (lambda state: _pool(state).update(
-        warnings=[{"rule": 5, "message": "m"}]), "rule 5 of pool snake2d2k35"),
-    "warnings-text": (lambda state: _pool(state).update(warnings="x"),
-                      "warnings 'x' of pool snake2d2k35"),
     "entry-path-number": (lambda state: _entry(state, True).update(path=5),
                           "path 5 of fileshare/5"),
     "entry-path-leaves-share": (lambda state: _entry(state, True).update(path="../../x"),
                                 "path '../../x' of fileshare/../../x"),
     "pool-state-unknown": (lambda state: _pool(state).update(state="Bogus"),
                            "state 'Bogus' of pool snake2d2k35"),
-    "node-priority-unknown": (lambda state: _node(state).update(priority="Bogus"),
-                              "priority 'Bogus' of node snake2d2k35/0"),
     "content-hex-not-hex": (lambda state: _entry(state, True).update(content_hex="zz"),
                             "content_hex 'zz' of fileshare/snake2d2k35/output/run.log"),
     # a dedicated node is never preempted: unchecked, `jobs add` ran into the preemption
@@ -953,12 +977,19 @@ POOL_NODE_CORRUPTIONS = {
     "dedicated-preempt-at": (lambda state: _node(state).update(preempt_at=1e9),
                              "preempt_at 1000000000.0 of node snake2d2k35/0"),
     # a pending preemption is never earlier than the clock: unchecked, each command exited 0
-    # with the preemption moved to the service time
-    "preempt-at-past": (lambda state: _node(state).update(priority="low_priority",
-                                                          preempt_at=1.0),
+    # with the preemption moved to the service time (node 0 is low-priority by vm_count)
+    "preempt-at-past": (lambda state: (_pool(state)["config"]["vm_count"].update(
+        dedicated=0, low_priority=2), _node(state).update(preempt_at=1.0)),
                         "preempt_at 1.0 of node snake2d2k35/0"),
     "node-number": (lambda state: _pool(state).update(nodes=[5]),
                     "nodes [5] of pool snake2d2k35"),
+    # a pool holds the nodes of its vm_count: unchecked, a record too few before any task ran
+    # left a task that needs both nodes Pending after `jobs add`, and a record too many was a
+    # low-priority node that `pool del` billed
+    "node-dropped": (lambda state: _pool(state)["nodes"].pop(),
+                     "node count 1 of pool snake2d2k35"),
+    "node-added": (lambda state: _pool(state)["nodes"].append(dict(_node(state))),
+                   "node count 3 of pool snake2d2k35"),
     "task-row-number": (lambda state: _job(state).update(tasks=[5]),
                         "tasks [5] of job snake2d2k35-job"),
     # an error in a document embedded in state.json names its record; each was
@@ -975,10 +1006,7 @@ POOL_NODE_CORRUPTIONS = {
                           "task row ['task0', 'fixed:25200', 2, 12, 2, 'fileshare/snake2d2k35', "
                           "'fileshare/snake2d2k35/output', 'Completed', 5, 400.0, 25600.0, None, "
                           "0] of job snake2d2k35-job"),
-    # ids are unique: unchecked, a node id twice made `jobs add` exit 1 (a KeyError) and
-    # `pool del` log one release twice, and a record twice loaded keeping one of the two
-    "node-id-twice": (lambda state: _pool(state)["nodes"][1].update(id="snake2d2k35/0"),
-                      "node 'snake2d2k35/0' twice in pool snake2d2k35"),
+    # ids are unique: unchecked, a pool, job or share twice loaded keeping one of the two
     "pool-twice": (lambda state: _twice(state, "pools"), "pool 'snake2d2k35' twice"),
     "job-twice": (lambda state: _twice(state, "jobs"), "job 'snake2d2k35-job' twice"),
     "share-twice": (lambda state: _twice(state, "shares"), "share 'fileshare' twice"),
@@ -1077,7 +1105,7 @@ def retry_workspace(tmp_path_factory):
 NESTED = {"workspace": configmod.WORKSPACE, "config": configmod.POOL_CONFIG,
           "vm_count": configmod.VM_COUNT, "options": statemod.OPTIONS,
           "service": statemod.SERVICE, "pools": statemod.POOL, "nodes": statemod.NODE,
-          "warnings": statemod.WARNING, "jobs": statemod.JOB, "shares": statemod.SHARE,
+          "jobs": statemod.JOB, "shares": statemod.SHARE,
           "entries": statemod.ENTRY, "ledger": statemod.LEDGER_ITEM}
 
 
@@ -1101,6 +1129,9 @@ def _table_leaves(doc, table=statemod.STATE, path=()):
             yield from ((*path, key, i, k) for i, row in enumerate(value) for k in range(len(row)))
 
 
+# the commands that the property below runs on an edited state, each on its own copy
+LEAF_COMMANDS = (["status"], ["pool", "del", *CFG], ["jobs", "add", *CFG], ["ledger", "report"],
+                 ["repro", "pack"])
 # what a field-table error and the readers of embedded documents print
 CORRUPT_STATE_ERROR = re.compile(r"error: (corrupt state: (\w+ .+ of .+|unsupported state "
                                  r"version .+)|state\.json: key '[\w.\[\]]+': .+)\n")
@@ -1113,7 +1144,8 @@ def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace,
                                                                retry_workspace, data):
     """Any leaf that a field table checks, in the README session's state or in one with
     retried tasks and preempted low-priority nodes, set to a value of another JSON kind,
-    either loads or is exit 2 with the table's message, `.batchsim/` byte-identical."""
+    either loads or is exit 2 with the table's message, `.batchsim/` byte-identical, in each
+    of LEAF_COMMANDS run on its own copy of the edited workspace."""
     workspace = data.draw(st.sampled_from([readme_workspace, retry_workspace]))
     state = json.loads((workspace / ".batchsim" / "state.json").read_text())
     leaf = data.draw(st.sampled_from(list(_table_leaves(state))))
@@ -1122,22 +1154,22 @@ def test_a_table_leaf_of_another_kind_exits_2_without_mutation(readme_workspace,
     for key in leaf[:-1]:
         record = record[key]
     record[leaf[-1]] = value
-    with tempfile.TemporaryDirectory(prefix="batchsim-leaf-") as tmp:
-        root = Path(tmp)
-        shutil.copytree(workspace, root, dirs_exist_ok=True)
-        (root / ".batchsim" / "state.json").write_text(json.dumps(state))
-        for argv in (["status"], ["pool", "del", *CFG]):
+    for argv in LEAF_COMMANDS:
+        with tempfile.TemporaryDirectory(prefix="batchsim-leaf-") as tmp:
+            root = Path(tmp)
+            shutil.copytree(workspace, root, dirs_exist_ok=True)
+            (root / ".batchsim" / "state.json").write_text(json.dumps(state))
             before = tree(root)
             code, _, err = cli(root, *argv)
-            assert code in (0, 2, 3, 64), err
+            assert code in (0, 2, 3, 64), (argv, err)
             if code:
-                assert code == 2 and CORRUPT_STATE_ERROR.fullmatch(err), err
-                assert tree(root) == before
+                assert code == 2 and CORRUPT_STATE_ERROR.fullmatch(err), (argv, err)
+                assert tree(root) == before, argv
 
 
-def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
-    """A node is its pool's SKU: a node `sku` in state.json, as older states hold it, is
-    not read, and the next commit leaves the tree of a session without it."""
+def _is_not_read_and_is_dropped(tmp_path, edit):
+    """The README session through `jobs add` with `edit` made to its state.json leaves, after
+    `pool del`, the tree of the session without the edit."""
     roots = tmp_path / "plain", tmp_path / "edited"
     for root in roots:
         shutil.copytree(EXAMPLE_DIR, root / "config_shipyard")
@@ -1145,11 +1177,37 @@ def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
             ok(root, *step)
     path = roots[1] / ".batchsim" / "state.json"
     state = json.loads(path.read_text())
-    _node(state)["sku"] = 5
+    edit(state)
     path.write_text(json.dumps(state))
     for root in roots:
         ok(root, "pool", "del", *CFG)
     assert tree(roots[1]) == tree(roots[0])
+
+
+def test_node_sku_in_state_is_not_read_and_is_dropped(tmp_path):
+    """A node is its pool's SKU: a node `sku` in state.json, as older states hold it, is
+    not read, and the next commit leaves the tree of a session without it."""
+    _is_not_read_and_is_dropped(tmp_path, lambda state: _node(state).update(sku=5))
+
+
+# state.json edits of what a pool's config and a node's position give, each of a value
+# that was once exit 2 or that contradicts the pool's vm_count
+DERIVED_FIELDS = {
+    "warning-rule-number": lambda state: _pool(state).update(warnings=[{"rule": 5}]),
+    "warnings-text": lambda state: _pool(state).update(warnings="x"),
+    "node-priority-unknown": lambda state: _node(state).update(priority="Bogus"),
+    "node-priority-against-vm-count": lambda state: _node(state).update(priority="low_priority"),
+    "node-id-twice": lambda state: _pool(state)["nodes"][1].update(id="snake2d2k35/0"),
+}
+
+
+@pytest.mark.parametrize("edit", list(DERIVED_FIELDS.values()), ids=list(DERIVED_FIELDS))
+def test_stored_warnings_node_id_or_priority_is_not_read_and_is_dropped(tmp_path, edit):
+    """A pool's warnings follow from its config, and node `i` of a pool is `<pool>/<i>`,
+    dedicated if among the first `vm_count.dedicated`: those fields in state.json, as older
+    states hold them, are not read, whatever their values, and the next commit leaves the
+    tree of a session without them."""
+    _is_not_read_and_is_dropped(tmp_path, edit)
 
 
 def _row(index, value):

@@ -174,7 +174,7 @@ def test_validate_pool_quota_exceeded():
         validate_pool(_pool(ded=2, sku="NC24r", inter_node=True), CATALOG, _available())
     with pytest.raises(ValidationError, match="^quota exceeded in region eastus: needed 48 "
                                               "cores, available 30$"):
-        validate_pool(_pool(ded=0, low=2, sku="NC24r"), CATALOG, RegionQuota("eastus", 0, 30))
+        validate_pool(_pool(ded=0, low=2, sku="NC24r"), CATALOG, RegionQuota(0, 30))
 
 
 def test_validate_pool_shared_fs_low_priority():
@@ -184,13 +184,16 @@ def test_validate_pool_shared_fs_low_priority():
 
 
 def test_validate_pool_ok():
-    assert validate_pool(_pool(), CATALOG, _available()) == []
-    assert validate_pool(_pool(ded=4), CATALOG, RegionQuota("eastus", 24, 0)) == []
+    for cfg, available in ((_pool(), _available()), (_pool(ded=4), RegionQuota(24, 0))):
+        assert validate_pool(cfg, CATALOG, available) is None
+        assert cfg.warnings == {}
 
 
 def test_validate_pool_low_priority_comm_is_warning():
-    violations = validate_pool(_pool(low=1, sku="NC24r", inter_node=True), CATALOG, _available())
-    assert [v.rule for v in violations] == ["LowPriorityInterNodeComm"]
+    cfg = _pool(low=1, sku="NC24r", inter_node=True)
+    assert validate_pool(cfg, CATALOG, _available()) is None
+    assert cfg.warnings == {"LowPriorityInterNodeComm": "low-priority nodes are preemptible and "
+                            "best avoided for long-running jobs with inter-node communication"}
 
 
 def test_validate_pool_rdma_rule():

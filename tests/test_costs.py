@@ -126,7 +126,7 @@ def test_log_records_and_state_bytes_per_task_are_pinned(counted, tmp_path):
     store = state.WorkspaceStore(tmp_path)
     store.save({"options": OPTIONS.to_doc(), "service": state.service_to_doc(svc)})
     assert len(svc.event_log.records) / TASKS == 10.349
-    assert store.state_path.stat().st_size / TASKS == 190.218
+    assert store.state_path.stat().st_size / TASKS == 189.006
 
 
 def test_python_calls_per_ended_task_are_bounded():
@@ -225,33 +225,46 @@ from batchsim import workloads
 from batchsim.fabric import INTERCONNECTS
 spec, model = workloads.parse_workload("poisson:cg:{CG_EDGE}"), INTERCONNECTS["azure"]
 workloads.execute(spec, 1, 1, model)  # the imports and caches of a first solve, untraced
-stencil, calls = workloads.apply_poisson, [0]
+stencil, dot, calls = workloads.apply_poisson, workloads.np.dot, [0, 0]
 
 def counting(*args, **kwargs):
     calls[0] += 1
     return stencil(*args, **kwargs)
 
-workloads.apply_poisson = counting
+def counting_dot(*args):
+    calls[1] += 1
+    return dot(*args)
+
+workloads.apply_poisson, workloads.np.dot = counting, counting_dot
 tracemalloc.start()
 report = workloads.execute(spec, 1, 1, model).outputs[0][1].decode()
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(json.dumps([calls[0], report, peak]))
+print(json.dumps([*calls, report, peak]))
 """
 
 
 @pytest.fixture(scope="module")
-def cg_solve(tmp_path_factory) -> tuple[int, int, int]:
-    """Stencil calls, iterations and traced allocation peak of the second of two solves."""
-    calls, report, peak = json.loads(_run_python(tmp_path_factory.mktemp("cg"), "-c", _CG_CHILD))
+def cg_solve(tmp_path_factory) -> tuple[int, int, int, int]:
+    """Stencil calls, dot calls, iterations and traced allocation peak of the second of two
+    solves."""
+    calls, dots, report, peak = json.loads(_run_python(tmp_path_factory.mktemp("cg"), "-c",
+                                                       _CG_CHILD))
     rows = dict(line.split("\t") for line in report.splitlines())
-    return calls, int(rows["iterations"]), peak
+    return calls, dots, int(rows["iterations"]), peak
 
 
 def test_a_small_cg_solve_makes_one_stencil_call_per_iteration(cg_solve):
-    calls, iterations, _ = cg_solve
+    calls, _, iterations, _ = cg_solve
     # 13 with BLAS on one thread; 14 on two
     assert (calls, iterations) == (13, 13)
+
+
+def test_a_small_cg_solve_makes_two_dots_per_iteration_and_one_before(cg_solve):
+    _, dots, iterations, _ = cg_solve
+    # r·r before the loop, then p·Ap and r·r in each iteration: numpy dots over the whole
+    # grid, whose summation order follows the BLAS thread count
+    assert dots == 2 * iterations + 1 == 27
 
 
 def test_traced_allocation_peak_of_a_small_cg_solve_is_bounded(cg_solve):
@@ -259,4 +272,4 @@ def test_traced_allocation_peak_of_a_small_cg_solve_is_bounded(cg_solve):
     # 6.78 grid arrays (749,600 B): rhs (the residual), x, p, A*p and one slab of
     # update scratch, which is the whole grid at this size, plus the stencil's iterator
     # buffers, 1.74 arrays at their peak
-    assert cg_solve[2] <= 7 * grid_array
+    assert cg_solve[3] <= 7 * grid_array

@@ -101,7 +101,7 @@ def test_run_scenario_digests(name):
 RETRY_MIX_DIGESTS = {
     "events.log": "657cad5422294288e0313bc8254397b1f1358a4075cf0355c990af89d3092b08",
     "ledger.tsv": "b9ce110b54541bd52b492ba2196b47ea1931e2c7b18ab49112056f45d8dd914e",
-    "service_to_doc": "b77f776d39781f6f75966b5a6fd6fb2474d01928b0742177f82e6acc79f8b504",
+    "service_to_doc": "dd173e02d72fc2115e90cffaa164a99b5f7011da324600c0d627bb4e2465b019",
 }
 
 
@@ -156,7 +156,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "b6716a4afec8cb5f84d9c360c113f946f94ff5e66d512f4d502541e9ed1cd4c3",
         "state.json":
-            "1aea5a8e7617a1e587c768b010151fd6aaf2b4d373fc9ce05d9156670478254b",
+            "5a52c3705f509130f2f8550a34a7d5df164fb497eecbbc22efe898dd5ed0b0dc",
     },
     "poisson_h16r": {
         "configs/c04bd6145343/credentials.yaml":
@@ -174,7 +174,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "113d850bf51d1a36f07e673369389d2bf33cb4b3281f9b79d9bdc3425e6636c3",
         "state.json":
-            "c59f395bdaa3ef85483d6d290ebdbba36612359758c4e205ea71668546c34c8e",
+            "2de017aa4304b3209436335dc7e6cbfcb18097ef4b0bdb0f6c0e0d72d1f4ef1d",
     },
     "snake2d2k35": {
         "configs/95ad2d9e1a47/credentials.yaml":
@@ -192,7 +192,7 @@ SESSION_DIGESTS = {
         "ledger.tsv":
             "e2611985688cd8ac9a50b79ebfe7988c1dc6723ccf790327a8514d8a63297093",
         "state.json":
-            "a1e2f9f04a5008477400e0ef866c1df93807f4be004642b59b77b9a29f594d47",
+            "cb7f5a481c723bae125253eea043d205cf10c498a3373fd817020873dfac0996",
     },
 }
 
@@ -213,7 +213,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "12376c8de9941ab6d9cba4539ba39d11fb17085099a44307c91d76b6e6817b98",
         "state.json":
-            "db78c2cdde72af0039001f6716de19c0185ca6be984d9956ea05dd8954826256",
+            "b32958fa3687108da542379afbc050050d8591175a486c2e3f6c9265e94328ff",
     },
     "snake3d": {
         "configs/558f439409ba/credentials.yaml":
@@ -231,7 +231,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "92a5cc9ee9cf97d68520e9d9ebcc2fd26f8297121fab119f823c89ab2fec157e",
         "state.json":
-            "3a4cb1f8f5561701a2c08280f11d205e77a38945a2c2e9816c34ba0b12e44ab1",
+            "c4fb7642f9c5da1382c51d3033807e20728bdc89093f0b6a382b01554229d9c2",
     },
     "snake3d_fine": {
         "configs/61e3fe057bed/credentials.yaml":
@@ -251,7 +251,7 @@ SCENARIO_RUN_DIGESTS = {
         "ledger.tsv":
             "39412d6cf1c59b02ec58907065179df8c5fa5b6c8b258eb50207eb167d8b8695",
         "state.json":
-            "dac897d2e70febbde345af023ae71850b3c7bf843fa329f00e10515078e88c58",
+            "cfae9a19b93c5ed416a6b8b195608eaf5b69ac95077097b1848d3fde23ee1724",
     },
 }
 

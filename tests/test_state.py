@@ -425,6 +425,11 @@ def _recorded_by_rows(doc) -> set:
             if start is not None and start > created[job["pool"]] for node_id in nodes}
 
 
+def _node_ids(pool_doc) -> list[str]:
+    """The id of each node of a pool document: `<pool>/<position>`, which is not stored."""
+    return [f"{pool_doc['config']['id']}/{i}" for i in range(len(pool_doc["nodes"]))]
+
+
 def _busy_logs(svc) -> dict:
     return {n.node_id: n.busy_log for p in svc.pools.values() for n in p.nodes}
 
@@ -433,7 +438,8 @@ def _busy_logs(svc) -> dict:
 def test_busy_logs_store_only_what_no_row_records_and_load_whole(seed):
     for svc, options in _busy_services(seed):
         doc = json.loads(json.dumps(state.service_to_doc(svc)))
-        stored = {(n["id"], *b) for p in doc["pools"] for n in p["nodes"] for b in n["busy_log"]}
+        stored = {(node_id, *b) for p in doc["pools"]
+                  for node_id, n in zip(_node_ids(p), p["nodes"]) for b in n["busy_log"]}
         assert not stored & _recorded_by_rows(doc)
         assert _busy_logs(state.service_from_doc(doc, options)) == _busy_logs(svc)
 
@@ -464,12 +470,11 @@ def test_row_interval_stored_on_a_node_the_row_does_not_name_is_kept():
     doc = json.loads(json.dumps(state.service_to_doc(svc)))
     job = next(j for j in doc["jobs"] if j["id"] == "again")
     task_id, *_, nodes, start, end, _, attempts = job["tasks"][0]
-    other = next(n for n in _pool_doc(doc)["nodes"] if n["id"] not in nodes)
+    other = next(i for i, node_id in enumerate(_node_ids(_pool_doc(doc))) if node_id not in nodes)
     interval = [start, end, f"task/again/{task_id}#{attempts}"]
-    other["busy_log"].append(interval)
+    _pool_doc(doc)["nodes"][other]["busy_log"].append(interval)
     back = state.service_to_doc(state.service_from_doc(doc, options))
-    [node] = [n for n in _pool_doc(back)["nodes"] if n["id"] == other["id"]]
-    assert interval in node["busy_log"]
+    assert interval in _pool_doc(back)["nodes"][other]["busy_log"]
 
 
 def test_the_preempted_attempt_of_a_running_retry_is_stored():
@@ -608,11 +613,10 @@ def test_state_documents_hold_exactly_these_keys(tmp_path):
     doc = state.service_to_doc(svc)
     assert set(doc) == {"time", "quotas", "pools", "jobs", "shares", "ledger"}
     [pool] = doc["pools"]
-    assert set(pool) == {"config", "state", "created_at", "steady_at", "deleted_at", "warnings",
-                         "nodes"}
-    assert [set(w) for w in pool["warnings"]] == [{"rule", "message"}]
-    assert {frozenset(n) for n in pool["nodes"]} == {frozenset(
-        {"id", "priority", "state", "ready_time", "released_time", "preempt_at", "busy_log"})}
+    assert svc.pools["p"].config.warnings  # a warning pool: its config gives the warnings
+    assert set(pool) == {"config", "state", "created_at", "steady_at", "deleted_at", "nodes"}
+    assert {frozenset(n) for n in pool["nodes"]} == {frozenset(  # id, priority: by position
+        {"state", "ready_time", "released_time", "preempt_at", "busy_log"})}
     assert {frozenset(j) for j in doc["jobs"]} == {frozenset(
         {"id", "pool", "state", "submitted_at", "tasks"})}
     [share] = doc["shares"]
